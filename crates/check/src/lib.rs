@@ -28,6 +28,7 @@
 //! every one of them — a checker that has never caught a bug proves
 //! nothing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counterexample;

@@ -20,15 +20,20 @@
 //!   [`serde::Serialize`] impl produces — the same layout `serde_json`
 //!   renders, just binary instead of text.
 //!
-//! Frames longer than [`MAX_FRAME`] are rejected on both sides
-//! ([`FrameError::Oversized`]) so a corrupt or hostile length prefix
-//! cannot make a reader allocate unboundedly. A stream that ends cleanly
-//! *between* frames reports [`FrameError::Closed`]; one that ends *inside*
-//! a frame reports [`FrameError::Truncated`].
+//! A length prefix above [`MAX_FRAME`] is rejected
+//! ([`FrameError::Oversized`]) so a corrupt or hostile one cannot make a
+//! reader allocate unboundedly. A stream that ends cleanly *between*
+//! frames reports [`FrameError::Closed`]; one that ends *inside* a frame
+//! reports [`FrameError::Truncated`].
+//!
+//! Before its first frame a connection carries a fixed 13-byte **hello**
+//! (`magic ∥ version ∥ ActorId`, [`write_hello`]/[`read_hello`]) so the
+//! accepting side knows which peer the stream speaks for.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use awr_sim::ActorId;
 use serde::{DeserializeOwned, Error as SerdeError, Serialize, Value};
 
 /// The wire protocol version carried in every frame header.
@@ -262,13 +267,25 @@ fn decode_value_at(buf: &[u8], pos: &mut usize, depth: u32) -> Result<Value, Fra
 // Frames.
 // ---------------------------------------------------------------------
 
+/// Appends `msg` to `out` as one complete frame, returning the frame's
+/// size: the value tree is encoded in place behind a placeholder length,
+/// which is then patched, so a sender can encode straight into its write
+/// buffer.
+pub(crate) fn encode_frame_into<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION]);
+    encode_value(&msg.to_value(), out);
+    let len = out.len() - start - 4;
+    // A length past `u32` wraps here; it is past `MAX_FRAME` too, and the
+    // sender checks the returned size against that before writing.
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    4 + len
+}
+
 /// Encodes `msg` as one complete frame (header + payload).
 pub fn encode_frame<T: Serialize>(msg: &T) -> Vec<u8> {
-    let mut payload = vec![WIRE_VERSION];
-    encode_value(&msg.to_value(), &mut payload);
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    encode_frame_into(msg, &mut frame);
     frame
 }
 
@@ -308,42 +325,33 @@ pub fn decode_frame<T: DeserializeOwned>(buf: &[u8]) -> Result<Option<(T, usize)
     Ok(Some((msg, 4 + len)))
 }
 
-/// Writes `msg` as one frame, returning the number of bytes written.
-pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<usize, FrameError> {
-    let frame = encode_frame(msg);
-    w.write_all(&frame).map_err(FrameError::Io)?;
-    Ok(frame.len())
+/// First bytes of every connection, before any frame.
+pub const HELLO_MAGIC: [u8; 4] = *b"AWRT";
+
+/// Size of the connection hello in bytes.
+pub const HELLO_LEN: usize = 13;
+
+/// Writes the connection hello: magic, wire version, and the dialer's id.
+pub fn write_hello(w: &mut impl Write, me: ActorId) -> Result<(), FrameError> {
+    let mut hello = [0u8; HELLO_LEN];
+    hello[..4].copy_from_slice(&HELLO_MAGIC);
+    hello[4] = WIRE_VERSION;
+    hello[5..].copy_from_slice(&(me.index() as u64).to_le_bytes());
+    w.write_all(&hello).map_err(FrameError::Io)
 }
 
-/// Reads exactly one frame, blocking. A clean end-of-stream before the
-/// first header byte is [`FrameError::Closed`]; end-of-stream anywhere
-/// after that is [`FrameError::Truncated`].
-pub fn read_frame<T: DeserializeOwned>(r: &mut impl Read) -> Result<T, FrameError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Err(FrameError::Closed),
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
+/// Reads and validates a connection hello, returning the dialer's id.
+pub fn read_hello(r: &mut impl Read) -> Result<ActorId, FrameError> {
+    let mut hello = [0u8; HELLO_LEN];
+    r.read_exact(&mut hello)?;
+    if hello[..4] != HELLO_MAGIC {
+        return Err(FrameError::Codec(SerdeError::custom("bad hello magic")));
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len });
+    if hello[4] != WIRE_VERSION {
+        return Err(FrameError::BadVersion(hello[4]));
     }
-    let mut rest = vec![0u8; len];
-    r.read_exact(&mut rest)?;
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&header);
-    buf.extend_from_slice(&rest);
-    match decode_frame(&buf)? {
-        Some((msg, _)) => Ok(msg),
-        // decode_frame saw the full `4 + len` bytes; None is unreachable.
-        None => Err(FrameError::Truncated),
-    }
+    let id = u64::from_le_bytes(hello[5..].try_into().unwrap());
+    Ok(ActorId(id as usize))
 }
 
 /// A deserialize round-trip through the frame codec, for tests and for
@@ -398,16 +406,8 @@ mod tests {
     }
 
     #[test]
-    fn truncated_stream_is_rejected() {
+    fn a_proper_prefix_is_incomplete_never_a_message() {
         let frame = encode_frame(&vec![1u64, 2, 3]);
-        for cut in 1..frame.len() {
-            let mut r = io::Cursor::new(&frame[..cut]);
-            match read_frame::<Vec<u64>>(&mut r) {
-                Err(FrameError::Truncated) => {}
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
-        }
-        // And the buffer-level parser reports "incomplete", never a panic.
         for cut in 0..frame.len() {
             assert!(matches!(decode_frame::<Vec<u64>>(&frame[..cut]), Ok(None)));
         }
@@ -421,10 +421,53 @@ mod tests {
             decode_frame::<u64>(&frame),
             Err(FrameError::Oversized { .. })
         ));
-        let mut r = io::Cursor::new(&frame);
+    }
+
+    #[test]
+    fn encoding_in_place_appends_the_same_bytes() {
+        // The reference layout, built the long way round.
+        let msg = (7u64, "héllo".to_string(), vec![1i64, -2, 3]);
+        let mut payload = vec![WIRE_VERSION];
+        encode_value(&msg.to_value(), &mut payload);
+        let mut reference = (payload.len() as u32).to_le_bytes().to_vec();
+        reference.extend_from_slice(&payload);
+        assert_eq!(encode_frame(&msg), reference);
+
+        // Appending behind earlier bytes patches the right four.
+        let mut out = b"earlier".to_vec();
+        assert_eq!(encode_frame_into(&msg, &mut out), reference.len());
+        assert_eq!(
+            encode_frame_into(&9u64, &mut out),
+            encode_frame(&9u64).len()
+        );
+        let mut expected = b"earlier".to_vec();
+        expected.extend_from_slice(&reference);
+        expected.extend_from_slice(&encode_frame(&9u64));
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn hello_roundtrips_and_rejects_strangers() {
+        let mut hello = Vec::new();
+        write_hello(&mut hello, ActorId(41)).unwrap();
+        assert_eq!(hello.len(), HELLO_LEN);
+        assert_eq!(read_hello(&mut &hello[..]).unwrap(), ActorId(41));
+
+        let mut bad_magic = hello.clone();
+        bad_magic[0] = b'X';
         assert!(matches!(
-            read_frame::<u64>(&mut r),
-            Err(FrameError::Oversized { .. })
+            read_hello(&mut &bad_magic[..]),
+            Err(FrameError::Codec(_))
+        ));
+        let mut bad_version = hello.clone();
+        bad_version[4] = WIRE_VERSION + 1;
+        assert!(matches!(
+            read_hello(&mut &bad_version[..]),
+            Err(FrameError::BadVersion(v)) if v == WIRE_VERSION + 1
+        ));
+        assert!(matches!(
+            read_hello(&mut &hello[..HELLO_LEN - 1]),
+            Err(FrameError::Truncated)
         ));
     }
 
@@ -436,12 +479,6 @@ mod tests {
             decode_frame::<u64>(&frame),
             Err(FrameError::BadVersion(_))
         ));
-    }
-
-    #[test]
-    fn clean_close_is_distinguished_from_truncation() {
-        let mut r = io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_frame::<u64>(&mut r), Err(FrameError::Closed)));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The third runtime of the workspace: the same protocol actors that run
 //! in the deterministic simulator (`awr_sim::World`) and the in-process
 //! threaded system (`awr_sim::ThreadedSystem`) here run **one OS process
-//! per actor**, exchanging length-prefixed binary frames over plain
-//! blocking [`std::net::TcpStream`]s on localhost or a real network.
+//! per actor**, exchanging length-prefixed binary frames over
+//! non-blocking [`std::net::TcpStream`]s on localhost or a real network.
 //!
 //! Nothing in the protocol crates changes: this crate only implements the
 //! [`awr_sim::Transport`] seam (see `awr_sim::transport`) and the plumbing
@@ -12,17 +12,18 @@
 //!
 //! * [`frame`] — the wire format: `u32` little-endian length prefix, a
 //!   version byte, and a compact binary encoding of the message's serde
-//!   value tree, with oversize/truncation/version checks on both ends;
-//! * [`pool`] — dialer-side connectivity: framed duplex [`Channel`]s, the
-//!   per-peer [`ConnectionPool`] with reconnect-on-error and crash-model
-//!   drop semantics, [`BroadcastPool`], and the weight-aware quorum-wait
-//!   [`Replies`] combinator;
-//! * [`rpc`] — [`Rpc`] request-id envelopes and the [`RpcPool`] that
-//!   lifts `Replies`' single-exchange-in-flight contract: any number of
-//!   broadcasts may overlap on one pool, each reply routed to the
-//!   exchange that asked for it (the shape targeted write-backs need);
-//! * [`tcp`] — [`TcpTransport`], the mesh endpoint (listener thread +
-//!   reader threads feeding an inbox) that an `awr_sim::NodeHost` pumps.
+//!   value tree, with oversize/truncation/version checks, plus the
+//!   13-byte hello that opens a connection;
+//! * [`tcp`] — [`TcpTransport`], the mesh endpoint an `awr_sim::NodeHost`
+//!   pumps: it owns its listener and every socket and spawns no thread.
+//!   Receiving is one `ppoll(2)` over all of them, decoding frames on the
+//!   node's own thread; sending encodes into a per-peer write buffer and
+//!   writes without blocking, with lazy dialing, reconnect-then-drop
+//!   crash-model semantics ([`Reconnect`], [`PoolStats`]) and a
+//!   high-water rule that keeps two nodes flooding each other from
+//!   deadlocking;
+//! * `sys` (private) — the `ppoll` binding: the only `unsafe` the
+//!   workspace ships, and the reason the crate is unix-only.
 //!
 //! The `tcp_demo` binary in this crate boots a full multi-process system:
 //! N durable server processes and K client processes on localhost, the
@@ -60,19 +61,16 @@
 //! assert_eq!((from, msg), (ActorId(0), Ping(7)));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not the `forbid` every other crate has: `sys` opts out, for one
+// audited FFI call.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod frame;
-pub mod pool;
-pub mod rpc;
+mod sys;
 pub mod tcp;
 
 pub use frame::{
-    decode_frame, encode_frame, read_frame, write_frame, FrameError, MAX_FRAME, WIRE_VERSION,
+    decode_frame, encode_frame, read_hello, write_hello, FrameError, MAX_FRAME, WIRE_VERSION,
 };
-pub use pool::{
-    BroadcastPool, Channel, ConnectionPool, PoolStats, QuorumTimeout, Reconnect, Replies,
-};
-pub use rpc::{Rpc, RpcPool};
-pub use tcp::TcpTransport;
+pub use tcp::{PoolStats, Reconnect, TcpTransport};

@@ -1,0 +1,437 @@
+//! `TcpTransport` over real loopback sockets: the transport contract
+//! (FIFO per link, best-effort sends, crash-model drops), the readiness
+//! loop's handling of partial and hostile input, and the rule that a send
+//! never blocks in a write. Nothing here sleeps to synchronise: waits are
+//! `recv_timeout` calls in loops that end on an observed condition.
+
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
+use awr_net::frame::{encode_frame, write_hello, MAX_FRAME, WIRE_VERSION};
+use awr_net::tcp::HIGH_WATER;
+use awr_net::{Reconnect, TcpTransport};
+use awr_sim::{ActorId, Message, Transport};
+use serde::{Deserialize, Serialize};
+
+/// A sequenced message with a payload of any size (a string travels as
+/// its bytes, so `body.len()` is very nearly the frame size).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+struct Seq {
+    n: u64,
+    body: String,
+}
+
+impl Message for Seq {
+    fn kind(&self) -> &'static str {
+        if self.body.is_empty() {
+            "bare"
+        } else {
+            "padded"
+        }
+    }
+}
+
+fn seq(n: u64) -> Seq {
+    Seq {
+        n,
+        body: String::new(),
+    }
+}
+
+fn blob(n: u64, len: usize) -> Seq {
+    Seq {
+        n,
+        body: "x".repeat(len),
+    }
+}
+
+const MIB: usize = 1 << 20;
+/// Far beyond anything a passing run needs; a wait this long is a failure.
+const PATIENCE: Duration = Duration::from_secs(30);
+/// No test waits for a dial budget: one attempt, no pause.
+const ONE_SHOT: Reconnect = Reconnect {
+    attempts: 1,
+    backoff: Duration::ZERO,
+};
+
+/// A mesh of `n` endpoints on loopback, element `i` speaking for actor
+/// `i`, and where each listens.
+fn mesh_at(n: usize) -> (Vec<TcpTransport<Seq>>, Vec<SocketAddr>) {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let nodes = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, l)| TcpTransport::start_with(ActorId(i), l, addrs.clone(), ONE_SHOT).unwrap())
+        .collect();
+    (nodes, addrs)
+}
+
+fn mesh(n: usize) -> Vec<TcpTransport<Seq>> {
+    mesh_at(n).0
+}
+
+fn recv(t: &mut TcpTransport<Seq>) -> (ActorId, Seq) {
+    t.recv_timeout(PATIENCE).expect("a message within PATIENCE")
+}
+
+/// A raw connection to `t`'s listener, for speaking the wire by hand.
+fn raw_dial(addr: SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_nodelay(true).unwrap();
+    s
+}
+
+fn hello(from: usize) -> Vec<u8> {
+    let mut h = Vec::new();
+    write_hello(&mut h, ActorId(from)).unwrap();
+    h
+}
+
+// ---------------------------------------------------------------------
+// (a) A send never blocks in a write.
+// ---------------------------------------------------------------------
+
+/// Both endpoints are driven by this one thread, and each queues 8 MiB
+/// for the other before either receives. With a blocking write the first
+/// endpoint would wait forever for a reader that is itself.
+#[test]
+fn one_thread_ships_megabytes_both_ways_before_receiving() {
+    let mut m = mesh(2);
+    let (mut b, mut a) = (m.pop().unwrap(), m.pop().unwrap());
+    for n in 0..8 {
+        a.send(ActorId(1), blob(n, MIB));
+    }
+    for n in 0..8 {
+        b.send(ActorId(0), blob(100 + n, MIB));
+    }
+
+    // Each side's receive turns also flush its own backlog to the other.
+    let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+    let deadline = Instant::now() + PATIENCE;
+    while at_a.len() < 8 || at_b.len() < 8 {
+        assert!(Instant::now() < deadline, "stalled: {a:?} {b:?}");
+        at_a.extend(a.recv_timeout(Duration::from_millis(1)));
+        at_b.extend(b.recv_timeout(Duration::from_millis(1)));
+    }
+    for (i, (from, msg)) in at_a.iter().enumerate() {
+        assert_eq!(
+            (*from, msg.n, msg.body.len()),
+            (ActorId(1), 100 + i as u64, MIB)
+        );
+    }
+    for (i, (from, msg)) in at_b.iter().enumerate() {
+        assert_eq!((*from, msg.n, msg.body.len()), (ActorId(0), i as u64, MIB));
+    }
+    assert_eq!(a.pool_stats().dropped + b.pool_stats().dropped, 0);
+}
+
+/// Two nodes, a thread each, both far over the high-water mark toward
+/// the other before either receives: each `send` has to keep reading its
+/// own inbound while it waits for the peer, or both wait forever.
+#[test]
+fn two_nodes_over_the_high_water_mark_drain_each_other() {
+    const FRAMES: u64 = 40;
+    const _: () = assert!(FRAMES as usize * MIB > 2 * HIGH_WATER);
+    let start = Arc::new(Barrier::new(2));
+    let finished = Arc::new(AtomicUsize::new(0));
+    let nodes: Vec<_> = mesh(2)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut t)| {
+            let (start, finished) = (Arc::clone(&start), Arc::clone(&finished));
+            std::thread::spawn(move || {
+                let peer = ActorId(1 - i);
+                start.wait();
+                for n in 0..FRAMES {
+                    t.send(peer, blob(n, MIB));
+                }
+                for n in 0..FRAMES {
+                    let (from, msg) = recv(&mut t);
+                    assert_eq!((from, msg.n, msg.body.len()), (peer, n, MIB));
+                }
+                // The peer may still be waiting for this node's backlog.
+                finished.fetch_add(1, Ordering::SeqCst);
+                while finished.load(Ordering::SeqCst) < 2 {
+                    assert!(t.recv_timeout(Duration::from_millis(5)).is_none());
+                }
+                t.pool_stats()
+            })
+        })
+        .collect();
+    for node in nodes {
+        let stats = node.join().expect("node thread");
+        assert_eq!(
+            (stats.frames_sent, stats.dropped, stats.dials),
+            (FRAMES, 0, 1)
+        );
+    }
+}
+
+#[test]
+fn a_frame_the_receiver_would_refuse_is_dropped_by_the_sender() {
+    let mut m = mesh(2);
+    let (mut b, mut a) = (m.pop().unwrap(), m.pop().unwrap());
+    a.send(ActorId(1), blob(0, MAX_FRAME));
+    a.send(ActorId(1), seq(1));
+    assert_eq!(recv(&mut b), (ActorId(0), seq(1)));
+    let stats = a.pool_stats();
+    assert_eq!((stats.frames_sent, stats.dropped), (1, 1));
+}
+
+// ---------------------------------------------------------------------
+// (b) Partial and hostile input.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_connection_trickling_one_byte_per_write_delivers_whole_frames() {
+    let (mut nodes, addrs) = mesh_at(3);
+    let mut t = nodes.remove(0);
+    let msgs = [seq(1), blob(2, 300), seq(3)];
+    let mut wire = hello(2);
+    let frame_bytes: usize = msgs
+        .iter()
+        .map(|m| {
+            let f = encode_frame(m);
+            wire.extend_from_slice(&f);
+            f.len()
+        })
+        .sum();
+
+    let mut raw = raw_dial(addrs[0]);
+    let mut got = Vec::new();
+    for byte in wire {
+        raw.write_all(&[byte]).unwrap();
+        got.extend(t.recv_timeout(Duration::ZERO));
+    }
+    while got.len() < msgs.len() {
+        got.push(recv(&mut t));
+    }
+    let expected: Vec<_> = msgs.iter().map(|m| (ActorId(2), m.clone())).collect();
+    assert_eq!(got, expected);
+    assert_eq!(t.recv_timeout(Duration::ZERO), None);
+    assert_eq!(t.frames_received(), 3);
+    assert_eq!(t.frame_bytes_received(), frame_bytes as u64);
+}
+
+/// Turns `t`'s loop until it has closed `raw` (which must not deliver
+/// anything on the way).
+fn await_close(t: &mut TcpTransport<Seq>, raw: &mut TcpStream, case: &str) {
+    raw.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + PATIENCE;
+    loop {
+        assert_eq!(t.recv_timeout(Duration::from_millis(1)), None, "{case}");
+        match raw.read(&mut [0u8; 16]) {
+            Ok(0) => return,
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => return,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            other => panic!("{case}: unexpected read result {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "{case}: connection still open");
+    }
+}
+
+#[test]
+fn a_bad_connection_is_closed_alone_while_a_good_peer_is_served() {
+    let mut bad_magic = hello(2);
+    bad_magic[0] = b'X';
+    let mut bad_version = hello(2);
+    bad_version[4] = WIRE_VERSION + 1;
+    let mut oversized = hello(2);
+    oversized.extend_from_slice(&((MAX_FRAME + 1) as u32).to_le_bytes());
+    let mut corrupt = hello(2);
+    let mut frame = encode_frame(&seq(9));
+    let last = frame.len() - 1;
+    frame[last] ^= 0xff;
+    corrupt.extend_from_slice(&frame);
+    let cases = [
+        ("bad hello magic", bad_magic),
+        ("wrong hello version", bad_version),
+        ("length prefix above MAX_FRAME", oversized),
+        ("corrupt payload", corrupt),
+        ("hello from outside the mesh", hello(3)),
+    ];
+
+    let (mut m, addrs) = mesh_at(3);
+    let (mut good, mut t) = (m.remove(1), m.remove(0));
+    let mut n = 0;
+    for (case, bytes) in cases {
+        good.send(ActorId(0), seq(n));
+        assert_eq!(recv(&mut t), (ActorId(1), seq(n)), "{case}");
+        let mut raw = raw_dial(addrs[0]);
+        raw.write_all(&bytes).unwrap();
+        await_close(&mut t, &mut raw, case);
+        good.send(ActorId(0), seq(n + 1));
+        assert_eq!(recv(&mut t), (ActorId(1), seq(n + 1)), "{case}");
+        n += 2;
+    }
+    assert_eq!(t.frames_received(), n);
+    assert_eq!(good.pool_stats().dials, 1, "the good link was never cut");
+}
+
+#[test]
+fn a_connection_cut_mid_frame_delivers_only_the_whole_frames() {
+    let (mut nodes, addrs) = mesh_at(3);
+    let mut t = nodes.remove(0);
+    let mut wire = hello(1);
+    wire.extend_from_slice(&encode_frame(&seq(1)));
+    let second = encode_frame(&blob(2, 64));
+    wire.extend_from_slice(&second[..second.len() / 2]);
+    let mut raw = raw_dial(addrs[0]);
+    raw.write_all(&wire).unwrap();
+    assert_eq!(recv(&mut t), (ActorId(1), seq(1)));
+    drop(raw);
+
+    // The same actor dials again: its new connection is a new link.
+    let mut raw = raw_dial(addrs[0]);
+    raw.write_all(&hello(1)).unwrap();
+    raw.write_all(&encode_frame(&seq(3))).unwrap();
+    assert_eq!(recv(&mut t), (ActorId(1), seq(3)));
+    assert_eq!(t.frames_received(), 2);
+}
+
+// ---------------------------------------------------------------------
+// (c) FIFO per link and exact accounting under load.
+// ---------------------------------------------------------------------
+
+/// A hub and two spokes, a thread each: 10 000 messages on each of the
+/// links 0→1, 1→0, 0→2, 2→0, all in flight together.
+#[test]
+fn four_links_stay_fifo_and_every_byte_is_accounted_for() {
+    const PER_LINK: u64 = 10_000;
+    const LINKS: usize = 4;
+    let received = Arc::new(AtomicUsize::new(0));
+    let start = Arc::new(Barrier::new(3));
+    let nodes: Vec<_> = mesh(3)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut t)| {
+            let (start, received) = (Arc::clone(&start), Arc::clone(&received));
+            std::thread::spawn(move || {
+                let targets: &[usize] = if i == 0 { &[1, 2] } else { &[0] };
+                start.wait();
+                for n in 0..PER_LINK {
+                    for &to in targets {
+                        // Every seventh message is padded, so the two
+                        // kinds interleave on each link.
+                        let msg = if n % 7 == 0 { blob(n, 100) } else { seq(n) };
+                        t.send(ActorId(to), msg);
+                    }
+                }
+                let mut next = [0u64; 3];
+                // Keep turning after this node has everything: its own
+                // backlog may not have left yet.
+                while received.load(Ordering::SeqCst) < LINKS * PER_LINK as usize {
+                    if let Some((from, msg)) = t.recv_timeout(Duration::from_millis(5)) {
+                        assert_eq!(msg.n, next[from.index()], "link {from:?}→{i} out of order");
+                        next[from.index()] += 1;
+                        received.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                for &from in targets {
+                    assert_eq!(next[from], PER_LINK, "link {from}→{i} incomplete");
+                }
+                t
+            })
+        })
+        .collect();
+    let nodes: Vec<TcpTransport<Seq>> = nodes.into_iter().map(|h| h.join().unwrap()).collect();
+
+    let sum = |f: &dyn Fn(&TcpTransport<Seq>) -> u64| nodes.iter().map(f).sum::<u64>();
+    assert_eq!(
+        sum(&|t| t.pool_stats().frames_sent),
+        LINKS as u64 * PER_LINK
+    );
+    assert_eq!(sum(&|t| t.frames_received()), LINKS as u64 * PER_LINK);
+    assert_eq!(
+        sum(&|t| t.pool_stats().frame_bytes_sent),
+        sum(&|t| t.frame_bytes_received())
+    );
+    assert_eq!(sum(&|t| t.pool_stats().dropped), 0);
+    assert_eq!(sum(&|t| t.pool_stats().dials), LINKS as u64);
+    for (i, t) in nodes.iter().enumerate() {
+        let (stats, kinds) = (t.pool_stats(), t.sent_frames());
+        assert_eq!(kinds.total_msgs(), stats.frames_sent);
+        assert_eq!(kinds.total_wire_bytes(), stats.frame_bytes_sent);
+        let links_out = if i == 0 { 2 } else { 1 };
+        assert_eq!(kinds.msgs["padded"], links_out * PER_LINK.div_ceil(7));
+        assert_eq!(
+            kinds.msgs["bare"],
+            links_out * (PER_LINK - PER_LINK.div_ceil(7))
+        );
+    }
+}
+
+#[test]
+fn a_node_can_send_to_itself() {
+    let mut t = mesh(1).remove(0);
+    for n in 0..3 {
+        t.send(ActorId(0), seq(n));
+    }
+    for n in 0..3 {
+        assert_eq!(recv(&mut t), (ActorId(0), seq(n)));
+    }
+}
+
+// ---------------------------------------------------------------------
+// (d) Crash-model drops and redialing.
+// ---------------------------------------------------------------------
+
+#[test]
+fn sends_to_a_peer_that_never_listened_are_dropped_and_counted() {
+    let mut m = mesh(2);
+    drop(m.pop()); // actor 1's listener is gone before anyone dialed it
+    let mut a = m.pop().unwrap();
+    for n in 0..3 {
+        a.send(ActorId(1), seq(n));
+    }
+    let stats = a.pool_stats();
+    assert_eq!((stats.frames_sent, stats.dropped, stats.dials), (0, 3, 0));
+    assert_eq!(a.sent_frames().total_msgs(), 0);
+}
+
+#[test]
+fn a_restarted_peer_is_redialed_on_the_first_send_after_it_is_back() {
+    let (mut m, addrs) = mesh_at(2);
+    let (mut b, mut a) = (m.pop().unwrap(), m.pop().unwrap());
+    a.send(ActorId(1), seq(0));
+    assert_eq!(recv(&mut b), (ActorId(0), seq(0)));
+    assert_eq!(a.pool_stats().dials, 1);
+
+    // The peer goes down. Until this node has seen the connection end, a
+    // send may still be taken by the dead socket; from the first counted
+    // drop on, every send is a counted drop.
+    drop(b);
+    let deadline = Instant::now() + PATIENCE;
+    while a.pool_stats().dropped == 0 {
+        assert!(Instant::now() < deadline, "never noticed the peer was gone");
+        assert_eq!(a.recv_timeout(Duration::from_millis(1)), None);
+        a.send(ActorId(1), seq(1));
+    }
+    let down = a.pool_stats();
+    for n in 0..5 {
+        a.send(ActorId(1), seq(10 + n));
+    }
+    let still_down = a.pool_stats();
+    assert_eq!(still_down.dropped, down.dropped + 5);
+    assert_eq!(still_down.frames_sent, down.frames_sent);
+    assert_eq!(still_down.dials, 1);
+
+    // The peer comes back on the same port.
+    let listener = loop {
+        match TcpListener::bind(addrs[1]) {
+            Ok(l) => break l,
+            Err(e) => assert!(Instant::now() < deadline, "rebinding {}: {e}", addrs[1]),
+        }
+    };
+    let mut b = TcpTransport::<Seq>::start(ActorId(1), listener, addrs).unwrap();
+    a.send(ActorId(1), seq(99));
+    assert_eq!(recv(&mut b), (ActorId(0), seq(99)));
+    let back = a.pool_stats();
+    assert_eq!((back.dials, back.dropped), (2, still_down.dropped));
+}

@@ -207,10 +207,9 @@ impl<'a, M> Context<'a, M> {
     /// Filtered broadcast: sends `msg` to every actor in `targets` that
     /// satisfies `keep`, returning how many sends were issued. This is the
     /// targeted write-back shape — phase 2 of an optimized read contacts
-    /// only the repliers observed stale in phase 1 — and the simulator
-    /// analogue of `awr_net`'s filtered `ConnectionPool` broadcast, so
-    /// protocols written against it behave identically on all three
-    /// runtimes.
+    /// only the repliers observed stale in phase 1. It expands to plain
+    /// sends, so protocols written against it behave identically on all
+    /// three runtimes.
     pub fn broadcast_filter(
         &mut self,
         targets: impl IntoIterator<Item = ActorId>,

@@ -353,6 +353,19 @@ impl KindStats {
         }
     }
 
+    /// Tallies one message of `kind` costing `wire_bytes`. Allocates only
+    /// the first time a kind is seen: this sits on transports' send paths.
+    pub fn record(&mut self, kind: &str, wire_bytes: u64) {
+        for (tally, by) in [(&mut self.msgs, 1), (&mut self.wire_bytes, wire_bytes)] {
+            match tally.get_mut(kind) {
+                Some(v) => *v += by,
+                None => {
+                    tally.insert(kind.to_string(), by);
+                }
+            }
+        }
+    }
+
     /// Adds `other` into `self` (aggregating several processes' reports).
     pub fn absorb(&mut self, other: &KindStats) {
         for (k, v) in &other.msgs {
@@ -528,5 +541,9 @@ mod tests {
         assert_eq!(a.msgs["R"], 6);
         assert_eq!(a.total_wire_bytes(), 600);
         assert_eq!(a.total_msgs(), 6);
+        a.record("R", 50);
+        a.record("W", 7);
+        assert_eq!((a.msgs["R"], a.wire_bytes["R"]), (7, 650));
+        assert_eq!((a.msgs["W"], a.wire_bytes["W"]), (1, 7));
     }
 }
