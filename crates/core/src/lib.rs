@@ -62,6 +62,11 @@ pub use restricted::{
 };
 pub use swmr::SwmrArray;
 
+/// The reliable-broadcast envelope inside [`restricted::WrMsg::Rb`],
+/// re-exported so that a crate naming every field of a `WrMsg` (the wire
+/// codec in `awr_net`) needs no dependency on `awr_rb` itself.
+pub use awr_rb::RbEnvelope;
+
 // Re-exported for downstream convenience (auditor signatures use sim time).
 pub use awr_sim::Time;
 

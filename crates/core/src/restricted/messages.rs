@@ -26,7 +26,6 @@
 use awr_rb::RbEnvelope;
 use awr_sim::Message;
 use awr_types::{CsRef, ServerId, TransferChanges};
-use serde::{Deserialize, Serialize};
 
 /// Protocol messages. Names follow the paper's:
 ///
@@ -42,7 +41,7 @@ use serde::{Deserialize, Serialize};
 ///   the reply carrying a [`CsRef`] to the replier's restriction;
 /// * `⟨WC, s, ref⟩` / `⟨WC_Ack⟩` / `⟨WC_Miss⟩` — read_changes write-back
 ///   phase with digest negotiation (see the module docs).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WrMsg {
     /// Reliable-broadcast leg carrying a batch of transfer change pairs.
     Rb(RbEnvelope<Vec<TransferChanges>>),

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! +----------------+-----------+------------------------------+
-//! | length: u32 LE | version u8| payload: encoded Value tree  |
+//! | length: u32 LE | version u8| payload: the message, typed  |
 //! +----------------+-----------+------------------------------+
 //! ```
 //!
@@ -13,12 +13,11 @@
 //! * `version` is [`WIRE_VERSION`]; any other value is rejected before the
 //!   payload is touched, so incompatible peers fail fast instead of
 //!   misparsing each other;
-//! * the payload is the message's [`serde::Value`] tree in a compact
-//!   tag-length-value binary encoding (see [`encode_value`]): one tag byte
-//!   per node, LEB128 varints for integers and lengths, IEEE-754 little
-//!   endian for floats. Struct/enum layout is whatever the type's
-//!   [`serde::Serialize`] impl produces — the same layout `serde_json`
-//!   renders, just binary instead of text.
+//! * the payload is the message's [`Wire`] encoding (see [`crate::wire`]
+//!   for the layout of every type): fields in declaration order, LEB128
+//!   varints, fixed-width digests, one tag byte per enum — no field
+//!   names, and no tree built on either side. The payload must be
+//!   consumed exactly: bytes left over are a codec error.
 //!
 //! A length prefix above [`MAX_FRAME`] is rejected
 //! ([`FrameError::Oversized`]) so a corrupt or hostile one cannot make a
@@ -34,19 +33,18 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use awr_sim::ActorId;
-use serde::{DeserializeOwned, Error as SerdeError, Serialize, Value};
 
-/// The wire protocol version carried in every frame header.
-pub const WIRE_VERSION: u8 = 1;
+use crate::wire::{Reader, Wire};
+
+/// The wire protocol version carried in every frame header and hello.
+/// Version 1 (a self-describing value tree) is refused like any other
+/// foreign version.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on `version byte + payload` length, in bytes. Generous for
 /// this workspace's messages (a full change-set transfer is kilobytes) but
 /// small enough that a garbage length prefix cannot exhaust memory.
 pub const MAX_FRAME: usize = 16 << 20;
-
-/// Nesting bound for the payload decoder: deeper trees are rejected as
-/// corrupt rather than recursing toward stack exhaustion.
-const MAX_DEPTH: u32 = 64;
 
 /// Everything that can go wrong reading or writing a frame.
 #[derive(Debug)]
@@ -65,7 +63,7 @@ pub enum FrameError {
     /// The frame's version byte is not [`WIRE_VERSION`].
     BadVersion(u8),
     /// The payload bytes do not decode to the expected message type.
-    Codec(SerdeError),
+    Codec(&'static str),
 }
 
 impl fmt::Display for FrameError {
@@ -96,185 +94,14 @@ impl From<io::Error> for FrameError {
     }
 }
 
-// ---------------------------------------------------------------------
-// Value codec: tag byte + varint lengths.
-// ---------------------------------------------------------------------
-
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_UINT: u8 = 4;
-const TAG_FLOAT: u8 = 5;
-const TAG_STR: u8 = 6;
-const TAG_SEQ: u8 = 7;
-const TAG_MAP: u8 = 8;
-
-fn put_varint(out: &mut Vec<u8>, mut v: u128) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u128, FrameError> {
-    let mut v: u128 = 0;
-    for shift in (0..19).map(|i| i * 7) {
-        let byte = *buf
-            .get(*pos)
-            .ok_or_else(|| FrameError::Codec(SerdeError::custom("varint past payload end")))?;
-        *pos += 1;
-        v |= u128::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(FrameError::Codec(SerdeError::custom("varint too long")))
-}
-
-fn zigzag(i: i128) -> u128 {
-    ((i << 1) ^ (i >> 127)) as u128
-}
-
-fn unzigzag(u: u128) -> i128 {
-    ((u >> 1) as i128) ^ -((u & 1) as i128)
-}
-
-/// Appends the binary encoding of `v` to `out`.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            put_varint(out, zigzag(*i));
-        }
-        Value::UInt(u) => {
-            out.push(TAG_UINT);
-            put_varint(out, *u);
-        }
-        Value::Float(f) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(out, s.len() as u128);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            put_varint(out, items.len() as u128);
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            put_varint(out, entries.len() as u128);
-            for (k, val) in entries {
-                put_varint(out, k.len() as u128);
-                out.extend_from_slice(k.as_bytes());
-                encode_value(val, out);
-            }
-        }
-    }
-}
-
-fn get_len(buf: &[u8], pos: &mut usize) -> Result<usize, FrameError> {
-    let n = get_varint(buf, pos)?;
-    let n = usize::try_from(n)
-        .map_err(|_| FrameError::Codec(SerdeError::custom("length overflows usize")))?;
-    // Every encoded element costs at least one byte, so a count that
-    // exceeds the remaining payload is provably corrupt — reject it before
-    // reserving anything.
-    if n > buf.len() - *pos {
-        return Err(FrameError::Codec(SerdeError::custom(
-            "length exceeds remaining payload",
-        )));
-    }
-    Ok(n)
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, FrameError> {
-    let len = get_len(buf, pos)?;
-    let bytes = &buf[*pos..*pos + len];
-    *pos += len;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| FrameError::Codec(SerdeError::custom("invalid utf-8 in string")))
-}
-
-/// Decodes one [`Value`] from `buf` starting at `*pos`, advancing `*pos`
-/// past it.
-pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, FrameError> {
-    decode_value_at(buf, pos, 0)
-}
-
-fn decode_value_at(buf: &[u8], pos: &mut usize, depth: u32) -> Result<Value, FrameError> {
-    if depth > MAX_DEPTH {
-        return Err(FrameError::Codec(SerdeError::custom("value tree too deep")));
-    }
-    let tag = *buf
-        .get(*pos)
-        .ok_or_else(|| FrameError::Codec(SerdeError::custom("tag past payload end")))?;
-    *pos += 1;
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(unzigzag(get_varint(buf, pos)?))),
-        TAG_UINT => Ok(Value::UInt(get_varint(buf, pos)?)),
-        TAG_FLOAT => {
-            let end = *pos + 8;
-            let bytes = buf
-                .get(*pos..end)
-                .ok_or_else(|| FrameError::Codec(SerdeError::custom("float past payload end")))?;
-            *pos = end;
-            Ok(Value::Float(f64::from_le_bytes(bytes.try_into().unwrap())))
-        }
-        TAG_STR => Ok(Value::Str(get_str(buf, pos)?)),
-        TAG_SEQ => {
-            let n = get_len(buf, pos)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value_at(buf, pos, depth + 1)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        TAG_MAP => {
-            let n = get_len(buf, pos)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = get_str(buf, pos)?;
-                let v = decode_value_at(buf, pos, depth + 1)?;
-                entries.push((k, v));
-            }
-            Ok(Value::Map(entries))
-        }
-        other => Err(FrameError::Codec(SerdeError::custom(format!(
-            "unknown value tag {other}"
-        )))),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Frames.
-// ---------------------------------------------------------------------
-
 /// Appends `msg` to `out` as one complete frame, returning the frame's
-/// size: the value tree is encoded in place behind a placeholder length,
+/// size: the message is encoded in place behind a placeholder length,
 /// which is then patched, so a sender can encode straight into its write
-/// buffer.
-pub(crate) fn encode_frame_into<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> usize {
+/// buffer — without allocating, once the buffer has the capacity.
+pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION]);
-    encode_value(&msg.to_value(), out);
+    msg.put(out);
     let len = out.len() - start - 4;
     // A length past `u32` wraps here; it is past `MAX_FRAME` too, and the
     // sender checks the returned size against that before writing.
@@ -283,8 +110,10 @@ pub(crate) fn encode_frame_into<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> usi
 }
 
 /// Encodes `msg` as one complete frame (header + payload).
-pub fn encode_frame<T: Serialize>(msg: &T) -> Vec<u8> {
-    let mut frame = Vec::new();
+pub fn encode_frame<T: Wire>(msg: &T) -> Vec<u8> {
+    // Room for any frame without a change list or register map, so that
+    // the returned buffer is this call's one allocation.
+    let mut frame = Vec::with_capacity(64);
     encode_frame_into(msg, &mut frame);
     frame
 }
@@ -295,7 +124,7 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Vec<u8> {
 /// more bytes and retry), `Ok(Some((msg, consumed)))` on success — drain
 /// `consumed` bytes — and an error when the bytes present already prove
 /// the frame bad (oversized length, wrong version, corrupt payload).
-pub fn decode_frame<T: DeserializeOwned>(buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
+pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -304,7 +133,7 @@ pub fn decode_frame<T: DeserializeOwned>(buf: &[u8]) -> Result<Option<(T, usize)
         return Err(FrameError::Oversized { len });
     }
     if len == 0 {
-        return Err(FrameError::Codec(SerdeError::custom("empty frame")));
+        return Err(FrameError::Codec("empty frame"));
     }
     if buf.len() < 4 + len {
         return Ok(None);
@@ -313,15 +142,11 @@ pub fn decode_frame<T: DeserializeOwned>(buf: &[u8]) -> Result<Option<(T, usize)
     if version != WIRE_VERSION {
         return Err(FrameError::BadVersion(version));
     }
-    let payload = &buf[5..4 + len];
-    let mut pos = 0;
-    let value = decode_value(payload, &mut pos)?;
-    if pos != payload.len() {
-        return Err(FrameError::Codec(SerdeError::custom(
-            "trailing bytes after payload",
-        )));
+    let mut payload = Reader::new(&buf[5..4 + len]);
+    let msg = T::get(&mut payload)?;
+    if payload.remaining() != 0 {
+        return Err(FrameError::Codec("trailing bytes after the message"));
     }
-    let msg = T::from_value(&value).map_err(FrameError::Codec)?;
     Ok(Some((msg, 4 + len)))
 }
 
@@ -345,7 +170,7 @@ pub fn read_hello(r: &mut impl Read) -> Result<ActorId, FrameError> {
     let mut hello = [0u8; HELLO_LEN];
     r.read_exact(&mut hello)?;
     if hello[..4] != HELLO_MAGIC {
-        return Err(FrameError::Codec(SerdeError::custom("bad hello magic")));
+        return Err(FrameError::Codec("bad hello magic"));
     }
     if hello[4] != WIRE_VERSION {
         return Err(FrameError::BadVersion(hello[4]));
@@ -354,9 +179,9 @@ pub fn read_hello(r: &mut impl Read) -> Result<ActorId, FrameError> {
     Ok(ActorId(id as usize))
 }
 
-/// A deserialize round-trip through the frame codec, for tests and for
-/// cross-checking that a type's serde impls survive the wire.
-pub fn roundtrip<T: Serialize + DeserializeOwned>(msg: &T) -> Result<T, FrameError> {
+/// An encode → decode round trip through a whole frame, for tests and for
+/// cross-checking that a type's [`Wire`] impl mirrors itself.
+pub fn roundtrip<T: Wire>(msg: &T) -> Result<T, FrameError> {
     match decode_frame(&encode_frame(msg))? {
         Some((out, _)) => Ok(out),
         None => Err(FrameError::Truncated),
@@ -366,50 +191,28 @@ pub fn roundtrip<T: Serialize + DeserializeOwned>(msg: &T) -> Result<T, FrameErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use awr_storage::DynMsg;
+    use awr_types::{CsRef, ObjectId};
 
-    fn value_roundtrip(v: &Value) {
-        let mut out = Vec::new();
-        encode_value(v, &mut out);
-        let mut pos = 0;
-        let back = decode_value(&out, &mut pos).unwrap();
-        assert_eq!(pos, out.len());
-        assert_eq!(&back, v);
-    }
-
-    #[test]
-    fn scalar_values_roundtrip() {
-        for v in [
-            Value::Null,
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Int(0),
-            Value::Int(-1),
-            Value::Int(i128::MAX),
-            Value::Int(i128::MIN),
-            Value::UInt(u128::MAX),
-            Value::Float(3.25),
-            Value::Str("héllo".into()),
-        ] {
-            value_roundtrip(&v);
+    fn read(op: u64) -> DynMsg<u64> {
+        DynMsg::R {
+            op,
+            obj: ObjectId(2),
+            changes: CsRef::Summary {
+                digest: 0x0123_4567_89AB_CDEF,
+                len: 5,
+            },
         }
     }
 
     #[test]
-    fn nested_values_roundtrip() {
-        value_roundtrip(&Value::Map(vec![
-            ("xs".into(), Value::Seq(vec![Value::Int(1), Value::Null])),
-            (
-                "m".into(),
-                Value::Map(vec![("k".into(), Value::Str(String::new()))]),
-            ),
-        ]));
-    }
-
-    #[test]
     fn a_proper_prefix_is_incomplete_never_a_message() {
-        let frame = encode_frame(&vec![1u64, 2, 3]);
+        let frame = encode_frame(&read(300));
         for cut in 0..frame.len() {
-            assert!(matches!(decode_frame::<Vec<u64>>(&frame[..cut]), Ok(None)));
+            assert!(matches!(
+                decode_frame::<DynMsg<u64>>(&frame[..cut]),
+                Ok(None)
+            ));
         }
     }
 
@@ -426,9 +229,9 @@ mod tests {
     #[test]
     fn encoding_in_place_appends_the_same_bytes() {
         // The reference layout, built the long way round.
-        let msg = (7u64, "héllo".to_string(), vec![1i64, -2, 3]);
+        let msg = read(300);
         let mut payload = vec![WIRE_VERSION];
-        encode_value(&msg.to_value(), &mut payload);
+        msg.put(&mut payload);
         let mut reference = (payload.len() as u32).to_le_bytes().to_vec();
         reference.extend_from_slice(&payload);
         assert_eq!(encode_frame(&msg), reference);
@@ -459,12 +262,14 @@ mod tests {
             read_hello(&mut &bad_magic[..]),
             Err(FrameError::Codec(_))
         ));
-        let mut bad_version = hello.clone();
-        bad_version[4] = WIRE_VERSION + 1;
-        assert!(matches!(
-            read_hello(&mut &bad_version[..]),
-            Err(FrameError::BadVersion(v)) if v == WIRE_VERSION + 1
-        ));
+        for foreign in [1, WIRE_VERSION + 1] {
+            let mut bad_version = hello.clone();
+            bad_version[4] = foreign;
+            assert!(matches!(
+                read_hello(&mut &bad_version[..]),
+                Err(FrameError::BadVersion(v)) if v == foreign
+            ));
+        }
         assert!(matches!(
             read_hello(&mut &hello[..HELLO_LEN - 1]),
             Err(FrameError::Truncated)
@@ -473,12 +278,14 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut frame = encode_frame(&7u64);
-        frame[4] = WIRE_VERSION + 1;
-        assert!(matches!(
-            decode_frame::<u64>(&frame),
-            Err(FrameError::BadVersion(_))
-        ));
+        for foreign in [1, WIRE_VERSION + 1] {
+            let mut frame = encode_frame(&7u64);
+            frame[4] = foreign;
+            assert!(matches!(
+                decode_frame::<u64>(&frame),
+                Err(FrameError::BadVersion(v)) if v == foreign
+            ));
+        }
     }
 
     #[test]
@@ -488,6 +295,18 @@ mod tests {
         frame[last] ^= 0xff;
         assert!(matches!(
             decode_frame::<u64>(&frame),
+            Err(FrameError::Codec(_))
+        ));
+    }
+
+    #[test]
+    fn bytes_after_the_message_are_a_codec_error() {
+        let mut frame = encode_frame(&read(1));
+        frame.push(0);
+        let len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        assert!(matches!(
+            decode_frame::<DynMsg<u64>>(&frame),
             Err(FrameError::Codec(_))
         ));
     }

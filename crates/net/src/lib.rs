@@ -10,10 +10,14 @@
 //! [`awr_sim::Transport`] seam (see `awr_sim::transport`) and the plumbing
 //! under it —
 //!
-//! * [`frame`] — the wire format: `u32` little-endian length prefix, a
-//!   version byte, and a compact binary encoding of the message's serde
-//!   value tree, with oversize/truncation/version checks, plus the
-//!   13-byte hello that opens a connection;
+//! * [`frame`] — the frame: `u32` little-endian length prefix, a version
+//!   byte and the typed payload, with oversize/truncation/version checks,
+//!   plus the 13-byte hello that opens a connection;
+//! * [`wire`] — the payload format (version 2): the [`Wire`] trait and its
+//!   impl for every type that crosses a socket — positional fields,
+//!   varints, fixed-width digests, one tag byte per enum — encoded into
+//!   and decoded out of the transport's own buffers, with no allocation
+//!   for a message that carries no change list or register map;
 //! * [`tcp`] — [`TcpTransport`], the mesh endpoint an `awr_sim::NodeHost`
 //!   pumps: it owns its listener and every socket and spawns no thread.
 //!   Receiving is one `ppoll(2)` over all of them, decoding frames on the
@@ -39,13 +43,20 @@
 //! ```
 //! use std::net::TcpListener;
 //! use std::time::Duration;
-//! use awr_net::TcpTransport;
+//! use awr_net::{FrameError, Reader, TcpTransport, Wire};
 //! use awr_sim::{ActorId, Message, Transport};
-//! use serde::{Deserialize, Serialize};
 //!
-//! #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+//! #[derive(Clone, Debug, PartialEq)]
 //! struct Ping(u32);
 //! impl Message for Ping {}
+//! impl Wire for Ping {
+//!     fn put(&self, out: &mut Vec<u8>) {
+//!         self.0.put(out);
+//!     }
+//!     fn get(r: &mut Reader<'_>) -> Result<Ping, FrameError> {
+//!         Ok(Ping(u32::get(r)?))
+//!     }
+//! }
 //!
 //! // Bind both listeners first so the address list is complete...
 //! let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -69,8 +80,10 @@
 pub mod frame;
 mod sys;
 pub mod tcp;
+pub mod wire;
 
 pub use frame::{
     decode_frame, encode_frame, read_hello, write_hello, FrameError, MAX_FRAME, WIRE_VERSION,
 };
 pub use tcp::{PoolStats, Reconnect, TcpTransport};
+pub use wire::{Reader, Wire};

@@ -18,8 +18,9 @@
 //!
 //! * reads each readable accepted socket once into that connection's
 //!   buffer and parses the hello and every whole frame out of it — a
-//!   message is decoded on the thread that will handle it, with no
-//!   hand-off in between;
+//!   message is decoded ([`Wire::get`]) straight out of that buffer, on
+//!   the thread that will handle it, with no hand-off and no
+//!   intermediate tree in between;
 //! * flushes each dialed socket that has a write backlog and reports
 //!   `POLLOUT`, and discards a dialed socket whose peer has closed it;
 //! * accepts whatever the listener has pending.
@@ -33,8 +34,9 @@
 //!
 //! # Sending never blocks in a write
 //!
-//! `send` encodes the frame straight into the peer's write buffer and
-//! writes as much as the socket takes. What is left is the **backlog**,
+//! `send` encodes the frame ([`Wire::put`]) straight into the peer's
+//! write buffer — no allocation once the buffer has grown — and writes
+//! as much as the socket takes. What is left is the **backlog**,
 //! flushed by later turns of the loop. Nobody else drains this node's
 //! sockets, so a blocking write could deadlock two nodes shipping each
 //! other frames larger than the kernel's buffers; instead, while a peer's
@@ -76,12 +78,12 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use awr_sim::{ActorId, KindStats, Message, Transport};
-use serde::{DeserializeOwned, Error as SerdeError, Serialize};
 
 use crate::frame::{
     decode_frame, encode_frame_into, read_hello, write_hello, FrameError, HELLO_LEN, MAX_FRAME,
 };
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
+use crate::wire::Wire;
 
 /// Write backlog toward one peer above which [`Transport::send`] stops
 /// returning at once and drives the readiness loop until the peer has
@@ -210,7 +212,7 @@ impl Inbound {
     /// Reads once and hands every whole frame now buffered to `deliver`
     /// (sender, message, frame size). An error — end of stream included —
     /// means the connection is finished.
-    fn pump<M: DeserializeOwned>(
+    fn pump<M: Wire>(
         &mut self,
         scratch: &mut [u8],
         n_actors: usize,
@@ -232,9 +234,7 @@ impl Inbound {
             None => {
                 let from = read_hello(&mut &self.rbuf[..])?;
                 if from.index() >= n_actors {
-                    return Err(FrameError::Codec(SerdeError::custom(
-                        "hello from outside the mesh",
-                    )));
+                    return Err(FrameError::Codec("hello from outside the mesh"));
                 }
                 self.from = Some(from);
                 pos = HELLO_LEN;
@@ -290,7 +290,7 @@ impl<M> fmt::Debug for TcpTransport<M> {
 
 impl<M> TcpTransport<M>
 where
-    M: Message + Serialize + DeserializeOwned,
+    M: Message + Wire,
 {
     /// Starts the endpoint for `me` on `listener` (which must already be
     /// bound; `127.0.0.1:0` then [`TcpListener::local_addr`] is the usual
@@ -487,7 +487,7 @@ where
 
 impl<M> Transport<M> for TcpTransport<M>
 where
-    M: Message + Serialize + DeserializeOwned,
+    M: Message + Wire,
 {
     fn local_id(&self) -> ActorId {
         self.me

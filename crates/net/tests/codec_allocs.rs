@@ -1,0 +1,99 @@
+//! Pins the zero-allocation contract of the frame codec's hot path: the
+//! four ABD kinds with a summary reference are every frame of a steady
+//! read or write, so one allocation in either direction is paid per
+//! message, on the node's only thread.
+//!
+//! The count is process-wide, so this is the only test in its binary.
+//! The counting shim is the one place this crate's tests touch `unsafe`:
+//! a `GlobalAlloc` that delegates verbatim to the system allocator and
+//! counts calls. The crate-level lint is `deny`, overridden here only.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use awr_net::frame::{decode_frame, encode_frame_into};
+use awr_storage::DynMsg;
+use awr_types::{ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, Tag, TaggedValue};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Delegates to [`System`], counting every allocation.
+struct CountingAlloc;
+
+// SAFETY: forwards every call unchanged to the system allocator; the
+// only addition is a relaxed counter bump, which allocates nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[test]
+fn steady_state_frames_encode_and_decode_without_allocating() {
+    let changes = CsRef::summary(&ChangeSet::uniform_initial(5, Ratio::ONE));
+    let reg = TaggedValue::new(
+        Tag::new(41, ProcessId::Client(ClientId(1))),
+        (2u64 << 40) | 41,
+    );
+    let (op, obj) = (1234, ObjectId(17));
+    let msgs: [DynMsg<u64>; 4] = [
+        DynMsg::R {
+            op,
+            obj,
+            changes: changes.clone(),
+        },
+        DynMsg::RAck {
+            op,
+            obj,
+            reg,
+            changes: changes.clone(),
+            accepted: true,
+        },
+        DynMsg::W {
+            op,
+            obj,
+            reg,
+            changes: changes.clone(),
+        },
+        DynMsg::WAck {
+            op,
+            obj,
+            changes,
+            accepted: true,
+        },
+    ];
+
+    // The write buffer a transport keeps per peer, already grown.
+    let mut wbuf = Vec::with_capacity(4096);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..1_000 {
+        wbuf.clear();
+        let mut at = 0;
+        for msg in &msgs {
+            encode_frame_into(black_box(msg), &mut wbuf);
+        }
+        for msg in &msgs {
+            let (back, used) = decode_frame::<DynMsg<u64>>(black_box(&wbuf[at..]))
+                .expect("own frame decodes")
+                .expect("whole frame present");
+            assert_eq!(&back, msg);
+            at += used;
+        }
+        assert_eq!(at, wbuf.len());
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "the codec's hot path allocated");
+}

@@ -1,14 +1,24 @@
-//! Property tests for the frame codec: encode/decode identity over
-//! arbitrary value trees and real protocol messages, and rejection of
-//! truncated or oversized frames.
+//! The frame codec at the trust boundary: encode/decode identity over
+//! every protocol message, and a decoder that answers truncated, corrupt,
+//! inflated or arbitrary input with `Ok(None)` or an error — never a
+//! panic, never a reservation the bytes present do not pay for.
 
-use awr_net::frame::{self, decode_frame, encode_frame, FrameError, MAX_FRAME};
+use std::collections::BTreeMap;
+
+use awr_core::restricted::WrMsg;
+use awr_net::frame::{self, decode_frame, encode_frame, FrameError, MAX_FRAME, WIRE_VERSION};
+use awr_net::wire::{put_digest, put_varint, MAX_SERVER_ID};
+use awr_net::Wire;
 use awr_rb::RbEnvelope;
 use awr_sim::ActorId;
-use awr_storage::DynMsg;
-use awr_types::{Change, ChangeSet, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue};
+use awr_storage::{DynMsg, RefreshHave};
+use awr_types::{
+    Change, ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
+    TransferChanges,
+};
 use proptest::prelude::*;
-use serde::{Serialize, Value};
+
+type Msg = DynMsg<u64>;
 
 fn splitmix(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -18,144 +28,207 @@ fn splitmix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A pseudo-random value tree, depth-bounded, derived entirely from `seed`.
-fn arb_value(seed: &mut u64, depth: u32) -> Value {
-    let pick = splitmix(seed) % if depth == 0 { 6 } else { 8 };
-    match pick {
-        0 => Value::Null,
-        1 => Value::Bool(splitmix(seed).is_multiple_of(2)),
-        2 => Value::Int((splitmix(seed) as i64 as i128) << (splitmix(seed) % 64)),
-        3 => Value::UInt((splitmix(seed) as u128) << (splitmix(seed) % 64)),
-        4 => Value::Float(f64::from_bits(
-            0x3FF0_0000_0000_0000 | (splitmix(seed) >> 12),
-        )),
-        5 => {
-            let len = (splitmix(seed) % 12) as usize;
-            Value::Str(
-                (0..len)
-                    .map(|_| char::from_u32(0x61 + (splitmix(seed) % 26) as u32).unwrap())
-                    .collect(),
-            )
-        }
-        6 => {
-            let len = (splitmix(seed) % 4) as usize;
-            Value::Seq((0..len).map(|_| arb_value(seed, depth - 1)).collect())
-        }
-        _ => {
-            let len = (splitmix(seed) % 4) as usize;
-            Value::Map(
-                (0..len)
-                    .map(|i| (format!("k{i}"), arb_value(seed, depth - 1)))
-                    .collect(),
-            )
-        }
-    }
+fn arb_change(seed: &mut u64) -> Change {
+    let issuer = match splitmix(seed) % 3 {
+        0 => ProcessId::Client(ClientId((splitmix(seed) % 4) as u32)),
+        _ => ProcessId::Server(ServerId((splitmix(seed) % 5) as u32)),
+    };
+    Change::new(
+        issuer,
+        2 + splitmix(seed) % 5_000,
+        ServerId((splitmix(seed) % 5) as u32),
+        Ratio::new(
+            splitmix(seed) as i64 as i128 % 1_000,
+            1 + (splitmix(seed) % 64) as i128,
+        ),
+    )
 }
 
-/// A pseudo-random `DynMsg<u64>`, covering every wire variant.
-fn arb_dyn_msg(seed: &mut u64) -> DynMsg<u64> {
-    let tag = Tag::new(
-        splitmix(seed) % 50,
-        ProcessId::Client(awr_types::ClientId((splitmix(seed) % 4) as u32)),
-    );
-    let reg = TaggedValue {
-        tag,
-        value: Some(splitmix(seed)),
-    };
+fn arb_set(seed: &mut u64, len: usize) -> ChangeSet {
     let mut set = ChangeSet::new();
-    for _ in 0..(splitmix(seed) % 4) {
-        set.insert(Change::new(
-            ServerId((splitmix(seed) % 5) as u32),
-            2 + splitmix(seed) % 7,
-            ServerId((splitmix(seed) % 5) as u32),
-            Ratio::new(1 + (splitmix(seed) % 3) as i128, 8),
-        ));
+    while set.len() < len {
+        set.insert(arb_change(seed));
     }
-    let cs = match splitmix(seed) % 3 {
+    set
+}
+
+/// A change-set reference in one of its three forms, empty ones included.
+fn arb_cs_ref(seed: &mut u64) -> CsRef {
+    let len = (splitmix(seed) % 5) as usize;
+    let set = arb_set(seed, len);
+    match splitmix(seed) % 3 {
         0 => CsRef::summary(&set),
         1 => CsRef::Delta {
             base_digest: splitmix(seed),
-            adds: set.iter().cloned().collect(),
+            adds: set.iter().copied().collect(),
         },
-        _ => CsRef::Full(set.clone()),
+        _ => CsRef::Full(set),
+    }
+}
+
+/// A register: bottom, a tag without a value, or a tagged value.
+fn arb_reg(seed: &mut u64) -> TaggedValue<u64> {
+    let pid = match splitmix(seed) % 2 {
+        0 => ProcessId::Client(ClientId((splitmix(seed) % 4) as u32)),
+        _ => ProcessId::Server(ServerId((splitmix(seed) % 5) as u32)),
     };
+    let tag = Tag::new(splitmix(seed) >> (splitmix(seed) % 64), pid);
+    match splitmix(seed) % 4 {
+        0 => TaggedValue::bottom(),
+        1 => TaggedValue { tag, value: None },
+        _ => TaggedValue::new(tag, splitmix(seed) >> (splitmix(seed) % 64)),
+    }
+}
+
+fn arb_pair(seed: &mut u64) -> TransferChanges {
+    TransferChanges::new(
+        ServerId((splitmix(seed) % 5) as u32),
+        ServerId((splitmix(seed) % 5) as u32),
+        2 + splitmix(seed) % 100,
+        Ratio::new(1 + (splitmix(seed) % 9) as i128, 100),
+        splitmix(seed).is_multiple_of(2),
+    )
+}
+
+/// Number of arms in [`arb_msg`]: every `DynMsg` variant, and every
+/// `WrMsg` variant inside `DynMsg::Wr`. A new message adds one arm.
+const MSG_ARMS: u64 = 17;
+
+fn arb_msg(arm: u64, seed: &mut u64) -> Msg {
+    let op = splitmix(seed) >> (splitmix(seed) % 64);
     let obj = ObjectId(splitmix(seed) % 3);
-    let op = splitmix(seed) % 100;
-    match splitmix(seed) % 6 {
+    let target = ServerId((splitmix(seed) % 5) as u32);
+    let flag = splitmix(seed).is_multiple_of(2);
+    match arm {
         0 => DynMsg::R {
             op,
             obj,
-            changes: cs,
+            changes: arb_cs_ref(seed),
         },
         1 => DynMsg::RAck {
             op,
             obj,
-            reg,
-            changes: cs,
-            accepted: splitmix(seed).is_multiple_of(2),
+            reg: arb_reg(seed),
+            changes: arb_cs_ref(seed),
+            accepted: flag,
         },
         2 => DynMsg::W {
             op,
             obj,
-            reg,
-            changes: cs,
+            reg: arb_reg(seed),
+            changes: arb_cs_ref(seed),
         },
         3 => DynMsg::WAck {
             op,
             obj,
-            changes: cs,
-            accepted: splitmix(seed).is_multiple_of(2),
+            changes: arb_cs_ref(seed),
+            accepted: flag,
         },
-        4 => DynMsg::SyncR {
+        4 => DynMsg::RefreshR {
+            op,
+            have: RefreshHave::Tags(
+                (0..splitmix(seed) % 4)
+                    .map(|k| (ObjectId(k), arb_reg(seed).tag))
+                    .collect(),
+            ),
+        },
+        5 => DynMsg::RefreshR {
+            op,
+            have: RefreshHave::Digest {
+                digest: splitmix(seed),
+                count: (splitmix(seed) % 10_000) as usize,
+            },
+        },
+        6 => DynMsg::RefreshAck {
+            op,
+            regs: (0..splitmix(seed) % 4)
+                .map(|k| (ObjectId(k), arb_reg(seed)))
+                .collect::<BTreeMap<_, _>>(),
+            need_tags: flag,
+        },
+        7 => DynMsg::SyncR {
             digest: splitmix(seed),
         },
-        _ => DynMsg::Wr(awr_core::restricted::WrMsg::Rb(RbEnvelope {
+        8 => DynMsg::SyncAck {
+            changes: arb_cs_ref(seed),
+        },
+        9 => DynMsg::Wr(WrMsg::Rb(RbEnvelope {
             origin: ActorId((splitmix(seed) % 5) as usize),
-            seq: splitmix(seed) % 9,
-            payload: vec![],
+            seq: op,
+            payload: (0..splitmix(seed) % 4).map(|_| arb_pair(seed)).collect(),
         })),
+        10 => DynMsg::Wr(WrMsg::TAck { counter: op }),
+        11 => DynMsg::Wr(WrMsg::Rc {
+            op,
+            target,
+            known: splitmix(seed),
+        }),
+        12 => DynMsg::Wr(WrMsg::RcAck {
+            op,
+            changes: arb_cs_ref(seed),
+        }),
+        13 => DynMsg::Wr(WrMsg::Wc {
+            op,
+            target,
+            changes: arb_cs_ref(seed),
+        }),
+        14 => DynMsg::Wr(WrMsg::WcAck { op }),
+        15 => DynMsg::Wr(WrMsg::WcMiss {
+            op,
+            have: splitmix(seed),
+        }),
+        _ => DynMsg::Wr(WrMsg::Invoke {
+            to: target,
+            delta: arb_change(seed).delta,
+        }),
     }
+}
+
+/// A whole frame around `payload`, with an honest length and version.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut buf = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
+    buf.push(WIRE_VERSION);
+    buf.extend_from_slice(payload);
+    buf
+}
+
+/// Whether `frame` is refused as corrupt.
+fn refused(frame: &[u8]) -> bool {
+    matches!(decode_frame::<Msg>(frame), Err(FrameError::Codec(_)))
+}
+
+/// Whether `frame` is one whole message.
+fn accepted(frame: &[u8]) -> bool {
+    matches!(decode_frame::<Msg>(frame), Ok(Some((_, used))) if used == frame.len())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any value tree survives encode → decode unchanged, and the decoder
-    /// consumes exactly the bytes the encoder produced.
-    #[test]
-    fn value_trees_roundtrip(seed in 0u64..u64::MAX) {
-        let mut s = seed;
-        let v = arb_value(&mut s, 4);
-        let mut bytes = Vec::new();
-        frame::encode_value(&v, &mut bytes);
-        let mut pos = 0;
-        let back = frame::decode_value(&bytes, &mut pos).expect("decode");
-        prop_assert_eq!(pos, bytes.len());
-        prop_assert_eq!(back, v);
-    }
-
     /// Every protocol message variant round-trips through a whole frame
-    /// (version byte, length prefix, payload) to an identical value tree.
+    /// (length prefix, version byte, payload) to an equal message, and the
+    /// decoder consumes exactly the bytes the encoder produced.
     #[test]
     fn protocol_messages_roundtrip(seed in 0u64..u64::MAX) {
-        let mut s = seed;
-        let msg = arb_dyn_msg(&mut s);
-        let back: DynMsg<u64> = frame::roundtrip(&msg).expect("roundtrip");
-        prop_assert_eq!(back.to_value(), msg.to_value());
+        for arm in 0..MSG_ARMS {
+            let mut s = seed ^ arm;
+            let msg = arb_msg(arm, &mut s);
+            let bytes = encode_frame(&msg);
+            let (back, used) = decode_frame::<Msg>(&bytes).expect("decode").expect("whole");
+            prop_assert_eq!(used, bytes.len());
+            prop_assert_eq!(back, msg);
+        }
     }
 
-    /// Any proper prefix of a frame is `Ok(None)` (incomplete) — never a
+    /// Every proper prefix of a frame is `Ok(None)` (incomplete) — never a
     /// bogus message, never a panic.
     #[test]
-    fn truncated_frames_rejected(seed in 0u64..u64::MAX, frac in 0.0f64..1.0) {
+    fn truncated_frames_rejected(seed in 0u64..u64::MAX, arm in 0u64..MSG_ARMS) {
         let mut s = seed;
-        let msg = arb_dyn_msg(&mut s);
-        let full = encode_frame(&msg);
-        let cut = ((full.len() - 1) as f64 * frac) as usize;
-        prop_assert!(matches!(
-            decode_frame::<DynMsg<u64>>(&full[..cut]),
-            Ok(None)
-        ));
+        let full = encode_frame(&arb_msg(arm, &mut s));
+        for cut in 0..full.len() {
+            prop_assert!(matches!(decode_frame::<Msg>(&full[..cut]), Ok(None)));
+        }
     }
 
     /// Any length prefix above `MAX_FRAME` is rejected before allocation.
@@ -169,4 +242,139 @@ proptest! {
             Err(FrameError::Oversized { .. })
         ));
     }
+
+    /// Arbitrary bytes — bare, and as the payload of a well-formed frame —
+    /// decode to an error or a message. Returning at all is the property.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..96)) {
+        let _ = decode_frame::<Msg>(&bytes);
+        if let Ok(Some((msg, used))) = decode_frame::<Msg>(&framed(&bytes)) {
+            // Whatever decoded is a message like any other: it re-encodes
+            // and decodes to itself.
+            prop_assert_eq!(used, bytes.len() + 5);
+            prop_assert_eq!(frame::roundtrip(&msg).expect("roundtrip"), msg);
+        }
+    }
+
+    /// A valid frame with one bit flipped anywhere — header included —
+    /// yields `Ok(None)`, an error or a message.
+    #[test]
+    fn one_flipped_bit_never_panics(seed in 0u64..u64::MAX, arm in 0u64..MSG_ARMS) {
+        let mut s = seed;
+        let mut bytes = encode_frame(&arb_msg(arm, &mut s));
+        let at = (splitmix(&mut s) % bytes.len() as u64) as usize;
+        bytes[at] ^= 1 << (splitmix(&mut s) % 8);
+        let _ = decode_frame::<Msg>(&bytes);
+    }
+
+    /// A sequence whose count claims more elements than the payload holds
+    /// is refused — by a little or by enough to overflow any reservation —
+    /// before anything is reserved for it.
+    #[test]
+    fn inflated_counts_are_refused(seed in 0u64..u64::MAX, present in 0usize..6, shift in 0u32..60) {
+        let mut s = seed;
+        let adds: Vec<Change> = (0..present).map(|_| arb_change(&mut s)).collect();
+        for claimed in [present as u64 + 1, (present as u64 + 1) << shift] {
+            // SyncAck { changes: Delta { base_digest, adds } }, by hand.
+            let mut payload = vec![8, 1];
+            put_digest(&mut payload, 7);
+            put_varint(&mut payload, claimed);
+            for c in &adds {
+                c.put(&mut payload);
+            }
+            prop_assert!(refused(&framed(&payload)));
+        }
+    }
+}
+
+/// The largest reference the benchmark's ledger ships: a rejecting `R_A`
+/// carrying a whole change set of 3 000.
+#[test]
+fn a_full_reference_of_3000_changes_roundtrips() {
+    let mut s = 11;
+    let msg: Msg = DynMsg::RAck {
+        op: 1,
+        obj: ObjectId(0),
+        reg: arb_reg(&mut s),
+        changes: CsRef::Full(arb_set(&mut s, 3_000)),
+        accepted: false,
+    };
+    assert_eq!(frame::roundtrip(&msg).expect("roundtrip"), msg);
+}
+
+fn invoke(delta: Ratio) -> Msg {
+    DynMsg::Wr(WrMsg::Invoke {
+        to: ServerId(1),
+        delta,
+    })
+}
+
+#[test]
+fn ratio_extremes_survive() {
+    for delta in [
+        Ratio::ZERO,
+        Ratio::new(i128::MAX, 1),
+        Ratio::new(-i128::MAX, 1),
+        Ratio::new(1, i128::MAX),
+        Ratio::new(-1, i128::MAX),
+        Ratio::new(i128::MAX, i128::MAX - 1),
+    ] {
+        let msg = invoke(delta);
+        assert_eq!(frame::roundtrip(&msg).expect("roundtrip"), msg, "{delta:?}");
+    }
+}
+
+#[test]
+fn ratios_no_program_builds_are_refused() {
+    // Invoke { to: 1, delta: num/den }, by hand: 19-byte varints.
+    let max_varint = |last: u8| {
+        let mut v = vec![0xff; 18];
+        v.push(last);
+        v
+    };
+    let invoke = |num: &[u8], den: &[u8]| framed(&[&[0, 7, 1][..], num, den].concat());
+    // 1/0, i128::MIN/1 (zigzag u128::MAX), a denominator past i128::MAX,
+    // and a varint past 128 bits.
+    assert!(refused(&invoke(&[2], &[0])));
+    assert!(refused(&invoke(&max_varint(3), &[1])));
+    assert!(refused(&invoke(&[2], &max_varint(2))));
+    assert!(refused(&invoke(&max_varint(0x83), &[1])));
+    // The neighbours are fine: 1/1 and i128::MAX/1.
+    assert!(accepted(&invoke(&[2], &[1])));
+    let mut max = max_varint(3);
+    max[0] = 0xfe;
+    assert!(accepted(&invoke(&max, &[1])));
+}
+
+#[test]
+fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
+    let summary = {
+        let mut b = vec![0];
+        put_digest(&mut b, 9);
+        b.push(3);
+        b
+    };
+    // WAck { op: 1, obj: 2, changes: summary, accepted: <byte> }.
+    let w_ack = |accepted: u8| framed(&[&[4, 1, 2][..], &summary, &[accepted]].concat());
+    assert!(accepted(&w_ack(1)));
+    assert!(refused(&w_ack(2)));
+    // DynMsg, WrMsg, CsRef, RefreshHave and ProcessId tags one past the last.
+    for payload in [
+        vec![9],
+        vec![0, 8],
+        vec![8, 3],
+        vec![5, 1, 2],
+        vec![3, 1, 2, 1, 2, 0],
+    ] {
+        assert!(refused(&framed(&payload)), "{payload:?}");
+    }
+    // Rc { op: 1, target, known }: the largest server id, and one more.
+    let rc = |target: u32| {
+        let mut b = vec![0, 2, 1];
+        put_varint(&mut b, u64::from(target));
+        put_digest(&mut b, 0);
+        framed(&b)
+    };
+    assert!(accepted(&rc(MAX_SERVER_ID)));
+    assert!(refused(&rc(MAX_SERVER_ID + 1)));
 }

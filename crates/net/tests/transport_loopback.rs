@@ -12,16 +12,34 @@ use std::time::{Duration, Instant};
 
 use awr_net::frame::{encode_frame, write_hello, MAX_FRAME, WIRE_VERSION};
 use awr_net::tcp::HIGH_WATER;
-use awr_net::{Reconnect, TcpTransport};
+use awr_net::{FrameError, Reader, Reconnect, TcpTransport, Wire};
 use awr_sim::{ActorId, Message, Transport};
-use serde::{Deserialize, Serialize};
 
 /// A sequenced message with a payload of any size (a string travels as
 /// its bytes, so `body.len()` is very nearly the frame size).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct Seq {
     n: u64,
     body: String,
+}
+
+impl Wire for Seq {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.n.put(out);
+        self.body.len().put(out);
+        out.extend_from_slice(self.body.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Seq, FrameError> {
+        let n = u64::get(r)?;
+        let len = r.count(1)?;
+        let body = std::str::from_utf8(r.bytes(len)?)
+            .map_err(|_| FrameError::Codec("body is not utf-8"))?;
+        Ok(Seq {
+            n,
+            body: body.to_string(),
+        })
+    }
 }
 
 impl Message for Seq {
@@ -242,6 +260,12 @@ fn a_bad_connection_is_closed_alone_while_a_good_peer_is_served() {
     bad_magic[0] = b'X';
     let mut bad_version = hello(2);
     bad_version[4] = WIRE_VERSION + 1;
+    let mut old_hello = hello(2);
+    old_hello[4] = 1;
+    let mut old_frame = hello(2);
+    let mut frame = encode_frame(&seq(9));
+    frame[4] = 1;
+    old_frame.extend_from_slice(&frame);
     let mut oversized = hello(2);
     oversized.extend_from_slice(&((MAX_FRAME + 1) as u32).to_le_bytes());
     let mut corrupt = hello(2);
@@ -252,6 +276,8 @@ fn a_bad_connection_is_closed_alone_while_a_good_peer_is_served() {
     let cases = [
         ("bad hello magic", bad_magic),
         ("wrong hello version", bad_version),
+        ("version-1 hello", old_hello),
+        ("version-1 frame", old_frame),
         ("length prefix above MAX_FRAME", oversized),
         ("corrupt payload", corrupt),
         ("hello from outside the mesh", hello(3)),

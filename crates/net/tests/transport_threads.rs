@@ -5,13 +5,21 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use awr_net::TcpTransport;
+use awr_net::{FrameError, Reader, TcpTransport, Wire};
 use awr_sim::{ActorId, Message, Transport};
-use serde::{Deserialize, Serialize};
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct Ball(u64);
 impl Message for Ball {}
+impl Wire for Ball {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Ball, FrameError> {
+        Ok(Ball(u64::get(r)?))
+    }
+}
 
 fn threads_of_this_process() -> usize {
     std::fs::read_dir("/proc/self/task")

@@ -42,11 +42,10 @@ use std::collections::HashSet;
 use std::fmt;
 
 use awr_sim::{ActorId, Context, Message};
-use serde::{Deserialize, Serialize};
 
 /// A broadcast instance on the wire: the origin's id, the origin-local
 /// sequence number (deduplication key), and the payload.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct RbEnvelope<P> {
     /// The process that invoked `RB-broadcast`.
     pub origin: ActorId,

@@ -12,14 +12,11 @@ use std::any::Any;
 use std::fmt;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::time::{Nanos, Time};
 
 /// Identifier of an actor inside a [`crate::World`] (dense `0..n_actors`).
-/// Serializable because it appears inside wire messages (RB envelopes name
-/// their origin) that the real-transport runtime ships between processes.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub usize);
 
 impl ActorId {

@@ -133,6 +133,9 @@ pub struct NodeHost<A: Actor, T: Transport<A::Msg>> {
     transport: T,
     rng: StdRng,
     next_timer: u64,
+    /// The effect buffer every callback fills and the flush empties: kept
+    /// here so a callback costs no allocation once it has grown.
+    effects: Vec<Effect<A::Msg>>,
     metrics: Metrics,
     running: bool,
 }
@@ -150,6 +153,7 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
             transport,
             rng,
             next_timer: 0,
+            effects: Vec::new(),
             metrics: Metrics::default(),
             running: true,
         };
@@ -161,7 +165,7 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
     /// resulting effects (the send-after-return discipline that makes
     /// persist-before-send hold; see the module docs).
     fn callback<R>(&mut self, f: impl FnOnce(&mut A, &mut Context<'_, A::Msg>) -> R) -> R {
-        let mut effects: Vec<Effect<A::Msg>> = Vec::new();
+        let mut effects = std::mem::take(&mut self.effects);
         let self_id = self.transport.local_id();
         let n_actors = self.transport.n_actors();
         let out = {
@@ -175,7 +179,7 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
             };
             f(&mut self.actor, &mut ctx)
         };
-        for e in effects {
+        for e in effects.drain(..) {
             match e {
                 Effect::Send { to, msg } => {
                     self.record_send(self_id, to, &msg);
@@ -189,6 +193,7 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
                 Effect::Sample { key, value } => self.metrics.record_sample(key, value),
             }
         }
+        self.effects = effects;
         out
     }
 

@@ -129,24 +129,8 @@ impl<V: Value> AbdServer<V> {
         storage: StorageHandle<V>,
         checkpoint: Option<CheckpointCadence>,
     ) -> AbdServer<V> {
-        let mut registers: BTreeMap<ObjectId, TaggedValue<V>> = BTreeMap::new();
-        if let Some((snapshot, wal)) = storage.load() {
-            if let Some(snap) = snapshot {
-                registers = snap.registers;
-            }
-            for record in wal {
-                if let WalRecord::Register(obj, reg) = record {
-                    match registers.get_mut(&obj) {
-                        Some(cur) => {
-                            cur.adopt_if_newer(&reg);
-                        }
-                        None => {
-                            registers.insert(obj, reg);
-                        }
-                    }
-                }
-            }
-        }
+        // The static protocol logs no changes: only the registers matter.
+        let (_, registers) = storage.recover_state(ChangeSet::default());
         AbdServer {
             registers,
             storage: Some(storage),

@@ -84,6 +84,18 @@ pub trait Storage<V>: fmt::Debug + Send {
     /// it. `None` means nothing was ever persisted (a fresh store).
     fn load(&mut self) -> Option<Recovered<V>>;
 
+    /// [`Storage::load`] without the `Vec`: hands every record of the WAL
+    /// suffix to `each`, in append order, and returns the snapshot they
+    /// follow — so a recovering server can fold a long WAL in the memory
+    /// of its result. `None` means nothing was ever persisted. The
+    /// default goes through `load`; a backend that can read its log
+    /// incrementally overrides it.
+    fn replay(&mut self, each: &mut dyn FnMut(WalRecord<V>)) -> Option<Option<Snapshot<V>>> {
+        let (snapshot, wal) = self.load()?;
+        wal.into_iter().for_each(each);
+        Some(snapshot)
+    }
+
     /// Records currently in the WAL (since the last snapshot).
     fn wal_len(&self) -> usize;
 }
@@ -299,24 +311,32 @@ impl<V: Value + Serialize + DeserializeOwned> Storage<V> for FileStorage<V> {
     }
 
     fn load(&mut self) -> Option<(Option<Snapshot<V>>, Vec<WalRecord<V>>)> {
+        let mut wal = Vec::new();
+        let snap = self.replay(&mut |rec| wal.push(rec))?;
+        Some((snap, wal))
+    }
+
+    fn replay(&mut self, each: &mut dyn FnMut(WalRecord<V>)) -> Option<Option<Snapshot<V>>> {
         self.flush();
         let snap = std::fs::read_to_string(self.snapshot_path())
             .ok()
             .map(|s| serde_json::from_str::<Snapshot<V>>(&s).expect("decode snapshot"));
-        let mut wal = Vec::new();
+        let mut records = 0usize;
         if let Ok(f) = File::open(self.wal_path()) {
-            for line in BufReader::new(f).lines() {
-                let line = line.expect("read WAL line");
-                if line.trim().is_empty() {
-                    continue;
+            let mut wal = BufReader::new(f);
+            let mut line = String::new();
+            while wal.read_line(&mut line).expect("read WAL line") > 0 {
+                if !line.trim().is_empty() {
+                    each(serde_json::from_str::<WalRecord<V>>(&line).expect("decode WAL record"));
+                    records += 1;
                 }
-                wal.push(serde_json::from_str::<WalRecord<V>>(&line).expect("decode WAL record"));
+                line.clear();
             }
         }
-        if snap.is_none() && wal.is_empty() {
+        if snap.is_none() && records == 0 {
             return None;
         }
-        Some((snap, wal))
+        Some(snap)
     }
 
     fn wal_len(&self) -> usize {
@@ -373,6 +393,39 @@ impl<V: Value> StorageHandle<V> {
         self.lock().load()
     }
 
+    /// Streams the WAL suffix through `each` and returns the snapshot it
+    /// follows ([`Storage::replay`]). The store is locked for the whole
+    /// call: `each` must not use this handle.
+    pub fn replay(&self, each: &mut dyn FnMut(WalRecord<V>)) -> Option<Option<Snapshot<V>>> {
+        self.lock().replay(each)
+    }
+
+    /// Folds the store into the state a recovering server resumes from,
+    /// in memory proportional to that state and not to the WAL: the
+    /// snapshot if there is one (else `initial` and no registers), then
+    /// the WAL's changes in append order, then per object the newest
+    /// register the WAL holds. An empty store yields `initial` untouched.
+    pub fn recover_state(
+        &self,
+        initial: ChangeSet,
+    ) -> (ChangeSet, BTreeMap<ObjectId, TaggedValue<V>>) {
+        let mut wal_changes = Vec::new();
+        let mut wal_registers = BTreeMap::new();
+        let snapshot = self.replay(&mut |record| match record {
+            WalRecord::Change(c) => wal_changes.push(c),
+            WalRecord::Register(obj, reg) => adopt_newest(&mut wal_registers, obj, reg),
+        });
+        let (mut changes, mut registers) = match snapshot.flatten() {
+            Some(snap) => (snap.changes, snap.registers),
+            None => (initial, BTreeMap::new()),
+        };
+        changes.extend(wal_changes);
+        for (obj, reg) in wal_registers {
+            adopt_newest(&mut registers, obj, reg);
+        }
+        (changes, registers)
+    }
+
     /// Records currently in the WAL.
     pub fn wal_len(&self) -> usize {
         self.lock().wal_len()
@@ -380,6 +433,23 @@ impl<V: Value> StorageHandle<V> {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Box<dyn Storage<V>>> {
         self.inner.lock().expect("storage mutex poisoned")
+    }
+}
+
+/// The replay rule for registers, the same one the live path applies: a
+/// strictly newer tag replaces what is held, the first of equals stays.
+fn adopt_newest<V: Clone>(
+    registers: &mut BTreeMap<ObjectId, TaggedValue<V>>,
+    obj: ObjectId,
+    reg: TaggedValue<V>,
+) {
+    match registers.get_mut(&obj) {
+        Some(cur) => {
+            cur.adopt_if_newer(&reg);
+        }
+        None => {
+            registers.insert(obj, reg);
+        }
     }
 }
 

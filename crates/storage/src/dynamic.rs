@@ -76,7 +76,7 @@ use crate::history::{HistOp, OpKind};
 /// Wire messages of the dynamic-weighted storage: the weight-reassignment
 /// sub-protocol plus change-set-referencing ABD phases (see the module
 /// docs for the negotiation).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DynMsg<V> {
     /// Weight-reassignment traffic (Algorithms 3–4).
     Wr(WrMsg),
@@ -360,237 +360,6 @@ impl<V: Value> Message for DynMsg<V> {
             | DynMsg::RefreshAck { .. }
             | DynMsg::SyncR { .. }
             | DynMsg::SyncAck { .. } => None,
-        }
-    }
-}
-
-// --- Wire encoding ------------------------------------------------------
-//
-// Manual serde impls (the vendored stand-in cannot derive through the
-// `BTreeMap` payloads; maps ride as sequences of `[key, value]` pairs,
-// the same idiom as the durable snapshot encoding). Externally tagged by
-// variant name so frames are self-describing across process boundaries.
-
-use serde::{map_get, Deserialize, Error as SerdeError, Serialize, Value as WireValue};
-
-impl Serialize for RefreshHave {
-    fn to_value(&self) -> WireValue {
-        match self {
-            RefreshHave::Tags(tags) => {
-                let pairs: Vec<WireValue> = tags
-                    .iter()
-                    .map(|(o, t)| WireValue::Seq(vec![o.to_value(), t.to_value()]))
-                    .collect();
-                WireValue::Map(vec![("tags".to_string(), WireValue::Seq(pairs))])
-            }
-            RefreshHave::Digest { digest, count } => WireValue::Map(vec![(
-                "digest".to_string(),
-                WireValue::Seq(vec![digest.to_value(), count.to_value()]),
-            )]),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for RefreshHave {
-    fn from_value(v: &WireValue) -> Result<Self, SerdeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected map for RefreshHave"))?;
-        if let Ok(tags) = map_get(m, "tags") {
-            let mut out = BTreeMap::new();
-            for pair in tags
-                .as_seq()
-                .ok_or_else(|| SerdeError::custom("expected tag pair sequence"))?
-            {
-                let pair = pair
-                    .as_seq()
-                    .ok_or_else(|| SerdeError::custom("expected [obj, tag] pair"))?;
-                if pair.len() != 2 {
-                    return Err(SerdeError::custom("tag pair must have 2 elements"));
-                }
-                out.insert(ObjectId::from_value(&pair[0])?, Tag::from_value(&pair[1])?);
-            }
-            return Ok(RefreshHave::Tags(out));
-        }
-        let pair = map_get(m, "digest")?
-            .as_seq()
-            .ok_or_else(|| SerdeError::custom("expected [digest, count] pair"))?;
-        if pair.len() != 2 {
-            return Err(SerdeError::custom("digest pair must have 2 elements"));
-        }
-        Ok(RefreshHave::Digest {
-            digest: u64::from_value(&pair[0])?,
-            count: usize::from_value(&pair[1])?,
-        })
-    }
-}
-
-impl<V: Value + Serialize> Serialize for DynMsg<V> {
-    fn to_value(&self) -> WireValue {
-        let tagged = |tag: &str, fields: Vec<(String, WireValue)>| {
-            WireValue::Map(vec![(tag.to_string(), WireValue::Map(fields))])
-        };
-        let f = |name: &str, v: WireValue| (name.to_string(), v);
-        match self {
-            DynMsg::Wr(m) => WireValue::Map(vec![("wr".to_string(), m.to_value())]),
-            DynMsg::R { op, obj, changes } => tagged(
-                "r",
-                vec![
-                    f("op", op.to_value()),
-                    f("obj", obj.to_value()),
-                    f("changes", changes.to_value()),
-                ],
-            ),
-            DynMsg::RAck {
-                op,
-                obj,
-                reg,
-                changes,
-                accepted,
-            } => tagged(
-                "r_ack",
-                vec![
-                    f("op", op.to_value()),
-                    f("obj", obj.to_value()),
-                    f("reg", reg.to_value()),
-                    f("changes", changes.to_value()),
-                    f("accepted", accepted.to_value()),
-                ],
-            ),
-            DynMsg::W {
-                op,
-                obj,
-                reg,
-                changes,
-            } => tagged(
-                "w",
-                vec![
-                    f("op", op.to_value()),
-                    f("obj", obj.to_value()),
-                    f("reg", reg.to_value()),
-                    f("changes", changes.to_value()),
-                ],
-            ),
-            DynMsg::WAck {
-                op,
-                obj,
-                changes,
-                accepted,
-            } => tagged(
-                "w_ack",
-                vec![
-                    f("op", op.to_value()),
-                    f("obj", obj.to_value()),
-                    f("changes", changes.to_value()),
-                    f("accepted", accepted.to_value()),
-                ],
-            ),
-            DynMsg::RefreshR { op, have } => tagged(
-                "refresh_r",
-                vec![f("op", op.to_value()), f("have", have.to_value())],
-            ),
-            DynMsg::RefreshAck {
-                op,
-                regs,
-                need_tags,
-            } => {
-                let pairs: Vec<WireValue> = regs
-                    .iter()
-                    .map(|(o, r)| WireValue::Seq(vec![o.to_value(), r.to_value()]))
-                    .collect();
-                tagged(
-                    "refresh_ack",
-                    vec![
-                        f("op", op.to_value()),
-                        f("regs", WireValue::Seq(pairs)),
-                        f("need_tags", need_tags.to_value()),
-                    ],
-                )
-            }
-            DynMsg::SyncR { digest } => tagged("sync_r", vec![f("digest", digest.to_value())]),
-            DynMsg::SyncAck { changes } => {
-                tagged("sync_ack", vec![f("changes", changes.to_value())])
-            }
-        }
-    }
-}
-
-impl<'de, V: Value + Deserialize<'de>> Deserialize<'de> for DynMsg<V> {
-    fn from_value(v: &WireValue) -> Result<Self, SerdeError> {
-        let outer = v
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected map for DynMsg"))?;
-        let (tag, body) = outer
-            .first()
-            .filter(|_| outer.len() == 1)
-            .ok_or_else(|| SerdeError::custom("expected single-variant map for DynMsg"))?;
-        if tag == "wr" {
-            return Ok(DynMsg::Wr(WrMsg::from_value(body)?));
-        }
-        let m = body
-            .as_map()
-            .ok_or_else(|| SerdeError::custom("expected field map for DynMsg variant"))?;
-        match tag.as_str() {
-            "r" => Ok(DynMsg::R {
-                op: u64::from_value(map_get(m, "op")?)?,
-                obj: ObjectId::from_value(map_get(m, "obj")?)?,
-                changes: CsRef::from_value(map_get(m, "changes")?)?,
-            }),
-            "r_ack" => Ok(DynMsg::RAck {
-                op: u64::from_value(map_get(m, "op")?)?,
-                obj: ObjectId::from_value(map_get(m, "obj")?)?,
-                reg: TaggedValue::from_value(map_get(m, "reg")?)?,
-                changes: CsRef::from_value(map_get(m, "changes")?)?,
-                accepted: bool::from_value(map_get(m, "accepted")?)?,
-            }),
-            "w" => Ok(DynMsg::W {
-                op: u64::from_value(map_get(m, "op")?)?,
-                obj: ObjectId::from_value(map_get(m, "obj")?)?,
-                reg: TaggedValue::from_value(map_get(m, "reg")?)?,
-                changes: CsRef::from_value(map_get(m, "changes")?)?,
-            }),
-            "w_ack" => Ok(DynMsg::WAck {
-                op: u64::from_value(map_get(m, "op")?)?,
-                obj: ObjectId::from_value(map_get(m, "obj")?)?,
-                changes: CsRef::from_value(map_get(m, "changes")?)?,
-                accepted: bool::from_value(map_get(m, "accepted")?)?,
-            }),
-            "refresh_r" => Ok(DynMsg::RefreshR {
-                op: u64::from_value(map_get(m, "op")?)?,
-                have: RefreshHave::from_value(map_get(m, "have")?)?,
-            }),
-            "refresh_ack" => {
-                let mut regs = BTreeMap::new();
-                for pair in map_get(m, "regs")?
-                    .as_seq()
-                    .ok_or_else(|| SerdeError::custom("expected register pair sequence"))?
-                {
-                    let pair = pair
-                        .as_seq()
-                        .ok_or_else(|| SerdeError::custom("expected [obj, reg] pair"))?;
-                    if pair.len() != 2 {
-                        return Err(SerdeError::custom("register pair must have 2 elements"));
-                    }
-                    regs.insert(
-                        ObjectId::from_value(&pair[0])?,
-                        TaggedValue::<V>::from_value(&pair[1])?,
-                    );
-                }
-                Ok(DynMsg::RefreshAck {
-                    op: u64::from_value(map_get(m, "op")?)?,
-                    regs,
-                    need_tags: bool::from_value(map_get(m, "need_tags")?)?,
-                })
-            }
-            "sync_r" => Ok(DynMsg::SyncR {
-                digest: u64::from_value(map_get(m, "digest")?)?,
-            }),
-            "sync_ack" => Ok(DynMsg::SyncAck {
-                changes: CsRef::from_value(map_get(m, "changes")?)?,
-            }),
-            other => Err(SerdeError::custom(format!(
-                "unknown DynMsg variant `{other}`"
-            ))),
         }
     }
 }
@@ -1397,7 +1166,8 @@ impl<V: Value> DynServer<V> {
     }
 
     /// Reconstructs a crashed server from its durable state: loads the
-    /// snapshot (if any), replays the WAL suffix over it, and resumes the
+    /// snapshot (if any), folds the WAL suffix over it as it is read
+    /// ([`StorageHandle::recover_state`]), and resumes the
     /// reassignment engine via [`TransferCore::recover`] (which re-derives
     /// a safe logical clock from the recovered set; in-flight transfer
     /// state is legitimately lost — a crash-stop observer cannot tell a
@@ -1412,29 +1182,8 @@ impl<V: Value> DynServer<V> {
         options: DynOptions,
         storage: StorageHandle<V>,
     ) -> DynServer<V> {
-        let mut changes = ChangeSet::from_initial_weights(&cfg.initial_weights);
-        let mut registers: BTreeMap<ObjectId, TaggedValue<V>> = BTreeMap::new();
-        if let Some((snapshot, wal)) = storage.load() {
-            if let Some(snap) = snapshot {
-                changes = snap.changes;
-                registers = snap.registers;
-            }
-            for record in wal {
-                match record {
-                    WalRecord::Change(c) => {
-                        changes.insert(c);
-                    }
-                    WalRecord::Register(obj, reg) => match registers.get_mut(&obj) {
-                        Some(cur) => {
-                            cur.adopt_if_newer(&reg);
-                        }
-                        None => {
-                            registers.insert(obj, reg);
-                        }
-                    },
-                }
-            }
-        }
+        let (changes, registers) =
+            storage.recover_state(ChangeSet::from_initial_weights(&cfg.initial_weights));
         let persisted_digest = changes.digest();
         DynServer {
             core: TransferCore::recover(cfg, me, 0, changes),

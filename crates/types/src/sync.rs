@@ -55,17 +55,15 @@
 //! assert_eq!(receiver, sender);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::change_set::change_mix;
 use crate::{Change, ChangeSet};
 
 /// A wire reference to a [`ChangeSet`]: summary, delta, or full content.
 ///
-/// See the [module docs](self) for the negotiation discipline.
-/// Serializable so the real-transport runtime (`awr_net`) can frame the
-/// negotiation exactly as the sim models it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// See the [module docs](self) for the negotiation discipline. The
+/// real-transport runtime frames all three forms (`awr_net::wire`), so
+/// the negotiation crosses sockets exactly as the sim models it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CsRef {
     /// Digest and cardinality of the sender's set — O(1) on the wire.
     Summary {

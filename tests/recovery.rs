@@ -21,15 +21,23 @@
 //!    whose quorum contacts died mid-phase, and duplicate deliveries are
 //!    tag-idempotent: they can neither double-apply a write nor
 //!    double-count a quorum member.
+//! 5. **Streaming replay** — `Storage::replay` hands over exactly what
+//!    `load` returns, on both backends, and a server recovered by folding
+//!    the stream holds the state the record-by-record replay of the
+//!    loaded WAL yields.
+
+use std::collections::BTreeMap;
 
 use awr::core::{audit_transfers, RpConfig};
 use awr::sim::{Fault, FaultPlan, Time, UniformLatency};
 use awr::storage::workload::{run_mixed_workload, WorkloadSpec};
 use awr::storage::{
-    check_linearizable, check_linearizable_keyed, CheckpointCadence, DynMsg, DynOptions, DynServer,
-    OpKind, RetryPolicy, StorageHarness,
+    check_linearizable, check_linearizable_keyed, AbdServer, CheckpointCadence, DynMsg, DynOptions,
+    DynServer, OpKind, RetryPolicy, Snapshot, StorageHandle, StorageHarness, WalRecord,
 };
-use awr::types::{ObjectId, Ratio, ServerId};
+use awr::types::{
+    Change, ChangeSet, ClientId, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
+};
 
 fn s(i: u32) -> ServerId {
     ServerId(i)
@@ -364,4 +372,137 @@ fn duplicate_write_delivery_is_tag_idempotent() {
     let (v, _) = h.read(0).unwrap();
     assert_eq!(v, Some(42));
     check_linearizable(&h.history()).unwrap();
+}
+
+/// A WAL that exercises every replay rule: changes (one of them twice),
+/// and per object registers that arrive newer, older and with equal tags.
+fn tricky_wal() -> Vec<WalRecord<u64>> {
+    let reg = |ts: u64, client: u32, v: u64| {
+        TaggedValue::new(Tag::new(ts, ProcessId::Client(ClientId(client))), v)
+    };
+    let change = |counter: u64, to: u32| {
+        WalRecord::Change(Change::new(s(0), counter, s(to), Ratio::dec("0.01")))
+    };
+    vec![
+        change(2, 1),
+        WalRecord::Register(ObjectId(1), reg(5, 0, 50)),
+        WalRecord::Register(ObjectId(2), reg(9, 1, 90)),
+        change(3, 2),
+        WalRecord::Register(ObjectId(1), reg(4, 1, 40)), // older: ignored
+        WalRecord::Register(ObjectId(2), reg(9, 1, 91)), // equal tag: the first stays
+        change(2, 1),                                    // already known
+        WalRecord::Register(ObjectId(3), reg(1, 0, 10)),
+        WalRecord::Register(ObjectId(1), reg(6, 0, 60)), // newer: adopted
+    ]
+}
+
+fn tricky_snapshot(cfg: &RpConfig) -> Snapshot<u64> {
+    let mut changes = ChangeSet::from_initial_weights(&cfg.initial_weights);
+    changes.insert(Change::new(s(1), 2, s(2), Ratio::dec("0.02")));
+    let newer_than_the_wal = TaggedValue::new(Tag::new(7, ProcessId::Client(ClientId(0))), 70);
+    let older_than_the_wal = TaggedValue::new(Tag::new(2, ProcessId::Client(ClientId(0))), 20);
+    Snapshot {
+        changes,
+        registers: [
+            (ObjectId(1), newer_than_the_wal),
+            (ObjectId(2), older_than_the_wal),
+            (ObjectId(4), older_than_the_wal),
+        ]
+        .into_iter()
+        .collect(),
+    }
+}
+
+fn scratch_dir(case: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("awr_replay_{}_{case}", std::process::id()))
+}
+
+/// The stores under test: each backend, empty, WAL-only, and snapshot
+/// followed by a suffix. The file backend's live under [`scratch_dir`].
+fn stores(cfg: &RpConfig, case: &str) -> Vec<(String, StorageHandle<u64>, bool)> {
+    let dir = scratch_dir(case);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut out = Vec::new();
+    for backend in ["mem", "file"] {
+        for shape in ["empty", "wal", "snapshot+wal"] {
+            let handle = match backend {
+                "mem" => StorageHandle::in_memory(),
+                _ => StorageHandle::file(dir.join(shape.replace('+', "_"))),
+            };
+            if shape == "snapshot+wal" {
+                // Records before the snapshot are truncated by it.
+                handle.append(tricky_wal().remove(0));
+                handle.install_snapshot(tricky_snapshot(cfg));
+            }
+            if shape != "empty" {
+                tricky_wal().into_iter().for_each(|r| handle.append(r));
+            }
+            out.push((format!("{backend}/{shape}"), handle, shape == "empty"));
+        }
+    }
+    out
+}
+
+#[test]
+fn replay_streams_exactly_what_load_returns() {
+    let cfg = RpConfig::uniform(5, 2);
+    for (name, handle, empty) in stores(&cfg, "stream") {
+        let mut streamed = Vec::new();
+        let snapshot = handle.replay(&mut |r| streamed.push(r));
+        match handle.load() {
+            None => {
+                assert!(empty, "{name}: a written store loaded nothing");
+                assert!(snapshot.is_none() && streamed.is_empty(), "{name}");
+            }
+            Some((loaded_snapshot, wal)) => {
+                assert!(!empty, "{name}");
+                assert_eq!(snapshot, Some(loaded_snapshot), "{name}");
+                assert_eq!(streamed, wal, "{name}");
+                assert_eq!(wal, tricky_wal(), "{name}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(scratch_dir("stream"));
+}
+
+#[test]
+fn folding_the_stream_recovers_the_state_the_loaded_wal_replays_to() {
+    let cfg = RpConfig::uniform(5, 2);
+    for (name, handle, _) in stores(&cfg, "fold") {
+        // The reference: load everything, then replay record by record.
+        let mut changes = ChangeSet::from_initial_weights(&cfg.initial_weights);
+        let mut registers: BTreeMap<ObjectId, TaggedValue<u64>> = BTreeMap::new();
+        if let Some((snapshot, wal)) = handle.load() {
+            if let Some(snap) = snapshot {
+                (changes, registers) = (snap.changes, snap.registers);
+            }
+            for record in wal {
+                match record {
+                    WalRecord::Change(c) => {
+                        changes.insert(c);
+                    }
+                    WalRecord::Register(obj, reg) => {
+                        let cur = registers.entry(obj).or_insert_with(|| reg);
+                        cur.adopt_if_newer(&reg);
+                    }
+                }
+            }
+        }
+
+        let server = DynServer::recover(cfg.clone(), s(0), DynOptions::default(), handle.clone());
+        assert_eq!(server.changes(), &changes, "{name}");
+        assert_eq!(
+            server.changes().delta_since(0),
+            changes.delta_since(0),
+            "{name}: journal order"
+        );
+        assert_eq!(server.registers(), &registers, "{name}");
+
+        let static_server = AbdServer::recover(handle, None);
+        for obj in ObjectId::all(6) {
+            let expected = registers.get(&obj).copied().unwrap_or_default();
+            assert_eq!(static_server.register_of(obj), expected, "{name}: {obj}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(scratch_dir("fold"));
 }
