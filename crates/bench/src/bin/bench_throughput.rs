@@ -26,25 +26,20 @@
 //! same mean rate: bursts queue during "on" windows, so the tail is
 //! strictly worse at equal offered load.
 //!
-//! The **scheduler** section replays the top-rate point (≥ 10⁶ ops) on
-//! both event-queue implementations: the hierarchical timing wheel (the
-//! default) and the reference `BinaryHeap`. The run must be
-//! seed-for-seed identical — same ops, same arrival fingerprint, same
-//! event count, same bytes — and the wheel's wall-clock time is
-//! recorded against the heap's.
+//! Every number here is virtual time and repeats exactly. What a run
+//! costs on the wall clock — and the timing wheel against the reference
+//! heap — is `benchmark/`'s to measure (`sim_wan_adaptive`, the
+//! `sim.sched.*` ledger lines); that the two schedulers replay a run
+//! identically is pinned by `tests/scheduler_equivalence.rs`.
 //!
 //! Run with: `cargo run --release --bin bench_throughput [-- --smoke] [out.json]`
 
 // stdout is this target's interface; exempt from the workspace print lint.
 #![allow(clippy::print_stdout)]
 
-use std::time::Instant;
-
 use awr_core::RpConfig;
 use awr_quorum::placement::LatencyGreedy;
-use awr_sim::{
-    constrained_uplink, geo_network, ArrivalSpec, Nanos, Region, SchedulerKind, MILLI, SECOND,
-};
+use awr_sim::{constrained_uplink, geo_network, ArrivalSpec, Nanos, Region, MILLI, SECOND};
 use awr_storage::{
     workload::KeyDistribution, DynOptions, OpenLoopHarness, OpenLoopSpec, OpenLoopStats,
     PlacementDriver, WireMode,
@@ -138,8 +133,7 @@ fn run_wire(
     arrivals: ArrivalSpec,
     n_clients: usize,
     duration: Nanos,
-    scheduler: SchedulerKind,
-) -> (OpenLoopStats, u64, u64, u64) {
+) -> (OpenLoopStats, u64, u64) {
     let mut h = OpenLoopHarness::build(
         RpConfig::uniform(N, F),
         &spec(n_clients, arrivals, duration),
@@ -149,12 +143,10 @@ fn run_wire(
             ..DynOptions::default()
         },
     );
-    h.inner.world.set_scheduler(scheduler);
     h.seed_changes(C_SIZE);
     h.run(None, SECOND);
     let m = h.inner.world.metrics();
-    let (events, bytes, last) = (m.events_processed, m.bytes_sent, m.last_time.0);
-    (h.stats(), events, bytes, last)
+    (h.stats(), m.bytes_sent, m.last_time.0)
 }
 
 /// One placement-sweep point: five-region WAN, clients in Virginia,
@@ -230,13 +222,7 @@ fn main() {
             ("delta", WireMode::Negotiate),
             ("full", WireMode::ForceFull),
         ] {
-            let (s, _, bytes, last) = run_wire(
-                wire,
-                arrivals,
-                wire_clients,
-                wire_dur,
-                SchedulerKind::TimingWheel,
-            );
+            let (s, bytes, last) = run_wire(wire, arrivals, wire_clients, wire_dur);
             if s.completed != s.generated {
                 eprintln!(
                     "FAIL: wire/{mode}@{rate}: {} of {} ops completed",
@@ -266,13 +252,7 @@ fn main() {
             },
         ),
     ] {
-        let (s, _, bytes, last) = run_wire(
-            WireMode::Negotiate,
-            arrivals,
-            wire_clients,
-            wire_dur,
-            SchedulerKind::TimingWheel,
-        );
+        let (s, bytes, last) = run_wire(WireMode::Negotiate, arrivals, wire_clients, wire_dur);
         if s.completed != s.generated {
             eprintln!("FAIL: burst/{mode}: incomplete drain");
             ok = false;
@@ -294,71 +274,6 @@ fn main() {
             rows.push(row("placement", mode, rate, place_dur, &s, last, bytes));
         }
     }
-
-    // --- Scheduler: wheel vs heap on the top-rate wire point. ---
-    // Interleaved trials with a min-of-N summary: external interference
-    // (another process, a frequency excursion) only ever *adds* wall
-    // time, so the minimum of alternating runs is the robust estimate of
-    // each scheduler's true cost — a single back-to-back pair is not.
-    let top = *wire_rates.last().unwrap();
-    let top_arrivals = ArrivalSpec::Poisson { rate_per_sec: top };
-    let sched_trials = if smoke { 1 } else { 3 };
-    let time_one = |kind: SchedulerKind| {
-        let t0 = Instant::now();
-        let (s, events, bytes, last) = run_wire(
-            WireMode::Negotiate,
-            top_arrivals,
-            wire_clients,
-            wire_dur,
-            kind,
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        (wall, s, events, bytes, last)
-    };
-    let mut wheel_wall = f64::INFINITY;
-    let mut heap_wall = f64::INFINITY;
-    let mut identical = true;
-    let (ww0, ws, wev, wby, wlast) = time_one(SchedulerKind::TimingWheel);
-    wheel_wall = wheel_wall.min(ww0);
-    let check = |who: &str, trial: usize, s: &OpenLoopStats, ev: u64, by: u64, last: u64| {
-        let same = s.generated == ws.generated
-            && s.completed == ws.completed
-            && s.arrival_hash == ws.arrival_hash
-            && ev == wev
-            && by == wby
-            && last == wlast;
-        if !same {
-            eprintln!(
-                "FAIL: {who} trial {trial} diverged from the wheel baseline: \
-                 (gen {}, done {}, hash {:#x}, ev {}, bytes {}, end {}) vs \
-                 (gen {}, done {}, hash {:#x}, ev {}, bytes {}, end {})",
-                s.generated,
-                s.completed,
-                s.arrival_hash,
-                ev,
-                by,
-                last,
-                ws.generated,
-                ws.completed,
-                ws.arrival_hash,
-                wev,
-                wby,
-                wlast
-            );
-        }
-        same
-    };
-    for trial in 0..sched_trials {
-        let (hw, hs, hev, hby, hlast) = time_one(SchedulerKind::BinaryHeap);
-        heap_wall = heap_wall.min(hw);
-        identical &= check("heap", trial, &hs, hev, hby, hlast);
-        if trial + 1 < sched_trials {
-            let (ww, s, ev, by, last) = time_one(SchedulerKind::TimingWheel);
-            wheel_wall = wheel_wall.min(ww);
-            identical &= check("wheel", trial + 1, &s, ev, by, last);
-        }
-    }
-    ok &= identical;
 
     // --- Report. ---
     println!(
@@ -389,17 +304,6 @@ fn main() {
             r.bytes_per_op
         );
     }
-    println!(
-        "\nscheduler: {} ops  wheel {:.2}s  heap {:.2}s  (min of {} alternating trials)  \
-         speedup {:.2}x  identical: {}",
-        ws.completed,
-        wheel_wall,
-        heap_wall,
-        sched_trials,
-        heap_wall / wheel_wall,
-        identical
-    );
-
     // --- JSON. ---
     let mut json = format!(
         "{{\n  \"bench\": \"throughput\",\n  \"unit\": \"ns\",\n  \"smoke\": {smoke},\n  \
@@ -433,18 +337,7 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"scheduler\": {{\"rate_per_sec\": {:.0}, \"ops\": {}, \"trials\": {}, \
-         \"wheel_wall_s\": {:.3}, \"heap_wall_s\": {:.3}, \"speedup\": {:.3}, \
-         \"identical\": {}}}\n}}\n",
-        top,
-        ws.completed,
-        sched_trials,
-        wheel_wall,
-        heap_wall,
-        heap_wall / wheel_wall,
-        identical
-    ));
+    json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("wrote {out_path}");
 
@@ -474,6 +367,7 @@ fn main() {
                 .find(|r| r.scenario == sc && r.mode == mode && r.rate_per_sec == rate)
                 .expect("row")
         };
+        let top = *wire_rates.last().unwrap();
         let (d_top, f_top) = (at("wire", "delta", top), at("wire", "full", top));
         if f_top.p99_ns < 10 * d_top.p99_ns {
             eprintln!("FAIL: full wire p99 did not explode past its knee");
@@ -506,16 +400,9 @@ fn main() {
             eprintln!("FAIL: bursty tail not worse than poisson at equal mean rate");
             ok = false;
         }
-        // The acceptance wall-clock win: the wheel beats the heap on the
-        // 10^6-op top point.
-        if ws.completed < 1_000_000 {
-            eprintln!("FAIL: top point ran only {} ops (< 10^6)", ws.completed);
-            ok = false;
-        }
-        if wheel_wall >= heap_wall {
-            eprintln!(
-                "FAIL: timing wheel ({wheel_wall:.2}s) not faster than binary heap ({heap_wall:.2}s)"
-            );
+        // The sweep is sized to offer 10^6 operations at its top point.
+        if d_top.completed < 1_000_000 {
+            eprintln!("FAIL: top point ran only {} ops (< 10^6)", d_top.completed);
             ok = false;
         }
     }

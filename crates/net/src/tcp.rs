@@ -90,8 +90,14 @@ use crate::wire::Wire;
 /// taken some. One maximal frame always fits under it.
 pub const HIGH_WATER: usize = MAX_FRAME;
 
-/// Bytes asked of a socket per read.
-const READ_CHUNK: usize = 64 << 10;
+/// Bytes asked of a socket per read. Every whole frame of a read is
+/// decoded before the first is handled, and a decoded message can be far
+/// larger than its frame (a `CsRef::Full` of 200 changes: 1.2 KB on the
+/// wire, 54 KB as a `ChangeSet`), so this also bounds what a backlog of
+/// such frames holds decoded at once — the answers of a server that had
+/// lagged behind its client, say. Frames longer than a read collect in
+/// the connection's buffer.
+const READ_CHUNK: usize = 16 << 10;
 
 /// Capacity a connection's buffer keeps once it has emptied; what a burst
 /// grew beyond that is given back.

@@ -243,9 +243,9 @@ fn observed_rtt(inputs: &PlacementInputs<'_>, s: ActorId) -> Option<f64> {
     }
     // Fallback: any link touching s (e.g. server-to-server traffic only).
     let (mut sum, mut k) = (0.0, 0u64);
-    for (&(f, t), stat) in &m.delay_by_link {
+    for ((f, t), link) in m.links() {
         if (f == s || t == s) && f != t {
-            if let Some(p) = stat.mean_propagation() {
+            if let Some(p) = link.delay.mean_propagation() {
                 sum += 2.0 * p; // one-way → RTT estimate
                 k += 1;
             }
@@ -595,7 +595,18 @@ mod tests {
             &[],
         );
         m.last_time = awr_sim::Time(1_000_000);
-        *m.link_busy.entry((a(1), a(3))).or_insert(0) += 900_000; // 90 % busy
+        // 90 % busy, at the propagation every other sample has.
+        m.record_send(
+            "R",
+            100,
+            a(1),
+            a(3),
+            Delivery {
+                queued: 0,
+                transmission: 900_000,
+                propagation: 10_000,
+            },
+        );
         let inp = inputs(&m, &w, 1);
         let p = UtilizationAware::default().propose(&inp);
         assert_eq!(p.min_weight(), p.weight(ServerId(1)), "{p}");

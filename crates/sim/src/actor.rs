@@ -68,7 +68,7 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
 
     /// The object (keyed register) this message belongs to, if any — the
     /// hook behind the per-object byte accounting
-    /// ([`crate::Metrics::bytes_by_object`]). Multi-object storage
+    /// ([`crate::Metrics::bytes_of_object`]). Multi-object storage
     /// protocols return the key of their addressed register on the keyed
     /// phases; shared-infrastructure traffic (reassignment, whole-space
     /// refreshes) and single-register protocols return `None` (the

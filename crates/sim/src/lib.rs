@@ -105,6 +105,7 @@ mod metrics;
 pub mod mutate;
 mod network;
 pub mod openloop;
+mod rows;
 pub mod sched;
 mod threaded;
 mod time;
@@ -116,7 +117,7 @@ mod world;
 
 pub use actor::{Actor, ActorId, Context, Message, TimerId};
 pub use fault::{Fault, FaultPlan};
-pub use metrics::{LinkDelayStat, Metrics};
+pub use metrics::{LinkDelayStat, LinkStat, Metrics, ObjectStat};
 pub use network::{
     shared_latency, BandwidthLinks, BandwidthMatrix, ConstantLatency, Delivery, FifoLinks,
     HealingPartition, LatencyModel, LinkDiscipline, NetworkModel, ReceiveDiscipline, SharedLatency,

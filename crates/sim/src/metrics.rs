@@ -1,17 +1,31 @@
-//! Simulation metrics: message, byte, event, and per-link accounting.
+//! Simulation metrics: message, byte, event, per-link and per-object
+//! accounting.
 //!
-//! Besides the classic counters, [`Metrics`] keeps three per-directed-link
-//! matrices — bytes ([`Metrics::bytes_on_link`]), transmission busy time
-//! ([`Metrics::link_utilization`]), and delivery-delay components
-//! ([`Metrics::link_delay`], split into queueing / transmission /
-//! propagation) — which together are the observation side of the
-//! observe→decide→reassign loop: placement policies consume them to decide
-//! where weight should live.
+//! Besides the classic counters, [`Metrics`] keeps three tables, sized so
+//! that recording a send is array work:
+//!
+//! * **per message kind** — [`Metrics::sent_by_kind`] /
+//!   [`Metrics::bytes_by_kind`], two small maps (a protocol has ~10 kinds);
+//! * **per directed link** — one [`LinkStat`] (messages, bytes,
+//!   transmission busy time, delivery-delay components split into queueing
+//!   / transmission / propagation) in rows indexed by sender then
+//!   receiver, read through [`Metrics::bytes_on_link`],
+//!   [`Metrics::link_utilization`], [`Metrics::link_delay`] and iterated
+//!   in ascending `(from, to)` order by [`Metrics::links`];
+//! * **per object** — one [`ObjectStat`] per keyed register, read through
+//!   [`Metrics::bytes_of_object`] and iterated in ascending key order by
+//!   [`Metrics::objects`].
+//!
+//! The link table is the observation side of the observe→decide→reassign
+//! loop: placement policies consume it to decide where weight should
+//! live, usually over a window cut with [`Metrics::since`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::actor::ActorId;
 use crate::network::Delivery;
+use crate::rows::LinkRows;
 use crate::time::{Nanos, Time};
 
 /// Accumulated delivery-delay components of one directed link, recorded at
@@ -51,8 +65,101 @@ impl LinkDelayStat {
     }
 }
 
-/// Counters accumulated by a [`crate::World`] run (and snapshotted from a
-/// [`crate::ThreadedSystem`]).
+/// Everything recorded about one directed link.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LinkStat {
+    /// Messages sent on the link. Tracked by every runtime; with `bytes`
+    /// it gives placement policies a traffic-share signal even where no
+    /// virtual time exists.
+    pub msgs: u64,
+    /// Bytes sent on the link.
+    pub bytes: u64,
+    /// Nanoseconds the link spent actually transmitting. Zero under
+    /// pure-propagation models and outside [`crate::World`] (no virtual
+    /// time).
+    pub busy: Nanos,
+    /// Delivery-delay accounting (queueing, transmission, propagation).
+    /// `count` stays zero outside [`crate::World`]: only a network model
+    /// decides a [`Delivery`].
+    pub delay: LinkDelayStat,
+}
+
+impl LinkStat {
+    fn since(&self, base: &LinkStat) -> LinkStat {
+        LinkStat {
+            msgs: self.msgs.saturating_sub(base.msgs),
+            bytes: self.bytes.saturating_sub(base.bytes),
+            busy: self.busy.saturating_sub(base.busy),
+            delay: LinkDelayStat {
+                count: self.delay.count.saturating_sub(base.delay.count),
+                queued: self.delay.queued.saturating_sub(base.delay.queued),
+                transmission: self
+                    .delay
+                    .transmission
+                    .saturating_sub(base.delay.transmission),
+                propagation: self
+                    .delay
+                    .propagation
+                    .saturating_sub(base.delay.propagation),
+            },
+        }
+    }
+
+    fn absorb(&mut self, other: &LinkStat) {
+        self.msgs += other.msgs;
+        self.bytes += other.bytes;
+        self.busy += other.busy;
+        self.delay.count += other.delay.count;
+        self.delay.queued = self.delay.queued.saturating_add(other.delay.queued);
+        self.delay.transmission = self
+            .delay
+            .transmission
+            .saturating_add(other.delay.transmission);
+        self.delay.propagation = self
+            .delay
+            .propagation
+            .saturating_add(other.delay.propagation);
+    }
+}
+
+/// Traffic attributed to one object (keyed register).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ObjectStat {
+    /// Messages that named the object.
+    pub msgs: u64,
+    /// Their bytes.
+    pub bytes: u64,
+}
+
+/// Hasher of the per-object table: one multiply and a fold, instead of
+/// SipHash on every keyed send. Object keys are chosen by this program's
+/// own workloads (a node tallies the messages it *sends*), never by a
+/// peer, so collision resistance buys nothing here.
+#[derive(Clone, Copy, Default)]
+struct ObjectKeyHasher(u64);
+
+impl Hasher for ObjectKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the object table is keyed by u64 only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        // Fibonacci hashing; the fold brings the well-mixed high bits down
+        // to where the table takes its bucket index from.
+        let x = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type ObjectTable = HashMap<u64, ObjectStat, BuildHasherDefault<ObjectKeyHasher>>;
+
+/// Counters accumulated by a [`crate::World`] run, by a
+/// [`crate::NodeHost`], and by every thread of a
+/// [`crate::ThreadedSystem`] (merged on snapshot).
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Total events processed (deliveries + timers + crashes).
@@ -74,27 +181,13 @@ pub struct Metrics {
     pub sent_by_kind: BTreeMap<&'static str, u64>,
     /// Per message-kind byte totals.
     pub bytes_by_kind: BTreeMap<&'static str, u64>,
-    /// Per-object byte totals (object key → bytes), fed by
-    /// [`crate::Message::object_key`]. Only messages that name an object
-    /// are attributed; shared traffic (reassignment, refreshes) is not.
-    pub bytes_by_object: BTreeMap<u64, u64>,
-    /// Per-object send counts (object key → messages).
-    pub msgs_by_object: BTreeMap<u64, u64>,
-    /// Per directed-link byte totals (`(from, to)` → bytes sent).
-    pub bytes_by_link: BTreeMap<(ActorId, ActorId), u64>,
-    /// Per directed-link transmission time (`(from, to)` → nanoseconds the
-    /// link spent actually transmitting). Zero under pure-propagation
-    /// models and in the threaded runtime (no virtual time).
-    pub link_busy: BTreeMap<(ActorId, ActorId), Nanos>,
-    /// Per directed-link message counts (`(from, to)` → messages sent).
-    /// Tracked by both runtimes; with [`Metrics::bytes_by_link`] it gives
-    /// placement policies a traffic-share signal even where no virtual
-    /// time exists.
-    pub msgs_by_link: BTreeMap<(ActorId, ActorId), u64>,
-    /// Per directed-link delivery-delay accounting (queueing, transmission,
-    /// propagation — recorded at send from the decided [`Delivery`]).
-    /// Empty in the threaded runtime, which has no virtual time.
-    pub delay_by_link: BTreeMap<(ActorId, ActorId), LinkDelayStat>,
+    /// Per directed-link records, `[from][to]`. A cell whose `msgs` is
+    /// zero is a link that does not exist (yet, or in this window).
+    links: LinkRows<LinkStat>,
+    /// Per-object records, fed by [`crate::Message::object_key`]. Only
+    /// messages that name an object are attributed; shared traffic
+    /// (reassignment, refreshes) is not.
+    objects: ObjectTable,
     /// Named protocol counters fed by [`crate::Context::record_counter`] —
     /// e.g. the storage layer's fast-path read hits/misses. Tracked by all
     /// three runtimes.
@@ -108,10 +201,31 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// The part of a send every runtime knows: totals, the per-kind maps,
+    /// and the link's message and byte counts.
+    #[inline]
+    fn tally_send(
+        &mut self,
+        kind: &'static str,
+        bytes: usize,
+        from: ActorId,
+        to: ActorId,
+    ) -> &mut LinkStat {
+        let bytes = bytes as u64;
+        self.messages_sent += 1;
+        self.bytes_sent += bytes;
+        *self.sent_by_kind.entry(kind).or_insert(0) += 1;
+        *self.bytes_by_kind.entry(kind).or_insert(0) += bytes;
+        let link = self.links.cell_mut(from.index(), to.index());
+        link.msgs += 1;
+        link.bytes += bytes;
+        link
+    }
+
     /// Records a send of a message with the given kind label, wire size,
-    /// endpoints, and decided delivery components. Called by the runtimes
-    /// on every send; public so harnesses and tests can build synthetic
-    /// observation matrices for placement policies.
+    /// endpoints, and decided delivery components. Called by
+    /// [`crate::World`] on every send; public so harnesses and tests can
+    /// build synthetic observation matrices for placement policies.
     pub fn record_send(
         &mut self,
         kind: &'static str,
@@ -120,28 +234,41 @@ impl Metrics {
         to: ActorId,
         delivery: Delivery,
     ) {
-        self.messages_sent += 1;
-        self.bytes_sent += bytes as u64;
-        *self.sent_by_kind.entry(kind).or_insert(0) += 1;
-        *self.bytes_by_kind.entry(kind).or_insert(0) += bytes as u64;
-        *self.bytes_by_link.entry((from, to)).or_insert(0) += bytes as u64;
-        *self.msgs_by_link.entry((from, to)).or_insert(0) += 1;
-        if delivery.transmission > 0 {
-            *self.link_busy.entry((from, to)).or_insert(0) += delivery.transmission;
-        }
-        let stat = self.delay_by_link.entry((from, to)).or_default();
+        let link = self.tally_send(kind, bytes, from, to);
+        link.busy += delivery.transmission;
+        let stat = &mut link.delay;
         stat.count += 1;
         stat.queued = stat.queued.saturating_add(delivery.queued);
         stat.transmission = stat.transmission.saturating_add(delivery.transmission);
         stat.propagation = stat.propagation.saturating_add(delivery.propagation);
     }
 
-    /// Attributes a send to an object (keyed register). The runtimes call
-    /// this alongside [`Metrics::record_send`] whenever
+    /// Records a send on a runtime with no virtual time, hence no
+    /// [`Delivery`]: the tally of [`Metrics::record_send`] minus the busy
+    /// time and the delay sample, plus the object attribution. The one
+    /// send-accounting path of [`crate::NodeHost`] and
+    /// [`crate::ThreadedSystem`].
+    pub fn record_untimed_send(
+        &mut self,
+        kind: &'static str,
+        bytes: usize,
+        from: ActorId,
+        to: ActorId,
+        object: Option<u64>,
+    ) {
+        self.tally_send(kind, bytes, from, to);
+        if let Some(object) = object {
+            self.record_object(object, bytes);
+        }
+    }
+
+    /// Attributes a send to an object (keyed register). [`crate::World`]
+    /// calls this alongside [`Metrics::record_send`] whenever
     /// [`crate::Message::object_key`] names one.
     pub fn record_object(&mut self, object: u64, bytes: usize) {
-        *self.bytes_by_object.entry(object).or_insert(0) += bytes as u64;
-        *self.msgs_by_object.entry(object).or_insert(0) += 1;
+        let stat = self.objects.entry(object).or_default();
+        stat.msgs += 1;
+        stat.bytes += bytes as u64;
     }
 
     /// Bumps a named protocol counter (the runtimes route
@@ -192,12 +319,19 @@ impl Metrics {
 
     /// Bytes attributed to an object key.
     pub fn bytes_of_object(&self, object: u64) -> u64 {
-        self.bytes_by_object.get(&object).copied().unwrap_or(0)
+        self.objects.get(&object).map_or(0, |s| s.bytes)
     }
 
     /// Messages attributed to an object key.
     pub fn msgs_of_object(&self, object: u64) -> u64 {
-        self.msgs_by_object.get(&object).copied().unwrap_or(0)
+        self.objects.get(&object).map_or(0, |s| s.msgs)
+    }
+
+    /// Every object that was named by a message, in ascending key order.
+    pub fn objects(&self) -> impl Iterator<Item = (u64, ObjectStat)> {
+        let mut all: Vec<(u64, ObjectStat)> = self.objects.iter().map(|(&k, &s)| (k, s)).collect();
+        all.sort_unstable_by_key(|&(k, _)| k);
+        all.into_iter()
     }
 
     /// Mean bytes per attributed message of an object key (0 if none).
@@ -230,40 +364,71 @@ impl Metrics {
         }
     }
 
-    /// Bytes sent on the directed link `from → to`.
-    pub fn bytes_on_link(&self, from: ActorId, to: ActorId) -> u64 {
-        self.bytes_by_link.get(&(from, to)).copied().unwrap_or(0)
+    /// The record of the directed link `from → to`, if it carried a
+    /// message.
+    pub fn link(&self, from: ActorId, to: ActorId) -> Option<&LinkStat> {
+        self.links
+            .get(from.index(), to.index())
+            .filter(|s| s.msgs > 0)
     }
 
-    /// The directed link that carried the most bytes, if any traffic flowed.
+    /// Every directed link that carried a message, in ascending
+    /// `(from, to)` order — the order consumers that fold floats over the
+    /// links rely on.
+    pub fn links(&self) -> impl Iterator<Item = ((ActorId, ActorId), &LinkStat)> {
+        self.links
+            .cells()
+            .filter(|(_, s)| s.msgs > 0)
+            .map(|((f, t), s)| ((ActorId(f), ActorId(t)), s))
+    }
+
+    /// Bytes sent on the directed link `from → to`.
+    pub fn bytes_on_link(&self, from: ActorId, to: ActorId) -> u64 {
+        self.link(from, to).map_or(0, |s| s.bytes)
+    }
+
+    /// Messages sent on the directed link `from → to`.
+    pub fn msgs_on_link(&self, from: ActorId, to: ActorId) -> u64 {
+        self.link(from, to).map_or(0, |s| s.msgs)
+    }
+
+    /// The directed link that carried the most bytes, if any traffic
+    /// flowed (ties go to the lowest `(from, to)`).
     pub fn busiest_link(&self) -> Option<((ActorId, ActorId), u64)> {
-        self.bytes_by_link
-            .iter()
-            .max_by_key(|(link, bytes)| (**bytes, std::cmp::Reverse(**link)))
-            .map(|(l, b)| (*l, *b))
+        self.links()
+            .max_by_key(|(link, s)| (s.bytes, std::cmp::Reverse(*link)))
+            .map(|(l, s)| (l, s.bytes))
+    }
+
+    /// `busy` nanoseconds as a fraction of the run so far (0 before any
+    /// time has passed).
+    fn busy_fraction(&self, busy: u128) -> f64 {
+        match self.last_time.nanos() {
+            0 => 0.0,
+            elapsed => busy as f64 / elapsed as f64,
+        }
+    }
+
+    /// Busy time summed over row `from`: what its uplink transmitted.
+    fn uplink_busy(row: &[LinkStat]) -> u128 {
+        row.iter().map(|s| s.busy as u128).sum()
     }
 
     /// Fraction of the run the `from → to` link spent transmitting
-    /// (`link_busy / last_time`; 0 before any time has passed). Under
+    /// (`busy / last_time`; 0 before any time has passed). Under
     /// pure-propagation models this is always 0 — utilization only becomes
     /// meaningful once a bandwidth-aware [`crate::NetworkModel`] charges
     /// transmission time.
     pub fn link_utilization(&self, from: ActorId, to: ActorId) -> f64 {
-        let elapsed = self.last_time.nanos();
-        if elapsed == 0 {
-            return 0.0;
-        }
-        let busy = self.link_busy.get(&(from, to)).copied().unwrap_or(0);
-        busy as f64 / elapsed as f64
+        self.busy_fraction(self.link(from, to).map_or(0, |s| s.busy as u128))
     }
 
     /// The highest per-link utilization across all links (0 if no
     /// transmission time was charged).
     pub fn max_link_utilization(&self) -> f64 {
-        self.link_busy
-            .keys()
-            .map(|&(f, t)| self.link_utilization(f, t))
-            .fold(0.0, f64::max)
+        // The busiest link is the most utilized one: every link divides by
+        // the same elapsed time.
+        self.busy_fraction(self.links().map(|(_, s)| s.busy as u128).max().unwrap_or(0))
     }
 
     /// Fraction of the run actor `from`'s *uplink* spent transmitting:
@@ -275,43 +440,33 @@ impl Metrics {
     /// send, so a saturated uplink with messages still queued when the
     /// run ends can report slightly above 1.0.
     pub fn uplink_utilization(&self, from: ActorId) -> f64 {
-        let elapsed = self.last_time.nanos();
-        if elapsed == 0 {
-            return 0.0;
-        }
-        let busy: u128 = self
-            .link_busy
-            .iter()
-            .filter(|((f, _), _)| *f == from)
-            .map(|(_, &b)| b as u128)
-            .sum();
-        busy as f64 / elapsed as f64
+        self.busy_fraction(Self::uplink_busy(self.links.row(from.index())))
     }
 
     /// The highest uplink utilization across all senders.
     pub fn max_uplink_utilization(&self) -> f64 {
-        self.link_busy
-            .keys()
-            .map(|&(f, _)| self.uplink_utilization(f))
-            .fold(0.0, f64::max)
+        self.busy_fraction(self.links.rows().map(Self::uplink_busy).max().unwrap_or(0))
     }
 
     /// The full `n × n` byte matrix (`matrix[i][j]` = bytes `a_i → a_j`),
     /// for reporting.
     pub fn link_byte_matrix(&self, n: usize) -> Vec<Vec<u64>> {
         let mut m = vec![vec![0u64; n]; n];
-        for (&(from, to), &bytes) in &self.bytes_by_link {
-            if from.index() < n && to.index() < n {
-                m[from.index()][to.index()] = bytes;
+        for (row, out) in self.links.rows().zip(&mut m) {
+            for (s, cell) in row.iter().zip(out) {
+                *cell = s.bytes;
             }
         }
         m
     }
 
-    /// Delay accounting of the directed link `from → to`, if any message
-    /// was sent on it.
+    /// Delay accounting of the directed link `from → to`. `None` until a
+    /// delay sample landed on it: links seen only through
+    /// [`Metrics::record_untimed_send`] have traffic but no delays.
     pub fn link_delay(&self, from: ActorId, to: ActorId) -> Option<&LinkDelayStat> {
-        self.delay_by_link.get(&(from, to))
+        self.link(from, to)
+            .map(|s| &s.delay)
+            .filter(|d| d.count > 0)
     }
 
     /// Mean observed *propagation* delay on `from → to`, nanoseconds —
@@ -334,21 +489,22 @@ impl Metrics {
         Some(self.mean_link_propagation(a, b)? + self.mean_link_propagation(b, a)?)
     }
 
-    /// Messages sent on the directed link `from → to`.
-    pub fn msgs_on_link(&self, from: ActorId, to: ActorId) -> u64 {
-        self.msgs_by_link.get(&(from, to)).copied().unwrap_or(0)
-    }
-
     /// Bytes sent on links touching `a` (either direction) — the
     /// traffic-share signal placement policies fall back to where no
     /// transmission time is charged (pure-propagation models, threaded
     /// runtime).
     pub fn incident_bytes(&self, a: ActorId) -> u64 {
-        self.bytes_by_link
-            .iter()
-            .filter(|((f, t), _)| *f == a || *t == a)
-            .map(|(_, &b)| b)
-            .sum()
+        let i = a.index();
+        let sent: u64 = self.links.row(i).iter().map(|s| s.bytes).sum();
+        let received: u64 = self
+            .links
+            .rows()
+            .enumerate()
+            .filter(|&(from, _)| from != i)
+            .filter_map(|(_, row)| row.get(i))
+            .map(|s| s.bytes)
+            .sum();
+        sent + received
     }
 
     /// The counters accumulated *since* `baseline` was snapshotted: every
@@ -356,7 +512,9 @@ impl Metrics {
     /// component-wise difference, and `last_time` becomes the window
     /// *length* — so ratio queries ([`Metrics::link_utilization`],
     /// [`Metrics::uplink_utilization`]) read as utilization over the
-    /// window, not over the whole run.
+    /// window, not over the whole run. A link or object with no message
+    /// in the window is absent from it ([`Metrics::links`],
+    /// [`Metrics::link_delay`], [`Metrics::objects`]).
     ///
     /// This is what lets an observe→decide loop re-decide mid-run on fresh
     /// evidence: a regime shift is invisible in cumulative means (the old
@@ -381,21 +539,23 @@ impl Metrics {
                 (*k, sub_map(h, old))
             })
             .collect();
-        let delay_by_link = self
-            .delay_by_link
+        let mut links = self.links.clone();
+        for ((from, to), old) in baseline.links.cells() {
+            let link = links.cell_mut(from, to);
+            *link = link.since(old);
+        }
+        let objects = self
+            .objects
             .iter()
-            .map(|(k, s)| {
-                let o = baseline.delay_by_link.get(k).copied().unwrap_or_default();
-                (
-                    *k,
-                    LinkDelayStat {
-                        count: s.count.saturating_sub(o.count),
-                        queued: s.queued.saturating_sub(o.queued),
-                        transmission: s.transmission.saturating_sub(o.transmission),
-                        propagation: s.propagation.saturating_sub(o.propagation),
-                    },
-                )
+            .map(|(&k, s)| {
+                let old = baseline.objects.get(&k).copied().unwrap_or_default();
+                let window = ObjectStat {
+                    msgs: s.msgs.saturating_sub(old.msgs),
+                    bytes: s.bytes.saturating_sub(old.bytes),
+                };
+                (k, window)
             })
+            .filter(|(_, s)| s.msgs > 0)
             .collect();
         Metrics {
             events_processed: self
@@ -413,20 +573,49 @@ impl Metrics {
             timers_fired: self.timers_fired.saturating_sub(baseline.timers_fired),
             sent_by_kind: sub_map(&self.sent_by_kind, &baseline.sent_by_kind),
             bytes_by_kind: sub_map(&self.bytes_by_kind, &baseline.bytes_by_kind),
-            bytes_by_object: sub_map(&self.bytes_by_object, &baseline.bytes_by_object),
-            msgs_by_object: sub_map(&self.msgs_by_object, &baseline.msgs_by_object),
-            bytes_by_link: sub_map(&self.bytes_by_link, &baseline.bytes_by_link),
-            link_busy: sub_map(&self.link_busy, &baseline.link_busy),
-            msgs_by_link: sub_map(&self.msgs_by_link, &baseline.msgs_by_link),
+            links,
+            objects,
             counters: sub_map(&self.counters, &baseline.counters),
             samples,
-            delay_by_link,
             last_time: Time(
                 self.last_time
                     .nanos()
                     .saturating_sub(baseline.last_time.nanos()),
             ),
         }
+    }
+
+    /// Adds every tally of `other` into `self` (and keeps the later
+    /// `last_time`): how [`crate::ThreadedSystem`] merges the [`Metrics`]
+    /// each actor thread kept for itself.
+    pub fn absorb(&mut self, other: &Metrics) {
+        fn add_map<K: Ord + Copy>(into: &mut BTreeMap<K, u64>, from: &BTreeMap<K, u64>) {
+            for (k, v) in from {
+                *into.entry(*k).or_insert(0) += v;
+            }
+        }
+        self.events_processed += other.events_processed;
+        self.messages_sent += other.messages_sent;
+        self.bytes_sent += other.bytes_sent;
+        self.messages_delivered += other.messages_delivered;
+        self.messages_dropped_crashed += other.messages_dropped_crashed;
+        self.restarts += other.restarts;
+        self.timers_fired += other.timers_fired;
+        add_map(&mut self.sent_by_kind, &other.sent_by_kind);
+        add_map(&mut self.bytes_by_kind, &other.bytes_by_kind);
+        for ((from, to), s) in other.links.cells().filter(|(_, s)| s.msgs > 0) {
+            self.links.cell_mut(from, to).absorb(s);
+        }
+        for (&k, s) in &other.objects {
+            let mine = self.objects.entry(k).or_default();
+            mine.msgs += s.msgs;
+            mine.bytes += s.bytes;
+        }
+        add_map(&mut self.counters, &other.counters);
+        for (k, h) in &other.samples {
+            add_map(self.samples.entry(k).or_default(), h);
+        }
+        self.last_time = self.last_time.max(other.last_time);
     }
 
     /// A one-line human-readable summary.
@@ -622,5 +811,423 @@ mod tests {
         assert_eq!(m.incident_bytes(a(0)), 250);
         assert_eq!(m.incident_bytes(a(1)), 250);
         assert_eq!(m.incident_bytes(a(2)), 0);
+    }
+
+    // -----------------------------------------------------------------
+    // Differential oracle: the eight `BTreeMap`s the tables replaced,
+    // updated and queried the way they were, against `Metrics` over
+    // generated send sequences.
+    // -----------------------------------------------------------------
+
+    use proptest::prelude::*;
+
+    type Link = (ActorId, ActorId);
+
+    /// The map-based accounting `Metrics` had before the tables, kept as
+    /// the reference: `record_*` and every query are that code verbatim.
+    #[derive(Clone, Default)]
+    struct MapMetrics {
+        messages_sent: u64,
+        bytes_sent: u64,
+        sent_by_kind: BTreeMap<&'static str, u64>,
+        bytes_by_kind: BTreeMap<&'static str, u64>,
+        bytes_by_object: BTreeMap<u64, u64>,
+        msgs_by_object: BTreeMap<u64, u64>,
+        bytes_by_link: BTreeMap<Link, u64>,
+        link_busy: BTreeMap<Link, Nanos>,
+        msgs_by_link: BTreeMap<Link, u64>,
+        delay_by_link: BTreeMap<Link, LinkDelayStat>,
+        last_time: Time,
+    }
+
+    impl MapMetrics {
+        /// What `NodeHost::record_send` did by hand.
+        fn record_untimed_send(
+            &mut self,
+            kind: &'static str,
+            bytes: usize,
+            from: ActorId,
+            to: ActorId,
+            object: Option<u64>,
+        ) {
+            let bytes = bytes as u64;
+            self.messages_sent += 1;
+            self.bytes_sent += bytes;
+            *self.sent_by_kind.entry(kind).or_default() += 1;
+            *self.bytes_by_kind.entry(kind).or_default() += bytes;
+            *self.msgs_by_link.entry((from, to)).or_default() += 1;
+            *self.bytes_by_link.entry((from, to)).or_default() += bytes;
+            if let Some(o) = object {
+                *self.msgs_by_object.entry(o).or_default() += 1;
+                *self.bytes_by_object.entry(o).or_default() += bytes;
+            }
+        }
+
+        fn record_send(
+            &mut self,
+            kind: &'static str,
+            bytes: usize,
+            from: ActorId,
+            to: ActorId,
+            delivery: Delivery,
+        ) {
+            self.messages_sent += 1;
+            self.bytes_sent += bytes as u64;
+            *self.sent_by_kind.entry(kind).or_insert(0) += 1;
+            *self.bytes_by_kind.entry(kind).or_insert(0) += bytes as u64;
+            *self.bytes_by_link.entry((from, to)).or_insert(0) += bytes as u64;
+            *self.msgs_by_link.entry((from, to)).or_insert(0) += 1;
+            if delivery.transmission > 0 {
+                *self.link_busy.entry((from, to)).or_insert(0) += delivery.transmission;
+            }
+            let stat = self.delay_by_link.entry((from, to)).or_default();
+            stat.count += 1;
+            stat.queued = stat.queued.saturating_add(delivery.queued);
+            stat.transmission = stat.transmission.saturating_add(delivery.transmission);
+            stat.propagation = stat.propagation.saturating_add(delivery.propagation);
+        }
+
+        fn record_object(&mut self, object: u64, bytes: usize) {
+            *self.bytes_by_object.entry(object).or_insert(0) += bytes as u64;
+            *self.msgs_by_object.entry(object).or_insert(0) += 1;
+        }
+
+        fn since(&self, baseline: &MapMetrics) -> MapMetrics {
+            fn sub_map<K: Ord + Copy>(
+                new: &BTreeMap<K, u64>,
+                old: &BTreeMap<K, u64>,
+            ) -> BTreeMap<K, u64> {
+                new.iter()
+                    .map(|(k, v)| (*k, v.saturating_sub(old.get(k).copied().unwrap_or(0))))
+                    .collect()
+            }
+            let delay_by_link = self
+                .delay_by_link
+                .iter()
+                .map(|(k, s)| {
+                    let o = baseline.delay_by_link.get(k).copied().unwrap_or_default();
+                    (
+                        *k,
+                        LinkDelayStat {
+                            count: s.count.saturating_sub(o.count),
+                            queued: s.queued.saturating_sub(o.queued),
+                            transmission: s.transmission.saturating_sub(o.transmission),
+                            propagation: s.propagation.saturating_sub(o.propagation),
+                        },
+                    )
+                })
+                .collect();
+            MapMetrics {
+                messages_sent: self.messages_sent.saturating_sub(baseline.messages_sent),
+                bytes_sent: self.bytes_sent.saturating_sub(baseline.bytes_sent),
+                sent_by_kind: sub_map(&self.sent_by_kind, &baseline.sent_by_kind),
+                bytes_by_kind: sub_map(&self.bytes_by_kind, &baseline.bytes_by_kind),
+                bytes_by_object: sub_map(&self.bytes_by_object, &baseline.bytes_by_object),
+                msgs_by_object: sub_map(&self.msgs_by_object, &baseline.msgs_by_object),
+                bytes_by_link: sub_map(&self.bytes_by_link, &baseline.bytes_by_link),
+                link_busy: sub_map(&self.link_busy, &baseline.link_busy),
+                msgs_by_link: sub_map(&self.msgs_by_link, &baseline.msgs_by_link),
+                delay_by_link,
+                last_time: Time(
+                    self.last_time
+                        .nanos()
+                        .saturating_sub(baseline.last_time.nanos()),
+                ),
+            }
+        }
+
+        fn link_utilization(&self, from: ActorId, to: ActorId) -> f64 {
+            let elapsed = self.last_time.nanos();
+            if elapsed == 0 {
+                return 0.0;
+            }
+            let busy = self.link_busy.get(&(from, to)).copied().unwrap_or(0);
+            busy as f64 / elapsed as f64
+        }
+
+        fn max_link_utilization(&self) -> f64 {
+            self.link_busy
+                .keys()
+                .map(|&(f, t)| self.link_utilization(f, t))
+                .fold(0.0, f64::max)
+        }
+
+        fn uplink_utilization(&self, from: ActorId) -> f64 {
+            let elapsed = self.last_time.nanos();
+            if elapsed == 0 {
+                return 0.0;
+            }
+            let busy: u128 = self
+                .link_busy
+                .iter()
+                .filter(|((f, _), _)| *f == from)
+                .map(|(_, &b)| b as u128)
+                .sum();
+            busy as f64 / elapsed as f64
+        }
+
+        fn max_uplink_utilization(&self) -> f64 {
+            self.link_busy
+                .keys()
+                .map(|&(f, _)| self.uplink_utilization(f))
+                .fold(0.0, f64::max)
+        }
+
+        fn link_byte_matrix(&self, n: usize) -> Vec<Vec<u64>> {
+            let mut m = vec![vec![0u64; n]; n];
+            for (&(from, to), &bytes) in &self.bytes_by_link {
+                if from.index() < n && to.index() < n {
+                    m[from.index()][to.index()] = bytes;
+                }
+            }
+            m
+        }
+
+        fn incident_bytes(&self, a: ActorId) -> u64 {
+            self.bytes_by_link
+                .iter()
+                .filter(|((f, t), _)| *f == a || *t == a)
+                .map(|(_, &b)| b)
+                .sum()
+        }
+
+        /// The one place the tables narrowed the maps' behaviour: a
+        /// `since` window used to keep a zero entry for every link and
+        /// object of the whole run; now a link or object without a message
+        /// in the window is absent from it. On a cumulative `MapMetrics`
+        /// every entry has a message, so these filters change nothing.
+        fn live(&self, link: &Link) -> bool {
+            self.msgs_by_link.get(link).is_some_and(|&m| m > 0)
+        }
+
+        fn busiest_link(&self) -> Option<(Link, u64)> {
+            self.bytes_by_link
+                .iter()
+                .filter(|(link, _)| self.live(link))
+                .max_by_key(|(link, bytes)| (**bytes, std::cmp::Reverse(**link)))
+                .map(|(l, b)| (*l, *b))
+        }
+
+        fn link_delay(&self, from: ActorId, to: ActorId) -> Option<&LinkDelayStat> {
+            self.delay_by_link.get(&(from, to)).filter(|s| s.count > 0)
+        }
+
+        fn links(&self) -> Vec<(Link, LinkStat)> {
+            self.msgs_by_link
+                .iter()
+                .filter(|(link, _)| self.live(link))
+                .map(|(link, &msgs)| {
+                    let stat = LinkStat {
+                        msgs,
+                        bytes: self.bytes_by_link[link],
+                        busy: self.link_busy.get(link).copied().unwrap_or(0),
+                        delay: self.delay_by_link.get(link).copied().unwrap_or_default(),
+                    };
+                    (*link, stat)
+                })
+                .collect()
+        }
+
+        fn objects(&self) -> Vec<(u64, ObjectStat)> {
+            self.msgs_by_object
+                .iter()
+                .filter(|(_, &msgs)| msgs > 0)
+                .map(|(&o, &msgs)| {
+                    let bytes = self.bytes_by_object[&o];
+                    (o, ObjectStat { msgs, bytes })
+                })
+                .collect()
+        }
+    }
+
+    /// Actor ids the generated sends use: enough to force every row and
+    /// several rows' worth of columns to grow mid-sequence.
+    const ACTORS: usize = 9;
+    const KINDS: [&str; 4] = ["R", "RAck", "W", "T"];
+    /// Object keys by selector: none, the extremes, then a few small keys.
+    fn object_of(sel: u64) -> Option<u64> {
+        match sel {
+            0 => None,
+            1 => Some(u64::MAX),
+            2 => Some(0),
+            k => Some(k * 1_000_003),
+        }
+    }
+
+    /// Every query of `m` against the reference `r`, over all links among
+    /// `ACTORS + 1` actors (one id past any that sent) and all object keys.
+    fn assert_same_view(m: &Metrics, r: &MapMetrics) -> Result<(), TestCaseError> {
+        prop_assert_eq!(m.messages_sent, r.messages_sent);
+        prop_assert_eq!(m.bytes_sent, r.bytes_sent);
+        prop_assert_eq!(&m.sent_by_kind, &r.sent_by_kind);
+        prop_assert_eq!(&m.bytes_by_kind, &r.bytes_by_kind);
+        prop_assert_eq!(m.last_time, r.last_time);
+        for kind in KINDS {
+            prop_assert_eq!(
+                m.sent_of_kind(kind),
+                r.sent_by_kind.get(kind).copied().unwrap_or(0)
+            );
+            prop_assert_eq!(
+                m.bytes_of_kind(kind),
+                r.bytes_by_kind.get(kind).copied().unwrap_or(0)
+            );
+        }
+        for f in (0..=ACTORS).map(ActorId) {
+            for t in (0..=ACTORS).map(ActorId) {
+                let link = (f, t);
+                prop_assert_eq!(
+                    m.bytes_on_link(f, t),
+                    r.bytes_by_link.get(&link).copied().unwrap_or(0)
+                );
+                prop_assert_eq!(
+                    m.msgs_on_link(f, t),
+                    r.msgs_by_link.get(&link).copied().unwrap_or(0)
+                );
+                prop_assert_eq!(
+                    m.link_delay(f, t),
+                    r.link_delay(f, t),
+                    "delay of {:?}",
+                    link
+                );
+                prop_assert_eq!(
+                    m.mean_link_propagation(f, t),
+                    r.link_delay(f, t).and_then(|s| s.mean_propagation())
+                );
+                prop_assert_eq!(
+                    m.mean_link_queueing(f, t),
+                    r.link_delay(f, t).and_then(|s| s.mean_queued())
+                );
+                let rtt = (|| {
+                    Some(
+                        r.link_delay(f, t)?.mean_propagation()?
+                            + r.link_delay(t, f)?.mean_propagation()?,
+                    )
+                })();
+                prop_assert_eq!(m.mean_link_rtt(f, t), rtt);
+                prop_assert_eq!(m.link_utilization(f, t), r.link_utilization(f, t));
+            }
+            prop_assert_eq!(m.uplink_utilization(f), r.uplink_utilization(f));
+            prop_assert_eq!(m.incident_bytes(f), r.incident_bytes(f));
+        }
+        prop_assert_eq!(m.max_link_utilization(), r.max_link_utilization());
+        prop_assert_eq!(m.max_uplink_utilization(), r.max_uplink_utilization());
+        prop_assert_eq!(m.busiest_link(), r.busiest_link());
+        for n in [0, 3, ACTORS, ACTORS + 2] {
+            prop_assert_eq!(m.link_byte_matrix(n), r.link_byte_matrix(n));
+        }
+        // Iteration: same links, same records, ascending (from, to).
+        let links: Vec<(Link, LinkStat)> = m.links().map(|(l, s)| (l, *s)).collect();
+        prop_assert_eq!(&links, &r.links());
+        prop_assert!(links.windows(2).all(|w| w[0].0 < w[1].0));
+        let objects: Vec<(u64, ObjectStat)> = m.objects().collect();
+        prop_assert_eq!(&objects, &r.objects());
+        prop_assert!(objects.windows(2).all(|w| w[0].0 < w[1].0));
+        for sel in 0..8 {
+            let Some(o) = object_of(sel) else { continue };
+            prop_assert_eq!(
+                m.bytes_of_object(o),
+                r.bytes_by_object.get(&o).copied().unwrap_or(0)
+            );
+            prop_assert_eq!(
+                m.msgs_of_object(o),
+                r.msgs_by_object.get(&o).copied().unwrap_or(0)
+            );
+        }
+        Ok(())
+    }
+
+    /// One generated send: `((kind, from, to, bytes), (object selector,
+    /// timed?, (queued, transmission, propagation), clock advance))`.
+    type GenSend = (
+        (usize, usize, usize, usize),
+        (u64, u8, (u64, u64, u64), u64),
+    );
+
+    fn apply(m: &mut Metrics, r: &mut MapMetrics, send: &GenSend) {
+        let ((kind, from, to, bytes), (object, timed, (queued, tx, propagation), advance)) = *send;
+        let (kind, from, to) = (KINDS[kind], a(from), a(to));
+        let object = object_of(object);
+        if timed > 0 {
+            // Two sends in three carry a delivery; half of those charge no
+            // transmission time (an unlimited link, a self-send).
+            let delivery = Delivery {
+                queued,
+                transmission: if timed == 1 { 0 } else { tx },
+                propagation,
+            };
+            m.record_send(kind, bytes, from, to, delivery);
+            r.record_send(kind, bytes, from, to, delivery);
+            if let Some(o) = object {
+                m.record_object(o, bytes);
+                r.record_object(o, bytes);
+            }
+        } else {
+            m.record_untimed_send(kind, bytes, from, to, object);
+            r.record_untimed_send(kind, bytes, from, to, object);
+        }
+        m.last_time = Time(m.last_time.nanos() + advance);
+        r.last_time = m.last_time;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tables_agree_with_the_maps_they_replaced(
+            sends in proptest::collection::vec(
+                (
+                    (0usize..4, 0usize..ACTORS, 0usize..ACTORS, 0usize..5_000),
+                    (0u64..8, 0u8..3, (0u64..1_000_000, 1u64..50_000, 0u64..200_000_000), 0u64..3_000_000),
+                ),
+                0..120,
+            ),
+            cut in 0usize..121,
+        ) {
+            let cut = cut.min(sends.len());
+            let (mut m, mut r) = (Metrics::default(), MapMetrics::default());
+            for send in &sends[..cut] {
+                apply(&mut m, &mut r, send);
+            }
+            assert_same_view(&m, &r)?;
+            // A snapshot is a copy: recording on goes unseen by it.
+            let (m_cut, r_cut) = (m.clone(), r.clone());
+            for send in &sends[cut..] {
+                apply(&mut m, &mut r, send);
+            }
+            assert_same_view(&m, &r)?;
+            assert_same_view(&m_cut, &r_cut)?;
+            // The window since the cut, and the zero-width window.
+            assert_same_view(&m.since(&m_cut), &r.since(&r_cut))?;
+            let zero = m.since(&m.clone());
+            assert_same_view(&zero, &r.since(&r.clone()))?;
+            prop_assert_eq!(zero.messages_sent, 0);
+            prop_assert_eq!(zero.links().count(), 0);
+            prop_assert_eq!(zero.objects().count(), 0);
+            prop_assert_eq!(zero.max_uplink_utilization(), 0.0);
+            // Absorbing the window into the snapshot rebuilds the total.
+            let mut rebuilt = m_cut.clone();
+            rebuilt.absorb(&m.since(&m_cut));
+            rebuilt.last_time = m.last_time;
+            assert_same_view(&rebuilt, &r)?;
+        }
+    }
+
+    #[test]
+    fn untimed_sends_carry_traffic_but_no_delay_sample() {
+        let mut m = Metrics::default();
+        m.record_untimed_send("R", 40, a(2), a(0), Some(u64::MAX));
+        m.record_untimed_send("R", 60, a(2), a(0), None);
+        assert_eq!(m.msgs_on_link(a(2), a(0)), 2);
+        assert_eq!(m.bytes_on_link(a(2), a(0)), 100);
+        assert_eq!(m.link_delay(a(2), a(0)), None);
+        assert_eq!(m.mean_link_rtt(a(2), a(0)), None);
+        assert_eq!(
+            (m.bytes_of_object(u64::MAX), m.msgs_of_object(u64::MAX)),
+            (40, 1)
+        );
+        assert_eq!(m.sent_of_kind("R"), 2);
+        // Rows grew only as far as the traffic reached.
+        assert_eq!(m.links().count(), 1);
+        assert_eq!(m.link(a(0), a(2)), None);
     }
 }

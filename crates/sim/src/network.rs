@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::actor::ActorId;
+use crate::rows::LinkRows;
 use crate::time::{Nanos, Time, MILLI, SECOND};
 
 /// Decides the propagation delay of each message. Stateful and seeded:
@@ -265,9 +266,9 @@ pub struct BandwidthLinks<N> {
     bandwidth: BandwidthMatrix,
     discipline: LinkDiscipline,
     receive: ReceiveDiscipline,
-    /// When each link frees up. Key: `(from, Some(to))` per-link or
-    /// `(from, None)` shared-uplink.
-    free_at: HashMap<(ActorId, Option<ActorId>), Time>,
+    /// When each link frees up: `[from][to]` per-link, `[from][0]`
+    /// shared-uplink (see [`BandwidthLinks::free_horizon`]).
+    free_at: LinkRows<Time>,
     /// Reserved drain intervals per receiver downlink, sorted by start
     /// ([`ReceiveDiscipline::PerDownlink`] only). Interval bookkeeping —
     /// not a single free horizon — because messages are *scheduled* in
@@ -297,7 +298,7 @@ impl<N: NetworkModel> BandwidthLinks<N> {
             bandwidth,
             discipline,
             receive: ReceiveDiscipline::Off,
-            free_at: HashMap::new(),
+            free_at: LinkRows::default(),
             rx_busy: HashMap::new(),
         }
     }
@@ -333,14 +334,21 @@ impl<N: NetworkModel> BandwidthLinks<N> {
         if tx == 0 {
             return 0;
         }
-        let key = match self.discipline {
-            LinkDiscipline::PerLink => (from, Some(to)),
-            LinkDiscipline::SharedUplink => (from, None),
-        };
-        let free = self.free_at.entry(key).or_insert(Time::ZERO);
+        let free = self.free_horizon(from, to);
         let start = if *free > at { *free } else { at };
         *free = start + tx;
         tx
+    }
+
+    /// The free horizon a `from → to` transmission serializes on: the
+    /// link's own under [`LinkDiscipline::PerLink`], the one all of
+    /// `from`'s links share under [`LinkDiscipline::SharedUplink`].
+    fn free_horizon(&mut self, from: ActorId, to: ActorId) -> &mut Time {
+        let col = match self.discipline {
+            LinkDiscipline::PerLink => to.index(),
+            LinkDiscipline::SharedUplink => 0,
+        };
+        self.free_at.cell_mut(from.index(), col)
     }
 }
 
@@ -355,11 +363,7 @@ impl<N: NetworkModel> NetworkModel for BandwidthLinks<N> {
     ) -> Delivery {
         let base = self.inner.delivery(from, to, now, bytes, rng);
         let tx = self.bandwidth.transmission_nanos(from, to, bytes);
-        let key = match self.discipline {
-            LinkDiscipline::PerLink => (from, Some(to)),
-            LinkDiscipline::SharedUplink => (from, None),
-        };
-        let free = self.free_at.entry(key).or_insert(Time::ZERO);
+        let free = self.free_horizon(from, to);
         let start = if *free > now { *free } else { now };
         let mut queued = (start - now).saturating_add(base.queued);
         *free = start + tx;

@@ -16,9 +16,8 @@
 //! a best-effort rendition of the DES drop-while-crashed rule.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -36,32 +35,15 @@ enum Envelope<M> {
 type Channel<M> = (Sender<Envelope<M>>, Receiver<Envelope<M>>);
 type Callback<'cb, M> = dyn FnMut(&mut dyn Actor<Msg = M>, &mut Context<'_, M>) + 'cb;
 
-#[derive(Clone, Copy, Default)]
-struct KindTally {
-    count: u64,
-    bytes: u64,
-}
-
-/// Per-link tally mirrored into [`Metrics::bytes_by_link`] and
-/// [`Metrics::msgs_by_link`] on snapshot.
-#[derive(Clone, Copy, Default)]
-struct LinkTally {
-    msgs: u64,
-    bytes: u64,
-}
-
 /// Run-wide send accounting shared by every actor thread. Totals are
-/// lock-free atomics updated per send; the per-kind and per-link maps take
-/// a lock only when a thread exits and merges its local tallies.
+/// lock-free atomics updated per send; everything else is a [`Metrics`]
+/// each thread keeps for itself and merges here, under the lock, only when
+/// it exits.
 #[derive(Default)]
 struct SharedCounters {
     messages_sent: AtomicU64,
     bytes_sent: AtomicU64,
-    by_kind: Mutex<BTreeMap<&'static str, KindTally>>,
-    by_link: Mutex<BTreeMap<(ActorId, ActorId), LinkTally>>,
-    by_object: Mutex<BTreeMap<u64, KindTally>>,
-    by_counter: Mutex<BTreeMap<&'static str, u64>>,
-    by_sample: Mutex<BTreeMap<&'static str, BTreeMap<u64, u64>>>,
+    merged: Mutex<Metrics>,
 }
 
 impl SharedCounters {
@@ -70,77 +52,8 @@ impl SharedCounters {
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    fn merge_kinds(
-        &self,
-        local: &BTreeMap<&'static str, KindTally>,
-        links: &BTreeMap<(ActorId, ActorId), LinkTally>,
-        objects: &BTreeMap<u64, KindTally>,
-        counters: &BTreeMap<&'static str, u64>,
-        samples: &BTreeMap<&'static str, BTreeMap<u64, u64>>,
-    ) {
-        let mut map = self.by_kind.lock().expect("metrics mutex poisoned");
-        for (k, t) in local {
-            let e = map.entry(k).or_default();
-            e.count += t.count;
-            e.bytes += t.bytes;
-        }
-        drop(map);
-        let mut map = self.by_link.lock().expect("metrics mutex poisoned");
-        for (l, t) in links {
-            let e = map.entry(*l).or_default();
-            e.msgs += t.msgs;
-            e.bytes += t.bytes;
-        }
-        drop(map);
-        let mut map = self.by_object.lock().expect("metrics mutex poisoned");
-        for (o, t) in objects {
-            let e = map.entry(*o).or_default();
-            e.count += t.count;
-            e.bytes += t.bytes;
-        }
-        drop(map);
-        let mut map = self.by_counter.lock().expect("metrics mutex poisoned");
-        for (k, v) in counters {
-            *map.entry(k).or_insert(0) += v;
-        }
-        drop(map);
-        let mut map = self.by_sample.lock().expect("metrics mutex poisoned");
-        for (k, h) in samples {
-            let e = map.entry(k).or_default();
-            for (v, c) in h {
-                *e.entry(*v).or_insert(0) += c;
-            }
-        }
-    }
-
-    /// One-off accounting for harness-injected messages (actor threads use
-    /// the thread-local tallies instead; injection is rare enough that one
-    /// lock per call is fine).
-    fn record_one(
-        &self,
-        kind: &'static str,
-        bytes: usize,
-        object: Option<u64>,
-        from: ActorId,
-        to: ActorId,
-    ) {
-        self.record_totals(bytes);
-        let mut map = self.by_kind.lock().expect("metrics mutex poisoned");
-        let e = map.entry(kind).or_default();
-        e.count += 1;
-        e.bytes += bytes as u64;
-        drop(map);
-        let mut map = self.by_link.lock().expect("metrics mutex poisoned");
-        let e = map.entry((from, to)).or_default();
-        e.msgs += 1;
-        e.bytes += bytes as u64;
-        drop(map);
-        if let Some(o) = object {
-            let mut map = self.by_object.lock().expect("metrics mutex poisoned");
-            let e = map.entry(o).or_default();
-            e.count += 1;
-            e.bytes += bytes as u64;
-        }
+    fn merged(&self) -> MutexGuard<'_, Metrics> {
+        self.merged.lock().expect("metrics mutex poisoned")
     }
 }
 
@@ -160,45 +73,9 @@ impl ThreadedMetrics {
     /// runtime does not track — virtual time, timers, link busy time —
     /// stay zero).
     pub fn snapshot(&self) -> Metrics {
-        let mut m = Metrics {
-            messages_sent: self.shared.messages_sent.load(Ordering::Relaxed),
-            bytes_sent: self.shared.bytes_sent.load(Ordering::Relaxed),
-            ..Metrics::default()
-        };
-        let map = self.shared.by_kind.lock().expect("metrics mutex poisoned");
-        for (k, t) in map.iter() {
-            m.sent_by_kind.insert(k, t.count);
-            m.bytes_by_kind.insert(k, t.bytes);
-        }
-        drop(map);
-        let map = self.shared.by_link.lock().expect("metrics mutex poisoned");
-        for (l, t) in map.iter() {
-            m.bytes_by_link.insert(*l, t.bytes);
-            m.msgs_by_link.insert(*l, t.msgs);
-        }
-        drop(map);
-        let map = self
-            .shared
-            .by_object
-            .lock()
-            .expect("metrics mutex poisoned");
-        for (o, t) in map.iter() {
-            m.bytes_by_object.insert(*o, t.bytes);
-            m.msgs_by_object.insert(*o, t.count);
-        }
-        drop(map);
-        m.counters = self
-            .shared
-            .by_counter
-            .lock()
-            .expect("metrics mutex poisoned")
-            .clone();
-        m.samples = self
-            .shared
-            .by_sample
-            .lock()
-            .expect("metrics mutex poisoned")
-            .clone();
+        let mut m = self.shared.merged().clone();
+        m.messages_sent = self.shared.messages_sent.load(Ordering::Relaxed);
+        m.bytes_sent = self.shared.bytes_sent.load(Ordering::Relaxed);
         m
     }
 }
@@ -261,14 +138,9 @@ fn spawn_actor_thread<M: Message + Send>(
         let self_id = ActorId(i);
         let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E3779B9));
         let mut next_timer = 0u64;
-        // Per-kind and per-link tallies stay thread-local and merge
-        // into the shared maps once, on exit, to keep the send path
-        // lock-free.
-        let mut kinds: BTreeMap<&'static str, KindTally> = BTreeMap::new();
-        let mut links: BTreeMap<(ActorId, ActorId), LinkTally> = BTreeMap::new();
-        let mut objects: BTreeMap<u64, KindTally> = BTreeMap::new();
-        let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut samples: BTreeMap<&'static str, BTreeMap<u64, u64>> = BTreeMap::new();
+        // The breakdowns stay thread-local and merge into the shared
+        // `Metrics` once, on exit, to keep the send path lock-free.
+        let mut local = Metrics::default();
         let mut run_cb = |actor: &mut Box<dyn Actor<Msg = M> + Send>, cb: &mut Callback<'_, M>| {
             let mut effects: Vec<Effect<M>> = Vec::new();
             {
@@ -288,17 +160,7 @@ fn spawn_actor_thread<M: Message + Send>(
                     Effect::Send { to, msg } => {
                         let bytes = msg.wire_size();
                         shared.record_totals(bytes);
-                        let t = kinds.entry(msg.kind()).or_default();
-                        t.count += 1;
-                        t.bytes += bytes as u64;
-                        let l = links.entry((self_id, to)).or_default();
-                        l.msgs += 1;
-                        l.bytes += bytes as u64;
-                        if let Some(o) = msg.object_key() {
-                            let t = objects.entry(o).or_default();
-                            t.count += 1;
-                            t.bytes += bytes as u64;
-                        }
+                        local.record_untimed_send(msg.kind(), bytes, self_id, to, msg.object_key());
                         // A send to a stopped peer is a dropped
                         // message, matching the crash model.
                         let _ = peer_senders[to.index()].send(Envelope::Msg { from: self_id, msg });
@@ -307,12 +169,8 @@ fn spawn_actor_thread<M: Message + Send>(
                         // Timers are a DES-only facility.
                     }
                     Effect::CrashSelf => crash = true,
-                    Effect::Counter { key, add } => {
-                        *counters.entry(key).or_insert(0) += add;
-                    }
-                    Effect::Sample { key, value } => {
-                        *samples.entry(key).or_default().entry(value).or_insert(0) += 1;
-                    }
+                    Effect::Counter { key, add } => local.record_counter(key, add),
+                    Effect::Sample { key, value } => local.record_sample(key, value),
                 }
             }
             crash
@@ -338,7 +196,7 @@ fn spawn_actor_thread<M: Message + Send>(
         }
         // Drain silently after crash/stop until Stop arrives so
         // senders never block (channels are unbounded anyway).
-        shared.merge_kinds(&kinds, &links, &objects, &counters, &samples);
+        shared.merged().absorb(&local);
         (actor, rx)
     })
 }
@@ -445,8 +303,12 @@ impl<M: Message + Send> ThreadedSystem<M> {
 
     /// Injects a message as if sent by `from`.
     pub fn inject(&self, from: ActorId, to: ActorId, msg: M) {
+        // Injection is rare enough that one lock per call is fine.
+        let bytes = msg.wire_size();
+        self.counters.record_totals(bytes);
         self.counters
-            .record_one(msg.kind(), msg.wire_size(), msg.object_key(), from, to);
+            .merged()
+            .record_untimed_send(msg.kind(), bytes, from, to, msg.object_key());
         let _ = self.senders[to.index()].send(Envelope::Msg { from, msg });
     }
 

@@ -182,7 +182,13 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
         for e in effects.drain(..) {
             match e {
                 Effect::Send { to, msg } => {
-                    self.record_send(self_id, to, &msg);
+                    self.metrics.record_untimed_send(
+                        msg.kind(),
+                        msg.wire_size(),
+                        self_id,
+                        to,
+                        msg.object_key(),
+                    );
                     self.transport.send(to, msg);
                 }
                 Effect::SetTimer { .. } | Effect::CancelTimer { .. } => {
@@ -195,20 +201,6 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
         }
         self.effects = effects;
         out
-    }
-
-    fn record_send(&mut self, from: ActorId, to: ActorId, msg: &A::Msg) {
-        let bytes = msg.wire_size() as u64;
-        self.metrics.messages_sent += 1;
-        self.metrics.bytes_sent += bytes;
-        *self.metrics.sent_by_kind.entry(msg.kind()).or_default() += 1;
-        *self.metrics.bytes_by_kind.entry(msg.kind()).or_default() += bytes;
-        *self.metrics.msgs_by_link.entry((from, to)).or_default() += 1;
-        *self.metrics.bytes_by_link.entry((from, to)).or_default() += bytes;
-        if let Some(o) = msg.object_key() {
-            *self.metrics.msgs_by_object.entry(o).or_default() += 1;
-            *self.metrics.bytes_by_object.entry(o).or_default() += bytes;
-        }
     }
 
     /// Waits up to `timeout` for one message and dispatches it. Returns

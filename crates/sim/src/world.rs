@@ -185,6 +185,10 @@ pub struct World<M: Message> {
     rng: StdRng,
     next_timer: u64,
     cancelled_timers: HashSet<TimerId>,
+    /// The effect buffer every callback fills and [`World::apply_effects`]
+    /// empties: kept here so an event costs no allocation once it has
+    /// grown (the discipline of [`crate::NodeHost`]).
+    effects: Vec<Effect<M>>,
     metrics: Metrics,
     trace: Option<Trace>,
     /// Hard cap on processed events, a runaway-protocol guard.
@@ -225,6 +229,7 @@ impl<M: Message> World<M> {
             rng: StdRng::seed_from_u64(seed),
             next_timer: 0,
             cancelled_timers: HashSet::new(),
+            effects: Vec::new(),
             metrics: Metrics::default(),
             trace: None,
             event_limit: 50_000_000,
@@ -420,7 +425,7 @@ impl<M: Message> World<M> {
         f: impl FnOnce(&mut T, &mut Context<'_, M>) -> R,
     ) -> R {
         let n_actors = self.actors.len();
-        let mut effects = Vec::new();
+        let mut effects = std::mem::take(&mut self.effects);
         let mut ctx = Context {
             now: self.time,
             self_id: id,
@@ -444,8 +449,10 @@ impl<M: Message> World<M> {
         self.queue.push(at, seq, kind);
     }
 
-    fn apply_effects(&mut self, from: ActorId, effects: Vec<Effect<M>>) {
-        for e in effects {
+    /// Applies the effects a callback of `from` buffered, then parks the
+    /// emptied buffer for the next callback.
+    fn apply_effects(&mut self, from: ActorId, mut effects: Vec<Effect<M>>) {
+        for e in effects.drain(..) {
             match e {
                 Effect::Send { to, msg } => {
                     self.send_message(from, to, msg);
@@ -474,6 +481,7 @@ impl<M: Message> World<M> {
                 }
             }
         }
+        self.effects = effects;
     }
 
     fn dispatch(
@@ -485,7 +493,7 @@ impl<M: Message> World<M> {
             return;
         }
         let n_actors = self.actors.len();
-        let mut effects = Vec::new();
+        let mut effects = std::mem::take(&mut self.effects);
         {
             let mut ctx = Context {
                 now: self.time,

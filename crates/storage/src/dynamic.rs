@@ -511,8 +511,8 @@ enum DynPhase<V> {
         write_value: Option<V>,
         invoke: Time,
         restarts: u64,
-        replies: std::collections::BTreeMap<ServerId, TaggedValue<V>>,
-        /// Running quorum weight of `replies` under the client's `C`:
+        /// Running quorum weight of [`DynOpDriver::replies`] under the
+        /// client's `C`:
         /// maintained incrementally so each ack is O(1) instead of
         /// re-summing every responder. Sound because `C` is frozen for the
         /// lifetime of the phase (any change to `C` restarts the phase).
@@ -525,8 +525,8 @@ enum DynPhase<V> {
         invoke: Time,
         restarts: u64,
         chosen: TaggedValue<V>,
-        acks: BTreeSet<ServerId>,
-        /// Running quorum weight of `acks` (same discipline as phase 1).
+        /// Running quorum weight of [`DynOpDriver::acks`] (same discipline
+        /// as phase 1).
         weight: Ratio,
     },
 }
@@ -543,6 +543,14 @@ pub struct DynOpDriver<V> {
     pub changes: ChangeSet,
     op_cnt: u64,
     phase: DynPhase<V>,
+    /// Phase-1 replies of the operation in flight, one slot per server
+    /// (index = [`ServerId`]). The slots live on the driver and are
+    /// cleared when a phase 1 begins, so an operation allocates nothing
+    /// for them; meaningful only in [`DynPhase::One`].
+    replies: Vec<Option<TaggedValue<V>>>,
+    /// Phase-2 acks, one flag per server: the fresh phase-1 repliers plus
+    /// every `WAck` since. Meaningful only in [`DynPhase::Two`].
+    acks: Vec<bool>,
     /// Completed operations, oldest first.
     pub completed: Vec<DynCompletedOp<V>>,
     /// The armed rebroadcast timer, if [`DynOptions::retry`] is on and an
@@ -558,14 +566,16 @@ impl<V: Value> DynOpDriver<V> {
         DynOpDriver {
             changes: ChangeSet::from_initial_weights(&cfg.initial_weights),
             id,
-            cfg,
             actor_base,
             options,
             op_cnt: 0,
             phase: DynPhase::Idle,
+            replies: vec![None; cfg.n],
+            acks: vec![false; cfg.n],
             completed: Vec::new(),
             retry_timer: None,
             attempts: 0,
+            cfg,
         }
     }
 
@@ -594,10 +604,18 @@ impl<V: Value> DynOpDriver<V> {
                 write_value,
                 invoke: _,
                 restarts,
-                replies,
                 weight,
             } => {
-                (1u8, op, obj, write_value, restarts, replies, weight).hash(&mut h);
+                (1u8, op, obj, write_value, restarts).hash(&mut h);
+                // The sequence a `BTreeMap<ServerId, _>` of the replies
+                // hashes: the length, then the pairs by ascending server.
+                self.replies.iter().flatten().count().hash(&mut h);
+                for (i, reg) in self.replies.iter().enumerate() {
+                    if let Some(reg) = reg {
+                        (ServerId(i as u32), reg).hash(&mut h);
+                    }
+                }
+                weight.hash(&mut h);
             }
             DynPhase::Two {
                 op,
@@ -606,10 +624,15 @@ impl<V: Value> DynOpDriver<V> {
                 invoke: _,
                 restarts,
                 chosen,
-                acks,
                 weight,
             } => {
-                (2u8, op, obj, write_value, restarts, chosen, acks, weight).hash(&mut h);
+                (2u8, op, obj, write_value, restarts, chosen).hash(&mut h);
+                // As a `BTreeSet<ServerId>` of the ackers would hash.
+                self.acks.iter().filter(|&&a| a).count().hash(&mut h);
+                for (i, _) in self.acks.iter().enumerate().filter(|(_, &a)| a) {
+                    ServerId(i as u32).hash(&mut h);
+                }
+                weight.hash(&mut h);
             }
         }
         for c in &self.completed {
@@ -649,13 +672,13 @@ impl<V: Value> DynOpDriver<V> {
     ) {
         assert!(!self.is_busy(), "operation already in flight");
         self.op_cnt += 1;
+        self.replies.fill(None);
         self.phase = DynPhase::One {
             op: self.op_cnt,
             obj,
             write_value,
             invoke: ctx.now(),
             restarts: 0,
-            replies: Default::default(),
             weight: Ratio::ZERO,
         };
         self.attempts = 0;
@@ -810,13 +833,13 @@ impl<V: Value> DynOpDriver<V> {
                 }
                 DynPhase::Idle => unreachable!("restart on idle driver"),
             };
+        self.replies.fill(None);
         self.phase = DynPhase::One {
             op: self.op_cnt,
             obj,
             write_value,
             invoke,
             restarts: restarts + 1,
-            replies: Default::default(),
             weight: Ratio::ZERO,
         };
         self.attempts = 0;
@@ -880,14 +903,13 @@ impl<V: Value> DynOpDriver<V> {
                     write_value,
                     invoke,
                     restarts,
-                    replies,
                     weight,
                     ..
                 } = &mut self.phase
                 else {
                     return None;
                 };
-                if replies.insert(sid, reg.clone()).is_none() {
+                if self.replies[sid.index()].replace(reg.clone()).is_none() {
                     // First reply from this server: O(1) accumulator update
                     // (re-polled servers replace their register but count
                     // their weight once).
@@ -895,8 +917,10 @@ impl<V: Value> DynOpDriver<V> {
                 }
                 let quorum = *weight > self.cfg.quorum_threshold();
                 if quorum {
-                    let maxreg = replies
-                        .values()
+                    let maxreg = self
+                        .replies
+                        .iter()
+                        .flatten()
                         .max_by_key(|r| r.tag)
                         .expect("nonempty")
                         .clone();
@@ -907,13 +931,14 @@ impl<V: Value> DynOpDriver<V> {
                     // counted replier *accepted* under that `C`, which is
                     // what makes these the replier-consistent weights the
                     // rule requires.
-                    let mut fresh: BTreeSet<ServerId> = BTreeSet::new();
+                    // They are marked straight into the phase-2 ack slots.
+                    self.acks.fill(false);
                     let mut fresh_weight = Ratio::ZERO;
                     if is_read && self.options.read == ReadMode::FastPath {
-                        for (s, r) in replies.iter() {
-                            if r.tag == maxreg.tag {
-                                fresh.insert(*s);
-                                fresh_weight += self.changes.server_weight(*s);
+                        for (i, r) in self.replies.iter().enumerate() {
+                            if r.as_ref().is_some_and(|r| r.tag == maxreg.tag) {
+                                self.acks[i] = true;
+                                fresh_weight += self.changes.server_weight(ServerId(i as u32));
                             }
                         }
                         #[allow(unused_mut)]
@@ -965,14 +990,15 @@ impl<V: Value> DynOpDriver<V> {
                     // exactly the phase-1 quorum. An empty `fresh` (reads
                     // under TwoPhase, every write) degenerates to the
                     // paper's full broadcast.
-                    let stale: Vec<ServerId> = replies
-                        .keys()
-                        .filter(|s| !fresh.contains(s))
-                        .copied()
-                        .collect();
-                    let full_fanout = fresh.is_empty();
+                    let (replies, fresh) = (&self.replies, &self.acks);
+                    let stale = |i: usize| replies[i].is_some() && !fresh[i];
+                    let full_fanout = !fresh.contains(&true);
                     if is_read && self.options.read == ReadMode::FastPath {
-                        let fan = if full_fanout { self.cfg.n } else { stale.len() };
+                        let fan = if full_fanout {
+                            self.cfg.n
+                        } else {
+                            (0..self.cfg.n).filter(|&i| stale(i)).count()
+                        };
                         ctx.record_sample("read_writeback_fanout", fan as u64);
                     }
                     self.phase = DynPhase::Two {
@@ -982,7 +1008,6 @@ impl<V: Value> DynOpDriver<V> {
                         invoke,
                         restarts,
                         chosen: chosen.clone(),
-                        acks: fresh,
                         weight: fresh_weight,
                     };
                     let base = self.actor_base;
@@ -994,7 +1019,7 @@ impl<V: Value> DynOpDriver<V> {
                             reg: chosen.clone(),
                             changes: self.cs_payload(),
                         }),
-                        |a| full_fanout || stale.iter().any(|s| base + s.index() == a.index()),
+                        |a| full_fanout || stale(a.index() - base),
                     );
                 }
                 None
@@ -1038,14 +1063,13 @@ impl<V: Value> DynOpDriver<V> {
                     invoke,
                     restarts,
                     chosen,
-                    acks,
                     weight,
                     ..
                 } = &mut self.phase
                 else {
                     return None;
                 };
-                if acks.insert(sid) {
+                if !std::mem::replace(&mut self.acks[sid.index()], true) {
                     *weight += sid_weight;
                 }
                 let quorum = *weight > self.cfg.quorum_threshold();

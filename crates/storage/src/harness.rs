@@ -456,7 +456,7 @@ impl<V: Value> StorageHarness<V> {
     /// Per-object operation counts and mean latency (virtual ms) over the
     /// *whole* recorded history — the latency side of the per-object
     /// metrics (the byte side lives in
-    /// [`awr_sim::Metrics::bytes_by_object`]).
+    /// [`awr_sim::Metrics::bytes_of_object`]).
     pub fn per_object_latency(&self) -> BTreeMap<ObjectId, (usize, f64)> {
         self.history().per_object_latency()
     }

@@ -94,7 +94,7 @@ impl<V: Clone> History<V> {
 
     /// Per-object `(completed ops, mean latency in virtual ms)` — the
     /// latency side of the per-object metrics (the byte side lives in
-    /// `awr_sim::Metrics::bytes_by_object`).
+    /// `awr_sim::Metrics::bytes_of_object`).
     pub fn per_object_latency(&self) -> BTreeMap<ObjectId, (usize, f64)> {
         self.partition_by_object()
             .into_iter()

@@ -67,7 +67,7 @@ fn main() {
 
     // Per-object wire accounting from the simulator's metrics.
     let m = h.world.metrics();
-    let mut keys: Vec<(u64, u64)> = m.bytes_by_object.iter().map(|(&o, &b)| (o, b)).collect();
+    let mut keys: Vec<(u64, u64)> = m.objects().map(|(o, s)| (o, s.bytes)).collect();
     keys.sort_by_key(|&(_, b)| std::cmp::Reverse(b));
     println!("top objects by attributed wire bytes:");
     for (o, b) in keys.iter().take(3) {

@@ -11,10 +11,11 @@ use awr::quorum::{
     WeightedMajorityQuorumSystem,
 };
 use awr::sim::{
-    geo_network, ActorId, BurstyOnOff, CrossTraffic, Delivery, Flow, Metrics, Region,
-    UniformLatency, MILLI,
+    geo_network, ActorId, ArrivalSpec, BurstyOnOff, CrossTraffic, Delivery, Flow, LinkDelayStat,
+    Metrics, Region, UniformLatency, MILLI, SECOND,
 };
-use awr::storage::{DynOptions, PlacementDriver, StorageHarness};
+use awr::storage::workload::KeyDistribution;
+use awr::storage::{DynOptions, OpenLoopHarness, OpenLoopSpec, PlacementDriver, StorageHarness};
 use awr::types::{Ratio, ServerId, WeightMap};
 use proptest::prelude::*;
 
@@ -311,4 +312,164 @@ fn adaptive_placement_beats_static_under_cross_traffic() {
         adaptive_ms < static_ms,
         "adaptive ({adaptive_ms:.2} ms) must beat static ({static_ms:.2} ms)"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Seed-pinned replay: the schedule, the byte accounting and every placement
+// decision of an adaptive open-loop run, as the map-based `Metrics` of
+// PR 17 recorded them. A change to the simulator's bookkeeping that is
+// only meant to make it faster must reproduce these to the last digit.
+// ---------------------------------------------------------------------------
+
+/// What one seed of the pinned run must reproduce.
+struct ReplayPin {
+    seed: u64,
+    generated: u64,
+    events: u64,
+    sent: u64,
+    bytes: u64,
+    end_nanos: u64,
+    /// `link_delay` of client 0 → server 2 and back.
+    request_delay: LinkDelayStat,
+    reply_delay: LinkDelayStat,
+    /// `(bytes_of_object, msgs_of_object)` of key 3.
+    object3: (u64, u64),
+    busiest: (usize, usize, u64),
+    incident_bytes_s0: u64,
+    max_link_utilization: f64,
+    max_uplink_utilization: f64,
+}
+
+const REPLAY_PINS: [ReplayPin; 2] = [
+    ReplayPin {
+        seed: 7,
+        generated: 4_030,
+        events: 65_639,
+        sent: 61_588,
+        bytes: 6_189_184,
+        end_nanos: 29_736_825_395,
+        request_delay: LinkDelayStat {
+            count: 340,
+            queued: 0,
+            transmission: 118_340,
+            propagation: 20_323_703_096,
+        },
+        reply_delay: LinkDelayStat {
+            count: 340,
+            queued: 0,
+            transmission: 170_152,
+            propagation: 20_444_319_568,
+        },
+        object3: (56_280, 900),
+        busiest: (0, 17, 192_512),
+        incident_bytes_s0: 3_456_320,
+        max_link_utilization: 0.000009561208912630131,
+        max_uplink_utilization: 0.00013935108892614863,
+    },
+    ReplayPin {
+        seed: 1234,
+        generated: 3_891,
+        events: 63_406,
+        sent: 59_494,
+        bytes: 6_031_588,
+        end_nanos: 30_615_723_249,
+        request_delay: LinkDelayStat {
+            count: 305,
+            queued: 0,
+            transmission: 106_165,
+            propagation: 18_307_488_823,
+        },
+        reply_delay: LinkDelayStat {
+            count: 305,
+            queued: 0,
+            transmission: 151_068,
+            propagation: 18_347_040_413,
+        },
+        object3: (203_072, 1_116),
+        busiest: (0, 10, 193_360),
+        incident_bytes_s0: 3_389_876,
+        max_link_utilization: 0.000009375574689693981,
+        max_uplink_utilization: 0.00013151735685785302,
+    },
+];
+
+/// The decisions of the windowed latency-greedy driver, the same on both
+/// seeds: `(virtual second, transfers issued, proposal)`. The first
+/// window moves weight to the clients' region; every later one agrees.
+const REPLAY_DECISIONS: [(u64, usize, &str); 4] = [
+    (5, 4, "[2.248, 0.688, 0.688, 0.688, 0.688]"),
+    (10, 0, "[2.248, 0.688, 0.688, 0.688, 0.688]"),
+    (15, 0, "[2.248, 0.688, 0.688, 0.688, 0.688]"),
+    (20, 0, "[2.248, 0.688, 0.688, 0.688, 0.688]"),
+];
+
+#[test]
+fn adaptive_open_loop_run_replays_the_pinned_schedule_and_accounting() {
+    for pin in &REPLAY_PINS {
+        let seed = pin.seed;
+        let mut placement = Region::ALL.to_vec();
+        placement.extend(std::iter::repeat_n(Region::Virginia, 16));
+        let mut h = OpenLoopHarness::build(
+            RpConfig::uniform(5, 1),
+            &OpenLoopSpec {
+                n_clients: 16,
+                n_objects: 64,
+                dist: KeyDistribution::Uniform,
+                write_fraction: 0.3,
+                arrivals: ArrivalSpec::Poisson {
+                    rate_per_sec: 200.0,
+                },
+                duration: 20 * SECOND,
+                per_object: false,
+                seed,
+            },
+            geo_network(&placement, 0.05),
+            DynOptions::default(),
+        );
+        let mut driver = PlacementDriver::new(LatencyGreedy::default(), h.client_actors().to_vec());
+        driver.windowed = true;
+        h.run(Some(&mut driver), 5 * SECOND);
+
+        let st = h.stats();
+        assert_eq!((st.generated, st.completed), (pin.generated, pin.generated));
+        let m = h.inner.world.metrics();
+        assert_eq!(m.events_processed, pin.events, "seed {seed}: events");
+        assert_eq!(m.messages_sent, pin.sent, "seed {seed}: messages");
+        assert_eq!(m.bytes_sent, pin.bytes, "seed {seed}: bytes");
+        assert_eq!(m.last_time.nanos(), pin.end_nanos, "seed {seed}: end");
+        let (c0, s2) = (h.client_actors()[0], ActorId(2));
+        assert_eq!(
+            m.link_delay(c0, s2),
+            Some(&pin.request_delay),
+            "seed {seed}"
+        );
+        assert_eq!(m.link_delay(s2, c0), Some(&pin.reply_delay), "seed {seed}");
+        assert_eq!(
+            (m.bytes_of_object(3), m.msgs_of_object(3)),
+            pin.object3,
+            "seed {seed}: object 3"
+        );
+        let (from, to, bytes) = pin.busiest;
+        assert_eq!(
+            m.busiest_link(),
+            Some(((ActorId(from), ActorId(to)), bytes)),
+            "seed {seed}: busiest link"
+        );
+        assert_eq!(m.incident_bytes(ActorId(0)), pin.incident_bytes_s0);
+        // Bit-for-bit: the utilization maxima are one division each.
+        assert_eq!(m.max_link_utilization(), pin.max_link_utilization);
+        assert_eq!(m.max_uplink_utilization(), pin.max_uplink_utilization);
+
+        let decisions: Vec<(u64, usize, String)> = driver
+            .log
+            .entries()
+            .iter()
+            .map(|d| (d.at_nanos / SECOND, d.issued, d.proposed.to_string()))
+            .collect();
+        let expected: Vec<(u64, usize, String)> = REPLAY_DECISIONS
+            .iter()
+            .map(|&(at, issued, proposed)| (at, issued, proposed.to_string()))
+            .collect();
+        assert_eq!(decisions, expected, "seed {seed}: placement decisions");
+    }
 }
