@@ -1,12 +1,12 @@
 //! **E7 / §VII + §I motivation** — dynamic-weighted atomic storage vs the
 //! static baselines on a five-region WAN with a mid-run regime shift.
 //!
-//! Five servers, one per region; three clients (two Virginia, one Ireland).
-//! Weights follow the WHEAT pattern: two "heavy" replicas near the client
-//! mass (Virginia + Ireland) so two-server quorums exist. Phase A: healthy
-//! network. Phase B: the Virginia replica degrades 150×. The static systems
-//! keep their quorum structure; the dynamic system's monitor re-plans
-//! weights via pairwise transfers (heavy role moves to Sao Paulo).
+//! The scenario lives in [`awr_bench::e7`]. Weights follow the WHEAT
+//! pattern: two "heavy" replicas near the client mass (Virginia + Ireland)
+//! so two-server quorums exist. The static systems are the same protocol
+//! over a configuration that is never reassigned; the dynamic system's
+//! monitor re-plans weights via pairwise transfers after Virginia degrades
+//! (the heavy role moves to Sao Paulo).
 //!
 //! Expected shape (WHEAT + §VII): static-WMQS beats MQS before the
 //! shift; after the shift the dynamic system recovers most of the gap while
@@ -15,128 +15,14 @@
 // stdout is this target's interface; exempt from the workspace print lint.
 #![allow(clippy::print_stdout)]
 
-use awr_bench::{f2, print_table, Stats};
+use awr_bench::e7::{initial_weights, run, run_dynamic, wheat_config, N, SEED};
+use awr_bench::{f2, print_table};
 use awr_core::RpConfig;
-use awr_monitor::plan_transfers;
-use awr_sim::{shared_latency, ActorId, SlowActors, World};
-use awr_storage::{AbdClient, AbdMsg, AbdServer, DynOptions, QuorumRule, StorageHarness};
-use awr_types::{ClientId, ProcessId, WeightMap};
-
-const N: usize = 5;
-const CLIENTS: usize = 3;
-const OPS_PER_PHASE: usize = 30;
-const SLOW_FACTOR: u64 = 150;
-
-/// Client placement: actor ids n..n+3 map to regions 0 (VA), 0 (VA), 1 (IE)
-/// — the client mass sits on the Atlantic, as in the WHEAT evaluation.
-fn wan() -> awr_sim::WanMatrix {
-    let mut placement: Vec<usize> = (0..N).collect(); // one server per region
-    placement.extend([0, 0, 1]); // clients
-    awr_sim::WanMatrix::new(awr_sim::five_region_matrix(), placement, 0.08)
-}
-
-/// WHEAT-style weights: heavy on Virginia & Ireland (the client mass),
-/// floor-respecting for f = 1 (floor = 5/8 = 0.625).
-fn initial_weights() -> WeightMap {
-    WeightMap::dec(&["1.55", "1.55", "0.63", "0.64", "0.63"])
-}
-
-/// Post-shift targets: the heavy role moves from Virginia to São Paulo
-/// (the next-best replica for the Atlantic client mass).
-fn shifted_targets() -> WeightMap {
-    WeightMap::dec(&["0.63", "1.55", "1.56", "0.63", "0.63"])
-}
-
-fn run_static(rule: QuorumRule, seed: u64) -> (f64, f64) {
-    let (handle, model) = shared_latency(SlowActors::new(wan(), vec![], SLOW_FACTOR));
-    let mut w: World<AbdMsg<u64>> = World::new(seed, model);
-    for _ in 0..N {
-        w.add_actor(AbdServer::<u64>::new());
-    }
-    let clients: Vec<ActorId> = (0..CLIENTS)
-        .map(|c| {
-            w.add_actor(AbdClient::<u64>::new(
-                ProcessId::Client(ClientId(c as u32)),
-                N,
-                rule.clone(),
-            ))
-        })
-        .collect();
-
-    let run_phase = |w: &mut World<AbdMsg<u64>>, base: u64| -> f64 {
-        let mut lats = Vec::new();
-        for i in 0..OPS_PER_PHASE {
-            let cid = clients[i % CLIENTS];
-            let before = w.actor::<AbdClient<u64>>(cid).unwrap().completed.len();
-            let write = i % 2 == 0;
-            w.with_actor_ctx::<AbdClient<u64>, _>(cid, |c, ctx| {
-                if write {
-                    c.begin_write(base + i as u64, ctx);
-                } else {
-                    c.begin_read(ctx);
-                }
-            });
-            let t0 = w.now();
-            w.run_until(|w| w.actor::<AbdClient<u64>>(cid).unwrap().completed.len() > before);
-            lats.push((w.now() - t0) as f64 / 1e6);
-        }
-        Stats::of(&lats).mean
-    };
-
-    let a = run_phase(&mut w, 0);
-    handle.lock().set_slow(vec![ActorId(0)]); // Virginia degrades
-    let b = run_phase(&mut w, 1000);
-    (a, b)
-}
-
-fn run_dynamic(seed: u64) -> (f64, f64, String) {
-    let cfg = RpConfig::new(1, initial_weights()).expect("valid WHEAT weights");
-    let (handle, model) = shared_latency(SlowActors::new(wan(), vec![], SLOW_FACTOR));
-    let mut h: StorageHarness<u64> =
-        StorageHarness::build(cfg.clone(), CLIENTS, seed, model, DynOptions::default());
-
-    let run_phase = |h: &mut StorageHarness<u64>, base: u64| -> f64 {
-        let mut lats = Vec::new();
-        for i in 0..OPS_PER_PHASE {
-            let k = i % CLIENTS;
-            let t0 = h.world.now();
-            let ok = if i % 2 == 0 {
-                h.write(k, base + i as u64).is_ok()
-            } else {
-                h.read(k).is_ok()
-            };
-            if ok {
-                lats.push((h.world.now() - t0) as f64 / 1e6);
-            }
-        }
-        Stats::of(&lats).mean
-    };
-
-    let a = run_phase(&mut h, 0);
-    handle.lock().set_slow(vec![ActorId(0)]);
-
-    // Monitoring detects the degradation; the planner emits C1-respecting
-    // pairwise transfers toward the post-shift targets.
-    let plan = plan_transfers(&initial_weights(), &shifted_targets());
-    let plan_str = plan
-        .iter()
-        .map(|t| format!("{}→{}:{}", t.from, t.to, t.delta))
-        .collect::<Vec<_>>()
-        .join(", ");
-    for t in &plan {
-        let _ = h.transfer_and_wait(t.from, t.to, t.delta);
-    }
-    h.settle();
-
-    let b = run_phase(&mut h, 1000);
-    (a, b, plan_str)
-}
 
 fn main() {
-    let seed = 0xE7;
-    let (mqs_a, mqs_b) = run_static(QuorumRule::majority(N), seed);
-    let (wmqs_a, wmqs_b) = run_static(QuorumRule::weighted(initial_weights()), seed);
-    let (dyn_a, dyn_b, plan) = run_dynamic(seed);
+    let (mqs_a, mqs_b) = run(RpConfig::uniform(N, 1), SEED, |_| {});
+    let (wmqs_a, wmqs_b) = run(wheat_config(), SEED, |_| {});
+    let (dyn_a, dyn_b, plan) = run_dynamic(SEED);
 
     print_table(
         "E7 — read/write latency (virtual ms), 5-region WAN, Virginia degrades 150× mid-run",

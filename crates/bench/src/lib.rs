@@ -2,13 +2,15 @@
 //!
 //! One binary per experiment in DESIGN.md §4 (`fig1`, `e3_flexibility`, …)
 //! plus criterion micro-benchmarks. This library holds the shared
-//! table-printing and statistics helpers.
+//! table-printing and statistics helpers, and the [`e7`] scenario that the
+//! test suite asserts as well.
 
 // stdout is this target's interface; exempt from the workspace print lint.
 #![allow(clippy::print_stdout)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod e7;
 pub mod naive_changeset;
 
 /// Prints a fixed-width table: a header row, then rows of cells.

@@ -97,8 +97,9 @@ pub enum WrMsg {
     /// Management RPC: ask the receiving server to invoke
     /// `transfer(self, to, delta)`. Not part of the paper's wire protocol —
     /// it stands in for the monitoring system's "please reassign" signal
-    /// and lets harnesses (including the threaded runtime, which has no
-    /// `with_actor_ctx`) drive transfers through ordinary messages.
+    /// and lets harnesses (including real-thread `NodeHost` runs, where
+    /// the actor lives on another thread) drive transfers through ordinary
+    /// messages.
     Invoke {
         /// The destination server.
         to: ServerId,

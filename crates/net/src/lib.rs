@@ -1,10 +1,11 @@
 //! # awr-net — the real-transport runtime
 //!
-//! The third runtime of the workspace: the same protocol actors that run
-//! in the deterministic simulator (`awr_sim::World`) and the in-process
-//! threaded system (`awr_sim::ThreadedSystem`) here run **one OS process
-//! per actor**, exchanging length-prefixed binary frames over
-//! non-blocking [`std::net::TcpStream`]s on localhost or a real network.
+//! The socket half of the workspace's second runtime: the same protocol
+//! actors that run in the deterministic simulator (`awr_sim::World`), and
+//! on one thread each as `awr_sim::NodeHost`s over an in-process
+//! `awr_sim::ChannelTransport` mesh, here run **one OS process per
+//! actor**, exchanging length-prefixed binary frames over non-blocking
+//! [`std::net::TcpStream`]s on localhost or a real network.
 //!
 //! Nothing in the protocol crates changes: this crate only implements the
 //! [`awr_sim::Transport`] seam (see `awr_sim::transport`) and the plumbing
@@ -33,7 +34,7 @@
 //! N durable server processes and K client processes on localhost, the
 //! keyed workload driven over real sockets, per-kind wire accounting
 //! cross-validated against a same-seed simulator run. `docs/RUNTIME.md`
-//! at the repository root walks through all three runtimes and the demo.
+//! at the repository root walks through both runtimes and the demo.
 //!
 //! ## Example: a two-node mesh in two threads
 //!

@@ -202,7 +202,7 @@ impl PlacementPolicy for UtilizationAware {
                         busy = busy.max(m.link_utilization(o, s));
                     }
                     if busy == 0.0 {
-                        // Pure-propagation model or threaded runtime: fall
+                        // Pure-propagation model or wall-clock runtime: fall
                         // back to the share of wire bytes touching this
                         // server.
                         busy = m.incident_bytes(s) as f64 / total_bytes as f64;

@@ -205,8 +205,8 @@ impl<'a, M> Context<'a, M> {
     /// satisfies `keep`, returning how many sends were issued. This is the
     /// targeted write-back shape — phase 2 of an optimized read contacts
     /// only the repliers observed stale in phase 1. It expands to plain
-    /// sends, so protocols written against it behave identically on all
-    /// three runtimes.
+    /// sends, so protocols written against it behave identically on both
+    /// runtimes.
     pub fn broadcast_filter(
         &mut self,
         targets: impl IntoIterator<Item = ActorId>,

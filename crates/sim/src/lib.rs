@@ -13,14 +13,13 @@
 //!   actors can be rebuilt and rebooted ([`World::schedule_restart`]) —
 //!   [`FaultPlan`] generates whole kill/restart campaigns (scheduled,
 //!   random at a rate, or aimed at reassignment instants).
-//! * [`ThreadedSystem`] — the same [`Actor`] trait over real threads and
-//!   crossbeam channels, for wall-clock benchmarks.
-//!
-//! A third runtime — real processes over TCP — lives in the `awr_net`
-//! crate and plugs in through the [`transport`] seam defined here: a
-//! [`Transport`] abstracts one node's message fabric and a [`NodeHost`]
-//! pumps any [`Actor`] over it (see `docs/RUNTIME.md` for the
-//! architecture).
+//! * [`NodeHost`] over a [`Transport`] — the [`transport`] seam: a
+//!   [`Transport`] abstracts one node's message fabric and a [`NodeHost`]
+//!   pumps the same [`Actor`] over it on wall-clock time. One thread per
+//!   `NodeHost` over a [`ChannelTransport`] mesh is the in-process
+//!   real-threads runtime; the `awr_net` crate's `TcpTransport` puts one
+//!   OS process per actor behind the same host (see `docs/RUNTIME.md` for
+//!   the architecture).
 //!
 //! # The network model: propagation, transmission, serialization
 //!
@@ -107,7 +106,6 @@ mod network;
 pub mod openloop;
 mod rows;
 pub mod sched;
-mod threaded;
 mod time;
 mod topology;
 mod trace;
@@ -125,7 +123,6 @@ pub use network::{
 };
 pub use openloop::{ArrivalProcess, ArrivalSpec, BurstyArrivals, PoissonArrivals};
 pub use sched::{BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel};
-pub use threaded::{downcast_actor, ThreadedMetrics, ThreadedSystem};
 pub use time::{Nanos, Time, MICRO, MILLI, SECOND};
 pub use topology::{
     constrained_uplink, five_region_bandwidth, five_region_matrix, five_region_wan,

@@ -157,9 +157,8 @@ impl Hasher for ObjectKeyHasher {
 
 type ObjectTable = HashMap<u64, ObjectStat, BuildHasherDefault<ObjectKeyHasher>>;
 
-/// Counters accumulated by a [`crate::World`] run, by a
-/// [`crate::NodeHost`], and by every thread of a
-/// [`crate::ThreadedSystem`] (merged on snapshot).
+/// Counters accumulated by a [`crate::World`] run, or by one
+/// [`crate::NodeHost`] (one per node; [`Metrics::absorb`] sums them).
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Total events processed (deliveries + timers + crashes).
@@ -189,12 +188,12 @@ pub struct Metrics {
     /// (reassignment, refreshes) is not.
     objects: ObjectTable,
     /// Named protocol counters fed by [`crate::Context::record_counter`] —
-    /// e.g. the storage layer's fast-path read hits/misses. Tracked by all
-    /// three runtimes.
+    /// e.g. the storage layer's fast-path read hits/misses. Tracked by both
+    /// runtimes.
     pub counters: BTreeMap<&'static str, u64>,
     /// Named value histograms (`value → occurrences`) fed by
     /// [`crate::Context::record_sample`] — e.g. the phase-2 write-back
-    /// fanout distribution. Tracked by all three runtimes.
+    /// fanout distribution. Tracked by both runtimes.
     pub samples: BTreeMap<&'static str, BTreeMap<u64, u64>>,
     /// Latest virtual time reached.
     pub last_time: Time,
@@ -246,8 +245,7 @@ impl Metrics {
     /// Records a send on a runtime with no virtual time, hence no
     /// [`Delivery`]: the tally of [`Metrics::record_send`] minus the busy
     /// time and the delay sample, plus the object attribution. The one
-    /// send-accounting path of [`crate::NodeHost`] and
-    /// [`crate::ThreadedSystem`].
+    /// send-accounting path of [`crate::NodeHost`].
     pub fn record_untimed_send(
         &mut self,
         kind: &'static str,
@@ -491,8 +489,8 @@ impl Metrics {
 
     /// Bytes sent on links touching `a` (either direction) — the
     /// traffic-share signal placement policies fall back to where no
-    /// transmission time is charged (pure-propagation models, threaded
-    /// runtime).
+    /// transmission time is charged (pure-propagation models, the
+    /// wall-clock runtime).
     pub fn incident_bytes(&self, a: ActorId) -> u64 {
         let i = a.index();
         let sent: u64 = self.links.row(i).iter().map(|s| s.bytes).sum();
@@ -586,8 +584,8 @@ impl Metrics {
     }
 
     /// Adds every tally of `other` into `self` (and keeps the later
-    /// `last_time`): how [`crate::ThreadedSystem`] merges the [`Metrics`]
-    /// each actor thread kept for itself.
+    /// `last_time`): how the per-node [`Metrics`] of several
+    /// [`crate::NodeHost`]s merge into one run-wide view.
     pub fn absorb(&mut self, other: &Metrics) {
         fn add_map<K: Ord + Copy>(into: &mut BTreeMap<K, u64>, from: &BTreeMap<K, u64>) {
             for (k, v) in from {

@@ -1,23 +1,24 @@
 //! The runtime seam: hosting an [`Actor`] over a pluggable message fabric.
 //!
-//! The workspace runs the same protocol state machines in three runtimes:
+//! The workspace runs the same protocol state machines in two runtimes:
 //!
 //! 1. the discrete-event [`crate::World`] (deterministic, adversarial —
-//!    the reference semantics);
-//! 2. the in-process [`crate::ThreadedSystem`] (real threads, channel
-//!    fabric, wall-clock benchmarks);
-//! 3. the real-socket runtime of the `awr_net` crate (one OS process per
-//!    actor, TCP between them).
+//!    the reference semantics), which drives actors directly;
+//! 2. a [`NodeHost`] per actor over a [`Transport`] (wall-clock time, real
+//!    concurrency): one thread per host over a [`ChannelTransport`] mesh
+//!    in-process, or one OS process per host over the `awr_net` crate's
+//!    TCP transport.
 //!
-//! The first two drive actors directly. This module is the seam that
-//! admits the third — and any future fourth — without touching protocol
-//! code: a [`Transport`] abstracts "send a message / receive a message"
-//! for **one** node, and a [`NodeHost`] pumps any [`Actor`] over any
-//! [`Transport`], reproducing the callback-and-effects contract the actors
-//! were written against. A runtime is therefore just a `Transport`
-//! implementation plus whatever process/thread scaffolding it needs;
-//! [`ChannelTransport`] is the minimal in-process example (and the test
-//! double for transport-generic code).
+//! This module is the second one's seam: a [`Transport`] abstracts "send a
+//! message / receive a message" for **one** node, and a [`NodeHost`] pumps
+//! any [`Actor`] over any [`Transport`], reproducing the
+//! callback-and-effects contract the actors were written against. A
+//! runtime is therefore just a `Transport` implementation plus whatever
+//! process/thread scaffolding it needs — for the in-process one,
+//! `std::thread::spawn` around [`NodeHost::start`] +
+//! [`NodeHost::run_until_idle`] + [`NodeHost::into_parts`] — and
+//! [`ChannelTransport`] is the minimal implementation (and the test double
+//! for transport-generic code).
 //!
 //! # Semantics a `Transport` must provide
 //!
@@ -33,8 +34,8 @@
 //! * **FIFO per directed link.** Two messages from `a` to `b` arrive in
 //!   send order (the RB engine and the phase drivers rely on this only
 //!   weakly, but the DES provides it and equivalence arguments assume it).
-//! * **No timers, no clock.** Like [`crate::ThreadedSystem`], a hosted
-//!   actor's `SetTimer`/`CancelTimer` effects are ignored; none of the
+//! * **No timers, no clock.** A hosted actor's
+//!   `SetTimer`/`CancelTimer` effects are ignored; none of the
 //!   default-configured protocols set timers ([`crate::World`] remains the
 //!   runtime for timer-dependent options such as client retry policies).
 //!
@@ -142,9 +143,9 @@ pub struct NodeHost<A: Actor, T: Transport<A::Msg>> {
 
 impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
     /// Builds the host and runs the actor's `on_start` (flushing its
-    /// effects), exactly as both in-process runtimes do before any
-    /// delivery. `seed` feeds the actor's [`Context::rng`]; hosts derive
-    /// per-node streams the same way [`crate::ThreadedSystem`] does.
+    /// effects), exactly as [`crate::World`] does before any delivery.
+    /// `seed` feeds the actor's [`Context::rng`]; each host derives its
+    /// own per-node stream from it and its actor id.
     pub fn start(actor: A, transport: T, seed: u64) -> NodeHost<A, T> {
         let id = transport.local_id();
         let rng = StdRng::seed_from_u64(seed ^ (id.index() as u64).wrapping_mul(0x9E37_79B9));
@@ -247,8 +248,8 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
     }
 
     /// Send-side accounting, metered through [`Message::wire_size`] — the
-    /// same quantity the DES and threaded runtimes record, which is what
-    /// makes cross-runtime byte comparisons meaningful.
+    /// same quantity the DES records, which is what makes cross-runtime
+    /// byte comparisons meaningful.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -482,7 +483,7 @@ mod tests {
         }
         assert_eq!(h1.step(Duration::from_secs(1)), Step::Delivered);
         assert_eq!(h1.actor().reported, Some(10));
-        // Sends are wire_size-metered, same as the other runtimes.
+        // Sends are wire_size-metered, same as in the DES.
         assert_eq!(h1.metrics().messages_sent, 11);
         assert_eq!(h0.metrics().sent_of_kind("msg"), 1);
     }

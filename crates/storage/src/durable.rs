@@ -22,11 +22,12 @@
 //!
 //! Two backends: [`MemStorage`] (the default for simulation — state
 //! survives the *actor*, not the process) and [`FileStorage`] (JSON
-//! snapshot + JSON-lines WAL through a buffered writer, for threaded runs
-//! and inspection). Both are shared with the server through a cloneable
-//! [`StorageHandle`], which is what survives a simulated crash: the dead
-//! incarnation's handle and the rebuilt server's handle point at the same
-//! store, exactly like a restarted process re-opening its data directory.
+//! snapshot + JSON-lines WAL through a buffered writer, for wall-clock
+//! runs and inspection). Both are shared with the server through a
+//! cloneable [`StorageHandle`], which is what survives a simulated crash:
+//! the dead incarnation's handle and the rebuilt server's handle point at
+//! the same store, exactly like a restarted process re-opening its data
+//! directory.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -38,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use awr_types::{Change, ChangeSet, ObjectId, TaggedValue};
 use serde::{Deserialize, DeserializeOwned, Serialize, Value as JsonValue};
 
-use crate::abd_static::Value;
+use crate::Value;
 
 /// One write-ahead-log record: the unit of durability between snapshots.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -220,7 +221,7 @@ impl<'de, V: Deserialize<'de>> Deserialize<'de> for Snapshot<V> {
 
 /// File-backed [`Storage`]: `snapshot.json` plus a `wal.jsonl` append log
 /// (one JSON record per line) under a directory, written through a
-/// buffered writer. Human-inspectable and usable from the threaded
+/// buffered writer. Human-inspectable and usable from the wall-clock
 /// runtime. The buffer is flushed before every `load`, so a simulated
 /// crash (which never kills the hosting process) always recovers the full
 /// log.

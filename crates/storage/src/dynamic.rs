@@ -69,9 +69,9 @@ use awr_epoch::CheckpointCadence;
 use awr_sim::{Actor, ActorId, Context, Message, Nanos, Time, TimerId};
 use awr_types::{ChangeSet, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue};
 
-use crate::abd_static::Value;
 use crate::durable::{Snapshot, StorageHandle, WalRecord};
 use crate::history::{HistOp, OpKind};
+use crate::Value;
 
 /// Wire messages of the dynamic-weighted storage: the weight-reassignment
 /// sub-protocol plus change-set-referencing ABD phases (see the module

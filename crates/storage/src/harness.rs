@@ -7,10 +7,10 @@ use awr_core::{RpConfig, TransferError, TransferOutcome};
 use awr_sim::{ActorId, FaultPlan, NetworkModel, Time, World};
 use awr_types::{Change, ChangeSet, ClientId, ObjectId, ProcessId, Ratio, ServerId};
 
-use crate::abd_static::Value;
 use crate::durable::StorageHandle;
 use crate::dynamic::{DynClient, DynCompletedOp, DynMsg, DynOptions, DynServer};
 use crate::history::History;
+use crate::Value;
 
 /// A ready-to-run dynamic-weighted atomic storage system.
 ///

@@ -3,11 +3,15 @@
 //! The case study of *“How Hard is Asynchronous Weight Reassignment?”*
 //! (§VII): a multi-writer atomic register whose quorums are weighted and
 //! whose weights are reassigned online by the restricted pairwise protocol —
-//! plus the static baselines it is evaluated against and a linearizability
-//! checker that makes Theorem 6 testable.
+//! plus a linearizability checker that makes Theorem 6 testable.
 //!
-//! * [`AbdClient`]/[`AbdServer`] — classic multi-writer ABD over a static
-//!   [`QuorumRule`] (majority, or weighted with fixed weights);
+//! The static baselines it is evaluated against (majority ABD, and weighted
+//! ABD with fixed weights) are not a second implementation: they are the
+//! same client and server under an [`awr_core::RpConfig`] that is never
+//! reassigned — `RpConfig::uniform(n, f)` is MQS, `RpConfig::new(f, w)`
+//! with no transfer issued is static WMQS (`tests/baselines.rs` pins the
+//! identity and the §VII ordering).
+//!
 //! * [`DynClient`]/[`DynServer`] — Algorithms 5 & 6: change-set-referencing
 //!   phases over the delta-negotiated wire of [`awr_types::sync`]
 //!   (steady-state payloads O(1) in |C|; [`WireMode::ForceFull`] restores
@@ -27,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod abd_static;
 pub mod durable;
 mod dynamic;
 mod harness;
@@ -35,10 +38,8 @@ mod history;
 mod lin;
 pub mod openloop;
 pub mod placement;
-mod quorum_rule;
 pub mod workload;
 
-pub use abd_static::{AbdClient, AbdMsg, AbdServer, CompletedOp, Value};
 pub use awr_epoch::CheckpointCadence;
 pub use durable::{
     FileStorage, MemStorage, Recovered, Snapshot, Storage, StorageHandle, WalRecord,
@@ -52,7 +53,10 @@ pub use history::{HistOp, History, OpKind};
 pub use lin::{check_linearizable, check_linearizable_keyed, KeyedLinError, LinError};
 pub use openloop::{OpenLoopClient, OpenLoopHarness, OpenLoopSpec, OpenLoopStats};
 pub use placement::{run_adaptive_workload, PlacementDriver};
-pub use quorum_rule::QuorumRule;
+
+/// Values stored in registers.
+pub trait Value: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + 'static {}
+impl<T: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + 'static> Value for T {}
 
 #[cfg(test)]
 mod dynamic_tests {

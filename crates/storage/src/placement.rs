@@ -22,10 +22,10 @@ use awr_quorum::{integrity_holds, rp_integrity_holds};
 use awr_sim::{ActorId, Metrics};
 use awr_types::{Ratio, ServerId, WeightMap};
 
-use crate::abd_static::Value;
 use crate::dynamic::DynServer;
 use crate::harness::StorageHarness;
 use crate::workload::{WorkloadSpec, WorkloadStats};
+use crate::Value;
 
 /// Drives a [`PlacementPolicy`] against a [`StorageHarness`].
 pub struct PlacementDriver {

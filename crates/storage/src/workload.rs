@@ -1,7 +1,6 @@
 //! Random workload generation for storage experiments.
 //!
-//! Drives a [`crate::StorageHarness`] (or the static ABD world) with a
-//! closed-loop mix of reads, writes, and transfers, then hands back the
+//! Drives a [`crate::StorageHarness`] with a closed-loop mix of reads, writes, and transfers, then hands back the
 //! recorded history for checking. Keyed workloads
 //! ([`run_keyed_workload`]) additionally spread the operations over a
 //! multi-object key space, uniformly or with the Zipfian skew real

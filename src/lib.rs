@@ -11,14 +11,16 @@
 //!   and the weight placement policies (`quorum::placement`);
 //! * [`sim`] — deterministic discrete-event simulator for asynchronous
 //!   message-passing systems, with bandwidth-aware networks and
-//!   cross-traffic workloads (`sim::workload`), plus a threaded runtime;
+//!   cross-traffic workloads (`sim::workload`), plus the `Transport` /
+//!   `NodeHost` seam of the wall-clock runtime;
 //! * [`rb`] — uniform reliable broadcast for the crash model;
 //! * [`core`] — the paper's contribution: the weight-reassignment problem
 //!   family, the consensus reductions (Algorithms 1–2), and the restricted
 //!   pairwise weight reassignment protocol (Algorithms 3–4);
-//! * [`storage`] — dynamic-weighted atomic storage (Algorithms 5–6), static
-//!   baselines, linearizability checkers, and the adaptive placement
-//!   driver (`storage::placement`);
+//! * [`storage`] — dynamic-weighted atomic storage (Algorithms 5–6; the
+//!   static baselines are the same protocol over a configuration that is
+//!   never reassigned), linearizability checkers, and the adaptive
+//!   placement driver (`storage::placement`);
 //! * [`consensus`] — single-decree Paxos and the consensus-based
 //!   reassignment baseline;
 //! * [`epoch`] — the epoch-based reassignment baseline;

@@ -1,12 +1,61 @@
-//! Integration tests contrasting the paper's protocol with the two
-//! baselines (epoch-based [11] and consensus-based related work) — the
-//! E8/E9 shapes as assertions.
+//! Integration tests contrasting the paper's protocol with its baselines:
+//! the reassignment ones (epoch-based [11] and consensus-based related
+//! work — the E8/E9 shapes as assertions) and the §VII storage ones, static
+//! MQS and static WMQS, which are the dynamic storage under a configuration
+//! that is never reassigned (the E7 shape, and that identity).
 
 use awr::consensus::{CwrNode, SlotMsg, WeightCmd};
 use awr::core::{RpConfig, RpHarness};
 use awr::epoch::{EpochEngine, EpochRequest};
 use awr::sim::{shared_latency, ActorId, SlowActors, Time, UniformLatency, World, MILLI, SECOND};
+use awr::storage::{DynOptions, StorageHarness};
 use awr::types::{Ratio, ServerId, WeightMap};
+use awr_bench::e7;
+
+#[test]
+fn e7_ordering_and_the_frozen_config_identity() {
+    let (mqs_a, _) = e7::run(RpConfig::uniform(e7::N, 1), e7::SEED, |_| {});
+    let (wmqs_a, wmqs_b) = e7::run(e7::wheat_config(), e7::SEED, |_| {});
+    let (dyn_a, dyn_b, _) = e7::run_dynamic(e7::SEED);
+    assert!(
+        wmqs_a < mqs_a,
+        "healthy phase: WMQS {wmqs_a} vs MQS {mqs_a}"
+    );
+    assert!(
+        dyn_b < wmqs_b,
+        "after the shift: dynamic {dyn_b} vs static WMQS {wmqs_b}"
+    );
+    // Until its first transfer the dynamic system *is* the static one.
+    assert_eq!(wmqs_a, dyn_a);
+    assert_eq!(format!("{dyn_a:.2}"), "114.09");
+}
+
+fn frozen(cfg: RpConfig, seed: u64) -> StorageHarness<u64> {
+    let latency = UniformLatency::new(1_000, 60_000);
+    StorageHarness::build(cfg, 2, seed, latency, DynOptions::default())
+}
+
+#[test]
+fn frozen_config_serves_with_f_servers_crashed() {
+    let mut h = frozen(RpConfig::uniform(5, 2), 3);
+    h.crash_server(ServerId(0));
+    h.crash_server(ServerId(1));
+    h.write(0, 7).unwrap();
+    assert_eq!(h.read(1).unwrap().0, Some(7));
+}
+
+#[test]
+fn frozen_nonuniform_weights_complete_on_the_heavy_pair_alone() {
+    // Static WMQS: s0 + s1 carry 4 of 7, a quorum by themselves, so
+    // operations complete with every light server down.
+    let cfg = RpConfig::new(1, WeightMap::dec(&["2", "2", "1", "1", "1"])).unwrap();
+    let mut h = frozen(cfg, 4);
+    for light in 2..5 {
+        h.crash_server(ServerId(light));
+    }
+    h.write(0, 9).unwrap();
+    assert_eq!(h.read(1).unwrap().0, Some(9));
+}
 
 #[test]
 fn epochless_applies_faster_than_epoch_based() {

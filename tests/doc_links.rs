@@ -46,7 +46,7 @@ fn relative_doc_links_resolve() {
             files.push(path);
         }
     }
-    assert!(files.len() >= 7, "expected README, ROADMAP and docs/*.md");
+    assert!(files.len() >= 6, "expected README, ROADMAP and docs/*.md");
 
     let mut broken = Vec::new();
     let mut checked = 0usize;

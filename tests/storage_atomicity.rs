@@ -14,7 +14,9 @@ fn s(i: u32) -> ServerId {
 
 #[test]
 fn mixed_workloads_linearizable_many_seeds() {
-    for seed in 0..8 {
+    // With no transfer attempted the configuration stays frozen: that run
+    // is the static (majority) ABD baseline.
+    for (seed, transfer_percent) in (0..8).flat_map(|seed| [(seed, 30), (seed, 0)]) {
         let mut h: StorageHarness<u64> = StorageHarness::build(
             RpConfig::uniform(7, 2),
             4,
@@ -22,8 +24,13 @@ fn mixed_workloads_linearizable_many_seeds() {
             UniformLatency::new(1_000, 50_000),
             DynOptions::default(),
         );
-        let stats = run_mixed_workload(&mut h, 4, &WorkloadSpec::default(), seed);
+        let spec = WorkloadSpec {
+            transfer_percent,
+            ..WorkloadSpec::default()
+        };
+        let stats = run_mixed_workload(&mut h, 4, &spec, seed);
         assert!(stats.reads + stats.writes > 10, "seed {seed}: thin history");
+        assert_eq!(stats.transfers_attempted == 0, transfer_percent == 0);
         check_linearizable(&h.history()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let report = audit_transfers(h.config(), &h.all_completed_transfers());
         assert!(report.is_clean(), "seed {seed}: {:?}", report.violations);
