@@ -22,7 +22,7 @@ use awr_types::{Ratio, ServerId, WeightMap};
 fn min_live_quorum(w: &WeightMap, threshold_total: Ratio, dead: &BTreeSet<ServerId>) -> String {
     let qs = WeightedMajorityQuorumSystem::with_threshold_total(w.clone(), threshold_total);
     match smallest_quorum_avoiding(&qs, dead) {
-        Some(k) => k.to_string(),
+        Some(q) => q.len().to_string(),
         None => "unavailable".to_string(),
     }
 }

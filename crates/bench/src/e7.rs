@@ -11,7 +11,7 @@
 use awr_core::RpConfig;
 use awr_monitor::plan_transfers;
 use awr_sim::{shared_latency, ActorId, SlowActors, WanMatrix};
-use awr_storage::{DynOptions, StorageHarness};
+use awr_storage::{DynOptions, Fanout, StorageHarness};
 use awr_types::WeightMap;
 
 use crate::Stats;
@@ -61,8 +61,13 @@ pub fn run(
     after_shift: impl FnOnce(&mut StorageHarness<u64>),
 ) -> (f64, f64) {
     let (handle, model) = shared_latency(SlowActors::new(wan(), vec![], SLOW_FACTOR));
-    let mut h: StorageHarness<u64> =
-        StorageHarness::build(cfg, CLIENTS, seed, model, DynOptions::default());
+    // The printed table is pinned to the paper-literal fanout: all three
+    // systems ask every server, so the rows differ in weights alone.
+    let options = DynOptions {
+        fanout: Fanout::All,
+        ..DynOptions::default()
+    };
+    let mut h: StorageHarness<u64> = StorageHarness::build(cfg, CLIENTS, seed, model, options);
 
     let run_phase = |h: &mut StorageHarness<u64>, base: u64| -> f64 {
         let mut lats = Vec::new();

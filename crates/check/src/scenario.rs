@@ -9,8 +9,8 @@
 //! state.
 
 use awr_core::RpConfig;
-use awr_sim::{ActorId, PendingKind, UniformLatency};
-use awr_storage::{DynOptions, StorageHandle, StorageHarness};
+use awr_sim::{ActorId, PendingEvent, PendingKind, UniformLatency};
+use awr_storage::{DynOptions, Fanout, RetryPolicy, StorageHandle, StorageHarness};
 use awr_types::{ObjectId, Ratio, ServerId};
 
 /// The register value type every scenario uses.
@@ -105,6 +105,11 @@ pub struct Scenario {
     /// Maximum number of crash choices the explorer may inject (0 under
     /// `durable: false`; at most `f` servers are ever down at once).
     pub crash_budget: usize,
+    /// Protocol options every server and client is built with. A scenario
+    /// that arms timers must bound them ([`RetryPolicy::max_attempts`]):
+    /// timer firings are explorer choices like any delivery, and an
+    /// unbounded rebroadcast makes the state space infinite.
+    pub options: DynOptions,
     /// Optional deterministic pre-run: steps a prefix of the schedule
     /// before exploration starts (e.g. complete a first write while
     /// withholding deliveries to one server) so the explored frontier
@@ -131,7 +136,7 @@ impl RunState {
     /// optional setup applied.
     pub fn build(scenario: &Scenario) -> RunState {
         let network = UniformLatency::new(1, 1);
-        let options = DynOptions::default();
+        let options = scenario.options;
         let harness = if scenario.durable {
             StorageHarness::build_durable(
                 scenario.cfg.clone(),
@@ -376,19 +381,24 @@ fn storage_digest(st: &StorageHandle<Val>) -> u64 {
 
 /// Deterministic setup helper: steps pending events — never crash/restart,
 /// never a delivery to `avoid` — in `(time, seq)` order until `until`
-/// holds or nothing steppable remains. Panics if the predicate is never
-/// reached (a scenario authoring error, not a protocol state).
+/// holds or nothing steppable remains. A timer is stepped only when
+/// nothing else can be: that is a client whose targeted phase waits on
+/// `avoid`, and the firing is the widen that gets it past. Panics if the
+/// predicate is never reached (a scenario authoring error, not a protocol
+/// state).
 pub fn run_avoiding(rs: &mut RunState, avoid: ActorId, mut until: impl FnMut(&RunState) -> bool) {
     loop {
         if until(rs) {
             return;
         }
-        let next = rs
-            .harness
-            .world
-            .pending_events()
-            .into_iter()
-            .find(|e| !matches!(e.kind, PendingKind::Deliver { to, .. } if to == avoid));
+        let pending = rs.harness.world.pending_events();
+        let withheld =
+            |e: &PendingEvent| matches!(e.kind, PendingKind::Deliver { to, .. } if to == avoid);
+        let is_timer = |e: &PendingEvent| matches!(e.kind, PendingKind::Timer { .. });
+        let next = pending
+            .iter()
+            .find(|e| !withheld(e) && !is_timer(e))
+            .or_else(|| pending.iter().find(|e| is_timer(e)));
         match next {
             Some(e) => {
                 rs.harness.world.step_seq(e.seq);
@@ -401,7 +411,40 @@ pub fn run_avoiding(rs: &mut RunState, avoid: ActorId, mut until: impl FnMut(&Ru
 
 /// The built-in scenario registry.
 pub fn builtin_scenarios() -> Vec<Scenario> {
-    vec![basic3(), concurrent4(), durable3(), fastpath3()]
+    vec![
+        basic3(),
+        concurrent4(),
+        durable3(),
+        fastpath3(),
+        fastpath3q(),
+    ]
+}
+
+/// The paper-literal phase-1 fanout with no timers: what every scenario
+/// but [`fastpath3q`] runs, so their state counts are those of the
+/// protocol as the paper states it.
+pub fn ask_all() -> DynOptions {
+    DynOptions {
+        fanout: Fanout::All,
+        ..DynOptions::default()
+    }
+}
+
+/// Quorum-targeted phase 1 under a one-shot widen budget: every phase
+/// attempt arms one timer, whose firing — an explorer choice like any
+/// delivery — re-sends the phase to all servers once and is not re-armed,
+/// which keeps the space finite. The delay is irrelevant to the explorer
+/// (it does not order by time); it only has to be there, since a client
+/// with no deadline asks everyone.
+pub fn ask_quorum() -> DynOptions {
+    DynOptions {
+        fanout: Fanout::Quorum,
+        retry: Some(RetryPolicy {
+            base: 1_000_000,
+            max_attempts: 1,
+        }),
+        ..DynOptions::default()
+    }
 }
 
 /// Looks up a built-in scenario by name.
@@ -426,6 +469,7 @@ pub fn basic3() -> Scenario {
         transfers: vec![(ServerId(0), ServerId(1), Ratio::new(1, 8))],
         durable: false,
         crash_budget: 0,
+        options: ask_all(),
         setup: Some(|rs: &mut RunState| {
             run_avoiding(rs, ActorId(2), |rs| {
                 !rs.harness.all_completed_transfers().is_empty()
@@ -452,6 +496,7 @@ pub fn concurrent4() -> Scenario {
         ],
         durable: false,
         crash_budget: 0,
+        options: ask_all(),
         setup: None,
     }
 }
@@ -479,27 +524,64 @@ pub fn fastpath3() -> Scenario {
         transfers: vec![(ServerId(0), ServerId(1), Ratio::new(1, 8))],
         durable: false,
         crash_budget: 0,
-        setup: Some(|rs: &mut RunState| {
-            run_avoiding(rs, ActorId(2), |rs| {
-                !rs.harness.all_completed_transfers().is_empty() && !rs.harness.history().is_empty()
-            });
-            // Drain everything that is not an ABD-phase delivery (the RB
-            // relays of the change pair and the refresh leg headed for
-            // s2, plus their consequences) in deterministic time order.
-            loop {
-                let next = rs.harness.world.pending_events().into_iter().find(|e| {
-                    !matches!(e.kind, PendingKind::Deliver { kind, .. }
-                        if matches!(kind, "R" | "R_A" | "W" | "W_A"))
-                });
-                match next {
-                    Some(e) => {
-                        rs.harness.world.step_seq(e.seq);
-                        rs.closure();
-                    }
-                    None => break,
-                }
+        options: ask_all(),
+        setup: Some(fastpath3_setup),
+    }
+}
+
+/// The pinned prefix of [`fastpath3`] and [`fastpath3q`]: transfer and
+/// write completed through {s0, s1}, then everything drained in time
+/// order except the ABD-phase deliveries and (under [`ask_quorum`]) the
+/// read's widen timer, which are the explorer's.
+fn fastpath3_setup(rs: &mut RunState) {
+    run_avoiding(rs, ActorId(2), |rs| {
+        !rs.harness.all_completed_transfers().is_empty() && !rs.harness.history().is_empty()
+    });
+    // Drain everything that is not an ABD-phase delivery (the RB
+    // relays of the change pair and the refresh leg headed for
+    // s2, plus their consequences) in deterministic time order.
+    loop {
+        let next = rs.harness.world.pending_events().into_iter().find(|e| {
+            !matches!(
+                e.kind,
+                PendingKind::Deliver {
+                    kind: "R" | "R_A" | "W" | "W_A",
+                    ..
+                } | PendingKind::Timer { .. }
+            )
+        });
+        match next {
+            Some(e) => {
+                rs.harness.world.step_seq(e.seq);
+                rs.closure();
             }
-        }),
+            None => break,
+        }
+    }
+}
+
+/// [`fastpath3`] under quorum-targeted phase 1 ([`ask_quorum`]). After
+/// the reassignment the smallest quorum by weight is {s1, s2} — the
+/// gainer and the one server that has heard of neither the transfer nor
+/// the write — so the write's restarted phase 1 asks exactly the server
+/// whose deliveries setup withholds, and gets through only by its widen
+/// (the timer is the one event left to step), which leaves s2 a suspect.
+/// The explored frontier is then the read's targeted phase 1 at the
+/// quorum avoiding the suspect, {s1, s0}; its one widen timer — firing
+/// before, between or after the acks, or never — which asks s2 after all
+/// and makes every split quorum of [`fastpath3`] reachable again; and
+/// the write's stragglers at s2 (whose answers also clear the
+/// suspicion), all freely interleaved. A quorum judged over *fewer asked*
+/// servers, a phase widened half-way, a late answer from a server no
+/// longer asked: every way targeting could break the fast-path rule is
+/// in there.
+pub fn fastpath3q() -> Scenario {
+    Scenario {
+        name: "fastpath3q",
+        about:
+            "fastpath3 with phase 1 asking a quorum by weight, widen timers as choices (exhaustive)",
+        options: ask_quorum(),
+        ..fastpath3()
     }
 }
 
@@ -514,6 +596,45 @@ pub fn durable3() -> Scenario {
         transfers: vec![(ServerId(0), ServerId(1), Ratio::new(1, 8))],
         durable: true,
         crash_budget: 1,
+        options: ask_all(),
         setup: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fastpath3q_frontier_is_the_targeted_read_and_its_widen_timer() {
+        let rs = RunState::build(&fastpath3q());
+        let m = rs.harness.world.metrics();
+        // The write's two attempts and the read were all targeted; the
+        // write's second attempt needed its widen and left s2 a suspect.
+        assert_eq!(m.counter("phase1_targeted"), 3);
+        assert_eq!(m.counter("phase1_widened"), 1);
+        assert_eq!(m.counter("server_suspected"), 1);
+        let pending = rs.harness.world.pending_events();
+        let client = rs.harness.client_actor(0);
+        let asked: Vec<usize> = pending
+            .iter()
+            .filter_map(|e| match e.kind {
+                PendingKind::Deliver {
+                    from,
+                    to,
+                    kind: "R",
+                    ..
+                } if from == client => Some(to.index()),
+                _ => None,
+            })
+            .collect();
+        // Two stragglers of the write at s2, then the read's `R` to the
+        // quorum that avoids it, heaviest first.
+        assert_eq!(asked, [2, 2, 1, 0]);
+        let timers = pending
+            .iter()
+            .filter(|e| matches!(e.kind, PendingKind::Timer { .. }))
+            .count();
+        assert_eq!(timers, 1, "the read's widen timer is an explorer choice");
     }
 }

@@ -9,7 +9,7 @@
 
 #![cfg(feature = "mutate")]
 
-use awr_check::scenario::Val;
+use awr_check::scenario::{ask_all, ask_quorum, Val};
 use awr_check::{
     default_invariants, minimize, schedule_violates, ClientOp, Explorer, Outcome, RunState,
     Scenario, ViolationReport,
@@ -104,6 +104,7 @@ fn floor_scenario() -> Scenario {
         transfers: vec![(ServerId(0), ServerId(1), Ratio::new(1, 2))],
         durable: false,
         crash_budget: 0,
+        options: ask_all(),
         setup: None,
     }
 }
@@ -246,6 +247,7 @@ fn refresh_scenario() -> Scenario {
         transfers: vec![(ServerId(1), ServerId(0), Ratio::new(1, 8))],
         durable: false,
         crash_budget: 0,
+        options: ask_all(),
         setup: Some(refresh_setup),
     }
 }
@@ -284,6 +286,7 @@ fn reuse_scenario() -> Scenario {
         ],
         durable: false,
         crash_budget: 0,
+        options: ask_all(),
         setup: None,
     }
 }
@@ -352,6 +355,7 @@ fn fastpath_scenario() -> Scenario {
         transfers: vec![],
         durable: false,
         crash_budget: 0,
+        options: ask_all(),
         setup: Some(fastpath_inversion_setup),
     }
 }
@@ -359,6 +363,50 @@ fn fastpath_scenario() -> Scenario {
 #[test]
 fn disarm_fastpath_weight_check_is_caught() {
     let scenario = fastpath_scenario();
+    assert_clean_unmutated(&scenario, 12, 60_000);
+    let report = assert_caught(
+        &scenario,
+        Mutation::DisarmFastPathWeightCheck,
+        "read-atomicity",
+        |e| e.run(),
+    );
+    assert!(report.detail.contains("linearizable"), "{}", report.detail);
+}
+
+/// The same split under quorum-targeted phase 1. Both reads now ask
+/// {s0, s1}, so the legitimate v1 read needs its widen — a timer firing
+/// the explorer chooses — to be answered by {s1, s2} first. Timers make
+/// the free space an order of magnitude larger than the ask-everyone
+/// one, so setup also pins read(1): its phase 1 is delivered to both
+/// targets and answered, which under the disarmed rule serves v2 off the
+/// lone fresh replier s0 and honestly is a miss with a write-back to s1.
+/// What the explorer owns is read(2), its widen, and write(2)'s
+/// stragglers.
+fn fastpath_inversion_setup_quorum(rs: &mut RunState) {
+    fastpath_inversion_setup(rs);
+    let reader = rs.harness.client_actor(1);
+    run_until(
+        rs,
+        |e| {
+            matches!(e.kind, PendingKind::Deliver { from, to, kind: "R" | "R_A", .. }
+            if from == reader || to == reader)
+        },
+        |rs| {
+            let m = rs.harness.world.metrics();
+            m.counter("read_fastpath_hit") + m.counter("read_fastpath_miss") == 1
+        },
+    );
+}
+
+#[test]
+fn disarm_fastpath_weight_check_is_caught_under_quorum_fanout() {
+    let scenario = Scenario {
+        name: "mut-fastpath-q",
+        about: "split registers under a targeted phase 1; the inversion needs the widen",
+        options: ask_quorum(),
+        setup: Some(fastpath_inversion_setup_quorum),
+        ..fastpath_scenario()
+    };
     assert_clean_unmutated(&scenario, 12, 60_000);
     let report = assert_caught(
         &scenario,

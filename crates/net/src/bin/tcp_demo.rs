@@ -3,15 +3,27 @@
 //! The parent process spawns `N` durable server processes and `K` client
 //! processes (re-executing this binary in `--server` / `--client` child
 //! modes), wires them into a full TCP mesh, drives the keyed read/write
-//! workload over real sockets, and then **cross-validates the byte
-//! accounting**: the per-kind `Message::wire_size` totals metered by each
-//! process's `NodeHost` must equal, exactly, the totals a same-seed
-//! simulator run charges for the same workload — and the frames actually
-//! written to the sockets must cost no more than that charge. A weight transfer is then invoked on a live server, propagated
-//! through the mesh (RB envelopes, refresh, client restarts — all on the
-//! wire), and a second burst of client operations proves the system still
-//! serves reads and writes under the moved weights. Exits 0 only if every
-//! phase (including clean child shutdown) succeeds.
+//! workload over real sockets, and checks the clients' combined history
+//! for keyed linearizability. It does so twice, a fresh mesh each time:
+//!
+//! 1. under `Fanout::All`, to **cross-validate the byte accounting**: the
+//!    per-kind `Message::wire_size` totals metered by each process's
+//!    `NodeHost` must equal, exactly, the totals a same-seed simulator run
+//!    charges for the same workload — and the frames actually written to
+//!    the sockets must cost no more than that charge. Asking every server
+//!    makes the per-kind message counts a function of the workload alone;
+//!    under the default fanout they also depend on which replies were in
+//!    by the time a quorum formed, which is timing;
+//! 2. under the default options (quorum-targeted phase 1), where every
+//!    operation must complete and the validation burst must put strictly
+//!    fewer `R` frames on the wire than pass 1 did.
+//!
+//! In each pass a weight transfer is then invoked on a live server,
+//! propagated through the mesh (RB envelopes, refresh, client restarts —
+//! all on the wire), and a second burst of client operations proves the
+//! system still serves reads and writes under the moved weights. Exits 0
+//! only if every phase of both passes (including clean child shutdown)
+//! succeeds.
 //!
 //! ```text
 //! tcp_demo [--smoke] [--servers N] [--clients K] [--ops M] [--objects O] [--seed S]
@@ -30,12 +42,15 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child as OsChild, Command, Stdio};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use awr_core::RpConfig;
 use awr_net::TcpTransport;
-use awr_sim::{ActorId, KindStats, NodeHost, UniformLatency};
-use awr_storage::{DynClient, DynMsg, DynOptions, DynServer, StorageHandle, StorageHarness};
+use awr_sim::{ActorId, KindStats, NodeHost, Time, UniformLatency};
+use awr_storage::{
+    check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
+    OpKind, StorageHandle, StorageHarness,
+};
 use awr_types::{ClientId, ObjectId, ProcessId, Ratio, ServerId};
 use serde::{Deserialize, Serialize};
 
@@ -84,6 +99,7 @@ fn main() {
         seed: get("--seed")
             .map(|v| v.parse().expect("--seed"))
             .unwrap_or(7),
+        fanout: Fanout::All,      // parent sets per pass
         data_dir: PathBuf::new(), // parent fills per spawn
     };
     std::process::exit(parent_main(p));
@@ -97,6 +113,8 @@ struct Params {
     ops: u64,
     objects: u64,
     seed: u64,
+    /// Whom the clients' phase 1 asks (servers answer whoever asks).
+    fanout: Fanout,
     data_dir: PathBuf,
 }
 
@@ -108,7 +126,19 @@ impl Params {
             ops: get("--ops").map(|v| v.parse().unwrap()).unwrap_or(0),
             objects: get("--objects").map(|v| v.parse().unwrap()).unwrap_or(1),
             seed: get("--seed").expect("--seed").parse().unwrap(),
+            fanout: match get("--fanout").as_deref() {
+                Some("all") => Fanout::All,
+                Some("quorum") | None => Fanout::Quorum,
+                Some(other) => panic!("--fanout {other}: want all or quorum"),
+            },
             data_dir: get("--data-dir").map(PathBuf::from).unwrap_or_default(),
+        }
+    }
+
+    fn client_options(&self) -> DynOptions {
+        DynOptions {
+            fanout: self.fanout,
+            ..DynOptions::default()
         }
     }
 
@@ -126,8 +156,6 @@ impl Params {
 struct Report {
     role: String,
     idx: usize,
-    /// Completed client operations (0 for servers).
-    ops: u64,
     /// `wire_size`-metered sends (what the simulator charges).
     wire: KindStats,
     /// Frames actually written to sockets, per kind.
@@ -136,6 +164,31 @@ struct Report {
     dropped: u64,
     /// Frames decoded off accepted connections.
     frames_received: u64,
+    /// Completed client operations, oldest first, with wall-clock stamps
+    /// (empty for servers).
+    history: Vec<OpRecord>,
+}
+
+/// One completed client operation, stamped on the machine's wall clock
+/// (ns since the epoch) just before it was invoked and just after it was
+/// seen complete — the one clock processes share; each `NodeHost`'s own
+/// starts at its process's start. The stamps can only widen the true
+/// interval, which can only make the linearizability check more lenient,
+/// never flag a correct run.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct OpRecord {
+    obj: u64,
+    write: bool,
+    value: Option<V>,
+    invoke: u64,
+    response: u64,
+}
+
+fn wall_ns() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .expect("clock after the epoch")
+        .as_nanos() as u64
 }
 
 // ---------------------------------------------------------------------
@@ -205,13 +258,13 @@ fn child_handshake(me: ActorId, p: &Params) -> (TcpTransport<DynMsg<V>>, mpsc::R
 fn report<A: awr_sim::Actor<Msg = DynMsg<V>>>(
     role: &str,
     idx: usize,
-    ops: u64,
+    history: &[OpRecord],
     host: &NodeHost<A, TcpTransport<DynMsg<V>>>,
 ) -> String {
     let r = Report {
         role: role.to_string(),
         idx,
-        ops,
+        history: history.to_vec(),
         wire: KindStats::of(host.metrics()),
         frames: host.transport().sent_frames().clone(),
         dropped: host.transport().pool_stats().dropped,
@@ -249,7 +302,7 @@ fn server_main(i: usize, p: Params) {
             Some("report") => {
                 // Drain in-flight traffic so the counters are settled.
                 host.run_until_idle(Duration::from_millis(50));
-                println!("METRICS {}", report("server", i, 0, &host));
+                println!("METRICS {}", report("server", i, &[], &host));
                 std::io::stdout().flush().expect("flush");
             }
             Some("transfer") => {
@@ -272,39 +325,46 @@ fn client_main(k: usize, p: Params) {
     let client = DynClient::<V>::new(
         ProcessId::Client(ClientId(k as u32)),
         p.cfg(),
-        DynOptions::default(),
+        p.client_options(),
     );
     let (transport, rx) = child_handshake(ActorId(p.servers + k), &p);
     let mut host = NodeHost::start(client, transport, p.seed);
 
-    let mut next_j: u64 = 0;
+    let mut history: Vec<OpRecord> = Vec::new();
     let run_burst = |host: &mut NodeHost<DynClient<V>, TcpTransport<DynMsg<V>>>,
-                     next_j: &mut u64,
+                     history: &mut Vec<OpRecord>,
                      burst: u64| {
         for _ in 0..burst {
-            let (obj, value) = op_spec(p.seed, k, *next_j, p.objects);
-            *next_j += 1;
-            let done_before = host.actor().driver.completed.len();
+            let j = history.len() as u64;
+            let (obj, value) = op_spec(p.seed, k, j, p.objects);
+            let invoke = wall_ns();
             host.with_actor(|c, ctx| match value {
                 Some(v) => c.begin_write_obj(obj, v, ctx),
                 None => c.begin_read_obj(obj, ctx),
             });
             let deadline = Instant::now() + Duration::from_secs(20);
-            while host.actor().driver.completed.len() == done_before {
+            while host.actor().driver.completed.len() as u64 == j {
                 host.step(Duration::from_millis(2));
-                assert!(
-                    Instant::now() < deadline,
-                    "client {k} op {} timed out",
-                    *next_j
-                );
+                assert!(Instant::now() < deadline, "client {k} op {j} timed out");
             }
+            let response = wall_ns();
+            let (write, value) = match &host.actor().driver.completed[j as usize].kind {
+                OpKind::Write(v) => (true, Some(*v)),
+                OpKind::Read(v) => (false, *v),
+            };
+            history.push(OpRecord {
+                obj: obj.key(),
+                write,
+                value,
+                invoke,
+                response,
+            });
         }
     };
 
     // Initial validation burst, then obey commands.
-    run_burst(&mut host, &mut next_j, p.ops);
-    let done = host.actor().driver.completed.len() as u64;
-    println!("DONE {}", report("client", k, done, &host));
+    run_burst(&mut host, &mut history, p.ops);
+    println!("DONE {}", report("client", k, &history, &host));
     std::io::stdout().flush().expect("flush");
 
     loop {
@@ -318,9 +378,8 @@ fn client_main(k: usize, p: Params) {
         match words.next() {
             Some("ops") => {
                 let burst: u64 = words.next().expect("count").parse().expect("count");
-                run_burst(&mut host, &mut next_j, burst);
-                let done = host.actor().driver.completed.len() as u64;
-                println!("DONE {}", report("client", k, done, &host));
+                run_burst(&mut host, &mut history, burst);
+                println!("DONE {}", report("client", k, &history, &host));
                 std::io::stdout().flush().expect("flush");
             }
             Some("quit") => return,
@@ -403,14 +462,15 @@ impl Proc {
     }
 }
 
-/// The simulator's per-kind accounting for the identical workload.
+/// The simulator's per-kind accounting for the identical workload under
+/// the same client options.
 fn simulate_reference(p: &Params) -> KindStats {
     let mut h = StorageHarness::<V>::build(
         p.cfg(),
         p.clients,
         p.seed,
         UniformLatency::new(1_000, 50_000),
-        DynOptions::default(),
+        p.client_options(),
     );
     for k in 0..p.clients {
         for j in 0..p.ops {
@@ -428,111 +488,117 @@ fn simulate_reference(p: &Params) -> KindStats {
     KindStats::of(h.world.metrics())
 }
 
-fn parent_main(mut p: Params) -> i32 {
-    let started = Instant::now();
-    p.data_dir = std::env::temp_dir().join(format!("awr_tcp_demo_{}", std::process::id()));
+/// The spawned processes of one pass. Dropping it kills whatever is still
+/// running and removes the servers' data directory, so every early return
+/// cleans up.
+struct Mesh {
+    procs: Vec<Proc>,
+    data_dir: PathBuf,
+}
+
+impl Drop for Mesh {
+    fn drop(&mut self) {
+        for proc in &mut self.procs {
+            let _ = proc.child.kill();
+        }
+        let _ = std::fs::remove_dir_all(&self.data_dir);
+    }
+}
+
+/// Spawns servers and clients and exchanges ports.
+fn spawn_mesh(p: &Params) -> Result<Mesh, String> {
     std::fs::create_dir_all(&p.data_dir).expect("data dir");
-    println!(
-        "tcp_demo: {} servers + {} clients on localhost, {} ops/client over {} objects, seed {}",
-        p.servers, p.clients, p.ops, p.objects, p.seed
-    );
-
-    let common = |p: &Params| {
-        vec![
-            "--servers".into(),
-            p.servers.to_string(),
-            "--clients".into(),
-            p.clients.to_string(),
-            "--seed".into(),
-            p.seed.to_string(),
-        ]
+    let mut mesh = Mesh {
+        procs: Vec::new(),
+        data_dir: p.data_dir.clone(),
     };
-
-    // 1. Spawn the mesh and exchange ports.
-    let mut procs: Vec<Proc> = Vec::new();
+    let common = [
+        "--servers".to_string(),
+        p.servers.to_string(),
+        "--clients".into(),
+        p.clients.to_string(),
+        "--seed".into(),
+        p.seed.to_string(),
+    ];
     for i in 0..p.servers {
         let mut args = vec!["--server".to_string(), i.to_string()];
-        args.extend(common(&p));
+        args.extend(common.iter().cloned());
         args.extend(["--data-dir".into(), p.data_dir.display().to_string()]);
-        procs.push(Proc::spawn(format!("server{i}"), args));
+        mesh.procs.push(Proc::spawn(format!("server{i}"), args));
     }
+    let fanout = match p.fanout {
+        Fanout::All => "all",
+        Fanout::Quorum => "quorum",
+    };
     for k in 0..p.clients {
         let mut args = vec!["--client".to_string(), k.to_string()];
-        args.extend(common(&p));
+        args.extend(common.iter().cloned());
         args.extend([
             "--ops".into(),
             p.ops.to_string(),
             "--objects".into(),
             p.objects.to_string(),
+            "--fanout".into(),
+            fanout.into(),
         ]);
-        procs.push(Proc::spawn(format!("client{k}"), args));
+        mesh.procs.push(Proc::spawn(format!("client{k}"), args));
     }
     let mut ports = Vec::new();
-    for proc in procs.iter_mut() {
-        match proc.expect("PORT ", Duration::from_secs(30)) {
-            Ok(port) => ports.push(port),
-            Err(e) => {
-                eprintln!("tcp_demo: {e}");
-                return fail(procs, &p);
-            }
-        }
+    for proc in mesh.procs.iter_mut() {
+        ports.push(proc.expect("PORT ", Duration::from_secs(30))?);
     }
-    let mesh = format!("MESH {}", ports.join(" "));
-    for proc in procs.iter_mut() {
-        proc.send(&mesh);
+    let line = format!("MESH {}", ports.join(" "));
+    for proc in mesh.procs.iter_mut() {
+        proc.send(&line);
     }
     println!("tcp_demo: mesh up on ports [{}]", ports.join(", "));
+    Ok(mesh)
+}
 
-    // 2. Clients run the validation workload.
-    let mut reports: Vec<Report> = Vec::new();
-    for k in 0..p.clients {
-        let proc = &mut procs[p.servers + k];
-        match proc.expect("DONE ", Duration::from_secs(120)) {
-            Ok(json) => reports.push(serde_json::from_str(&json).expect("client report")),
-            Err(e) => {
-                eprintln!("tcp_demo: {e}");
-                return fail(procs, &p);
-            }
+/// Keyed linearizability of the clients' combined history.
+fn check_history(reports: &[Report]) -> Result<usize, String> {
+    let mut history = History::new();
+    for r in reports {
+        for op in &r.history {
+            history.record(HistOp {
+                client: r.idx,
+                obj: ObjectId(op.obj),
+                kind: if op.write {
+                    OpKind::Write(op.value.expect("a write carries its value"))
+                } else {
+                    OpKind::Read(op.value)
+                },
+                invoke: Time(op.invoke),
+                response: Time(op.response),
+            });
         }
     }
-    let tcp_ops: u64 = reports.iter().map(|r| r.ops).sum();
-    assert_eq!(tcp_ops, p.ops * p.clients as u64);
-    println!(
-        "tcp_demo: {} operations completed over TCP in {:.2}s",
-        tcp_ops,
-        started.elapsed().as_secs_f64()
-    );
+    check_linearizable_keyed(&history).map_err(|e| format!("history not linearizable: {e}"))?;
+    Ok(history.len())
+}
 
-    // 3. Byte cross-validation against the same-seed simulator run.
-    let expected = simulate_reference(&p);
+/// Byte cross-validation against the same-seed simulator run: `clients`
+/// are the clients' reports of the validation burst.
+fn validate_bytes(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(), String> {
+    let expected = simulate_reference(p);
     let mut agg = KindStats::default();
     let mut frames = KindStats::default();
-    for r in &reports {
+    for r in clients {
         agg.absorb(&r.wire);
         frames.absorb(&r.frames);
     }
     // Servers may still be writing their final acks when the clients
     // report; poll until their counters settle at the expectation.
-    let mut server_reports: Vec<Report> = Vec::new();
     let poll_deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        server_reports.clear();
         let mut all = agg.clone();
         let mut all_frames = frames.clone();
-        for i in 0..p.servers {
-            procs[i].send("report");
-            match procs[i].expect("METRICS ", Duration::from_secs(10)) {
-                Ok(json) => {
-                    let r: Report = serde_json::from_str(&json).expect("server report");
-                    all.absorb(&r.wire);
-                    all_frames.absorb(&r.frames);
-                    server_reports.push(r);
-                }
-                Err(e) => {
-                    eprintln!("tcp_demo: {e}");
-                    return fail(procs, &p);
-                }
-            }
+        for proc in &mut mesh.procs[..p.servers] {
+            proc.send("report");
+            let json = proc.expect("METRICS ", Duration::from_secs(10))?;
+            let r: Report = serde_json::from_str(&json).expect("server report");
+            all.absorb(&r.wire);
+            all_frames.absorb(&r.frames);
         }
         let settled = VALIDATED_KINDS
             .iter()
@@ -570,65 +636,117 @@ fn parent_main(mut p: Params) -> i32 {
         );
     }
     if !ok {
-        eprintln!("tcp_demo: byte accounting diverged from the simulator");
-        return fail(procs, &p);
+        return Err("byte accounting diverged from the simulator".into());
     }
     println!("  wire_size accounting matches the simulator exactly and bounds the real frames");
-
-    // 4. Live weight transfer, then prove the system still serves ops.
     println!();
-    println!("tcp_demo: transferring 1/8 weight from server 0 to server 1 over TCP …");
-    procs[0].send("transfer 1 1 8");
-    if let Err(e) = procs[0].expect("TRANSFER_DONE", Duration::from_secs(30)) {
-        eprintln!("tcp_demo: {e}");
-        return fail(procs, &p);
+    Ok(())
+}
+
+/// One whole pass on a fresh mesh under `p.fanout`: the validation burst
+/// (byte-validated when `gate_bytes`), a live transfer, a second burst,
+/// the linearizability check, clean shutdown. Returns the `R` frames the
+/// validation burst put on the wire.
+fn run_pass(p: &Params, gate_bytes: bool) -> Result<u64, String> {
+    let started = Instant::now();
+    let mut mesh = spawn_mesh(p)?;
+    let clients = p.servers..p.mesh_size();
+
+    // Clients run the validation workload.
+    let mut reports: Vec<Report> = Vec::new();
+    for proc in &mut mesh.procs[clients.clone()] {
+        let json = proc.expect("DONE ", Duration::from_secs(120))?;
+        reports.push(serde_json::from_str(&json).expect("client report"));
     }
+    let tcp_ops: u64 = reports.iter().map(|r| r.history.len() as u64).sum();
+    if tcp_ops != p.ops * p.clients as u64 {
+        return Err(format!("{tcp_ops} operations completed, not all"));
+    }
+    println!(
+        "tcp_demo: {} operations completed over TCP in {:.2}s",
+        tcp_ops,
+        started.elapsed().as_secs_f64()
+    );
+    let r_frames: u64 = reports
+        .iter()
+        .map(|r| r.frames.msgs.get("R").copied().unwrap_or(0))
+        .sum();
+    if gate_bytes {
+        validate_bytes(&mut mesh, p, &reports)?;
+    }
+
+    // Live weight transfer, then prove the system still serves ops.
+    println!("tcp_demo: transferring 1/8 weight from server 0 to server 1 over TCP …");
+    mesh.procs[0].send("transfer 1 1 8");
+    mesh.procs[0].expect("TRANSFER_DONE", Duration::from_secs(30))?;
     let post_burst: u64 = 4;
-    for k in 0..p.clients {
-        procs[p.servers + k].send(&format!("ops {post_burst}"));
-        match procs[p.servers + k].expect("DONE ", Duration::from_secs(60)) {
-            Ok(json) => {
-                let r: Report = serde_json::from_str(&json).expect("client report");
-                assert_eq!(r.ops, p.ops + post_burst, "client {k} post-transfer ops");
-            }
-            Err(e) => {
-                eprintln!("tcp_demo: {e}");
-                return fail(procs, &p);
-            }
+    reports.clear();
+    for proc in &mut mesh.procs[clients] {
+        proc.send(&format!("ops {post_burst}"));
+        let json = proc.expect("DONE ", Duration::from_secs(60))?;
+        let r: Report = serde_json::from_str(&json).expect("client report");
+        let done = r.history.len() as u64;
+        if done != p.ops + post_burst {
+            return Err(format!("client {}: {done} ops after the transfer", r.idx));
         }
+        reports.push(r);
     }
     println!(
         "tcp_demo: all {} post-transfer operations completed under the moved weights",
         post_burst * p.clients as u64
     );
+    let checked = check_history(&reports)?;
+    println!("tcp_demo: the {checked}-operation history is keyed-linearizable");
 
-    // 5. Clean shutdown.
-    for proc in procs.iter_mut() {
+    // Clean shutdown.
+    for proc in mesh.procs.iter_mut() {
         proc.send("quit");
     }
-    let mut clean = true;
-    for proc in procs {
-        if let Err(e) = proc.join(Duration::from_secs(10)) {
-            eprintln!("tcp_demo: {e}");
-            clean = false;
+    let mut unclean = Vec::new();
+    for proc in std::mem::take(&mut mesh.procs) {
+        unclean.extend(proc.join(Duration::from_secs(10)).err());
+    }
+    if unclean.is_empty() {
+        Ok(r_frames)
+    } else {
+        Err(unclean.join("; "))
+    }
+}
+
+fn parent_main(mut p: Params) -> i32 {
+    let started = Instant::now();
+    println!(
+        "tcp_demo: {} servers + {} clients on localhost, {} ops/client over {} objects, seed {}",
+        p.servers, p.clients, p.ops, p.objects, p.seed
+    );
+    let mut r_frames = Vec::new();
+    for (pass, fanout) in [Fanout::All, Fanout::Quorum].into_iter().enumerate() {
+        println!();
+        println!("tcp_demo: pass {} — clients under {fanout:?}", pass + 1);
+        p.fanout = fanout;
+        p.data_dir =
+            std::env::temp_dir().join(format!("awr_tcp_demo_{}_{}", std::process::id(), pass + 1));
+        match run_pass(&p, fanout == Fanout::All) {
+            Ok(r) => r_frames.push(r),
+            Err(e) => {
+                eprintln!("tcp_demo: {e}");
+                return 1;
+            }
         }
     }
-    let _ = std::fs::remove_dir_all(&p.data_dir);
-    if !clean {
+    println!();
+    println!(
+        "tcp_demo: phase-1 `R` frames of the validation burst: {} asking everyone, {} asking a quorum",
+        r_frames[0], r_frames[1]
+    );
+    if r_frames[1] >= r_frames[0] {
+        eprintln!("tcp_demo: the targeted pass did not send fewer R frames");
         return 1;
     }
     println!(
-        "tcp_demo: PASS in {:.2}s ({} processes, clean exit)",
+        "tcp_demo: PASS in {:.2}s (2 passes of {} processes, clean exit)",
         started.elapsed().as_secs_f64(),
         p.mesh_size()
     );
     0
-}
-
-fn fail(procs: Vec<Proc>, p: &Params) -> i32 {
-    for mut proc in procs {
-        let _ = proc.child.kill();
-    }
-    let _ = std::fs::remove_dir_all(&p.data_dir);
-    1
 }

@@ -1,19 +1,25 @@
 //! `TcpTransport` over real loopback sockets: the transport contract
 //! (FIFO per link, best-effort sends, crash-model drops), the readiness
 //! loop's handling of partial and hostile input, and the rule that a send
-//! never blocks in a write. Nothing here sleeps to synchronise: waits are
-//! `recv_timeout` calls in loops that end on an observed condition.
+//! never blocks in a write — and, last, the storage protocol hosted over
+//! the mesh: a real clock in its operation records, and a client getting
+//! past a quorum member that died mid-phase. Nothing here sleeps to
+//! synchronise: waits are loops that end on an observed condition.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use awr_core::RpConfig;
 use awr_net::frame::{encode_frame, write_hello, MAX_FRAME, WIRE_VERSION};
 use awr_net::tcp::HIGH_WATER;
 use awr_net::{FrameError, Reader, Reconnect, TcpTransport, Wire};
-use awr_sim::{ActorId, Message, Transport};
+use awr_sim::{ActorId, ChannelTransport, Message, NodeHost, Transport};
+use awr_storage::{DynClient, DynCompletedOp, DynMsg, DynOptions, DynServer, OpKind};
+use awr_types::{ClientId, ProcessId, ServerId};
 
 /// A sequenced message with a payload of any size (a string travels as
 /// its bytes, so `body.len()` is very nearly the frame size).
@@ -460,4 +466,177 @@ fn a_restarted_peer_is_redialed_on_the_first_send_after_it_is_back() {
     assert_eq!(recv(&mut b), (ActorId(0), seq(99)));
     let back = a.pool_stats();
     assert_eq!((back.dials, back.dropped), (2, still_down.dropped));
+}
+
+// ---------------------------------------------------------------------
+// (e) The storage protocol over the seam: a real clock, and a widen past
+//     a quorum member that died mid-phase.
+// ---------------------------------------------------------------------
+
+type StoreMsg = DynMsg<u64>;
+
+/// A server thread's orders: serve; stop stepping and say so; exit.
+const RUN: u8 = 0;
+const FREEZE: u8 = 1;
+const FROZEN: u8 = 2;
+const KILL: u8 = 3;
+
+fn store_cfg() -> RpConfig {
+    RpConfig::uniform(3, 1)
+}
+
+/// Hosts server `t.local_id()` on a thread of its own until told `KILL`.
+/// The thread's exit drops the host — listener and sockets close, unread
+/// frames die with them — which is all a crash is to its peers.
+fn serve<T>(t: T, orders: Arc<AtomicU8>) -> JoinHandle<()>
+where
+    T: Transport<StoreMsg> + Send + 'static,
+{
+    std::thread::spawn(move || {
+        let me = ServerId(t.local_id().index() as u32);
+        let server = DynServer::<u64>::new(store_cfg(), me, DynOptions::default());
+        let mut host = NodeHost::start(server, t, 1);
+        loop {
+            match orders.load(Ordering::SeqCst) {
+                RUN => {
+                    host.step(Duration::from_millis(1));
+                }
+                KILL => return,
+                _ => {
+                    orders.store(FROZEN, Ordering::SeqCst);
+                    std::thread::yield_now();
+                }
+            }
+        }
+    })
+}
+
+fn finish_op<T: Transport<StoreMsg>>(
+    host: &mut NodeHost<DynClient<u64>, T>,
+    done_before: usize,
+) -> DynCompletedOp<u64> {
+    let deadline = Instant::now() + PATIENCE;
+    while host.actor().driver.completed.len() == done_before {
+        assert!(Instant::now() < deadline, "operation never completed");
+        host.step(Duration::from_millis(1));
+    }
+    host.actor().driver.completed[done_before].clone()
+}
+
+fn run_op<T: Transport<StoreMsg>>(
+    host: &mut NodeHost<DynClient<u64>, T>,
+    write: Option<u64>,
+) -> DynCompletedOp<u64> {
+    let done_before = host.actor().driver.completed.len();
+    host.with_actor(|c, ctx| match write {
+        Some(v) => c.begin_write(v, ctx),
+        None => c.begin_read(ctx),
+    });
+    finish_op(host, done_before)
+}
+
+/// `fabric[0..3]` host the servers, `fabric[3]` the client — under the
+/// default options: quorum-targeted phase 1, `retry: None`.
+fn a_dead_quorum_member_is_widened_past_and_then_avoided<T>(mut fabric: Vec<T>)
+where
+    T: Transport<StoreMsg> + Send + 'static,
+{
+    assert_eq!(DynOptions::default().retry, None);
+    let client = DynClient::<u64>::new(
+        ProcessId::Client(ClientId(0)),
+        store_cfg(),
+        DynOptions::default(),
+    );
+    let mut host = NodeHost::start(client, fabric.pop().unwrap(), 1);
+    let me = ActorId(3);
+    let orders: Vec<Arc<AtomicU8>> = (0..3).map(|_| Arc::new(AtomicU8::new(RUN))).collect();
+    let mut servers: Vec<Option<JoinHandle<()>>> = fabric
+        .into_iter()
+        .zip(&orders)
+        .map(|(t, o)| Some(serve(t, Arc::clone(o))))
+        .collect();
+
+    // The first operation has no phase-1 sample: it asks everyone, as the
+    // paper does. The second asks the smallest quorum by weight, {s0, s1}.
+    let w = run_op(&mut host, Some(7));
+    let r = run_op(&mut host, None);
+    assert_eq!(r.kind, OpKind::Read(Some(7)));
+    let m = host.metrics();
+    assert_eq!(m.counter("phase1_targeted"), 1);
+    assert_eq!(m.sent_of_kind("R"), 3 + 2);
+    assert_eq!(m.msgs_on_link(me, ActorId(2)), 1 + 1, "one R, one W");
+    // Operation records carry the host's clock: real, and ordered.
+    assert!(w.invoke.0 > 0, "invoke stamped {:?}", w.invoke);
+    assert!(w.invoke < w.response, "{w:?}");
+    assert!(
+        w.response <= r.invoke && r.invoke < r.response,
+        "{w:?} {r:?}"
+    );
+
+    // s1 stops serving, a read's phase 1 goes out to {s0, s1}, and s1 dies
+    // with the request unread.
+    orders[1].store(FREEZE, Ordering::SeqCst);
+    while orders[1].load(Ordering::SeqCst) != FROZEN {
+        std::thread::yield_now();
+    }
+    let done_before = host.actor().driver.completed.len();
+    host.with_actor(|c, ctx| c.begin_read(ctx));
+    orders[1].store(KILL, Ordering::SeqCst);
+    servers[1].take().unwrap().join().unwrap();
+    let stalled = finish_op(&mut host, done_before);
+    assert_eq!(stalled.kind, OpKind::Read(Some(7)));
+    let m = host.metrics().clone();
+    assert_eq!(
+        m.counter("phase1_widened"),
+        1,
+        "completed through the widen"
+    );
+    assert_eq!(m.counter("server_suspected"), 1);
+
+    // The next phase 1 is targeted again — at the quorum without the
+    // suspect — and needs no widen.
+    let r = run_op(&mut host, None);
+    assert_eq!(r.kind, OpKind::Read(Some(7)));
+    let since = host.metrics().since(&m);
+    assert_eq!(since.counter("phase1_targeted"), 1);
+    assert_eq!(since.counter("phase1_widened"), 0);
+    assert_eq!(since.sent_of_kind("R"), 2);
+    assert_eq!(
+        since.msgs_on_link(me, ActorId(1)),
+        0,
+        "the suspect is not asked"
+    );
+    // Writes still broadcast phase 2, dead server included, and complete.
+    run_op(&mut host, Some(8));
+    assert_eq!(run_op(&mut host, None).kind, OpKind::Read(Some(8)));
+
+    for (o, s) in orders.iter().zip(&mut servers) {
+        o.store(KILL, Ordering::SeqCst);
+        if let Some(s) = s.take() {
+            s.join().unwrap();
+        }
+    }
+}
+
+#[test]
+fn tcp_client_gets_past_a_quorum_member_killed_mid_phase() {
+    let listeners: Vec<TcpListener> = (0..4)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    // One dial attempt, no pause: a send to the dead server is dropped at
+    // once instead of sitting out a reconnect budget.
+    let fabric = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, l)| {
+            TcpTransport::<StoreMsg>::start_with(ActorId(i), l, addrs.clone(), ONE_SHOT).unwrap()
+        })
+        .collect();
+    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric);
+}
+
+#[test]
+fn channel_client_gets_past_a_quorum_member_killed_mid_phase() {
+    a_dead_quorum_member_is_widened_past_and_then_avoided(ChannelTransport::<StoreMsg>::mesh(4));
 }

@@ -7,12 +7,15 @@ use awr_types::{Ratio, ServerId, WeightMap};
 
 use crate::{QuorumSystem, WeightedMajorityQuorumSystem};
 
-/// The size of the smallest quorum that avoids every server in `excluded`
-/// (e.g. failed or slow servers) — `usize::MAX`-free: returns `None` when the
-/// remaining servers cannot form a quorum at all.
+/// The smallest quorum that avoids every server in `excluded` (failed, slow
+/// or suspected servers), members heaviest first with ties broken by id —
+/// for a weighted majority this greedy choice is optimal, so `.len()` is the
+/// minimal quorum size among the remaining servers. `None` when they cannot
+/// form a quorum at all.
 ///
-/// This is the §V.C question: “can the others still form a small quorum when
-/// `s1`, `s2` are failed or slow?”
+/// This is the §V.C question — “can the others still form a small quorum
+/// when `s1`, `s2` are failed or slow?” — and the set a storage client
+/// addresses its phase 1 to (`awr_storage::Fanout::Quorum`).
 ///
 /// # Examples
 ///
@@ -24,12 +27,12 @@ use crate::{QuorumSystem, WeightedMajorityQuorumSystem};
 /// let w = WeightMap::dec(&["1.6", "1.4", "0.8", "0.8", "0.8", "0.8", "0.8"]);
 /// let q = WeightedMajorityQuorumSystem::new(w);
 /// let slow = [ServerId(0), ServerId(1)].into_iter().collect();
-/// assert_eq!(smallest_quorum_avoiding(&q, &slow), Some(5));
+/// assert_eq!(smallest_quorum_avoiding(&q, &slow).map(|q| q.len()), Some(5));
 /// ```
 pub fn smallest_quorum_avoiding(
     q: &WeightedMajorityQuorumSystem,
     excluded: &BTreeSet<ServerId>,
-) -> Option<usize> {
+) -> Option<Vec<ServerId>> {
     let mut candidates: Vec<ServerId> = ServerId::all(q.universe_size())
         .filter(|s| !excluded.contains(s))
         .collect();
@@ -44,7 +47,8 @@ pub fn smallest_quorum_avoiding(
     for (k, s) in candidates.iter().enumerate() {
         acc += q.weights().weight(*s);
         if acc > goal {
-            return Some(k + 1);
+            candidates.truncate(k + 1);
+            return Some(candidates);
         }
     }
     None
@@ -118,13 +122,19 @@ mod tests {
         let w = WeightMap::dec(&["1.6", "1.4", "0.8", "0.8", "0.8", "0.8", "0.8"]);
         let q = WeightedMajorityQuorumSystem::new(w);
         // Nothing failed: smallest quorum is 3 (1.6+1.4+0.8 = 3.8 > 3.5).
-        assert_eq!(smallest_quorum_avoiding(&q, &BTreeSet::new()), Some(3));
+        let size = |dead: &BTreeSet<ServerId>| smallest_quorum_avoiding(&q, dead).map(|m| m.len());
+        assert_eq!(size(&BTreeSet::new()), Some(3));
         // s1, s2 failed: five 0.8s needed (4.0 > 3.5; four give 3.2).
         let failed: BTreeSet<ServerId> = [ServerId(0), ServerId(1)].into();
-        assert_eq!(smallest_quorum_avoiding(&q, &failed), Some(5));
+        assert_eq!(size(&failed), Some(5));
+        // Members come heaviest first, ties by id.
+        assert_eq!(
+            smallest_quorum_avoiding(&q, &[ServerId(1)].into()),
+            Some(vec![ServerId(0), ServerId(2), ServerId(3), ServerId(4)])
+        );
         // Everything failed: no quorum.
         let all: BTreeSet<ServerId> = ServerId::all(7).collect();
-        assert_eq!(smallest_quorum_avoiding(&q, &all), None);
+        assert_eq!(size(&all), None);
     }
 
     #[test]

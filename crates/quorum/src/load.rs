@@ -150,4 +150,26 @@ mod tests {
         let q = WeightedMajorityQuorumSystem::new(WeightMap::uniform(3, Ratio::ZERO));
         assert!(greedy_weighted_load(&q).is_none());
     }
+
+    #[test]
+    fn heaviest_first_puts_all_load_on_the_quorum_members() {
+        // What docs/LOAD.md quotes: the best any access strategy can do
+        // (Naor–Wool load) against what a client that always asks the
+        // heaviest-first quorum does (`awr_storage::Fanout::Quorum`).
+        let uniform = WeightedMajorityQuorumSystem::new(WeightMap::uniform(5, Ratio::ONE));
+        let wheat = WeightedMajorityQuorumSystem::new(WeightMap::dec(&[
+            "1.55", "1.55", "0.63", "0.64", "0.63",
+        ]));
+        // Spread as well as any strategy can, every server of the uniform
+        // system sees 3/5 of the accesses, of the WHEAT system 4/7 …
+        let spread = approximate_load(&uniform, 400);
+        assert!((spread.load - 0.6).abs() < 0.005, "{}", spread.load);
+        let spread = approximate_load(&wheat, 400);
+        assert!((spread.load - 4.0 / 7.0).abs() < 0.005, "{}", spread.load);
+        // … while heaviest-first sends every access to the same members —
+        // three of five, or WHEAT's two Vmax replicas — and none to the rest.
+        let ids = |v: &[u32]| v.iter().map(|&i| ServerId(i)).collect::<Vec<_>>();
+        assert_eq!(greedy_weighted_load(&uniform), Some((1.0, ids(&[0, 1, 2]))));
+        assert_eq!(greedy_weighted_load(&wheat), Some((1.0, ids(&[0, 1]))));
+    }
 }

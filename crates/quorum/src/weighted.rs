@@ -122,26 +122,10 @@ impl WeightedMajorityQuorumSystem {
 
     /// Greedy smallest quorum: heaviest servers first. For WMQS this greedy
     /// choice is optimal, so the result equals [`QuorumSystem::min_quorum_size`]
-    /// in O(n log n).
+    /// in O(n log n) — [`crate::smallest_quorum_avoiding`] with nobody
+    /// excluded.
     pub fn smallest_quorum(&self) -> Option<Vec<ServerId>> {
-        let mut by_weight: Vec<ServerId> = ServerId::all(self.weights.len()).collect();
-        by_weight.sort_by(|a, b| {
-            self.weights
-                .weight(*b)
-                .cmp(&self.weights.weight(*a))
-                .then(a.cmp(b))
-        });
-        let mut acc = Ratio::ZERO;
-        let goal = self.threshold_total.half();
-        let mut q = Vec::new();
-        for s in by_weight {
-            acc += self.weights.weight(s);
-            q.push(s);
-            if acc > goal {
-                return Some(q);
-            }
-        }
-        None
+        crate::smallest_quorum_avoiding(self, &BTreeSet::new())
     }
 }
 

@@ -159,8 +159,10 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Current virtual time. For harness bookkeeping (operation latency
-    /// stamps), *not* for protocol decisions.
+    /// Current time: virtual in [`crate::World`], monotonic nanoseconds
+    /// since the host started under a [`crate::NodeHost`]. For bookkeeping
+    /// (operation latency stamps) and for *when* to retry — never for what
+    /// a protocol step decides: safety must not depend on a clock.
     pub fn now(&self) -> Time {
         self.now
     }

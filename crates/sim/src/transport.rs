@@ -34,10 +34,26 @@
 //! * **FIFO per directed link.** Two messages from `a` to `b` arrive in
 //!   send order (the RB engine and the phase drivers rely on this only
 //!   weakly, but the DES provides it and equivalence arguments assume it).
-//! * **No timers, no clock.** A hosted actor's
-//!   `SetTimer`/`CancelTimer` effects are ignored; none of the
-//!   default-configured protocols set timers ([`crate::World`] remains the
-//!   runtime for timer-dependent options such as client retry policies).
+//!
+//! # Timers and the clock
+//!
+//! A [`NodeHost`] keeps what [`crate::World`] keeps for its actors: a clock
+//! and a timer queue. [`crate::Context::now`] is monotonic nanoseconds since
+//! the host started (one `Instant` read per callback), so operation records
+//! stamped from it are real and ordered on every runtime — per host: two
+//! hosts' clocks share no origin. `SetTimer` lands in a
+//! [`crate::sched::TimingWheel`] keyed by that clock and `CancelTimer`
+//! removes it again; [`NodeHost::step`] bounds its wait in
+//! [`Transport::recv_timeout`] by the next deadline and runs `on_timer`
+//! only when that wait came back **empty**. A ready frame therefore always
+//! outranks an overdue timer: after a `send` that blocked for a dial's
+//! worth of back-off, the acks that arrived meanwhile are handled — and
+//! cancel the timers they answer — before anything fires, so one slow call
+//! cannot start a rebroadcast cascade. Timer-dependent options (client
+//! retry policies, the measured widen deadline of `awr_storage`'s
+//! quorum-targeted phase 1) thereby work over channels and sockets as they
+//! do in the simulator, which is what lets a real client get past a peer
+//! that died mid-phase.
 //!
 //! # Persist-before-send
 //!
@@ -50,13 +66,14 @@
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::actor::{Actor, ActorId, Context, Effect, Message};
 use crate::metrics::Metrics;
+use crate::sched::{Scheduler, TimingWheel};
 use crate::time::Time;
 
 /// One node's view of the message fabric: identity, mesh size, best-effort
@@ -109,7 +126,10 @@ pub trait Transport<M> {
 pub enum Step {
     /// A message was received and dispatched to the actor.
     Delivered,
-    /// The receive deadline passed with no traffic.
+    /// No message was ready, a timer was due, and the actor's `on_timer`
+    /// ran.
+    TimerFired,
+    /// The receive deadline passed with no traffic and no timer due.
     Idle,
     /// The actor has crashed itself; no further callbacks will run.
     Stopped,
@@ -121,9 +141,10 @@ pub enum Step {
 /// The host reproduces the runtime contract actors are written against —
 /// callbacks receive a [`Context`], effects are buffered during the
 /// callback and applied after it returns (sends go to the transport,
-/// timers are ignored, `CrashSelf` stops the host) — and meters every send
-/// through [`Message::wire_size`] into a [`Metrics`], so byte accounting
-/// is comparable across all runtimes.
+/// timers to the host's own queue, `CrashSelf` stops the host) — and meters
+/// every send through [`Message::wire_size`] into a [`Metrics`], so byte
+/// accounting is comparable across all runtimes. Time is the host's own
+/// monotonic clock (see the [module docs](self#timers-and-the-clock)).
 ///
 /// Driving is explicit and single-threaded: call [`NodeHost::step`] in a
 /// loop (servers), or interleave [`NodeHost::with_actor`] invocations with
@@ -134,6 +155,12 @@ pub struct NodeHost<A: Actor, T: Transport<A::Msg>> {
     transport: T,
     rng: StdRng,
     next_timer: u64,
+    /// Origin of [`Context::now`].
+    started: Instant,
+    /// Pending timers by deadline on the host's clock: the sequence number
+    /// is the [`crate::TimerId`] (unique per host, which is what
+    /// cancellation looks up), the item the tag handed back to `on_timer`.
+    timers: TimingWheel<u64>,
     /// The effect buffer every callback fills and the flush empties: kept
     /// here so a callback costs no allocation once it has grown.
     effects: Vec<Effect<A::Msg>>,
@@ -154,12 +181,19 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
             transport,
             rng,
             next_timer: 0,
+            started: Instant::now(),
+            timers: TimingWheel::new(),
             effects: Vec::new(),
             metrics: Metrics::default(),
             running: true,
         };
         host.callback(|a, ctx| a.on_start(ctx));
         host
+    }
+
+    /// The host's clock: monotonic nanoseconds since [`NodeHost::start`].
+    fn now(&self) -> Time {
+        Time(self.started.elapsed().as_nanos() as u64)
     }
 
     /// Runs one callback with a fresh [`Context`] and flushes the
@@ -169,9 +203,10 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
         let mut effects = std::mem::take(&mut self.effects);
         let self_id = self.transport.local_id();
         let n_actors = self.transport.n_actors();
+        let now = self.now();
         let out = {
             let mut ctx = Context {
-                now: Time::ZERO,
+                now,
                 self_id,
                 n_actors,
                 rng: &mut self.rng,
@@ -192,8 +227,10 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
                     );
                     self.transport.send(to, msg);
                 }
-                Effect::SetTimer { .. } | Effect::CancelTimer { .. } => {
-                    // Timers are a DES-only facility (module docs).
+                Effect::SetTimer { id, after, tag } => self.timers.push(now + after, id.0, tag),
+                Effect::CancelTimer { id } => {
+                    // Already fired: nothing to cancel.
+                    let _ = self.timers.take_seq(id.0);
                 }
                 Effect::CrashSelf => self.running = false,
                 Effect::Counter { key, add } => self.metrics.record_counter(key, add),
@@ -204,33 +241,49 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
         out
     }
 
-    /// Waits up to `timeout` for one message and dispatches it. Returns
-    /// what happened; once [`Step::Stopped`] has been returned the host
+    /// Waits up to `timeout` — or until the next timer is due, if that is
+    /// sooner — for one message and dispatches it; if the wait comes back
+    /// empty and a timer is due, fires that timer instead (one per call; a
+    /// ready message always goes first, see the module docs). Returns what
+    /// happened; once [`Step::Stopped`] has been returned the host
     /// delivers nothing further (the crash model: a dead process's inbound
     /// traffic is dropped).
     pub fn step(&mut self, timeout: Duration) -> Step {
         if !self.running {
             return Step::Stopped;
         }
-        match self.transport.recv_timeout(timeout) {
+        let due = self.timers.next_key().map(|(at, _)| at);
+        let wait = match due {
+            Some(at) => timeout.min(Duration::from_nanos(at.0.saturating_sub(self.now().0))),
+            None => timeout,
+        };
+        let step = match self.transport.recv_timeout(wait) {
             Some((from, msg)) => {
                 self.callback(|a, ctx| a.on_message(from, msg, ctx));
-                if self.running {
-                    Step::Delivered
-                } else {
-                    Step::Stopped
-                }
+                Step::Delivered
             }
-            None => Step::Idle,
+            None => match due {
+                Some(at) if at <= self.now() => {
+                    let (_, _, tag) = self.timers.pop().expect("peeked above");
+                    self.callback(|a, ctx| a.on_timer(tag, ctx));
+                    Step::TimerFired
+                }
+                _ => return Step::Idle,
+            },
+        };
+        if self.running {
+            step
+        } else {
+            Step::Stopped
         }
     }
 
-    /// Keeps stepping until the fabric has been quiet for `idle` (or the
-    /// actor stopped). The localhost analogue of the DES's
-    /// run-to-quiescence, useful for draining stray acks before a
-    /// measurement boundary.
+    /// Keeps stepping until the fabric has been quiet — no delivery, no
+    /// timer due — for `idle` (or the actor stopped). The localhost
+    /// analogue of the DES's run-to-quiescence, useful for draining stray
+    /// acks before a measurement boundary.
     pub fn run_until_idle(&mut self, idle: Duration) {
-        while self.step(idle) == Step::Delivered {}
+        while matches!(self.step(idle), Step::Delivered | Step::TimerFired) {}
     }
 
     /// Runs `f` against the actor with a live [`Context`] (for starting
@@ -526,6 +579,97 @@ mod tests {
             0,
         );
         assert_eq!(h.step(Duration::from_millis(5)), Step::Idle);
+    }
+
+    /// What reached an [`Alarm`]: a message, or a timer's tag with the
+    /// host's clock at the firing.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Msg,
+        Timer(u64, Time),
+    }
+
+    /// Logs what reaches it, in order.
+    #[derive(Default)]
+    struct Alarm {
+        log: Vec<Seen>,
+    }
+
+    impl Actor for Alarm {
+        type Msg = Ping;
+        fn on_message(&mut self, _from: ActorId, _msg: Ping, _ctx: &mut Context<'_, Ping>) {
+            self.log.push(Seen::Msg);
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Ping>) {
+            self.log.push(Seen::Timer(tag, ctx.now()));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn alarm_host() -> NodeHost<Alarm, ChannelTransport<Ping>> {
+        let t = ChannelTransport::mesh(1).pop().unwrap();
+        NodeHost::start(Alarm::default(), t, 0)
+    }
+
+    const MS: u64 = 1_000_000;
+
+    #[test]
+    fn a_timer_fires_once_its_deadline_has_passed() {
+        let mut h = alarm_host();
+        let armed = h.with_actor(|_, ctx| {
+            ctx.set_timer(2 * MS, 7);
+            ctx.now()
+        });
+        // The wait is cut to the deadline, far short of the step's own.
+        let started = Instant::now();
+        assert_eq!(h.step(Duration::from_secs(30)), Step::TimerFired);
+        assert!(started.elapsed() < Duration::from_secs(10));
+        let [Seen::Timer(7, fired)] = h.actor().log[..] else {
+            panic!("one firing of tag 7, got {:?}", h.actor().log);
+        };
+        assert!(
+            fired.0 >= armed.0 + 2 * MS,
+            "fired at {fired:?}, armed at {armed:?}"
+        );
+        assert_eq!(
+            h.step(Duration::from_millis(5)),
+            Step::Idle,
+            "it fires once"
+        );
+    }
+
+    #[test]
+    fn a_cancelled_timer_does_not_fire() {
+        let mut h = alarm_host();
+        let (first, second) =
+            h.with_actor(|_, ctx| (ctx.set_timer(MS, 1), ctx.set_timer(2 * MS, 2)));
+        h.with_actor(|_, ctx| ctx.cancel_timer(first));
+        assert_eq!(h.step(Duration::from_secs(30)), Step::TimerFired);
+        assert_eq!(h.step(Duration::from_millis(5)), Step::Idle);
+        assert!(matches!(h.actor().log[..], [Seen::Timer(2, _)]));
+        // Cancelling what has fired already is a no-op.
+        h.with_actor(|_, ctx| ctx.cancel_timer(second));
+        h.run_until_idle(Duration::from_millis(1));
+        assert_eq!(h.actor().log.len(), 1);
+    }
+
+    #[test]
+    fn a_ready_frame_outranks_an_overdue_timer() {
+        let mut h = alarm_host();
+        h.with_actor(|_, ctx| {
+            ctx.set_timer(MS, 9);
+            ctx.send(ActorId(0), Ping::Hit);
+        });
+        // Both are due by now — as after a send that blocked in a dial.
+        std::thread::sleep(Duration::from_millis(3));
+        assert_eq!(h.step(Duration::from_secs(30)), Step::Delivered);
+        assert_eq!(h.step(Duration::from_secs(30)), Step::TimerFired);
+        assert!(matches!(h.actor().log[..], [Seen::Msg, Seen::Timer(9, _)]));
     }
 
     #[test]

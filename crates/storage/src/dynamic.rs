@@ -16,6 +16,10 @@
 //!   restarts the operation (§VII, first requirement);
 //! * `is_quorum(Q)` holds iff `Σ_{s∈Q} W_s > W_{S,0}/2` with weights taken
 //!   from the client's current `C` (Algorithm 5 lines 5–8);
+//! * phase 1 is *addressed* to the smallest such quorum, not to all `n`
+//!   servers, and widened to everyone on a measured deadline — the one
+//!   deviation from Algorithm 5's message pattern, see [`Fanout`]
+//!   ([`Fanout::All`] is the paper-literal oracle);
 //! * when a server gains weight it refreshes its register *before*
 //!   applying the change (Algorithm 4 lines 8–9) so that newly possible
 //!   quorums always contain the latest value (Lemma 4). The refresh is a
@@ -66,6 +70,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use awr_core::restricted::{ApplyRequest, CoreEvent, TransferCore, TransferStart, WrMsg};
 use awr_core::{RpConfig, TransferError, TransferOutcome};
 use awr_epoch::CheckpointCadence;
+use awr_quorum::{smallest_quorum_avoiding, WeightedMajorityQuorumSystem};
 use awr_sim::{Actor, ActorId, Context, Message, Nanos, Time, TimerId};
 use awr_types::{ChangeSet, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue};
 
@@ -409,6 +414,41 @@ pub enum ReadMode {
     TwoPhase,
 }
 
+/// Whom phase 1 of a read or write asks.
+///
+/// Algorithm 5 sends `R` to all servers and waits for a quorum by weight,
+/// so a reassignment changes who is *waited for*, never who is *asked*.
+/// Under [`Fanout::Quorum`] the client asks only the smallest quorum by
+/// weight under its current `C` — heaviest server first, ties by id
+/// ([`awr_quorum::smallest_quorum_avoiding`]), skipping servers it
+/// currently suspects — which is what makes a weighted quorum cost fewer
+/// messages, not just fewer waits.
+///
+/// **Safety** needs nothing new: the phase still completes only on a
+/// quorum by weight of servers that *accepted under the client's `C`*, and
+/// any two such quorums intersect (Lemma 3) however many servers were
+/// asked; the fast-path rule is judged over the same replies. **Liveness**
+/// is restored by a timer: a targeted send arms the driver's rebroadcast
+/// timer, and when it fires the phase is re-sent to *every* server (the
+/// paper's fanout) and the asked-but-silent servers become suspects until
+/// they next speak. The deadline is measured, not configured: eight times
+/// an EWMA of this client's own un-widened phase-1 completion times, never
+/// under 5 ms. A client with no sample yet asks everyone and arms nothing —
+/// the paper's behaviour — unless [`DynOptions::retry`] supplies a deadline.
+///
+/// Phase 2 is unaffected: writes broadcast `W`, a fast-path miss writes
+/// back to its stale repliers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Fanout {
+    /// `R` to all `n` servers — the paper-literal Algorithm 5. Baseline for
+    /// equivalence tests and the pinned replays.
+    All,
+    /// `R` to the smallest quorum by weight, widened to all on a measured
+    /// deadline (the default).
+    #[default]
+    Quorum,
+}
+
 /// Behaviour knobs, defaulting to the paper's protocol (with the
 /// delta-negotiated wire). Turning either boolean off reproduces the E10
 /// ablations (and breaks atomicity, as the checker shows).
@@ -438,6 +478,9 @@ pub struct DynOptions {
     /// matching the crash-free model where every sent message is
     /// eventually delivered.
     pub retry: Option<RetryPolicy>,
+    /// Whom phase 1 asks: the smallest quorum by weight (default) or all
+    /// `n` servers. Client-side only — servers answer whoever asks.
+    pub fanout: Fanout,
 }
 
 impl Default for DynOptions {
@@ -450,6 +493,7 @@ impl Default for DynOptions {
             checkpoint: None,
             refresh_tags_cap: 64,
             retry: None,
+            fanout: Fanout::Quorum,
         }
     }
 }
@@ -467,7 +511,10 @@ impl Default for DynOptions {
 /// neither double-apply a write nor double-count a quorum member. A
 /// crash-free schedule with `retry: Some(..)` therefore completes every
 /// operation before its first timer matters only when the network outruns
-/// `base`; with the default `retry: None` no timer is ever set.
+/// `base`. With the default `retry: None` the only timer is the widen
+/// deadline of a [`Fanout::Quorum`] client — the same machinery under a
+/// *measured* base (see [`Fanout`]); under [`Fanout::All`] no timer is ever
+/// set. An explicit policy overrides the measured one, base and budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Delay before the first rebroadcast; doubles per attempt.
@@ -558,7 +605,39 @@ pub struct DynOpDriver<V> {
     retry_timer: Option<TimerId>,
     /// Rebroadcasts already spent on the current operation attempt.
     attempts: u32,
+    /// The smallest quorum by weight avoiding [`DynOpDriver::suspects`]
+    /// under the `C` digested in `targets_for` — heaviest first, empty if
+    /// the unsuspected servers cannot form one. Recomputed at a phase-1
+    /// send when `C` or the suspect set has moved, so a steady-state send
+    /// neither sorts nor allocates.
+    targets: Vec<ServerId>,
+    /// Digest of the `C` that `targets` was computed under; `None` when the
+    /// suspect set changed since.
+    targets_for: Option<u64>,
+    /// Servers that were asked and stayed silent past a widen deadline;
+    /// cleared by their next message. Only ever filled under
+    /// [`Fanout::Quorum`].
+    suspects: BTreeSet<ServerId>,
+    /// Whether the phase 1 in flight was sent to `targets` only and has not
+    /// been widened since.
+    targeted: bool,
+    /// When the phase 1 in flight was (last) started.
+    phase1_sent: Time,
+    /// EWMA (α = 1/8) of un-widened phase-1 completion times — the measured
+    /// half of the widen deadline. Sampled under [`Fanout::Quorum`] only.
+    phase1_ewma: Option<Nanos>,
 }
+
+/// The widen deadline is this many times the phase-1 EWMA …
+const WIDEN_FACTOR: u64 = 8;
+/// … and never shorter than this (5 ms). Two reasons, both measured on the
+/// loopback mesh, where the EWMA is tens of microseconds: a deadline under
+/// a scheduler timeslice fires whenever a server thread is descheduled;
+/// and a deadline under the embedding loop's own step timeout (2 ms in
+/// `benchmark/` and `tcp_demo`) makes every wait of the hot path the
+/// earliest timer on its CPU, which costs two clock-event reprogrammings
+/// per wait (33.4 k → 28.0 k ops/s on `tcp_read_mostly` at a 1 ms floor).
+const WIDEN_FLOOR: Nanos = 5_000_000;
 
 impl<V: Value> DynOpDriver<V> {
     /// Creates a driver whose initial `C` is the conventional initial set.
@@ -575,6 +654,12 @@ impl<V: Value> DynOpDriver<V> {
             completed: Vec::new(),
             retry_timer: None,
             attempts: 0,
+            targets: Vec::new(),
+            targets_for: None,
+            suspects: BTreeSet::new(),
+            targeted: false,
+            phase1_sent: Time::ZERO,
+            phase1_ewma: None,
             cfg,
         }
     }
@@ -596,6 +681,12 @@ impl<V: Value> DynOpDriver<V> {
         self.changes.digest().hash(&mut h);
         self.attempts.hash(&mut h);
         self.retry_timer.is_some().hash(&mut h);
+        // Fanout state — constant under `Fanout::All`. The measured
+        // deadline enters only as "is there one": its value sets a timer's
+        // delay, which the explorer does not order by.
+        self.targeted.then_some(&self.targets).hash(&mut h);
+        self.suspects.hash(&mut h);
+        self.phase1_ewma.is_some().hash(&mut h);
         match &self.phase {
             DynPhase::Idle => 0u8.hash(&mut h),
             DynPhase::One {
@@ -681,16 +772,30 @@ impl<V: Value> DynOpDriver<V> {
             restarts: 0,
             weight: Ratio::ZERO,
         };
-        self.attempts = 0;
-        self.send_phase1(ctx, wrap);
-        self.arm_retry(ctx);
+        self.start_phase1(ctx, wrap);
+    }
+
+    /// The rebroadcast policy in force: the configured one, else — for a
+    /// [`Fanout::Quorum`] client with a phase-1 sample — the measured widen
+    /// deadline under the default budget. `None` means no timer is ever
+    /// armed and phase 1 asks everyone: [`Fanout::All`], or no sample yet.
+    fn retry_policy(&self) -> Option<RetryPolicy> {
+        self.options.retry.or_else(|| {
+            let ewma = self.phase1_ewma?;
+            Some(RetryPolicy {
+                base: ewma.saturating_mul(WIDEN_FACTOR).max(WIDEN_FLOOR),
+                ..RetryPolicy::default()
+            })
+        })
     }
 
     /// (Re)arms the rebroadcast timer for the current operation, with the
-    /// delay doubled per attempt already spent. No-op unless
-    /// [`DynOptions::retry`] is configured.
+    /// delay doubled per attempt already spent. No-op without a
+    /// [`DynOpDriver::retry_policy`].
     fn arm_retry<M: Message>(&mut self, ctx: &mut Context<'_, M>) {
-        let Some(rp) = self.options.retry else { return };
+        let Some(rp) = self.retry_policy() else {
+            return;
+        };
         if let Some(t) = self.retry_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -715,7 +820,9 @@ impl<V: Value> DynOpDriver<V> {
         ctx: &mut Context<'_, M>,
         wrap: impl Fn(DynMsg<V>) -> M + Copy,
     ) {
-        let Some(rp) = self.options.retry else { return };
+        let Some(rp) = self.retry_policy() else {
+            return;
+        };
         let cur_op = match &self.phase {
             DynPhase::One { op, .. } | DynPhase::Two { op, .. } => *op,
             DynPhase::Idle => return,
@@ -729,7 +836,15 @@ impl<V: Value> DynOpDriver<V> {
         }
         self.attempts += 1;
         match &self.phase {
-            DynPhase::One { .. } => self.send_phase1(ctx, wrap),
+            DynPhase::One { .. } => {
+                if self.options.fanout == Fanout::Quorum {
+                    self.suspect_silent(ctx);
+                }
+                if std::mem::take(&mut self.targeted) {
+                    ctx.record_counter("phase1_widened", 1);
+                }
+                self.send_phase1(ctx, wrap);
+            }
             DynPhase::Two {
                 op, obj, chosen, ..
             } => {
@@ -752,7 +867,12 @@ impl<V: Value> DynOpDriver<V> {
             }
             DynPhase::Idle => unreachable!("checked above"),
         }
-        self.arm_retry(ctx);
+        // Re-arm only while there is a rebroadcast left to spend: a timer
+        // that could do nothing is still an event to every runtime (and a
+        // free choice to the model checker).
+        if self.attempts < rp.max_attempts {
+            self.arm_retry(ctx);
+        }
     }
 
     /// Client-side journal hygiene: a client's journal exists only to feed
@@ -779,6 +899,59 @@ impl<V: Value> DynOpDriver<V> {
         }
     }
 
+    /// Starts (or restarts) phase 1 of the operation in [`DynPhase::One`]:
+    /// decides whom to ask, sends `R`, arms the rebroadcast timer.
+    fn start_phase1<M: Message>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        wrap: impl Fn(DynMsg<V>) -> M + Copy,
+    ) {
+        self.attempts = 0;
+        self.phase1_sent = ctx.now();
+        // Ask a quorum only when a timer will widen a stalled phase, and
+        // when the servers not under suspicion can still form one.
+        self.targeted = self.options.fanout == Fanout::Quorum
+            && self.retry_policy().is_some()
+            && self.refresh_targets();
+        if self.targeted {
+            ctx.record_counter("phase1_targeted", 1);
+            ctx.record_sample("phase1_fanout", self.targets.len() as u64);
+        }
+        self.send_phase1(ctx, wrap);
+        self.arm_retry(ctx);
+    }
+
+    /// Brings [`DynOpDriver::targets`] up to date with `C` and the suspect
+    /// set; returns whether there is a quorum to target.
+    fn refresh_targets(&mut self) -> bool {
+        let digest = self.changes.digest();
+        if self.targets_for != Some(digest) {
+            let q = WeightedMajorityQuorumSystem::with_threshold_total(
+                self.changes.weights(self.cfg.n),
+                self.cfg.initial_total(),
+            );
+            self.targets = smallest_quorum_avoiding(&q, &self.suspects).unwrap_or_default();
+            self.targets_for = Some(digest);
+        }
+        !self.targets.is_empty()
+    }
+
+    /// A widen deadline passed in phase 1: every server that was asked and
+    /// has not answered becomes a suspect, to be skipped by later phases
+    /// until it next speaks.
+    fn suspect_silent<M: Message>(&mut self, ctx: &mut Context<'_, M>) {
+        for i in 0..self.cfg.n {
+            let s = ServerId(i as u32);
+            let asked = !self.targeted || self.targets.contains(&s);
+            if asked && self.replies[i].is_none() && self.suspects.insert(s) {
+                self.targets_for = None;
+                ctx.record_counter("server_suspected", 1);
+            }
+        }
+    }
+
+    /// Sends the current phase 1's `R` — to [`DynOpDriver::targets`] while
+    /// the phase is targeted, to every server otherwise.
     fn send_phase1<M: Message>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -788,15 +961,21 @@ impl<V: Value> DynOpDriver<V> {
             DynPhase::One { op, obj, .. } => (*op, *obj),
             _ => unreachable!("send_phase1 outside phase 1"),
         };
-        for i in 0..self.cfg.n {
-            ctx.send(
-                ActorId(self.actor_base + i),
-                wrap(DynMsg::R {
-                    op,
-                    obj,
-                    changes: self.cs_payload(),
-                }),
-            );
+        let r = || {
+            wrap(DynMsg::R {
+                op,
+                obj,
+                changes: self.cs_payload(),
+            })
+        };
+        if self.targeted {
+            for s in &self.targets {
+                ctx.send(ActorId(self.actor_base + s.index()), r());
+            }
+        } else {
+            for i in 0..self.cfg.n {
+                ctx.send(ActorId(self.actor_base + i), r());
+            }
         }
     }
 
@@ -842,9 +1021,7 @@ impl<V: Value> DynOpDriver<V> {
             restarts: restarts + 1,
             weight: Ratio::ZERO,
         };
-        self.attempts = 0;
-        self.send_phase1(ctx, wrap);
-        self.arm_retry(ctx);
+        self.start_phase1(ctx, wrap);
     }
 
     /// Feeds a client-side message. Returns the completed operation when the
@@ -857,6 +1034,10 @@ impl<V: Value> DynOpDriver<V> {
         wrap: impl Fn(DynMsg<V>) -> M + Copy,
     ) -> Option<DynCompletedOp<V>> {
         let sid = ServerId((from.index() - self.actor_base) as u32);
+        if !self.suspects.is_empty() && self.suspects.remove(&sid) {
+            // It spoke: no longer a suspect, whatever it said.
+            self.targets_for = None;
+        }
         match msg {
             DynMsg::RAck {
                 op,
@@ -917,6 +1098,15 @@ impl<V: Value> DynOpDriver<V> {
                 }
                 let quorum = *weight > self.cfg.quorum_threshold();
                 if quorum {
+                    if self.options.fanout == Fanout::Quorum && self.attempts == 0 {
+                        // An un-widened phase 1 completed: one sample of
+                        // how long this client's quorums take to answer.
+                        let took = ctx.now().0.saturating_sub(self.phase1_sent.0);
+                        self.phase1_ewma = Some(match self.phase1_ewma {
+                            None => took,
+                            Some(e) => e - e / 8 + took / 8,
+                        });
+                    }
                     let maxreg = self
                         .replies
                         .iter()

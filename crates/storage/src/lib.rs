@@ -45,7 +45,7 @@ pub use durable::{
     FileStorage, MemStorage, Recovered, Snapshot, Storage, StorageHandle, WalRecord,
 };
 pub use dynamic::{
-    reg_tag_digest, DynClient, DynCompletedOp, DynMsg, DynOpDriver, DynOptions, DynServer,
+    reg_tag_digest, DynClient, DynCompletedOp, DynMsg, DynOpDriver, DynOptions, DynServer, Fanout,
     ReadMode, RefreshHave, RetryPolicy, WireMode,
 };
 pub use harness::StorageHarness;
@@ -205,15 +205,18 @@ mod dynamic_tests {
     fn ablation_no_restart_returns_stale_reads() {
         // E10(b): with restart-on-stale OFF, a reader judging quorums under
         // the *old* weights assembles an old-weight quorum of four light
-        // servers that never saw the latest write. The adversary (allowed in
+        // servers that never saw the latest write — {s1..s4}, which is
+        // exactly the quorum its targeted phase 1 asks (heaviest first,
+        // ties by id, under the old uniform map). The adversary (allowed in
         // an asynchronous system!) merely delays two flows:
-        //   * reader ↔ heavy trio {s1,s2,s3},
-        //   * writer → light quartet {s4..s7}.
+        //   * reader ↔ heavy trio {s5,s6,s7} (what keeps the stale quorum
+        //     the first to answer when phase 1 asks everyone),
+        //   * writer → light quartet {s1..s4}.
         use awr_sim::{ActorId, TargetedDelay, Time, SECOND};
         let reader = ActorId(7); // client 0
         let writer = ActorId(8); // client 1
-        let heavy = |a: ActorId| a.index() < 3;
-        let light = |a: ActorId| (3..7).contains(&a.index());
+        let heavy = |a: ActorId| (4..7).contains(&a.index());
+        let light = |a: ActorId| a.index() < 4;
         let hold = Time(600 * SECOND);
         let base = UniformLatency::new(1_000, 10_000);
         let d1 = TargetedDelay::new(
@@ -232,10 +235,13 @@ mod dynamic_tests {
                 ..DynOptions::default()
             },
         );
+        // The reader has one operation behind it, so its next phase 1 is
+        // targeted rather than the first-ever ask-everyone.
+        assert_eq!(h.read(0).unwrap().0, None);
         // Client 2 (unconstrained) writes v1 everywhere under initial C.
         h.write(2, 1).unwrap();
-        // Concentrate weight: {s1,s2,s3} = 3.75 becomes a quorum.
-        for (from, to) in [(3, 0), (4, 1), (5, 2)] {
+        // Concentrate weight: {s5,s6,s7} = 3.75 becomes a quorum.
+        for (from, to) in [(0, 4), (1, 5), (2, 6)] {
             let out = h
                 .transfer_and_wait(s(from), s(to), Ratio::dec("0.25"))
                 .unwrap();
@@ -256,8 +262,9 @@ mod dynamic_tests {
             .driver
             .changes = server_changes;
         h.write(1, 2).unwrap();
-        // The stale reader now assembles {s4..s7} = 4.0 under the OLD map.
+        // The stale reader now assembles {s1..s4} = 4.0 under the OLD map.
         let (v, _) = h.read(0).unwrap();
+        assert_eq!(h.world.metrics().counter("phase1_targeted"), 1);
         assert_eq!(v, Some(1), "expected the stale value");
         // The checker must flag the execution as non-atomic.
         assert!(

@@ -15,7 +15,9 @@ use awr::sim::{
     Metrics, Region, UniformLatency, MILLI, SECOND,
 };
 use awr::storage::workload::KeyDistribution;
-use awr::storage::{DynOptions, OpenLoopHarness, OpenLoopSpec, PlacementDriver, StorageHarness};
+use awr::storage::{
+    DynOptions, Fanout, OpenLoopHarness, OpenLoopSpec, PlacementDriver, StorageHarness,
+};
 use awr::types::{Ratio, ServerId, WeightMap};
 use proptest::prelude::*;
 
@@ -424,7 +426,11 @@ fn adaptive_open_loop_run_replays_the_pinned_schedule_and_accounting() {
                 seed,
             },
             geo_network(&placement, 0.05),
-            DynOptions::default(),
+            // The pins capture the paper-literal phase-1 fanout.
+            DynOptions {
+                fanout: Fanout::All,
+                ..DynOptions::default()
+            },
         );
         let mut driver = PlacementDriver::new(LatencyGreedy::default(), h.client_actors().to_vec());
         driver.windowed = true;

@@ -8,8 +8,8 @@
 //!   under both modes: identical completed writes, identical converged
 //!   registers, both histories linearizable, and the byte deltas confined
 //!   to the phase-2 kinds (`W`/`W_A` shrink, `R`/`R_A` do not move);
-//! * **denial under a stale replier** — a read whose phase-1 quorum
-//!   contains a server that missed the write must *not* fast-path (the
+//! * **denial under a stale replier** — a read whose (targeted) phase-1
+//!   quorum contains a server that missed the write must *not* fast-path (the
 //!   max-tag weight fails the rule) and must write back to exactly that
 //!   stale replier;
 //! * **hot-key crash campaign** — a Zipf-skewed keyed workload over
@@ -182,11 +182,13 @@ fn step_until(
 
 #[test]
 fn fastpath_denied_when_a_quorum_replier_is_stale() {
-    // Regression for the rule itself: complete a write through {s0, s1}
-    // while s2 never hears its `W`, then force the read's phase-1 quorum
-    // to be {s2, s0}. The max tag's weight (s0 alone, 1 of 3) fails the
-    // strict majority rule, so the read must take the two-phase route —
-    // and its write-back must go to exactly the stale s2.
+    // Regression for the rule itself: complete a write through {s0, s2}
+    // while s1 never hears its `W`, then let the read's phase-1 quorum be
+    // {s1, s0} — which is also the quorum a targeted phase 1 asks (heaviest
+    // first, ties by id), so the stale server is inside it under either
+    // fanout. The max tag's weight (s0 alone, 1 of 3) fails the strict
+    // majority rule, so the read must take the two-phase route — and its
+    // write-back must go to exactly the stale s1.
     let mut h: StorageHarness<u64> = StorageHarness::build(
         RpConfig::uniform(3, 1),
         1,
@@ -194,26 +196,27 @@ fn fastpath_denied_when_a_quorum_replier_is_stale() {
         UniformLatency::new(1_000, 1_000),
         DynOptions::default(),
     );
-    let s2 = h.server_actor(ServerId(2));
+    let stale = h.server_actor(ServerId(1));
     h.begin_async_obj(0, ObjectId::DEFAULT, Some(7));
-    step_until(&mut h, |to, _| to == s2, |h| !h.history().is_empty());
-    // Flush s2's harmless leftovers (the completed write's phase-1 `R`
-    // and its stale ack) but keep its `W` withheld: s2 stays at bottom.
+    step_until(&mut h, |to, _| to == stale, |h| !h.history().is_empty());
+    // Flush the stale server's harmless leftovers (the completed write's
+    // phase-1 `R` and its stale ack) but keep its `W` withheld: it stays
+    // at bottom.
     step_until(
         &mut h,
-        |to, kind| to == s2 && kind == "W",
+        |to, kind| to == stale && kind == "W",
         |h| {
             h.world.pending_events().iter().all(
-                |e| matches!(e.kind, PendingKind::Deliver { to, kind, .. } if to == s2 && kind == "W"),
+                |e| matches!(e.kind, PendingKind::Deliver { to, kind, .. } if to == stale && kind == "W"),
             )
         },
     );
 
     h.begin_async_obj(0, ObjectId::DEFAULT, None);
-    // Quorum order s2 first, then s0: deliver the read's `R` to s2 and
+    // Quorum order s1 first, then s0: deliver the read's `R` to s1 and
     // its bottom ack, then the same through s0 — quorum reached with a
     // split register view.
-    for server in [s2, h.server_actor(ServerId(0))] {
+    for server in [stale, h.server_actor(ServerId(0))] {
         let r = h
             .world
             .pending_events()

@@ -14,7 +14,7 @@
 use awr::core::RpConfig;
 use awr::sim::UniformLatency;
 use awr::storage::workload::{run_mixed_workload, WorkloadSpec};
-use awr::storage::{DynOptions, DynServer, OpKind, ReadMode, StorageHarness, WireMode};
+use awr::storage::{DynOptions, DynServer, Fanout, OpKind, ReadMode, StorageHarness, WireMode};
 use awr::types::{ObjectId, ServerId};
 
 /// One recorded op: (client, is_write, value, invoke ns, response ns).
@@ -95,6 +95,8 @@ fn run(seed: u64, wire: WireMode) -> RunOutcome {
             // reads always ran both phases; `tests/read_fastpath.rs` owns
             // the FastPath-vs-TwoPhase equivalence.
             read: ReadMode::TwoPhase,
+            // … and asked every server in phase 1.
+            fanout: Fanout::All,
             ..DynOptions::default()
         },
     );
