@@ -33,7 +33,7 @@ pub enum Choice {
     /// (a message delivery or a timer — whatever [`awr_sim::World::pending_events`]
     /// reported).
     Deliver(u64),
-    /// Crash this server (durable scenarios within the fault budget only).
+    /// Crash this server (within the fault budget only).
     Crash(usize),
     /// Rebuild and reboot this crashed server from its durable store.
     Restart(usize),
@@ -99,11 +99,12 @@ pub struct Scenario {
     /// Transfers issued at initialization, in order, via the queued entry
     /// point (same-issuer bursts batch, matching the protocol).
     pub transfers: Vec<(ServerId, ServerId, Ratio)>,
-    /// Build servers over durable in-memory stores, enabling crash and
-    /// restart choices and the WAL-accounting invariant.
+    /// Build servers over durable in-memory stores, enabling restart
+    /// choices and the WAL-accounting invariant.
     pub durable: bool,
-    /// Maximum number of crash choices the explorer may inject (0 under
-    /// `durable: false`; at most `f` servers are ever down at once).
+    /// Maximum number of crash choices the explorer may inject (at most `f`
+    /// servers are ever down at once). Under `durable: false` a crashed
+    /// server stays down: the paper's crash-stop model.
     pub crash_budget: usize,
     /// Protocol options every server and client is built with. A scenario
     /// that arms timers must bound them ([`RetryPolicy::max_attempts`]):
@@ -267,15 +268,16 @@ impl RunState {
             .iter()
             .map(|e| Choice::Deliver(e.seq))
             .collect();
-        if self.scenario.durable {
-            let down = self.servers_down();
-            if self.crashes_used < self.scenario.crash_budget && down < self.scenario.cfg.f {
-                for i in 0..self.scenario.cfg.n {
-                    if !self.harness.world.is_crashed(ActorId(i)) {
-                        out.push(Choice::Crash(i));
-                    }
+        if self.crashes_used < self.scenario.crash_budget
+            && self.servers_down() < self.scenario.cfg.f
+        {
+            for i in 0..self.scenario.cfg.n {
+                if !self.harness.world.is_crashed(ActorId(i)) {
+                    out.push(Choice::Crash(i));
                 }
             }
+        }
+        if self.scenario.durable {
             for i in 0..self.scenario.cfg.n {
                 if self.harness.world.is_crashed(ActorId(i)) {
                     out.push(Choice::Restart(i));
@@ -293,8 +295,7 @@ impl RunState {
         let applied = match choice {
             Choice::Deliver(seq) => self.harness.world.step_seq(seq),
             Choice::Crash(i) => {
-                let ok = self.scenario.durable
-                    && i < self.scenario.cfg.n
+                let ok = i < self.scenario.cfg.n
                     && self.crashes_used < self.scenario.crash_budget
                     && self.servers_down() < self.scenario.cfg.f
                     && !self.harness.world.is_crashed(ActorId(i));
@@ -417,12 +418,13 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
         durable3(),
         fastpath3(),
         fastpath3q(),
+        write3q(),
     ]
 }
 
-/// The paper-literal phase-1 fanout with no timers: what every scenario
-/// but [`fastpath3q`] runs, so their state counts are those of the
-/// protocol as the paper states it.
+/// The paper-literal fanout with no timers: what every scenario but
+/// [`fastpath3q`] and [`write3q`] runs, so their state counts are those of
+/// the protocol as the paper states it.
 pub fn ask_all() -> DynOptions {
     DynOptions {
         fanout: Fanout::All,
@@ -430,12 +432,13 @@ pub fn ask_all() -> DynOptions {
     }
 }
 
-/// Quorum-targeted phase 1 under a one-shot widen budget: every phase
-/// attempt arms one timer, whose firing — an explorer choice like any
-/// delivery — re-sends the phase to all servers once and is not re-armed,
-/// which keeps the space finite. The delay is irrelevant to the explorer
-/// (it does not order by time); it only has to be there, since a client
-/// with no deadline asks everyone.
+/// Quorum-targeted phases under a one-shot widen budget: every attempt
+/// arms one timer, whose firing — an explorer choice like any delivery —
+/// re-sends the phase in flight to all servers once and is not re-armed,
+/// which keeps the space finite; each suspicion it raises arms one lapse
+/// timer, a choice too. The delays are irrelevant to the explorer (it does
+/// not order by time); the deadline only has to be there, since a client
+/// with none asks everyone.
 pub fn ask_quorum() -> DynOptions {
     DynOptions {
         fanout: Fanout::Quorum,
@@ -569,7 +572,8 @@ fn fastpath3_setup(rs: &mut RunState) {
 /// The explored frontier is then the read's targeted phase 1 at the
 /// quorum avoiding the suspect, {s1, s0}; its one widen timer — firing
 /// before, between or after the acks, or never — which asks s2 after all
-/// and makes every split quorum of [`fastpath3`] reachable again; and
+/// and makes every split quorum of [`fastpath3`] reachable again; the
+/// lapse of s2's suspicion, which may fire at any point or never; and
 /// the write's stragglers at s2 (whose answers also clear the
 /// suspicion), all freely interleaved. A quorum judged over *fewer asked*
 /// servers, a phase widened half-way, a late answer from a server no
@@ -579,9 +583,55 @@ pub fn fastpath3q() -> Scenario {
     Scenario {
         name: "fastpath3q",
         about:
-            "fastpath3 with phase 1 asking a quorum by weight, widen timers as choices (exhaustive)",
+            "fastpath3 asking a quorum by weight, widen and lapse timers as choices (exhaustive)",
         options: ask_quorum(),
         ..fastpath3()
+    }
+}
+
+/// A write sent to its quorum only, a crash, and the read that must see
+/// it. The client asks {s0, s1} from its first operation ([`ask_quorum`]
+/// supplies the deadline a first operation otherwise lacks); setup pins the
+/// write's phase 1 — both `R_A`s in — so the explored frontier opens
+/// *between the `R_A` and the `W`*: two `W`s in flight to {s0, s1}, none to
+/// s2, and the attempt's widen timer. From there the explorer owns the one
+/// crash in the budget (a quorum member dying before its `W` lands, after
+/// it stored the value, or s2 dying so that no widen can help), the widen
+/// that re-sends `W` to whoever has not acked and leaves the silent
+/// suspects, every lapse firing, and the whole read that follows on the
+/// same client — targeted around the suspects, or widened to everyone by
+/// its own timer, so it completes on every quorum of live servers. The
+/// read is invoked after the write's response and must return 7: whatever
+/// quorum it completes on has to contain a server that *acked* `W`, which
+/// is what judging completion over ackers — never over the servers `W` was
+/// sent to — guarantees.
+///
+/// Crash-stop only (`durable: false`, so no restart choice): a restart's
+/// rejoin traffic alone multiplies this space past exhaustion, and
+/// recovery is [`durable3`]'s subject. The reader is the writer's own
+/// client because the explorer invokes every client's first operation at
+/// time zero: a second client's lone read would be concurrent with the
+/// write and linearizable whatever it returned.
+pub fn write3q() -> Scenario {
+    Scenario {
+        name: "write3q",
+        about: "3 servers, a write sent to its quorum only, 1 crash, then the read (exhaustive)",
+        cfg: RpConfig::uniform(3, 1),
+        scripts: vec![vec![
+            ClientOp::Write(ObjectId::DEFAULT, 7),
+            ClientOp::Read(ObjectId::DEFAULT),
+        ]],
+        transfers: vec![],
+        durable: false,
+        crash_budget: 1,
+        options: ask_quorum(),
+        setup: Some(|rs: &mut RunState| {
+            // Setup runs before `build`'s closure: start the write first.
+            rs.closure();
+            run_avoiding(rs, ActorId(2), |rs| {
+                rs.harness.world.metrics().counter("phase2_targeted") == 1
+            });
+        }),
     }
 }
 
@@ -635,6 +685,44 @@ mod tests {
             .iter()
             .filter(|e| matches!(e.kind, PendingKind::Timer { .. }))
             .count();
-        assert_eq!(timers, 1, "the read's widen timer is an explorer choice");
+        assert_eq!(
+            timers, 2,
+            "the read's widen timer and the lapse of s2's suspicion are explorer choices"
+        );
+    }
+
+    #[test]
+    fn write3q_frontier_opens_between_the_r_a_and_the_w() {
+        let rs = RunState::build(&write3q());
+        let m = rs.harness.world.metrics();
+        assert_eq!(m.counter("phase1_targeted"), 1);
+        assert_eq!(m.counter("phase2_targeted"), 1);
+        assert_eq!(
+            m.counter("phase1_widened") + m.counter("server_suspected"),
+            0
+        );
+        let pending = rs.harness.world.pending_events();
+        let kinds: Vec<(&str, usize)> = pending
+            .iter()
+            .filter_map(|e| match e.kind {
+                PendingKind::Deliver { to, kind, .. } => Some((kind, to.index())),
+                PendingKind::Timer { .. } => Some(("timer", 0)),
+                _ => None,
+            })
+            .collect();
+        // The write's `W` to its quorum, heaviest first with ties by id —
+        // nothing for s2 — and the attempt's one widen timer.
+        assert_eq!(kinds.len(), pending.len());
+        assert_eq!(kinds, [("W", 0), ("W", 1), ("timer", 0)]);
+        // A crash is on offer for each server; nothing restarts.
+        let crashes: Vec<Choice> = rs
+            .choices()
+            .into_iter()
+            .filter(|c| !matches!(c, Choice::Deliver(_)))
+            .collect();
+        assert_eq!(
+            crashes,
+            [Choice::Crash(0), Choice::Crash(1), Choice::Crash(2)]
+        );
     }
 }

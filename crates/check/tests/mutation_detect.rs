@@ -9,7 +9,7 @@
 
 #![cfg(feature = "mutate")]
 
-use awr_check::scenario::{ask_all, ask_quorum, Val};
+use awr_check::scenario::{ask_all, ask_quorum, write3q, Val};
 use awr_check::{
     default_invariants, minimize, schedule_violates, ClientOp, Explorer, Outcome, RunState,
     Scenario, ViolationReport,
@@ -413,6 +413,33 @@ fn disarm_fastpath_weight_check_is_caught_under_quorum_fanout() {
         Mutation::DisarmFastPathWeightCheck,
         "read-atomicity",
         |e| e.run(),
+    );
+    assert!(report.detail.contains("linearizable"), "{}", report.detail);
+}
+
+/// Mutation 5 target: `write3q` as it is, minus the crash (the bug needs
+/// none). The frontier opens with the write's `W` in flight to {s0, s1};
+/// the mutated driver has already counted both as acked, so the first
+/// `W_A` — s0's, with s1's `W` still undelivered — completes the write on
+/// one stored copy. The read that follows asks {s0, s1}: s1 answers
+/// before the write's `W` reaches it, the widen timer fires before s0's
+/// answer is in, and s2's bottom register completes a quorum that never
+/// saw the write — a fast-path hit on a value older than a completed
+/// write.
+#[test]
+fn count_phase2_targets_as_acked_is_caught() {
+    let scenario = Scenario {
+        name: "mut-phase2",
+        about: "a write sent to its quorum only; acks taken for granted",
+        crash_budget: 0,
+        ..write3q()
+    };
+    assert_clean_unmutated(&scenario, 12, 60_000);
+    let report = assert_caught(
+        &scenario,
+        Mutation::CountPhase2TargetsAsAcked,
+        "read-atomicity",
+        |e| e.run_deepening(8),
     );
     assert!(report.detail.contains("linearizable"), "{}", report.detail);
 }

@@ -14,9 +14,10 @@
 //!    makes the per-kind message counts a function of the workload alone;
 //!    under the default fanout they also depend on which replies were in
 //!    by the time a quorum formed, which is timing;
-//! 2. under the default options (quorum-targeted phase 1), where every
-//!    operation must complete and the validation burst must put strictly
-//!    fewer `R` frames on the wire than pass 1 did.
+//! 2. under the default options (both phases sent to a quorum by weight),
+//!    where every operation must complete and the validation burst must
+//!    put strictly fewer `R` frames and strictly fewer `W` frames on the
+//!    wire than pass 1 did.
 //!
 //! In each pass a weight transfer is then invoked on a live server,
 //! propagated through the mesh (RB envelopes, refresh, client restarts —
@@ -53,6 +54,9 @@ use awr_storage::{
 };
 use awr_types::{ClientId, ObjectId, ProcessId, Ratio, ServerId};
 use serde::{Deserialize, Serialize};
+
+/// The request kinds a quorum-targeted client must send fewer of.
+const TARGETED_KINDS: [&str; 2] = ["R", "W"];
 
 /// Value type carried by the replicated registers in this demo.
 type V = u64;
@@ -645,9 +649,9 @@ fn validate_bytes(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(),
 
 /// One whole pass on a fresh mesh under `p.fanout`: the validation burst
 /// (byte-validated when `gate_bytes`), a live transfer, a second burst,
-/// the linearizability check, clean shutdown. Returns the `R` frames the
-/// validation burst put on the wire.
-fn run_pass(p: &Params, gate_bytes: bool) -> Result<u64, String> {
+/// the linearizability check, clean shutdown. Returns the frames of each
+/// of [`TARGETED_KINDS`] the validation burst put on the wire.
+fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()], String> {
     let started = Instant::now();
     let mut mesh = spawn_mesh(p)?;
     let clients = p.servers..p.mesh_size();
@@ -667,10 +671,10 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<u64, String> {
         tcp_ops,
         started.elapsed().as_secs_f64()
     );
-    let r_frames: u64 = reports
-        .iter()
-        .map(|r| r.frames.msgs.get("R").copied().unwrap_or(0))
-        .sum();
+    let frames = TARGETED_KINDS.map(|kind| {
+        let of = |r: &Report| r.frames.msgs.get(kind).copied().unwrap_or(0);
+        reports.iter().map(of).sum()
+    });
     if gate_bytes {
         validate_bytes(&mut mesh, p, &reports)?;
     }
@@ -707,7 +711,7 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<u64, String> {
         unclean.extend(proc.join(Duration::from_secs(10)).err());
     }
     if unclean.is_empty() {
-        Ok(r_frames)
+        Ok(frames)
     } else {
         Err(unclean.join("; "))
     }
@@ -719,7 +723,7 @@ fn parent_main(mut p: Params) -> i32 {
         "tcp_demo: {} servers + {} clients on localhost, {} ops/client over {} objects, seed {}",
         p.servers, p.clients, p.ops, p.objects, p.seed
     );
-    let mut r_frames = Vec::new();
+    let mut frames = Vec::new();
     for (pass, fanout) in [Fanout::All, Fanout::Quorum].into_iter().enumerate() {
         println!();
         println!("tcp_demo: pass {} — clients under {fanout:?}", pass + 1);
@@ -727,7 +731,7 @@ fn parent_main(mut p: Params) -> i32 {
         p.data_dir =
             std::env::temp_dir().join(format!("awr_tcp_demo_{}_{}", std::process::id(), pass + 1));
         match run_pass(&p, fanout == Fanout::All) {
-            Ok(r) => r_frames.push(r),
+            Ok(f) => frames.push(f),
             Err(e) => {
                 eprintln!("tcp_demo: {e}");
                 return 1;
@@ -735,13 +739,15 @@ fn parent_main(mut p: Params) -> i32 {
         }
     }
     println!();
-    println!(
-        "tcp_demo: phase-1 `R` frames of the validation burst: {} asking everyone, {} asking a quorum",
-        r_frames[0], r_frames[1]
-    );
-    if r_frames[1] >= r_frames[0] {
-        eprintln!("tcp_demo: the targeted pass did not send fewer R frames");
-        return 1;
+    for (k, kind) in TARGETED_KINDS.into_iter().enumerate() {
+        let (all, quorum) = (frames[0][k], frames[1][k]);
+        println!(
+            "tcp_demo: `{kind}` frames of the validation burst: {all} asking everyone, {quorum} asking a quorum"
+        );
+        if quorum >= all {
+            eprintln!("tcp_demo: the targeted pass did not send fewer {kind} frames");
+            return 1;
+        }
     }
     println!(
         "tcp_demo: PASS in {:.2}s (2 passes of {} processes, clean exit)",

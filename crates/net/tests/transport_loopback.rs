@@ -17,7 +17,7 @@ use awr_core::RpConfig;
 use awr_net::frame::{encode_frame, write_hello, MAX_FRAME, WIRE_VERSION};
 use awr_net::tcp::HIGH_WATER;
 use awr_net::{FrameError, Reader, Reconnect, TcpTransport, Wire};
-use awr_sim::{ActorId, ChannelTransport, Message, NodeHost, Transport};
+use awr_sim::{ActorId, ChannelTransport, Message, NodeHost, Step, Transport};
 use awr_storage::{DynClient, DynCompletedOp, DynMsg, DynOptions, DynServer, OpKind};
 use awr_types::{ClientId, ProcessId, ServerId};
 
@@ -470,16 +470,19 @@ fn a_restarted_peer_is_redialed_on_the_first_send_after_it_is_back() {
 
 // ---------------------------------------------------------------------
 // (e) The storage protocol over the seam: a real clock, and a widen past
-//     a quorum member that died mid-phase.
+//     a quorum member that died mid-phase — in a read's phase 1, or
+//     between a write's `R_A` and its `W`.
 // ---------------------------------------------------------------------
 
 type StoreMsg = DynMsg<u64>;
 
-/// A server thread's orders: serve; stop stepping and say so; exit.
+/// A server thread's orders: serve; stop stepping and say so; exit; handle
+/// one more message, then stop stepping and say so.
 const RUN: u8 = 0;
 const FREEZE: u8 = 1;
 const FROZEN: u8 = 2;
 const KILL: u8 = 3;
+const ONE_MORE: u8 = 4;
 
 fn store_cfg() -> RpConfig {
     RpConfig::uniform(3, 1)
@@ -502,8 +505,16 @@ where
                     host.step(Duration::from_millis(1));
                 }
                 KILL => return,
+                ONE_MORE => {
+                    if host.step(Duration::from_millis(1)) == Step::Delivered {
+                        orders.store(FROZEN, Ordering::SeqCst);
+                    }
+                }
                 _ => {
-                    orders.store(FROZEN, Ordering::SeqCst);
+                    // Only ever FREEZE → FROZEN: an order given meanwhile
+                    // is not overwritten.
+                    let _ =
+                        orders.compare_exchange(FREEZE, FROZEN, Ordering::SeqCst, Ordering::SeqCst);
                     std::thread::yield_now();
                 }
             }
@@ -535,9 +546,17 @@ fn run_op<T: Transport<StoreMsg>>(
     finish_op(host, done_before)
 }
 
+/// When s1 dies: with a read's `R` unread, or having answered a write's `R`
+/// and with its `W` unread.
+#[derive(Clone, Copy, PartialEq)]
+enum Dies {
+    InPhase1,
+    BetweenRAckAndW,
+}
+
 /// `fabric[0..3]` host the servers, `fabric[3]` the client — under the
-/// default options: quorum-targeted phase 1, `retry: None`.
-fn a_dead_quorum_member_is_widened_past_and_then_avoided<T>(mut fabric: Vec<T>)
+/// default options: quorum-targeted phases, `retry: None`.
+fn a_dead_quorum_member_is_widened_past_and_then_avoided<T>(mut fabric: Vec<T>, dies: Dies)
 where
     T: Transport<StoreMsg> + Send + 'static,
 {
@@ -573,42 +592,90 @@ where
         "{w:?} {r:?}"
     );
 
-    // s1 stops serving, a read's phase 1 goes out to {s0, s1}, and s1 dies
-    // with the request unread.
-    orders[1].store(FREEZE, Ordering::SeqCst);
-    while orders[1].load(Ordering::SeqCst) != FROZEN {
-        std::thread::yield_now();
-    }
+    let before = host.metrics().clone();
     let done_before = host.actor().driver.completed.len();
-    host.with_actor(|c, ctx| c.begin_read(ctx));
+    let frozen = || {
+        while orders[1].load(Ordering::SeqCst) != FROZEN {
+            std::thread::yield_now();
+        }
+    };
+    let expect = match dies {
+        Dies::InPhase1 => {
+            // s1 stops serving, a read's phase 1 goes out to {s0, s1}, and
+            // s1 dies with the request unread.
+            orders[1].store(FREEZE, Ordering::SeqCst);
+            frozen();
+            host.with_actor(|c, ctx| c.begin_read(ctx));
+            7
+        }
+        Dies::BetweenRAckAndW => {
+            // s1 answers a write's `R` and nothing after it: the write's
+            // `W` goes out to {s0, s1}, and s1 dies with it unread.
+            // (Parked first: told while inside a step, it would count the
+            // `R` under its old orders and wait for one message more.)
+            orders[1].store(FREEZE, Ordering::SeqCst);
+            frozen();
+            orders[1].store(ONE_MORE, Ordering::SeqCst);
+            host.with_actor(|c, ctx| c.begin_write(8, ctx));
+            frozen();
+            while host.metrics().sent_of_kind("W") == before.sent_of_kind("W") {
+                host.step(Duration::from_millis(1));
+            }
+            8
+        }
+    };
     orders[1].store(KILL, Ordering::SeqCst);
     servers[1].take().unwrap().join().unwrap();
     let stalled = finish_op(&mut host, done_before);
-    assert_eq!(stalled.kind, OpKind::Read(Some(7)));
     let m = host.metrics().clone();
-    assert_eq!(
-        m.counter("phase1_widened"),
-        1,
-        "completed through the widen"
+    let since = m.since(&before);
+    // Completed through the widen, for the price of one deadline (never
+    // under 5 ms), spent in the phase the server died in.
+    assert!(
+        stalled.response.0 - stalled.invoke.0 >= 5_000_000,
+        "{stalled:?}"
     );
-    assert_eq!(m.counter("server_suspected"), 1);
+    assert_eq!(since.counter("server_suspected"), 1);
+    match dies {
+        Dies::InPhase1 => {
+            assert_eq!(stalled.kind, OpKind::Read(Some(7)));
+            assert_eq!(since.counter("phase1_widened"), 1);
+            assert_eq!(since.counter("phase2_widened"), 0);
+        }
+        Dies::BetweenRAckAndW => {
+            assert_eq!(stalled.kind, OpKind::Write(8));
+            assert_eq!(since.counter("phase1_widened"), 0);
+            assert_eq!(since.counter("phase2_targeted"), 1);
+            assert_eq!(since.counter("phase2_widened"), 1);
+            assert_eq!(since.sent_of_kind("R"), 2);
+            // To the quorum; then to s1 again and to s2, not to s0, whose
+            // ack was in long before the deadline.
+            assert_eq!(since.sent_of_kind("W"), 2 + 2);
+            assert_eq!(since.msgs_on_link(me, ActorId(0)), 1 + 1, "one R, one W");
+        }
+    }
 
-    // The next phase 1 is targeted again — at the quorum without the
-    // suspect — and needs no widen.
+    // The next operations are targeted again — at the quorum without the
+    // suspect, in both phases — and need no widen.
     let r = run_op(&mut host, None);
-    assert_eq!(r.kind, OpKind::Read(Some(7)));
+    assert_eq!(r.kind, OpKind::Read(Some(expect)));
     let since = host.metrics().since(&m);
     assert_eq!(since.counter("phase1_targeted"), 1);
-    assert_eq!(since.counter("phase1_widened"), 0);
     assert_eq!(since.sent_of_kind("R"), 2);
+    run_op(&mut host, Some(9));
+    assert_eq!(run_op(&mut host, None).kind, OpKind::Read(Some(9)));
+    let since = host.metrics().since(&m);
+    assert_eq!(
+        since.counter("phase1_widened") + since.counter("phase2_widened"),
+        0
+    );
+    assert_eq!(since.counter("phase2_targeted"), 1);
+    assert_eq!((since.sent_of_kind("R"), since.sent_of_kind("W")), (6, 2));
     assert_eq!(
         since.msgs_on_link(me, ActorId(1)),
         0,
-        "the suspect is not asked"
+        "the suspect is asked nothing"
     );
-    // Writes still broadcast phase 2, dead server included, and complete.
-    run_op(&mut host, Some(8));
-    assert_eq!(run_op(&mut host, None).kind, OpKind::Read(Some(8)));
 
     for (o, s) in orders.iter().zip(&mut servers) {
         o.store(KILL, Ordering::SeqCst);
@@ -618,8 +685,7 @@ where
     }
 }
 
-#[test]
-fn tcp_client_gets_past_a_quorum_member_killed_mid_phase() {
+fn over_tcp(dies: Dies) {
     let listeners: Vec<TcpListener> = (0..4)
         .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
         .collect();
@@ -633,10 +699,27 @@ fn tcp_client_gets_past_a_quorum_member_killed_mid_phase() {
             TcpTransport::<StoreMsg>::start_with(ActorId(i), l, addrs.clone(), ONE_SHOT).unwrap()
         })
         .collect();
-    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric);
+    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric, dies);
+}
+
+#[test]
+fn tcp_client_gets_past_a_quorum_member_killed_mid_phase() {
+    over_tcp(Dies::InPhase1);
 }
 
 #[test]
 fn channel_client_gets_past_a_quorum_member_killed_mid_phase() {
-    a_dead_quorum_member_is_widened_past_and_then_avoided(ChannelTransport::<StoreMsg>::mesh(4));
+    let fabric = ChannelTransport::<StoreMsg>::mesh(4);
+    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric, Dies::InPhase1);
+}
+
+#[test]
+fn tcp_client_gets_past_a_quorum_member_killed_between_r_a_and_w() {
+    over_tcp(Dies::BetweenRAckAndW);
+}
+
+#[test]
+fn channel_client_gets_past_a_quorum_member_killed_between_r_a_and_w() {
+    let fabric = ChannelTransport::<StoreMsg>::mesh(4);
+    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric, Dies::BetweenRAckAndW);
 }

@@ -40,6 +40,14 @@ pub enum Mutation {
     /// quorum — a new/old inversion. Caught by the read-atomicity
     /// invariant.
     DisarmFastPathWeightCheck,
+    /// Count the servers a quorum-targeted phase 2 sends `W` to as having
+    /// acked it (the analogy the design invites: fresh fast-path repliers
+    /// *are* pre-counted, because they already store the value — these do
+    /// not yet): the first `W_A` completes a write that a single server
+    /// stores, and a reader whose quorum misses that server returns the old
+    /// value after the write's response. Caught by the read-atomicity
+    /// invariant.
+    CountPhase2TargetsAsAcked,
 }
 
 thread_local! {

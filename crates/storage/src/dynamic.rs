@@ -16,8 +16,8 @@
 //!   restarts the operation (§VII, first requirement);
 //! * `is_quorum(Q)` holds iff `Σ_{s∈Q} W_s > W_{S,0}/2` with weights taken
 //!   from the client's current `C` (Algorithm 5 lines 5–8);
-//! * phase 1 is *addressed* to the smallest such quorum, not to all `n`
-//!   servers, and widened to everyone on a measured deadline — the one
+//! * both phases are *addressed* to the smallest such quorum, not to all
+//!   `n` servers, and widened to everyone on a measured deadline — the one
 //!   deviation from Algorithm 5's message pattern, see [`Fanout`]
 //!   ([`Fanout::All`] is the paper-literal oracle);
 //! * when a server gains weight it refreshes its register *before*
@@ -414,37 +414,49 @@ pub enum ReadMode {
     TwoPhase,
 }
 
-/// Whom phase 1 of a read or write asks.
+/// Whom the two phases of a read or write are sent to.
 ///
-/// Algorithm 5 sends `R` to all servers and waits for a quorum by weight,
-/// so a reassignment changes who is *waited for*, never who is *asked*.
-/// Under [`Fanout::Quorum`] the client asks only the smallest quorum by
-/// weight under its current `C` — heaviest server first, ties by id
-/// ([`awr_quorum::smallest_quorum_avoiding`]), skipping servers it
+/// Algorithm 5 sends `R` and `W` to all servers and waits for a quorum by
+/// weight, so a reassignment changes who is *waited for*, never who is
+/// *asked*. Under [`Fanout::Quorum`] the client asks only the smallest
+/// quorum by weight under its current `C` — heaviest server first, ties by
+/// id ([`awr_quorum::smallest_quorum_avoiding`]), skipping servers it
 /// currently suspects — which is what makes a weighted quorum cost fewer
-/// messages, not just fewer waits.
+/// messages, not just fewer waits. Phase 2 follows phase 1: the greedy
+/// quorum is minimal, so an un-widened phase 1 completes exactly when every
+/// target has answered, and `W` (a write's, or a read's write-back) goes to
+/// those same servers — a function of `C`, not of timing. A completed write
+/// therefore lives on its quorum only; the servers outside it catch up
+/// through the gainer's refresh before they gain weight, the rejoin refresh
+/// after a restart, and targeted write-backs when a client's quorum moves.
 ///
-/// **Safety** needs nothing new: the phase still completes only on a
+/// **Safety** needs nothing new: each phase still completes only on a
 /// quorum by weight of servers that *accepted under the client's `C`*, and
 /// any two such quorums intersect (Lemma 3) however many servers were
 /// asked; the fast-path rule is judged over the same replies. **Liveness**
 /// is restored by a timer: a targeted send arms the driver's rebroadcast
-/// timer, and when it fires the phase is re-sent to *every* server (the
-/// paper's fanout) and the asked-but-silent servers become suspects until
-/// they next speak. The deadline is measured, not configured: eight times
-/// an EWMA of this client's own un-widened phase-1 completion times, never
-/// under 5 ms. A client with no sample yet asks everyone and arms nothing —
-/// the paper's behaviour — unless [`DynOptions::retry`] supplies a deadline.
+/// timer, and when it fires the phase in flight is re-sent to *every*
+/// server that has not answered it (the paper's fanout) and the
+/// asked-but-silent servers become suspects. The deadline is measured, not
+/// configured: eight times an EWMA of this client's own un-widened phase-1
+/// completion times, never under 5 ms. A client with no sample yet asks
+/// everyone and arms nothing — the paper's behaviour — unless
+/// [`DynOptions::retry`] supplies a deadline.
 ///
-/// Phase 2 is unaffected: writes broadcast `W`, a fast-path miss writes
-/// back to its stale repliers.
+/// **Suspicion lapses.** A suspect is skipped until it next speaks — and a
+/// server nobody asks never speaks, so each suspicion also arms a lapse
+/// timer of 2^k widen deadlines (k = suspicions in a row with no message
+/// from that server in between, capped at 2^8), after which the server is
+/// a candidate again. A recovered heavy server is back in its clients'
+/// quorum within one lapse; a dead one costs a geometrically thinning
+/// series of single deadlines, not one per operation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Fanout {
-    /// `R` to all `n` servers — the paper-literal Algorithm 5. Baseline for
-    /// equivalence tests and the pinned replays.
+    /// `R` and `W` to all `n` servers — the paper-literal Algorithm 5.
+    /// Baseline for equivalence tests and the pinned replays.
     All,
-    /// `R` to the smallest quorum by weight, widened to all on a measured
-    /// deadline (the default).
+    /// `R` and `W` to the smallest quorum by weight, widened to all on a
+    /// measured deadline (the default).
     #[default]
     Quorum,
 }
@@ -478,7 +490,7 @@ pub struct DynOptions {
     /// matching the crash-free model where every sent message is
     /// eventually delivered.
     pub retry: Option<RetryPolicy>,
-    /// Whom phase 1 asks: the smallest quorum by weight (default) or all
+    /// Whom both phases ask: the smallest quorum by weight (default) or all
     /// `n` servers. Client-side only — servers answer whoever asks.
     pub fanout: Fanout,
 }
@@ -504,17 +516,19 @@ impl Default for DynOptions {
 /// When armed, the [`DynOpDriver`] sets a timer after broadcasting a
 /// phase; if the operation is still in the same numbered attempt when the
 /// timer fires, the driver re-broadcasts the *current* phase (phase 1
-/// verbatim; phase 2 with the already-chosen register) and re-arms with
-/// the delay doubled. Retries are tag-idempotent by construction: servers
-/// adopt registers only if strictly newer, and the driver's reply/ack
-/// accounting is keyed by [`ServerId`], so a duplicate delivery can
-/// neither double-apply a write nor double-count a quorum member. A
+/// verbatim; phase 2 with the already-chosen register, to the servers whose
+/// ack is still missing) and re-arms with the delay doubled. Retries are
+/// tag-idempotent by construction: servers adopt registers only if
+/// strictly newer, and the driver's reply/ack accounting is keyed by
+/// [`ServerId`], so a duplicate delivery can neither double-apply a write
+/// nor double-count a quorum member. A
 /// crash-free schedule with `retry: Some(..)` therefore completes every
 /// operation before its first timer matters only when the network outruns
-/// `base`. With the default `retry: None` the only timer is the widen
+/// `base`. With the default `retry: None` the only timers are the widen
 /// deadline of a [`Fanout::Quorum`] client — the same machinery under a
-/// *measured* base (see [`Fanout`]); under [`Fanout::All`] no timer is ever
-/// set. An explicit policy overrides the measured one, base and budget.
+/// *measured* base — and the lapse of a suspicion that deadline raised (see
+/// [`Fanout`]); under [`Fanout::All`] no timer is ever set. An explicit
+/// policy overrides the measured one, base and budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Delay before the first rebroadcast; doubles per attempt.
@@ -605,8 +619,8 @@ pub struct DynOpDriver<V> {
     retry_timer: Option<TimerId>,
     /// Rebroadcasts already spent on the current operation attempt.
     attempts: u32,
-    /// The smallest quorum by weight avoiding [`DynOpDriver::suspects`]
-    /// under the `C` digested in `targets_for` — heaviest first, empty if
+    /// The smallest quorum by weight avoiding the current suspects under
+    /// the `C` digested in `targets_for` — heaviest first, empty if
     /// the unsuspected servers cannot form one. Recomputed at a phase-1
     /// send when `C` or the suspect set has moved, so a steady-state send
     /// neither sorts nor allocates.
@@ -614,12 +628,13 @@ pub struct DynOpDriver<V> {
     /// Digest of the `C` that `targets` was computed under; `None` when the
     /// suspect set changed since.
     targets_for: Option<u64>,
-    /// Servers that were asked and stayed silent past a widen deadline;
-    /// cleared by their next message. Only ever filled under
-    /// [`Fanout::Quorum`].
-    suspects: BTreeSet<ServerId>,
-    /// Whether the phase 1 in flight was sent to `targets` only and has not
-    /// been widened since.
+    /// Suspicion, one slot per server (index = [`ServerId`]): a server that
+    /// was asked and stayed silent past a widen deadline is skipped by
+    /// `targets` until it next speaks or its suspicion lapses. Only ever
+    /// touched under [`Fanout::Quorum`].
+    suspicion: Vec<Suspicion>,
+    /// Whether the attempt in flight has been sent to `targets` only — its
+    /// phase 1, and the phase 2 that follows — and not widened since.
     targeted: bool,
     /// When the phase 1 in flight was (last) started.
     phase1_sent: Time,
@@ -627,6 +642,24 @@ pub struct DynOpDriver<V> {
     /// half of the widen deadline. Sampled under [`Fanout::Quorum`] only.
     phase1_ewma: Option<Nanos>,
 }
+
+/// What a driver holds against one server (see [`Fanout`]).
+#[derive(Clone, Copy, Debug, Default)]
+struct Suspicion {
+    /// Suspicions in a row with no message from the server in between: the
+    /// next lapse is 2^`strikes` widen deadlines.
+    strikes: u32,
+    /// The armed lapse timer — `Some` exactly while the server is a suspect.
+    lapse: Option<TimerId>,
+}
+
+/// Timer tags with this bit set are suspicion lapses (the server's index in
+/// the low bits); rebroadcast timers are tagged with the operation counter.
+/// Clear of the top bit, which [`crate::OpenLoopClient`] reserves.
+const LAPSE_TAG: u64 = 1 << 62;
+/// A lapse is at most 2^8 widen deadlines: 1.3 s at the deadline's floor,
+/// and a dead quorum member costs its clients under 0.4 % of their time.
+const LAPSE_CAP_LOG2: u32 = 8;
 
 /// The widen deadline is this many times the phase-1 EWMA …
 const WIDEN_FACTOR: u64 = 8;
@@ -656,7 +689,7 @@ impl<V: Value> DynOpDriver<V> {
             attempts: 0,
             targets: Vec::new(),
             targets_for: None,
-            suspects: BTreeSet::new(),
+            suspicion: vec![Suspicion::default(); cfg.n],
             targeted: false,
             phase1_sent: Time::ZERO,
             phase1_ewma: None,
@@ -685,7 +718,10 @@ impl<V: Value> DynOpDriver<V> {
         // deadline enters only as "is there one": its value sets a timer's
         // delay, which the explorer does not order by.
         self.targeted.then_some(&self.targets).hash(&mut h);
-        self.suspects.hash(&mut h);
+        // Who is a suspect, not for how long: strikes only scale a delay.
+        for s in &self.suspicion {
+            s.lapse.is_some().hash(&mut h);
+        }
         self.phase1_ewma.is_some().hash(&mut h);
         match &self.phase {
             DynPhase::Idle => 0u8.hash(&mut h),
@@ -812,14 +848,23 @@ impl<V: Value> DynOpDriver<V> {
     }
 
     /// Timer callback: rebroadcasts the current phase if the operation the
-    /// timer was armed for is still in flight (see [`RetryPolicy`]).
-    /// Embedding actors forward [`Actor::on_timer`] here.
+    /// timer was armed for is still in flight (see [`RetryPolicy`]), or lets
+    /// a suspicion lapse (see [`Fanout`]). Embedding actors forward
+    /// [`Actor::on_timer`] here.
     pub fn on_timer<M: Message>(
         &mut self,
         tag: u64,
         ctx: &mut Context<'_, M>,
         wrap: impl Fn(DynMsg<V>) -> M + Copy,
     ) {
+        if tag & LAPSE_TAG != 0 {
+            // The server is a candidate again; its strikes stand until it
+            // speaks, so a dead one is retried ever more rarely.
+            self.suspicion[(tag & !LAPSE_TAG) as usize].lapse = None;
+            self.targets_for = None;
+            ctx.record_counter("suspicion_lapsed", 1);
+            return;
+        }
         let Some(rp) = self.retry_policy() else {
             return;
         };
@@ -835,12 +880,13 @@ impl<V: Value> DynOpDriver<V> {
             return; // give up rebroadcasting; the op stays pending
         }
         self.attempts += 1;
+        if self.options.fanout == Fanout::Quorum {
+            self.suspect_silent(rp.base, ctx);
+        }
+        let widened = std::mem::take(&mut self.targeted);
         match &self.phase {
             DynPhase::One { .. } => {
-                if self.options.fanout == Fanout::Quorum {
-                    self.suspect_silent(ctx);
-                }
-                if std::mem::take(&mut self.targeted) {
+                if widened {
                     ctx.record_counter("phase1_widened", 1);
                 }
                 self.send_phase1(ctx, wrap);
@@ -848,22 +894,27 @@ impl<V: Value> DynOpDriver<V> {
             DynPhase::Two {
                 op, obj, chosen, ..
             } => {
-                // Same op number, same chosen register: a server that
-                // already adopted it (or something newer) acks without
-                // effect, and the driver's ack set dedupes by ServerId —
-                // the write cannot double-apply.
-                let (op, obj, reg) = (*op, *obj, chosen.clone());
-                for i in 0..self.cfg.n {
-                    ctx.send(
-                        ActorId(self.actor_base + i),
-                        wrap(DynMsg::W {
-                            op,
-                            obj,
-                            reg: reg.clone(),
-                            changes: self.cs_payload(),
-                        }),
-                    );
+                if widened {
+                    ctx.record_counter("phase2_widened", 1);
                 }
+                // Same op number, same chosen register, to every server
+                // whose ack is not in yet — the targets that stayed silent
+                // and, on the widen, everyone outside them. A server that
+                // already adopted the register (or something newer) acks
+                // without effect, and the driver's ack slots dedupe by
+                // ServerId — the write cannot double-apply.
+                let base = self.actor_base;
+                let acks = &self.acks;
+                ctx.broadcast_filter(
+                    (0..self.cfg.n).map(|i| ActorId(base + i)),
+                    wrap(DynMsg::W {
+                        op: *op,
+                        obj: *obj,
+                        reg: chosen.clone(),
+                        changes: self.cs_payload(),
+                    }),
+                    |a| !acks[a.index() - base],
+                );
             }
             DynPhase::Idle => unreachable!("checked above"),
         }
@@ -900,7 +951,8 @@ impl<V: Value> DynOpDriver<V> {
     }
 
     /// Starts (or restarts) phase 1 of the operation in [`DynPhase::One`]:
-    /// decides whom to ask, sends `R`, arms the rebroadcast timer.
+    /// decides whom this attempt asks, sends `R`, arms the rebroadcast
+    /// timer (which stays armed through the attempt's phase 2).
     fn start_phase1<M: Message>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -908,7 +960,7 @@ impl<V: Value> DynOpDriver<V> {
     ) {
         self.attempts = 0;
         self.phase1_sent = ctx.now();
-        // Ask a quorum only when a timer will widen a stalled phase, and
+        // Ask a quorum only when a timer will widen a stalled attempt, and
         // when the servers not under suspicion can still form one.
         self.targeted = self.options.fanout == Fanout::Quorum
             && self.retry_policy().is_some()
@@ -930,20 +982,36 @@ impl<V: Value> DynOpDriver<V> {
                 self.changes.weights(self.cfg.n),
                 self.cfg.initial_total(),
             );
-            self.targets = smallest_quorum_avoiding(&q, &self.suspects).unwrap_or_default();
+            let suspects = (0..self.cfg.n)
+                .filter(|&i| self.suspicion[i].lapse.is_some())
+                .map(|i| ServerId(i as u32))
+                .collect();
+            self.targets = smallest_quorum_avoiding(&q, &suspects).unwrap_or_default();
             self.targets_for = Some(digest);
         }
         !self.targets.is_empty()
     }
 
-    /// A widen deadline passed in phase 1: every server that was asked and
-    /// has not answered becomes a suspect, to be skipped by later phases
-    /// until it next speaks.
-    fn suspect_silent<M: Message>(&mut self, ctx: &mut Context<'_, M>) {
+    /// A widen deadline (`deadline`, undoubled) passed: every server this
+    /// attempt asked that has not answered the phase in flight becomes a
+    /// suspect, to be skipped until it next speaks or the suspicion lapses.
+    /// While the attempt is targeted the asked are `targets` — in phase 2
+    /// too, where they are exactly the phase-1 repliers; otherwise every
+    /// server was sent this attempt's `R` or `W`.
+    fn suspect_silent<M: Message>(&mut self, deadline: Nanos, ctx: &mut Context<'_, M>) {
+        let phase2 = matches!(self.phase, DynPhase::Two { .. });
         for i in 0..self.cfg.n {
-            let s = ServerId(i as u32);
-            let asked = !self.targeted || self.targets.contains(&s);
-            if asked && self.replies[i].is_none() && self.suspects.insert(s) {
+            let asked = !self.targeted || self.targets.contains(&ServerId(i as u32));
+            let answered = if phase2 {
+                self.acks[i]
+            } else {
+                self.replies[i].is_some()
+            };
+            let s = &mut self.suspicion[i];
+            if asked && !answered && s.lapse.is_none() {
+                let lapse = deadline.saturating_mul(2 << s.strikes.min(LAPSE_CAP_LOG2 - 1));
+                s.lapse = Some(ctx.set_timer(lapse, LAPSE_TAG | i as u64));
+                s.strikes += 1;
                 self.targets_for = None;
                 ctx.record_counter("server_suspected", 1);
             }
@@ -1034,8 +1102,9 @@ impl<V: Value> DynOpDriver<V> {
         wrap: impl Fn(DynMsg<V>) -> M + Copy,
     ) -> Option<DynCompletedOp<V>> {
         let sid = ServerId((from.index() - self.actor_base) as u32);
-        if !self.suspects.is_empty() && self.suspects.remove(&sid) {
-            // It spoke: no longer a suspect, whatever it said.
+        // It spoke: no longer a suspect, whatever it said.
+        if let Some(t) = std::mem::take(&mut self.suspicion[sid.index()]).lapse {
+            ctx.cancel_timer(t);
             self.targets_for = None;
         }
         match msg {
@@ -1177,20 +1246,16 @@ impl<V: Value> DynOpDriver<V> {
                     // ack is what a zero-delay `W` round trip would have
                     // produced) and `W` goes only to the stale repliers,
                     // whose weight tops the quorum up — fresh + stale is
-                    // exactly the phase-1 quorum. An empty `fresh` (reads
-                    // under TwoPhase, every write) degenerates to the
-                    // paper's full broadcast.
+                    // exactly the phase-1 quorum. With an empty `fresh`
+                    // (reads under TwoPhase, every write) every replier is
+                    // stale: while the attempt is still targeted those are
+                    // the targets — the greedy quorum is minimal, so it
+                    // took all of them to get here — and `W` goes to them;
+                    // an attempt that asked everyone (a client's first, a
+                    // widened one) keeps the paper's full broadcast.
                     let (replies, fresh) = (&self.replies, &self.acks);
                     let stale = |i: usize| replies[i].is_some() && !fresh[i];
-                    let full_fanout = !fresh.contains(&true);
-                    if is_read && self.options.read == ReadMode::FastPath {
-                        let fan = if full_fanout {
-                            self.cfg.n
-                        } else {
-                            (0..self.cfg.n).filter(|&i| stale(i)).count()
-                        };
-                        ctx.record_sample("read_writeback_fanout", fan as u64);
-                    }
+                    let everyone = !self.targeted && !fresh.contains(&true);
                     self.phase = DynPhase::Two {
                         op,
                         obj: cur_obj,
@@ -1201,7 +1266,7 @@ impl<V: Value> DynOpDriver<V> {
                         weight: fresh_weight,
                     };
                     let base = self.actor_base;
-                    ctx.broadcast_filter(
+                    let fan = ctx.broadcast_filter(
                         (0..self.cfg.n).map(|i| ActorId(base + i)),
                         wrap(DynMsg::W {
                             op,
@@ -1209,8 +1274,33 @@ impl<V: Value> DynOpDriver<V> {
                             reg: chosen.clone(),
                             changes: self.cs_payload(),
                         }),
-                        |a| full_fanout || stale(a.index() - base),
-                    );
+                        |a| everyone || stale(a.index() - base),
+                    ) as u64;
+                    if is_read && self.options.read == ReadMode::FastPath {
+                        ctx.record_sample("read_writeback_fanout", fan);
+                    }
+                    if self.targeted {
+                        ctx.record_counter("phase2_targeted", 1);
+                        ctx.record_sample("phase2_fanout", fan);
+                    }
+                    #[cfg(feature = "mutate")]
+                    if !everyone
+                        && awr_sim::mutate::armed(
+                            awr_sim::mutate::Mutation::CountPhase2TargetsAsAcked,
+                        )
+                    {
+                        // MUTATION: the servers `W` was just sent to count
+                        // as having acked it — the first `W_A` then
+                        // completes a write that one server stores.
+                        if let DynPhase::Two { weight, .. } = &mut self.phase {
+                            for i in 0..self.cfg.n {
+                                if self.replies[i].is_some() && !self.acks[i] {
+                                    self.acks[i] = true;
+                                    *weight += self.changes.server_weight(ServerId(i as u32));
+                                }
+                            }
+                        }
+                    }
                 }
                 None
             }
@@ -2324,27 +2414,33 @@ mod driver_tests {
 
     #[test]
     fn two_phase_mode_keeps_full_write_back() {
-        let mut h = StorageHarness::<u64>::build(
-            RpConfig::uniform(5, 1),
-            1,
-            11,
-            UniformLatency::new(1_000, 2_000),
-            DynOptions {
-                read: ReadMode::TwoPhase,
-                ..DynOptions::default()
-            },
-        );
-        h.write(0, 42).expect("write");
-        h.settle();
-        let before = h.world.metrics().clone();
-        let (v, _) = h.read(0).expect("read");
-        assert_eq!(v, Some(42));
-        let window = h.world.metrics().since(&before);
-        assert_eq!(
-            window.sent_of_kind("W"),
-            5,
-            "two-phase reads broadcast W to all"
-        );
-        assert_eq!(window.counter("read_fastpath_hit"), 0);
+        // No replier is pre-counted: `W` goes to everyone the phase asked —
+        // all five under the paper's fanout, the three-server quorum under
+        // the default.
+        for (fanout, asked) in [(Fanout::All, 5), (Fanout::Quorum, 3)] {
+            let mut h = StorageHarness::<u64>::build(
+                RpConfig::uniform(5, 1),
+                1,
+                11,
+                UniformLatency::new(1_000, 2_000),
+                DynOptions {
+                    read: ReadMode::TwoPhase,
+                    fanout,
+                    ..DynOptions::default()
+                },
+            );
+            h.write(0, 42).expect("write");
+            h.settle();
+            let before = h.world.metrics().clone();
+            let (v, _) = h.read(0).expect("read");
+            assert_eq!(v, Some(42));
+            let window = h.world.metrics().since(&before);
+            assert_eq!(
+                window.sent_of_kind("W"),
+                asked,
+                "two-phase reads write back to every server asked"
+            );
+            assert_eq!(window.counter("read_fastpath_hit"), 0);
+        }
     }
 }

@@ -244,16 +244,26 @@ fn recovered_server_converges_with_never_crashed_replicas() {
         let srv = h.world.actor::<DynServer<u64>>(a).unwrap();
         (
             srv.changes().digest(),
-            srv.register_of(ObjectId::DEFAULT),
-            srv.register_of(ObjectId(9)),
+            [ObjectId::DEFAULT, ObjectId(9)].map(|obj| srv.register_of(obj)),
         )
     };
-    let recovered = server(&h, 0);
+    // Same change set as every replica that never crashed, and per key the
+    // newest register any of them holds. (Not *every* replica's register:
+    // a write lives on the quorum it was sent to; the rejoin refresh reads
+    // n − f servers, which meets every such quorum.)
+    let (digest, registers) = server(&h, 0);
     for live in 1..7u32 {
-        assert_eq!(
-            recovered,
-            server(&h, live),
-            "recovered s0 diverged from live s{live}"
+        assert_eq!(digest, server(&h, live).0, "s0 diverged from live s{live}");
+    }
+    for (k, recovered) in registers.iter().enumerate() {
+        let newest = (1..7u32)
+            .map(|live| server(&h, live).1[k])
+            .max_by_key(|r| r.tag)
+            .unwrap();
+        assert_eq!(*recovered, newest, "key {k}");
+        assert!(
+            recovered.value.is_some(),
+            "key {k} was written while s0 was down"
         );
     }
     // And the recovered digest reflects the transfer it slept through.
