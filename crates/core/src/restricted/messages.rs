@@ -22,10 +22,14 @@
 //!
 //! A `WC_Ack` is still sent only once the receiving server *stores* the
 //! referenced set (possibly proving it already did via the digest).
+//!
+//! The byte layout of each message is its [`Wire`] impl below, in the
+//! version-2 format of [`awr_types::wire`].
 
 use awr_rb::RbEnvelope;
-use awr_sim::Message;
-use awr_types::{CsRef, ServerId, TransferChanges};
+use awr_sim::{ActorId, Message};
+use awr_types::wire::{get_vec, put_digest, put_seq, FrameError, Reader, Wire, MIN_CHANGE};
+use awr_types::{CsRef, Ratio, ServerId, TransferChanges};
 
 /// Protocol messages. Names follow the paper's:
 ///
@@ -104,7 +108,7 @@ pub enum WrMsg {
         /// The destination server.
         to: ServerId,
         /// The amount to transfer.
-        delta: awr_types::Ratio,
+        delta: Ratio,
     },
 }
 
@@ -169,6 +173,95 @@ impl Message for WrMsg {
             WrMsg::Invoke { to, delta } => (7u8, to, delta).hash(&mut h),
         }
         Some(h.finish())
+    }
+}
+
+impl Wire for WrMsg {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            WrMsg::Rb(env) => {
+                out.push(0);
+                env.origin.index().put(out);
+                env.seq.put(out);
+                put_seq(out, env.payload.len(), &env.payload);
+            }
+            WrMsg::TAck { counter } => {
+                out.push(1);
+                counter.put(out);
+            }
+            WrMsg::Rc { op, target, known } => {
+                out.push(2);
+                op.put(out);
+                target.put(out);
+                put_digest(out, *known);
+            }
+            WrMsg::RcAck { op, changes } => {
+                out.push(3);
+                op.put(out);
+                changes.put(out);
+            }
+            WrMsg::Wc {
+                op,
+                target,
+                changes,
+            } => {
+                out.push(4);
+                op.put(out);
+                target.put(out);
+                changes.put(out);
+            }
+            WrMsg::WcAck { op } => {
+                out.push(5);
+                op.put(out);
+            }
+            WrMsg::WcMiss { op, have } => {
+                out.push(6);
+                op.put(out);
+                put_digest(out, *have);
+            }
+            WrMsg::Invoke { to, delta } => {
+                out.push(7);
+                to.put(out);
+                delta.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<WrMsg, FrameError> {
+        match r.byte()? {
+            0 => Ok(WrMsg::Rb(RbEnvelope {
+                origin: ActorId(usize::get(r)?),
+                seq: u64::get(r)?,
+                payload: get_vec(r, 2 * MIN_CHANGE)?,
+            })),
+            1 => Ok(WrMsg::TAck {
+                counter: u64::get(r)?,
+            }),
+            2 => Ok(WrMsg::Rc {
+                op: u64::get(r)?,
+                target: ServerId::get(r)?,
+                known: r.digest()?,
+            }),
+            3 => Ok(WrMsg::RcAck {
+                op: u64::get(r)?,
+                changes: CsRef::get(r)?,
+            }),
+            4 => Ok(WrMsg::Wc {
+                op: u64::get(r)?,
+                target: ServerId::get(r)?,
+                changes: CsRef::get(r)?,
+            }),
+            5 => Ok(WrMsg::WcAck { op: u64::get(r)? }),
+            6 => Ok(WrMsg::WcMiss {
+                op: u64::get(r)?,
+                have: r.digest()?,
+            }),
+            7 => Ok(WrMsg::Invoke {
+                to: ServerId::get(r)?,
+                delta: Ratio::get(r)?,
+            }),
+            _ => Err(FrameError::Codec("unknown WrMsg tag")),
+        }
     }
 }
 

@@ -33,8 +33,9 @@
 //! Child protocol (internal): children print `PORT <p>` after binding,
 //! receive `MESH <p0> <p1> …` on stdin, and then obey line commands —
 //! `report`, `transfer <to> <num> <den>`, `ops <m>`, `quit` — answering
-//! with `METRICS <json>` / `DONE <json>` / `TRANSFER_DONE` lines. See
-//! `docs/RUNTIME.md` for a walkthrough.
+//! with `METRICS <report>` / `DONE <report>` / `TRANSFER_DONE` lines, a
+//! report being one `Wire` frame in hex. See `docs/RUNTIME.md` for a
+//! walkthrough.
 
 #![allow(clippy::print_stdout)]
 
@@ -46,14 +47,14 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use awr_core::RpConfig;
-use awr_net::TcpTransport;
+use awr_net::{decode_frame, encode_frame, FrameError, Reader, TcpTransport, Wire};
 use awr_sim::{ActorId, KindStats, NodeHost, Time, UniformLatency};
 use awr_storage::{
     check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
     OpKind, StorageHandle, StorageHarness,
 };
+use awr_types::wire::{get_map, get_vec, put_map, put_seq};
 use awr_types::{ClientId, ObjectId, ProcessId, Ratio, ServerId};
-use serde::{Deserialize, Serialize};
 
 /// The request kinds a quorum-targeted client must send fewer of.
 const TARGETED_KINDS: [&str; 2] = ["R", "W"];
@@ -155,8 +156,8 @@ impl Params {
     }
 }
 
-/// One process's stats report, shipped as JSON on stdout.
-#[derive(Debug, Serialize, Deserialize)]
+/// One process's stats report, shipped on stdout as one frame in hex.
+#[derive(Debug)]
 struct Report {
     role: String,
     idx: usize,
@@ -179,13 +180,76 @@ struct Report {
 /// starts at its process's start. The stamps can only widen the true
 /// interval, which can only make the linearizability check more lenient,
 /// never flag a correct run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct OpRecord {
     obj: u64,
     write: bool,
     value: Option<V>,
     invoke: u64,
     response: u64,
+}
+
+impl Wire for Report {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.role.put(out);
+        self.idx.put(out);
+        for kinds in [&self.wire, &self.frames] {
+            put_map(out, &kinds.msgs);
+            put_map(out, &kinds.wire_bytes);
+        }
+        self.dropped.put(out);
+        self.frames_received.put(out);
+        put_seq(out, self.history.len(), &self.history);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Report, FrameError> {
+        // A kind name and a count: at least 2 bytes an entry.
+        let kinds = |r: &mut Reader<'_>| -> Result<KindStats, FrameError> {
+            Ok(KindStats {
+                msgs: get_map(r, 2)?,
+                wire_bytes: get_map(r, 2)?,
+            })
+        };
+        Ok(Report {
+            role: String::get(r)?,
+            idx: usize::get(r)?,
+            wire: kinds(r)?,
+            frames: kinds(r)?,
+            dropped: u64::get(r)?,
+            frames_received: u64::get(r)?,
+            history: get_vec(r, 5)?,
+        })
+    }
+}
+
+impl Wire for OpRecord {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.obj.put(out);
+        self.write.put(out);
+        self.value.put(out);
+        self.invoke.put(out);
+        self.response.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<OpRecord, FrameError> {
+        Ok(OpRecord {
+            obj: u64::get(r)?,
+            write: bool::get(r)?,
+            value: Option::get(r)?,
+            invoke: u64::get(r)?,
+            response: u64::get(r)?,
+        })
+    }
+}
+
+/// Decodes a report line's hex frame.
+fn parse_report(hex: &str) -> Report {
+    let frame: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex report"))
+        .collect();
+    let whole = decode_frame(&frame).expect("decode report");
+    whole.expect("a whole report frame").0
 }
 
 fn wall_ns() -> u64 {
@@ -274,7 +338,10 @@ fn report<A: awr_sim::Actor<Msg = DynMsg<V>>>(
         dropped: host.transport().pool_stats().dropped,
         frames_received: host.transport().frames_received(),
     };
-    serde_json::to_string(&r).expect("report json")
+    encode_frame(&r)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
 }
 
 fn server_main(i: usize, p: Params) {
@@ -599,8 +666,7 @@ fn validate_bytes(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(),
         let mut all_frames = frames.clone();
         for proc in &mut mesh.procs[..p.servers] {
             proc.send("report");
-            let json = proc.expect("METRICS ", Duration::from_secs(10))?;
-            let r: Report = serde_json::from_str(&json).expect("server report");
+            let r = parse_report(&proc.expect("METRICS ", Duration::from_secs(10))?);
             all.absorb(&r.wire);
             all_frames.absorb(&r.frames);
         }
@@ -659,8 +725,9 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
     // Clients run the validation workload.
     let mut reports: Vec<Report> = Vec::new();
     for proc in &mut mesh.procs[clients.clone()] {
-        let json = proc.expect("DONE ", Duration::from_secs(120))?;
-        reports.push(serde_json::from_str(&json).expect("client report"));
+        reports.push(parse_report(
+            &proc.expect("DONE ", Duration::from_secs(120))?,
+        ));
     }
     let tcp_ops: u64 = reports.iter().map(|r| r.history.len() as u64).sum();
     if tcp_ops != p.ops * p.clients as u64 {
@@ -687,11 +754,13 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
     reports.clear();
     for proc in &mut mesh.procs[clients] {
         proc.send(&format!("ops {post_burst}"));
-        let json = proc.expect("DONE ", Duration::from_secs(60))?;
-        let r: Report = serde_json::from_str(&json).expect("client report");
+        let r = parse_report(&proc.expect("DONE ", Duration::from_secs(60))?);
         let done = r.history.len() as u64;
         if done != p.ops + post_burst {
-            return Err(format!("client {}: {done} ops after the transfer", r.idx));
+            return Err(format!(
+                "{} {}: {done} ops after the transfer",
+                r.role, r.idx
+            ));
         }
         reports.push(r);
     }

@@ -1,6 +1,7 @@
-//! Length-prefixed binary frames over byte streams.
+//! The frame on a socket, and the hello that opens a connection.
 //!
-//! Every message on an `awr_net` socket is one **frame**:
+//! Every message on an `awr_net` socket is one **frame** of the
+//! [`awr_types::wire`] codec:
 //!
 //! ```text
 //! +----------------+-----------+------------------------------+
@@ -8,147 +9,23 @@
 //! +----------------+-----------+------------------------------+
 //! ```
 //!
-//! * `length` counts everything after itself (version byte + payload), so
-//!   a reader needs exactly `4 + length` bytes for a whole frame;
-//! * `version` is [`WIRE_VERSION`]; any other value is rejected before the
-//!   payload is touched, so incompatible peers fail fast instead of
-//!   misparsing each other;
-//! * the payload is the message's [`Wire`] encoding (see [`crate::wire`]
-//!   for the layout of every type): fields in declaration order, LEB128
-//!   varints, fixed-width digests, one tag byte per enum — no field
-//!   names, and no tree built on either side. The payload must be
-//!   consumed exactly: bytes left over are a codec error.
-//!
-//! A length prefix above [`MAX_FRAME`] is rejected
-//! ([`FrameError::Oversized`]) so a corrupt or hostile one cannot make a
-//! reader allocate unboundedly. A stream that ends cleanly *between*
-//! frames reports [`FrameError::Closed`]; one that ends *inside* a frame
-//! reports [`FrameError::Truncated`].
+//! [`encode_frame_into`](crate::encode_frame_into) writes one into a
+//! peer's write buffer and [`decode_frame`](crate::decode_frame) reads one
+//! off a connection's read buffer: `Ok(None)` for a prefix (read more and
+//! retry), an error once the bytes present prove the frame bad — a length
+//! above [`MAX_FRAME`](crate::MAX_FRAME), a version other than
+//! [`WIRE_VERSION`], a payload that does not decode exactly. A stream
+//! that ends cleanly *between* frames reports [`FrameError::Closed`]; one
+//! that ends *inside* a frame reports [`FrameError::Truncated`].
 //!
 //! Before its first frame a connection carries a fixed 13-byte **hello**
 //! (`magic ∥ version ∥ ActorId`, [`write_hello`]/[`read_hello`]) so the
 //! accepting side knows which peer the stream speaks for.
 
-use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
 
 use awr_sim::ActorId;
-
-use crate::wire::{Reader, Wire};
-
-/// The wire protocol version carried in every frame header and hello.
-/// Version 1 (a self-describing value tree) is refused like any other
-/// foreign version.
-pub const WIRE_VERSION: u8 = 2;
-
-/// Upper bound on `version byte + payload` length, in bytes. Generous for
-/// this workspace's messages (a full change-set transfer is kilobytes) but
-/// small enough that a garbage length prefix cannot exhaust memory.
-pub const MAX_FRAME: usize = 16 << 20;
-
-/// Everything that can go wrong reading or writing a frame.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The underlying stream failed.
-    Io(io::Error),
-    /// The stream closed cleanly at a frame boundary (orderly peer exit).
-    Closed,
-    /// The stream ended in the middle of a frame.
-    Truncated,
-    /// The length prefix exceeds [`MAX_FRAME`].
-    Oversized {
-        /// The length the prefix claimed.
-        len: usize,
-    },
-    /// The frame's version byte is not [`WIRE_VERSION`].
-    BadVersion(u8),
-    /// The payload bytes do not decode to the expected message type.
-    Codec(&'static str),
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "frame io error: {e}"),
-            FrameError::Closed => write!(f, "stream closed at frame boundary"),
-            FrameError::Truncated => write!(f, "stream ended mid-frame"),
-            FrameError::Oversized { len } => {
-                write!(f, "frame length {len} exceeds MAX_FRAME {MAX_FRAME}")
-            }
-            FrameError::BadVersion(v) => {
-                write!(f, "frame version {v} (expected {WIRE_VERSION})")
-            }
-            FrameError::Codec(e) => write!(f, "frame payload codec error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> FrameError {
-        match e.kind() {
-            io::ErrorKind::UnexpectedEof => FrameError::Truncated,
-            _ => FrameError::Io(e),
-        }
-    }
-}
-
-/// Appends `msg` to `out` as one complete frame, returning the frame's
-/// size: the message is encoded in place behind a placeholder length,
-/// which is then patched, so a sender can encode straight into its write
-/// buffer — without allocating, once the buffer has the capacity.
-pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION]);
-    msg.put(out);
-    let len = out.len() - start - 4;
-    // A length past `u32` wraps here; it is past `MAX_FRAME` too, and the
-    // sender checks the returned size against that before writing.
-    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    4 + len
-}
-
-/// Encodes `msg` as one complete frame (header + payload).
-pub fn encode_frame<T: Wire>(msg: &T) -> Vec<u8> {
-    // Room for any frame without a change list or register map, so that
-    // the returned buffer is this call's one allocation.
-    let mut frame = Vec::with_capacity(64);
-    encode_frame_into(msg, &mut frame);
-    frame
-}
-
-/// Tries to decode one frame from the front of `buf`.
-///
-/// Returns `Ok(None)` when `buf` holds only a *prefix* of a frame (read
-/// more bytes and retry), `Ok(Some((msg, consumed)))` on success — drain
-/// `consumed` bytes — and an error when the bytes present already prove
-/// the frame bad (oversized length, wrong version, corrupt payload).
-pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len });
-    }
-    if len == 0 {
-        return Err(FrameError::Codec("empty frame"));
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    let version = buf[4];
-    if version != WIRE_VERSION {
-        return Err(FrameError::BadVersion(version));
-    }
-    let mut payload = Reader::new(&buf[5..4 + len]);
-    let msg = T::get(&mut payload)?;
-    if payload.remaining() != 0 {
-        return Err(FrameError::Codec("trailing bytes after the message"));
-    }
-    Ok(Some((msg, 4 + len)))
-}
+use awr_types::wire::{FrameError, WIRE_VERSION};
 
 /// First bytes of every connection, before any frame.
 pub const HELLO_MAGIC: [u8; 4] = *b"AWRT";
@@ -179,19 +56,13 @@ pub fn read_hello(r: &mut impl Read) -> Result<ActorId, FrameError> {
     Ok(ActorId(id as usize))
 }
 
-/// An encode → decode round trip through a whole frame, for tests and for
-/// cross-checking that a type's [`Wire`] impl mirrors itself.
-pub fn roundtrip<T: Wire>(msg: &T) -> Result<T, FrameError> {
-    match decode_frame(&encode_frame(msg))? {
-        Some((out, _)) => Ok(out),
-        None => Err(FrameError::Truncated),
-    }
-}
-
+// The codec itself lives in `awr_types::wire`; these pin the frame as a
+// socket carries it, around the protocol's own messages.
 #[cfg(test)]
 mod tests {
     use super::*;
     use awr_storage::DynMsg;
+    use awr_types::wire::{decode_frame, encode_frame, encode_frame_into, Wire, MAX_FRAME};
     use awr_types::{CsRef, ObjectId};
 
     fn read(op: u64) -> DynMsg<u64> {

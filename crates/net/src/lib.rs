@@ -11,14 +11,16 @@
 //! [`awr_sim::Transport`] seam (see `awr_sim::transport`) and the plumbing
 //! under it —
 //!
-//! * [`frame`] — the frame: `u32` little-endian length prefix, a version
-//!   byte and the typed payload, with oversize/truncation/version checks,
-//!   plus the 13-byte hello that opens a connection;
-//! * [`wire`] — the payload format (version 2): the [`Wire`] trait and its
-//!   impl for every type that crosses a socket — positional fields,
-//!   varints, fixed-width digests, one tag byte per enum — encoded into
-//!   and decoded out of the transport's own buffers, with no allocation
-//!   for a message that carries no change list or register map;
+//! * [`frame`] — the frame on a socket (`u32` little-endian length
+//!   prefix, a version byte and the typed payload) and the 13-byte hello
+//!   that opens a connection. The codec is `awr_types::wire` (format
+//!   version 2, re-exported here): the [`Wire`] trait, its impls —
+//!   positional fields, varints, fixed-width digests, one tag byte per
+//!   enum — and the frame encoder/decoder with its
+//!   oversize/truncation/version checks, encoding into and decoding out of
+//!   the transport's own buffers with no allocation for a message that
+//!   carries no change list or register map. The storage servers write
+//!   their WAL in the same frames;
 //! * [`tcp`] — [`TcpTransport`], the mesh endpoint an `awr_sim::NodeHost`
 //!   pumps: it owns its listener and every socket and spawns no thread.
 //!   Receiving is one `ppoll(2)` over all of them, decoding frames on the
@@ -81,10 +83,10 @@
 pub mod frame;
 mod sys;
 pub mod tcp;
-pub mod wire;
 
-pub use frame::{
-    decode_frame, encode_frame, read_hello, write_hello, FrameError, MAX_FRAME, WIRE_VERSION,
+pub use awr_types::wire::{
+    decode_frame, encode_frame, encode_frame_into, FrameError, Reader, Wire, MAX_FRAME,
+    WIRE_VERSION,
 };
+pub use frame::{read_hello, write_hello};
 pub use tcp::{PoolStats, Reconnect, TcpTransport};
-pub use wire::{Reader, Wire};

@@ -78,12 +78,10 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use awr_sim::{ActorId, KindStats, Message, Transport};
+use awr_types::wire::{decode_frame, encode_frame_into, FrameError, Wire, MAX_FRAME};
 
-use crate::frame::{
-    decode_frame, encode_frame_into, read_hello, write_hello, FrameError, HELLO_LEN, MAX_FRAME,
-};
+use crate::frame::{read_hello, write_hello, HELLO_LEN};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
-use crate::wire::Wire;
 
 /// Write backlog toward one peer above which [`Transport::send`] stops
 /// returning at once and drives the readiness loop until the peer has

@@ -1,7 +1,8 @@
 //! Pins the zero-allocation contract of the frame codec's hot path: the
 //! four ABD kinds with a summary reference are every frame of a steady
 //! read or write, so one allocation in either direction is paid per
-//! message, on the node's only thread.
+//! message, on the node's only thread — and a server's WAL append is one
+//! more frame of a `Register` or `Change` record, on the same thread.
 //!
 //! The count is process-wide, so this is the only test in its binary.
 //! The counting shim is the one place this crate's tests touch `unsafe`:
@@ -13,9 +14,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use awr_net::frame::{decode_frame, encode_frame_into};
-use awr_storage::DynMsg;
-use awr_types::{ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, Tag, TaggedValue};
+use awr_storage::{DynMsg, WalRecord};
+use awr_types::wire::{decode_frame, encode_frame_into, Wire};
+use awr_types::{
+    Change, ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
+};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -40,6 +43,30 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations made encoding `values` into a warm buffer and decoding
+/// them back, 1 000 times over.
+fn allocations<T: Wire + PartialEq + std::fmt::Debug>(values: &[T]) -> u64 {
+    // The write buffer a transport keeps per peer, already grown.
+    let mut wbuf = Vec::with_capacity(4096);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..1_000 {
+        wbuf.clear();
+        let mut at = 0;
+        for value in values {
+            encode_frame_into(black_box(value), &mut wbuf);
+        }
+        for value in values {
+            let (back, used) = decode_frame::<T>(black_box(&wbuf[at..]))
+                .expect("own frame decodes")
+                .expect("whole frame present");
+            assert_eq!(&back, value);
+            at += used;
+        }
+        assert_eq!(at, wbuf.len());
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
+}
 
 #[test]
 fn steady_state_frames_encode_and_decode_without_allocating() {
@@ -75,25 +102,16 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
             accepted: true,
         },
     ];
+    assert_eq!(allocations(&msgs), 0, "the codec's hot path allocated");
 
-    // The write buffer a transport keeps per peer, already grown.
-    let mut wbuf = Vec::with_capacity(4096);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..1_000 {
-        wbuf.clear();
-        let mut at = 0;
-        for msg in &msgs {
-            encode_frame_into(black_box(msg), &mut wbuf);
-        }
-        for msg in &msgs {
-            let (back, used) = decode_frame::<DynMsg<u64>>(black_box(&wbuf[at..]))
-                .expect("own frame decodes")
-                .expect("whole frame present");
-            assert_eq!(&back, msg);
-            at += used;
-        }
-        assert_eq!(at, wbuf.len());
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "the codec's hot path allocated");
+    let records = [
+        WalRecord::Register(obj, reg),
+        WalRecord::Change(Change::new(
+            ServerId(3),
+            7,
+            ServerId(4),
+            Ratio::new(-1, 100),
+        )),
+    ];
+    assert_eq!(allocations(&records), 0, "a WAL record's frame allocated");
 }

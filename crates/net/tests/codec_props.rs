@@ -1,17 +1,19 @@
 //! The frame codec at the trust boundary: encode/decode identity over
-//! every protocol message, and a decoder that answers truncated, corrupt,
-//! inflated or arbitrary input with `Ok(None)` or an error — never a
-//! panic, never a reservation the bytes present do not pay for.
+//! every protocol message and every durable record, and a decoder that
+//! answers truncated, corrupt, inflated or arbitrary input with `Ok(None)`
+//! or an error — never a panic, never a reservation the bytes present do
+//! not pay for. A socket and a WAL file feed it the same way.
 
 use std::collections::BTreeMap;
 
 use awr_core::restricted::WrMsg;
-use awr_net::frame::{self, decode_frame, encode_frame, FrameError, MAX_FRAME, WIRE_VERSION};
-use awr_net::wire::{put_digest, put_varint, MAX_SERVER_ID};
-use awr_net::Wire;
 use awr_rb::RbEnvelope;
 use awr_sim::ActorId;
-use awr_storage::{DynMsg, RefreshHave};
+use awr_storage::{DynMsg, RefreshHave, Snapshot, WalRecord};
+use awr_types::wire::{
+    decode_frame, encode_frame, put_digest, put_varint, roundtrip, FrameError, Wire, MAX_FRAME,
+    MAX_SERVER_ID, WIRE_VERSION,
+};
 use awr_types::{
     Change, ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
     TransferChanges,
@@ -184,6 +186,45 @@ fn arb_msg(arm: u64, seed: &mut u64) -> Msg {
     }
 }
 
+/// A WAL record of either kind.
+fn arb_record(seed: &mut u64) -> WalRecord<u64> {
+    match splitmix(seed) % 2 {
+        0 => WalRecord::Change(arb_change(seed)),
+        _ => WalRecord::Register(ObjectId(splitmix(seed) % 3), arb_reg(seed)),
+    }
+}
+
+/// A snapshot, empty change set and register map included.
+fn arb_snapshot(seed: &mut u64) -> Snapshot<u64> {
+    let len = (splitmix(seed) % 6) as usize;
+    Snapshot {
+        changes: arb_set(seed, len),
+        registers: (0..splitmix(seed) % 4)
+            .map(|k| (ObjectId(k), arb_reg(seed)))
+            .collect(),
+    }
+}
+
+/// `value` round-trips through a whole frame; every proper prefix of that
+/// frame is incomplete; the frame with one bit flipped decodes to
+/// anything but a panic.
+fn frame_survives<T: Wire + PartialEq + std::fmt::Debug>(
+    value: &T,
+    seed: &mut u64,
+) -> Result<(), TestCaseError> {
+    let mut bytes = encode_frame(value);
+    let (back, used) = decode_frame::<T>(&bytes).expect("decode").expect("whole");
+    prop_assert_eq!(used, bytes.len());
+    prop_assert_eq!(&back, value);
+    for cut in 0..bytes.len() {
+        prop_assert!(matches!(decode_frame::<T>(&bytes[..cut]), Ok(None)));
+    }
+    let at = (splitmix(seed) % bytes.len() as u64) as usize;
+    bytes[at] ^= 1 << (splitmix(seed) % 8);
+    let _ = decode_frame::<T>(&bytes);
+    Ok(())
+}
+
 /// A whole frame around `payload`, with an honest length and version.
 fn framed(payload: &[u8]) -> Vec<u8> {
     let mut buf = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
@@ -236,7 +277,7 @@ proptest! {
     fn oversized_lengths_rejected(extra in 1u64..u32::MAX as u64 - MAX_FRAME as u64) {
         let len = (MAX_FRAME as u64 + extra) as u32;
         let mut buf = len.to_le_bytes().to_vec();
-        buf.extend_from_slice(&[frame::WIRE_VERSION, 0, 0, 0]);
+        buf.extend_from_slice(&[WIRE_VERSION, 0, 0, 0]);
         prop_assert!(matches!(
             decode_frame::<u64>(&buf),
             Err(FrameError::Oversized { .. })
@@ -252,7 +293,7 @@ proptest! {
             // Whatever decoded is a message like any other: it re-encodes
             // and decodes to itself.
             prop_assert_eq!(used, bytes.len() + 5);
-            prop_assert_eq!(frame::roundtrip(&msg).expect("roundtrip"), msg);
+            prop_assert_eq!(roundtrip(&msg).expect("roundtrip"), msg);
         }
     }
 
@@ -285,6 +326,41 @@ proptest! {
             prop_assert!(refused(&framed(&payload)));
         }
     }
+
+    /// WAL records and snapshots — what `FileStorage` reads back after a
+    /// crash — round-trip, and a torn or bit-flipped one is refused
+    /// without a panic.
+    #[test]
+    fn durable_records_roundtrip_and_refuse_damage(seed in 0u64..u64::MAX) {
+        let mut s = seed;
+        frame_survives(&arb_record(&mut s), &mut s)?;
+        frame_survives(&arb_snapshot(&mut s), &mut s)?;
+    }
+
+    /// A snapshot whose change count or register count claims more than
+    /// the payload holds is refused before anything is reserved for it.
+    #[test]
+    fn inflated_snapshot_counts_are_refused(seed in 0u64..u64::MAX, present in 0u64..6, shift in 0u32..60) {
+        let mut s = seed;
+        for claimed in [present + 1, (present + 1) << shift] {
+            // Snapshot { changes: <claimed>, registers: {} } and
+            // Snapshot { changes: {}, registers: <claimed> }, by hand.
+            let mut changes = Vec::new();
+            put_varint(&mut changes, claimed);
+            let mut regs = vec![0];
+            put_varint(&mut regs, claimed);
+            for k in 0..present {
+                arb_change(&mut s).put(&mut changes);
+                ObjectId(k).put(&mut regs);
+                arb_reg(&mut s).put(&mut regs);
+            }
+            changes.push(0);
+            for payload in [changes, regs] {
+                let got = decode_frame::<Snapshot<u64>>(&framed(&payload));
+                prop_assert!(matches!(got, Err(FrameError::Codec(_))));
+            }
+        }
+    }
 }
 
 /// The largest reference the benchmark's ledger ships: a rejecting `R_A`
@@ -299,7 +375,7 @@ fn a_full_reference_of_3000_changes_roundtrips() {
         changes: CsRef::Full(arb_set(&mut s, 3_000)),
         accepted: false,
     };
-    assert_eq!(frame::roundtrip(&msg).expect("roundtrip"), msg);
+    assert_eq!(roundtrip(&msg).expect("roundtrip"), msg);
 }
 
 fn invoke(delta: Ratio) -> Msg {
@@ -320,7 +396,7 @@ fn ratio_extremes_survive() {
         Ratio::new(i128::MAX, i128::MAX - 1),
     ] {
         let msg = invoke(delta);
-        assert_eq!(frame::roundtrip(&msg).expect("roundtrip"), msg, "{delta:?}");
+        assert_eq!(roundtrip(&msg).expect("roundtrip"), msg, "{delta:?}");
     }
 }
 
@@ -377,4 +453,8 @@ fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
     };
     assert!(accepted(&rc(MAX_SERVER_ID)));
     assert!(refused(&rc(MAX_SERVER_ID + 1)));
+    // A WAL record (Register { obj: 1, reg: bottom }) and the tag past it.
+    let register = |tag: u8| decode_frame::<WalRecord<u64>>(&framed(&[tag, 1, 0, 0, 0, 0]));
+    assert!(matches!(register(1), Ok(Some(_))));
+    assert!(matches!(register(2), Err(FrameError::Codec(_))));
 }

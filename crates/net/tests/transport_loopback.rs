@@ -14,9 +14,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use awr_core::RpConfig;
-use awr_net::frame::{encode_frame, write_hello, MAX_FRAME, WIRE_VERSION};
 use awr_net::tcp::HIGH_WATER;
-use awr_net::{FrameError, Reader, Reconnect, TcpTransport, Wire};
+use awr_net::{
+    encode_frame, write_hello, FrameError, Reader, Reconnect, TcpTransport, Wire, MAX_FRAME,
+    WIRE_VERSION,
+};
 use awr_sim::{ActorId, ChannelTransport, Message, NodeHost, Step, Transport};
 use awr_storage::{DynClient, DynCompletedOp, DynMsg, DynOptions, DynServer, OpKind};
 use awr_types::{ClientId, ProcessId, ServerId};

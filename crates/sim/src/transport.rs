@@ -375,10 +375,10 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
     }
 }
 
-/// Per-kind tallies of a transport run, serializable shape shared by the
-/// demo processes when they report metrics across the process boundary.
-/// (The in-memory [`Metrics`] uses `&'static str` kind keys, which cannot
-/// cross a serialization boundary; this owns its strings.)
+/// Per-kind tallies of a transport run, in the owned shape the demo
+/// processes ship to their parent across the process boundary. (The
+/// in-memory [`Metrics`] uses `&'static str` kind keys, which cannot be
+/// decoded on the other side; this owns its strings.)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KindStats {
     /// Messages sent, per message kind.
@@ -435,37 +435,6 @@ impl KindStats {
     /// Total messages across kinds.
     pub fn total_msgs(&self) -> u64 {
         self.msgs.values().sum()
-    }
-}
-
-// Manual serde impls: the vendored serde stand-in has no generic
-// `BTreeMap` Deserialize, so maps travel as sequences of `[key, value]`
-// pairs (the same idiom awr_storage's durable records use).
-impl serde::Serialize for KindStats {
-    fn to_value(&self) -> serde::Value {
-        fn pairs(m: &BTreeMap<String, u64>) -> serde::Value {
-            serde::Value::Seq(m.iter().map(|(k, v)| (k.clone(), *v).to_value()).collect())
-        }
-        serde::Value::Map(vec![
-            ("msgs".to_string(), pairs(&self.msgs)),
-            ("wire_bytes".to_string(), pairs(&self.wire_bytes)),
-        ])
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for KindStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("KindStats: expected map"))?;
-        fn unpairs(v: &serde::Value) -> Result<BTreeMap<String, u64>, serde::Error> {
-            let pairs: Vec<(String, u64)> = serde::Deserialize::from_value(v)?;
-            Ok(pairs.into_iter().collect())
-        }
-        Ok(KindStats {
-            msgs: unpairs(serde::map_get(m, "msgs")?)?,
-            wire_bytes: unpairs(serde::map_get(m, "wire_bytes")?)?,
-        })
     }
 }
 

@@ -21,9 +21,10 @@
 //!   the existing transfer/refresh paths (see `DynServer::recover`).
 //!
 //! Two backends: [`MemStorage`] (the default for simulation — state
-//! survives the *actor*, not the process) and [`FileStorage`] (JSON
-//! snapshot + JSON-lines WAL through a buffered writer, for wall-clock
-//! runs and inspection). Both are shared with the server through a
+//! survives the *actor*, not the process) and [`FileStorage`] (a snapshot
+//! file and a WAL file of [`awr_types::wire`] frames — the format the same
+//! changes and registers cross sockets in — written through a buffered
+//! writer, for wall-clock runs). Both are shared with the server through a
 //! cloneable [`StorageHandle`], which is what survives a simulated crash:
 //! the dead incarnation's handle and the rebuilt server's handle point at
 //! the same store, exactly like a restarted process re-opening its data
@@ -32,12 +33,15 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufReader, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use awr_types::wire::{
+    decode_frame, encode_frame, encode_frame_into, get_map, put_map, FrameError, Reader, Wire,
+    MAX_FRAME,
+};
 use awr_types::{Change, ChangeSet, ObjectId, TaggedValue};
-use serde::{Deserialize, DeserializeOwned, Serialize, Value as JsonValue};
 
 use crate::Value;
 
@@ -55,7 +59,7 @@ pub enum WalRecord<V> {
 /// the last persisted step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot<V> {
-    /// The full set of completed changes `C` at snapshot time. Serialized
+    /// The full set of completed changes `C` at snapshot time. Persisted
     /// as content; journal compaction state is rebuilt by the owner.
     pub changes: ChangeSet,
     /// The keyed register map at snapshot time.
@@ -144,90 +148,65 @@ impl<V: Value> Storage<V> for MemStorage<V> {
     }
 }
 
-// --- JSON encoding shared by the file backend ---------------------------
-
-impl<V: Serialize> Serialize for WalRecord<V> {
-    fn to_value(&self) -> JsonValue {
+/// Tag `0` Change: the change · `1` Register: `obj` `reg`.
+impl<V: Wire> Wire for WalRecord<V> {
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
-            WalRecord::Change(c) => JsonValue::Map(vec![("change".to_string(), c.to_value())]),
-            WalRecord::Register(obj, reg) => JsonValue::Map(vec![(
-                "register".to_string(),
-                JsonValue::Seq(vec![obj.to_value(), reg.to_value()]),
-            )]),
-        }
-    }
-}
-
-impl<'de, V: Deserialize<'de>> Deserialize<'de> for WalRecord<V> {
-    fn from_value(v: &JsonValue) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for WalRecord"))?;
-        if let Ok(c) = serde::map_get(m, "change") {
-            return Ok(WalRecord::Change(Change::from_value(c)?));
-        }
-        let pair = serde::map_get(m, "register")?
-            .as_seq()
-            .ok_or_else(|| serde::Error::custom("expected [obj, reg] pair"))?;
-        if pair.len() != 2 {
-            return Err(serde::Error::custom("register pair must have 2 elements"));
-        }
-        Ok(WalRecord::Register(
-            ObjectId::from_value(&pair[0])?,
-            TaggedValue::from_value(&pair[1])?,
-        ))
-    }
-}
-
-impl<V: Serialize> Serialize for Snapshot<V> {
-    fn to_value(&self) -> JsonValue {
-        let regs: Vec<JsonValue> = self
-            .registers
-            .iter()
-            .map(|(o, r)| JsonValue::Seq(vec![o.to_value(), r.to_value()]))
-            .collect();
-        JsonValue::Map(vec![
-            ("changes".to_string(), self.changes.to_value()),
-            ("registers".to_string(), JsonValue::Seq(regs)),
-        ])
-    }
-}
-
-impl<'de, V: Deserialize<'de>> Deserialize<'de> for Snapshot<V> {
-    fn from_value(v: &JsonValue) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for Snapshot"))?;
-        let changes = ChangeSet::from_value(serde::map_get(m, "changes")?)?;
-        let mut registers = BTreeMap::new();
-        for pair in serde::map_get(m, "registers")?
-            .as_seq()
-            .ok_or_else(|| serde::Error::custom("expected register sequence"))?
-        {
-            let pair = pair
-                .as_seq()
-                .ok_or_else(|| serde::Error::custom("expected [obj, reg] pair"))?;
-            if pair.len() != 2 {
-                return Err(serde::Error::custom("register pair must have 2 elements"));
+            WalRecord::Change(c) => {
+                out.push(0);
+                c.put(out);
             }
-            registers.insert(
-                ObjectId::from_value(&pair[0])?,
-                TaggedValue::<V>::from_value(&pair[1])?,
-            );
+            WalRecord::Register(obj, reg) => {
+                out.push(1);
+                obj.put(out);
+                reg.put(out);
+            }
         }
-        Ok(Snapshot { changes, registers })
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<WalRecord<V>, FrameError> {
+        match r.byte()? {
+            0 => Ok(WalRecord::Change(Change::get(r)?)),
+            1 => Ok(WalRecord::Register(ObjectId::get(r)?, TaggedValue::get(r)?)),
+            _ => Err(FrameError::Codec("unknown WalRecord tag")),
+        }
     }
 }
 
-/// File-backed [`Storage`]: `snapshot.json` plus a `wal.jsonl` append log
-/// (one JSON record per line) under a directory, written through a
-/// buffered writer. Human-inspectable and usable from the wall-clock
-/// runtime. The buffer is flushed before every `load`, so a simulated
-/// crash (which never kills the hosting process) always recovers the full
-/// log.
+/// `changes`, then the map `ObjectId → TaggedValue<V>`.
+impl<V: Wire> Wire for Snapshot<V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.changes.put(out);
+        put_map(out, &self.registers);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Snapshot<V>, FrameError> {
+        Ok(Snapshot {
+            changes: ChangeSet::get(r)?,
+            // An object id, a tag and the option byte: at least 5 bytes.
+            registers: get_map(r, 5)?,
+        })
+    }
+}
+
+/// The WAL's file name inside a [`FileStorage`] directory.
+pub const WAL_FILE: &str = "wal.frames";
+
+/// The snapshot's file name inside a [`FileStorage`] directory.
+const SNAPSHOT_FILE: &str = "snapshot.frame";
+
+/// File-backed [`Storage`]: under a directory, a snapshot file holding
+/// one frame and a WAL file ([`WAL_FILE`]) holding one frame per record,
+/// in the [`awr_types::wire`] format, appended through a buffered writer.
+/// The buffer is flushed before every `load`, so a simulated crash (which
+/// never kills the hosting process) always recovers the full log; a real
+/// crash can leave a torn final frame, which the next [`FileStorage::open`]
+/// cuts off.
 pub struct FileStorage<V> {
     dir: PathBuf,
     writer: Option<BufWriter<File>>,
+    /// The record being appended, kept so an append does not allocate.
+    frame: Vec<u8>,
     wal_len: usize,
     _marker: std::marker::PhantomData<fn() -> V>,
 }
@@ -241,73 +220,108 @@ impl<V> fmt::Debug for FileStorage<V> {
     }
 }
 
-impl<V> FileStorage<V> {
+impl<V: Value + Wire> FileStorage<V> {
     /// Opens (creating if needed) a store rooted at `dir`. An existing
-    /// store is reused: the WAL is appended to, not truncated.
+    /// store is reused: the WAL is appended to, not truncated — but a
+    /// torn final frame, an append a crash cut short, is cut off first so
+    /// that later appends never follow it.
     ///
     /// # Panics
     ///
-    /// Panics if the directory cannot be created or the WAL is unreadable.
+    /// Panics if the directory cannot be created or the WAL holds a
+    /// corrupt frame.
     pub fn open(dir: impl AsRef<Path>) -> FileStorage<V> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).expect("create storage dir");
-        let wal_len = match File::open(dir.join("wal.jsonl")) {
-            Ok(f) => BufReader::new(f).lines().count(),
-            Err(_) => 0,
-        };
+        let wal = dir.join(WAL_FILE);
+        let (wal_len, whole) = read_wal::<V>(&wal, |_| {});
+        if std::fs::metadata(&wal).is_ok_and(|m| m.len() > whole) {
+            OpenOptions::new()
+                .write(true)
+                .open(&wal)
+                .and_then(|f| f.set_len(whole))
+                .expect("cut the torn WAL tail");
+        }
         FileStorage {
             dir,
             writer: None,
+            frame: Vec::new(),
             wal_len,
             _marker: std::marker::PhantomData,
         }
     }
+}
 
-    fn wal_path(&self) -> PathBuf {
-        self.dir.join("wal.jsonl")
-    }
-
-    fn snapshot_path(&self) -> PathBuf {
-        self.dir.join("snapshot.json")
-    }
-
-    fn writer(&mut self) -> &mut BufWriter<File> {
-        if self.writer.is_none() {
-            let f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.wal_path())
-                .expect("open WAL for append");
-            self.writer = Some(BufWriter::new(f));
+/// Decodes the frames of the WAL at `path` in order, one at a time, and
+/// hands each record to `each`. Returns how many there were and the
+/// offset where they end: the file's length, or the start of a torn final
+/// frame. A missing file is an empty one.
+///
+/// # Panics
+///
+/// Panics on a read error or a corrupt frame.
+fn read_wal<V: Wire>(path: &Path, mut each: impl FnMut(WalRecord<V>)) -> (usize, u64) {
+    let Ok(file) = File::open(path) else {
+        return (0, 0);
+    };
+    let mut file = BufReader::new(file);
+    let (mut frame, mut frames, mut end) = (Vec::new(), 0, 0);
+    loop {
+        frame.clear();
+        file.by_ref()
+            .take(4)
+            .read_to_end(&mut frame)
+            .expect("read frame");
+        if let Some(header) = frame.get(..4) {
+            let len = u32::from_le_bytes(header.try_into().expect("4 bytes"));
+            // Bounded before it sizes a read; `decode_frame` refuses a
+            // longer frame from its header alone.
+            file.by_ref()
+                .take(u64::from(len).min(MAX_FRAME as u64))
+                .read_to_end(&mut frame)
+                .expect("read frame");
         }
-        self.writer.as_mut().expect("just ensured")
-    }
-
-    fn flush(&mut self) {
-        if let Some(w) = self.writer.as_mut() {
-            w.flush().expect("flush WAL");
+        match decode_frame(&frame).unwrap_or_else(|e| panic!("{}: {e}", path.display())) {
+            Some((rec, used)) => {
+                each(rec);
+                frames += 1;
+                end += used as u64;
+            }
+            None => return (frames, end),
         }
     }
 }
 
-impl<V: Value + Serialize + DeserializeOwned> Storage<V> for FileStorage<V> {
+impl<V: Value + Wire> Storage<V> for FileStorage<V> {
     fn append(&mut self, rec: WalRecord<V>) {
-        let line = serde_json::to_string(&rec).expect("encode WAL record");
-        let w = self.writer();
-        w.write_all(line.as_bytes()).expect("append WAL record");
-        w.write_all(b"\n").expect("append WAL newline");
+        self.frame.clear();
+        encode_frame_into(&rec, &mut self.frame);
+        let wal = self.writer.get_or_insert_with(|| {
+            let f = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(WAL_FILE))
+                .expect("open WAL for append");
+            BufWriter::new(f)
+        });
+        wal.write_all(&self.frame).expect("append WAL record");
         self.wal_len += 1;
     }
 
     fn install_snapshot(&mut self, snap: Snapshot<V>) {
         // Write-then-rename so a half-written snapshot never shadows a
         // good one; the WAL is truncated only after the rename lands.
-        let tmp = self.dir.join("snapshot.json.tmp");
-        std::fs::write(&tmp, serde_json::to_string(&snap).expect("encode snapshot"))
-            .expect("write snapshot");
-        std::fs::rename(&tmp, self.snapshot_path()).expect("publish snapshot");
+        let frame = encode_frame(&snap);
+        let len = frame.len();
+        assert!(
+            len - 4 <= MAX_FRAME,
+            "a {len}-byte snapshot could not be read back"
+        );
+        let tmp = self.dir.join("snapshot.frame.tmp");
+        std::fs::write(&tmp, frame).expect("write snapshot");
+        std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE)).expect("publish snapshot");
         self.writer = None; // drop the append handle before truncating
-        std::fs::write(self.wal_path(), b"").expect("truncate WAL");
+        std::fs::write(self.dir.join(WAL_FILE), b"").expect("truncate WAL");
         self.wal_len = 0;
     }
 
@@ -318,22 +332,16 @@ impl<V: Value + Serialize + DeserializeOwned> Storage<V> for FileStorage<V> {
     }
 
     fn replay(&mut self, each: &mut dyn FnMut(WalRecord<V>)) -> Option<Option<Snapshot<V>>> {
-        self.flush();
-        let snap = std::fs::read_to_string(self.snapshot_path())
-            .ok()
-            .map(|s| serde_json::from_str::<Snapshot<V>>(&s).expect("decode snapshot"));
-        let mut records = 0usize;
-        if let Ok(f) = File::open(self.wal_path()) {
-            let mut wal = BufReader::new(f);
-            let mut line = String::new();
-            while wal.read_line(&mut line).expect("read WAL line") > 0 {
-                if !line.trim().is_empty() {
-                    each(serde_json::from_str::<WalRecord<V>>(&line).expect("decode WAL record"));
-                    records += 1;
-                }
-                line.clear();
-            }
+        if let Some(w) = self.writer.as_mut() {
+            w.flush().expect("flush WAL");
         }
+        let snap = std::fs::read(self.dir.join(SNAPSHOT_FILE))
+            .ok()
+            .map(|frame| {
+                let whole = decode_frame(&frame).expect("decode snapshot");
+                whole.expect("a whole snapshot frame").0
+            });
+        let (records, _) = read_wal(&self.dir.join(WAL_FILE), each);
         if snap.is_none() && records == 0 {
             return None;
         }
@@ -454,7 +462,7 @@ fn adopt_newest<V: Clone>(
     }
 }
 
-impl<V: Value + Serialize + DeserializeOwned> StorageHandle<V> {
+impl<V: Value + Wire> StorageHandle<V> {
     /// A handle onto a [`FileStorage`] rooted at `dir`.
     pub fn file(dir: impl AsRef<Path>) -> StorageHandle<V> {
         StorageHandle::new(FileStorage::open(dir))
@@ -528,6 +536,40 @@ mod tests {
         let (snap, wal) = reopened.load().expect("state survives reopen");
         assert!(snap.is_some());
         assert_eq!(wal.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_final_frame_is_cut_off_on_open() {
+        let dir = std::env::temp_dir().join(format!(
+            "awr_durable_test_{}_{}",
+            std::process::id(),
+            "torn_tail"
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let records = vec![
+            WalRecord::Change(chg(2, "0.1")),
+            WalRecord::Register(ObjectId(7), reg(3, 99)),
+            WalRecord::Register(ObjectId(8), reg(4, 5)),
+        ];
+        let store: StorageHandle<u64> = StorageHandle::file(&dir);
+        for rec in &records {
+            store.append(rec.clone());
+        }
+        drop(store);
+        // A crash in the middle of writing the third record.
+        let wal = OpenOptions::new()
+            .write(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        wal.set_len(wal.metadata().unwrap().len() - 2).unwrap();
+
+        let reopened: StorageHandle<u64> = StorageHandle::file(&dir);
+        assert_eq!(reopened.wal_len(), 2);
+        assert_eq!(reopened.load(), Some((None, records[..2].to_vec())));
+        // The next append follows the whole frames, not the torn bytes.
+        reopened.append(records[2].clone());
+        assert_eq!(reopened.load(), Some((None, records)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,11 +38,12 @@ mod history;
 mod lin;
 pub mod openloop;
 pub mod placement;
+mod wire;
 pub mod workload;
 
 pub use awr_epoch::CheckpointCadence;
 pub use durable::{
-    FileStorage, MemStorage, Recovered, Snapshot, Storage, StorageHandle, WalRecord,
+    FileStorage, MemStorage, Recovered, Snapshot, Storage, StorageHandle, WalRecord, WAL_FILE,
 };
 pub use dynamic::{
     reg_tag_digest, DynClient, DynCompletedOp, DynMsg, DynOpDriver, DynOptions, DynServer, Fanout,

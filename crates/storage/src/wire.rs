@@ -1,0 +1,204 @@
+//! The version-2 layouts of the storage protocol's messages (see
+//! [`awr_types::wire`] for the format): one [`Wire`] impl per type, the
+//! statement of its byte layout. The durable records' impls sit with
+//! their types in `durable.rs`.
+
+use awr_core::restricted::WrMsg;
+use awr_types::wire::{get_map, put_digest, put_map, FrameError, Reader, Wire};
+use awr_types::{CsRef, ObjectId, TaggedValue};
+
+use crate::{DynMsg, RefreshHave, Value};
+
+impl Wire for RefreshHave {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            RefreshHave::Tags(tags) => {
+                out.push(0);
+                put_map(out, tags);
+            }
+            RefreshHave::Digest { digest, count } => {
+                out.push(1);
+                put_digest(out, *digest);
+                count.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<RefreshHave, FrameError> {
+        match r.byte()? {
+            // An object id and a tag: at least 1 + 3 bytes.
+            0 => Ok(RefreshHave::Tags(get_map(r, 4)?)),
+            1 => Ok(RefreshHave::Digest {
+                digest: r.digest()?,
+                count: usize::get(r)?,
+            }),
+            _ => Err(FrameError::Codec("unknown RefreshHave tag")),
+        }
+    }
+}
+
+impl<V: Value + Wire> Wire for DynMsg<V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            DynMsg::Wr(m) => {
+                out.push(0);
+                m.put(out);
+            }
+            DynMsg::R { op, obj, changes } => {
+                out.push(1);
+                op.put(out);
+                obj.put(out);
+                changes.put(out);
+            }
+            DynMsg::RAck {
+                op,
+                obj,
+                reg,
+                changes,
+                accepted,
+            } => {
+                out.push(2);
+                op.put(out);
+                obj.put(out);
+                reg.put(out);
+                changes.put(out);
+                accepted.put(out);
+            }
+            DynMsg::W {
+                op,
+                obj,
+                reg,
+                changes,
+            } => {
+                out.push(3);
+                op.put(out);
+                obj.put(out);
+                reg.put(out);
+                changes.put(out);
+            }
+            DynMsg::WAck {
+                op,
+                obj,
+                changes,
+                accepted,
+            } => {
+                out.push(4);
+                op.put(out);
+                obj.put(out);
+                changes.put(out);
+                accepted.put(out);
+            }
+            DynMsg::RefreshR { op, have } => {
+                out.push(5);
+                op.put(out);
+                have.put(out);
+            }
+            DynMsg::RefreshAck {
+                op,
+                regs,
+                need_tags,
+            } => {
+                out.push(6);
+                op.put(out);
+                put_map(out, regs);
+                need_tags.put(out);
+            }
+            DynMsg::SyncR { digest } => {
+                out.push(7);
+                put_digest(out, *digest);
+            }
+            DynMsg::SyncAck { changes } => {
+                out.push(8);
+                changes.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<DynMsg<V>, FrameError> {
+        match r.byte()? {
+            0 => Ok(DynMsg::Wr(WrMsg::get(r)?)),
+            1 => Ok(DynMsg::R {
+                op: u64::get(r)?,
+                obj: ObjectId::get(r)?,
+                changes: CsRef::get(r)?,
+            }),
+            2 => Ok(DynMsg::RAck {
+                op: u64::get(r)?,
+                obj: ObjectId::get(r)?,
+                reg: TaggedValue::get(r)?,
+                changes: CsRef::get(r)?,
+                accepted: bool::get(r)?,
+            }),
+            3 => Ok(DynMsg::W {
+                op: u64::get(r)?,
+                obj: ObjectId::get(r)?,
+                reg: TaggedValue::get(r)?,
+                changes: CsRef::get(r)?,
+            }),
+            4 => Ok(DynMsg::WAck {
+                op: u64::get(r)?,
+                obj: ObjectId::get(r)?,
+                changes: CsRef::get(r)?,
+                accepted: bool::get(r)?,
+            }),
+            5 => Ok(DynMsg::RefreshR {
+                op: u64::get(r)?,
+                have: RefreshHave::get(r)?,
+            }),
+            6 => Ok(DynMsg::RefreshAck {
+                op: u64::get(r)?,
+                // An object id, a tag and the option byte: at least 5 bytes.
+                regs: get_map(r, 5)?,
+                need_tags: bool::get(r)?,
+            }),
+            7 => Ok(DynMsg::SyncR {
+                digest: r.digest()?,
+            }),
+            8 => Ok(DynMsg::SyncAck {
+                changes: CsRef::get(r)?,
+            }),
+            _ => Err(FrameError::Codec("unknown DynMsg tag")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use awr_types::{Change, ClientId, ProcessId, Ratio, ServerId, Tag};
+
+    /// The layout itself, byte for byte: a change here is a change of
+    /// `WIRE_VERSION`.
+    #[test]
+    fn the_version_2_layout_is_pinned() {
+        let msg: DynMsg<u64> = DynMsg::RAck {
+            op: 300,
+            obj: ObjectId(2),
+            reg: TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9),
+            changes: CsRef::Summary {
+                digest: 0x0102_0304_0506_0708,
+                len: 130,
+            },
+            accepted: true,
+        };
+        let mut bytes = Vec::new();
+        msg.put(&mut bytes);
+        assert_eq!(
+            bytes,
+            [
+                2, // RAck
+                0xAC, 0x02, // op 300
+                2,    // obj
+                5, 1, 1, // tag: ts 5, client 1
+                1, 9, // Some(9)
+                0, 8, 7, 6, 5, 4, 3, 2, 1, 0x82, 0x01, // summary: digest, len 130
+                1,    // accepted
+            ]
+        );
+
+        let change = Change::new(ServerId(3), 2, ServerId(4), Ratio::new(-1, 8));
+        let mut bytes = Vec::new();
+        change.put(&mut bytes);
+        assert_eq!(bytes, [0, 3, 2, 4, 1, 8]);
+    }
+}

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ProcessId, Ratio, ServerId};
 
 /// A single weight change `⟨issuer, counter, target, delta⟩`.
@@ -34,7 +32,7 @@ use crate::{ProcessId, Ratio, ServerId};
 /// let aborted = Change::new(ProcessId::Server(ServerId(2)), 2, ServerId(1), Ratio::ZERO);
 /// assert!(aborted.is_null());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Change {
     /// The process whose reassignment/transfer invocation produced this change.
     pub issuer: ProcessId,
@@ -99,7 +97,7 @@ impl fmt::Display for Change {
 /// The pair of changes produced by a completed `transfer(s_i, s_j, Δ)`
 /// (paper §V.A): `⟨s_i, lc, s_i, −Δ'⟩` and `⟨s_i, lc, s_j, Δ'⟩` where `Δ'`
 /// is `Δ` for an *effective* transfer and `0` for a *null* one.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TransferChanges {
     /// The change debiting the source server.
     pub debit: Change,

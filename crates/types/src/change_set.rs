@@ -61,8 +61,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Change, Ratio, ServerId, WeightMap};
 
 /// The owned storage behind a [`ChangeSet`], shared copy-on-write.
@@ -576,33 +574,10 @@ impl<'a> IntoIterator for &'a ChangeSet {
     }
 }
 
-// Serialized as `{"changes": [...]}` — the same shape the seed's derived
-// implementation produced — with the caches rebuilt on deserialization.
-// Compaction state is *not* carried: a deserialized set has a complete
-// journal (in set order) and a zero checkpoint; owners re-compact on their
-// own cadence.
-impl Serialize for ChangeSet {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![("changes".to_string(), self.inner.changes.to_value())])
-    }
-}
-
-impl<'de> Deserialize<'de> for ChangeSet {
-    fn from_value(v: &serde::Value) -> Result<ChangeSet, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ChangeSet"))?;
-        let changes = BTreeSet::<Change>::from_value(serde::map_get(m, "changes")?)?;
-        Ok(ChangeSet {
-            inner: Arc::new(Inner::from_changes(changes)),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProcessId;
+    use crate::{ClientId, ProcessId};
 
     fn s(i: u32) -> ServerId {
         ServerId(i)
@@ -1079,5 +1054,14 @@ mod tests {
         assert!(!a.shares_storage_with(&c));
         assert!(a.contains_all(&c) && c.contains_all(&a));
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn change_set_weights_of_mixed_targets() {
+        let mut c = ChangeSet::uniform_initial(3, Ratio::ONE);
+        // Changes issued by a client (allowed by the general problem).
+        c.insert(Change::new(ClientId(0), 2, ServerId(1), Ratio::dec("0.5")));
+        assert_eq!(c.server_weight(ServerId(1)), Ratio::dec("1.5"));
+        assert_eq!(c.weights(3).total(), Ratio::dec("3.5"));
     }
 }

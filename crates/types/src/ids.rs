@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a server, dense in `0..n`.
 ///
 /// The paper indexes servers `s_1..s_n`; we use zero-based indices and render
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.to_string(), "s1");
 /// assert_eq!(s.index(), 0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
 impl ServerId {
@@ -57,7 +55,7 @@ impl fmt::Display for ServerId {
 /// use awr_types::ClientId;
 /// assert_eq!(ClientId(1).to_string(), "c2");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 impl fmt::Debug for ClientId {
@@ -87,7 +85,7 @@ impl fmt::Display for ClientId {
 /// assert_eq!(ObjectId(3).to_string(), "o3");
 /// assert_eq!(ObjectId::DEFAULT, ObjectId(0));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {
@@ -128,7 +126,7 @@ impl fmt::Display for ObjectId {
 ///
 /// Ordering places all servers before all clients, which gives changes a
 /// deterministic total order (useful for canonical set representations).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProcessId {
     /// A replica holding weight.
     Server(ServerId),

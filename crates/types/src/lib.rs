@@ -19,6 +19,8 @@
 //!   the whole set.
 //! * [`WeightMap`] — dense per-server weight vectors for quorum math.
 //! * [`Tag`], [`TaggedValue`] — multi-writer ABD tags (§VII).
+//! * [`wire`] — the typed positional codec and its frame: the one format
+//!   of every socket message and every persisted record.
 //!
 //! # Examples
 //!
@@ -46,6 +48,7 @@ mod ratio;
 pub mod sync;
 mod tag;
 mod weight_map;
+pub mod wire;
 
 pub use change::{Change, TransferChanges};
 pub use change_set::ChangeSet;
@@ -172,78 +175,5 @@ mod proptests {
             }
             prop_assert_eq!(wm.top_f_sum(n), wm.total());
         }
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-
-    fn roundtrip<T>(v: &T)
-    where
-        T: serde::Serialize + for<'de> serde::Deserialize<'de> + PartialEq + std::fmt::Debug,
-    {
-        let json = serde_json::to_string(v).expect("serialize");
-        let back: T = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(&back, v, "serde round-trip changed the value");
-    }
-
-    #[test]
-    fn serde_roundtrips() {
-        roundtrip(&Ratio::dec("0.7"));
-        roundtrip(&Ratio::new(-7, 3));
-        roundtrip(&ServerId(3));
-        roundtrip(&ClientId(0));
-        roundtrip(&ProcessId::Server(ServerId(1)));
-        roundtrip(&Change::new(
-            ServerId(0),
-            2,
-            ServerId(1),
-            Ratio::dec("0.25"),
-        ));
-        roundtrip(&ChangeSet::uniform_initial(4, Ratio::ONE));
-        roundtrip(&WeightMap::dec(&["1.6", "1.4", "0.8"]));
-        roundtrip(&Tag::new(3, ProcessId::Client(ClientId(1))));
-        roundtrip(&TaggedValue::new(Tag::bottom(), 42u64));
-        roundtrip(&TransferChanges::new(
-            ServerId(0),
-            ServerId(1),
-            2,
-            Ratio::dec("0.1"),
-            true,
-        ));
-    }
-
-    #[test]
-    fn ratio_display_fromstr_roundtrip_extremes() {
-        for s in ["-3", "0", "0.001", "7/10", "-1/3", "123456789.5"] {
-            let r = Ratio::dec(s);
-            let back: Ratio = r.to_string().parse().unwrap();
-            assert_eq!(back, r, "{s}");
-        }
-    }
-
-    #[test]
-    fn change_set_weights_of_mixed_targets() {
-        let mut c = ChangeSet::uniform_initial(3, Ratio::ONE);
-        // Changes issued by a client (allowed by the general problem).
-        c.insert(Change::new(ClientId(0), 2, ServerId(1), Ratio::dec("0.5")));
-        assert_eq!(c.server_weight(ServerId(1)), Ratio::dec("1.5"));
-        assert_eq!(c.weights(3).total(), Ratio::dec("3.5"));
-    }
-
-    #[test]
-    fn tag_total_order_never_ties_for_distinct_writers() {
-        let a = Tag::new(5, ProcessId::Client(ClientId(0)));
-        let b = Tag::new(5, ProcessId::Client(ClientId(1)));
-        assert_ne!(a.cmp(&b), std::cmp::Ordering::Equal);
-        assert_eq!(a.max(b), b);
-    }
-
-    #[test]
-    fn tagged_value_default_is_bottom() {
-        let t: TaggedValue<u32> = TaggedValue::default();
-        assert_eq!(t.tag, Tag::bottom());
-        assert!(t.value.is_none());
     }
 }

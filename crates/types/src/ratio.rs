@@ -17,8 +17,6 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// An exact rational number used for weights and weight deltas.
 ///
 /// Invariants (maintained by every constructor and operation):
@@ -37,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(half + fifth, Ratio::new(7, 10));
 /// assert!(half > fifth);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ratio {
     num: i128,
     den: i128,
@@ -534,5 +532,14 @@ mod tests {
             Ratio::new(1, 3).checked_add(Ratio::new(1, 6)),
             Some(Ratio::new(1, 2))
         );
+    }
+
+    #[test]
+    fn ratio_display_fromstr_roundtrip_extremes() {
+        for s in ["-3", "0", "0.001", "7/10", "-1/3", "123456789.5"] {
+            let r = Ratio::dec(s);
+            let back: Ratio = r.to_string().parse().unwrap();
+            assert_eq!(back, r, "{s}");
+        }
     }
 }

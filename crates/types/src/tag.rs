@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ProcessId;
 
 /// A totally ordered write tag `(ts, pid)`.
@@ -24,7 +22,7 @@ use crate::ProcessId;
 /// assert!(a < b);                       // higher timestamp wins
 /// assert!(Tag::new(2, w1) < Tag::new(2, w2)); // ties broken by writer id
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tag {
     /// Logical timestamp, incremented by writers.
     pub ts: u64,
@@ -77,7 +75,7 @@ impl fmt::Display for Tag {
 }
 
 /// A tagged register value: what servers store and what phase-1 reads return.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct TaggedValue<V> {
     /// The tag under which `value` was written.
     pub tag: Tag,
@@ -162,5 +160,20 @@ mod tests {
         // Equal tag is ignored too (idempotent redelivery).
         let again = TaggedValue::new(Tag::new(1, client(0)), 42);
         assert!(!reg.adopt_if_newer(&again));
+    }
+
+    #[test]
+    fn tag_total_order_never_ties_for_distinct_writers() {
+        let a = Tag::new(5, client(0));
+        let b = Tag::new(5, client(1));
+        assert_ne!(a.cmp(&b), std::cmp::Ordering::Equal);
+        assert_eq!(a.max(b), b);
+    }
+
+    #[test]
+    fn tagged_value_default_is_bottom() {
+        let t: TaggedValue<u32> = TaggedValue::default();
+        assert_eq!(t.tag, Tag::bottom());
+        assert!(t.value.is_none());
     }
 }

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Ratio, ServerId};
 
 /// A dense map from [`ServerId`] to weight.
@@ -23,7 +21,7 @@ use crate::{Ratio, ServerId};
 /// assert_eq!(w[ServerId(2)], Ratio::ONE);
 /// assert_eq!(w.top_f_sum(1), Ratio::ONE);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct WeightMap {
     weights: Vec<Ratio>,
 }

@@ -1,50 +1,74 @@
-//! The typed, positional payload codec — wire format **version 2**.
+//! The typed, positional codec — format **version 2** — and the frame
+//! around it: one format for what a server sends and what it persists.
 //!
-//! A frame's payload is the message's fields in declaration order, with
-//! no field names, no type tags and no intermediate tree: [`Wire::put`]
-//! appends straight to the sender's write buffer and [`Wire::get`] reads
-//! straight out of the receiver's read buffer. A message that carries no
-//! change list, change set or register map is encoded and decoded without
-//! touching the heap.
+//! A **frame** is one value, length-prefixed:
 //!
-//! The whole format lives in this module: the primitives on [`Reader`]
-//! and one [`Wire`] impl per type that crosses a socket. **Any layout
-//! change bumps [`WIRE_VERSION`](crate::frame::WIRE_VERSION)** — the
-//! format is positional, so two layouts cannot share a version.
+//! ```text
+//! +----------------+-----------+------------------------------+
+//! | length: u32 LE | version u8| payload: the value, typed    |
+//! +----------------+-----------+------------------------------+
+//! ```
+//!
+//! `length` counts everything after itself (version byte + payload), so a
+//! reader needs exactly `4 + length` bytes for a whole frame; `version` is
+//! [`WIRE_VERSION`], and any other value is refused before the payload is
+//! touched. Every message on an `awr_net` socket is one frame, and so is
+//! every record of `awr_storage`'s file WAL and its snapshot.
+//!
+//! A payload is the value's fields in declaration order, with no field
+//! names, no type tags and no intermediate tree: [`Wire::put`] appends
+//! straight to the writer's buffer and [`Wire::get`] reads straight out of
+//! the reader's. A value that carries no change list, change set or
+//! register map is encoded and decoded without touching the heap.
+//!
+//! This module holds the primitives on [`Reader`], the helpers for
+//! sequences and maps, and the [`Wire`] impl of every primitive and
+//! `awr_types` type; a message or record type defined further up (`WrMsg`
+//! in `awr_core`, `DynMsg` and the WAL records in `awr_storage`) has its
+//! impl next to its definition. **Any layout change bumps
+//! [`WIRE_VERSION`]** — the format is positional, so two layouts cannot
+//! share a version.
 //!
 //! # Layout
 //!
 //! Integers and counts are LEB128 varints (at most 10 bytes for 64
 //! bits); digests are 8 bytes little endian; a `bool` is one byte, `0`
 //! or `1`; an `Option` is such a byte and then the value if `1`; a
-//! sequence or map is its count and then its elements or `key value`
-//! pairs; an enum is one tag byte and then the variant's fields; a
-//! struct is its fields in declaration order. Each impl below is the
+//! sequence, string or map is its count and then its elements, bytes or
+//! `key value` pairs; an enum is one tag byte and then the variant's
+//! fields; a struct is its fields in declaration order. Each impl is the
 //! statement of its type's layout — `put` writes the fields in wire
 //! order — and `docs/RUNTIME.md` tabulates them, one row per type.
 //!
 //! # The decoder is a trust boundary
 //!
-//! Every byte comes from a socket. [`Reader`] never reads past the
-//! payload; a claimed element count is checked against the bytes left
-//! before anything is reserved ([`Reader::count`]); varints are capped;
-//! an unknown enum tag, a `bool` other than `0`/`1`, a zero denominator,
-//! a server id that could size a table, and (in
-//! [`decode_frame`](crate::frame::decode_frame)) bytes left over after
-//! the message are all [`FrameError::Codec`] — never a panic.
+//! Every byte comes from a socket or a file. [`Reader`] never reads past
+//! the payload; a claimed element count is checked against the bytes left
+//! before anything is reserved ([`Reader::count`]); varints are capped; a
+//! length prefix above [`MAX_FRAME`] is refused before anything is
+//! allocated; an unknown enum tag, a `bool` other than `0`/`1`, a zero
+//! denominator, a server id that could size a table, and (in
+//! [`decode_frame`]) bytes left over after the value are all
+//! [`FrameError::Codec`] — never a panic.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io;
 
-use awr_core::restricted::WrMsg;
-use awr_core::RbEnvelope;
-use awr_sim::ActorId;
-use awr_storage::{DynMsg, RefreshHave, Value};
-use awr_types::{
+use crate::{
     Change, ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
     TransferChanges,
 };
 
-use crate::frame::FrameError;
+/// The format version carried in every frame header (and in `awr_net`'s
+/// connection hello). Version 1 (a self-describing value tree) is refused
+/// like any other foreign version.
+pub const WIRE_VERSION: u8 = 2;
+
+/// Upper bound on `version byte + payload` length, in bytes. Generous for
+/// this workspace's values (a full change-set transfer is kilobytes) but
+/// small enough that a garbage length prefix cannot exhaust memory.
+pub const MAX_FRAME: usize = 16 << 20;
 
 /// Largest [`ServerId`] the decoder accepts. A server id indexes
 /// per-server tables (a [`ChangeSet`] sizes its weight cache by the
@@ -53,13 +77,61 @@ use crate::frame::FrameError;
 pub const MAX_SERVER_ID: u32 = u16::MAX as u32;
 
 /// Fewest bytes a [`Change`] can occupy: 2 (issuer) + 1 + 1 + 2 (delta).
-const MIN_CHANGE: usize = 6;
+pub const MIN_CHANGE: usize = 6;
 
-/// A type with a version-2 wire layout.
+/// Everything that can go wrong reading or writing a frame.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The underlying stream failed.
+    Io(io::Error),
+    /// The stream closed cleanly at a frame boundary (orderly peer exit).
+    Closed,
+    /// The stream ended in the middle of a frame.
+    Truncated,
+    /// The length prefix exceeds [`MAX_FRAME`].
+    Oversized {
+        /// The length the prefix claimed.
+        len: usize,
+    },
+    /// The frame's version byte is not [`WIRE_VERSION`].
+    BadVersion(u8),
+    /// The payload bytes do not decode to the expected type.
+    Codec(&'static str),
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Io(e) => write!(f, "frame io error: {e}"),
+            FrameError::Closed => write!(f, "stream closed at frame boundary"),
+            FrameError::Truncated => write!(f, "stream ended mid-frame"),
+            FrameError::Oversized { len } => {
+                write!(f, "frame length {len} exceeds MAX_FRAME {MAX_FRAME}")
+            }
+            FrameError::BadVersion(v) => {
+                write!(f, "frame version {v} (expected {WIRE_VERSION})")
+            }
+            FrameError::Codec(e) => write!(f, "frame payload codec error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl From<io::Error> for FrameError {
+    fn from(e: io::Error) -> FrameError {
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof => FrameError::Truncated,
+            _ => FrameError::Io(e),
+        }
+    }
+}
+
+/// A type with a version-2 layout.
 ///
 /// `put` and `get` must mirror each other field for field; adding a
-/// message is one impl (or one arm of an enum's) here plus one generator
-/// arm in `tests/codec_props.rs`.
+/// message is one impl (or one arm of an enum's) plus one generator arm
+/// in `crates/net/tests/codec_props.rs`.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `out`.
     fn put(&self, out: &mut Vec<u8>);
@@ -183,7 +255,8 @@ pub fn put_digest(out: &mut Vec<u8>, digest: u64) {
     out.extend_from_slice(&digest.to_le_bytes());
 }
 
-fn put_seq<'a, T: Wire + 'a>(
+/// Appends a sequence of `len` items: the count, then each item.
+pub fn put_seq<'a, T: Wire + 'a>(
     out: &mut Vec<u8>,
     len: usize,
     items: impl IntoIterator<Item = &'a T>,
@@ -194,7 +267,9 @@ fn put_seq<'a, T: Wire + 'a>(
     }
 }
 
-fn get_vec<T: Wire>(r: &mut Reader<'_>, min_each: usize) -> Result<Vec<T>, FrameError> {
+/// Reads a sequence written by [`put_seq`]; `min_each` as in
+/// [`Reader::count`].
+pub fn get_vec<T: Wire>(r: &mut Reader<'_>, min_each: usize) -> Result<Vec<T>, FrameError> {
     let n = r.count(min_each)?;
     let mut items = Vec::with_capacity(n);
     for _ in 0..n {
@@ -203,7 +278,8 @@ fn get_vec<T: Wire>(r: &mut Reader<'_>, min_each: usize) -> Result<Vec<T>, Frame
     Ok(items)
 }
 
-fn put_map<K: Wire, T: Wire>(out: &mut Vec<u8>, map: &BTreeMap<K, T>) {
+/// Appends a map: the count, then `key value` per entry in key order.
+pub fn put_map<K: Wire, T: Wire>(out: &mut Vec<u8>, map: &BTreeMap<K, T>) {
     put_varint(out, map.len() as u64);
     for (k, v) in map {
         k.put(out);
@@ -211,7 +287,9 @@ fn put_map<K: Wire, T: Wire>(out: &mut Vec<u8>, map: &BTreeMap<K, T>) {
     }
 }
 
-fn get_map<K: Wire + Ord, T: Wire>(
+/// Reads a map written by [`put_map`]; `min_each` (the fewest bytes one
+/// entry can occupy) as in [`Reader::count`].
+pub fn get_map<K: Wire + Ord, T: Wire>(
     r: &mut Reader<'_>,
     min_each: usize,
 ) -> Result<BTreeMap<K, T>, FrameError> {
@@ -221,6 +299,71 @@ fn get_map<K: Wire + Ord, T: Wire>(
         map.insert(K::get(r)?, T::get(r)?);
     }
     Ok(map)
+}
+
+/// Appends `msg` to `out` as one complete frame, returning the frame's
+/// size: the value is encoded in place behind a placeholder length, which
+/// is then patched, so a writer can encode straight into its buffer —
+/// without allocating, once the buffer has the capacity.
+pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION]);
+    msg.put(out);
+    let len = out.len() - start - 4;
+    // A length past `u32` wraps here; it is past `MAX_FRAME` too, and the
+    // writer checks the returned size against that before writing.
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    4 + len
+}
+
+/// Encodes `msg` as one complete frame (header + payload).
+pub fn encode_frame<T: Wire>(msg: &T) -> Vec<u8> {
+    // Room for any frame without a change list or register map, so that
+    // the returned buffer is this call's one allocation.
+    let mut frame = Vec::with_capacity(64);
+    encode_frame_into(msg, &mut frame);
+    frame
+}
+
+/// Tries to decode one frame from the front of `buf`.
+///
+/// Returns `Ok(None)` when `buf` holds only a *prefix* of a frame (read
+/// more bytes and retry), `Ok(Some((msg, consumed)))` on success — drain
+/// `consumed` bytes — and an error when the bytes present already prove
+/// the frame bad (oversized length, wrong version, corrupt payload).
+pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
+    if buf.len() < 4 {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized { len });
+    }
+    if len == 0 {
+        return Err(FrameError::Codec("empty frame"));
+    }
+    if buf.len() < 4 + len {
+        return Ok(None);
+    }
+    let version = buf[4];
+    if version != WIRE_VERSION {
+        return Err(FrameError::BadVersion(version));
+    }
+    let mut payload = Reader::new(&buf[5..4 + len]);
+    let msg = T::get(&mut payload)?;
+    if payload.remaining() != 0 {
+        return Err(FrameError::Codec("trailing bytes after the message"));
+    }
+    Ok(Some((msg, 4 + len)))
+}
+
+/// An encode → decode round trip through a whole frame, for tests and for
+/// cross-checking that a type's [`Wire`] impl mirrors itself.
+pub fn roundtrip<T: Wire>(msg: &T) -> Result<T, FrameError> {
+    match decode_frame(&encode_frame(msg))? {
+        Some((out, _)) => Ok(out),
+        None => Err(FrameError::Truncated),
+    }
 }
 
 impl Wire for u64 {
@@ -264,6 +407,19 @@ impl Wire for bool {
             1 => Ok(true),
             _ => Err(FrameError::Codec("bool is neither 0 nor 1")),
         }
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<String, FrameError> {
+        let n = r.count(1)?;
+        String::from_utf8(r.bytes(n)?.to_vec())
+            .map_err(|_| FrameError::Codec("string is not UTF-8"))
     }
 }
 
@@ -317,16 +473,6 @@ impl Wire for ObjectId {
 
     fn get(r: &mut Reader<'_>) -> Result<ObjectId, FrameError> {
         Ok(ObjectId(u64::get(r)?))
-    }
-}
-
-impl Wire for ActorId {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<ActorId, FrameError> {
-        Ok(ActorId(usize::get(r)?))
     }
 }
 
@@ -434,9 +580,9 @@ impl Wire for TransferChanges {
     }
 }
 
-/// Set order on the wire. A decoded set's journal is in that order with
-/// nothing compacted, whatever the sender's was: owners re-compact on
-/// their own cadence.
+/// Set order. A decoded set's journal is in that order with nothing
+/// compacted, whatever the writer's was: owners re-compact on their own
+/// cadence.
 impl Wire for ChangeSet {
     fn put(&self, out: &mut Vec<u8>) {
         put_seq(out, self.len(), self);
@@ -484,290 +630,12 @@ impl Wire for CsRef {
     }
 }
 
-impl Wire for RefreshHave {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            RefreshHave::Tags(tags) => {
-                out.push(0);
-                put_map(out, tags);
-            }
-            RefreshHave::Digest { digest, count } => {
-                out.push(1);
-                put_digest(out, *digest);
-                count.put(out);
-            }
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<RefreshHave, FrameError> {
-        match r.byte()? {
-            // An object id and a tag: at least 1 + 3 bytes.
-            0 => Ok(RefreshHave::Tags(get_map(r, 4)?)),
-            1 => Ok(RefreshHave::Digest {
-                digest: r.digest()?,
-                count: usize::get(r)?,
-            }),
-            _ => Err(FrameError::Codec("unknown RefreshHave tag")),
-        }
-    }
-}
-
-impl Wire for WrMsg {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            WrMsg::Rb(env) => {
-                out.push(0);
-                env.origin.put(out);
-                env.seq.put(out);
-                put_seq(out, env.payload.len(), &env.payload);
-            }
-            WrMsg::TAck { counter } => {
-                out.push(1);
-                counter.put(out);
-            }
-            WrMsg::Rc { op, target, known } => {
-                out.push(2);
-                op.put(out);
-                target.put(out);
-                put_digest(out, *known);
-            }
-            WrMsg::RcAck { op, changes } => {
-                out.push(3);
-                op.put(out);
-                changes.put(out);
-            }
-            WrMsg::Wc {
-                op,
-                target,
-                changes,
-            } => {
-                out.push(4);
-                op.put(out);
-                target.put(out);
-                changes.put(out);
-            }
-            WrMsg::WcAck { op } => {
-                out.push(5);
-                op.put(out);
-            }
-            WrMsg::WcMiss { op, have } => {
-                out.push(6);
-                op.put(out);
-                put_digest(out, *have);
-            }
-            WrMsg::Invoke { to, delta } => {
-                out.push(7);
-                to.put(out);
-                delta.put(out);
-            }
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<WrMsg, FrameError> {
-        match r.byte()? {
-            0 => Ok(WrMsg::Rb(RbEnvelope {
-                origin: ActorId::get(r)?,
-                seq: u64::get(r)?,
-                payload: get_vec(r, 2 * MIN_CHANGE)?,
-            })),
-            1 => Ok(WrMsg::TAck {
-                counter: u64::get(r)?,
-            }),
-            2 => Ok(WrMsg::Rc {
-                op: u64::get(r)?,
-                target: ServerId::get(r)?,
-                known: r.digest()?,
-            }),
-            3 => Ok(WrMsg::RcAck {
-                op: u64::get(r)?,
-                changes: CsRef::get(r)?,
-            }),
-            4 => Ok(WrMsg::Wc {
-                op: u64::get(r)?,
-                target: ServerId::get(r)?,
-                changes: CsRef::get(r)?,
-            }),
-            5 => Ok(WrMsg::WcAck { op: u64::get(r)? }),
-            6 => Ok(WrMsg::WcMiss {
-                op: u64::get(r)?,
-                have: r.digest()?,
-            }),
-            7 => Ok(WrMsg::Invoke {
-                to: ServerId::get(r)?,
-                delta: Ratio::get(r)?,
-            }),
-            _ => Err(FrameError::Codec("unknown WrMsg tag")),
-        }
-    }
-}
-
-impl<V: Value + Wire> Wire for DynMsg<V> {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            DynMsg::Wr(m) => {
-                out.push(0);
-                m.put(out);
-            }
-            DynMsg::R { op, obj, changes } => {
-                out.push(1);
-                op.put(out);
-                obj.put(out);
-                changes.put(out);
-            }
-            DynMsg::RAck {
-                op,
-                obj,
-                reg,
-                changes,
-                accepted,
-            } => {
-                out.push(2);
-                op.put(out);
-                obj.put(out);
-                reg.put(out);
-                changes.put(out);
-                accepted.put(out);
-            }
-            DynMsg::W {
-                op,
-                obj,
-                reg,
-                changes,
-            } => {
-                out.push(3);
-                op.put(out);
-                obj.put(out);
-                reg.put(out);
-                changes.put(out);
-            }
-            DynMsg::WAck {
-                op,
-                obj,
-                changes,
-                accepted,
-            } => {
-                out.push(4);
-                op.put(out);
-                obj.put(out);
-                changes.put(out);
-                accepted.put(out);
-            }
-            DynMsg::RefreshR { op, have } => {
-                out.push(5);
-                op.put(out);
-                have.put(out);
-            }
-            DynMsg::RefreshAck {
-                op,
-                regs,
-                need_tags,
-            } => {
-                out.push(6);
-                op.put(out);
-                put_map(out, regs);
-                need_tags.put(out);
-            }
-            DynMsg::SyncR { digest } => {
-                out.push(7);
-                put_digest(out, *digest);
-            }
-            DynMsg::SyncAck { changes } => {
-                out.push(8);
-                changes.put(out);
-            }
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<DynMsg<V>, FrameError> {
-        match r.byte()? {
-            0 => Ok(DynMsg::Wr(WrMsg::get(r)?)),
-            1 => Ok(DynMsg::R {
-                op: u64::get(r)?,
-                obj: ObjectId::get(r)?,
-                changes: CsRef::get(r)?,
-            }),
-            2 => Ok(DynMsg::RAck {
-                op: u64::get(r)?,
-                obj: ObjectId::get(r)?,
-                reg: TaggedValue::get(r)?,
-                changes: CsRef::get(r)?,
-                accepted: bool::get(r)?,
-            }),
-            3 => Ok(DynMsg::W {
-                op: u64::get(r)?,
-                obj: ObjectId::get(r)?,
-                reg: TaggedValue::get(r)?,
-                changes: CsRef::get(r)?,
-            }),
-            4 => Ok(DynMsg::WAck {
-                op: u64::get(r)?,
-                obj: ObjectId::get(r)?,
-                changes: CsRef::get(r)?,
-                accepted: bool::get(r)?,
-            }),
-            5 => Ok(DynMsg::RefreshR {
-                op: u64::get(r)?,
-                have: RefreshHave::get(r)?,
-            }),
-            6 => Ok(DynMsg::RefreshAck {
-                op: u64::get(r)?,
-                // An object id, a tag and the option byte: at least 5 bytes.
-                regs: get_map(r, 5)?,
-                need_tags: bool::get(r)?,
-            }),
-            7 => Ok(DynMsg::SyncR {
-                digest: r.digest()?,
-            }),
-            8 => Ok(DynMsg::SyncAck {
-                changes: CsRef::get(r)?,
-            }),
-            _ => Err(FrameError::Codec("unknown DynMsg tag")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::roundtrip;
 
     fn codec_error<T>(got: Result<T, FrameError>) -> bool {
         matches!(got, Err(FrameError::Codec(_)))
-    }
-
-    /// The layout itself, byte for byte: a change here is a change of
-    /// `WIRE_VERSION`.
-    #[test]
-    fn the_version_2_layout_is_pinned() {
-        let msg: DynMsg<u64> = DynMsg::RAck {
-            op: 300,
-            obj: ObjectId(2),
-            reg: TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9),
-            changes: CsRef::Summary {
-                digest: 0x0102_0304_0506_0708,
-                len: 130,
-            },
-            accepted: true,
-        };
-        let mut bytes = Vec::new();
-        msg.put(&mut bytes);
-        assert_eq!(
-            bytes,
-            [
-                2, // RAck
-                0xAC, 0x02, // op 300
-                2,    // obj
-                5, 1, 1, // tag: ts 5, client 1
-                1, 9, // Some(9)
-                0, 8, 7, 6, 5, 4, 3, 2, 1, 0x82, 0x01, // summary: digest, len 130
-                1,    // accepted
-            ]
-        );
-
-        let change = Change::new(ServerId(3), 2, ServerId(4), Ratio::new(-1, 8));
-        let mut bytes = Vec::new();
-        change.put(&mut bytes);
-        assert_eq!(bytes, [0, 3, 2, 4, 1, 8]);
     }
 
     #[test]
@@ -835,6 +703,34 @@ mod tests {
         ] {
             assert_eq!(roundtrip(&reg).unwrap(), reg);
         }
+    }
+
+    /// Every `awr_types` value with a layout, plus strings.
+    #[test]
+    fn every_type_roundtrips() {
+        fn check<T: Wire + PartialEq + fmt::Debug>(v: T) {
+            assert_eq!(roundtrip(&v).unwrap(), v);
+        }
+        check(Ratio::dec("0.7"));
+        check(Ratio::new(-7, 3));
+        check(ServerId(3));
+        check(ClientId(0));
+        check(ObjectId(u64::MAX));
+        check(ProcessId::Server(ServerId(1)));
+        check(Change::new(ServerId(0), 2, ServerId(1), Ratio::dec("0.25")));
+        check(ChangeSet::uniform_initial(4, Ratio::ONE));
+        check(Tag::new(3, ProcessId::Client(ClientId(1))));
+        check(TaggedValue::new(Tag::bottom(), 42u64));
+        check(TransferChanges::new(
+            ServerId(0),
+            ServerId(1),
+            2,
+            Ratio::dec("0.1"),
+            true,
+        ));
+        check(String::new());
+        check("W_A ⟨T⟩".to_string());
+        assert!(codec_error(String::get(&mut Reader::new(&[1, 0xff]))));
     }
 
     #[test]
