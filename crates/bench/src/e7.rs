@@ -9,7 +9,7 @@
 //! configuration frozen, the dynamic system re-plans its weights.
 
 use awr_core::RpConfig;
-use awr_monitor::plan_transfers;
+use awr_quorum::plan_transfers;
 use awr_sim::{shared_latency, ActorId, SlowActors, WanMatrix};
 use awr_storage::{DynOptions, Fanout, StorageHarness};
 use awr_types::WeightMap;

@@ -1,7 +1,7 @@
 //! # awr-bench — experiment harnesses
 //!
-//! One binary per experiment in DESIGN.md §4 (`fig1`, `e3_flexibility`, …)
-//! plus criterion micro-benchmarks. This library holds the shared
+//! One binary per experiment listed in README.md and docs/PAPER_MAP.md
+//! (`fig1`, `e3_flexibility`, …) plus criterion micro-benchmarks. This library holds the shared
 //! table-printing and statistics helpers, and the [`e7`] scenario that the
 //! test suite asserts as well.
 

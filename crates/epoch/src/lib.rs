@@ -199,107 +199,6 @@ impl EpochEngine {
     }
 }
 
-/// When a durable replica checkpoints, and how much history it keeps.
-///
-/// Epochs are this crate's vocabulary for batched, boundary-driven state
-/// transitions; the durability layer reuses it for a replica's *private*
-/// logs: a checkpoint is an epoch boundary over the replica's own
-/// append-order state — its `ChangeSet` journal (compacted via
-/// `ChangeSet::compact_journal`) and its write-ahead log (folded into a
-/// snapshot) — rather than over the shared weight map.
-///
-/// Two knobs govern the trade:
-///
-/// * [`every`](CheckpointCadence::every) bounds how much un-checkpointed
-///   log a crash can force recovery to replay (and how much journal memory
-///   a replica carries between checkpoints);
-/// * [`min_retain`](CheckpointCadence::min_retain) keeps a tail of recent
-///   journal entries alive past each checkpoint so slightly-behind peers
-///   still negotiate cheap deltas instead of degrading to full change
-///   sets.
-///
-/// # Examples
-///
-/// ```
-/// use awr_epoch::CheckpointCadence;
-///
-/// let cadence = CheckpointCadence::new(8, 4);
-/// assert!(!cadence.due(7));
-/// assert!(cadence.due(8));
-/// // Keep whichever is larger: the floor, or what the slowest acked
-/// // peer still needs for a delta.
-/// assert_eq!(cadence.retain(2), 4);
-/// assert_eq!(cadence.retain(9), 9);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CheckpointCadence {
-    /// Checkpoint whenever the log has grown by this many entries since
-    /// the last checkpoint (clamped to at least 1).
-    pub every: usize,
-    /// Always retain at least this many of the most recent journal
-    /// entries across a compaction.
-    pub min_retain: usize,
-}
-
-impl CheckpointCadence {
-    /// Creates a cadence that checkpoints every `every` log entries and
-    /// retains at least `min_retain` journal entries.
-    pub const fn new(every: usize, min_retain: usize) -> CheckpointCadence {
-        CheckpointCadence { every, min_retain }
-    }
-
-    /// Whether a log that has accumulated `grown` entries since the last
-    /// checkpoint is due for one.
-    pub fn due(&self, grown: usize) -> bool {
-        grown >= self.every.max(1)
-    }
-
-    /// How many journal entries a compaction should keep, given the
-    /// longest suffix any acked peer still needs for a delta.
-    pub fn retain(&self, deepest_peer_suffix: usize) -> usize {
-        self.min_retain.max(deepest_peer_suffix)
-    }
-}
-
-/// Checkpoint every 64 log entries, retaining a 16-entry delta tail —
-/// frequent enough that recovery replay and journal memory stay small,
-/// sparse enough that checkpoint work is amortized across many operations.
-impl Default for CheckpointCadence {
-    fn default() -> CheckpointCadence {
-        CheckpointCadence::new(64, 16)
-    }
-}
-
-#[cfg(test)]
-mod cadence_tests {
-    use super::CheckpointCadence;
-
-    #[test]
-    fn due_is_threshold_with_floor_of_one() {
-        let c = CheckpointCadence::new(0, 0);
-        assert!(!c.due(0));
-        assert!(c.due(1), "every=0 clamps to 1, not to never");
-        let c = CheckpointCadence::new(5, 2);
-        assert!(!c.due(4));
-        assert!(c.due(5) && c.due(50));
-    }
-
-    #[test]
-    fn retain_floors_at_min() {
-        let c = CheckpointCadence::new(8, 6);
-        assert_eq!(c.retain(0), 6);
-        assert_eq!(c.retain(6), 6);
-        assert_eq!(c.retain(7), 7);
-    }
-
-    #[test]
-    fn default_is_sane() {
-        let c = CheckpointCadence::default();
-        assert!(c.every > c.min_retain);
-        assert!(c.due(c.every));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,18 +6,22 @@
 //! workload over real sockets, and checks the clients' combined history
 //! for keyed linearizability. It does so twice, a fresh mesh each time:
 //!
-//! 1. under `Fanout::All`, to **cross-validate the byte accounting**: the
-//!    per-kind `Message::wire_size` totals metered by each process's
-//!    `NodeHost` must equal, exactly, the totals a same-seed simulator run
-//!    charges for the same workload — and the frames actually written to
-//!    the sockets must cost no more than that charge. Asking every server
-//!    makes the per-kind message counts a function of the workload alone;
-//!    under the default fanout they also depend on which replies were in
-//!    by the time a quorum formed, which is timing;
-//! 2. under the default options (both phases sent to a quorum by weight),
-//!    where every operation must complete and the validation burst must
-//!    put strictly fewer `R` frames and strictly fewer `W` frames on the
-//!    wire than pass 1 did.
+//! 1. under `Fanout::All` and `ReadMode::TwoPhase`, to **cross-validate
+//!    the byte accounting**: the per-kind `Message::wire_size` totals
+//!    metered by each process's `NodeHost` must equal, exactly, the totals
+//!    a same-seed simulator run charges for the same workload — and the
+//!    frames actually written to the sockets must cost no more than that
+//!    charge. Asking every server, and writing back on every read, makes
+//!    the per-kind message counts a function of the workload alone; under
+//!    the default fanout they also depend on which replies were in by the
+//!    time a quorum formed, and under the fast-path read the number of
+//!    write-backs depends on which `R_A` arrived first — both timing;
+//! 2. under the default options (both phases sent to a quorum by weight,
+//!    fast-path reads), where every operation must complete and the
+//!    validation burst must put strictly fewer `R` frames and strictly
+//!    fewer `W` frames on the wire than pass 1 did. The `W` saving counts
+//!    both the quorum-targeted phase 2 and the fast path's skipped
+//!    write-backs.
 //!
 //! In each pass a weight transfer is then invoked on a live server,
 //! propagated through the mesh (RB envelopes, refresh, client restarts —
@@ -51,7 +55,7 @@ use awr_net::{decode_frame, encode_frame, FrameError, Reader, TcpTransport, Wire
 use awr_sim::{ActorId, KindStats, NodeHost, Time, UniformLatency};
 use awr_storage::{
     check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
-    OpKind, StorageHandle, StorageHarness,
+    OpKind, ReadMode, StorageHandle, StorageHarness,
 };
 use awr_types::wire::{get_map, get_vec, put_map, put_seq};
 use awr_types::{ClientId, ObjectId, ProcessId, Ratio, ServerId};
@@ -118,7 +122,8 @@ struct Params {
     ops: u64,
     objects: u64,
     seed: u64,
-    /// Whom the clients' phase 1 asks (servers answer whoever asks).
+    /// Whom the clients' phases ask (servers answer whoever asks); the
+    /// byte-gated `Fanout::All` pass also pins two-phase reads.
     fanout: Fanout,
     data_dir: PathBuf,
 }
@@ -141,8 +146,13 @@ impl Params {
     }
 
     fn client_options(&self) -> DynOptions {
+        let read = match self.fanout {
+            Fanout::All => ReadMode::TwoPhase,
+            Fanout::Quorum => ReadMode::FastPath,
+        };
         DynOptions {
             fanout: self.fanout,
+            read,
             ..DynOptions::default()
         }
     }
@@ -794,9 +804,13 @@ fn parent_main(mut p: Params) -> i32 {
     );
     let mut frames = Vec::new();
     for (pass, fanout) in [Fanout::All, Fanout::Quorum].into_iter().enumerate() {
-        println!();
-        println!("tcp_demo: pass {} — clients under {fanout:?}", pass + 1);
         p.fanout = fanout;
+        println!();
+        println!(
+            "tcp_demo: pass {} — clients under {fanout:?}, {:?} reads",
+            pass + 1,
+            p.client_options().read
+        );
         p.data_dir =
             std::env::temp_dir().join(format!("awr_tcp_demo_{}_{}", std::process::id(), pass + 1));
         match run_pass(&p, fanout == Fanout::All) {

@@ -19,7 +19,7 @@
 //!   [`UtilizationAware`]) consumes the simulator's per-link latency /
 //!   utilization matrices and proposes safe weight maps, and
 //!   [`plan_transfers`] decomposes the move into C1-compatible pairwise
-//!   transfers.
+//!   transfers, which [`first_infeasible_step`] checks against C2.
 //!
 //! # Examples
 //!
@@ -56,8 +56,8 @@ pub use grid::GridQuorumSystem;
 pub use load::{approximate_load, greedy_weighted_load, load_lower_bound, LoadAnalysis};
 pub use majority::MajorityQuorumSystem;
 pub use placement::{
-    plan_transfers, shape_weights, LatencyGreedy, PlacementInputs, PlacementPolicy,
-    PlannedTransfer, UtilizationAware,
+    first_infeasible_step, plan_transfers, shape_weights, LatencyGreedy, PlacementInputs,
+    PlacementPolicy, PlannedTransfer, UtilizationAware,
 };
 pub use system::{minimal_quorums, verify_intersection, QuorumSystem};
 pub use tree::TreeQuorumSystem;

@@ -460,6 +460,25 @@ pub fn plan_transfers(current: &WeightMap, target: &WeightMap) -> Vec<PlannedTra
     plan
 }
 
+/// Validates that a plan is executable under C2: simulating the transfers
+/// in order, every donor stays strictly above the floor. Returns the index
+/// of the first infeasible step, or `None` if the plan is clean.
+pub fn first_infeasible_step(
+    floor: Ratio,
+    current: &WeightMap,
+    plan: &[PlannedTransfer],
+) -> Option<usize> {
+    let mut w = current.clone();
+    for (i, t) in plan.iter().enumerate() {
+        if w.weight(t.from) <= t.delta + floor {
+            return Some(i);
+        }
+        w.add(t.from, -t.delta);
+        w.add(t.to, t.delta);
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,6 +719,8 @@ mod tests {
         let target = WeightMap::dec(&["1.25", "1.25", "1.25", "0.75", "0.75", "0.75", "1"]);
         let plan = plan_transfers(&current, &target);
         assert!(!plan.is_empty());
+        let floor = rp_floor(current.total(), 7, 2);
+        assert!(first_infeasible_step(floor, &current, &plan).is_none());
         let mut w = current.clone();
         for t in &plan {
             assert!(t.from != t.to);
@@ -721,5 +742,17 @@ mod tests {
         let a = WeightMap::dec(&["1", "1"]);
         let b = WeightMap::dec(&["1", "2"]);
         let _ = plan_transfers(&a, &b);
+    }
+
+    #[test]
+    fn infeasible_step_detected() {
+        let w = WeightMap::uniform(4, Ratio::ONE);
+        let floor = rp_floor(w.total(), 4, 1); // 4/6 = 2/3
+        let plan = vec![PlannedTransfer {
+            from: ServerId(0),
+            to: ServerId(1),
+            delta: Ratio::dec("0.4"), // 1 > 0.4 + 2/3 is false
+        }];
+        assert_eq!(first_infeasible_step(floor, &w, &plan), Some(0));
     }
 }

@@ -14,7 +14,7 @@
 //!   produced it are released (the simulator buffers outgoing messages
 //!   until the callback returns, so persist-before-send holds by
 //!   construction);
-//! * on a cadence (driven by [`awr_epoch::CheckpointCadence`]) the server
+//! * on a cadence (driven by [`CheckpointCadence`]) the server
 //!   writes a [`Snapshot`] — its full change set and register map — and
 //!   truncates the WAL;
 //! * recovery loads the snapshot, replays the WAL suffix, and rejoins via
@@ -466,6 +466,75 @@ impl<V: Value + Wire> StorageHandle<V> {
     /// A handle onto a [`FileStorage`] rooted at `dir`.
     pub fn file(dir: impl AsRef<Path>) -> StorageHandle<V> {
         StorageHandle::new(FileStorage::open(dir))
+    }
+}
+
+/// When a durable replica checkpoints, and how much history it keeps.
+///
+/// A checkpoint is a boundary over the replica's *private*, append-order
+/// state — its `ChangeSet` journal (compacted via
+/// `ChangeSet::compact_journal`) and its write-ahead log (folded into a
+/// [`Snapshot`]) — not over the shared weight map.
+///
+/// Two knobs govern the trade:
+///
+/// * [`every`](CheckpointCadence::every) bounds how much un-checkpointed
+///   log a crash can force recovery to replay (and how much journal memory
+///   a replica carries between checkpoints);
+/// * [`min_retain`](CheckpointCadence::min_retain) keeps a tail of recent
+///   journal entries alive past each checkpoint so slightly-behind peers
+///   still negotiate cheap deltas instead of degrading to full change
+///   sets.
+///
+/// # Examples
+///
+/// ```
+/// use awr_storage::CheckpointCadence;
+///
+/// let cadence = CheckpointCadence::new(8, 4);
+/// assert!(!cadence.due(7));
+/// assert!(cadence.due(8));
+/// // Keep whichever is larger: the floor, or what the slowest acked
+/// // peer still needs for a delta.
+/// assert_eq!(cadence.retain(2), 4);
+/// assert_eq!(cadence.retain(9), 9);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CheckpointCadence {
+    /// Checkpoint whenever the log has grown by this many entries since
+    /// the last checkpoint (clamped to at least 1).
+    pub every: usize,
+    /// Always retain at least this many of the most recent journal
+    /// entries across a compaction.
+    pub min_retain: usize,
+}
+
+impl CheckpointCadence {
+    /// Creates a cadence that checkpoints every `every` log entries and
+    /// retains at least `min_retain` journal entries.
+    pub const fn new(every: usize, min_retain: usize) -> CheckpointCadence {
+        CheckpointCadence { every, min_retain }
+    }
+
+    /// Whether a log that has accumulated `grown` entries since the last
+    /// checkpoint is due for one.
+    pub fn due(&self, grown: usize) -> bool {
+        grown >= self.every.max(1)
+    }
+
+    /// How many journal entries a compaction should keep, given the
+    /// longest suffix any acked peer still needs for a delta.
+    pub fn retain(&self, deepest_peer_suffix: usize) -> usize {
+        self.min_retain.max(deepest_peer_suffix)
+    }
+}
+
+/// Checkpoint every 64 log entries, retaining a 16-entry delta tail —
+/// frequent enough that recovery replay and journal memory stay small,
+/// sparse enough that checkpoint work is amortized across many operations.
+impl Default for CheckpointCadence {
+    fn default() -> CheckpointCadence {
+        CheckpointCadence::new(64, 16)
     }
 }
 

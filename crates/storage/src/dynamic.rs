@@ -25,8 +25,9 @@
 //!   quorums always contain the latest value (Lemma 4). The refresh is a
 //!   count-based `n − f` read answered unconditionally — safe because an
 //!   `n − f` count set intersects every weighted quorum under every
-//!   Property-1 map, and live where a weight-judged read provably
-//!   deadlocks with f + 1 concurrent gainers (DESIGN.md §5.6);
+//!   Property-1 map (docs/LOAD.md, "Who stores a write"), and live where a
+//!   weight-judged read deadlocks with f + 1 concurrent gainers (the
+//!   reason is spelled out where the refresh starts, in `drain_applies`);
 //! * two ablation knobs — [`DynOptions::restart_on_stale`] and
 //!   [`DynOptions::refresh_on_gain`] — let experiment E10 demonstrate that
 //!   both mechanisms are load-bearing.
@@ -69,12 +70,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use awr_core::restricted::{ApplyRequest, CoreEvent, TransferCore, TransferStart, WrMsg};
 use awr_core::{RpConfig, TransferError, TransferOutcome};
-use awr_epoch::CheckpointCadence;
 use awr_quorum::{smallest_quorum_avoiding, WeightedMajorityQuorumSystem};
 use awr_sim::{Actor, ActorId, Context, Message, Nanos, Time, TimerId};
 use awr_types::{ChangeSet, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue};
 
-use crate::durable::{Snapshot, StorageHandle, WalRecord};
+use crate::durable::{CheckpointCadence, Snapshot, StorageHandle, WalRecord};
 use crate::history::{HistOp, OpKind};
 use crate::Value;
 
@@ -1734,10 +1734,16 @@ impl<V: Value> DynServer<V> {
                 // Algorithm 4 lines 8–9: register ← read(), then apply.
                 // Implemented as an n − f *count* read answered
                 // unconditionally: such a set intersects every weighted
-                // quorum under every Property-1 weight map, so the refresh
-                // observes every completed write and can never deadlock —
-                // even when f + 1 gainers refresh simultaneously (where a
-                // weight-judged read provably stalls; see DESIGN.md §5).
+                // quorum under every Property-1 weight map (docs/LOAD.md,
+                // "Who stores a write"), so the refresh observes every
+                // completed write and can never deadlock. A weight-judged
+                // read can: a server answers only an `R` carrying its own
+                // `C`, and a gainer stays on the old `C` until its refresh
+                // ends. With f + 1 gainers refreshing at once, neither the
+                // gainers (old `C`) nor the other n − f − 1 servers (new
+                // `C`) need hold a quorum by weight, so no refresh
+                // completes. With at most f gainers, n − f servers share
+                // the new `C`, which Property 1 makes a quorum.
                 self.start_refresh(true, ctx);
                 return; // resume in on_message when the read completes
             }

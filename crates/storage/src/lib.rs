@@ -26,7 +26,7 @@
 //!   observe→decide→reassign loop: it feeds the simulator's per-link
 //!   metrics to an `awr_quorum` [`awr_quorum::PlacementPolicy`], validates
 //!   the proposal, and issues the planned transfers through the restricted
-//!   protocol (decision telemetry lands in an `awr_monitor::DecisionLog`).
+//!   protocol (decision telemetry lands in a [`DecisionLog`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,9 +41,9 @@ pub mod placement;
 mod wire;
 pub mod workload;
 
-pub use awr_epoch::CheckpointCadence;
 pub use durable::{
-    FileStorage, MemStorage, Recovered, Snapshot, Storage, StorageHandle, WalRecord, WAL_FILE,
+    CheckpointCadence, FileStorage, MemStorage, Recovered, Snapshot, Storage, StorageHandle,
+    WalRecord, WAL_FILE,
 };
 pub use dynamic::{
     reg_tag_digest, DynClient, DynCompletedOp, DynMsg, DynOpDriver, DynOptions, DynServer, Fanout,
@@ -53,7 +53,7 @@ pub use harness::StorageHarness;
 pub use history::{HistOp, History, OpKind};
 pub use lin::{check_linearizable, check_linearizable_keyed, KeyedLinError, LinError};
 pub use openloop::{OpenLoopClient, OpenLoopHarness, OpenLoopSpec, OpenLoopStats};
-pub use placement::{run_adaptive_workload, PlacementDriver};
+pub use placement::{run_adaptive_workload, DecisionLog, PlacementDriver, PolicyDecision};
 
 /// Values stored in registers.
 pub trait Value: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + 'static {}
@@ -299,5 +299,35 @@ mod dynamic_tests {
             .unwrap();
         assert!(srv.refreshes >= 1, "the gaining server must refresh");
         assert_eq!(srv.weight(), Ratio::dec("1.2"));
+    }
+}
+
+#[cfg(test)]
+mod cadence_tests {
+    use crate::CheckpointCadence;
+
+    #[test]
+    fn due_is_threshold_with_floor_of_one() {
+        let c = CheckpointCadence::new(0, 0);
+        assert!(!c.due(0));
+        assert!(c.due(1), "every=0 clamps to 1, not to never");
+        let c = CheckpointCadence::new(5, 2);
+        assert!(!c.due(4));
+        assert!(c.due(5) && c.due(50));
+    }
+
+    #[test]
+    fn retain_floors_at_min() {
+        let c = CheckpointCadence::new(8, 6);
+        assert_eq!(c.retain(0), 6);
+        assert_eq!(c.retain(6), 6);
+        assert_eq!(c.retain(7), 7);
+    }
+
+    #[test]
+    fn default_is_sane() {
+        let c = CheckpointCadence::default();
+        assert!(c.every > c.min_retain);
+        assert!(c.due(c.every));
     }
 }

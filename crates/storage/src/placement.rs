@@ -16,7 +16,6 @@
 //! read/write workload with a policy tick every `decide_every` rounds —
 //! the shape `bench_placement` and `examples/placement_policies.rs` use.
 
-use awr_monitor::{DecisionLog, PolicyDecision};
 use awr_quorum::placement::{plan_transfers, PlacementInputs, PlacementPolicy};
 use awr_quorum::{integrity_holds, rp_integrity_holds};
 use awr_sim::{ActorId, Metrics};
@@ -26,6 +25,79 @@ use crate::dynamic::DynServer;
 use crate::harness::StorageHarness;
 use crate::workload::{WorkloadSpec, WorkloadStats};
 use crate::Value;
+
+/// One recorded placement decision: what the policy saw, what it proposed,
+/// and what was issued to the protocol.
+#[derive(Clone, Debug)]
+pub struct PolicyDecision {
+    /// Virtual time of the decision, nanoseconds.
+    pub at_nanos: u64,
+    /// The deciding policy's name.
+    pub policy: &'static str,
+    /// The weight map in force when the policy ran.
+    pub current: WeightMap,
+    /// The map the policy proposed.
+    pub proposed: WeightMap,
+    /// Whether the proposal passed safety validation (RP-Integrity floor
+    /// and Property 1). Invalid proposals are recorded but never issued.
+    pub accepted: bool,
+    /// Transfers the plan decomposed into (post hysteresis filtering).
+    pub planned: usize,
+    /// Transfers actually handed to the protocol.
+    pub issued: usize,
+}
+
+impl PolicyDecision {
+    /// Whether this tick changed anything (a no-op decision proposes the
+    /// current map back, or plans zero transfers).
+    pub fn is_noop(&self) -> bool {
+        self.issued == 0
+    }
+}
+
+/// An append-only log of placement decisions — the policy-side audit trail
+/// mirroring what `awr_core::audit_transfers` does for the protocol side.
+#[derive(Clone, Debug, Default)]
+pub struct DecisionLog {
+    entries: Vec<PolicyDecision>,
+}
+
+impl DecisionLog {
+    /// An empty log.
+    pub fn new() -> DecisionLog {
+        DecisionLog::default()
+    }
+
+    /// Appends a decision.
+    pub fn push(&mut self, d: PolicyDecision) {
+        self.entries.push(d);
+    }
+
+    /// All decisions, oldest first.
+    pub fn entries(&self) -> &[PolicyDecision] {
+        &self.entries
+    }
+
+    /// Number of decisions recorded.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether any decision has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The most recent decision.
+    pub fn last(&self) -> Option<&PolicyDecision> {
+        self.entries.last()
+    }
+
+    /// Total transfers issued across all decisions.
+    pub fn transfers_issued(&self) -> usize {
+        self.entries.iter().map(|d| d.issued).sum()
+    }
+}
 
 /// Drives a [`PlacementPolicy`] against a [`StorageHarness`].
 pub struct PlacementDriver {
@@ -256,5 +328,41 @@ mod tests {
         assert!(stats.reads + stats.writes > 0);
         assert_eq!(d.log.len(), 2, "rounds 4 and 8 tick");
         check_linearizable(&h.history()).unwrap();
+    }
+
+    /// Proposes one fixed map whatever it observes.
+    struct Fixed(WeightMap);
+
+    impl PlacementPolicy for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn propose(&self, _: &PlacementInputs<'_>) -> WeightMap {
+            self.0.clone()
+        }
+    }
+
+    #[test]
+    fn unsafe_proposals_are_refused_and_logged() {
+        // n = 5, f = 1: total 5, floor 5/8.
+        let floor = Ratio::new(5, 8);
+        let rest = Ratio::new(35, 32);
+        let at_floor = WeightMap::from_vec(vec![floor, rest, rest, rest, rest]);
+        let minted = WeightMap::dec(&["1.1", "1", "1", "1", "1"]);
+        for (seed, proposal) in [(44, at_floor), (45, minted)] {
+            let mut h = build(seed);
+            assert_eq!(h.config().floor(), floor);
+            let mut d = PlacementDriver::new(Fixed(proposal.clone()), vec![h.client_actor(0)]);
+            h.write(0, 1).unwrap();
+            assert_eq!(d.tick(&mut h), 0, "{proposal}");
+            h.settle();
+            assert_eq!(d.log.len(), 1);
+            let rec = d.log.last().unwrap();
+            assert!(!rec.accepted, "{proposal} must be refused");
+            assert_eq!((rec.planned, rec.issued), (0, 0), "{proposal}");
+            assert_eq!(rec.proposed, proposal);
+            assert_eq!(d.current_weights(&h), h.config().initial_weights);
+        }
     }
 }

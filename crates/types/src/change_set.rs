@@ -499,7 +499,7 @@ impl ChangeSet {
     /// negotiation ladder (and every liveness argument built on it) is
     /// unchanged. Servers key `keep` on an acked watermark: the longest
     /// suffix any tracked peer still needs, floored by the cadence's
-    /// minimum retention (see `awr_epoch::CheckpointCadence`).
+    /// minimum retention (see `awr_storage::CheckpointCadence`).
     pub fn compact_journal(&mut self, keep: usize) -> usize {
         let drop = self.inner.journal.len().saturating_sub(keep);
         if drop == 0 {

@@ -1,7 +1,9 @@
-//! The full adaptive loop the paper points at (§VI, citing AWARE): monitor
-//! replica latencies, derive target weights, plan C1/C2-compatible pairwise
+//! The adaptive loop the paper points at (§VI, citing AWARE): derive
+//! target weights from replica latencies, plan C1/C2-compatible pairwise
 //! transfers, and execute them on the live system — then watch the loop
-//! react to a regime shift.
+//! react to a regime shift. Targets come from `shape_weights`, the shaping
+//! every `awr::quorum::placement` policy uses; `placement_policies` shows
+//! the same planner fed from observed metrics by a `PlacementDriver`.
 //!
 //! Run with: `cargo run --example adaptive_weights`
 
@@ -9,7 +11,7 @@
 #![allow(clippy::print_stdout)]
 
 use awr::core::{audit_transfers, RpConfig, RpHarness};
-use awr::monitor::{plan_transfers, LatencyMonitor, RegimeShift, WeightPolicy};
+use awr::quorum::{plan_transfers, shape_weights};
 use awr::sim::UniformLatency;
 use awr::types::ServerId;
 
@@ -17,37 +19,19 @@ fn main() {
     let cfg = RpConfig::uniform(7, 2);
     let mut system = RpHarness::build(cfg.clone(), 1, 7, UniformLatency::new(1_000, 60_000));
 
-    // A synthetic latency regime: servers 5–7 degrade at sample 50.
-    let regime = RegimeShift {
-        before: vec![15.0, 15.0, 15.0, 18.0, 18.0, 20.0, 20.0],
-        after: vec![15.0, 15.0, 15.0, 18.0, 18.0, 200.0, 220.0],
-        at_sample: 50,
-    };
+    // A synthetic latency regime (ms per server): the last two servers
+    // degrade tenfold at the shift.
+    let regimes = [
+        ("before", [15.0, 15.0, 15.0, 18.0, 18.0, 20.0, 20.0]),
+        ("after", [15.0, 15.0, 15.0, 18.0, 18.0, 200.0, 220.0]),
+    ];
 
-    let mut monitor = LatencyMonitor::new(7, 0.2);
-    let policy = WeightPolicy::default();
-
-    for epoch in 0..2 {
-        // Observe 50 samples per epoch (before/after the shift).
-        for k in 0..50u64 {
-            let sample = epoch * 50 + k;
-            for s in cfg.servers() {
-                monitor.observe(s, regime.latency(s, sample));
-            }
-        }
-
+    for (regime, latencies) in regimes {
         // Derive targets and a transfer plan from the *current* weights.
         let current = system.weights_seen_by(ServerId(0));
-        let targets = policy.targets(&cfg, &monitor.estimates_or(50.0));
+        let targets = shape_weights(&latencies, cfg.initial_total(), cfg.floor(), 0.1);
         let plan = plan_transfers(&current, &targets);
-        println!(
-            "epoch {epoch}: estimates = {:?}",
-            monitor
-                .estimates_or(0.0)
-                .iter()
-                .map(|x| format!("{x:.0}"))
-                .collect::<Vec<_>>()
-        );
+        println!("{regime} the shift: latencies = {latencies:?}");
         println!("  current weights: {current}");
         println!("  target  weights: {targets}");
         println!("  plan: {} transfer(s)", plan.len());
@@ -58,17 +42,12 @@ fn main() {
             let out = system
                 .transfer_and_wait(t.from, t.to, t.delta)
                 .expect("transfer completes");
-            println!(
-                "    {}→{} {}: {}",
-                t.from,
-                t.to,
-                t.delta,
-                if out.is_effective() {
-                    "effective"
-                } else {
-                    "null"
-                }
-            );
+            let effect = if out.is_effective() {
+                "effective"
+            } else {
+                "null"
+            };
+            println!("    {}→{} {}: {effect}", t.from, t.to, t.delta);
         }
         system.settle();
     }

@@ -23,8 +23,7 @@
 //!   placement driver (`storage::placement`);
 //! * [`consensus`] — single-decree Paxos and the consensus-based
 //!   reassignment baseline;
-//! * [`epoch`] — the epoch-based reassignment baseline;
-//! * [`monitor`] — synthetic monitoring, weight policies, transfer planning.
+//! * [`epoch`] — the epoch-based reassignment baseline.
 //!
 //! See `README.md` for a tour, `docs/PAPER_MAP.md` for the paper→code
 //! table, and `ROADMAP.md` for the open items.
@@ -46,7 +45,6 @@
 pub use awr_consensus as consensus;
 pub use awr_core as core;
 pub use awr_epoch as epoch;
-pub use awr_monitor as monitor;
 pub use awr_quorum as quorum;
 pub use awr_rb as rb;
 pub use awr_sim as sim;

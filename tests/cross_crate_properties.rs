@@ -3,7 +3,7 @@
 
 use awr::core::{audit_transfers, RpConfig, RpHarness};
 use awr::epoch::{EpochEngine, EpochRequest};
-use awr::monitor::{first_infeasible_step, plan_transfers, WeightPolicy};
+use awr::quorum::{first_infeasible_step, plan_transfers, shape_weights};
 use awr::sim::{Time, UniformLatency};
 use awr::types::{Ratio, ServerId, WeightMap};
 use proptest::prelude::*;
@@ -36,18 +36,18 @@ proptest! {
         prop_assert_eq!(w0.total(), Ratio::integer(7));
     }
 
-    /// The policy → planner pipeline always emits feasible, total-preserving
-    /// plans for valid latency inputs.
+    /// The placement pipeline — `shape_weights` → `plan_transfers` — always
+    /// emits feasible, total-preserving plans for valid latency inputs.
     #[test]
     fn planner_always_feasible(
         lat in proptest::collection::vec(1.0f64..500.0, 7),
     ) {
         let cfg = RpConfig::uniform(7, 2);
-        let targets = WeightPolicy::default().targets(&cfg, &lat);
+        let targets = shape_weights(&lat, cfg.initial_total(), cfg.floor(), 0.1);
         prop_assert_eq!(targets.total(), cfg.initial_total());
         prop_assert!(awr::quorum::rp_integrity_holds(&targets, cfg.floor()));
         let plan = plan_transfers(&cfg.initial_weights, &targets);
-        prop_assert!(first_infeasible_step(&cfg, &cfg.initial_weights, &plan).is_none());
+        prop_assert!(first_infeasible_step(cfg.floor(), &cfg.initial_weights, &plan).is_none());
         // Applying the plan reaches the target exactly.
         let mut w = cfg.initial_weights.clone();
         for t in &plan {
