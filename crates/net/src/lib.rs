@@ -23,14 +23,15 @@
 //!   their WAL in the same frames;
 //! * [`tcp`] — [`TcpTransport`], the mesh endpoint an `awr_sim::NodeHost`
 //!   pumps: it owns its listener and every socket and spawns no thread.
-//!   Receiving is one `ppoll(2)` over all of them, decoding frames on the
+//!   Every socket is registered once in an `epoll(7)` set, and receiving
+//!   is one wait that returns only the ready ones, decoding frames on the
 //!   node's own thread; sending encodes into a per-peer write buffer and
 //!   writes without blocking, with lazy dialing, reconnect-then-drop
 //!   crash-model semantics ([`Reconnect`], [`PoolStats`]) and a
 //!   high-water rule that keeps two nodes flooding each other from
 //!   deadlocking;
-//! * `sys` (private) — the `ppoll` binding: the only `unsafe` the
-//!   workspace ships, and the reason the crate is unix-only.
+//! * `sys` (private) — the `epoll` binding: the only `unsafe` the
+//!   workspace ships, and the reason the crate is Linux-only.
 //!
 //! The `tcp_demo` binary in this crate boots a full multi-process system:
 //! N durable server processes and K client processes on localhost, the
@@ -75,8 +76,8 @@
 //! assert_eq!((from, msg), (ActorId(0), Ping(7)));
 //! ```
 
-// `deny`, not the `forbid` every other crate has: `sys` opts out, for one
-// audited FFI call.
+// `deny`, not the `forbid` every other crate has: `sys` opts out, for the
+// audited epoll binding.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,56 +1,72 @@
-//! The workspace's one FFI call: `ppoll(2)`, behind a safe wrapper.
+//! The workspace's FFI: Linux `epoll(7)`, behind a safe wrapper.
 //!
 //! `std` has non-blocking sockets but no way to wait on several of them;
 //! the transport's readiness loop needs exactly that, with a timeout finer
-//! than `poll(2)`'s milliseconds (hosts step with sub-millisecond
-//! deadlines). Everything unsafe the workspace ships is in this file: the
-//! `extern` declaration, two `repr(C)` structs and one call. (`ppoll` is
-//! in Linux, the BSDs and illumos, not in macOS: there the crate fails to
-//! link rather than fall back to something coarser.)
+//! than `epoll_wait(2)`'s milliseconds (hosts step with sub-millisecond
+//! deadlines), hence `epoll_pwait2(2)` and its `timespec`. A socket is
+//! registered once and a wait returns only the sockets that are ready, so
+//! a turn costs what is ready, not what is open. Everything unsafe the
+//! workspace ships is in this file: three `extern` functions and their
+//! calls, two `repr(C)` structs, and taking ownership of the descriptor
+//! `epoll_create1` returns. (epoll is Linux's: on other targets the crate
+//! fails to compile rather than fall back to something slower.)
 
 #![allow(unsafe_code)]
 
-#[cfg(not(unix))]
-compile_error!("awr_net waits for socket readiness with ppoll(2), which only unix has");
+#[cfg(not(target_os = "linux"))]
+compile_error!("awr_net waits for socket readiness with epoll(7), which only Linux has");
 
-use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
+use std::ffi::{c_int, c_long, c_void};
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{AsFd, AsRawFd, FromRawFd, OwnedFd};
 use std::time::Duration;
 
 /// There is data to read, a connection to accept, or end-of-stream.
-pub(crate) const POLLIN: c_short = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// Writing will not block.
-pub(crate) const POLLOUT: c_short = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 
-/// One entry of the poll set: `struct pollfd`.
-#[repr(C)]
-pub(crate) struct PollFd {
-    fd: c_int,
-    events: c_short,
-    revents: c_short,
+const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_MOD: c_int = 3;
+
+/// One readiness report: `struct epoll_event`, which the kernel packs on
+/// x86-64 (a `u64` at offset 4) and lays out naturally elsewhere.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy, Default)]
+pub(crate) struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-impl PollFd {
-    /// Watches `fd` for `events`; a negative `fd` is an entry the kernel
-    /// skips (its `revents` stays zero), which keeps a set's layout fixed.
-    pub(crate) fn new(fd: RawFd, events: c_short) -> PollFd {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
+// A layout the kernel does not share would be read and written out of
+// step with it: 12 bytes on x86-64, and `data` at a `u64`'s alignment on
+// every other target (16 bytes where that is 8).
+const _: () = assert!(
+    std::mem::size_of::<EpollEvent>()
+        == if cfg!(target_arch = "x86_64") {
+            12
+        } else {
+            8 + std::mem::align_of::<u64>()
         }
+);
+
+impl EpollEvent {
+    /// The events that hold: those registered, plus `EPOLLERR` (0x008) and
+    /// `EPOLLHUP` (0x010), which are never masked.
+    pub(crate) fn events(&self) -> u32 {
+        self.events
     }
 
-    /// What the last [`wait`] reported: the requested events that hold,
-    /// and possibly `POLLERR`/`POLLHUP`/`POLLNVAL`, which are never masked.
-    pub(crate) fn revents(&self) -> c_short {
-        self.revents
+    /// The token the socket was registered under.
+    pub(crate) fn token(&self) -> u64 {
+        self.data
     }
 }
 
-/// `struct timespec` as the `ppoll` symbol takes it: both fields are
-/// `long` on LP64 unix and on 32-bit glibc.
+/// `struct timespec` as the `epoll_pwait2` symbol takes it: both fields
+/// are `long` on LP64 Linux and on 32-bit glibc.
 #[repr(C)]
 struct Timespec {
     tv_sec: c_long,
@@ -58,41 +74,92 @@ struct Timespec {
 }
 
 extern "C" {
-    fn ppoll(
-        fds: *mut PollFd,
-        nfds: c_ulong,
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        events: *mut EpollEvent,
+        maxevents: c_int,
         timeout: *const Timespec,
         sigmask: *const c_void,
     ) -> c_int;
 }
 
-/// Blocks until an entry of `fds` is ready or `timeout` has passed, and
-/// returns how many entries have a non-zero [`PollFd::revents`] (zero on
-/// timeout). `ErrorKind::Interrupted` means a signal cut the wait short.
-pub(crate) fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-    let ts = Timespec {
-        // Decades are as good as forever, and no kernel rejects them.
-        tv_sec: timeout.as_secs().min(i32::MAX as u64) as c_long,
-        tv_nsec: c_long::from(timeout.subsec_nanos() as i32),
-    };
-    // SAFETY: `fds` is an exclusive borrow of `fds.len()` initialised
-    // `PollFd`s, whose `repr(C)` layout is `struct pollfd`; the kernel
-    // reads `fd`/`events` and writes only `revents`, within that length.
-    // `ts` outlives the call and holds `0 <= tv_nsec < 10^9`. A null
-    // signal mask is allowed and leaves the mask alone. A descriptor that
-    // is closed or not ours cannot break memory safety: the kernel
-    // answers `POLLNVAL` for it.
-    let n = unsafe {
-        ppoll(
-            fds.as_mut_ptr(),
-            fds.len() as c_ulong,
-            &ts,
-            std::ptr::null(),
-        )
-    };
-    if n < 0 {
+/// A libc return value as a `Result`: negative means `errno` is set.
+fn check(ret: c_int) -> io::Result<c_int> {
+    if ret < 0 {
         Err(io::Error::last_os_error())
     } else {
+        Ok(ret)
+    }
+}
+
+/// A level-triggered interest set. A socket stays in it until the last
+/// descriptor of that socket is closed: dropping the (only) `TcpStream`
+/// is how a socket leaves.
+pub(crate) struct Epoll {
+    fd: OwnedFd,
+}
+
+impl Epoll {
+    /// An empty set, whose descriptor is closed on `exec`.
+    pub(crate) fn new() -> io::Result<Epoll> {
+        // SAFETY: no pointers; a non-negative return is a fresh descriptor
+        // that nothing else owns.
+        let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        // SAFETY: `fd` was just returned open and is owned by no one else.
+        Ok(Epoll {
+            fd: unsafe { OwnedFd::from_raw_fd(fd) },
+        })
+    }
+
+    fn ctl(&self, op: c_int, fd: impl AsFd, events: u32, token: u64) -> io::Result<()> {
+        let mut event = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `event` is an initialised `struct epoll_event` that
+        // outlives the call, which only reads it; both descriptors are
+        // borrowed, so open for its duration.
+        check(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd.as_fd().as_raw_fd(), &mut event) })
+            .map(drop)
+    }
+
+    /// Watches `fd` for `events`; a wait reports it under `token`.
+    pub(crate) fn add(&self, fd: impl AsFd, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, events, token)
+    }
+
+    /// Changes what an added `fd` is watched for.
+    pub(crate) fn modify(&self, fd: impl AsFd, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, events, token)
+    }
+
+    /// Blocks until a watched socket is ready or `timeout` has passed, and
+    /// returns how many reports it wrote to the front of `events` (zero on
+    /// timeout) — at most `events.len()`; the rest stay ready for the next
+    /// wait. `ErrorKind::Interrupted` means a signal cut the wait short.
+    pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout: Duration) -> io::Result<usize> {
+        let ts = Timespec {
+            // Decades are as good as forever, and no kernel rejects them.
+            tv_sec: timeout.as_secs().min(i32::MAX as u64) as c_long,
+            tv_nsec: c_long::from(timeout.subsec_nanos() as i32),
+        };
+        let max = events.len().min(c_int::MAX as usize) as c_int;
+        // SAFETY: `events` is an exclusive borrow of initialised
+        // `EpollEvent`s, whose layout is `struct epoll_event` (checked
+        // above); the kernel writes at most `max <= events.len()` of them.
+        // `ts` outlives the call and holds `0 <= tv_nsec < 10^9`. A null
+        // signal mask leaves the mask alone.
+        let n = check(unsafe {
+            epoll_pwait2(
+                self.fd.as_raw_fd(),
+                events.as_mut_ptr(),
+                max,
+                &ts,
+                std::ptr::null(),
+            )
+        })?;
         Ok(n as usize)
     }
 }
@@ -102,7 +169,6 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
     use std::time::Instant;
 
     #[test]
@@ -110,16 +176,21 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (b, _) = listener.accept().unwrap();
-        let mut set = [PollFd::new(-1, POLLIN), PollFd::new(b.as_raw_fd(), POLLIN)];
+        let epoll = Epoll::new().unwrap();
+        epoll.add(&listener, EPOLLIN, 1).unwrap();
+        epoll.add(&b, EPOLLIN, 2).unwrap();
+        let mut events = [EpollEvent::default(); 4];
 
         let started = Instant::now();
-        assert_eq!(wait(&mut set, Duration::from_micros(300)).unwrap(), 0);
+        let n = epoll.wait(&mut events, Duration::from_micros(300)).unwrap();
+        assert_eq!(n, 0);
         assert!(started.elapsed() >= Duration::from_micros(300));
 
         a.write_all(b"x").unwrap();
-        assert_eq!(wait(&mut set, Duration::from_secs(5)).unwrap(), 1);
-        assert_eq!(set[0].revents(), 0, "negative descriptors are skipped");
-        assert_ne!(set[1].revents() & POLLIN, 0);
+        let n = epoll.wait(&mut events, Duration::from_secs(5)).unwrap();
+        assert_eq!(n, 1, "the quiet listener is not reported");
+        assert_eq!(events[0].token(), 2);
+        assert_ne!(events[0].events() & EPOLLIN, 0);
     }
 
     #[test]
@@ -127,17 +198,31 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (b, _) = listener.accept().unwrap();
-        let mut set = [PollFd::new(a.as_raw_fd(), POLLIN | POLLOUT)];
-        assert_eq!(wait(&mut set, Duration::ZERO).unwrap(), 1);
-        assert_eq!(set[0].revents() & (POLLIN | POLLOUT), POLLOUT);
+        let epoll = Epoll::new().unwrap();
+        let mut events = [EpollEvent::default(); 4];
+        epoll.add(&a, EPOLLIN, 7).unwrap();
+        let n = epoll.wait(&mut events, Duration::ZERO).unwrap();
+        assert_eq!(n, 0, "writable, but EPOLLOUT is not registered");
+
+        epoll.modify(&a, EPOLLIN | EPOLLOUT, 7).unwrap();
+        assert_eq!(epoll.wait(&mut events, Duration::ZERO).unwrap(), 1);
+        assert_eq!(events[0].token(), 7);
+        assert_eq!(events[0].events() & (EPOLLIN | EPOLLOUT), EPOLLOUT);
+
+        epoll.modify(&a, EPOLLIN, 7).unwrap();
+        assert_eq!(epoll.wait(&mut events, Duration::ZERO).unwrap(), 0);
 
         drop(b);
-        let mut set = [PollFd::new(a.as_raw_fd(), POLLIN)];
-        assert_eq!(wait(&mut set, Duration::from_secs(5)).unwrap(), 1);
+        assert_eq!(epoll.wait(&mut events, Duration::from_secs(5)).unwrap(), 1);
         assert_ne!(
-            set[0].revents() & POLLIN,
+            events[0].events() & EPOLLIN,
             0,
-            "end-of-stream reads as POLLIN"
+            "end-of-stream reads as EPOLLIN"
         );
+
+        // Level-triggered, the closed peer would be reported again; closing
+        // the socket takes it out of the set instead.
+        drop(a);
+        assert_eq!(epoll.wait(&mut events, Duration::ZERO).unwrap(), 0);
     }
 }

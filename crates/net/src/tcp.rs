@@ -12,8 +12,12 @@
 //! # The readiness loop
 //!
 //! A [`TcpTransport`] owns its listener, the sockets it accepted and the
-//! sockets it dialed, all non-blocking. `recv_timeout` is one `ppoll(2)`
-//! over all of them (the crate's private `sys` module — unix only), after
+//! sockets it dialed, all non-blocking, and one `epoll(7)` set (the
+//! crate's private `sys` module — Linux only) in which each of them is
+//! registered once: the listener at start, a dialed socket when it is
+//! dialed, an accepted one when it is accepted. Closing a socket is
+//! dropping it, which takes it out of the set. `recv_timeout` runs turns;
+//! a turn is one wait that returns only the sockets that are ready, after
 //! which it
 //!
 //! * reads each readable accepted socket once into that connection's
@@ -21,16 +25,23 @@
 //!   message is decoded ([`Wire::get`]) straight out of that buffer, on
 //!   the thread that will handle it, with no hand-off and no
 //!   intermediate tree in between;
-//! * flushes each dialed socket that has a write backlog and reports
-//!   `POLLOUT`, and discards a dialed socket whose peer has closed it;
+//! * flushes each dialed socket that reports `EPOLLOUT`, and discards a
+//!   dialed socket whose peer has closed it. A dialed socket is watched
+//!   for `EPOLLIN` (how a hang-up shows) always and for `EPOLLOUT` only
+//!   while it has a write backlog: one `epoll_ctl` when a backlog appears
+//!   and one when it is gone, none while sends go straight out;
 //! * accepts whatever the listener has pending.
 //!
 //! Decoded messages queue in arrival order, which is FIFO per link
 //! because a link is one connection at a time and a connection's bytes
-//! are parsed in order. A corrupt, oversized or truncated frame, a bad
-//! hello or an id outside the mesh closes **that connection** and nothing
-//! else; an `accept` error (`ECONNABORTED`, `EMFILE`, …) skips that
-//! attempt and the listener stays in the poll set.
+//! are parsed in order. The kernel reports ready sockets in no particular
+//! order, so a turn marks the ready accepted sockets and then reads them
+//! in accept order: after a reconnect, what is left of the sender's
+//! previous connection is read before the new one. A corrupt, oversized
+//! or truncated frame, a bad hello or an id outside the mesh closes
+//! **that connection** and nothing else; an `accept` error
+//! (`ECONNABORTED`, `EMFILE`, …) skips that attempt and the listener stays
+//! in the set.
 //!
 //! # Sending never blocks in a write
 //!
@@ -74,14 +85,13 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use awr_sim::{ActorId, KindStats, Message, Transport};
 use awr_types::wire::{decode_frame, encode_frame_into, FrameError, Wire, MAX_FRAME};
 
 use crate::frame::{read_hello, write_hello, HELLO_LEN};
-use crate::sys::{self, PollFd, POLLIN, POLLOUT};
+use crate::sys::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 
 /// Write backlog toward one peer above which [`Transport::send`] stops
 /// returning at once and drives the readiness loop until the peer has
@@ -104,6 +114,17 @@ const KEEP_CAPACITY: usize = 64 << 10;
 /// Accept attempts per turn. Bounds the spin when `accept` keeps failing
 /// with the connection still queued (`EMFILE`).
 const ACCEPT_BURST: usize = 64;
+
+/// Readiness reports one wait returns at most. Sockets left out are
+/// still ready, so the next wait reports them (the set is
+/// level-triggered).
+const EVENT_BATCH: usize = 64;
+
+/// The token a wait reports the listener under. A dialed socket's token
+/// is its peer's index, an accepted socket's `INBOUND` plus its place in
+/// accept order.
+const LISTENER: u64 = u64::MAX;
+const INBOUND: u64 = 1 << 63;
 
 /// Dial-retry policy of a [`TcpTransport`].
 #[derive(Clone, Copy, Debug)]
@@ -145,6 +166,8 @@ struct Peer {
     wbuf: Vec<u8>,
     /// `wbuf[..wpos]` has been written already.
     wpos: usize,
+    /// `stream` is watched for `EPOLLOUT` as well as `EPOLLIN`.
+    watching_out: bool,
 }
 
 impl Peer {
@@ -183,13 +206,35 @@ impl Peer {
 
     /// Forgets the connection and everything queued on it except the last
     /// `keep` bytes of the buffer (the frame a `send` is about to retry).
+    /// Dropping the socket takes it out of the epoll set.
     fn close(&mut self, keep: usize) {
         self.stream = None;
+        self.watching_out = false;
         self.wbuf.drain(..self.wbuf.len() - keep);
         self.wpos = 0;
     }
 
-    /// Services a dialed socket that `ppoll` reported as readable, hung
+    /// Watches the socket for `EPOLLOUT` exactly while it has a backlog,
+    /// so a wait neither misses the moment it can be flushed nor wakes for
+    /// a socket with nothing to write. `token` is this peer's.
+    fn watch_backlog(&mut self, epoll: &Epoll, token: u64) {
+        let Some(stream) = &self.stream else {
+            return;
+        };
+        let want = self.backlog() > 0;
+        if want == self.watching_out {
+            return;
+        }
+        let interest = if want { EPOLLIN | EPOLLOUT } else { EPOLLIN };
+        match epoll.modify(stream, interest, token) {
+            Ok(()) => self.watching_out = want,
+            // Unwatched, a backlog would never leave; watched for nothing
+            // to write, the socket would wake every wait.
+            Err(_) => self.close(0),
+        }
+    }
+
+    /// Services a dialed socket that a wait reported as readable, hung
     /// up or in error: the accepting side never writes, so all there is
     /// to learn is whether the peer is still there.
     fn check_alive(&mut self, scratch: &mut [u8]) {
@@ -208,6 +253,10 @@ impl Peer {
 /// the hello is in), and the bytes read but not yet parsed.
 struct Inbound {
     stream: TcpStream,
+    /// What a wait reports this socket under; increases in accept order.
+    token: u64,
+    /// The last wait reported this socket.
+    ready: bool,
     from: Option<ActorId>,
     rbuf: Vec<u8>,
 }
@@ -267,12 +316,15 @@ pub struct TcpTransport<M> {
     reconnect: Reconnect,
     listener: TcpListener,
     peers: Vec<Peer>,
+    /// Accepted sockets, in accept order.
     inbound: Vec<Inbound>,
+    /// Connections accepted so far: the next accepted socket's token.
+    accepted: u64,
     /// Decoded and not yet handed out, in arrival order.
     ready: VecDeque<(ActorId, M)>,
-    /// The poll set, rebuilt every turn: listener, one entry per peer
-    /// slot, then the accepted sockets.
-    pollfds: Vec<PollFd>,
+    /// Every socket above, registered once.
+    epoll: Epoll,
+    events: Box<[EpollEvent]>,
     scratch: Box<[u8]>,
     sent_frames: KindStats,
     stats: PoolStats,
@@ -317,6 +369,8 @@ where
         reconnect: Reconnect,
     ) -> io::Result<TcpTransport<M>> {
         listener.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        epoll.add(&listener, EPOLLIN, LISTENER)?;
         let peers = addrs
             .into_iter()
             .map(|addr| Peer {
@@ -324,6 +378,7 @@ where
                 stream: None,
                 wbuf: Vec::new(),
                 wpos: 0,
+                watching_out: false,
             })
             .collect();
         Ok(TcpTransport {
@@ -332,8 +387,10 @@ where
             listener,
             peers,
             inbound: Vec::new(),
+            accepted: 0,
             ready: VecDeque::new(),
-            pollfds: Vec::new(),
+            epoll,
+            events: vec![EpollEvent::default(); EVENT_BATCH].into_boxed_slice(),
             scratch: vec![0; READ_CHUNK].into_boxed_slice(),
             sent_frames: KindStats::default(),
             stats: PoolStats::default(),
@@ -376,6 +433,7 @@ where
             let dialed = TcpStream::connect(peer.addr).and_then(|s| {
                 s.set_nodelay(true)?;
                 s.set_nonblocking(true)?;
+                self.epoll.add(&s, EPOLLIN, to.index() as u64)?;
                 Ok(s)
             });
             if let Ok(stream) = dialed {
@@ -414,64 +472,70 @@ where
     /// socket, then reads, flushes and accepts as reported. Returns
     /// `true` if the wait timed out with nothing ready.
     fn turn(&mut self, timeout: Duration) -> bool {
-        self.pollfds.clear();
-        self.pollfds
-            .push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-        self.pollfds
-            .extend(self.peers.iter().map(|p| match &p.stream {
-                Some(s) if p.backlog() > 0 => PollFd::new(s.as_raw_fd(), POLLIN | POLLOUT),
-                Some(s) => PollFd::new(s.as_raw_fd(), POLLIN),
-                None => PollFd::new(-1, 0),
-            }));
-        self.pollfds.extend(
-            self.inbound
-                .iter()
-                .map(|c| PollFd::new(c.stream.as_raw_fd(), POLLIN)),
-        );
-        match sys::wait(&mut self.pollfds, timeout) {
+        let reported = match self.epoll.wait(&mut self.events, timeout) {
             Ok(0) => return true,
-            Ok(_) => {}
+            Ok(n) => n,
             // A signal, or the kernel short of memory: the caller's
             // deadline decides whether to wait again.
             Err(_) => return false,
-        }
+        };
 
-        let n_actors = self.peers.len();
-        let (listener_fd, fds) = self.pollfds.split_first().expect("the listener's entry");
-        let (peer_fds, inbound_fds) = fds.split_at(n_actors);
+        let mut accept = false;
+        for event in &self.events[..reported] {
+            match event.token() {
+                LISTENER => accept = true,
+                token if token & INBOUND != 0 => {
+                    // Absent if a socket closed since was reported anyway
+                    // (a forked child still held it, say).
+                    if let Ok(i) = self.inbound.binary_search_by_key(&token, |c| c.token) {
+                        self.inbound[i].ready = true;
+                    }
+                }
+                token => {
+                    let peer = &mut self.peers[token as usize];
+                    let events = event.events();
+                    if events & EPOLLOUT != 0 && peer.flush().is_err() {
+                        peer.close(0);
+                    }
+                    if events & !EPOLLOUT != 0 {
+                        peer.check_alive(&mut self.scratch);
+                    }
+                    peer.watch_backlog(&self.epoll, token);
+                }
+            }
+        }
 
         // Older connections first: after a reconnect, what is left of the
         // sender's previous connection is delivered before the new one's.
-        let mut fds = inbound_fds.iter();
+        // A full batch may have left a ready socket out, older than one it
+        // reported; every accepted socket is read then, and those with
+        // nothing to read answer `WouldBlock`.
+        let all = reported == self.events.len();
+        let n_actors = self.peers.len();
         self.inbound.retain_mut(|conn| {
-            let revents = fds.next().expect("an entry per connection").revents();
-            revents == 0
-                || conn
-                    .pump(&mut self.scratch, n_actors, |from, msg, bytes| {
-                        self.frames_received += 1;
-                        self.frame_bytes_received += bytes as u64;
-                        self.ready.push_back((from, msg));
-                    })
-                    .is_ok()
+            let due = std::mem::take(&mut conn.ready) || all;
+            !due || conn
+                .pump(&mut self.scratch, n_actors, |from, msg, bytes| {
+                    self.frames_received += 1;
+                    self.frame_bytes_received += bytes as u64;
+                    self.ready.push_back((from, msg));
+                })
+                .is_ok()
         });
 
-        for (peer, fd) in self.peers.iter_mut().zip(peer_fds) {
-            let revents = fd.revents();
-            if revents & POLLOUT != 0 && peer.flush().is_err() {
-                peer.close(0);
-            }
-            if revents & !POLLOUT != 0 {
-                peer.check_alive(&mut self.scratch);
-            }
-        }
-
-        if listener_fd.revents() != 0 {
+        if accept {
             for _ in 0..ACCEPT_BURST {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_ok() {
+                        let token = INBOUND | self.accepted;
+                        self.accepted += 1;
+                        if stream.set_nonblocking(true).is_ok()
+                            && self.epoll.add(&stream, EPOLLIN, token).is_ok()
+                        {
                             self.inbound.push(Inbound {
                                 stream,
+                                token,
+                                ready: false,
                                 from: None,
                                 rbuf: Vec::new(),
                             });
@@ -479,8 +543,8 @@ where
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     // This attempt failed, transiently (`ECONNABORTED`,
-                    // `EINTR`) or not (`EMFILE`); the listener is polled
-                    // again next turn either way.
+                    // `EINTR`) or not (`EMFILE`); the listener is waited
+                    // on again next turn either way.
                     Err(_) => {}
                 }
             }
@@ -515,6 +579,7 @@ where
         self.stats.frames_sent += 1;
         self.stats.frame_bytes_sent += bytes as u64;
         self.sent_frames.record(msg.kind(), bytes as u64);
+        self.peers[to.index()].watch_backlog(&self.epoll, to.index() as u64);
         // Any readiness ends the wait: the peer took bytes, or hung up.
         while self.peers[to.index()].backlog() > HIGH_WATER {
             self.turn(Duration::MAX);

@@ -401,6 +401,77 @@ fn four_links_stay_fifo_and_every_byte_is_accounted_for() {
     }
 }
 
+/// The frames `ns`, back to back, as a connection carries them.
+fn frames(ns: std::ops::Range<u64>) -> Vec<u8> {
+    ns.flat_map(|n| encode_frame(&seq(n))).collect()
+}
+
+/// Two connections with the same hello — a sender's older connection and
+/// the one it dialed after — each with frames waiting when the receiver
+/// turns: the older one's come first, whichever socket the kernel reports
+/// first.
+#[test]
+fn a_senders_older_connection_drains_before_its_newer_one() {
+    const K: u64 = 16;
+    let (mut nodes, addrs) = mesh_at(2);
+    let mut t = nodes.remove(0);
+    let mut older = raw_dial(addrs[0]);
+    let mut newer = raw_dial(addrs[0]);
+    // All of it before the receiver's first turn.
+    older.write_all(&[hello(1), frames(0..K)].concat()).unwrap();
+    newer
+        .write_all(&[hello(1), frames(K..2 * K)].concat())
+        .unwrap();
+    for n in 0..2 * K {
+        assert_eq!(recv(&mut t), (ActorId(1), seq(n)));
+    }
+    // A wait that finds both idle takes them off the kernel's ready list...
+    assert_eq!(t.recv_timeout(Duration::ZERO), None);
+
+    // ...so the newer one, readable first this time, leads it.
+    newer.write_all(&frames(3 * K..4 * K)).unwrap();
+    older.write_all(&frames(2 * K..3 * K)).unwrap();
+    for n in 2 * K..4 * K {
+        assert_eq!(recv(&mut t), (ActorId(1), seq(n)));
+    }
+    assert_eq!(t.recv_timeout(Duration::ZERO), None);
+}
+
+/// More connections with a frame waiting than one wait reports (and than
+/// one turn accepts): what a wait leaves out is still ready at the next,
+/// and every frame is delivered once, in accept order — also when the
+/// kernel reports the newest connections first and a full batch leaves
+/// the oldest out.
+#[test]
+fn more_ready_sockets_than_the_event_buffer() {
+    const CONNECTIONS: u64 = 100;
+    let (mut nodes, addrs) = mesh_at(2);
+    let mut t = nodes.remove(0);
+    let mut raw: Vec<TcpStream> = (0..CONNECTIONS)
+        .map(|n| {
+            let mut raw = raw_dial(addrs[0]);
+            raw.write_all(&[hello(1), frames(n..n + 1)].concat())
+                .unwrap();
+            raw
+        })
+        .collect();
+    for n in 0..CONNECTIONS {
+        assert_eq!(recv(&mut t), (ActorId(1), seq(n)));
+    }
+    assert_eq!(t.recv_timeout(Duration::ZERO), None);
+
+    // Newest first: the ready list is the reverse of accept order.
+    for (i, raw) in raw.iter_mut().enumerate().rev() {
+        let n = CONNECTIONS + i as u64;
+        raw.write_all(&frames(n..n + 1)).unwrap();
+    }
+    for n in CONNECTIONS..2 * CONNECTIONS {
+        assert_eq!(recv(&mut t), (ActorId(1), seq(n)));
+    }
+    assert_eq!(t.recv_timeout(Duration::from_millis(20)), None);
+    assert_eq!(t.frames_received(), 2 * CONNECTIONS);
+}
+
 #[test]
 fn a_node_can_send_to_itself() {
     let mut t = mesh(1).remove(0);

@@ -7,6 +7,7 @@
 //! key-value traffic exhibits ([`KeyDistribution`]).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use awr_types::{ObjectId, Ratio, ServerId};
 use rand::rngs::StdRng;
@@ -201,7 +202,9 @@ pub enum KeyDistribution {
 }
 
 /// A seeded key sampler over a dense key space `o0..o(n-1)`: a precomputed
-/// cumulative distribution, sampled in O(log n) by binary search.
+/// cumulative distribution, sampled in O(log n) by binary search. Clones
+/// share the distribution, so a hundred clients drawing from one key space
+/// search one table.
 ///
 /// # Examples
 ///
@@ -217,7 +220,7 @@ pub enum KeyDistribution {
 #[derive(Clone, Debug)]
 pub struct KeySampler {
     /// Normalized cumulative weights; `cum[k]` = P(key ≤ k).
-    cum: Vec<f64>,
+    cum: Arc<[f64]>,
 }
 
 impl KeySampler {
@@ -398,6 +401,19 @@ mod tests {
         let z0 = KeySampler::new(4, KeyDistribution::Zipfian { exponent: 0.0 });
         for _ in 0..100 {
             assert!(z0.sample(&mut rng) < ObjectId(4));
+        }
+    }
+
+    #[test]
+    fn sampler_clones_share_one_table_and_draw_the_same_keys() {
+        let dist = KeyDistribution::Zipfian { exponent: 1.0 };
+        let sampler = KeySampler::new(2_000, dist);
+        let clone = sampler.clone();
+        assert!(Arc::ptr_eq(&sampler.cum, &clone.cum));
+        let fresh = KeySampler::new(2_000, dist);
+        let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        for _ in 0..10_000 {
+            assert_eq!(clone.sample(&mut a), fresh.sample(&mut b));
         }
     }
 
