@@ -12,8 +12,8 @@
 //! client's stale-`C` restart path).
 //!
 //! The refresh leg — the gaining server's per-reassignment price of
-//! catching the whole object space up — is reported, not gated. Below
-//! `refresh_tags_cap` a `RefreshR` presents one tag per stored key (its
+//! catching the whole object space up — is reported, not gated. Up to
+//! 64 stored registers a `RefreshR` presents one tag per stored key (its
 //! cost grows with the key space); above the cap it degrades to an O(1)
 //! commutative digest of the tag map, falling back to a targeted per-key
 //! exchange only for repliers whose digest mismatches. The reported
@@ -61,7 +61,7 @@ struct Row {
     /// Mean op latency over the measured window, virtual ms.
     mean_latency_ms: f64,
     /// Refresh-leg bytes per reassignment: tag-map requests grow with the
-    /// key space below `refresh_tags_cap`, digest-mode requests above it
+    /// key space up to 64 registers, digest-mode requests above it
     /// are O(1) (acks stay delta-encoded headers either way).
     refresh_bytes_per_transfer: f64,
     /// Stale-`C` restarts over the measured window.

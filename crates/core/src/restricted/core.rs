@@ -17,15 +17,9 @@ use awr_types::{Change, ChangeSet, CsRef, ProcessId, Ratio, ServerId, TransferCh
 use crate::problem::{RpConfig, TransferError, TransferOutcome};
 use crate::restricted::messages::WrMsg;
 
-/// Maps a server id to its actor id given the base offset at which servers
-/// were added to the world (servers occupy `base .. base + n`).
-pub fn server_actor(base: usize, s: ServerId) -> ActorId {
-    ActorId(base + s.index())
-}
-
-/// Inverse of [`server_actor`] for actors known to be servers.
-pub fn actor_server(base: usize, a: ActorId) -> ServerId {
-    ServerId((a.index() - base) as u32)
+/// Maps a server id to its actor id: servers occupy actors `0..n`.
+pub fn server_actor(s: ServerId) -> ActorId {
+    ActorId(s.index())
 }
 
 /// Changes that a host must apply (possibly after a register refresh),
@@ -92,7 +86,6 @@ struct PendingTransfer {
 pub struct TransferCore {
     cfg: RpConfig,
     me: ServerId,
-    actor_base: usize,
     /// Local counter `lc`. Starts at 2: counter 1 is reserved for the
     /// conventional initial-weight changes (Algorithm 4 line 2 pairs
     /// `lc ← 1` with `⟨s, 1, s, 1⟩`; starting real transfers at 2 keeps
@@ -119,16 +112,14 @@ pub struct TransferCore {
 }
 
 impl TransferCore {
-    /// Creates the engine for server `me`. `actor_base` is the world index
-    /// of server 0 (servers must occupy contiguous actor ids).
-    pub fn new(cfg: RpConfig, me: ServerId, actor_base: usize) -> TransferCore {
-        let members = (0..cfg.n).map(|i| ActorId(actor_base + i)).collect();
+    /// Creates the engine for server `me`; servers occupy actors `0..n`.
+    pub fn new(cfg: RpConfig, me: ServerId) -> TransferCore {
+        let members = (0..cfg.n).map(ActorId).collect();
         TransferCore {
             changes: ChangeSet::from_initial_weights(&cfg.initial_weights),
-            rb: RbEngine::new(server_actor(actor_base, me), members),
+            rb: RbEngine::new(server_actor(me), members),
             cfg,
             me,
-            actor_base,
             lc: 2,
             pending: BTreeMap::new(),
             queued: VecDeque::new(),
@@ -146,13 +137,8 @@ impl TransferCore {
     /// interrupted own transfer was never completed, and restarting with it
     /// dropped is indistinguishable from the invocation never having been
     /// accepted (crash-stop semantics, paper §II).
-    pub fn recover(
-        cfg: RpConfig,
-        me: ServerId,
-        actor_base: usize,
-        changes: ChangeSet,
-    ) -> TransferCore {
-        let mut core = TransferCore::new(cfg, me, actor_base);
+    pub fn recover(cfg: RpConfig, me: ServerId, changes: ChangeSet) -> TransferCore {
+        let mut core = TransferCore::new(cfg, me);
         let issued_max = changes
             .iter()
             .filter(|c| c.issuer == ProcessId::Server(me))
@@ -619,7 +605,7 @@ impl TransferCore {
             if let Some(issuer) = c.issuer.as_server() {
                 if issuer != self.me && self.acked.insert((issuer, c.counter)) {
                     ctx.send(
-                        server_actor(self.actor_base, issuer),
+                        server_actor(issuer),
                         wrap(WrMsg::TAck { counter: c.counter }),
                     );
                 }
@@ -687,7 +673,6 @@ impl ReadChangesResult {
 #[derive(Debug)]
 pub struct ReadChangesClient {
     cfg: RpConfig,
-    actor_base: usize,
     next_op: u64,
     pending: Option<RcPending>,
     /// Last known restriction per target (digest-negotiation cache).
@@ -697,11 +682,10 @@ pub struct ReadChangesClient {
 }
 
 impl ReadChangesClient {
-    /// Creates an engine. `actor_base` is the world index of server 0.
-    pub fn new(cfg: RpConfig, actor_base: usize) -> ReadChangesClient {
+    /// Creates an engine for a system whose servers are actors `0..n`.
+    pub fn new(cfg: RpConfig) -> ReadChangesClient {
         ReadChangesClient {
             cfg,
-            actor_base,
             next_op: 0,
             pending: None,
             cache: BTreeMap::new(),
@@ -789,10 +773,7 @@ impl ReadChangesClient {
         // journal can delta from).
         let known = self.cache.get(&target).map(ChangeSet::digest).unwrap_or(0);
         for i in 0..self.cfg.n {
-            ctx.send(
-                ActorId(self.actor_base + i),
-                wrap(WrMsg::Rc { op, target, known }),
-            );
+            ctx.send(ActorId(i), wrap(WrMsg::Rc { op, target, known }));
         }
         Ok(())
     }
@@ -864,7 +845,7 @@ impl ReadChangesClient {
                     // servers whose restriction already equals the
                     // collected set, content toward the rest.
                     for i in 0..self.cfg.n {
-                        let dest = ActorId(self.actor_base + i);
+                        let dest = ActorId(i);
                         let payload = match p.peer_digests.get(&dest) {
                             Some(d) if *d == p.acc.digest() => CsRef::summary(&p.acc),
                             Some(d) => CsRef::for_peer(&p.acc, *d),
@@ -930,13 +911,6 @@ impl ReadChangesClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn actor_mapping_roundtrip() {
-        let s = ServerId(3);
-        assert_eq!(server_actor(5, s), ActorId(8));
-        assert_eq!(actor_server(5, ActorId(8)), s);
-    }
 
     #[test]
     fn apply_request_affects() {

@@ -55,10 +55,10 @@ impl RpHarness {
     ) -> RpHarness {
         let mut world = World::new(seed, network);
         for s in cfg.servers() {
-            world.add_actor(RpServer::new(cfg.clone(), s, 0));
+            world.add_actor(RpServer::new(cfg.clone(), s));
         }
         for _ in 0..n_clients {
-            world.add_actor(RpClient::new(cfg.clone(), 0));
+            world.add_actor(RpClient::new(cfg.clone()));
         }
         RpHarness {
             world,
@@ -74,7 +74,7 @@ impl RpHarness {
 
     /// Actor id of server `s`.
     pub fn server_actor(&self, s: ServerId) -> ActorId {
-        server_actor(0, s)
+        server_actor(s)
     }
 
     /// Actor id of client `k` (0-based).

@@ -22,8 +22,8 @@ pub mod server;
 mod threaded_tests;
 
 pub use self::core::{
-    actor_server, server_actor, ApplyRequest, CoreEvent, ReadChangesClient, ReadChangesResult,
-    TransferCore, TransferStart,
+    server_actor, ApplyRequest, CoreEvent, ReadChangesClient, ReadChangesResult, TransferCore,
+    TransferStart,
 };
 pub use harness::RpHarness;
 pub use messages::WrMsg;

@@ -27,10 +27,10 @@ pub struct RpServer {
 
 impl RpServer {
     /// Creates the server for `me`. Servers must occupy world indices
-    /// `actor_base .. actor_base + n`.
-    pub fn new(cfg: RpConfig, me: ServerId, actor_base: usize) -> RpServer {
+    /// `0..n`.
+    pub fn new(cfg: RpConfig, me: ServerId) -> RpServer {
         RpServer {
-            core: TransferCore::new(cfg, me, actor_base),
+            core: TransferCore::new(cfg, me),
             complete_log: Vec::new(),
         }
     }
@@ -135,10 +135,10 @@ pub struct RpClient {
 }
 
 impl RpClient {
-    /// Creates a client for a system whose servers start at `actor_base`.
-    pub fn new(cfg: RpConfig, actor_base: usize) -> RpClient {
+    /// Creates a client for a system whose servers are actors `0..n`.
+    pub fn new(cfg: RpConfig) -> RpClient {
         RpClient {
-            reader: crate::restricted::core::ReadChangesClient::new(cfg, actor_base),
+            reader: crate::restricted::core::ReadChangesClient::new(cfg),
         }
     }
 

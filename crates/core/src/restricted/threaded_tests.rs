@@ -32,7 +32,7 @@ fn spawn_servers(
         .into_iter()
         .zip(cfg.servers())
         .map(|(transport, s)| {
-            let server = RpServer::new(cfg.clone(), s, 0);
+            let server = RpServer::new(cfg.clone(), s);
             std::thread::spawn(move || {
                 let mut host = NodeHost::start(server, transport, seed);
                 host.run_until_idle(IDLE);

@@ -4,12 +4,11 @@
 use std::any::Any;
 
 use awr_core::RpConfig;
-use awr_quorum::{smallest_quorum_avoiding, WeightedMajorityQuorumSystem};
-use awr_sim::{Actor, ActorId, Context, Message, Nanos, Time, TimerId};
+use awr_sim::{Actor, ActorId, Context, Time, TimerId};
 use awr_types::{ChangeSet, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue};
 
-use super::select::{Suspicion, LAPSE_CAP_LOG2, LAPSE_TAG, WIDEN_FACTOR, WIDEN_FLOOR};
-use super::{DynMsg, DynOptions, Fanout, ReadMode, RetryPolicy, WireMode};
+use super::select::QuorumSelector;
+use super::{DynMsg, DynOptions, ReadMode, WireMode};
 use crate::history::{HistOp, OpKind};
 use crate::Value;
 
@@ -28,114 +27,84 @@ pub struct DynCompletedOp<V> {
     pub restarts: u64,
 }
 
+/// The operation in flight.
 #[derive(Debug)]
-enum DynPhase<V> {
-    Idle,
-    One {
-        op: u64,
-        obj: ObjectId,
-        write_value: Option<V>,
-        invoke: Time,
-        restarts: u64,
-        /// Running quorum weight of [`DynOpDriver::replies`] under the
-        /// client's `C`:
-        /// maintained incrementally so each ack is O(1) instead of
-        /// re-summing every responder. Sound because `C` is frozen for the
-        /// lifetime of the phase (any change to `C` restarts the phase).
-        weight: Ratio,
-    },
-    Two {
-        op: u64,
-        obj: ObjectId,
-        write_value: Option<V>,
-        invoke: Time,
-        restarts: u64,
-        chosen: TaggedValue<V>,
-        /// Running quorum weight of [`DynOpDriver::acks`] (same discipline
-        /// as phase 1).
-        weight: Ratio,
-    },
+struct InFlight<V> {
+    /// The attempt's operation number; a restart takes a fresh one.
+    op: u64,
+    obj: ObjectId,
+    write_value: Option<V>,
+    invoke: Time,
+    restarts: u64,
+    /// Running quorum weight, under the client's `C`, of the phase's
+    /// counted servers — [`DynOpDriver::replies`] in phase 1,
+    /// [`DynOpDriver::acks`] in phase 2: maintained incrementally so each
+    /// ack is O(1) instead of re-summing every responder. Sound because `C`
+    /// is frozen for the lifetime of the attempt (any change to `C`
+    /// restarts it).
+    weight: Ratio,
+    stage: Stage<V>,
 }
 
-/// The reader/writer engine of Algorithm 5 — embeddable by any process
-/// that wants to read or write the register.
+#[derive(Debug)]
+enum Stage<V> {
+    /// Collecting `RAck`s.
+    One,
+    /// Collecting `WAck`s for the register phase 1 chose.
+    Two { chosen: TaggedValue<V> },
+}
+
+/// The reader/writer engine of Algorithm 5, hosted by [`DynClient`].
 #[derive(Debug)]
 pub struct DynOpDriver<V> {
     id: ProcessId,
     cfg: RpConfig,
-    actor_base: usize,
     options: DynOptions,
     /// The process's current set of completed changes `C`.
     pub changes: ChangeSet,
     op_cnt: u64,
-    phase: DynPhase<V>,
+    op: Option<InFlight<V>>,
     /// Phase-1 replies of the operation in flight, one slot per server
     /// (index = [`ServerId`]). The slots live on the driver and are
-    /// cleared when a phase 1 begins, so an operation allocates nothing
-    /// for them; meaningful only in [`DynPhase::One`].
+    /// cleared when an attempt begins, so an operation allocates nothing
+    /// for them; meaningful only in [`Stage::One`].
     replies: Vec<Option<TaggedValue<V>>>,
     /// Phase-2 acks, one flag per server: the fresh phase-1 repliers plus
-    /// every `WAck` since. Meaningful only in [`DynPhase::Two`].
+    /// every `WAck` since. Meaningful only in [`Stage::Two`].
     acks: Vec<bool>,
     /// Completed operations, oldest first.
     pub completed: Vec<DynCompletedOp<V>>,
-    /// The armed rebroadcast timer, if [`DynOptions::retry`] is on and an
-    /// operation is in flight.
+    /// The armed rebroadcast timer, if an operation is in flight under a
+    /// retry policy.
     retry_timer: Option<TimerId>,
     /// Rebroadcasts already spent on the current operation attempt.
     attempts: u32,
-    /// The smallest quorum by weight avoiding the current suspects under
-    /// the `C` digested in `targets_for` — heaviest first, empty if
-    /// the unsuspected servers cannot form one. Recomputed at a phase-1
-    /// send when `C` or the suspect set has moved, so a steady-state send
-    /// neither sorts nor allocates.
-    targets: Vec<ServerId>,
-    /// Digest of the `C` that `targets` was computed under; `None` when the
-    /// suspect set changed since.
-    targets_for: Option<u64>,
-    /// Suspicion, one slot per server (index = [`ServerId`]): a server that
-    /// was asked and stayed silent past a widen deadline is skipped by
-    /// `targets` until it next speaks or its suspicion lapses. Only ever
-    /// touched under [`Fanout::Quorum`].
-    suspicion: Vec<Suspicion>,
-    /// Whether the attempt in flight has been sent to `targets` only — its
-    /// phase 1, and the phase 2 that follows — and not widened since.
-    targeted: bool,
-    /// When the phase 1 in flight was (last) started.
-    phase1_sent: Time,
-    /// EWMA (α = 1/8) of un-widened phase-1 completion times — the measured
-    /// half of the widen deadline. Sampled under [`Fanout::Quorum`] only.
-    phase1_ewma: Option<Nanos>,
+    /// Whom each attempt asks (see [`super::Fanout`]).
+    select: QuorumSelector,
 }
 
 impl<V: Value> DynOpDriver<V> {
     /// Creates a driver whose initial `C` is the conventional initial set.
-    pub fn new(id: ProcessId, cfg: RpConfig, actor_base: usize, options: DynOptions) -> Self {
+    fn new(id: ProcessId, cfg: RpConfig, options: DynOptions) -> Self {
         DynOpDriver {
             changes: ChangeSet::from_initial_weights(&cfg.initial_weights),
             id,
-            actor_base,
+            select: QuorumSelector::new(options.fanout, options.retry, &cfg),
             options,
             op_cnt: 0,
-            phase: DynPhase::Idle,
+            op: None,
             replies: vec![None; cfg.n],
             acks: vec![false; cfg.n],
             completed: Vec::new(),
             retry_timer: None,
             attempts: 0,
-            targets: Vec::new(),
-            targets_for: None,
-            suspicion: vec![Suspicion::default(); cfg.n],
-            targeted: false,
-            phase1_sent: Time::ZERO,
-            phase1_ewma: None,
             cfg,
         }
     }
 
     /// Whether an operation is in flight.
     pub fn is_busy(&self) -> bool {
-        !matches!(self.phase, DynPhase::Idle)
+        self.op.is_some()
     }
 
     /// A canonical digest of the driver's logical state, for the
@@ -150,73 +119,43 @@ impl<V: Value> DynOpDriver<V> {
         self.changes.digest().hash(&mut h);
         self.attempts.hash(&mut h);
         self.retry_timer.is_some().hash(&mut h);
-        // Fanout state — constant under `Fanout::All`. The measured
-        // deadline enters only as "is there one": its value sets a timer's
-        // delay, which the explorer does not order by.
-        self.targeted.then_some(&self.targets).hash(&mut h);
-        // Who is a suspect, not for how long: strikes only scale a delay.
-        for s in &self.suspicion {
-            s.lapse.is_some().hash(&mut h);
-        }
-        self.phase1_ewma.is_some().hash(&mut h);
-        match &self.phase {
-            DynPhase::Idle => 0u8.hash(&mut h),
-            DynPhase::One {
-                op,
-                obj,
-                write_value,
-                invoke: _,
-                restarts,
-                weight,
-            } => {
-                (1u8, op, obj, write_value, restarts).hash(&mut h);
-                // The sequence a `BTreeMap<ServerId, _>` of the replies
-                // hashes: the length, then the pairs by ascending server.
-                self.replies.iter().flatten().count().hash(&mut h);
-                for (i, reg) in self.replies.iter().enumerate() {
-                    if let Some(reg) = reg {
-                        (ServerId(i as u32), reg).hash(&mut h);
+        self.select.hash_into(&mut h);
+        match &self.op {
+            None => 0u8.hash(&mut h),
+            Some(f) => {
+                let stage = match f.stage {
+                    Stage::One => 1u8,
+                    Stage::Two { .. } => 2u8,
+                };
+                (stage, f.op, f.obj, &f.write_value, f.restarts).hash(&mut h);
+                match &f.stage {
+                    Stage::One => {
+                        // The sequence a `BTreeMap<ServerId, _>` of the
+                        // replies hashes: the length, then the pairs by
+                        // ascending server.
+                        self.replies.iter().flatten().count().hash(&mut h);
+                        for (i, reg) in self.replies.iter().enumerate() {
+                            if let Some(reg) = reg {
+                                (ServerId(i as u32), reg).hash(&mut h);
+                            }
+                        }
+                    }
+                    Stage::Two { chosen } => {
+                        chosen.hash(&mut h);
+                        // As a `BTreeSet<ServerId>` of the ackers would hash.
+                        self.acks.iter().filter(|&&a| a).count().hash(&mut h);
+                        for (i, _) in self.acks.iter().enumerate().filter(|(_, &a)| a) {
+                            ServerId(i as u32).hash(&mut h);
+                        }
                     }
                 }
-                weight.hash(&mut h);
-            }
-            DynPhase::Two {
-                op,
-                obj,
-                write_value,
-                invoke: _,
-                restarts,
-                chosen,
-                weight,
-            } => {
-                (2u8, op, obj, write_value, restarts, chosen).hash(&mut h);
-                // As a `BTreeSet<ServerId>` of the ackers would hash.
-                self.acks.iter().filter(|&&a| a).count().hash(&mut h);
-                for (i, _) in self.acks.iter().enumerate().filter(|(_, &a)| a) {
-                    ServerId(i as u32).hash(&mut h);
-                }
-                weight.hash(&mut h);
+                f.weight.hash(&mut h);
             }
         }
         for c in &self.completed {
             (c.obj, &c.kind, c.restarts).hash(&mut h);
         }
         h.finish()
-    }
-
-    /// Begins `read()` (write value `None`) or `write(v)` on the
-    /// [default object](ObjectId::DEFAULT).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is already in flight.
-    pub fn begin<M: Message>(
-        &mut self,
-        write_value: Option<V>,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(DynMsg<V>) -> M + Copy,
-    ) {
-        self.begin_obj(ObjectId::DEFAULT, write_value, ctx, wrap);
     }
 
     /// Begins `read(obj)` (write value `None`) or `write(obj, v)`. All
@@ -226,46 +165,57 @@ impl<V: Value> DynOpDriver<V> {
     /// # Panics
     ///
     /// Panics if an operation is already in flight.
-    pub fn begin_obj<M: Message>(
+    fn begin_obj(
         &mut self,
         obj: ObjectId,
         write_value: Option<V>,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(DynMsg<V>) -> M + Copy,
+        ctx: &mut Context<'_, DynMsg<V>>,
     ) {
         assert!(!self.is_busy(), "operation already in flight");
-        self.op_cnt += 1;
-        self.replies.fill(None);
-        self.phase = DynPhase::One {
-            op: self.op_cnt,
+        self.op = Some(InFlight {
+            op: 0,
             obj,
             write_value,
             invoke: ctx.now(),
             restarts: 0,
             weight: Ratio::ZERO,
-        };
-        self.start_phase1(ctx, wrap);
+            stage: Stage::One,
+        });
+        self.attempt(ctx);
     }
 
-    /// The rebroadcast policy in force: the configured one, else — for a
-    /// [`Fanout::Quorum`] client with a phase-1 sample — the measured widen
-    /// deadline under the default budget. `None` means no timer is ever
-    /// armed and phase 1 asks everyone: [`Fanout::All`], or no sample yet.
-    fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.options.retry.or_else(|| {
-            let ewma = self.phase1_ewma?;
-            Some(RetryPolicy {
-                base: ewma.saturating_mul(WIDEN_FACTOR).max(WIDEN_FLOOR),
-                ..RetryPolicy::default()
-            })
-        })
+    /// Starts a fresh attempt of the operation in flight — at invocation
+    /// and at every restart (Algorithm 5 lines 14–16 / 30–32): a new
+    /// operation number, phase 1 from scratch with `R` sent to whom the
+    /// selector names (everyone if it names nobody), and the rebroadcast
+    /// timer armed, which stays armed through the attempt's phase 2. A
+    /// write restarted from phase 2 re-runs phase 1 with its original
+    /// value; a read discards the register it had chosen.
+    fn attempt(&mut self, ctx: &mut Context<'_, DynMsg<V>>) {
+        self.op_cnt += 1;
+        let f = self.op.as_mut().expect("an operation in flight");
+        f.op = self.op_cnt;
+        f.weight = Ratio::ZERO;
+        f.stage = Stage::One;
+        self.replies.fill(None);
+        self.attempts = 0;
+        let r = self.request();
+        let targets = self.select.begin(ctx.now(), &self.changes);
+        if targets.is_empty() {
+            ctx.send_to_all((0..self.cfg.n).map(ActorId), r);
+        } else {
+            ctx.record_counter("phase1_targeted", 1);
+            ctx.record_sample("phase1_fanout", targets.len() as u64);
+            ctx.send_to_all(targets.iter().map(|s| ActorId(s.index())), r);
+        }
+        self.arm_retry(ctx);
     }
 
     /// (Re)arms the rebroadcast timer for the current operation, with the
-    /// delay doubled per attempt already spent. No-op without a
-    /// [`DynOpDriver::retry_policy`].
-    fn arm_retry<M: Message>(&mut self, ctx: &mut Context<'_, M>) {
-        let Some(rp) = self.retry_policy() else {
+    /// delay doubled per attempt already spent. No-op without a retry
+    /// policy.
+    fn arm_retry(&mut self, ctx: &mut Context<'_, DynMsg<V>>) {
+        let Some(rp) = self.select.retry_policy() else {
             return;
         };
         if let Some(t) = self.retry_timer.take() {
@@ -275,84 +225,58 @@ impl<V: Value> DynOpDriver<V> {
         self.retry_timer = Some(ctx.set_timer(delay, self.op_cnt));
     }
 
-    /// Disarms the rebroadcast timer (operation finished or superseded).
-    fn disarm_retry<M: Message>(&mut self, ctx: &mut Context<'_, M>) {
-        if let Some(t) = self.retry_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        self.attempts = 0;
-    }
-
     /// Timer callback: rebroadcasts the current phase if the operation the
-    /// timer was armed for is still in flight (see [`RetryPolicy`]), or lets
-    /// a suspicion lapse (see [`Fanout`]). Embedding actors forward
-    /// [`Actor::on_timer`] here.
-    pub fn on_timer<M: Message>(
-        &mut self,
-        tag: u64,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(DynMsg<V>) -> M + Copy,
-    ) {
-        if tag & LAPSE_TAG != 0 {
-            // The server is a candidate again; its strikes stand until it
-            // speaks, so a dead one is retried ever more rarely.
-            self.suspicion[(tag & !LAPSE_TAG) as usize].lapse = None;
-            self.targets_for = None;
+    /// timer was armed for is still in flight (see
+    /// [`super::RetryPolicy`]), or lets a suspicion lapse (see
+    /// [`super::Fanout`]).
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, DynMsg<V>>) {
+        if self.select.on_lapse(tag) {
             ctx.record_counter("suspicion_lapsed", 1);
             return;
         }
-        let Some(rp) = self.retry_policy() else {
+        let Some(rp) = self.select.retry_policy() else {
             return;
         };
-        let cur_op = match &self.phase {
-            DynPhase::One { op, .. } | DynPhase::Two { op, .. } => *op,
-            DynPhase::Idle => return,
+        let phase2 = match &self.op {
+            Some(f) if f.op == tag => matches!(f.stage, Stage::Two { .. }),
+            _ => return, // idle, or a stale timer from a superseded attempt
         };
-        if tag != cur_op {
-            return; // stale timer from a superseded attempt
-        }
         self.retry_timer = None;
         if self.attempts >= rp.max_attempts {
             return; // give up rebroadcasting; the op stays pending
         }
         self.attempts += 1;
-        if self.options.fanout == Fanout::Quorum {
-            self.suspect_silent(rp.base, ctx);
-        }
-        let widened = std::mem::take(&mut self.targeted);
-        match &self.phase {
-            DynPhase::One { .. } => {
-                if widened {
-                    ctx.record_counter("phase1_widened", 1);
+        let (replies, acks) = (&self.replies, &self.acks);
+        let widened = self.select.on_widen(
+            |i| {
+                if phase2 {
+                    acks[i]
+                } else {
+                    replies[i].is_some()
                 }
-                self.send_phase1(ctx, wrap);
+            },
+            |after, tag| {
+                let t = ctx.set_timer(after, tag);
+                ctx.record_counter("server_suspected", 1);
+                t
+            },
+        );
+        if phase2 {
+            if widened {
+                ctx.record_counter("phase2_widened", 1);
             }
-            DynPhase::Two {
-                op, obj, chosen, ..
-            } => {
-                if widened {
-                    ctx.record_counter("phase2_widened", 1);
-                }
-                // Same op number, same chosen register, to every server
-                // whose ack is not in yet — the targets that stayed silent
-                // and, on the widen, everyone outside them. A server that
-                // already adopted the register (or something newer) acks
-                // without effect, and the driver's ack slots dedupe by
-                // ServerId — the write cannot double-apply.
-                let base = self.actor_base;
-                let acks = &self.acks;
-                ctx.broadcast_filter(
-                    (0..self.cfg.n).map(|i| ActorId(base + i)),
-                    wrap(DynMsg::W {
-                        op: *op,
-                        obj: *obj,
-                        reg: chosen.clone(),
-                        changes: self.cs_payload(),
-                    }),
-                    |a| !acks[a.index() - base],
-                );
+            // Same op number, same chosen register, to every server whose
+            // ack is not in yet — the targets that stayed silent and, on
+            // the widen, everyone outside them. A server that already
+            // adopted the register (or something newer) acks without
+            // effect, and the ack slots dedupe by ServerId — the write
+            // cannot double-apply.
+            self.send_phase2(ctx, |i| !acks[i]);
+        } else {
+            if widened {
+                ctx.record_counter("phase1_widened", 1);
             }
-            DynPhase::Idle => unreachable!("checked above"),
+            ctx.send_to_all((0..self.cfg.n).map(ActorId), self.request());
         }
         // Re-arm only while there is a rebroadcast left to spend: a timer
         // that could do nothing is still an event to every runtime (and a
@@ -374,441 +298,233 @@ impl<V: Value> DynOpDriver<V> {
         }
     }
 
-    /// The wire reference this client attaches to its `R`/`W` requests: an
-    /// O(1) summary under [`WireMode::Negotiate`] (the server only needs
-    /// to *compare*), the whole set under [`WireMode::ForceFull`].
-    fn cs_payload(&self) -> CsRef {
-        match self.options.wire {
+    /// The request of the phase in flight: `R`, or `W` with the chosen
+    /// register. The attached reference is an O(1) summary under
+    /// [`WireMode::Negotiate`] (the server only needs to *compare*), the
+    /// whole set under [`WireMode::ForceFull`].
+    fn request(&self) -> DynMsg<V> {
+        let f = self.op.as_ref().expect("an operation in flight");
+        let changes = match self.options.wire {
             WireMode::Negotiate => CsRef::summary(&self.changes),
             // Attaching `C` is a reference-count bump: the n messages of a
             // round share one copy-on-write storage.
             WireMode::ForceFull => CsRef::Full(self.changes.clone()),
-        }
-    }
-
-    /// Starts (or restarts) phase 1 of the operation in [`DynPhase::One`]:
-    /// decides whom this attempt asks, sends `R`, arms the rebroadcast
-    /// timer (which stays armed through the attempt's phase 2).
-    fn start_phase1<M: Message>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(DynMsg<V>) -> M + Copy,
-    ) {
-        self.attempts = 0;
-        self.phase1_sent = ctx.now();
-        // Ask a quorum only when a timer will widen a stalled attempt, and
-        // when the servers not under suspicion can still form one.
-        self.targeted = self.options.fanout == Fanout::Quorum
-            && self.retry_policy().is_some()
-            && self.refresh_targets();
-        if self.targeted {
-            ctx.record_counter("phase1_targeted", 1);
-            ctx.record_sample("phase1_fanout", self.targets.len() as u64);
-        }
-        self.send_phase1(ctx, wrap);
-        self.arm_retry(ctx);
-    }
-
-    /// Brings [`DynOpDriver::targets`] up to date with `C` and the suspect
-    /// set; returns whether there is a quorum to target.
-    fn refresh_targets(&mut self) -> bool {
-        let digest = self.changes.digest();
-        if self.targets_for != Some(digest) {
-            let q = WeightedMajorityQuorumSystem::with_threshold_total(
-                self.changes.weights(self.cfg.n),
-                self.cfg.initial_total(),
-            );
-            let suspects = (0..self.cfg.n)
-                .filter(|&i| self.suspicion[i].lapse.is_some())
-                .map(|i| ServerId(i as u32))
-                .collect();
-            self.targets = smallest_quorum_avoiding(&q, &suspects).unwrap_or_default();
-            self.targets_for = Some(digest);
-        }
-        !self.targets.is_empty()
-    }
-
-    /// A widen deadline (`deadline`, undoubled) passed: every server this
-    /// attempt asked that has not answered the phase in flight becomes a
-    /// suspect, to be skipped until it next speaks or the suspicion lapses.
-    /// While the attempt is targeted the asked are `targets` — in phase 2
-    /// too, where they are exactly the phase-1 repliers; otherwise every
-    /// server was sent this attempt's `R` or `W`.
-    fn suspect_silent<M: Message>(&mut self, deadline: Nanos, ctx: &mut Context<'_, M>) {
-        let phase2 = matches!(self.phase, DynPhase::Two { .. });
-        for i in 0..self.cfg.n {
-            let asked = !self.targeted || self.targets.contains(&ServerId(i as u32));
-            let answered = if phase2 {
-                self.acks[i]
-            } else {
-                self.replies[i].is_some()
-            };
-            let s = &mut self.suspicion[i];
-            if asked && !answered && s.lapse.is_none() {
-                let lapse = deadline.saturating_mul(2 << s.strikes.min(LAPSE_CAP_LOG2 - 1));
-                s.lapse = Some(ctx.set_timer(lapse, LAPSE_TAG | i as u64));
-                s.strikes += 1;
-                self.targets_for = None;
-                ctx.record_counter("server_suspected", 1);
-            }
-        }
-    }
-
-    /// Sends the current phase 1's `R` — to [`DynOpDriver::targets`] while
-    /// the phase is targeted, to every server otherwise.
-    fn send_phase1<M: Message>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(DynMsg<V>) -> M + Copy,
-    ) {
-        let (op, obj) = match &self.phase {
-            DynPhase::One { op, obj, .. } => (*op, *obj),
-            _ => unreachable!("send_phase1 outside phase 1"),
         };
-        let r = || {
-            wrap(DynMsg::R {
-                op,
-                obj,
-                changes: self.cs_payload(),
-            })
-        };
-        if self.targeted {
-            for s in &self.targets {
-                ctx.send(ActorId(self.actor_base + s.index()), r());
-            }
-        } else {
-            for i in 0..self.cfg.n {
-                ctx.send(ActorId(self.actor_base + i), r());
-            }
+        match &f.stage {
+            Stage::One => DynMsg::R {
+                op: f.op,
+                obj: f.obj,
+                changes,
+            },
+            Stage::Two { chosen } => DynMsg::W {
+                op: f.op,
+                obj: f.obj,
+                reg: chosen.clone(),
+                changes,
+            },
         }
     }
 
-    /// Restarts the whole operation under the (already reconciled) newer
-    /// `C` (Algorithm 5 lines 14–16 / 30–32).
-    fn restart<M: Message>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(DynMsg<V>) -> M + Copy,
-    ) {
-        self.op_cnt += 1;
-        let (obj, write_value, invoke, restarts) =
-            match std::mem::replace(&mut self.phase, DynPhase::Idle) {
-                DynPhase::One {
-                    obj,
-                    write_value,
-                    invoke,
-                    restarts,
-                    ..
-                } => (obj, write_value, invoke, restarts),
-                DynPhase::Two {
-                    obj,
-                    write_value,
-                    invoke,
-                    restarts,
-                    chosen,
-                    ..
-                } => {
-                    // A write restarted from phase 2 re-runs phase 1 with its
-                    // original value; a read re-runs phase 1 discarding the
-                    // previously chosen register.
-                    let _ = chosen;
-                    (obj, write_value, invoke, restarts)
-                }
-                DynPhase::Idle => unreachable!("restart on idle driver"),
-            };
-        self.replies.fill(None);
-        self.phase = DynPhase::One {
-            op: self.op_cnt,
-            obj,
-            write_value,
-            invoke,
-            restarts: restarts + 1,
-            weight: Ratio::ZERO,
-        };
-        self.start_phase1(ctx, wrap);
+    /// Sends phase 2's `W` to every server `to` keeps; returns how many.
+    fn send_phase2(&self, ctx: &mut Context<'_, DynMsg<V>>, to: impl Fn(usize) -> bool) -> u64 {
+        let w = self.request();
+        ctx.broadcast_filter((0..self.cfg.n).map(ActorId), w, |a| to(a.index())) as u64
     }
 
-    /// Feeds a client-side message. Returns the completed operation when the
-    /// invocation finishes.
-    pub fn on_message<M: Message>(
-        &mut self,
-        from: ActorId,
-        msg: &DynMsg<V>,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(DynMsg<V>) -> M + Copy,
-    ) -> Option<DynCompletedOp<V>> {
-        let sid = ServerId((from.index() - self.actor_base) as u32);
-        // It spoke: no longer a suspect, whatever it said.
-        if let Some(t) = std::mem::take(&mut self.suspicion[sid.index()]).lapse {
+    /// Ends the operation in flight with `kind`.
+    fn complete(&mut self, kind: OpKind<V>, ctx: &mut Context<'_, DynMsg<V>>) {
+        let f = self.op.take().expect("an operation in flight");
+        self.completed.push(DynCompletedOp {
+            obj: f.obj,
+            kind,
+            invoke: f.invoke,
+            response: ctx.now(),
+            restarts: f.restarts,
+        });
+        if let Some(t) = self.retry_timer.take() {
             ctx.cancel_timer(t);
-            self.targets_for = None;
         }
-        match msg {
+        self.attempts = 0;
+    }
+
+    /// Feeds a message from `from`.
+    fn on_message(&mut self, from: ActorId, msg: &DynMsg<V>, ctx: &mut Context<'_, DynMsg<V>>) {
+        let i = from.index();
+        if i >= self.cfg.n {
+            // Servers are actors 0..n, and only a server's reply concerns
+            // a client: another client's message owns no slot here.
+            return;
+        }
+        // It spoke: no longer a suspect, whatever it said.
+        if let Some(t) = self.select.on_reply(i) {
+            ctx.cancel_timer(t);
+        }
+        let (op, obj, changes, accepted, reg) = match msg {
             DynMsg::RAck {
                 op,
                 obj,
                 reg,
                 changes,
                 accepted,
-            } => {
-                let (cur_op, cur_obj) = match &self.phase {
-                    DynPhase::One { op, obj, .. } => (*op, *obj),
-                    _ => return None,
-                };
-                if *op != cur_op || *obj != cur_obj {
-                    return None;
-                }
-                if !accepted && self.options.restart_on_stale {
-                    // Two kinds of mismatch. If the server's reference
-                    // taught us changes we lacked, restart the operation
-                    // (Algorithm 5 lines 14–16). If instead the server is
-                    // *behind* us (e.g. frozen mid-refresh) — the reference
-                    // added nothing — restarting teaches us nothing and
-                    // livelocks; re-poll just that server. The re-poll
-                    // presents our (possibly unchanged) digest again; a
-                    // server whose delta failed to resolve degrades its
-                    // next reply to `Full`, keeping the exchange bounded.
-                    let learned = self.changes.apply_ref(changes).learned();
-                    self.maybe_compact();
-                    if learned {
-                        self.restart(ctx, wrap);
-                    } else {
-                        ctx.send(
-                            from,
-                            wrap(DynMsg::R {
-                                op: cur_op,
-                                obj: cur_obj,
-                                changes: self.cs_payload(),
-                            }),
-                        );
-                    }
-                    return None;
-                }
-                let sid_weight = self.changes.server_weight(sid);
-                let DynPhase::One {
-                    write_value,
-                    invoke,
-                    restarts,
-                    weight,
-                    ..
-                } = &mut self.phase
-                else {
-                    return None;
-                };
-                if self.replies[sid.index()].replace(reg.clone()).is_none() {
-                    // First reply from this server: O(1) accumulator update
-                    // (re-polled servers replace their register but count
-                    // their weight once).
-                    *weight += sid_weight;
-                }
-                let quorum = *weight > self.cfg.quorum_threshold();
-                if quorum {
-                    if self.options.fanout == Fanout::Quorum && self.attempts == 0 {
-                        // An un-widened phase 1 completed: one sample of
-                        // how long this client's quorums take to answer.
-                        let took = ctx.now().0.saturating_sub(self.phase1_sent.0);
-                        self.phase1_ewma = Some(match self.phase1_ewma {
-                            None => took,
-                            Some(e) => e - e / 8 + took / 8,
-                        });
-                    }
-                    let maxreg = self
-                        .replies
-                        .iter()
-                        .flatten()
-                        .max_by_key(|r| r.tag)
-                        .expect("nonempty")
-                        .clone();
-                    let is_read = write_value.is_none();
-                    // The weighted fast path: the repliers already storing
-                    // the max tag, and their cumulative weight under the
-                    // same frozen `C` the phase accumulated against. Every
-                    // counted replier *accepted* under that `C`, which is
-                    // what makes these the replier-consistent weights the
-                    // rule requires.
-                    // They are marked straight into the phase-2 ack slots.
-                    self.acks.fill(false);
-                    let mut fresh_weight = Ratio::ZERO;
-                    if is_read && self.options.read == ReadMode::FastPath {
-                        for (i, r) in self.replies.iter().enumerate() {
-                            if r.as_ref().is_some_and(|r| r.tag == maxreg.tag) {
-                                self.acks[i] = true;
-                                fresh_weight += self.changes.server_weight(ServerId(i as u32));
-                            }
-                        }
-                        #[allow(unused_mut)]
-                        let mut fast = awr_quorum::fast_path_read_quorum(
-                            fresh_weight,
-                            self.cfg.initial_total(),
-                        );
-                        #[cfg(feature = "mutate")]
-                        {
-                            use awr_sim::mutate::{armed, Mutation};
-                            if armed(Mutation::DisarmFastPathWeightCheck) {
-                                fast = true;
-                            }
-                        }
-                        if fast {
-                            // One phase suffices: the max-tag repliers form
-                            // a quorum that already stores the value, so
-                            // the write-back would change no server state —
-                            // their phase-1 acks double as its acks.
-                            let done = DynCompletedOp {
-                                obj: cur_obj,
-                                kind: OpKind::Read(maxreg.value.clone()),
-                                invoke: *invoke,
-                                response: ctx.now(),
-                                restarts: *restarts,
-                            };
-                            self.phase = DynPhase::Idle;
-                            self.completed.push(done.clone());
-                            self.disarm_retry(ctx);
-                            ctx.record_counter("read_fastpath_hit", 1);
-                            return Some(done);
-                        }
-                        ctx.record_counter("read_fastpath_miss", 1);
-                    }
-                    let (chosen, wv) = match write_value.take() {
-                        None => (maxreg, None),
-                        Some(v) => (
-                            TaggedValue::new(Tag::new(maxreg.tag.ts + 1, self.id), v.clone()),
-                            Some(v),
-                        ),
-                    };
-                    let (op, invoke, restarts) = (cur_op, *invoke, *restarts);
-                    // Targeted write-back: fresh repliers already store
-                    // `chosen` and accepted under this `C`, so they count
-                    // as acks without being re-contacted (their phase-1
-                    // ack is what a zero-delay `W` round trip would have
-                    // produced) and `W` goes only to the stale repliers,
-                    // whose weight tops the quorum up — fresh + stale is
-                    // exactly the phase-1 quorum. With an empty `fresh`
-                    // (reads under TwoPhase, every write) every replier is
-                    // stale: while the attempt is still targeted those are
-                    // the targets — the greedy quorum is minimal, so it
-                    // took all of them to get here — and `W` goes to them;
-                    // an attempt that asked everyone (a client's first, a
-                    // widened one) keeps the paper's full broadcast.
-                    let (replies, fresh) = (&self.replies, &self.acks);
-                    let stale = |i: usize| replies[i].is_some() && !fresh[i];
-                    let everyone = !self.targeted && !fresh.contains(&true);
-                    self.phase = DynPhase::Two {
-                        op,
-                        obj: cur_obj,
-                        write_value: wv,
-                        invoke,
-                        restarts,
-                        chosen: chosen.clone(),
-                        weight: fresh_weight,
-                    };
-                    let base = self.actor_base;
-                    let fan = ctx.broadcast_filter(
-                        (0..self.cfg.n).map(|i| ActorId(base + i)),
-                        wrap(DynMsg::W {
-                            op,
-                            obj: cur_obj,
-                            reg: chosen.clone(),
-                            changes: self.cs_payload(),
-                        }),
-                        |a| everyone || stale(a.index() - base),
-                    ) as u64;
-                    if is_read && self.options.read == ReadMode::FastPath {
-                        ctx.record_sample("read_writeback_fanout", fan);
-                    }
-                    if self.targeted {
-                        ctx.record_counter("phase2_targeted", 1);
-                        ctx.record_sample("phase2_fanout", fan);
-                    }
-                    #[cfg(feature = "mutate")]
-                    if !everyone
-                        && awr_sim::mutate::armed(
-                            awr_sim::mutate::Mutation::CountPhase2TargetsAsAcked,
-                        )
-                    {
-                        // MUTATION: the servers `W` was just sent to count
-                        // as having acked it — the first `W_A` then
-                        // completes a write that one server stores.
-                        if let DynPhase::Two { weight, .. } = &mut self.phase {
-                            for i in 0..self.cfg.n {
-                                if self.replies[i].is_some() && !self.acks[i] {
-                                    self.acks[i] = true;
-                                    *weight += self.changes.server_weight(ServerId(i as u32));
-                                }
-                            }
-                        }
-                    }
-                }
-                None
-            }
+            } => (*op, *obj, changes, *accepted, Some(reg)),
             DynMsg::WAck {
                 op,
                 obj,
                 changes,
                 accepted,
-            } => {
-                let (cur_op, cur_obj) = match &self.phase {
-                    DynPhase::Two { op, obj, .. } => (*op, *obj),
-                    _ => return None,
-                };
-                if *op != cur_op || *obj != cur_obj {
-                    return None;
-                }
-                if !accepted && self.options.restart_on_stale {
-                    let learned = self.changes.apply_ref(changes).learned();
-                    self.maybe_compact();
-                    if learned {
-                        self.restart(ctx, wrap);
-                    } else if let DynPhase::Two { chosen, .. } = &self.phase {
-                        // Re-poll the behind server with the same write.
-                        let reg = chosen.clone();
-                        ctx.send(
-                            from,
-                            wrap(DynMsg::W {
-                                op: cur_op,
-                                obj: cur_obj,
-                                reg,
-                                changes: self.cs_payload(),
-                            }),
-                        );
-                    }
-                    return None;
-                }
-                let sid_weight = self.changes.server_weight(sid);
-                let DynPhase::Two {
-                    write_value,
-                    invoke,
-                    restarts,
-                    chosen,
-                    weight,
-                    ..
-                } = &mut self.phase
-                else {
-                    return None;
-                };
-                if !std::mem::replace(&mut self.acks[sid.index()], true) {
-                    *weight += sid_weight;
-                }
-                let quorum = *weight > self.cfg.quorum_threshold();
-                if quorum {
-                    let done = DynCompletedOp {
-                        obj: cur_obj,
-                        kind: match write_value.take() {
-                            None => OpKind::Read(chosen.value.clone()),
-                            Some(v) => OpKind::Write(v),
-                        },
-                        invoke: *invoke,
-                        response: ctx.now(),
-                        restarts: *restarts,
-                    };
-                    self.phase = DynPhase::Idle;
-                    self.completed.push(done.clone());
-                    self.disarm_retry(ctx);
-                    return Some(done);
-                }
-                None
-            }
-            _ => None,
+            } => (*op, *obj, changes, *accepted, None),
+            _ => return,
+        };
+        // A reply counts only toward the phase of the attempt it answers.
+        let Some(f) = &self.op else { return };
+        if (op, obj) != (f.op, f.obj) || reg.is_some() != matches!(f.stage, Stage::One) {
+            return;
         }
+        if !accepted && self.options.restart_on_stale {
+            // Two kinds of mismatch. If the server's reference taught us
+            // changes we lacked, restart the operation (Algorithm 5 lines
+            // 14–16 / 30–32). If instead the server is *behind* us (e.g.
+            // frozen mid-refresh) — the reference added nothing —
+            // restarting teaches us nothing and livelocks; re-poll just
+            // that server with the same request. The re-poll presents our
+            // (possibly unchanged) digest again; a server whose delta
+            // failed to resolve degrades its next reply to `Full`, keeping
+            // the exchange bounded.
+            let learned = self.changes.apply_ref(changes).learned();
+            self.maybe_compact();
+            if learned {
+                self.op.as_mut().expect("checked above").restarts += 1;
+                self.attempt(ctx);
+            } else {
+                ctx.send(from, self.request());
+            }
+            return;
+        }
+        match reg {
+            Some(reg) => self.phase1_reply(i, reg, ctx),
+            None => self.phase2_ack(i, ctx),
+        }
+    }
+
+    /// Counts server `i`'s accepted `RAck`; on a quorum, completes a read
+    /// on the fast path or moves to phase 2.
+    fn phase1_reply(&mut self, i: usize, reg: &TaggedValue<V>, ctx: &mut Context<'_, DynMsg<V>>) {
+        let f = self.op.as_mut().expect("an operation in flight");
+        if self.replies[i].replace(reg.clone()).is_none() {
+            // First reply from this server: O(1) accumulator update
+            // (re-polled servers replace their register but count their
+            // weight once).
+            f.weight += self.changes.server_weight(ServerId(i as u32));
+        }
+        if f.weight <= self.cfg.quorum_threshold() {
+            return;
+        }
+        let fast_path = f.write_value.is_none() && self.options.read == ReadMode::FastPath;
+        self.select.on_quorum(ctx.now());
+        let maxreg = self
+            .replies
+            .iter()
+            .flatten()
+            .max_by_key(|r| r.tag)
+            .expect("nonempty")
+            .clone();
+        // The weighted fast path: the repliers already storing the max
+        // tag, and their cumulative weight under the same frozen `C` the
+        // phase accumulated against. Every counted replier *accepted*
+        // under that `C`, which is what makes these the replier-consistent
+        // weights the rule requires. They are marked straight into the
+        // phase-2 ack slots.
+        self.acks.fill(false);
+        let mut fresh_weight = Ratio::ZERO;
+        if fast_path {
+            for (i, r) in self.replies.iter().enumerate() {
+                if r.as_ref().is_some_and(|r| r.tag == maxreg.tag) {
+                    self.acks[i] = true;
+                    fresh_weight += self.changes.server_weight(ServerId(i as u32));
+                }
+            }
+            #[allow(unused_mut)]
+            let mut fast =
+                awr_quorum::fast_path_read_quorum(fresh_weight, self.cfg.initial_total());
+            #[cfg(feature = "mutate")]
+            {
+                use awr_sim::mutate::{armed, Mutation};
+                if armed(Mutation::DisarmFastPathWeightCheck) {
+                    fast = true;
+                }
+            }
+            if fast {
+                // One phase suffices: the max-tag repliers form a quorum
+                // that already stores the value, so the write-back would
+                // change no server state — their phase-1 acks double as its
+                // acks.
+                self.complete(OpKind::Read(maxreg.value), ctx);
+                ctx.record_counter("read_fastpath_hit", 1);
+                return;
+            }
+            ctx.record_counter("read_fastpath_miss", 1);
+        }
+        let f = self.op.as_mut().expect("an operation in flight");
+        let chosen = match &f.write_value {
+            None => maxreg,
+            Some(v) => TaggedValue::new(Tag::new(maxreg.tag.ts + 1, self.id), v.clone()),
+        };
+        f.stage = Stage::Two { chosen };
+        f.weight = fresh_weight;
+        // Targeted write-back: fresh repliers already store `chosen` and
+        // accepted under this `C`, so they count as acks without being
+        // re-contacted (their phase-1 ack is what a zero-delay `W` round
+        // trip would have produced) and `W` goes only to the stale
+        // repliers, whose weight tops the quorum up — fresh + stale is
+        // exactly the phase-1 quorum. With an empty `fresh` (reads under
+        // TwoPhase, every write) every replier is stale: while the attempt
+        // is still targeted those are the targets — the greedy quorum is
+        // minimal, so it took all of them to get here — and `W` goes to
+        // them; an attempt that asked everyone (a client's first, a
+        // widened one) keeps the paper's full broadcast.
+        let (replies, fresh) = (&self.replies, &self.acks);
+        let everyone = !self.select.targeted() && !fresh.contains(&true);
+        let fan = self.send_phase2(ctx, |i| everyone || (replies[i].is_some() && !fresh[i]));
+        if fast_path {
+            ctx.record_sample("read_writeback_fanout", fan);
+        }
+        if self.select.targeted() {
+            ctx.record_counter("phase2_targeted", 1);
+            ctx.record_sample("phase2_fanout", fan);
+        }
+        #[cfg(feature = "mutate")]
+        if !everyone && awr_sim::mutate::armed(awr_sim::mutate::Mutation::CountPhase2TargetsAsAcked)
+        {
+            // MUTATION: the servers `W` was just sent to count as having
+            // acked it — the first `W_A` then completes a write that one
+            // server stores.
+            let f = self.op.as_mut().expect("an operation in flight");
+            for i in 0..self.cfg.n {
+                if self.replies[i].is_some() && !self.acks[i] {
+                    self.acks[i] = true;
+                    f.weight += self.changes.server_weight(ServerId(i as u32));
+                }
+            }
+        }
+    }
+
+    /// Counts server `i`'s accepted `WAck`; on a quorum, completes.
+    fn phase2_ack(&mut self, i: usize, ctx: &mut Context<'_, DynMsg<V>>) {
+        let f = self.op.as_mut().expect("an operation in flight");
+        if !std::mem::replace(&mut self.acks[i], true) {
+            f.weight += self.changes.server_weight(ServerId(i as u32));
+        }
+        if f.weight <= self.cfg.quorum_threshold() {
+            return;
+        }
+        let Stage::Two { chosen } = &f.stage else {
+            unreachable!("acks count in phase 2 only");
+        };
+        let kind = match f.write_value.take() {
+            None => OpKind::Read(chosen.value.clone()),
+            Some(v) => OpKind::Write(v),
+        };
+        self.complete(kind, ctx);
     }
 }
 
@@ -823,7 +539,7 @@ impl<V: Value> DynClient<V> {
     /// Creates a client.
     pub fn new(id: ProcessId, cfg: RpConfig, options: DynOptions) -> DynClient<V> {
         DynClient {
-            driver: DynOpDriver::new(id, cfg, 0, options),
+            driver: DynOpDriver::new(id, cfg, options),
         }
     }
 
@@ -833,7 +549,7 @@ impl<V: Value> DynClient<V> {
     ///
     /// Panics if an operation is in flight.
     pub fn begin_read(&mut self, ctx: &mut Context<'_, DynMsg<V>>) {
-        self.driver.begin(None, ctx, |m| m);
+        self.driver.begin_obj(ObjectId::DEFAULT, None, ctx);
     }
 
     /// Begins a write to the [default object](ObjectId::DEFAULT).
@@ -842,7 +558,7 @@ impl<V: Value> DynClient<V> {
     ///
     /// Panics if an operation is in flight.
     pub fn begin_write(&mut self, v: V, ctx: &mut Context<'_, DynMsg<V>>) {
-        self.driver.begin(Some(v), ctx, |m| m);
+        self.driver.begin_obj(ObjectId::DEFAULT, Some(v), ctx);
     }
 
     /// Begins a read of `obj`.
@@ -851,7 +567,7 @@ impl<V: Value> DynClient<V> {
     ///
     /// Panics if an operation is in flight.
     pub fn begin_read_obj(&mut self, obj: ObjectId, ctx: &mut Context<'_, DynMsg<V>>) {
-        self.driver.begin_obj(obj, None, ctx, |m| m);
+        self.driver.begin_obj(obj, None, ctx);
     }
 
     /// Begins a write of `v` to `obj`.
@@ -860,7 +576,7 @@ impl<V: Value> DynClient<V> {
     ///
     /// Panics if an operation is in flight.
     pub fn begin_write_obj(&mut self, obj: ObjectId, v: V, ctx: &mut Context<'_, DynMsg<V>>) {
-        self.driver.begin_obj(obj, Some(v), ctx, |m| m);
+        self.driver.begin_obj(obj, Some(v), ctx);
     }
 
     /// Converts completed ops into history entries for client index `ci`.
@@ -883,11 +599,11 @@ impl<V: Value> Actor for DynClient<V> {
     type Msg = DynMsg<V>;
 
     fn on_message(&mut self, from: ActorId, msg: DynMsg<V>, ctx: &mut Context<'_, DynMsg<V>>) {
-        let _ = self.driver.on_message(from, &msg, ctx, |m| m);
+        self.driver.on_message(from, &msg, ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, DynMsg<V>>) {
-        self.driver.on_timer(tag, ctx, |m| m);
+        self.driver.on_timer(tag, ctx);
     }
 
     fn state_digest(&self) -> Option<u64> {

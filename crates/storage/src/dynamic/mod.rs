@@ -64,6 +64,14 @@
 //! the embedded Algorithm 3/4 legs (`RC`/`RC_Ack`/`WC`): those negotiate
 //! unconditionally (see [`awr_core::restricted`]), so byte comparisons
 //! between the two modes are scoped to the ABD message kinds.
+//!
+//! # Layout
+//!
+//! This file holds the messages and the options; `client.rs` the
+//! Algorithm 5 phase machine ([`DynOpDriver`], hosted by [`DynClient`]);
+//! `server.rs` Algorithm 6 ([`DynServer`]); and `select.rs` whom a client
+//! asks — the [`Fanout::Quorum`] policy, which the phase machine follows
+//! without a fanout branch of its own.
 
 use std::collections::BTreeMap;
 
@@ -147,8 +155,7 @@ pub enum DynMsg<V> {
         /// Refresher-local operation number.
         op: u64,
         /// What the refresher already holds — per-object tags, or a bound
-        /// digest of them above [`DynOptions::refresh_tags_cap`] (see
-        /// [`RefreshHave`]).
+        /// digest of them above 64 registers (see [`RefreshHave`]).
         have: RefreshHave,
     },
     /// Reply to [`DynMsg::RefreshR`]: the subset of the replier's registers
@@ -195,11 +202,11 @@ pub enum DynMsg<V> {
 ///
 /// The per-object tag map is exact but linear in the number of stored
 /// keys; on a shard with many objects that made every refresh request
-/// O(|objects|) on the wire. Above [`DynOptions::refresh_tags_cap`] the
-/// refresher sends a constant-size commutative digest of its `(object,
-/// tag)` pairs instead: a replier whose own pairs digest identically has
-/// nothing newer and acks empty, and a replier that differs answers
-/// `need_tags` so the refresher falls back to a per-key round with that
+/// O(|objects|) on the wire. Above 64 stored registers the refresher
+/// sends a constant-size commutative digest of its `(object, tag)` pairs
+/// instead: a replier whose own pairs digest identically has nothing newer
+/// and acks empty, and a replier that differs answers `need_tags` so the
+/// refresher falls back to a per-key round with that
 /// replier alone. Converged steady state therefore costs O(1) per
 /// replier, and the fallback is bounded by one extra round trip.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -215,6 +222,12 @@ pub enum RefreshHave {
         count: usize,
     },
 }
+
+/// Largest register map a refresher enumerates per key in
+/// [`DynMsg::RefreshR`]; above it the request carries a
+/// [`RefreshHave::Digest`] instead (constant-size, one extra round trip per
+/// diverged replier).
+const REFRESH_TAGS_CAP: usize = 64;
 
 /// Commutative digest of a register map's `(object, tag)` pairs: equal
 /// maps digest equally regardless of insertion order, and (w.h.p.) unequal
@@ -483,11 +496,6 @@ pub struct DynOptions {
     /// snapshot) cadence. `None` — the default — never compacts, which is
     /// the pre-durability behaviour: the journal holds every change.
     pub checkpoint: Option<CheckpointCadence>,
-    /// Largest register map a refresher will enumerate per-key in
-    /// [`DynMsg::RefreshR`]; above it the request carries a
-    /// [`RefreshHave::Digest`] instead (constant-size, one extra round
-    /// trip per diverged replier).
-    pub refresh_tags_cap: usize,
     /// Client-side rebroadcast for operations stalled because their quorum
     /// contacts died mid-phase. `None` — the default — never retries,
     /// matching the crash-free model where every sent message is
@@ -506,7 +514,6 @@ impl Default for DynOptions {
             wire: WireMode::Negotiate,
             read: ReadMode::FastPath,
             checkpoint: None,
-            refresh_tags_cap: 64,
             retry: None,
             fanout: Fanout::Quorum,
         }
@@ -611,6 +618,31 @@ mod driver_tests {
         // The forged high tag must not have leaked into any result.
         let (v, _) = h.read(0).unwrap();
         assert_eq!(v, Some(1));
+    }
+
+    #[test]
+    fn a_message_from_another_client_is_dropped() {
+        // Servers are actors 0..n and clients follow them. Over TCP any
+        // peer can name itself a client, so a client's frame can reach
+        // another client; it must not touch a per-server slot.
+        let cfg = RpConfig::uniform(3, 1);
+        let mut h: StorageHarness<u64> = StorageHarness::build(
+            cfg.clone(),
+            2,
+            25,
+            UniformLatency::new(1_000, 2_000),
+            DynOptions::default(),
+        );
+        h.write(0, 5).unwrap();
+        let stray = DynMsg::R {
+            op: 1,
+            obj: ObjectId::DEFAULT,
+            changes: CsRef::Full(ChangeSet::from_initial_weights(&cfg.initial_weights)),
+        };
+        h.world.inject(h.client_actor(1), h.client_actor(0), stray);
+        h.settle();
+        let (v, _) = h.read(0).unwrap();
+        assert_eq!(v, Some(5));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use awr_core::{RpConfig, TransferError, TransferOutcome};
 use awr_sim::{Actor, ActorId, Context, Time};
 use awr_types::{ChangeSet, CsRef, ObjectId, Ratio, ServerId, Tag, TaggedValue};
 
-use super::{reg_tag_digest, DynMsg, DynOptions, RefreshHave, WireMode};
+use super::{reg_tag_digest, DynMsg, DynOptions, RefreshHave, WireMode, REFRESH_TAGS_CAP};
 use crate::durable::{Snapshot, StorageHandle, WalRecord};
 use crate::Value;
 
@@ -71,7 +71,7 @@ impl<V: Value> DynServer<V> {
     /// Creates the server for `me` under `cfg`. Servers must occupy world
     /// indices `0..n`.
     pub fn new(cfg: RpConfig, me: ServerId, options: DynOptions) -> DynServer<V> {
-        let core = TransferCore::new(cfg, me, 0);
+        let core = TransferCore::new(cfg, me);
         let persisted_digest = core.changes().digest();
         DynServer {
             core,
@@ -127,7 +127,7 @@ impl<V: Value> DynServer<V> {
             storage.recover_state(ChangeSet::from_initial_weights(&cfg.initial_weights));
         let persisted_digest = changes.digest();
         DynServer {
-            core: TransferCore::recover(cfg, me, 0, changes),
+            core: TransferCore::recover(cfg, me, changes),
             registers,
             options,
             pending_applies: VecDeque::new(),
@@ -391,9 +391,9 @@ impl<V: Value> DynServer<V> {
 
     /// What this server would present in a refresh request: the exact
     /// per-key tag map while small, a constant-size digest of it once the
-    /// object count exceeds [`DynOptions::refresh_tags_cap`].
+    /// object count exceeds `REFRESH_TAGS_CAP`.
     fn refresh_have(&self) -> RefreshHave {
-        if self.registers.len() <= self.options.refresh_tags_cap {
+        if self.registers.len() <= REFRESH_TAGS_CAP {
             RefreshHave::Tags(self.registers.iter().map(|(o, r)| (*o, r.tag)).collect())
         } else {
             RefreshHave::Digest {
