@@ -26,6 +26,8 @@
 //! The byte layout of each message is its [`Wire`] impl below, in the
 //! version-2 format of [`awr_types::wire`].
 
+use std::hash::{Hash, Hasher};
+
 use awr_rb::RbEnvelope;
 use awr_sim::{ActorId, Message};
 use awr_types::wire::{get_vec, put_digest, put_seq, FrameError, Reader, Wire, MIN_CHANGE};
@@ -45,7 +47,7 @@ use awr_types::{CsRef, Ratio, ServerId, TransferChanges};
 ///   the reply carrying a [`CsRef`] to the replier's restriction;
 /// * `⟨WC, s, ref⟩` / `⟨WC_Ack⟩` / `⟨WC_Miss⟩` — read_changes write-back
 ///   phase with digest negotiation (see the module docs).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum WrMsg {
     /// Reliable-broadcast leg carrying a batch of transfer change pairs.
     Rb(RbEnvelope<Vec<TransferChanges>>),
@@ -139,39 +141,12 @@ impl Message for WrMsg {
         }
     }
 
+    // Every field hashes (`CsRef` by variant, and a full set by digest and
+    // cardinality): a Summary and a Delta describing the same set draw
+    // different receiver behaviour (a summary can miss, content applies).
     fn content_digest(&self) -> Option<u64> {
-        use std::hash::{Hash, Hasher};
-        fn hash_cs_ref(h: &mut impl Hasher, r: &CsRef) {
-            // The variant matters, not just the implied set: a Summary and
-            // a Delta describing the same set draw different receiver
-            // behaviour (a summary can miss, content applies).
-            match r {
-                CsRef::Summary { digest, len } => (0u8, digest, len).hash(h),
-                CsRef::Delta { base_digest, adds } => (1u8, base_digest, adds).hash(h),
-                CsRef::Full(set) => (2u8, set.digest(), set.len()).hash(h),
-            }
-        }
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        match self {
-            WrMsg::Rb(env) => (0u8, env.origin.index(), env.seq, &env.payload).hash(&mut h),
-            WrMsg::TAck { counter } => (1u8, counter).hash(&mut h),
-            WrMsg::Rc { op, target, known } => (2u8, op, target, known).hash(&mut h),
-            WrMsg::RcAck { op, changes } => {
-                (3u8, op).hash(&mut h);
-                hash_cs_ref(&mut h, changes);
-            }
-            WrMsg::Wc {
-                op,
-                target,
-                changes,
-            } => {
-                (4u8, op, target).hash(&mut h);
-                hash_cs_ref(&mut h, changes);
-            }
-            WrMsg::WcAck { op } => (5u8, op).hash(&mut h),
-            WrMsg::WcMiss { op, have } => (6u8, op, have).hash(&mut h),
-            WrMsg::Invoke { to, delta } => (7u8, to, delta).hash(&mut h),
-        }
+        self.hash(&mut h);
         Some(h.finish())
     }
 }

@@ -327,19 +327,21 @@ pub struct TcpTransport<M> {
     events: Box<[EpollEvent]>,
     scratch: Box<[u8]>,
     sent_frames: KindStats,
+    /// Drops and dials only: `pool_stats` reads the frame counts off
+    /// `sent_frames`.
     stats: PoolStats,
     frames_received: u64,
     frame_bytes_received: u64,
 }
 
-impl<M> fmt::Debug for TcpTransport<M> {
+impl<M: Message + Wire> fmt::Debug for TcpTransport<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpTransport")
             .field("me", &self.me)
             .field("n_actors", &self.peers.len())
             .field("accepted", &self.inbound.len())
             .field("ready", &self.ready.len())
-            .field("stats", &self.stats)
+            .field("stats", &self.pool_stats())
             .finish_non_exhaustive()
     }
 }
@@ -406,9 +408,14 @@ where
         &self.sent_frames
     }
 
-    /// Send-side counters (frames, bytes, dials, drops).
+    /// Send-side counters (frames, bytes, dials, drops). The frame and
+    /// byte counts are the [`TcpTransport::sent_frames`] totals.
     pub fn pool_stats(&self) -> PoolStats {
-        self.stats
+        PoolStats {
+            frames_sent: self.sent_frames.total_msgs(),
+            frame_bytes_sent: self.sent_frames.total_wire_bytes(),
+            ..self.stats
+        }
     }
 
     /// Total frames decoded from accepted connections.
@@ -576,8 +583,6 @@ where
             self.stats.dropped += 1;
             return;
         }
-        self.stats.frames_sent += 1;
-        self.stats.frame_bytes_sent += bytes as u64;
         self.sent_frames.record(msg.kind(), bytes as u64);
         self.peers[to.index()].watch_backlog(&self.epoll, to.index() as u64);
         // Any readiness ends the wait: the peer took bytes, or hung up.

@@ -311,16 +311,6 @@ impl<N: NetworkModel> BandwidthLinks<N> {
         self
     }
 
-    /// The bandwidth matrix (for inspection / regime shifts).
-    pub fn bandwidth_mut(&mut self) -> &mut BandwidthMatrix {
-        &mut self.bandwidth
-    }
-
-    /// The wrapped propagation model.
-    pub fn inner_mut(&mut self) -> &mut N {
-        &mut self.inner
-    }
-
     /// Charges `bytes` of *non-protocol* traffic onto the `from → to` link
     /// (or `from`'s uplink, under [`LinkDiscipline::SharedUplink`]) as if a
     /// competing flow had enqueued them at `at`: the link's free horizon

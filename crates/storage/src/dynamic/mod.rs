@@ -51,10 +51,11 @@
 //!    learned new changes it restarts the operation (Algorithm 5
 //!    lines 14–16), otherwise the server is behind and the client re-polls
 //!    just that server — both exactly the pre-delta semantics;
-//! 4. per rejecting server, one unresolved delta (the client re-presents
-//!    the digest the server already answered) degrades the next reply to
-//!    `Full`, so every exchange is bounded and liveness needs no new
-//!    argument.
+//! 4. each server keeps one record per client: the digest it presented
+//!    last and whether the reply cut a delta against it. One unresolved
+//!    delta (the client presents again the digest a delta was cut
+//!    against) degrades the next reply to `Full`, so every exchange is
+//!    bounded and liveness needs no new argument.
 //!
 //! [`WireMode::ForceFull`] restores the ship-everything wire on these four
 //! ABD phases (`R`/`RAck`/`W`/`WAck`) — the accept check becomes the exact
@@ -69,11 +70,14 @@
 //!
 //! This file holds the messages and the options; `client.rs` the
 //! Algorithm 5 phase machine ([`DynOpDriver`], hosted by [`DynClient`]);
-//! `server.rs` Algorithm 6 ([`DynServer`]); and `select.rs` whom a client
-//! asks — the [`Fanout::Quorum`] policy, which the phase machine follows
-//! without a fanout branch of its own.
+//! `server.rs` Algorithm 6 ([`DynServer`]: one judgement for `R` and `W`,
+//! one record per client); and `select.rs` whom a client asks — the
+//! [`Fanout::Quorum`] policy, which the phase machine follows without a
+//! fanout branch of its own. Messages digest for the model checker by
+//! their derived `Hash`, change sets by digest and cardinality.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use awr_core::restricted::WrMsg;
 use awr_sim::{Message, Nanos};
@@ -92,7 +96,7 @@ pub use server::DynServer;
 /// Wire messages of the dynamic-weighted storage: the weight-reassignment
 /// sub-protocol plus change-set-referencing ABD phases (see the module
 /// docs for the negotiation).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum DynMsg<V> {
     /// Weight-reassignment traffic (Algorithms 3–4).
     Wr(WrMsg),
@@ -209,7 +213,7 @@ pub enum DynMsg<V> {
 /// refresher falls back to a per-key round with that
 /// replier alone. Converged steady state therefore costs O(1) per
 /// replier, and the fallback is bounded by one extra round trip.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RefreshHave {
     /// Exact per-object register tags (absent = bottom).
     Tags(BTreeMap<ObjectId, Tag>),
@@ -234,7 +238,6 @@ const REFRESH_TAGS_CAP: usize = 64;
 /// maps do not. The register *values* are deliberately excluded — tags
 /// alone decide freshness.
 pub fn reg_tag_digest<V>(registers: &BTreeMap<ObjectId, TaggedValue<V>>) -> u64 {
-    use std::hash::{Hash, Hasher};
     registers
         .iter()
         .map(|(o, r)| {
@@ -301,69 +304,10 @@ impl<V: Value> Message for DynMsg<V> {
 
     // Full-content digest for the model-checking explorer: `Value: Hash`
     // lets register payloads hash directly, and change-set references hash
-    // by variant + implied digest (see `WrMsg::content_digest`).
+    // by variant (see `WrMsg::content_digest`).
     fn content_digest(&self) -> Option<u64> {
-        use std::hash::{Hash, Hasher};
-        fn hash_cs_ref(h: &mut impl Hasher, r: &CsRef) {
-            match r {
-                CsRef::Summary { digest, len } => (0u8, digest, len).hash(h),
-                CsRef::Delta { base_digest, adds } => (1u8, base_digest, adds).hash(h),
-                CsRef::Full(set) => (2u8, set.digest(), set.len()).hash(h),
-            }
-        }
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        match self {
-            DynMsg::Wr(m) => (0u8, m.content_digest()?).hash(&mut h),
-            DynMsg::R { op, obj, changes } => {
-                (1u8, op, obj).hash(&mut h);
-                hash_cs_ref(&mut h, changes);
-            }
-            DynMsg::RAck {
-                op,
-                obj,
-                reg,
-                changes,
-                accepted,
-            } => {
-                (2u8, op, obj, reg, accepted).hash(&mut h);
-                hash_cs_ref(&mut h, changes);
-            }
-            DynMsg::W {
-                op,
-                obj,
-                reg,
-                changes,
-            } => {
-                (3u8, op, obj, reg).hash(&mut h);
-                hash_cs_ref(&mut h, changes);
-            }
-            DynMsg::WAck {
-                op,
-                obj,
-                changes,
-                accepted,
-            } => {
-                (4u8, op, obj, accepted).hash(&mut h);
-                hash_cs_ref(&mut h, changes);
-            }
-            DynMsg::RefreshR { op, have } => {
-                (5u8, op).hash(&mut h);
-                match have {
-                    RefreshHave::Tags(tags) => (0u8, tags).hash(&mut h),
-                    RefreshHave::Digest { digest, count } => (1u8, digest, count).hash(&mut h),
-                }
-            }
-            DynMsg::RefreshAck {
-                op,
-                regs,
-                need_tags,
-            } => (6u8, op, regs, need_tags).hash(&mut h),
-            DynMsg::SyncR { digest } => (7u8, digest).hash(&mut h),
-            DynMsg::SyncAck { changes } => {
-                8u8.hash(&mut h);
-                hash_cs_ref(&mut h, changes);
-            }
-        }
+        self.hash(&mut h);
         Some(h.finish())
     }
 

@@ -1,5 +1,14 @@
 //! The server side of Algorithm 6: [`DynServer`], with the embedded
 //! Algorithm 4 engine and the register refresh on weight gain.
+//!
+//! `R` and `W` share one judgement, `DynServer::judge`: accept when the
+//! client's `C` equals this server's, otherwise reply with what the
+//! client lacks. Only `W` adopts the register on accept. The server keeps
+//! one record per client — the digest it presented last and whether a
+//! delta was cut against it — which serves both the degrade rule and the
+//! journal's compaction depth. Everything else it knows lives once: the
+//! completed transfers in the embedded engine, the refresh count as the
+//! refresh operation number.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -33,15 +42,8 @@ pub struct DynServer<V> {
     pending_applies: VecDeque<ApplyRequest>,
     /// The in-flight refresh read, if any.
     refresh: Option<RefreshRead<V>>,
-    refresh_ops: u64,
-    /// Per-client negotiation memory: the client digest the last reject
-    /// reply cut a delta against. A client re-presenting the same digest
-    /// means that delta did not resolve — the next reply degrades to
-    /// `Full`. One u64 per client keeps the state machine bounded.
-    nego: BTreeMap<ActorId, u64>,
-    /// Completed own transfers (`⟨Complete, c⟩` log).
-    pub transfer_log: Vec<TransferOutcome>,
-    /// Number of register refreshes performed (metric for E10c).
+    /// Number of register refreshes performed (metric for E10c); the
+    /// latest one's operation number.
     pub refreshes: u64,
     /// Durable backend, if this server runs durably. Every adopted change
     /// and register lands in its WAL before the triggering callback's
@@ -57,10 +59,8 @@ pub struct DynServer<V> {
     /// arithmetic would mis-address the suffix; when no journal suffix
     /// expresses the growth, persisting falls back to a full snapshot.
     persisted_digest: u64,
-    /// Last change-set digest each client presented, feeding the
-    /// compaction retention heuristic: the journal keeps enough depth to
-    /// cut deltas for every digest still in sight.
-    peer_digests: BTreeMap<ActorId, u64>,
+    /// What each client presented last (see [`DynServer::judge`]).
+    clients: BTreeMap<ActorId, Presented>,
     /// Set by [`DynServer::recover`]: on the next [`Actor::on_start`] this
     /// server runs the rejoin round (change-set sync + register refresh)
     /// before resuming normal service.
@@ -79,13 +79,10 @@ impl<V: Value> DynServer<V> {
             options,
             pending_applies: VecDeque::new(),
             refresh: None,
-            refresh_ops: 0,
-            nego: BTreeMap::new(),
-            transfer_log: Vec::new(),
             refreshes: 0,
             storage: None,
             persisted_digest,
-            peer_digests: BTreeMap::new(),
+            clients: BTreeMap::new(),
             rejoin: false,
         }
     }
@@ -125,22 +122,12 @@ impl<V: Value> DynServer<V> {
     ) -> DynServer<V> {
         let (changes, registers) =
             storage.recover_state(ChangeSet::from_initial_weights(&cfg.initial_weights));
-        let persisted_digest = changes.digest();
-        DynServer {
-            core: TransferCore::recover(cfg, me, changes),
-            registers,
-            options,
-            pending_applies: VecDeque::new(),
-            refresh: None,
-            refresh_ops: 0,
-            nego: BTreeMap::new(),
-            transfer_log: Vec::new(),
-            refreshes: 0,
-            storage: Some(storage),
-            persisted_digest,
-            peer_digests: BTreeMap::new(),
-            rejoin: true,
-        }
+        let mut s = DynServer::with_storage(cfg.clone(), me, options, storage);
+        s.persisted_digest = changes.digest();
+        s.core = TransferCore::recover(cfg, me, changes);
+        s.registers = registers;
+        s.rejoin = true;
+        s
     }
 
     /// Appends the change-set growth since the last persist point to the
@@ -182,9 +169,9 @@ impl<V: Value> DynServer<V> {
         };
         if cad.due(self.core.changes().journal_len()) {
             let deepest = self
-                .peer_digests
+                .clients
                 .values()
-                .filter_map(|d| self.core.changes().delta_since(*d).map(<[_]>::len))
+                .filter_map(|p| self.core.changes().delta_since(p.digest).map(<[_]>::len))
                 .max()
                 .unwrap_or(0);
             self.core.compact_journal(cad.retain(deepest));
@@ -206,49 +193,41 @@ impl<V: Value> DynServer<V> {
         self.core.absorb_changes(set);
     }
 
-    /// The reference attached to an *accepting* `RAck`/`WAck` (the client
-    /// ignores it; a summary costs nothing, while `ForceFull` reproduces
-    /// the paper-literal full-set echo).
-    fn ack_payload(&self) -> CsRef {
-        match self.options.wire {
-            WireMode::Negotiate => CsRef::summary(self.core.changes()),
-            WireMode::ForceFull => CsRef::Full(self.core.changes().clone()),
-        }
-    }
-
-    /// The reference attached to a *rejecting* `RAck`/`WAck`: whatever most
-    /// cheaply lets `peer` catch up to this server's `C` — a delta against
-    /// the digest it presented when the journal covers the gap, `Full`
-    /// otherwise, and `Full` unconditionally once a delta against the same
-    /// digest has already failed to resolve (see the module docs).
-    fn reject_payload(&mut self, peer: ActorId, client_ref: &CsRef) -> CsRef {
+    /// Algorithm 6's accept check `C = C_i` for an `R` or a `W` from
+    /// `from`, answered from the reference it presented without
+    /// materializing the client's set. Returns whether the operation is
+    /// accepted and the reference to reply with. An accept carries a
+    /// summary, which the client ignores. A reject carries whatever most
+    /// cheaply lets the client catch up: a delta against the digest it
+    /// presented when the journal covers the gap, `Full` otherwise, and
+    /// `Full` unconditionally when it presents again a digest a delta was
+    /// cut against — that delta did not resolve (see the module docs).
+    /// `ForceFull` answers `Full` either way. What the client presented is
+    /// recorded on every call: one record per client bounds the state
+    /// machine, and compaction keeps the journal deep enough to cut deltas
+    /// for every digest still in sight.
+    fn judge(&mut self, from: ActorId, presented: &CsRef) -> (bool, CsRef) {
         let mine = self.core.changes();
-        if self.options.wire == WireMode::ForceFull {
-            return CsRef::Full(mine.clone());
-        }
-        let client_digest = client_ref.implied_digest();
-        if self.nego.get(&peer) == Some(&client_digest) {
-            // Second reject for the same client digest: the delta we cut
-            // last time did not resolve. Degrade.
-            self.nego.remove(&peer);
-            return CsRef::Full(mine.clone());
-        }
-        match CsRef::for_peer(mine, client_digest) {
-            r @ CsRef::Delta { .. } => {
-                self.nego.insert(peer, client_digest);
-                r
-            }
-            // A summary teaches a rejected client nothing (and equal
-            // digests should have been accepted): send content.
-            CsRef::Summary { .. } => {
-                self.nego.remove(&peer);
-                CsRef::Full(mine.clone())
-            }
-            r @ CsRef::Full(_) => {
-                self.nego.remove(&peer);
-                r
-            }
-        }
+        let digest = presented.implied_digest();
+        let accepted = mine.matches_ref(presented);
+        let delta_failed = self
+            .clients
+            .get(&from)
+            .is_some_and(|p| p.delta_cut && p.digest == digest);
+        let reply = match self.options.wire {
+            WireMode::ForceFull => CsRef::Full(mine.clone()),
+            WireMode::Negotiate if accepted => CsRef::summary(mine),
+            WireMode::Negotiate if delta_failed => CsRef::Full(mine.clone()),
+            WireMode::Negotiate => match CsRef::for_peer(mine, digest) {
+                // A summary teaches a rejected client nothing (and equal
+                // digests should have been accepted): send content.
+                CsRef::Summary { .. } => CsRef::Full(mine.clone()),
+                r => r,
+            },
+        };
+        let delta_cut = matches!(reply, CsRef::Delta { .. });
+        self.clients.insert(from, Presented { digest, delta_cut });
+        (accepted, reply)
     }
 
     /// This server's id.
@@ -326,13 +305,10 @@ impl<V: Value> DynServer<V> {
         delta: Ratio,
         ctx: &mut Context<'_, DynMsg<V>>,
     ) -> Result<TransferStart, TransferError> {
-        let r = self.core.transfer(to, delta, ctx, DynMsg::Wr)?;
-        if let TransferStart::Null(o) = &r {
-            self.transfer_log.push(o.clone());
+        if self.core.is_busy() {
+            return Err(TransferError::Busy);
         }
-        self.persist_new_changes();
-        self.maybe_checkpoint();
-        Ok(r)
+        self.begin_transfer_queued(to, delta, ctx)
     }
 
     /// Like [`DynServer::begin_transfer`], but a request arriving while a
@@ -351,9 +327,6 @@ impl<V: Value> DynServer<V> {
         ctx: &mut Context<'_, DynMsg<V>>,
     ) -> Result<TransferStart, TransferError> {
         let r = self.core.transfer_queued(to, delta, ctx, DynMsg::Wr)?;
-        if let TransferStart::Null(o) = &r {
-            self.transfer_log.push(o.clone());
-        }
         self.persist_new_changes();
         self.maybe_checkpoint();
         Ok(r)
@@ -394,13 +367,18 @@ impl<V: Value> DynServer<V> {
     /// object count exceeds `REFRESH_TAGS_CAP`.
     fn refresh_have(&self) -> RefreshHave {
         if self.registers.len() <= REFRESH_TAGS_CAP {
-            RefreshHave::Tags(self.registers.iter().map(|(o, r)| (*o, r.tag)).collect())
+            self.tags()
         } else {
             RefreshHave::Digest {
                 digest: reg_tag_digest(&self.registers),
                 count: self.registers.len(),
             }
         }
+    }
+
+    /// The exact per-key tag map (absent = bottom).
+    fn tags(&self) -> RefreshHave {
+        RefreshHave::Tags(self.registers.iter().map(|(o, r)| (*o, r.tag)).collect())
     }
 
     /// Starts the whole-object-space count read. `for_apply` records
@@ -410,8 +388,7 @@ impl<V: Value> DynServer<V> {
     /// its *own* refresh decision in [`DynServer::drain_applies`].
     fn start_refresh(&mut self, for_apply: bool, ctx: &mut Context<'_, DynMsg<V>>) {
         self.refreshes += 1;
-        self.refresh_ops += 1;
-        let op = self.refresh_ops;
+        let op = self.refreshes;
         self.refresh = Some(RefreshRead {
             op,
             for_apply,
@@ -471,6 +448,14 @@ impl<V: Value> DynServer<V> {
     }
 }
 
+/// The change-set digest a client presented in its latest `R`/`W`, and
+/// whether the reply cut a delta against it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Presented {
+    digest: u64,
+    delta_cut: bool,
+}
+
 /// An in-flight count-based register refresh, covering every object.
 #[derive(Debug)]
 struct RefreshRead<V> {
@@ -523,35 +508,21 @@ impl<V: Value> Actor for DynServer<V> {
                 // Feed the refresh driver first: its R_A/W_A arrive as
                 // DynMsg, not WrMsg, so only core traffic lands here.
                 for ev in self.core.handle(from, wr, ctx, DynMsg::Wr) {
-                    match ev {
-                        CoreEvent::NeedApply(req) => {
-                            self.pending_applies.push_back(req);
-                        }
-                        CoreEvent::Completed(o) => self.transfer_log.push(o),
+                    if let CoreEvent::NeedApply(req) = ev {
+                        self.pending_applies.push_back(req);
                     }
                 }
                 self.drain_applies(ctx);
             }
             DynMsg::R { op, obj, changes } => {
-                // Algorithm 6's accept check `C = C_i`, answered from the
-                // reference without materializing the client's set. The
-                // digest is remembered so journal compaction keeps enough
-                // depth to cut deltas for clients still at it.
-                self.peer_digests.insert(from, changes.implied_digest());
-                let accepted = self.core.changes().matches_ref(&changes);
-                let reply = if accepted {
-                    self.nego.remove(&from);
-                    self.ack_payload()
-                } else {
-                    self.reject_payload(from, &changes)
-                };
+                let (accepted, changes) = self.judge(from, &changes);
                 ctx.send(
                     from,
                     DynMsg::RAck {
                         op,
                         obj,
                         reg: self.register_of(obj),
-                        changes: reply,
+                        changes,
                         accepted,
                     },
                 );
@@ -562,21 +533,16 @@ impl<V: Value> Actor for DynServer<V> {
                 reg,
                 changes,
             } => {
-                self.peer_digests.insert(from, changes.implied_digest());
-                let accepted = self.core.changes().matches_ref(&changes);
-                let reply = if accepted {
-                    self.nego.remove(&from);
+                let (accepted, changes) = self.judge(from, &changes);
+                if accepted {
                     self.adopt_register(obj, &reg);
-                    self.ack_payload()
-                } else {
-                    self.reject_payload(from, &changes)
-                };
+                }
                 ctx.send(
                     from,
                     DynMsg::WAck {
                         op,
                         obj,
-                        changes: reply,
+                        changes,
                         accepted,
                     },
                 );
@@ -669,9 +635,7 @@ impl<V: Value> Actor for DynServer<V> {
                     _ => false,
                 };
                 if resend_tags {
-                    let have = RefreshHave::Tags(
-                        self.registers.iter().map(|(o, r)| (*o, r.tag)).collect(),
-                    );
+                    let have = self.tags();
                     ctx.send(from, DynMsg::RefreshR { op, have });
                 }
                 if done {
@@ -727,15 +691,10 @@ impl<V: Value> Actor for DynServer<V> {
                 r.best.hash(&mut h);
             }
         }
-        self.refresh_ops.hash(&mut h);
         self.refreshes.hash(&mut h);
-        for (a, d) in &self.nego {
-            (a.index(), d).hash(&mut h);
-        }
-        self.transfer_log.hash(&mut h);
         self.persisted_digest.hash(&mut h);
-        for (a, d) in &self.peer_digests {
-            (a.index(), d).hash(&mut h);
+        for (a, p) in &self.clients {
+            (a.index(), p).hash(&mut h);
         }
         self.rejoin.hash(&mut h);
         // Durable content is digested separately by the explorer (it can
@@ -749,5 +708,223 @@ impl<V: Value> Actor for DynServer<V> {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use awr_sim::{TraceKind, UniformLatency, World};
+    use awr_types::{ClientId, ProcessId, TransferChanges};
+
+    type Msg = DynMsg<u64>;
+
+    /// Keeps every message it receives and hands it on to its server, if
+    /// it wraps one; a bare tap stands in for a client.
+    struct Tap {
+        server: Option<DynServer<u64>>,
+        inbox: Vec<(ActorId, Msg)>,
+    }
+
+    fn tap(server: Option<DynServer<u64>>) -> Tap {
+        Tap {
+            server,
+            inbox: Vec::new(),
+        }
+    }
+
+    impl Actor for Tap {
+        type Msg = Msg;
+        fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            self.inbox.push((from, msg.clone()));
+            if let Some(s) = &mut self.server {
+                s.on_message(from, msg, ctx);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn tapped(w: &World<Msg>, a: ActorId) -> &Tap {
+        w.actor::<Tap>(a).expect("a tap")
+    }
+
+    fn form(r: &CsRef) -> &'static str {
+        match r {
+            CsRef::Summary { .. } => "summary",
+            CsRef::Delta { .. } => "delta",
+            CsRef::Full(_) => "full",
+        }
+    }
+
+    /// The degrade rule: a client that presents again the digest a delta
+    /// was cut against gets `Full`, which bounds every negotiation.
+    #[test]
+    fn a_delta_that_did_not_resolve_degrades_to_full() {
+        let cfg = RpConfig::uniform(3, 1);
+        let behind = ChangeSet::from_initial_weights(&cfg.initial_weights);
+        let mut ahead = behind.clone();
+        let pair = TransferChanges::new(ServerId(0), ServerId(1), 2, Ratio::new(1, 10), true);
+        ahead.insert(pair.debit);
+        ahead.insert(pair.credit);
+        for wire in [WireMode::Negotiate, WireMode::ForceFull] {
+            let options = DynOptions {
+                wire,
+                ..DynOptions::default()
+            };
+            let mut w = World::new(1, UniformLatency::new(1_000, 2_000));
+            let mut server = DynServer::new(cfg.clone(), ServerId(0), options);
+            server.seed_changes(&ahead);
+            let srv = w.add_actor(tap(Some(server)));
+            for i in 1..3 {
+                w.add_actor(DynServer::<u64>::new(cfg.clone(), ServerId(i), options));
+            }
+            let client = w.add_actor(tap(None));
+            let mut ask = |set: &ChangeSet| {
+                let changes = match wire {
+                    WireMode::Negotiate => CsRef::summary(set),
+                    WireMode::ForceFull => CsRef::Full(set.clone()),
+                };
+                let obj = ObjectId::DEFAULT;
+                w.inject(
+                    client,
+                    srv,
+                    DynMsg::R {
+                        op: 0,
+                        obj,
+                        changes,
+                    },
+                );
+                w.run_to_quiescence();
+                match &tapped(&w, client).inbox.last().expect("a reply").1 {
+                    DynMsg::RAck {
+                        accepted, changes, ..
+                    } => (*accepted, form(changes)),
+                    m => panic!("not an R_A: {m:?}"),
+                }
+            };
+            let replies = [ask(&behind), ask(&behind), ask(&ahead), ask(&behind)];
+            let expected = match wire {
+                WireMode::Negotiate => [
+                    (false, "delta"),
+                    (false, "full"),
+                    (true, "summary"),
+                    (false, "delta"),
+                ],
+                WireMode::ForceFull => [
+                    (false, "full"),
+                    (false, "full"),
+                    (true, "full"),
+                    (false, "full"),
+                ],
+            };
+            assert_eq!(replies, expected, "{wire:?}");
+        }
+    }
+
+    /// The `need_tags` round: a refresher holding more than
+    /// `REFRESH_TAGS_CAP` registers presents a digest; a replier whose
+    /// registers differ answers `need_tags` with nothing, the refresher
+    /// re-asks that replier alone with its tags, and only the answer to
+    /// that counts toward n − f.
+    #[test]
+    fn a_digest_mismatch_is_settled_by_one_per_key_round() {
+        let cfg = RpConfig::uniform(3, 1);
+        let initial = CsRef::summary(&ChangeSet::from_initial_weights(&cfg.initial_weights));
+        let mut w = World::new(2, UniformLatency::new(1_000, 2_000));
+        w.enable_trace(1 << 12);
+        for i in 0..3 {
+            let server = DynServer::new(cfg.clone(), ServerId(i), DynOptions::default());
+            w.add_actor(tap(Some(server)));
+        }
+        let (refresher, replier, down) = (ActorId(0), ActorId(1), ActorId(2));
+        let client = w.add_actor(tap(None));
+        let pid = ProcessId::Client(ClientId(0));
+        let mut write = |to: ActorId, obj: u64, ts: u64| {
+            let reg = TaggedValue::new(Tag::new(ts, pid), ts);
+            let changes = initial.clone();
+            let obj = ObjectId(obj);
+            w.inject(
+                client,
+                to,
+                DynMsg::W {
+                    op: 0,
+                    obj,
+                    reg,
+                    changes,
+                },
+            );
+        };
+        for obj in 0..=REFRESH_TAGS_CAP as u64 {
+            write(refresher, obj, 1);
+            write(replier, obj, 1);
+        }
+        write(replier, 0, 2);
+        w.run_to_quiescence();
+        w.crash_now(down);
+        w.with_actor_ctx(refresher, |t: &mut Tap, ctx| {
+            t.server
+                .as_mut()
+                .expect("a server")
+                .start_refresh(false, ctx);
+        });
+
+        let acks = |w: &World<Msg>, from: ActorId| -> Vec<(bool, usize)> {
+            tapped(w, refresher)
+                .inbox
+                .iter()
+                .filter(|(f, _)| *f == from)
+                .filter_map(|(_, m)| match m {
+                    DynMsg::RefreshAck {
+                        regs, need_tags, ..
+                    } => Some((*need_tags, regs.len())),
+                    _ => None,
+                })
+                .collect()
+        };
+        let refreshing = |w: &World<Msg>| {
+            let server = tapped(w, refresher).server.as_ref().expect("a server");
+            server.refresh.is_some()
+        };
+        // Both first-round answers are in: the refresher's own, which
+        // matches, and the replier's, which cannot count.
+        assert!(w.run_until(|w| !acks(w, refresher).is_empty() && !acks(w, replier).is_empty()));
+        assert_eq!(acks(&w, refresher), [(false, 0)]);
+        assert_eq!(acks(&w, replier), [(true, 0)]);
+        assert!(refreshing(&w), "a need_tags answer counted toward n − f");
+
+        w.run_to_quiescence();
+        assert_eq!(acks(&w, replier), [(true, 0), (false, 1)]);
+        assert!(!refreshing(&w));
+        let asked = |at: ActorId| -> Vec<&'static str> {
+            tapped(&w, at)
+                .inbox
+                .iter()
+                .filter_map(|(f, m)| match m {
+                    DynMsg::RefreshR { have, .. } if *f == refresher => Some(match have {
+                        RefreshHave::Tags(_) => "tags",
+                        RefreshHave::Digest { .. } => "digest",
+                    }),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(asked(replier), ["digest", "tags"]);
+        assert_eq!(asked(refresher), ["digest"]);
+        let dropped = w
+            .trace()
+            .expect("tracing")
+            .records()
+            .filter(
+                |r| matches!(r.kind, TraceKind::DropCrashed { to, kind: "RefR", .. } if to == down),
+            )
+            .count();
+        assert_eq!(dropped, 1, "the per-key round goes to the replier alone");
+        let server = tapped(&w, refresher).server.as_ref().expect("a server");
+        assert_eq!(server.register_of(ObjectId(0)).value, Some(2));
     }
 }

@@ -134,11 +134,6 @@ impl PlacementDriver {
         }
     }
 
-    /// The policy's name (for reports).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The weight map currently in force, as seen by server 0.
     pub fn current_weights<V: Value>(&self, h: &StorageHarness<V>) -> WeightMap {
         let n = h.config().n;

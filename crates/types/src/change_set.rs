@@ -544,6 +544,14 @@ impl PartialEq for ChangeSet {
 
 impl Eq for ChangeSet {}
 
+/// Hashes the digest and cardinality — the two fields [`PartialEq`]
+/// compares first — so equal sets hash equally in O(1).
+impl Hash for ChangeSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.inner.digest, self.len()).hash(state);
+    }
+}
+
 impl fmt::Debug for ChangeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.inner.changes.iter()).finish()
@@ -723,6 +731,12 @@ mod tests {
         assert!(u.contains_all(&a) && u.contains_all(&b));
         a.merge(&b);
         assert_eq!(a, u);
+        let hash = |c: &ChangeSet| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&a), hash(&u), "equal sets hash equally");
         assert_caches_exact(&a);
         assert_caches_exact(&u);
     }

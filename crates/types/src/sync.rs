@@ -63,7 +63,7 @@ use crate::{Change, ChangeSet};
 /// See the [module docs](self) for the negotiation discipline. The
 /// real-transport runtime frames all three forms (`awr_net::wire`), so
 /// the negotiation crosses sockets exactly as the sim models it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CsRef {
     /// Digest and cardinality of the sender's set — O(1) on the wire.
     Summary {
