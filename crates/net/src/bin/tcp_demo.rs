@@ -26,9 +26,10 @@
 //! In each pass a weight transfer is then invoked on a live server,
 //! propagated through the mesh (RB envelopes, refresh, client restarts —
 //! all on the wire), and a second burst of client operations proves the
-//! system still serves reads and writes under the moved weights. Exits 0
-//! only if every phase of both passes (including clean child shutdown)
-//! succeeds.
+//! system still serves reads and writes under the moved weights. Last,
+//! no server may have dialed a client: a reply rides the connection its
+//! request came in on. Exits 0 only if every phase of both passes
+//! (including clean child shutdown) succeeds.
 //!
 //! ```text
 //! tcp_demo [--smoke] [--servers N] [--clients K] [--ops M] [--objects O] [--seed S]
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use awr_core::RpConfig;
 use awr_net::{decode_frame, encode_frame, FrameError, Reader, TcpTransport, Wire};
-use awr_sim::{ActorId, KindStats, NodeHost, Time, UniformLatency};
+use awr_sim::{ActorId, KindStats, NodeHost, Time, Transport, UniformLatency};
 use awr_storage::{
     check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
     OpKind, ReadMode, StorageHandle, StorageHarness,
@@ -177,7 +178,9 @@ struct Report {
     frames: KindStats,
     /// Sends dropped after the reconnect budget.
     dropped: u64,
-    /// Frames decoded off accepted connections.
+    /// Successful dials, per peer (indexed by actor).
+    dials: Vec<u64>,
+    /// Frames decoded, over every connection.
     frames_received: u64,
     /// Completed client operations, oldest first, with wall-clock stamps
     /// (empty for servers).
@@ -208,6 +211,7 @@ impl Wire for Report {
             put_map(out, &kinds.wire_bytes);
         }
         self.dropped.put(out);
+        put_seq(out, self.dials.len(), &self.dials);
         self.frames_received.put(out);
         put_seq(out, self.history.len(), &self.history);
     }
@@ -226,6 +230,7 @@ impl Wire for Report {
             wire: kinds(r)?,
             frames: kinds(r)?,
             dropped: u64::get(r)?,
+            dials: get_vec(r, 1)?,
             frames_received: u64::get(r)?,
             history: get_vec(r, 5)?,
         })
@@ -339,14 +344,16 @@ fn report<A: awr_sim::Actor<Msg = DynMsg<V>>>(
     history: &[OpRecord],
     host: &NodeHost<A, TcpTransport<DynMsg<V>>>,
 ) -> String {
+    let t = host.transport();
     let r = Report {
         role: role.to_string(),
         idx,
         history: history.to_vec(),
         wire: KindStats::of(host.metrics()),
-        frames: host.transport().sent_frames().clone(),
-        dropped: host.transport().pool_stats().dropped,
-        frames_received: host.transport().frames_received(),
+        frames: t.sent_frames().clone(),
+        dropped: t.pool_stats().dropped,
+        dials: (0..t.n_actors()).map(|i| t.dials_to(ActorId(i))).collect(),
+        frames_received: t.frames_received(),
     };
     encode_frame(&r)
         .iter()
@@ -723,9 +730,33 @@ fn validate_bytes(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(),
     Ok(())
 }
 
+/// Every frame a server sent a client rode the client's own connection:
+/// no server dialed a client. `clients` are the clients' latest reports.
+fn check_dials(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(), String> {
+    let dials = |r: &Report, to: std::ops::Range<usize>| r.dials[to].iter().sum::<u64>();
+    let mut among_servers = 0;
+    for proc in &mut mesh.procs[..p.servers] {
+        proc.send("report");
+        let r = parse_report(&proc.expect("METRICS ", Duration::from_secs(10))?);
+        let to_clients = dials(&r, p.servers..p.mesh_size());
+        if to_clients > 0 {
+            return Err(format!(
+                "server {} dialed a client {to_clients} time(s) instead of answering on its connection",
+                r.idx
+            ));
+        }
+        among_servers += dials(&r, 0..p.servers);
+    }
+    let by_clients: u64 = clients.iter().map(|r| dials(r, 0..p.mesh_size())).sum();
+    println!(
+        "tcp_demo: {by_clients} dials by clients, {among_servers} among servers, none from a server to a client"
+    );
+    Ok(())
+}
+
 /// One whole pass on a fresh mesh under `p.fanout`: the validation burst
 /// (byte-validated when `gate_bytes`), a live transfer, a second burst,
-/// the linearizability check, clean shutdown. Returns the frames of each
+/// the linearizability check, the dial check, clean shutdown. Returns the frames of each
 /// of [`TARGETED_KINDS`] the validation burst put on the wire.
 fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()], String> {
     let started = Instant::now();
@@ -780,6 +811,7 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
     );
     let checked = check_history(&reports)?;
     println!("tcp_demo: the {checked}-operation history is keyed-linearizable");
+    check_dials(&mut mesh, p, &reports)?;
 
     // Clean shutdown.
     for proc in mesh.procs.iter_mut() {

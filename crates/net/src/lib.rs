@@ -23,13 +23,15 @@
 //!   their WAL in the same frames;
 //! * [`tcp`] — [`TcpTransport`], the mesh endpoint an `awr_sim::NodeHost`
 //!   pumps: it owns its listener and every socket and spawns no thread.
-//!   Every socket is registered once in an `epoll(7)` set, and receiving
-//!   is one wait that returns only the ready ones, decoding frames on the
-//!   node's own thread; sending encodes into a per-peer write buffer and
-//!   writes without blocking, with lazy dialing, reconnect-then-drop
-//!   crash-model semantics ([`Reconnect`], [`PoolStats`]) and a
-//!   high-water rule that keeps two nodes flooding each other from
-//!   deadlocking;
+//!   One connection carries a node pair's frames both ways: a node
+//!   answers on the connection a peer dialed in, and dials only a peer it
+//!   holds no connection to. Every socket is registered once in an
+//!   `epoll(7)` set, and receiving is one wait that returns only the
+//!   ready ones, decoding frames on the node's own thread; sending appends
+//!   to the connection's write buffer and writes without blocking, with
+//!   lazy dialing, reconnect-then-drop crash-model semantics
+//!   ([`Reconnect`], [`PoolStats`]) and a high-water rule that keeps two
+//!   nodes flooding each other from deadlocking;
 //! * `sys` (private) — the `epoll` binding: the only `unsafe` the
 //!   workspace ships, and the reason the crate is Linux-only.
 //!

@@ -472,6 +472,58 @@ fn more_ready_sockets_than_the_event_buffer() {
     assert_eq!(t.frames_received(), 2 * CONNECTIONS);
 }
 
+/// The receiver holds no connection to the sender when the request
+/// arrives, so it answers on the one the request came in on: it never
+/// dials.
+#[test]
+fn a_reply_rides_the_connection_its_request_came_in_on() {
+    let mut m = mesh(2);
+    let (mut b, mut a) = (m.pop().unwrap(), m.pop().unwrap());
+    for n in 0..3 {
+        a.send(ActorId(1), seq(n));
+        assert_eq!(recv(&mut b), (ActorId(0), seq(n)));
+        b.send(ActorId(0), seq(100 + n));
+        assert_eq!(recv(&mut a), (ActorId(1), seq(100 + n)));
+    }
+    assert_eq!((a.pool_stats().dials, b.pool_stats().dials), (1, 0));
+    assert_eq!((a.frames_received(), b.frames_received()), (3, 3));
+}
+
+/// Both ends send before either has turned, so both dial, and each keeps
+/// sending on its own connection while reading the other's: 10 000 frames
+/// each way, sends and receives interleaved.
+#[test]
+fn two_nodes_that_dial_each_other_at_once_keep_both_links_fifo() {
+    const PER_LINK: u64 = 10_000;
+    let mut m = mesh(2);
+    let (mut b, mut a) = (m.pop().unwrap(), m.pop().unwrap());
+    let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+    for n in 0..PER_LINK {
+        let msg = if n % 7 == 0 { blob(n, 100) } else { seq(n) };
+        a.send(ActorId(1), msg.clone());
+        b.send(ActorId(0), msg);
+        at_a.extend(a.recv_timeout(Duration::ZERO));
+        at_b.extend(b.recv_timeout(Duration::ZERO));
+    }
+    let deadline = Instant::now() + PATIENCE;
+    while at_a.len() < PER_LINK as usize || at_b.len() < PER_LINK as usize {
+        assert!(Instant::now() < deadline, "stalled: {a:?} {b:?}");
+        at_a.extend(a.recv_timeout(Duration::from_millis(1)));
+        at_b.extend(b.recv_timeout(Duration::from_millis(1)));
+    }
+    for (got, from) in [(&at_a, ActorId(1)), (&at_b, ActorId(0))] {
+        for (n, (sender, msg)) in got.iter().enumerate() {
+            assert_eq!((*sender, msg.n), (from, n as u64));
+        }
+    }
+    assert_eq!(a.recv_timeout(Duration::ZERO), None);
+    assert_eq!(b.recv_timeout(Duration::ZERO), None);
+    let (sa, sb) = (a.pool_stats(), b.pool_stats());
+    assert_eq!((sa.frames_sent, sb.frames_sent), (PER_LINK, PER_LINK));
+    assert_eq!(sa.dropped + sb.dropped, 0);
+    assert!(sa.dials + sb.dials <= 2, "{sa:?} {sb:?}");
+}
+
 #[test]
 fn a_node_can_send_to_itself() {
     let mut t = mesh(1).remove(0);
