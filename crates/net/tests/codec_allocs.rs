@@ -4,13 +4,16 @@
 //! message, on the node's only thread — and a server's WAL append is one
 //! more frame of a `Register` or `Change` record, on the same thread.
 //!
-//! The count is process-wide, so this is the only test in its binary.
 //! The counting shim is the one place this crate's tests touch `unsafe`:
 //! a `GlobalAlloc` that delegates verbatim to the system allocator and
-//! counts calls. The crate-level lint is `deny`, overridden here only.
+//! counts the calls the measuring thread makes while its flag is up. The
+//! test harness's own threads allocate whenever they like, so a
+//! process-wide count would charge their allocations to the code under
+//! test. The crate-level lint is `deny`, overridden here only.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,21 +25,46 @@ use awr_types::{
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Delegates to [`System`], counting every allocation.
+thread_local! {
+    /// Up only on the measuring thread, around the measured code.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts an allocation if the calling thread is measuring.
+fn count() {
+    // `try_with`: a thread tearing down its locals still allocates.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Allocations `f` makes on the calling thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    COUNTING.with(|c| c.set(false));
+    allocs
+}
+
+/// Delegates to [`System`], counting the measuring thread's allocations.
 struct CountingAlloc;
 
 // SAFETY: forwards every call unchanged to the system allocator; the
-// only addition is a relaxed counter bump, which allocates nothing.
+// only additions are a read of a const-initialized, destructor-free
+// thread-local flag and a relaxed counter bump, neither of which
+// allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,23 +77,23 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn allocations<T: Wire + PartialEq + std::fmt::Debug>(values: &[T]) -> u64 {
     // The write buffer a transport keeps per peer, already grown.
     let mut wbuf = Vec::with_capacity(4096);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..1_000 {
-        wbuf.clear();
-        let mut at = 0;
-        for value in values {
-            encode_frame_into(black_box(value), &mut wbuf);
+    allocations_in(|| {
+        for _ in 0..1_000 {
+            wbuf.clear();
+            let mut at = 0;
+            for value in values {
+                encode_frame_into(black_box(value), &mut wbuf);
+            }
+            for value in values {
+                let (back, used) = decode_frame::<T>(black_box(&wbuf[at..]))
+                    .expect("own frame decodes")
+                    .expect("whole frame present");
+                assert_eq!(&back, value);
+                at += used;
+            }
+            assert_eq!(at, wbuf.len());
         }
-        for value in values {
-            let (back, used) = decode_frame::<T>(black_box(&wbuf[at..]))
-                .expect("own frame decodes")
-                .expect("whole frame present");
-            assert_eq!(&back, value);
-            at += used;
-        }
-        assert_eq!(at, wbuf.len());
-    }
-    ALLOCS.load(Ordering::Relaxed) - before
+    })
 }
 
 #[test]

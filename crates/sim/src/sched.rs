@@ -29,7 +29,16 @@
 //! higher-level slot cascades its events down; expiring a level-0 slot
 //! sorts the (tiny) slot by `(at, seq)` to honor the tie-break contract.
 //! Slot buffers are recycled across expiries, so the steady state
-//! allocates nothing.
+//! allocates nothing; under [`crate::World`] what they hold is keys (see
+//! below).
+//!
+//! # What the queue holds
+//!
+//! [`crate::World`] runs either scheduler as `Scheduler<u32>`: the item is
+//! the slot where the world parked the event's payload, so an entry is a
+//! 24-byte `(at, seq, slot)` key and the payload (a protocol message, a
+//! restart builder) never moves while the event waits. The queue owns the
+//! keys and their order; `World` owns the payloads.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -4,6 +4,13 @@
 //! seeded RNG. Every run with the same seed, actors, and network model
 //! replays the exact same schedule — the property all experiment harnesses
 //! and failure-injection tests rely on.
+//!
+//! The queue holds keys, not events: each pending event's payload is
+//! parked in a slot of `Park` when the event is scheduled, and the
+//! scheduler orders only `(at, seq, slot)` — 24 bytes, where an event
+//! carrying a protocol message is several times that — so the timing
+//! wheel's pushes, cascades, slot sorts and pops move keys while the
+//! payload stays put until its event runs.
 
 use std::collections::HashSet;
 
@@ -73,6 +80,54 @@ impl<M: std::fmt::Debug> std::fmt::Debug for EventKind<M> {
                 .field("actor", actor)
                 .finish_non_exhaustive(),
         }
+    }
+}
+
+/// The pending events' payloads, one slot each, with a free list: a slot
+/// is taken when its event runs and reused by the next event scheduled,
+/// so the park grows only to the peak number of pending events.
+struct Park<M> {
+    slots: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
+}
+
+impl<M> Park<M> {
+    fn new() -> Self {
+        Park {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Parks `ev`, returning its slot.
+    fn put(&mut self, ev: EventKind<M>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending events");
+                self.slots.push(Some(ev));
+                slot
+            }
+        }
+    }
+
+    /// Removes the event parked in `slot`, freeing the slot.
+    fn take(&mut self, slot: u32) -> EventKind<M> {
+        let ev = self.slots[slot as usize]
+            .take()
+            .expect("a queued key names a parked event");
+        self.free.push(slot);
+        ev
+    }
+
+    /// The event parked in `slot`.
+    fn get(&self, slot: u32) -> &EventKind<M> {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a queued key names a parked event")
     }
 }
 
@@ -171,7 +226,12 @@ pub enum PendingKind {
 pub struct World<M: Message> {
     time: Time,
     seq: u64,
-    queue: Box<dyn Scheduler<EventKind<M>>>,
+    /// Orders the pending events by `(at, seq)`; its items are slots of
+    /// `park`.
+    queue: Box<dyn Scheduler<u32>>,
+    /// The pending events' payloads, which stay put while their keys move
+    /// through `queue`.
+    park: Park<M>,
     scheduler_kind: SchedulerKind,
     actors: Vec<Box<dyn Actor<Msg = M>>>,
     crashed: Vec<bool>,
@@ -220,6 +280,7 @@ impl<M: Message> World<M> {
             time: Time::ZERO,
             seq: 0,
             queue: build_scheduler(kind),
+            park: Park::new(),
             scheduler_kind: kind,
             actors: Vec::new(),
             crashed: Vec::new(),
@@ -287,17 +348,17 @@ impl<M: Message> World<M> {
     }
 
     /// Swaps the event-queue implementation, migrating every pending
-    /// event (sequence numbers preserved). Because all schedulers honor
-    /// the same `(at, seq)` total order, this changes nothing about the
-    /// schedule — harnesses built on [`World::new`] use it to rerun a
+    /// event's key (sequence numbers preserved; payloads stay parked).
+    /// Because all schedulers honor the same `(at, seq)` total order, this
+    /// changes nothing about the schedule — harnesses built on [`World::new`] use it to rerun a
     /// scenario on the [`SchedulerKind::BinaryHeap`] reference.
     pub fn set_scheduler(&mut self, kind: SchedulerKind) {
         if kind == self.scheduler_kind {
             return;
         }
         let mut fresh = build_scheduler(kind);
-        while let Some((at, seq, ev)) = self.queue.pop() {
-            fresh.push(at, seq, ev);
+        while let Some((at, seq, slot)) = self.queue.pop() {
+            fresh.push(at, seq, slot);
         }
         self.queue = fresh;
         self.scheduler_kind = kind;
@@ -446,7 +507,8 @@ impl<M: Message> World<M> {
     fn push_event(&mut self, at: Time, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, kind);
+        let slot = self.park.put(kind);
+        self.queue.push(at, seq, slot);
     }
 
     /// Applies the effects a callback of `from` buffered, then parks the
@@ -514,11 +576,12 @@ impl<M: Message> World<M> {
     ///
     /// Panics if the event limit is exceeded (runaway protocol).
     pub fn step(&mut self) -> bool {
-        let Some((at, _seq, kind)) = self.queue.pop() else {
+        let Some((at, _seq, slot)) = self.queue.pop() else {
             self.started = true;
             return false;
         };
         debug_assert!(at >= self.time, "time went backwards");
+        let kind = self.park.take(slot);
         self.process_event(at, kind);
         true
     }
@@ -535,7 +598,8 @@ impl<M: Message> World<M> {
     /// Panics if the event limit is exceeded (runaway protocol).
     pub fn step_seq(&mut self, seq: u64) -> bool {
         match self.queue.take_seq(seq) {
-            Some((at, _seq, kind)) => {
+            Some((at, _seq, slot)) => {
+                let kind = self.park.take(slot);
                 self.process_event(at, kind);
                 true
             }
@@ -625,8 +689,8 @@ impl<M: Message> World<M> {
     /// no-op).
     pub fn pending_events(&self) -> Vec<PendingEvent> {
         let mut out: Vec<PendingEvent> = Vec::with_capacity(self.queue.len());
-        self.queue.for_each(&mut |at, seq, ev| {
-            let kind = match ev {
+        self.queue.for_each(&mut |at, seq, &slot| {
+            let kind = match self.park.get(slot) {
                 EventKind::Start(a) => PendingKind::Start { actor: *a },
                 EventKind::Deliver { from, to, msg, .. } => PendingKind::Deliver {
                     from: *from,
@@ -675,20 +739,21 @@ impl<M: Message> World<M> {
         // of delivery times and queue positions.
         let mut pending: Vec<(u8, usize, usize, u64)> = Vec::with_capacity(self.queue.len());
         let mut undigestible = false;
-        self.queue.for_each(&mut |_, _, ev| match ev {
-            EventKind::Start(a) => pending.push((0, a.index(), 0, 0)),
-            EventKind::Deliver { from, to, msg, .. } => match msg.content_digest() {
-                Some(d) => pending.push((1, from.index(), to.index(), d)),
-                None => undigestible = true,
-            },
-            EventKind::Timer { actor, id, tag } => {
-                if !self.cancelled_timers.contains(id) {
-                    pending.push((2, actor.index(), 0, *tag));
+        self.queue
+            .for_each(&mut |_, _, &slot| match self.park.get(slot) {
+                EventKind::Start(a) => pending.push((0, a.index(), 0, 0)),
+                EventKind::Deliver { from, to, msg, .. } => match msg.content_digest() {
+                    Some(d) => pending.push((1, from.index(), to.index(), d)),
+                    None => undigestible = true,
+                },
+                EventKind::Timer { actor, id, tag } => {
+                    if !self.cancelled_timers.contains(id) {
+                        pending.push((2, actor.index(), 0, *tag));
+                    }
                 }
-            }
-            EventKind::Crash(a) => pending.push((3, a.index(), 0, 0)),
-            EventKind::Restart { actor, .. } => pending.push((4, actor.index(), 0, 0)),
-        });
+                EventKind::Crash(a) => pending.push((3, a.index(), 0, 0)),
+                EventKind::Restart { actor, .. } => pending.push((4, actor.index(), 0, 0)),
+            });
         if undigestible {
             return None;
         }
@@ -939,6 +1004,145 @@ mod tests {
         let mut w = world_with(2, 6);
         w.step();
         w.add_actor(Echo::new());
+    }
+
+    /// A message with a hop budget; its digest is the budget.
+    #[derive(Clone, Debug)]
+    struct Hop(u64);
+    impl Message for Hop {
+        fn content_digest(&self) -> Option<u64> {
+            Some(self.0)
+        }
+    }
+
+    /// Forwards hops to random peers, arms timers that start shorter
+    /// chains, and cancels its latest armed timer now and then.
+    struct Churner {
+        /// The hop budget of the chains started on `on_start`.
+        ttl: u64,
+        seen: u64,
+        armed: Vec<TimerId>,
+    }
+
+    impl Actor for Churner {
+        type Msg = Hop;
+        fn on_start(&mut self, ctx: &mut Context<'_, Hop>) {
+            let peers: Vec<ActorId> = (0..ctx.n_actors()).map(ActorId).collect();
+            ctx.send_to_all(peers, Hop(self.ttl));
+            self.armed.push(ctx.set_timer(3_000_000, 12));
+        }
+        fn on_message(&mut self, _from: ActorId, Hop(ttl): Hop, ctx: &mut Context<'_, Hop>) {
+            use rand::Rng;
+            self.seen += 1;
+            if ttl == 0 {
+                return;
+            }
+            let n = ctx.n_actors();
+            let to = ActorId(ctx.rng().random_range(0..n));
+            ctx.send(to, Hop(ttl - 1));
+            if ttl % 3 == 0 {
+                let after = ctx.rng().random_range(1..20_000_000);
+                self.armed.push(ctx.set_timer(after, ttl));
+            }
+            if ttl % 5 == 0 {
+                if let Some(id) = self.armed.pop() {
+                    ctx.cancel_timer(id);
+                }
+            }
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Hop>) {
+            use rand::Rng;
+            let n = ctx.n_actors();
+            let to = ActorId(ctx.rng().random_range(0..n));
+            ctx.send(to, Hop(tag / 2));
+        }
+        fn state_digest(&self) -> Option<u64> {
+            Some(self.seen)
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Four churners over 1 µs – 5 ms links (so events spread over the
+    /// wheel's levels); actor 2 crashes at 4 ms and restarts at 9 ms.
+    fn churn_world(kind: SchedulerKind, ttl: u64) -> World<Hop> {
+        let churner = move || Churner {
+            ttl,
+            seen: 0,
+            armed: Vec::new(),
+        };
+        let mut w = World::new_with_scheduler(21, UniformLatency::new(1_000, 5_000_000), kind);
+        for _ in 0..4 {
+            w.add_actor(churner());
+        }
+        w.schedule_crash(ActorId(2), Time(4_000_000));
+        w.schedule_restart(ActorId(2), Time(9_000_000), move || Box::new(churner()));
+        w
+    }
+
+    #[test]
+    fn the_park_never_outgrows_the_peak_of_pending_events() {
+        let mut w = churn_world(SchedulerKind::TimingWheel, 120);
+        let mut peak = w.queue.len();
+        let (mut steps, mut skipped) = (0u64, 0);
+        loop {
+            let cancelled = w.cancelled_timers.len();
+            if !w.step() {
+                break;
+            }
+            steps += 1;
+            if w.cancelled_timers.len() < cancelled {
+                skipped += 1; // a cancelled timer's event ran as a no-op
+            }
+            peak = peak.max(w.queue.len());
+            assert!(w.park.slots.len() <= peak, "step {steps}");
+            assert_eq!(w.park.slots.len(), w.queue.len() + w.park.free.len());
+        }
+        assert!(w.park.slots.iter().all(Option::is_none));
+        // The run churned through everything the park must survive.
+        let m = w.metrics();
+        assert!(steps > 20 * peak as u64, "{steps} steps, peak {peak}");
+        assert!(m.timers_fired > 0 && skipped > 0);
+        assert!(m.messages_dropped_crashed > 0);
+        assert_eq!(m.restarts, 1);
+    }
+
+    #[test]
+    fn wheel_and_heap_worlds_show_the_same_pending_events_after_every_step() {
+        let view = |w: &World<Hop>| {
+            let pending: Vec<String> = w
+                .pending_events()
+                .iter()
+                .map(|e| format!("{e:?}"))
+                .collect();
+            (pending, w.canonical_digest())
+        };
+        let mut wheel = churn_world(SchedulerKind::TimingWheel, 30);
+        let mut heap = churn_world(SchedulerKind::BinaryHeap, 30);
+        // A third world moves its keys from the wheel to the heap mid-run.
+        let mut moved = churn_world(SchedulerKind::TimingWheel, 30);
+        let mut steps = 0;
+        loop {
+            let (a, b, c) = (wheel.step(), heap.step(), moved.step());
+            assert_eq!((a, a), (b, c), "step {steps}");
+            if !a {
+                break;
+            }
+            steps += 1;
+            if steps == 200 {
+                moved.set_scheduler(SchedulerKind::BinaryHeap);
+            }
+            let here = view(&wheel);
+            assert!(here.1.is_some());
+            assert_eq!(here, view(&heap), "step {steps}");
+            assert_eq!(here, view(&moved), "step {steps}");
+        }
+        assert!(steps > 200);
+        assert_eq!(wheel.now(), heap.now());
     }
 
     #[test]

@@ -5,16 +5,19 @@
 //! millions of these, so one allocation per event is most of what a run
 //! costs.
 //!
-//! The count is process-wide, so this is the only test in its binary.
 //! The counting shim is the one place this crate's tests touch `unsafe`:
 //! a `GlobalAlloc` that delegates verbatim to the system allocator and
-//! counts calls. The crate-level lint is `deny`, overridden here only.
+//! counts the calls the measuring thread makes while its flag is up. The
+//! test harness's own threads allocate whenever they like, so a
+//! process-wide count would charge their allocations to the code under
+//! test. The crate-level lint is `deny`, overridden here only.
 //!
 //! [`Metrics`]: awr_sim::Metrics
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use awr_sim::{
@@ -24,21 +27,46 @@ use awr_sim::{
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Delegates to [`System`], counting every allocation.
+thread_local! {
+    /// Up only on the measuring thread, around the measured code.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts an allocation if the calling thread is measuring.
+fn count() {
+    // `try_with`: a thread tearing down its locals still allocates.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Allocations `f` makes on the calling thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    COUNTING.with(|c| c.set(false));
+    allocs
+}
+
+/// Delegates to [`System`], counting the measuring thread's allocations.
 struct CountingAlloc;
 
 // SAFETY: forwards every call unchanged to the system allocator; the
-// only addition is a relaxed counter bump, which allocates nothing.
+// only additions are a read of a const-initialized, destructor-free
+// thread-local flag and a relaxed counter bump, neither of which
+// allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -99,11 +127,11 @@ fn allocations_per_run(kind: SchedulerKind) -> u64 {
     for _ in 0..WARM_UP {
         assert!(world.step());
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED {
-        assert!(world.step());
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocations_in(|| {
+        for _ in 0..MEASURED {
+            assert!(world.step());
+        }
+    });
 
     // The loop did what it was measured doing: one delivery and one
     // accounted send per event, queued behind nothing.

@@ -58,7 +58,12 @@ enum Stage<V> {
 #[derive(Debug)]
 pub struct DynOpDriver<V> {
     id: ProcessId,
-    cfg: RpConfig,
+    /// Number of servers `n`.
+    n: usize,
+    /// `W_{S,0}` and the quorum threshold `W_{S,0}/2`, fixed for the
+    /// deployment: computed once here, compared against on every reply.
+    total: Ratio,
+    threshold: Ratio,
     options: DynOptions,
     /// The process's current set of completed changes `C`.
     pub changes: ChangeSet,
@@ -98,7 +103,9 @@ impl<V: Value> DynOpDriver<V> {
             completed: Vec::new(),
             retry_timer: None,
             attempts: 0,
-            cfg,
+            n: cfg.n,
+            total: cfg.initial_total(),
+            threshold: cfg.quorum_threshold(),
         }
     }
 
@@ -202,7 +209,7 @@ impl<V: Value> DynOpDriver<V> {
         let r = self.request();
         let targets = self.select.begin(ctx.now(), &self.changes);
         if targets.is_empty() {
-            ctx.send_to_all((0..self.cfg.n).map(ActorId), r);
+            ctx.send_to_all((0..self.n).map(ActorId), r);
         } else {
             ctx.record_counter("phase1_targeted", 1);
             ctx.record_sample("phase1_fanout", targets.len() as u64);
@@ -276,7 +283,7 @@ impl<V: Value> DynOpDriver<V> {
             if widened {
                 ctx.record_counter("phase1_widened", 1);
             }
-            ctx.send_to_all((0..self.cfg.n).map(ActorId), self.request());
+            ctx.send_to_all((0..self.n).map(ActorId), self.request());
         }
         // Re-arm only while there is a rebroadcast left to spend: a timer
         // that could do nothing is still an event to every runtime (and a
@@ -328,7 +335,7 @@ impl<V: Value> DynOpDriver<V> {
     /// Sends phase 2's `W` to every server `to` keeps; returns how many.
     fn send_phase2(&self, ctx: &mut Context<'_, DynMsg<V>>, to: impl Fn(usize) -> bool) -> u64 {
         let w = self.request();
-        ctx.broadcast_filter((0..self.cfg.n).map(ActorId), w, |a| to(a.index())) as u64
+        ctx.broadcast_filter((0..self.n).map(ActorId), w, |a| to(a.index())) as u64
     }
 
     /// Ends the operation in flight with `kind`.
@@ -350,7 +357,7 @@ impl<V: Value> DynOpDriver<V> {
     /// Feeds a message from `from`.
     fn on_message(&mut self, from: ActorId, msg: &DynMsg<V>, ctx: &mut Context<'_, DynMsg<V>>) {
         let i = from.index();
-        if i >= self.cfg.n {
+        if i >= self.n {
             // Servers are actors 0..n, and only a server's reply concerns
             // a client: another client's message owns no slot here.
             return;
@@ -416,7 +423,7 @@ impl<V: Value> DynOpDriver<V> {
             // weight once).
             f.weight += self.changes.server_weight(ServerId(i as u32));
         }
-        if f.weight <= self.cfg.quorum_threshold() {
+        if f.weight <= self.threshold {
             return;
         }
         let fast_path = f.write_value.is_none() && self.options.read == ReadMode::FastPath;
@@ -444,8 +451,7 @@ impl<V: Value> DynOpDriver<V> {
                 }
             }
             #[allow(unused_mut)]
-            let mut fast =
-                awr_quorum::fast_path_read_quorum(fresh_weight, self.cfg.initial_total());
+            let mut fast = awr_quorum::fast_path_read_quorum(fresh_weight, self.total);
             #[cfg(feature = "mutate")]
             {
                 use awr_sim::mutate::{armed, Mutation};
@@ -499,7 +505,7 @@ impl<V: Value> DynOpDriver<V> {
             // acked it — the first `W_A` then completes a write that one
             // server stores.
             let f = self.op.as_mut().expect("an operation in flight");
-            for i in 0..self.cfg.n {
+            for i in 0..self.n {
                 if self.replies[i].is_some() && !self.acks[i] {
                     self.acks[i] = true;
                     f.weight += self.changes.server_weight(ServerId(i as u32));
@@ -514,7 +520,7 @@ impl<V: Value> DynOpDriver<V> {
         if !std::mem::replace(&mut self.acks[i], true) {
             f.weight += self.changes.server_weight(ServerId(i as u32));
         }
-        if f.weight <= self.cfg.quorum_threshold() {
+        if f.weight <= self.threshold {
             return;
         }
         let Stage::Two { chosen } = &f.stage else {

@@ -41,14 +41,77 @@ pub struct Ratio {
     den: i128,
 }
 
-/// Greatest common divisor of two non-negative integers (Euclid).
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Greatest common divisor by the binary (Stein) algorithm: shifts on
+/// `trailing_zeros` and subtractions only. A `u128` remainder is a
+/// software routine on every target, and Euclid pays one per step; this
+/// drops to the `u64` loop as soon as both operands fit. `gcd(0, b) == b`.
+fn gcd(a: u128, b: u128) -> u128 {
+    if (a | b) <= u64::MAX as u128 {
+        return gcd64(a as u64, b as u64) as u128;
     }
-    a
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    let (mut a, mut b) = (a >> a.trailing_zeros(), b);
+    loop {
+        // `a` is odd here; strip `b`'s factors of two, which `a` lacks.
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+        if (a | b) <= u64::MAX as u128 {
+            return (gcd64(a as u64, b as u64) as u128) << shift;
+        }
+    }
+}
+
+/// [`gcd`] on `u64` operands.
+fn gcd64(a: u64, b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    let (mut a, mut b) = (a >> a.trailing_zeros(), b);
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `num / den` in lowest terms, for magnitudes not both zero; divides in
+/// `u64` when both fit and not at all when they are already coprime.
+fn reduce(num: u128, den: u128) -> (u128, u128) {
+    let g = gcd(num, den);
+    if g == 1 {
+        (num, den)
+    } else if (num | den) <= u64::MAX as u128 {
+        let g = g as u64;
+        ((num as u64 / g) as u128, (den as u64 / g) as u128)
+    } else {
+        (num / g, den / g)
+    }
+}
+
+/// The ratio of magnitudes `num / den` in lowest terms, negated if
+/// `negative`.
+fn normalized(negative: bool, num: u128, den: u128) -> Ratio {
+    let (num, den) = reduce(num, den);
+    let num = num as i128;
+    Ratio {
+        num: if negative { -num } else { num },
+        den: den as i128,
+    }
 }
 
 impl Ratio {
@@ -75,13 +138,11 @@ impl Ratio {
         if num == 0 {
             return Ratio::ZERO;
         }
-        let sign = if (num < 0) != (den < 0) { -1 } else { 1 };
-        let (num, den) = (num.unsigned_abs(), den.unsigned_abs());
-        let g = gcd(num as i128, den as i128);
-        Ratio {
-            num: sign * (num as i128 / g),
-            den: den as i128 / g,
-        }
+        normalized(
+            (num < 0) != (den < 0),
+            num.unsigned_abs(),
+            den.unsigned_abs(),
+        )
     }
 
     /// Creates an integer-valued ratio `n / 1`.
@@ -147,8 +208,26 @@ impl Ratio {
     }
 
     /// `self / 2`, used pervasively for quorum thresholds (`W_S / 2`).
+    ///
+    /// Needs no GCD: the numerator and denominator are coprime, so an even
+    /// numerator halves against an odd denominator, and an odd one stays
+    /// coprime to twice the denominator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the doubled denominator overflows `i128`.
     pub fn half(&self) -> Ratio {
-        Ratio::new(self.num, self.den * 2)
+        if self.num % 2 == 0 {
+            Ratio {
+                num: self.num / 2,
+                den: self.den,
+            }
+        } else {
+            Ratio {
+                num: self.num,
+                den: self.den.checked_mul(2).expect("ratio overflow in half"),
+            }
+        }
     }
 
     /// The minimum of two ratios.
@@ -347,11 +426,7 @@ impl Ratio {
             if num == 0 {
                 return Ratio::ZERO;
             }
-            let g = gcd(num.unsigned_abs() as i128, self.den);
-            return Ratio {
-                num: num / g,
-                den: self.den / g,
-            };
+            return normalized(num < 0, num.unsigned_abs(), self.den as u128);
         }
         Ratio::new(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
     }
@@ -532,6 +607,87 @@ mod tests {
             Ratio::new(1, 3).checked_add(Ratio::new(1, 6)),
             Some(Ratio::new(1, 2))
         );
+    }
+
+    /// Euclid's GCD, the normalization `gcd` replaced, kept as its oracle.
+    fn euclid(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
+        }
+        a
+    }
+
+    /// SplitMix64: a seeded stream for the differential tests below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Operand pairs for the differential tests: edge values crossed with
+    /// each other, then seeded random pairs in the `u64` range, across the
+    /// whole non-negative `i128` range, and sharing a random factor.
+    fn gcd_cases() -> Vec<(u128, u128)> {
+        let max = i128::MAX as u128;
+        let mut edges = vec![0, 1, 2, 3, 6, 1 << 63, 1 << 64, 1 << 126, max, max - 1];
+        edges.extend([u64::MAX as u128, (1 << 64) + 1, (1 << 64) - 1]);
+        edges.extend([max / 2, max / 3, 3 << 100, (1 << 127) - 3]);
+        let mut cases: Vec<(u128, u128)> = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .collect();
+        let mut rng = 0x5EED_u64;
+        for _ in 0..20_000 {
+            let (a, b) = (splitmix(&mut rng), splitmix(&mut rng));
+            cases.push((a as u128, b as u128));
+            let wide =
+                |rng: &mut u64| (((splitmix(rng) as u128) << 64) | splitmix(rng) as u128) & max;
+            let (a, b) = (wide(&mut rng), wide(&mut rng));
+            cases.push((a, b));
+            // A shared factor (times a power of two), so the GCD is not
+            // almost always 1.
+            let g = (splitmix(&mut rng) >> 40) as u128 + 1;
+            let k = splitmix(&mut rng) as u32 % 40;
+            let (x, y) = (
+                (splitmix(&mut rng) >> 24) as u128,
+                (splitmix(&mut rng) >> 24) as u128,
+            );
+            cases.push(((x * g) << k, y * g));
+        }
+        cases
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid() {
+        for (a, b) in gcd_cases() {
+            assert_eq!(gcd(a, b), euclid(a, b), "gcd({a}, {b})");
+            if (a | b) <= u64::MAX as u128 {
+                assert_eq!(gcd64(a as u64, b as u64) as u128, euclid(a, b));
+            }
+        }
+    }
+
+    #[test]
+    fn half_matches_doubling_the_denominator() {
+        for (a, b) in gcd_cases() {
+            if b == 0 || b > (i128::MAX / 2) as u128 {
+                continue;
+            }
+            for num in [a as i128, -(a as i128)] {
+                let r = Ratio::new(num, b as i128);
+                assert_eq!(r.half(), Ratio::new(r.numer(), 2 * r.denom()), "{r:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ratio overflow in half")]
+    fn half_of_the_finest_ratio_overflows_loudly() {
+        let _ = Ratio::new(1, i128::MAX).half();
     }
 
     #[test]
