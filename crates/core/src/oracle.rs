@@ -11,7 +11,7 @@
 //! which is what lets us *run* Algorithms 1 and 2 and watch consensus fall
 //! out. See [`crate::reduction`].
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use awr_types::{Change, ChangeSet, ProcessId, Ratio, ServerId, TransferChanges, WeightMap};
 
@@ -32,6 +32,13 @@ impl OracleState {
             weights: initial,
         }
     }
+}
+
+/// Locks an oracle's state. A panic while it was held does not poison it:
+/// the oracle is a lock-linearized object, and a caller that caught a
+/// failed step may keep using it.
+fn lock(state: &Mutex<OracleState>) -> MutexGuard<'_, OracleState> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A linearizable oracle for the **weight reassignment problem**
@@ -85,7 +92,7 @@ impl WrOracle {
         delta: Ratio,
     ) -> Change {
         assert!(!delta.is_zero(), "reassign requires a non-zero delta");
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let mut hypothetical = st.weights.clone();
         hypothetical.add(target, delta);
         let ok = awr_quorum::integrity_holds(&hypothetical, st.f);
@@ -101,12 +108,12 @@ impl WrOracle {
 
     /// `read_changes(s)`: the set of changes created for `s` so far.
     pub fn read_changes(&self, s: ServerId) -> ChangeSet {
-        self.state.lock().changes.restricted_to(s)
+        lock(&self.state).changes.restricted_to(s)
     }
 
     /// Current weights (for auditing; not part of the problem interface).
     pub fn weights(&self) -> WeightMap {
-        self.state.lock().weights.clone()
+        lock(&self.state).weights.clone()
     }
 }
 
@@ -145,7 +152,7 @@ impl PwOracle {
     ) -> TransferChanges {
         assert!(!delta.is_zero(), "transfer requires a non-zero delta");
         assert_ne!(from, to, "transfer requires distinct endpoints");
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let mut hypothetical = st.weights.clone();
         hypothetical.add(from, -delta);
         hypothetical.add(to, delta);
@@ -171,17 +178,17 @@ impl PwOracle {
 
     /// `read_changes(s)`: the set of changes created for `s` so far.
     pub fn read_changes(&self, s: ServerId) -> ChangeSet {
-        self.state.lock().changes.restricted_to(s)
+        lock(&self.state).changes.restricted_to(s)
     }
 
     /// Current weights (for auditing).
     pub fn weights(&self) -> WeightMap {
-        self.state.lock().weights.clone()
+        lock(&self.state).weights.clone()
     }
 
     /// Current total weight — constant forever for a pairwise oracle.
     pub fn total(&self) -> Ratio {
-        self.state.lock().weights.total()
+        lock(&self.state).weights.total()
     }
 }
 

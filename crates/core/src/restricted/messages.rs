@@ -30,7 +30,9 @@ use std::hash::{Hash, Hasher};
 
 use awr_rb::RbEnvelope;
 use awr_sim::{ActorId, Message};
-use awr_types::wire::{get_vec, put_digest, put_seq, FrameError, Reader, Wire, MIN_CHANGE};
+use awr_types::wire::{
+    frame_len, get_vec, put_digest, put_seq, FrameError, Reader, Wire, MIN_CHANGE,
+};
 use awr_types::{CsRef, Ratio, ServerId, TransferChanges};
 
 /// Protocol messages. Names follow the paper's:
@@ -129,16 +131,7 @@ impl Message for WrMsg {
     }
 
     fn wire_size(&self) -> usize {
-        match self {
-            // The change-set payloads dominate; charge the reference's own
-            // size on top of a small fixed header.
-            WrMsg::RcAck { changes, .. } => 16 + changes.wire_size(),
-            WrMsg::Wc { changes, .. } => 20 + changes.wire_size(),
-            // The RB envelope ships its batch of change pairs inline.
-            WrMsg::Rb(env) => 24 + env.payload.len() * std::mem::size_of::<TransferChanges>(),
-            // Everything else is plain data: the enum footprint is honest.
-            _ => std::mem::size_of_val(self),
-        }
+        frame_len(self)
     }
 
     // Every field hashes (`CsRef` by variant, and a full set by digest and
@@ -311,12 +304,13 @@ mod tests {
         };
         let one = env(vec![pair(2)]);
         let three = env(vec![pair(2), pair(3), pair(4)]);
-        // Three coalesced transfers cost one envelope, not three.
+        // Three coalesced transfers cost one envelope, not three: the
+        // extra two add their own encodings and nothing else.
         assert!(three.wire_size() < 3 * one.wire_size());
-        assert_eq!(
-            three.wire_size() - one.wire_size(),
-            2 * std::mem::size_of::<TransferChanges>()
-        );
+        let mut extra = Vec::new();
+        pair(3).put(&mut extra);
+        pair(4).put(&mut extra);
+        assert_eq!(three.wire_size() - one.wire_size(), extra.len());
     }
 
     #[test]
@@ -335,6 +329,6 @@ mod tests {
             changes: CsRef::Full(set),
         };
         assert!(summary.wire_size() < full.wire_size());
-        assert!(full.wire_size() > 50 * std::mem::size_of::<Change>());
+        assert!(full.wire_size() > 50 * MIN_CHANGE);
     }
 }

@@ -6,7 +6,7 @@
 //! via ABD, which `awr-storage` also provides); here we give the in-process
 //! linearizable version the reductions run against.
 
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A shared array of single-writer multi-reader registers.
 ///
@@ -56,10 +56,10 @@ impl<V: Clone> SwmrArray<V> {
     /// reduction algorithms write each slot exactly once, so a double write
     /// indicates a harness bug.
     pub fn write(&self, i: usize, v: V) {
-        let mut wr = self.written[i].write();
+        let mut wr = write_lock(&self.written[i]);
         assert!(!*wr, "SWMR register {i} written twice");
         *wr = true;
-        *self.slots[i].write() = Some(v);
+        *write_lock(&self.slots[i]) = Some(v);
     }
 
     /// Reads register `i` (`None` if unwritten).
@@ -68,8 +68,18 @@ impl<V: Clone> SwmrArray<V> {
     ///
     /// Panics if `i` is out of range.
     pub fn read(&self, i: usize) -> Option<V> {
-        self.slots[i].read().clone()
+        read_lock(&self.slots[i]).clone()
     }
+}
+
+// A panic while a slot was held (the double-write assert) does not poison
+// it: both accessors recover the guard.
+fn read_lock<T>(slot: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    slot.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write_lock<T>(slot: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    slot.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -93,6 +103,19 @@ mod tests {
         let r: SwmrArray<u32> = SwmrArray::new(1);
         r.write(0, 1);
         r.write(0, 2);
+    }
+
+    #[test]
+    fn a_panic_holding_a_slot_leaves_it_usable() {
+        let r: SwmrArray<u32> = SwmrArray::new(1);
+        r.write(0, 1);
+        // The double-write assert fires while the slot's guard is held.
+        let write_again = || std::panic::catch_unwind(|| r.write(0, 2)).unwrap_err();
+        write_again();
+        let again = write_again();
+        let msg = again.downcast_ref::<String>().expect("a formatted assert");
+        assert!(msg.contains("written twice"), "{msg}");
+        assert_eq!(r.read(0), Some(1));
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! for keyed linearizability. It does so twice, a fresh mesh each time:
 //!
 //! 1. under `Fanout::All` and `ReadMode::TwoPhase`, to **cross-validate
-//!    the byte accounting**: the per-kind `Message::wire_size` totals
-//!    metered by each process's `NodeHost` must equal, exactly, the totals
-//!    a same-seed simulator run charges for the same workload — and the
-//!    frames actually written to the sockets must cost no more than that
-//!    charge. Asking every server, and writing back on every read, makes
-//!    the per-kind message counts a function of the workload alone; under
-//!    the default fanout they also depend on which replies were in by the
-//!    time a quorum formed, and under the fast-path read the number of
+//!    the byte accounting**: the per-kind message counts metered by each
+//!    process's `NodeHost` must equal, exactly, the counts a same-seed
+//!    simulator run charges for the same workload, and so must the bytes
+//!    of `R` and `W_A`, whose frames the workload alone fixes (`R_A` and
+//!    `W` carry registers whose tags and values depend on the
+//!    interleaving, so their bytes may differ by a varint here and
+//!    there). Asking every server, and writing back on every read, makes
+//!    the counts a function of the workload alone; under the default
+//!    fanout they also depend on which replies were in by the time a
+//!    quorum formed, and under the fast-path read the number of
 //!    write-backs depends on which `R_A` arrived first — both timing;
 //! 2. under the default options (both phases sent to a quorum by weight,
 //!    fast-path reads), where every operation must complete and the
@@ -28,8 +30,10 @@
 //! all on the wire), and a second burst of client operations proves the
 //! system still serves reads and writes under the moved weights. Last,
 //! no server may have dialed a client: a reply rides the connection its
-//! request came in on. Exits 0 only if every phase of both passes
-//! (including clean child shutdown) succeeds.
+//! request came in on. In every report of both passes, the frames a
+//! process wrote to its sockets must equal, in number and in bytes, what
+//! its `NodeHost` metered: a message's size is its frame. Exits 0 only if
+//! every phase of both passes (including clean child shutdown) succeeds.
 //!
 //! ```text
 //! tcp_demo [--smoke] [--servers N] [--clients K] [--ops M] [--objects O] [--seed S]
@@ -44,6 +48,7 @@
 
 #![allow(clippy::print_stdout)]
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -53,7 +58,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use awr_core::RpConfig;
 use awr_net::{decode_frame, encode_frame, FrameError, Reader, TcpTransport, Wire};
-use awr_sim::{ActorId, KindStats, NodeHost, Time, Transport, UniformLatency};
+use awr_sim::{ActorId, Metrics, NodeHost, Time, Transport, UniformLatency};
 use awr_storage::{
     check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
     OpKind, ReadMode, StorageHandle, StorageHarness,
@@ -67,15 +72,13 @@ const TARGETED_KINDS: [&str; 2] = ["R", "W"];
 /// Value type carried by the replicated registers in this demo.
 type V = u64;
 
-/// The four steady-state ABD kinds whose byte totals are validated
+/// The four steady-state ABD kinds whose message counts are validated
 /// exactly against the simulator.
 const VALIDATED_KINDS: [&str; 4] = ["R", "R_A", "W", "W_A"];
 
-/// Allowed mean per-frame overhead of the real wire over the simulator's
-/// `wire_size` charge: none. A version-2 frame of a validated kind is 18
-/// to 32 bytes, header included, against charges of 44 to 80, so the
-/// simulator's figure bounds the real wire from above.
-const FRAME_SLACK_PER_MSG: u64 = 0;
+/// The validated kinds whose bytes must equal the simulator's too: their
+/// frames carry no register, so the workload alone fixes them.
+const BYTE_EXACT_KINDS: [&str; 2] = ["R", "W_A"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -167,15 +170,60 @@ impl Params {
     }
 }
 
+/// Per-kind tallies of a run, in the owned shape a child ships to the
+/// parent across the process boundary (the in-memory [`Metrics`] keys
+/// kinds by `&'static str`, which does not decode on the other side).
+#[derive(Clone, Debug, Default)]
+struct KindStats {
+    /// Messages sent, per message kind.
+    msgs: BTreeMap<String, u64>,
+    /// Bytes of those messages, per message kind.
+    bytes: BTreeMap<String, u64>,
+}
+
+impl KindStats {
+    /// The owned per-kind view of `m`.
+    fn of(m: &Metrics) -> KindStats {
+        let owned = |by: &BTreeMap<&'static str, u64>| {
+            by.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+        };
+        KindStats {
+            msgs: owned(&m.sent_by_kind),
+            bytes: owned(&m.bytes_by_kind),
+        }
+    }
+
+    /// Adds `other` into `self` (aggregating several processes' reports).
+    fn absorb(&mut self, other: &KindStats) {
+        for (mine, theirs) in [
+            (&mut self.msgs, &other.msgs),
+            (&mut self.bytes, &other.bytes),
+        ] {
+            for (k, v) in theirs {
+                *mine.entry(k.clone()).or_default() += v;
+            }
+        }
+    }
+
+    fn msgs_of(&self, kind: &str) -> u64 {
+        self.msgs.get(kind).copied().unwrap_or(0)
+    }
+
+    fn bytes_of(&self, kind: &str) -> u64 {
+        self.bytes.get(kind).copied().unwrap_or(0)
+    }
+}
+
 /// One process's stats report, shipped on stdout as one frame in hex.
 #[derive(Debug)]
 struct Report {
     role: String,
     idx: usize,
-    /// `wire_size`-metered sends (what the simulator charges).
-    wire: KindStats,
-    /// Frames actually written to sockets, per kind.
-    frames: KindStats,
+    /// Sends as the `NodeHost` metered them (what the simulator charges).
+    sent: KindStats,
+    /// Frames written to sockets, and their bytes.
+    frames: u64,
+    frame_bytes: u64,
     /// Sends dropped after the reconnect budget.
     dropped: u64,
     /// Successful dials, per peer (indexed by actor).
@@ -206,10 +254,10 @@ impl Wire for Report {
     fn put(&self, out: &mut Vec<u8>) {
         self.role.put(out);
         self.idx.put(out);
-        for kinds in [&self.wire, &self.frames] {
-            put_map(out, &kinds.msgs);
-            put_map(out, &kinds.wire_bytes);
-        }
+        put_map(out, &self.sent.msgs);
+        put_map(out, &self.sent.bytes);
+        self.frames.put(out);
+        self.frame_bytes.put(out);
         self.dropped.put(out);
         put_seq(out, self.dials.len(), &self.dials);
         self.frames_received.put(out);
@@ -217,18 +265,16 @@ impl Wire for Report {
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Report, FrameError> {
-        // A kind name and a count: at least 2 bytes an entry.
-        let kinds = |r: &mut Reader<'_>| -> Result<KindStats, FrameError> {
-            Ok(KindStats {
-                msgs: get_map(r, 2)?,
-                wire_bytes: get_map(r, 2)?,
-            })
-        };
         Ok(Report {
             role: String::get(r)?,
             idx: usize::get(r)?,
-            wire: kinds(r)?,
-            frames: kinds(r)?,
+            // A kind name and a count: at least 2 bytes an entry.
+            sent: KindStats {
+                msgs: get_map(r, 2)?,
+                bytes: get_map(r, 2)?,
+            },
+            frames: u64::get(r)?,
+            frame_bytes: u64::get(r)?,
             dropped: u64::get(r)?,
             dials: get_vec(r, 1)?,
             frames_received: u64::get(r)?,
@@ -257,14 +303,27 @@ impl Wire for OpRecord {
     }
 }
 
-/// Decodes a report line's hex frame.
-fn parse_report(hex: &str) -> Report {
+/// Decodes a report line's hex frame, and checks that the process wrote
+/// to its sockets exactly the frames its `NodeHost` metered: as many, and
+/// as many bytes.
+fn parse_report(hex: &str) -> Result<Report, String> {
     let frame: Vec<u8> = (0..hex.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex report"))
         .collect();
     let whole = decode_frame(&frame).expect("decode report");
-    whole.expect("a whole report frame").0
+    let r: Report = whole.expect("a whole report frame").0;
+    let metered = (
+        r.sent.msgs.values().sum::<u64>(),
+        r.sent.bytes.values().sum::<u64>(),
+    );
+    if (r.frames, r.frame_bytes) != metered {
+        return Err(format!(
+            "{} {}: {} frames of {} B on the sockets, {} sends of {} B metered",
+            r.role, r.idx, r.frames, r.frame_bytes, metered.0, metered.1
+        ));
+    }
+    Ok(r)
 }
 
 fn wall_ns() -> u64 {
@@ -345,13 +404,15 @@ fn report<A: awr_sim::Actor<Msg = DynMsg<V>>>(
     host: &NodeHost<A, TcpTransport<DynMsg<V>>>,
 ) -> String {
     let t = host.transport();
+    let pool = t.pool_stats();
     let r = Report {
         role: role.to_string(),
         idx,
         history: history.to_vec(),
-        wire: KindStats::of(host.metrics()),
-        frames: t.sent_frames().clone(),
-        dropped: t.pool_stats().dropped,
+        sent: KindStats::of(host.metrics()),
+        frames: pool.frames_sent,
+        frame_bytes: pool.frame_bytes_sent,
+        dropped: pool.dropped,
         dials: (0..t.n_actors()).map(|i| t.dials_to(ActorId(i))).collect(),
         frames_received: t.frames_received(),
     };
@@ -665,67 +726,55 @@ fn check_history(reports: &[Report]) -> Result<usize, String> {
     Ok(history.len())
 }
 
-/// Byte cross-validation against the same-seed simulator run: `clients`
-/// are the clients' reports of the validation burst.
+/// Cross-validation against the same-seed simulator run: `clients` are
+/// the clients' reports of the validation burst.
 fn validate_bytes(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(), String> {
     let expected = simulate_reference(p);
     let mut agg = KindStats::default();
-    let mut frames = KindStats::default();
     for r in clients {
-        agg.absorb(&r.wire);
-        frames.absorb(&r.frames);
+        agg.absorb(&r.sent);
     }
     // Servers may still be writing their final acks when the clients
     // report; poll until their counters settle at the expectation.
     let poll_deadline = Instant::now() + Duration::from_secs(15);
     loop {
         let mut all = agg.clone();
-        let mut all_frames = frames.clone();
         for proc in &mut mesh.procs[..p.servers] {
             proc.send("report");
-            let r = parse_report(&proc.expect("METRICS ", Duration::from_secs(10))?);
-            all.absorb(&r.wire);
-            all_frames.absorb(&r.frames);
+            all.absorb(&parse_report(&proc.expect("METRICS ", Duration::from_secs(10))?)?.sent);
         }
         let settled = VALIDATED_KINDS
             .iter()
-            .all(|k| all.msgs.get(*k) == expected.msgs.get(*k));
+            .all(|k| all.msgs_of(k) == expected.msgs_of(k));
         if settled || Instant::now() >= poll_deadline {
             agg = all;
-            frames = all_frames;
             break;
         }
         std::thread::sleep(Duration::from_millis(100));
     }
 
     println!();
-    println!("  kind   msgs(tcp)  msgs(sim)  wire_bytes(tcp)  wire_bytes(sim)  frame_bytes");
+    println!("  kind   msgs(tcp)  msgs(sim)  bytes(tcp)  bytes(sim)");
     let mut ok = true;
     for kind in VALIDATED_KINDS {
-        let (tm, sm) = (
-            agg.msgs.get(kind).copied().unwrap_or(0),
-            expected.msgs.get(kind).copied().unwrap_or(0),
-        );
-        let (tb, sb) = (
-            agg.wire_bytes.get(kind).copied().unwrap_or(0),
-            expected.wire_bytes.get(kind).copied().unwrap_or(0),
-        );
-        let fb = frames.wire_bytes.get(kind).copied().unwrap_or(0);
-        let row_ok = tm == sm && tb == sb && tm > 0 && {
-            // Real frames may cost no more than the simulator charges.
-            let fm = frames.msgs.get(kind).copied().unwrap_or(0);
-            fm == tm && fb / fm.max(1) <= tb / tm.max(1) + FRAME_SLACK_PER_MSG
-        };
+        let (tm, sm) = (agg.msgs_of(kind), expected.msgs_of(kind));
+        let (tb, sb) = (agg.bytes_of(kind), expected.bytes_of(kind));
+        let exact = BYTE_EXACT_KINDS.contains(&kind);
+        let row_ok = tm == sm && tm > 0 && (!exact || tb == sb);
         ok &= row_ok;
         println!(
-            "  {kind:<6} {tm:>9}  {sm:>9}  {tb:>15}  {sb:>15}  {fb:>11}  {}",
-            if row_ok { "ok" } else { "MISMATCH" }
+            "  {kind:<6} {tm:>9}  {sm:>9}  {tb:>10}  {sb:>10}  {}",
+            match (row_ok, exact) {
+                (false, _) => "MISMATCH",
+                (true, true) => "ok",
+                (true, false) => "ok (counts)",
+            }
         );
     }
     if !ok {
         return Err("byte accounting diverged from the simulator".into());
     }
-    println!("  wire_size accounting matches the simulator exactly and bounds the real frames");
+    println!("  counts match the simulator exactly, and the bytes of R and W_A do");
     println!();
     Ok(())
 }
@@ -737,7 +786,7 @@ fn check_dials(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(), St
     let mut among_servers = 0;
     for proc in &mut mesh.procs[..p.servers] {
         proc.send("report");
-        let r = parse_report(&proc.expect("METRICS ", Duration::from_secs(10))?);
+        let r = parse_report(&proc.expect("METRICS ", Duration::from_secs(10))?)?;
         let to_clients = dials(&r, p.servers..p.mesh_size());
         if to_clients > 0 {
             return Err(format!(
@@ -768,7 +817,7 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
     for proc in &mut mesh.procs[clients.clone()] {
         reports.push(parse_report(
             &proc.expect("DONE ", Duration::from_secs(120))?,
-        ));
+        )?);
     }
     let tcp_ops: u64 = reports.iter().map(|r| r.history.len() as u64).sum();
     if tcp_ops != p.ops * p.clients as u64 {
@@ -779,10 +828,7 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
         tcp_ops,
         started.elapsed().as_secs_f64()
     );
-    let frames = TARGETED_KINDS.map(|kind| {
-        let of = |r: &Report| r.frames.msgs.get(kind).copied().unwrap_or(0);
-        reports.iter().map(of).sum()
-    });
+    let frames = TARGETED_KINDS.map(|kind| reports.iter().map(|r| r.sent.msgs_of(kind)).sum());
     if gate_bytes {
         validate_bytes(&mut mesh, p, &reports)?;
     }
@@ -795,7 +841,7 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
     reports.clear();
     for proc in &mut mesh.procs[clients] {
         proc.send(&format!("ops {post_burst}"));
-        let r = parse_report(&proc.expect("DONE ", Duration::from_secs(60))?);
+        let r = parse_report(&proc.expect("DONE ", Duration::from_secs(60))?)?;
         let done = r.history.len() as u64;
         if done != p.ops + post_burst {
             return Err(format!(
@@ -812,6 +858,7 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
     let checked = check_history(&reports)?;
     println!("tcp_demo: the {checked}-operation history is keyed-linearizable");
     check_dials(&mut mesh, p, &reports)?;
+    println!("tcp_demo: every report's socket frames equal its metered sends, in number and bytes");
 
     // Clean shutdown.
     for proc in mesh.procs.iter_mut() {
@@ -870,4 +917,21 @@ fn parent_main(mut p: Params) -> i32 {
         p.mesh_size()
     );
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kind_stats_of_and_absorb() {
+        let mut m = Metrics::default();
+        *m.sent_by_kind.entry("R").or_default() += 3;
+        *m.bytes_by_kind.entry("R").or_default() += 300;
+        let mut a = KindStats::of(&m);
+        let b = a.clone();
+        a.absorb(&b);
+        assert_eq!((a.msgs_of("R"), a.bytes_of("R")), (6, 600));
+        assert_eq!((a.msgs_of("W"), a.bytes_of("W")), (0, 0));
+    }
 }

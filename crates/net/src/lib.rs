@@ -37,8 +37,10 @@
 //!
 //! The `tcp_demo` binary in this crate boots a full multi-process system:
 //! N durable server processes and K client processes on localhost, the
-//! keyed workload driven over real sockets, per-kind wire accounting
-//! cross-validated against a same-seed simulator run. `docs/RUNTIME.md`
+//! keyed workload driven over real sockets, per-kind message counts
+//! cross-validated against a same-seed simulator run, and every process's
+//! socket bytes against its metered bytes: a message's `wire_size` is its
+//! frame ([`frame_len`]), so the two are equal. `docs/RUNTIME.md`
 //! at the repository root walks through both runtimes and the demo.
 //!
 //! ## Example: a two-node mesh in two threads
@@ -88,7 +90,7 @@ mod sys;
 pub mod tcp;
 
 pub use awr_types::wire::{
-    decode_frame, encode_frame, encode_frame_into, FrameError, Reader, Wire, MAX_FRAME,
+    decode_frame, encode_frame, encode_frame_into, frame_len, FrameError, Reader, Wire, MAX_FRAME,
     WIRE_VERSION,
 };
 pub use frame::{read_hello, write_hello};

@@ -95,12 +95,11 @@
 //! * **no duplication** — a reconnect opens a fresh connection and only
 //!   the frame being sent goes out on it.
 //!
-//! The transport meters what actually crosses the wire: per-kind frame
-//! counts and frame bytes on the send side ([`TcpTransport::sent_frames`])
-//! and aggregate receive counters. The hosting `NodeHost` independently
-//! meters the same sends by [`Message::wire_size`], which is what the
-//! simulator charges — the two views together let the demo cross-validate
-//! the sim's byte accounting against real sockets.
+//! The transport counts what actually crosses the wire: frames and frame
+//! bytes sent ([`PoolStats`]) and received. The per-kind view is the
+//! hosting `NodeHost`'s [`Message::wire_size`] meter: a message's size
+//! is its frame length, so that meter, the simulator's charge and these
+//! counters agree byte for byte.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -108,7 +107,7 @@ use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use awr_sim::{ActorId, KindStats, Message, Transport};
+use awr_sim::{ActorId, Message, Transport};
 use awr_types::wire::{decode_frame, encode_frame_into, FrameError, Wire, MAX_FRAME};
 
 use crate::frame::{read_hello, write_hello, HELLO_LEN};
@@ -320,7 +319,8 @@ pub struct TcpTransport<M> {
     epoll: Epoll,
     events: Box<[EpollEvent]>,
     scratch: Box<[u8]>,
-    sent_frames: KindStats,
+    frames_sent: u64,
+    frame_bytes_sent: u64,
     /// Messages dropped after the reconnect budget was exhausted.
     dropped: u64,
     frames_received: u64,
@@ -386,26 +386,19 @@ where
             epoll,
             events: vec![EpollEvent::default(); EVENT_BATCH].into_boxed_slice(),
             scratch: vec![0; READ_CHUNK].into_boxed_slice(),
-            sent_frames: KindStats::default(),
+            frames_sent: 0,
+            frame_bytes_sent: 0,
             dropped: 0,
             frames_received: 0,
             frame_bytes_received: 0,
         })
     }
 
-    /// Per-kind counts and byte totals of the frames handed to sockets
-    /// (header + version + payload — compare against the
-    /// `wire_size`-metered numbers the hosting `NodeHost` records).
-    pub fn sent_frames(&self) -> &KindStats {
-        &self.sent_frames
-    }
-
-    /// Send-side counters (frames, bytes, dials, drops). The frame and
-    /// byte counts are the [`TcpTransport::sent_frames`] totals.
+    /// Send-side counters (frames, bytes, dials, drops).
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {
-            frames_sent: self.sent_frames.total_msgs(),
-            frame_bytes_sent: self.sent_frames.total_wire_bytes(),
+            frames_sent: self.frames_sent,
+            frame_bytes_sent: self.frame_bytes_sent,
             dropped: self.dropped,
             dials: self.slots.iter().map(|s| s.dials).sum(),
         }
@@ -633,7 +626,8 @@ where
             self.dropped += 1;
             return;
         };
-        self.sent_frames.record(msg.kind(), bytes as u64);
+        self.frames_sent += 1;
+        self.frame_bytes_sent += bytes as u64;
         if self.conns[i].watch_backlog(&self.epoll).is_err() {
             self.close(i);
         }

@@ -1,8 +1,9 @@
 //! Pins the zero-allocation contract of the frame codec's hot path: the
 //! four ABD kinds with a summary reference are every frame of a steady
-//! read or write, so one allocation in either direction is paid per
-//! message, on the node's only thread — and a server's WAL append is one
-//! more frame of a `Register` or `Change` record, on the same thread.
+//! read or write, so one allocation in either direction — or in metering
+//! the send, which measures the frame — is paid per message, on the
+//! node's only thread; and a server's WAL append is one more frame of a
+//! `Register` or `Change` record, on the same thread.
 //!
 //! The counting shim is the one place this crate's tests touch `unsafe`:
 //! a `GlobalAlloc` that delegates verbatim to the system allocator and
@@ -17,6 +18,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use awr_sim::Message;
 use awr_storage::{DynMsg, WalRecord};
 use awr_types::wire::{decode_frame, encode_frame_into, Wire};
 use awr_types::{
@@ -131,6 +133,18 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
         },
     ];
     assert_eq!(allocations(&msgs), 0, "the codec's hot path allocated");
+
+    // Every send is metered by its frame length; once the thread's scratch
+    // buffer has grown, that costs no allocation either.
+    let sizes: Vec<usize> = msgs.iter().map(Message::wire_size).collect();
+    let metered = allocations_in(|| {
+        for _ in 0..1_000 {
+            for (msg, size) in msgs.iter().zip(&sizes) {
+                assert_eq!(black_box(msg).wire_size(), *size);
+            }
+        }
+    });
+    assert_eq!(metered, 0, "metering a send allocated");
 
     let records = [
         WalRecord::Register(obj, reg),

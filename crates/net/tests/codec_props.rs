@@ -1,5 +1,6 @@
 //! The frame codec at the trust boundary: encode/decode identity over
-//! every protocol message and every durable record, and a decoder that
+//! every protocol message and every durable record, a metered size equal
+//! to the frame for every message, and a decoder that
 //! answers truncated, corrupt, inflated or arbitrary input with `Ok(None)`
 //! or an error — never a panic, never a reservation the bytes present do
 //! not pay for. A socket and a WAL file feed it the same way.
@@ -8,7 +9,7 @@ use std::collections::BTreeMap;
 
 use awr_core::restricted::WrMsg;
 use awr_rb::RbEnvelope;
-use awr_sim::ActorId;
+use awr_sim::{ActorId, Message};
 use awr_storage::{DynMsg, RefreshHave, Snapshot, WalRecord};
 use awr_types::wire::{
     decode_frame, encode_frame, put_digest, put_varint, roundtrip, FrameError, Wire, MAX_FRAME,
@@ -258,6 +259,20 @@ proptest! {
             let (back, used) = decode_frame::<Msg>(&bytes).expect("decode").expect("whole");
             prop_assert_eq!(used, bytes.len());
             prop_assert_eq!(back, msg);
+        }
+    }
+
+    /// A message's metered size is its frame: what the simulator charges
+    /// is what a socket carries, for every `DynMsg` and every `WrMsg`.
+    #[test]
+    fn the_size_is_the_frame(seed in 0u64..u64::MAX) {
+        for arm in 0..MSG_ARMS {
+            let mut s = seed ^ arm;
+            let msg = arb_msg(arm, &mut s);
+            prop_assert_eq!(msg.wire_size(), encode_frame(&msg).len());
+            if let DynMsg::Wr(inner) = &msg {
+                prop_assert_eq!(inner.wire_size(), encode_frame(inner).len());
+            }
         }
     }
 

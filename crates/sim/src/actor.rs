@@ -52,16 +52,15 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
         "msg"
     }
 
-    /// Approximate size of this message on the wire, in bytes. Both
-    /// runtimes charge every send against this, so message cost is a
+    /// Size of this message on the wire, in bytes. Both runtimes charge
+    /// every send against this, once per send call, so message cost is a
     /// first-class, benchmarkable quantity
     /// ([`crate::Metrics::bytes_sent`] / [`crate::Metrics::bytes_by_kind`]).
     ///
-    /// The default — the message's in-memory footprint — is exact for
-    /// plain-data messages. Types that carry heap payloads (change sets,
-    /// deltas, vectors) must override it to add the payload bytes,
-    /// otherwise the metrics silently undercount exactly the messages this
-    /// accounting exists to expose.
+    /// A message with a codec returns its frame length
+    /// (`awr_types::wire::frame_len`), so the simulator charges what a
+    /// socket carries. The default — the in-memory footprint — is for
+    /// messages that never cross a socket: baselines and test doubles.
     fn wire_size(&self) -> usize {
         std::mem::size_of_val(self)
     }
@@ -133,10 +132,11 @@ pub trait Actor: 'static {
 
 /// An effect requested by an actor during a callback; applied by the world
 /// after the callback returns (keeping callbacks pure with respect to the
-/// event queue).
+/// event queue). A `Send` carries the message's [`Message::wire_size`],
+/// taken once per send call.
 #[derive(Debug)]
 pub(crate) enum Effect<M> {
-    Send { to: ActorId, msg: M },
+    Send { to: ActorId, msg: M, bytes: usize },
     SetTimer { id: TimerId, after: Nanos, tag: u64 },
     CancelTimer { id: TimerId },
     CrashSelf,
@@ -185,22 +185,18 @@ impl<'a, M> Context<'a, M> {
     /// Sends `msg` to `to` over the asynchronous network.
     pub fn send(&mut self, to: ActorId, msg: M)
     where
-        M: Clone,
+        M: Message,
     {
-        self.effects.push(Effect::Send { to, msg });
+        let bytes = msg.wire_size();
+        self.effects.push(Effect::Send { to, msg, bytes });
     }
 
     /// Sends `msg` to every actor in `targets`.
     pub fn send_to_all(&mut self, targets: impl IntoIterator<Item = ActorId>, msg: M)
     where
-        M: Clone,
+        M: Message,
     {
-        for t in targets {
-            self.effects.push(Effect::Send {
-                to: t,
-                msg: msg.clone(),
-            });
-        }
+        self.broadcast_filter(targets, msg, |_| true);
     }
 
     /// Filtered broadcast: sends `msg` to every actor in `targets` that
@@ -216,14 +212,16 @@ impl<'a, M> Context<'a, M> {
         mut keep: impl FnMut(ActorId) -> bool,
     ) -> usize
     where
-        M: Clone,
+        M: Message,
     {
+        let bytes = msg.wire_size();
         let mut sent = 0;
-        for t in targets {
-            if keep(t) {
+        for to in targets {
+            if keep(to) {
                 self.effects.push(Effect::Send {
-                    to: t,
+                    to,
                     msg: msg.clone(),
+                    bytes,
                 });
                 sent += 1;
             }

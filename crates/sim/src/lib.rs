@@ -24,8 +24,10 @@
 //! # The network model: propagation, transmission, serialization
 //!
 //! Delivery delay is decided by a [`NetworkModel`], which sees each
-//! message's [`Message::wire_size`] and splits the delay into three
-//! components (recorded per delivery when tracing is on):
+//! message's [`Message::wire_size`] — for every protocol message, the
+//! length of its codec frame, taken once per send call — and splits the
+//! delay into three components (recorded per delivery when tracing is
+//! on):
 //!
 //! * **propagation** — the classic [`LatencyModel`] sample (distance,
 //!   jitter, adversarial holds);
@@ -130,7 +132,7 @@ pub use topology::{
     Region, GBIT10,
 };
 pub use trace::{Trace, TraceKind, TraceRecord};
-pub use transport::{ChannelTransport, KindStats, NodeHost, Step, Transport};
+pub use transport::{ChannelTransport, NodeHost, Step, Transport};
 pub use workload::{
     BurstyOnOff, ConstantBitrate, CrossTraffic, CrossTrafficStats, Flow, ReassignmentBurst,
     RegimeShift, TrafficGen,

@@ -15,6 +15,7 @@
 //!   model in [`BandwidthLinks`] to make wire bytes shape the schedule.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -525,11 +526,25 @@ impl LatencyModel for WanMatrix {
 /// handle.lock().0 = 500; // the network just got 50× slower
 /// # drop(model);
 /// ```
-pub type SharedLatency<L> = std::sync::Arc<parking_lot::Mutex<L>>;
+pub struct SharedLatency<L>(Arc<Mutex<L>>);
+
+impl<L> Clone for SharedLatency<L> {
+    fn clone(&self) -> SharedLatency<L> {
+        SharedLatency(Arc::clone(&self.0))
+    }
+}
+
+impl<L> SharedLatency<L> {
+    /// Locks the model. A panic while it was held does not poison it: the
+    /// next `lock` recovers the guard, as it would after a clean unlock.
+    pub fn lock(&self) -> MutexGuard<'_, L> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Creates a shared latency model; both values refer to the same state.
 pub fn shared_latency<L: LatencyModel>(inner: L) -> (SharedLatency<L>, SharedLatency<L>) {
-    let a = std::sync::Arc::new(parking_lot::Mutex::new(inner));
+    let a = SharedLatency(Arc::new(Mutex::new(inner)));
     (a.clone(), a)
 }
 
@@ -658,6 +673,20 @@ mod tests {
 
     fn a(i: usize) -> ActorId {
         ActorId(i)
+    }
+
+    #[test]
+    fn a_panic_holding_the_shared_model_leaves_it_usable() {
+        let (handle, mut model) = shared_latency(ConstantLatency(10));
+        let held = handle.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.lock();
+            panic!("a harness fails while shifting the network");
+        })
+        .join();
+        assert!(panicked.is_err());
+        handle.lock().0 = 500;
+        assert_eq!(model.sample(a(0), a(1), Time::ZERO, &mut rng()), 500);
     }
 
     #[test]

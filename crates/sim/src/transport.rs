@@ -64,7 +64,6 @@
 //! callback completes — so the persist-before-send invariant holds on
 //! every runtime built through this seam, not just the DES.
 
-use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -142,9 +141,10 @@ pub enum Step {
 /// callbacks receive a [`Context`], effects are buffered during the
 /// callback and applied after it returns (sends go to the transport,
 /// timers to the host's own queue, `CrashSelf` stops the host) — and meters
-/// every send through [`Message::wire_size`] into a [`Metrics`], so byte
-/// accounting is comparable across all runtimes. Time is the host's own
-/// monotonic clock (see the [module docs](self#timers-and-the-clock)).
+/// every send at the [`Message::wire_size`] its send call took into a
+/// [`Metrics`], so byte accounting is comparable across all runtimes. Time
+/// is the host's own monotonic clock (see the
+/// [module docs](self#timers-and-the-clock)).
 ///
 /// Driving is explicit and single-threaded: call [`NodeHost::step`] in a
 /// loop (servers), or interleave [`NodeHost::with_actor`] invocations with
@@ -217,10 +217,10 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
         };
         for e in effects.drain(..) {
             match e {
-                Effect::Send { to, msg } => {
+                Effect::Send { to, msg, bytes } => {
                     self.metrics.record_untimed_send(
                         msg.kind(),
-                        msg.wire_size(),
+                        bytes,
                         self_id,
                         to,
                         msg.object_key(),
@@ -301,8 +301,8 @@ impl<A: Actor, T: Transport<A::Msg>> NodeHost<A, T> {
     }
 
     /// Send-side accounting, metered through [`Message::wire_size`] — the
-    /// same quantity the DES records, which is what makes cross-runtime
-    /// byte comparisons meaningful.
+    /// same quantity the DES records and, for a message with a codec, the
+    /// frame bytes a socket transport writes.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -372,69 +372,6 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Option<(ActorId, M)> {
         self.rx.recv_timeout(timeout).ok()
-    }
-}
-
-/// Per-kind tallies of a transport run, in the owned shape the demo
-/// processes ship to their parent across the process boundary. (The
-/// in-memory [`Metrics`] uses `&'static str` kind keys, which cannot be
-/// decoded on the other side; this owns its strings.)
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KindStats {
-    /// Messages sent, per message kind.
-    pub msgs: BTreeMap<String, u64>,
-    /// [`Message::wire_size`]-accounted bytes, per message kind.
-    pub wire_bytes: BTreeMap<String, u64>,
-}
-
-impl KindStats {
-    /// Extracts the owned per-kind view of `m`.
-    pub fn of(m: &Metrics) -> KindStats {
-        KindStats {
-            msgs: m
-                .sent_by_kind
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            wire_bytes: m
-                .bytes_by_kind
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-        }
-    }
-
-    /// Tallies one message of `kind` costing `wire_bytes`. Allocates only
-    /// the first time a kind is seen: this sits on transports' send paths.
-    pub fn record(&mut self, kind: &str, wire_bytes: u64) {
-        for (tally, by) in [(&mut self.msgs, 1), (&mut self.wire_bytes, wire_bytes)] {
-            match tally.get_mut(kind) {
-                Some(v) => *v += by,
-                None => {
-                    tally.insert(kind.to_string(), by);
-                }
-            }
-        }
-    }
-
-    /// Adds `other` into `self` (aggregating several processes' reports).
-    pub fn absorb(&mut self, other: &KindStats) {
-        for (k, v) in &other.msgs {
-            *self.msgs.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.wire_bytes {
-            *self.wire_bytes.entry(k.clone()).or_default() += v;
-        }
-    }
-
-    /// Total wire-accounted bytes across kinds.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.wire_bytes.values().sum()
-    }
-
-    /// Total messages across kinds.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.values().sum()
     }
 }
 
@@ -639,22 +576,5 @@ mod tests {
         assert_eq!(h.step(Duration::from_secs(30)), Step::Delivered);
         assert_eq!(h.step(Duration::from_secs(30)), Step::TimerFired);
         assert!(matches!(h.actor().log[..], [Seen::Msg, Seen::Timer(9, _)]));
-    }
-
-    #[test]
-    fn kind_stats_roundtrip_and_absorb() {
-        let mut m = Metrics::default();
-        *m.sent_by_kind.entry("R").or_default() += 3;
-        *m.bytes_by_kind.entry("R").or_default() += 300;
-        let mut a = KindStats::of(&m);
-        let b = a.clone();
-        a.absorb(&b);
-        assert_eq!(a.msgs["R"], 6);
-        assert_eq!(a.total_wire_bytes(), 600);
-        assert_eq!(a.total_msgs(), 6);
-        a.record("R", 50);
-        a.record("W", 7);
-        assert_eq!((a.msgs["R"], a.wire_bytes["R"]), (7, 650));
-        assert_eq!((a.msgs["W"], a.wire_bytes["W"]), (1, 7));
     }
 }

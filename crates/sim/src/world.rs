@@ -31,6 +31,8 @@ enum EventKind<M> {
         from: ActorId,
         to: ActorId,
         msg: M,
+        /// The message's [`Message::wire_size`], as charged at the send.
+        bytes: usize,
         /// Transmission + queueing component of the delivery delay.
         tx: Nanos,
         /// Propagation component of the delivery delay.
@@ -58,6 +60,7 @@ impl<M: std::fmt::Debug> std::fmt::Debug for EventKind<M> {
                 from,
                 to,
                 msg,
+                bytes,
                 tx,
                 prop,
             } => f
@@ -65,6 +68,7 @@ impl<M: std::fmt::Debug> std::fmt::Debug for EventKind<M> {
                 .field("from", from)
                 .field("to", to)
                 .field("msg", msg)
+                .field("bytes", bytes)
                 .field("tx", tx)
                 .field("prop", prop)
                 .finish(),
@@ -421,11 +425,12 @@ impl<M: Message> World<M> {
     /// Injects a message from `from` to `to` as if `from` had sent it now.
     /// Useful for harness-driven stimuli.
     pub fn inject(&mut self, from: ActorId, to: ActorId, msg: M) {
-        self.send_message(from, to, msg);
+        let bytes = msg.wire_size();
+        self.send_message(from, to, msg, bytes);
     }
 
-    fn send_message(&mut self, from: ActorId, to: ActorId, msg: M) {
-        let bytes = msg.wire_size();
+    /// Puts `msg`, charged `bytes`, on the network.
+    fn send_message(&mut self, from: ActorId, to: ActorId, msg: M, bytes: usize) {
         let d = self
             .network
             .delivery(from, to, self.time, bytes, &mut self.rng);
@@ -440,6 +445,7 @@ impl<M: Message> World<M> {
                 from,
                 to,
                 msg,
+                bytes,
                 tx,
                 prop: d.propagation,
             },
@@ -516,8 +522,8 @@ impl<M: Message> World<M> {
     fn apply_effects(&mut self, from: ActorId, mut effects: Vec<Effect<M>>) {
         for e in effects.drain(..) {
             match e {
-                Effect::Send { to, msg } => {
-                    self.send_message(from, to, msg);
+                Effect::Send { to, msg, bytes } => {
+                    self.send_message(from, to, msg, bytes);
                 }
                 Effect::SetTimer { id, after, tag } => {
                     self.push_event(
@@ -625,6 +631,7 @@ impl<M: Message> World<M> {
                 from,
                 to,
                 msg,
+                bytes,
                 tx,
                 prop,
             } => {
@@ -637,7 +644,7 @@ impl<M: Message> World<M> {
                                 from,
                                 to,
                                 kind: msg.kind(),
-                                bytes: msg.wire_size(),
+                                bytes,
                             },
                         );
                     }
@@ -650,7 +657,7 @@ impl<M: Message> World<M> {
                                 from,
                                 to,
                                 kind: msg.kind(),
-                                bytes: msg.wire_size(),
+                                bytes,
                                 transmission: tx,
                                 propagation: prop,
                             },

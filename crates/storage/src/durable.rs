@@ -220,7 +220,7 @@ impl<V> fmt::Debug for FileStorage<V> {
     }
 }
 
-impl<V: Value + Wire> FileStorage<V> {
+impl<V: Value> FileStorage<V> {
     /// Opens (creating if needed) a store rooted at `dir`. An existing
     /// store is reused: the WAL is appended to, not truncated — but a
     /// torn final frame, an append a crash cut short, is cut off first so
@@ -292,7 +292,7 @@ fn read_wal<V: Wire>(path: &Path, mut each: impl FnMut(WalRecord<V>)) -> (usize,
     }
 }
 
-impl<V: Value + Wire> Storage<V> for FileStorage<V> {
+impl<V: Value> Storage<V> for FileStorage<V> {
     fn append(&mut self, rec: WalRecord<V>) {
         self.frame.clear();
         encode_frame_into(&rec, &mut self.frame);
@@ -379,6 +379,11 @@ impl<V: Value> StorageHandle<V> {
         StorageHandle::new(MemStorage::default())
     }
 
+    /// A handle onto a [`FileStorage`] rooted at `dir`.
+    pub fn file(dir: impl AsRef<Path>) -> StorageHandle<V> {
+        StorageHandle::new(FileStorage::open(dir))
+    }
+
     /// Wraps any backend.
     pub fn new(storage: impl Storage<V> + 'static) -> StorageHandle<V> {
         StorageHandle {
@@ -459,13 +464,6 @@ fn adopt_newest<V: Clone>(
         None => {
             registers.insert(obj, reg);
         }
-    }
-}
-
-impl<V: Value + Wire> StorageHandle<V> {
-    /// A handle onto a [`FileStorage`] rooted at `dir`.
-    pub fn file(dir: impl AsRef<Path>) -> StorageHandle<V> {
-        StorageHandle::new(FileStorage::open(dir))
     }
 }
 

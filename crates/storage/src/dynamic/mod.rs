@@ -81,6 +81,7 @@ use std::hash::{Hash, Hasher};
 
 use awr_core::restricted::WrMsg;
 use awr_sim::{Message, Nanos};
+use awr_types::wire::frame_len;
 use awr_types::{CsRef, ObjectId, Tag, TaggedValue};
 
 use crate::durable::CheckpointCadence;
@@ -263,43 +264,8 @@ impl<V: Value> Message for DynMsg<V> {
         }
     }
 
-    // Register values are metered at their in-memory footprint
-    // (`size_of_val`), which is exact for the inline `Copy` values used
-    // throughout this workspace but undercounts a heap-backed `V` (e.g.
-    // `String`): `Value` is blanket-implemented, so there is no hook to ask
-    // an arbitrary `V` for its heap size. The change-set payloads — the
-    // quantity this accounting exists to expose — are always charged fully.
     fn wire_size(&self) -> usize {
-        const OBJ: usize = std::mem::size_of::<ObjectId>();
-        match self {
-            DynMsg::Wr(m) => m.wire_size(),
-            DynMsg::R { changes, .. } => 12 + OBJ + changes.wire_size(),
-            DynMsg::WAck { changes, .. } => 16 + OBJ + changes.wire_size(),
-            DynMsg::RAck { reg, changes, .. } | DynMsg::W { reg, changes, .. } => {
-                16 + OBJ + std::mem::size_of_val(reg) + changes.wire_size()
-            }
-            // Tags mode: header + one (key, tag) pair per object the
-            // refresher holds — the per-reassignment cost of covering the
-            // whole object space, independent of register value sizes.
-            // Digest mode: a constant header + digest + count, however many
-            // objects the shard holds.
-            DynMsg::RefreshR { have, .. } => match have {
-                RefreshHave::Tags(t) => 16 + t.len() * (OBJ + std::mem::size_of::<Tag>()),
-                RefreshHave::Digest { .. } => 16 + 12,
-            },
-            // Elided registers cost nothing: a converged replier sends a
-            // 16-byte header (the `need_tags` bit rides in it) however many
-            // objects the shard holds. Shipped registers are charged at
-            // their footprint plus their key.
-            DynMsg::RefreshAck { regs, .. } => {
-                16 + regs
-                    .values()
-                    .map(|r| OBJ + std::mem::size_of_val(r))
-                    .sum::<usize>()
-            }
-            DynMsg::SyncR { .. } => 12,
-            DynMsg::SyncAck { changes } => 16 + changes.wire_size(),
-        }
+        frame_len(self)
     }
 
     // Full-content digest for the model-checking explorer: `Value: Hash`
@@ -676,16 +642,16 @@ mod driver_tests {
     fn refresh_acks_are_delta_encoded_for_large_values() {
         // A fat register: shipping it in every RefreshAck would cost
         // n × ~0.5 KB per refresh. With delta encoding, a replier whose
-        // register is no newer than the refresher's sends a 16-byte header.
-        type Fat = [u64; 64];
-        let mut h: StorageHarness<Fat> = StorageHarness::build(
+        // register is no newer than the refresher's sends an empty ack.
+        let fat = "x".repeat(512);
+        let mut h: StorageHarness<String> = StorageHarness::build(
             RpConfig::uniform(5, 1),
             1,
             33,
             UniformLatency::new(1_000, 10_000),
             DynOptions::default(),
         );
-        h.write(0, [7u64; 64]).unwrap();
+        h.write(0, fat.clone()).unwrap();
         // Weight moves → both endpoints refresh before applying. Every
         // server already holds the written register, so every ack elides
         // its value.
@@ -693,20 +659,25 @@ mod driver_tests {
         h.settle();
         let s0 = h
             .world
-            .actor::<DynServer<Fat>>(h.server_actor(s(0)))
+            .actor::<DynServer<String>>(h.server_actor(s(0)))
             .unwrap();
         assert_eq!(s0.refreshes, 1);
         let m = h.world.metrics();
         assert!(m.sent_of_kind("RefA") >= 5);
-        let full = std::mem::size_of::<TaggedValue<Fat>>() as f64;
+        let empty = frame_len(&DynMsg::<String>::RefreshAck {
+            op: 0,
+            regs: BTreeMap::new(),
+            need_tags: false,
+        });
         assert_eq!(
             m.mean_bytes_of_kind("RefA"),
-            16.0,
-            "every ack should elide the register (full would be ≥ {full})"
+            empty as f64,
+            "every ack should elide the register (full would be over {} B)",
+            fat.len()
         );
         // The refresh outcome is unchanged: the register survives.
         let (v, _) = h.read(0).unwrap();
-        assert_eq!(v, Some([7u64; 64]));
+        assert_eq!(v, Some(fat));
     }
 
     #[test]

@@ -55,9 +55,16 @@ pub use lin::{check_linearizable, check_linearizable_keyed, KeyedLinError, LinEr
 pub use openloop::{OpenLoopClient, OpenLoopHarness, OpenLoopSpec, OpenLoopStats};
 pub use placement::{run_adaptive_workload, DecisionLog, PlacementDriver, PolicyDecision};
 
-/// Values stored in registers.
-pub trait Value: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + 'static {}
-impl<T: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + 'static> Value for T {}
+/// Values stored in registers. A register value crosses sockets and the
+/// WAL, so it has a [`Wire`](awr_types::wire::Wire) layout.
+pub trait Value:
+    Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + awr_types::wire::Wire + 'static
+{
+}
+impl<T> Value for T where
+    T: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + awr_types::wire::Wire + 'static
+{
+}
 
 #[cfg(test)]
 mod dynamic_tests {

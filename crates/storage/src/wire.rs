@@ -37,7 +37,7 @@ impl Wire for RefreshHave {
     }
 }
 
-impl<V: Value + Wire> Wire for DynMsg<V> {
+impl<V: Value> Wire for DynMsg<V> {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
             DynMsg::Wr(m) => {

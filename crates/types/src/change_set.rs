@@ -514,14 +514,6 @@ impl ChangeSet {
         drop
     }
 
-    /// Approximate serialized size in bytes: a fixed header (digest and
-    /// length) plus the packed changes. The constant matters less than the
-    /// scaling — this is what the simulator's byte metrics charge for a
-    /// full change set on the wire.
-    pub fn wire_size(&self) -> usize {
-        16 + self.len() * std::mem::size_of::<Change>()
-    }
-
     #[cfg(test)]
     pub(crate) fn journal_for_tests(&self) -> &[Change] {
         &self.inner.journal

@@ -122,17 +122,6 @@ impl CsRef {
                 .fold(*base_digest, |d, c| d.wrapping_add(change_mix(c))),
         }
     }
-
-    /// Approximate bytes this reference occupies on the wire: a fixed
-    /// header per variant plus the packed changes it carries. `Summary` is
-    /// constant; `Delta` scales with the gap; `Full` scales with |C|.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            CsRef::Summary { .. } => 24,
-            CsRef::Delta { adds, .. } => 24 + adds.len() * std::mem::size_of::<Change>(),
-            CsRef::Full(set) => 8 + set.wire_size(),
-        }
-    }
 }
 
 /// What [`ChangeSet::apply_ref`] concluded about the local set relative to
@@ -418,25 +407,5 @@ mod tests {
         // A set missing the add does not match.
         let b = ChangeSet::uniform_initial(2, Ratio::ONE);
         assert!(!b.matches_ref(&r));
-    }
-
-    #[test]
-    fn wire_sizes_scale_as_documented() {
-        let mut big = ChangeSet::uniform_initial(4, Ratio::ONE);
-        for i in 0..100u64 {
-            big.insert(ch(0, 2 + i, 1, "0"));
-        }
-        let summary = CsRef::summary(&big);
-        let delta = CsRef::Delta {
-            base_digest: 0,
-            adds: big.iter().take(3).copied().collect(),
-        };
-        let full = CsRef::Full(big.clone());
-        assert_eq!(summary.wire_size(), 24);
-        assert!(delta.wire_size() < full.wire_size());
-        assert_eq!(
-            full.wire_size(),
-            8 + 16 + big.len() * std::mem::size_of::<Change>()
-        );
     }
 }

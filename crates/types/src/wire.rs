@@ -51,6 +51,7 @@
 //! [`decode_frame`]) bytes left over after the value are all
 //! [`FrameError::Codec`] — never a panic.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -314,6 +315,23 @@ pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
     // writer checks the returned size against that before writing.
     out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     4 + len
+}
+
+/// The bytes [`encode_frame_into`] would write for `msg`, header
+/// included: what a message costs on a socket, and so what the simulator
+/// charges for it. It encodes into a buffer the calling thread keeps, so
+/// it allocates nothing once that buffer has grown.
+pub fn frame_len<T: Wire>(msg: &T) -> usize {
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with_borrow_mut(|buf| {
+        buf.clear();
+        let len = encode_frame_into(msg, buf);
+        // A full change set can be megabytes; keep what steady traffic needs.
+        buf.shrink_to(64 << 10);
+        len
+    })
 }
 
 /// Encodes `msg` as one complete frame (header + payload).

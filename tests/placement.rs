@@ -318,9 +318,9 @@ fn adaptive_placement_beats_static_under_cross_traffic() {
 
 // ---------------------------------------------------------------------------
 // Seed-pinned replay: the schedule, the byte accounting and every placement
-// decision of an adaptive open-loop run, as the map-based `Metrics` of
-// PR 17 recorded them. A change to the simulator's bookkeeping that is
-// only meant to make it faster must reproduce these to the last digit.
+// decision of an adaptive open-loop run, with every message charged its
+// codec frame. A change to the simulator's bookkeeping that is only meant
+// to make it faster must reproduce these to the last digit.
 // ---------------------------------------------------------------------------
 
 /// What one seed of the pinned run must reproduce.
@@ -346,52 +346,52 @@ const REPLAY_PINS: [ReplayPin; 2] = [
     ReplayPin {
         seed: 7,
         generated: 4_030,
-        events: 65_639,
-        sent: 61_588,
-        bytes: 6_189_184,
-        end_nanos: 29_736_825_395,
+        events: 65_693,
+        sent: 61_642,
+        bytes: 1_678_242,
+        end_nanos: 29_713_055_541,
         request_delay: LinkDelayStat {
             count: 340,
             queued: 0,
-            transmission: 118_340,
-            propagation: 20_323_703_096,
+            transmission: 47_080,
+            propagation: 20_422_381_228,
         },
         reply_delay: LinkDelayStat {
             count: 340,
             queued: 0,
-            transmission: 170_152,
-            propagation: 20_444_319_568,
+            transmission: 62_560,
+            propagation: 20_463_340_672,
         },
-        object3: (56_280, 900),
-        busiest: (0, 17, 192_512),
-        incident_bytes_s0: 3_456_320,
-        max_link_utilization: 0.000009561208912630131,
-        max_uplink_utilization: 0.00013935108892614863,
+        object3: (21_950, 900),
+        busiest: (0, 11, 28_986),
+        incident_bytes_s0: 641_430,
+        max_link_utilization: 0.000003440575132333207,
+        max_uplink_utilization: 0.000049972174620383313,
     },
     ReplayPin {
         seed: 1234,
         generated: 3_891,
-        events: 63_406,
-        sent: 59_494,
-        bytes: 6_031_588,
-        end_nanos: 30_615_723_249,
+        events: 63_462,
+        sent: 59_550,
+        bytes: 1_624_684,
+        end_nanos: 30_605_383_499,
         request_delay: LinkDelayStat {
             count: 305,
             queued: 0,
-            transmission: 106_165,
-            propagation: 18_307_488_823,
+            transmission: 42_085,
+            propagation: 18_280_558_450,
         },
         reply_delay: LinkDelayStat {
             count: 305,
             queued: 0,
-            transmission: 151_068,
-            propagation: 18_347_040_413,
+            transmission: 56_188,
+            propagation: 18_309_669_455,
         },
-        object3: (203_072, 1_116),
-        busiest: (0, 10, 193_360),
-        incident_bytes_s0: 3_389_876,
-        max_link_utilization: 0.000009375574689693981,
-        max_uplink_utilization: 0.00013151735685785302,
+        object3: (37_616, 1_122),
+        busiest: (0, 10, 28_911),
+        incident_bytes_s0: 624_389,
+        max_link_utilization: 0.000003406590216502485,
+        max_uplink_utilization: 0.000046896847414014495,
     },
 ];
 

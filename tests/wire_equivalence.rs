@@ -17,7 +17,10 @@ use std::collections::BTreeSet;
 
 use awr::core::{audit_transfers, RpConfig};
 use awr::sim::UniformLatency;
-use awr::storage::{check_linearizable, DynOptions, DynServer, StorageHarness, WireMode};
+use awr::storage::{
+    check_linearizable, DynClient, DynOptions, DynServer, StorageHarness, WireMode,
+};
+use awr::types::wire::put_varint;
 use awr::types::{Change, Ratio, ServerId};
 
 fn s(i: u32) -> ServerId {
@@ -185,8 +188,9 @@ fn negotiated_concurrent_workload_stays_linearizable() {
 #[test]
 fn steady_state_requests_are_constant_size() {
     // After the system converges, R/W requests under negotiation are O(1):
-    // growing |C| must not grow the mean request size.
-    let mean_r_bytes = |extra: usize| -> f64 {
+    // growing |C| grows the mean request size only by the wider varint of
+    // |C| in the summary, never by the changes themselves.
+    let mean_r_bytes = |extra: usize| -> (f64, usize) {
         let cfg = RpConfig::uniform(5, 1);
         let mut h: StorageHarness<u64> = StorageHarness::build(
             cfg,
@@ -200,12 +204,20 @@ fn steady_state_requests_are_constant_size() {
             h.write(0, v).unwrap();
             h.read(0).unwrap();
         }
-        h.world.metrics().mean_bytes_of_kind("R")
+        let client = h.world.actor::<DynClient<u64>>(h.client_actor(0));
+        let c_len = client.expect("client").driver.changes.len();
+        (h.world.metrics().mean_bytes_of_kind("R"), c_len)
     };
-    let small = mean_r_bytes(10);
-    let large = mean_r_bytes(2_000);
+    let varint_width = |n: usize| {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, n as u64);
+        buf.len() as f64
+    };
+    let (small, small_c) = mean_r_bytes(10);
+    let (large, large_c) = mean_r_bytes(2_000);
     assert_eq!(
-        small, large,
-        "steady-state R size must not depend on |C| ({small} vs {large})"
+        large - small,
+        varint_width(large_c) - varint_width(small_c),
+        "steady-state R size must not depend on |C| beyond its varint ({small} vs {large})"
     );
 }
