@@ -12,13 +12,15 @@
 //! client's stale-`C` restart path).
 //!
 //! The refresh leg — the gaining server's per-reassignment price of
-//! catching the whole object space up — is reported, not gated. Up to
-//! 64 stored registers a `RefreshR` presents one tag per stored key (its
-//! cost grows with the key space); above the cap it degrades to an O(1)
-//! commutative digest of the tag map, falling back to a targeted per-key
-//! exchange only for repliers whose digest mismatches. The reported
-//! column shows the crossover: the amortized cost is linear in the key
-//! space up to the cap, then flat.
+//! catching the whole object space up — is reported, not gated. It is
+//! linear in the key space at every size, because a write lands on its
+//! quorum only: here {s1, s2, s3} hold every key and s4, s5 almost none.
+//! Above 64 stored registers a `RefreshR` presents an O(1) digest of the
+//! tag map instead of one tag per key, but when s1 gains, s4 and s5 do
+//! not match it, and each asks for the per-key round, which carries s1's
+//! whole tag map. When s4 gains, it holds fewer than 64 registers, so it
+//! presents its few tags, and each of s1..s3 ships it every register —
+//! the catch-up that Lemma 4 requires of a gainer.
 //!
 //! A second section compares [`awr_storage::ReadMode::FastPath`] against
 //! the paper-literal `TwoPhase` baseline on a fixed key space, sweeping
@@ -60,9 +62,9 @@ struct Row {
     abd_bytes_per_op: f64,
     /// Mean op latency over the measured window, virtual ms.
     mean_latency_ms: f64,
-    /// Refresh-leg bytes per reassignment: tag-map requests grow with the
-    /// key space up to 64 registers, digest-mode requests above it
-    /// are O(1) (acks stay delta-encoded headers either way).
+    /// Refresh-leg bytes per reassignment: per-key rounds from the
+    /// servers outside the write quorum, and the registers shipped to a
+    /// gainer that is one of them (see the module docs).
     refresh_bytes_per_transfer: f64,
     /// Stale-`C` restarts over the measured window.
     restarts: u64,

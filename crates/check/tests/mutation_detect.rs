@@ -2,7 +2,9 @@
 //! (`awr_sim::mutate`) and assert the explorer finds a counterexample for
 //! it within the CI budget — then that the minimized schedule still
 //! reproduces the violation, and that the *unmutated* protocol replays the
-//! same schedule clean.
+//! same schedule clean. Two bugs no 3-server scenario can expose (see the
+//! section on mutations 6 and 7) are caught instead by the history checker
+//! on a pinned 7-server schedule that the unmutated protocol runs clean.
 //!
 //! Only meaningful with the seeded bugs compiled in:
 //! `cargo test -p awr_check --features mutate --test mutation_detect`.
@@ -16,8 +18,8 @@ use awr_check::{
 };
 use awr_core::RpConfig;
 use awr_sim::mutate::{with_mutation, Mutation};
-use awr_sim::{ActorId, PendingEvent, PendingKind};
-use awr_storage::DynServer;
+use awr_sim::{ActorId, PendingEvent, PendingKind, TargetedDelay, Time, UniformLatency, SECOND};
+use awr_storage::{check_linearizable, DynClient, DynOptions, DynServer, StorageHarness};
 use awr_types::{ObjectId, Ratio, ServerId, Tag};
 
 /// Runs the full detection pipeline under `mutation`: explore, assert the
@@ -455,5 +457,170 @@ fn reuse_rb_seq_is_caught() {
         report.detail.contains("transfers completed"),
         "{}",
         report.detail
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Mutations 6 and 7: caught by the history checker on pinned schedules.
+// ---------------------------------------------------------------------------
+//
+// Removing Algorithm 5's restart on a stale `C`, or Algorithm 4's register
+// refresh before a weight gain, breaks atomicity — but the explorer cannot
+// show it in any 3-server scenario. Property 1 leaves no single server a
+// quorum, so under every reachable weight map each quorum holds at least two
+// of the three servers, and any two such sets intersect: a client judging
+// quorums under a stale map, or a gainer serving an unrefreshed register,
+// still meets the last completed write. It takes seven servers for a quorum
+// under one map to miss a quorum under another. So each of these two is
+// caught by `check_linearizable` on one pinned 7-server `TargetedDelay`
+// schedule: disarmed, the run is linearizable; armed, it is not.
+
+/// Holds a message that matches the adversary's predicate for ten virtual
+/// minutes — past the end of every operation in these schedules.
+const HOLD: Time = Time(600 * SECOND);
+
+/// Gives client `k` server s1's change set, so its next operation runs
+/// under the current weights without a restart.
+fn sync_client(h: &mut StorageHarness<u64>, k: usize) {
+    let changes = h
+        .world
+        .actor::<DynServer<u64>>(ActorId(0))
+        .expect("server actor")
+        .changes()
+        .clone();
+    let c = h.client_actor(k);
+    h.world
+        .actor_mut::<DynClient<u64>>(c)
+        .expect("client actor")
+        .driver
+        .changes = changes;
+}
+
+/// The stale-`C` schedule on uniform(7, 2). A reader that still judges
+/// quorums under the *old* weights assembles an old-weight quorum of four
+/// light servers that never saw the latest write — {s1..s4}, exactly the
+/// quorum its targeted phase 1 asks (heaviest first, ties by id, under the
+/// old uniform map). The adversary (allowed in an asynchronous system)
+/// merely delays two flows:
+///   * reader ↔ heavy trio {s5, s6, s7} (what keeps the stale quorum the
+///     first to answer),
+///   * writer → light quartet {s1..s4}.
+///
+/// With the restart, the light servers reject the reader's stale `C`, it
+/// learns the transfers, restarts, and reads the latest value. Returns the
+/// stale reader's value, whether the history is linearizable, and how many
+/// phase 1s the run sent targeted.
+fn stale_c_read() -> (Option<u64>, bool, u64) {
+    let reader = ActorId(7); // client 0
+    let writer = ActorId(8); // client 1
+    let heavy = |a: ActorId| (4..7).contains(&a.index());
+    let light = |a: ActorId| a.index() < 4;
+    let base = UniformLatency::new(1_000, 10_000);
+    let d1 = TargetedDelay::new(
+        base,
+        move |f, t| (f == reader && heavy(t)) || (heavy(f) && t == reader),
+        HOLD,
+    );
+    let d2 = TargetedDelay::new(d1, move |f, t| f == writer && light(t), HOLD);
+    let mut h: StorageHarness<u64> =
+        StorageHarness::build(RpConfig::uniform(7, 2), 3, 42, d2, DynOptions::default());
+    // The reader has one operation behind it, so its next phase 1 is
+    // targeted rather than the first-ever ask-everyone.
+    assert_eq!(h.read(0).unwrap().0, None);
+    // Client 2 (unconstrained) writes v1 everywhere under the initial C.
+    h.write(2, 1).unwrap();
+    // Concentrate weight: {s5, s6, s7} = 3.75 becomes a quorum.
+    for (from, to) in [(0, 4), (1, 5), (2, 6)] {
+        let out = h
+            .transfer_and_wait(ServerId(from), ServerId(to), Ratio::dec("0.25"))
+            .unwrap();
+        assert!(out.is_effective());
+    }
+    // The writer's v2 completes on the heavy trio alone (its W messages
+    // to the lights are held by the adversary).
+    sync_client(&mut h, 1);
+    h.write(1, 2).unwrap();
+    // The reader, still on the old map, asks {s1..s4} = 4.0.
+    let (v, _) = h.read(0).unwrap();
+    let linearizable = check_linearizable(&h.history()).is_ok();
+    (
+        v,
+        linearizable,
+        h.world.metrics().counter("phase1_targeted"),
+    )
+}
+
+#[test]
+fn skip_restart_on_stale_is_caught() {
+    let (v, linearizable, _) = stale_c_read();
+    assert_eq!(
+        v,
+        Some(2),
+        "with the restart, the reader sees the last write"
+    );
+    assert!(linearizable, "the paper's protocol must be atomic");
+    let (v, linearizable, targeted) = with_mutation(Mutation::SkipRestartOnStale, stale_c_read);
+    assert_eq!(
+        targeted, 1,
+        "the stale read is the run's one targeted phase 1"
+    );
+    assert_eq!(v, Some(1), "the stale quorum serves the old value");
+    assert!(!linearizable, "check_linearizable must flag the stale read");
+}
+
+/// The refresh-on-gain schedule on uniform(7, 2). v = 9 is written under
+/// the initial map to the four light servers {s4..s7} (the writer cannot
+/// reach the heavy trio); then weight concentrates on the trio {s1, s2,
+/// s3}; a reader on the *new* map, hearing only the trio, reads it alone.
+/// With the refresh, the gaining servers pulled v before their gain
+/// applied; without it they serve their initial (empty) register — a read
+/// of ⊥ after a completed write. Returns the reader's value and whether the
+/// history is linearizable.
+fn unrefreshed_gain_read() -> (Option<u64>, bool) {
+    let reader = ActorId(7); // client 0
+    let writer = ActorId(8); // client 1
+    let heavy = |a: ActorId| a.index() < 3;
+    let light = |a: ActorId| (3..7).contains(&a.index());
+    let base = UniformLatency::new(1_000, 10_000);
+    // The writer cannot reach the heavy trio: its write lands on the lights.
+    let d1 = TargetedDelay::new(base, move |f, t| f == writer && heavy(t), HOLD);
+    // The reader cannot hear the light servers: its quorum is the trio.
+    let d = TargetedDelay::new(
+        d1,
+        move |f, t| (f == reader && light(t)) || (light(f) && t == reader),
+        HOLD,
+    );
+    let mut h: StorageHarness<u64> =
+        StorageHarness::build(RpConfig::uniform(7, 2), 3, 43, d, DynOptions::default());
+    // v = 9 under the initial uniform map: {s4..s7} = 4 > 3.5.
+    h.write(1, 9).unwrap();
+    // Weight concentrates on the trio (the donors are light servers).
+    for (from, to) in [(3, 0), (4, 1), (5, 2)] {
+        h.transfer_and_wait(ServerId(from), ServerId(to), Ratio::dec("0.25"))
+            .unwrap();
+    }
+    // Bounded advance: let applies and refreshes finish without draining
+    // the adversary's held messages (settling would fast-forward past the
+    // hold).
+    h.world.run_for(SECOND);
+    // The reader reads under the new map; sync its C so it needs no
+    // restart.
+    sync_client(&mut h, 0);
+    let (v, _) = h.read(0).unwrap();
+    (v, check_linearizable(&h.history()).is_ok())
+}
+
+#[test]
+fn skip_refresh_on_gain_is_caught() {
+    assert_eq!(
+        unrefreshed_gain_read(),
+        (Some(9), true),
+        "with the refresh, the gainers serve the last write"
+    );
+    assert_eq!(
+        with_mutation(Mutation::SkipRefreshOnGain, unrefreshed_gain_read),
+        (None, false),
+        "unrefreshed gainers serve bottom after a completed write, and \
+         check_linearizable must flag it"
     );
 }

@@ -216,6 +216,58 @@ mod protocol_tests {
         assert!(r2.weight() > r1.weight());
     }
 
+    /// Algorithm 3's write-back (lines 7–8) is what makes Validity-II hold.
+    /// An origin crashes mid-broadcast, so one server alone holds the
+    /// change pair. A "weak read" (the union of f + 1 replies, no
+    /// write-back) that touches that server returns the change; a later
+    /// weak read that misses the server does not contain it — on every
+    /// seed. The real `read_changes` stores what it returns at n − f
+    /// servers, so every later read, however weak, contains it.
+    #[test]
+    fn validity_ii_needs_the_write_back() {
+        use awr_sim::{TargetedDelay, Time, SECOND};
+        use awr_types::ChangeSet;
+        let weak = |h: &RpHarness, ids: [u32; 3]| -> ChangeSet {
+            ids.iter().fold(ChangeSet::new(), |acc, &i| {
+                acc.union(&h.server_changes(s(i)).restricted_to(s(0)))
+            })
+        };
+        for seed in 0..10 {
+            // Hold every server→server message out of s4 (the origin) and
+            // s1 (its sole recipient), except s4→s1 itself. Client links
+            // stay open.
+            let is_srv = |a: ActorId| a.index() < 7;
+            let held = move |f: ActorId, t: ActorId| {
+                (f == ActorId(3) && is_srv(t) && t != ActorId(0) && t != ActorId(3))
+                    || (f == ActorId(0) && is_srv(t) && t != ActorId(0))
+            };
+            let latency =
+                TargetedDelay::new(UniformLatency::new(1_000, 10_000), held, Time(600 * SECOND));
+            let mut h = RpHarness::build(RpConfig::uniform(7, 2), 2, seed, latency);
+            // s4 starts transfer(s4, s1, 0.2); only s1 ever hears it; s4
+            // crashes.
+            h.transfer_async(s(3), s(0), Ratio::dec("0.2")).unwrap();
+            h.world.run_for(50_000_000);
+            h.world.crash_now(ActorId(3));
+            // A weak read over {s1, s2, s3} sees the stranded pair; one
+            // over {s5, s6, s7} misses it: Validity-II fails.
+            let r1 = weak(&h, [0, 1, 2]);
+            let r2 = weak(&h, [4, 5, 6]);
+            assert!(
+                !r2.contains_all(&r1),
+                "seed {seed}: weak reads kept Validity-II"
+            );
+            // The real read need not return the stranded pair (that
+            // transfer never completed), but whatever it returns, every
+            // later weak read contains.
+            let real = h.read_changes(0, s(0)).expect("read_changes");
+            assert!(
+                weak(&h, [4, 5, 6]).contains_all(&real.changes),
+                "seed {seed}: the write-back must store the returned set at n − f servers"
+            );
+        }
+    }
+
     #[test]
     fn invalid_arguments_rejected() {
         let mut h = harness(7, 2, 12);

@@ -3,12 +3,11 @@
 //! The paper's system model (§II) allows up to `f` servers to crash; the
 //! simulator has always been able to *kill* an actor
 //! ([`crate::World::crash_now`]), but a killed actor stayed dead. A
-//! [`FaultPlan`] describes a whole campaign of kills — scheduled, random
-//! at a rate, or aimed at reassignment instants — each optionally followed
-//! by a restart, and [`apply_fault_plan`](FaultPlan::apply) installs it
-//! into a [`World`] with a caller-supplied rebuild function (typically one
-//! that recovers the actor from a durable store it shares with the dead
-//! incarnation).
+//! [`FaultPlan`] describes a whole campaign of kills — scheduled, or random
+//! at a rate — each optionally followed by a restart, and
+//! [`apply_fault_plan`](FaultPlan::apply) installs it into a [`World`] with
+//! a caller-supplied rebuild function (typically one that recovers the
+//! actor from a durable store it shares with the dead incarnation).
 //!
 //! Plans are plain data built from a seed, so the same plan replays
 //! identically run after run — crash schedules are part of the
@@ -121,36 +120,6 @@ impl FaultPlan {
         FaultPlan { faults }
     }
 
-    /// Kill-during-reassignment: for each reassignment instant, with
-    /// probability `prob_pct`/100 kill a uniformly random actor from
-    /// `targets` a small random beat (`0..=skew` ns) after the instant,
-    /// restarting after `down_for`. Deterministic per `seed`.
-    pub fn at_reassignments(
-        seed: u64,
-        reassignment_times: &[Time],
-        targets: &[ActorId],
-        prob_pct: u32,
-        skew: Nanos,
-        down_for: Nanos,
-    ) -> FaultPlan {
-        assert!(!targets.is_empty(), "reassignment fault plan needs targets");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut faults = Vec::new();
-        for &at in reassignment_times {
-            if rng.random_range(0..100) >= prob_pct {
-                continue;
-            }
-            let actor = targets[rng.random_range(0..targets.len())];
-            let beat = if skew == 0 {
-                0
-            } else {
-                rng.random_range(0..=skew)
-            };
-            faults.push(Fault::kill_restart(actor, at + beat, down_for));
-        }
-        FaultPlan::scheduled(faults)
-    }
-
     /// Number of faults in the plan.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -239,22 +208,6 @@ mod tests {
         assert!(p1.len() >= 5 && p1.len() <= 20, "got {}", p1.len());
         let p3 = FaultPlan::random(10, &targets, Time(10_000_000), 1_000_000, 100_000);
         assert_ne!(p1, p3, "different seeds should differ");
-    }
-
-    #[test]
-    fn at_reassignments_respects_probability() {
-        let times: Vec<Time> = (1..=100u64).map(|i| Time(i * 1_000)).collect();
-        let all = FaultPlan::at_reassignments(4, &times, &[a(0)], 100, 0, 10);
-        assert_eq!(all.len(), 100);
-        assert!(all
-            .faults
-            .iter()
-            .zip(&times)
-            .all(|(f, &t)| f.at == t && f.actor == a(0)));
-        let none = FaultPlan::at_reassignments(4, &times, &[a(0)], 0, 0, 10);
-        assert!(none.is_empty());
-        let some = FaultPlan::at_reassignments(4, &times, &[a(0)], 30, 500, 10);
-        assert!(some.len() > 10 && some.len() < 60, "got {}", some.len());
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //!
 //! * [`World`] — a seeded discrete-event simulation. Deterministic per seed,
 //!   with pluggable [`LatencyModel`]s (constant, uniform, WAN matrices) and
-//!   composable adversaries ([`TargetedDelay`], [`HealingPartition`],
-//!   [`SlowActors`]) that reorder and stall but never drop messages.
+//!   composable adversaries ([`TargetedDelay`], [`SlowActors`]) that
+//!   reorder and stall but never drop messages.
 //!   Crash faults are injected by schedule or immediately, and crashed
 //!   actors can be rebuilt and rebooted ([`World::schedule_restart`]) —
-//!   [`FaultPlan`] generates whole kill/restart campaigns (scheduled,
-//!   random at a rate, or aimed at reassignment instants).
+//!   [`FaultPlan`] generates whole kill/restart campaigns (scheduled, or
+//!   random at a rate).
 //! * [`NodeHost`] over a [`Transport`] — the [`transport`] seam: a
 //!   [`Transport`] abstracts one node's message fabric and a [`NodeHost`]
 //!   pumps the same [`Actor`] over it on wall-clock time. One thread per
@@ -44,9 +44,10 @@
 //! benches run unchanged, and wrapping the same model in
 //! [`BandwidthLinks`] with [`UNLIMITED_BANDWIDTH`] reproduces their
 //! schedules *exactly* (pinned by `tests/network_equivalence.rs`).
-//! Topology presets cover the interesting regimes: [`lan_network`],
-//! [`wan_network`], [`geo_network`], and [`constrained_uplink`] (every
-//! sender's outgoing traffic serializes on one modest uplink).
+//! Two topology presets cover the interesting regimes: [`geo_network`]
+//! (five regions, bandwidth falling with distance) and
+//! [`constrained_uplink`] (every sender's outgoing traffic serializes on
+//! one modest uplink).
 //! [`Metrics`] attributes bytes, transmission time, and delivery-delay
 //! components per directed link ([`Metrics::bytes_on_link`],
 //! [`Metrics::link_utilization`], [`Metrics::link_delay`]) — the
@@ -120,16 +121,15 @@ pub use fault::{Fault, FaultPlan};
 pub use metrics::{LinkDelayStat, LinkStat, Metrics, ObjectStat};
 pub use network::{
     shared_latency, BandwidthLinks, BandwidthMatrix, ConstantLatency, Delivery, FifoLinks,
-    HealingPartition, LatencyModel, LinkDiscipline, NetworkModel, ReceiveDiscipline, SharedLatency,
-    SlowActors, TargetedDelay, UniformLatency, WanMatrix, UNLIMITED_BANDWIDTH,
+    LatencyModel, LinkDiscipline, NetworkModel, SharedLatency, SlowActors, TargetedDelay,
+    UniformLatency, WanMatrix, UNLIMITED_BANDWIDTH,
 };
 pub use openloop::{ArrivalProcess, ArrivalSpec, BurstyArrivals, PoissonArrivals};
 pub use sched::{BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel};
 pub use time::{Nanos, Time, MICRO, MILLI, SECOND};
 pub use topology::{
     constrained_uplink, five_region_bandwidth, five_region_matrix, five_region_wan,
-    five_region_wan_with_placement, geo_network, lan_network, mean_delay_profile, wan_network,
-    Region, GBIT10,
+    five_region_wan_with_placement, geo_network, Region, GBIT10,
 };
 pub use trace::{Trace, TraceKind, TraceRecord};
 pub use transport::{ChannelTransport, NodeHost, Step, Transport};

@@ -56,13 +56,6 @@ impl LinkDelayStat {
     pub fn mean_queued(&self) -> Option<f64> {
         (self.count > 0).then(|| self.queued as f64 / self.count as f64)
     }
-
-    /// Mean total delivery delay in nanoseconds (`None` before any sample).
-    pub fn mean_total(&self) -> Option<f64> {
-        (self.count > 0).then(|| {
-            (self.queued + self.transmission + self.propagation) as f64 / self.count as f64
-        })
-    }
 }
 
 /// Everything recorded about one directed link.
@@ -332,16 +325,6 @@ impl Metrics {
         all.into_iter()
     }
 
-    /// Mean bytes per attributed message of an object key (0 if none).
-    pub fn mean_bytes_of_object(&self, object: u64) -> f64 {
-        let n = self.msgs_of_object(object);
-        if n == 0 {
-            0.0
-        } else {
-            self.bytes_of_object(object) as f64 / n as f64
-        }
-    }
-
     /// Messages sent with a specific kind label.
     pub fn sent_of_kind(&self, kind: &str) -> u64 {
         self.sent_by_kind.get(kind).copied().unwrap_or(0)
@@ -444,18 +427,6 @@ impl Metrics {
     /// The highest uplink utilization across all senders.
     pub fn max_uplink_utilization(&self) -> f64 {
         self.busy_fraction(self.links.rows().map(Self::uplink_busy).max().unwrap_or(0))
-    }
-
-    /// The full `n × n` byte matrix (`matrix[i][j]` = bytes `a_i → a_j`),
-    /// for reporting.
-    pub fn link_byte_matrix(&self, n: usize) -> Vec<Vec<u64>> {
-        let mut m = vec![vec![0u64; n]; n];
-        for (row, out) in self.links.rows().zip(&mut m) {
-            for (s, cell) in row.iter().zip(out) {
-                *cell = s.bytes;
-            }
-        }
-        m
     }
 
     /// Delay accounting of the directed link `from → to`. `None` until a
@@ -676,10 +647,8 @@ mod tests {
         m.record_object(7, 20);
         assert_eq!(m.bytes_of_object(0), 150);
         assert_eq!(m.msgs_of_object(0), 2);
-        assert_eq!(m.mean_bytes_of_object(0), 75.0);
         assert_eq!(m.bytes_of_object(7), 20);
         assert_eq!(m.bytes_of_object(99), 0);
-        assert_eq!(m.mean_bytes_of_object(99), 0.0);
     }
 
     #[test]
@@ -692,8 +661,6 @@ mod tests {
         assert_eq!(m.bytes_on_link(a(1), a(0)), 500);
         assert_eq!(m.bytes_on_link(a(0), a(2)), 0);
         assert_eq!(m.busiest_link(), Some(((a(0), a(1)), 4_000)));
-        let mat = m.link_byte_matrix(2);
-        assert_eq!(mat, vec![vec![0, 4_000], vec![500, 0]]);
         // Utilization: 400 ns busy over a 1000 ns run.
         m.last_time = Time(1_000);
         assert_eq!(m.link_utilization(a(0), a(1)), 0.4);
@@ -799,7 +766,6 @@ mod tests {
         assert_eq!(s.count, 2);
         assert_eq!(m.mean_link_propagation(a(0), a(1)), Some(2_000.0));
         assert_eq!(m.mean_link_queueing(a(0), a(1)), Some(200.0));
-        assert_eq!(s.mean_total(), Some(2_300.0));
         // RTT needs both directions; the reverse has zero propagation here.
         assert_eq!(m.mean_link_rtt(a(0), a(1)), Some(2_000.0));
         assert_eq!(m.mean_link_rtt(a(0), a(2)), None);
@@ -971,16 +937,6 @@ mod tests {
                 .fold(0.0, f64::max)
         }
 
-        fn link_byte_matrix(&self, n: usize) -> Vec<Vec<u64>> {
-            let mut m = vec![vec![0u64; n]; n];
-            for (&(from, to), &bytes) in &self.bytes_by_link {
-                if from.index() < n && to.index() < n {
-                    m[from.index()][to.index()] = bytes;
-                }
-            }
-            m
-        }
-
         fn incident_bytes(&self, a: ActorId) -> u64 {
             self.bytes_by_link
                 .iter()
@@ -1110,9 +1066,6 @@ mod tests {
         prop_assert_eq!(m.max_link_utilization(), r.max_link_utilization());
         prop_assert_eq!(m.max_uplink_utilization(), r.max_uplink_utilization());
         prop_assert_eq!(m.busiest_link(), r.busiest_link());
-        for n in [0, 3, ACTORS, ACTORS + 2] {
-            prop_assert_eq!(m.link_byte_matrix(n), r.link_byte_matrix(n));
-        }
         // Iteration: same links, same records, ascending (from, to).
         let links: Vec<(Link, LinkStat)> = m.links().map(|(l, s)| (l, *s)).collect();
         prop_assert_eq!(&links, &r.links());

@@ -1,10 +1,14 @@
-//! Seeded protocol mutations for validating the model checker.
+//! Seeded protocol mutations: each one removes a mechanism the protocol's
+//! safety rests on, so that a test can show the mechanism is load-bearing
+//! and that the validators notice its absence.
 //!
 //! A checker that has never caught a bug proves nothing. This module holds
 //! a thread-local switch that arms exactly one deliberate protocol bug at a
 //! time; the protocol crates (`awr_core`, `awr_storage`, `awr_rb`) consult
-//! it at the mutated decision points, and `crates/check` asserts that the
-//! explorer finds a counterexample for every armed mutation.
+//! it at the mutated decision points, and `crates/check` asserts that every
+//! armed mutation is caught: five by the explorer on a 3-server scenario,
+//! two ([`Mutation::SkipRestartOnStale`], [`Mutation::SkipRefreshOnGain`])
+//! by the linearizability checker on a pinned 7-server schedule.
 //!
 //! The switch is thread-local because each simulated [`crate::World`] runs
 //! on a single thread while `cargo test` runs many tests in parallel — a
@@ -48,6 +52,18 @@ pub enum Mutation {
     /// value after the write's response. Caught by the read-atomicity
     /// invariant.
     CountPhase2TargetsAsAcked,
+    /// Skip Algorithm 5's restart on a stale `C` (lines 14–16 and 30–32):
+    /// a client counts a server's rejecting reply as an accept, so it
+    /// judges quorums under weights the system has moved past and can read
+    /// a value older than a completed write. Caught by the linearizability
+    /// checker on a pinned 7-server schedule.
+    SkipRestartOnStale,
+    /// Skip Algorithm 4's register refresh before a weight gain (lines
+    /// 8–9): a gaining server applies the change with whatever register it
+    /// holds, so a quorum the gain makes possible can miss the last
+    /// completed write. Caught by the linearizability checker on a pinned
+    /// 7-server schedule.
+    SkipRefreshOnGain,
 }
 
 thread_local! {

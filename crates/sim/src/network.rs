@@ -14,7 +14,6 @@
 //!   impl), so size-oblivious scenarios keep working unchanged; wrap any
 //!   model in [`BandwidthLinks`] to make wire bytes shape the schedule.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
@@ -219,28 +218,6 @@ pub enum LinkDiscipline {
     SharedUplink,
 }
 
-/// What serializes *arrivals* at the receiver in a [`BandwidthLinks`]
-/// model — the mirror of the sender-side [`LinkDiscipline`].
-///
-/// Sender-side serialization alone lets a receiver absorb `n` concurrent
-/// large transmissions from `n` different senders simultaneously, which no
-/// real NIC does: an ack-collection hotspot (a quorum's worth of `RAck`s
-/// converging on one client) is invisible. Under
-/// [`ReceiveDiscipline::PerDownlink`] each receiver drains one
-/// transmission at a time: a message's last byte lands only after the
-/// downlink has spent that message's transmission time on it, so
-/// converging transmissions queue. `Off` (the default) reproduces the
-/// sender-side-only model byte for byte.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReceiveDiscipline {
-    /// No receive-side serialization (the historical behaviour; default).
-    #[default]
-    Off,
-    /// All of a receiver's incoming messages share one downlink, drained
-    /// one transmission at a time.
-    PerDownlink,
-}
-
 /// A size-aware network: wraps any [`NetworkModel`] (typically a plain
 /// [`LatencyModel`]) and adds transmission time plus link serialization
 /// from a [`BandwidthMatrix`].
@@ -266,24 +243,13 @@ pub struct BandwidthLinks<N> {
     inner: N,
     bandwidth: BandwidthMatrix,
     discipline: LinkDiscipline,
-    receive: ReceiveDiscipline,
     /// When each link frees up: `[from][to]` per-link, `[from][0]`
     /// shared-uplink (see [`BandwidthLinks::free_horizon`]).
     free_at: LinkRows<Time>,
-    /// Reserved drain intervals per receiver downlink, sorted by start
-    /// ([`ReceiveDiscipline::PerDownlink`] only). Interval bookkeeping —
-    /// not a single free horizon — because messages are *scheduled* in
-    /// send order but *arrive* in propagation order: an early-arriving
-    /// message must not queue behind the reservation of one that was sent
-    /// earlier yet arrives later. Entries ending before the current send
-    /// time are pruned on every call, so the list is bounded by the number
-    /// of in-flight messages.
-    rx_busy: HashMap<ActorId, Vec<(Nanos, Nanos)>>,
 }
 
 impl<N: NetworkModel> BandwidthLinks<N> {
-    /// Wraps `inner` with per-directed-link serialization (receive-side
-    /// scheduling [off](ReceiveDiscipline::Off)).
+    /// Wraps `inner` with per-directed-link serialization.
     pub fn new(inner: N, bandwidth: BandwidthMatrix) -> BandwidthLinks<N> {
         BandwidthLinks::with_discipline(inner, bandwidth, LinkDiscipline::PerLink)
     }
@@ -298,18 +264,8 @@ impl<N: NetworkModel> BandwidthLinks<N> {
             inner,
             bandwidth,
             discipline,
-            receive: ReceiveDiscipline::Off,
             free_at: LinkRows::default(),
-            rx_busy: HashMap::new(),
         }
-    }
-
-    /// Selects the receive-side discipline (builder style; the default is
-    /// [`ReceiveDiscipline::Off`], which reproduces the sender-side-only
-    /// schedule exactly — pinned by the `receive_off_*` tests).
-    pub fn with_receive_discipline(mut self, receive: ReceiveDiscipline) -> BandwidthLinks<N> {
-        self.receive = receive;
-        self
     }
 
     /// Charges `bytes` of *non-protocol* traffic onto the `from → to` link
@@ -356,46 +312,11 @@ impl<N: NetworkModel> NetworkModel for BandwidthLinks<N> {
         let tx = self.bandwidth.transmission_nanos(from, to, bytes);
         let free = self.free_horizon(from, to);
         let start = if *free > now { *free } else { now };
-        let mut queued = (start - now).saturating_add(base.queued);
+        let queued = (start - now).saturating_add(base.queued);
         *free = start + tx;
-        let transmission = tx.saturating_add(base.transmission);
-        // Receive-side scheduling: the receiver's downlink must also spend
-        // `tx` draining this message, one message at a time. The last byte
-        // can land no earlier than propagation allows AND no earlier than
-        // the downlink has a `tx`-wide gap for it; any shift becomes
-        // queueing delay. The search is first-fit over the reserved drain
-        // intervals (NOT a single free horizon): a message that arrives
-        // early — shorter propagation than one sent before it — drains in
-        // a gap before the later arrival's reservation instead of
-        // phantom-queueing behind it. Zero-transmission messages
-        // (self-sends, unlimited links) neither wait nor occupy the
-        // downlink.
-        if self.receive == ReceiveDiscipline::PerDownlink && tx > 0 {
-            let arrival = now
-                + queued
-                    .saturating_add(transmission)
-                    .saturating_add(base.propagation);
-            let reserved = self.rx_busy.entry(to).or_default();
-            // Anything finished before this send began can never conflict
-            // again (future candidates start at ≥ their own send time).
-            reserved.retain(|&(_, end)| end > now.nanos());
-            let mut rx_start = arrival.nanos().saturating_sub(tx);
-            for &(s, e) in reserved.iter() {
-                if rx_start + tx <= s {
-                    break; // fits entirely before this reservation
-                }
-                if rx_start < e {
-                    rx_start = e; // overlap: drain right after it
-                }
-            }
-            let rx_arrival = rx_start + tx;
-            let pos = reserved.partition_point(|&(s, _)| s < rx_start);
-            reserved.insert(pos, (rx_start, rx_arrival));
-            queued = queued.saturating_add(rx_arrival.saturating_sub(arrival.nanos()));
-        }
         Delivery {
             queued,
-            transmission,
+            transmission: tx.saturating_add(base.transmission),
             propagation: base.propagation,
         }
     }
@@ -630,38 +551,6 @@ impl<L: LatencyModel> LatencyModel for TargetedDelay<L> {
     }
 }
 
-/// Decorator implementing a temporary partition between two groups: until
-/// `heal_at`, cross-group messages are held back; after healing everything
-/// flows normally. Reliability is preserved (the model never drops).
-pub struct HealingPartition<L> {
-    inner: L,
-    group_a: Vec<ActorId>,
-    heal_at: Time,
-}
-
-impl<L: LatencyModel> HealingPartition<L> {
-    /// Partitions `group_a` from everyone else until `heal_at`.
-    pub fn new(inner: L, group_a: Vec<ActorId>, heal_at: Time) -> HealingPartition<L> {
-        HealingPartition {
-            inner,
-            group_a,
-            heal_at,
-        }
-    }
-}
-
-impl<L: LatencyModel> LatencyModel for HealingPartition<L> {
-    fn sample(&mut self, from: ActorId, to: ActorId, now: Time, rng: &mut StdRng) -> Nanos {
-        let base = self.inner.sample(from, to, now, rng);
-        let crosses = self.group_a.contains(&from) != self.group_a.contains(&to);
-        if crosses && now < self.heal_at {
-            base.max(self.heal_at - now)
-        } else {
-            base
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,7 +654,10 @@ mod tests {
 
     #[test]
     fn partition_heals() {
-        let mut m = HealingPartition::new(ConstantLatency(10), vec![a(0)], Time(500));
+        // A partition of {a0} from everyone else that heals at t = 500 is a
+        // `TargetedDelay` on the links that cross it.
+        let crosses = |f: ActorId, t: ActorId| (f == a(0)) != (t == a(0));
+        let mut m = TargetedDelay::new(ConstantLatency(10), crosses, Time(500));
         let mut r = rng();
         assert_eq!(m.sample(a(0), a(1), Time::ZERO, &mut r), 500);
         assert_eq!(m.sample(a(1), a(2), Time::ZERO, &mut r), 10); // same side
@@ -878,6 +770,10 @@ mod bandwidth_tests {
         // The reverse direction is a separate link too.
         let reverse = net.delivery(a(1), a(0), Time(1), 100, &mut rng());
         assert_eq!(reverse.queued, 0);
+        // So is another sender's link to the same receiver: arrivals that
+        // converge on one receiver do not queue there.
+        let converging = net.delivery(a(2), a(1), Time(1), 100, &mut rng());
+        assert_eq!(converging.queued, 0);
     }
 
     #[test]
@@ -938,116 +834,6 @@ mod bandwidth_tests {
     #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_rejected() {
         let _ = BandwidthMatrix::uniform(2, 0);
-    }
-
-    #[test]
-    fn receive_off_is_the_default_and_changes_nothing() {
-        // The equivalence pin for the off case: an explicit `Off` model and
-        // a default-constructed one produce identical deliveries on a
-        // workload that WOULD queue under `PerDownlink` (three senders
-        // converging on one receiver).
-        let mk = || {
-            BandwidthLinks::new(
-                UniformLatency::new(1, 2 * MILLI),
-                BandwidthMatrix::uniform(4, 1_000_000),
-            )
-        };
-        let mut plain = mk();
-        let mut off = mk().with_receive_discipline(ReceiveDiscipline::Off);
-        let (mut r1, mut r2) = (rng(), rng());
-        for k in 0..60u64 {
-            let from = a((k % 3) as usize);
-            let p = plain.delivery(from, a(3), Time(k * 100), 5_000, &mut r1);
-            let o = off.delivery(from, a(3), Time(k * 100), 5_000, &mut r2);
-            assert_eq!(p, o, "receive-off diverged from the default (k={k})");
-        }
-        // And under `Off`, converging senders do NOT queue at the receiver:
-        // two simultaneous 10 KB sends from different senders both arrive
-        // after exactly their own transmission time.
-        let mut net =
-            BandwidthLinks::new(ConstantLatency(0), BandwidthMatrix::uniform(3, 1_000_000));
-        let d1 = net.delivery(a(0), a(2), Time::ZERO, 10_000, &mut rng());
-        let d2 = net.delivery(a(1), a(2), Time::ZERO, 10_000, &mut rng());
-        assert_eq!(d1.queued, 0);
-        assert_eq!(d2.queued, 0, "off-case must not serialize the downlink");
-    }
-
-    #[test]
-    fn per_downlink_serializes_converging_arrivals() {
-        // 1 KB/ms links, zero propagation: three 10 KB messages from three
-        // different senders to one receiver. Uplinks are independent, so
-        // sender-side adds nothing; the downlink drains them one at a time.
-        let mut net =
-            BandwidthLinks::new(ConstantLatency(0), BandwidthMatrix::uniform(4, 1_000_000))
-                .with_receive_discipline(ReceiveDiscipline::PerDownlink);
-        for k in 0..3u64 {
-            let d = net.delivery(a(k as usize), a(3), Time::ZERO, 10_000, &mut rng());
-            assert_eq!(d.transmission, 10 * MILLI);
-            assert_eq!(d.queued, k * 10 * MILLI, "arrival {k} must drain in turn");
-        }
-        // A different receiver's downlink is independent.
-        let d = net.delivery(a(0), a(2), Time::ZERO, 10_000, &mut rng());
-        assert_eq!(d.queued, 0);
-        // Unlimited bandwidth ⇒ zero transmission ⇒ the downlink never
-        // engages: PerDownlink is a no-op on size-free schedules.
-        let mut inf = BandwidthLinks::new(ConstantLatency(MILLI), BandwidthMatrix::unlimited(4))
-            .with_receive_discipline(ReceiveDiscipline::PerDownlink);
-        for k in 0..5 {
-            let d = inf.delivery(a(k % 3), a(3), Time::ZERO, 1 << 20, &mut rng());
-            assert_eq!(d, Delivery::propagation_only(MILLI));
-        }
-    }
-
-    #[test]
-    fn per_downlink_schedules_in_arrival_order_not_send_order() {
-        // Heterogeneous propagation (the geo case): a far sender's message
-        // is sent FIRST but arrives LAST. The near sender's message must
-        // drain in the idle gap before the far reservation — no phantom
-        // queueing — and a third message genuinely overlapping the far
-        // drain still queues.
-        let far = 200 * MILLI;
-        let near = MILLI;
-        let mut lat = WanMatrix::new(
-            vec![vec![0, far, far], vec![far, 0, near], vec![far, near, 0]],
-            vec![0, 1, 2],
-            0.0,
-        );
-        lat.floor = 0; // exact delays for the arithmetic below
-        let mut net = BandwidthLinks::new(lat, BandwidthMatrix::uniform(3, 1_000_000))
-            .with_receive_discipline(ReceiveDiscipline::PerDownlink);
-        // Far sender at t=0: 1 KB, tx 1 ms, prop 200 ms → drains [200, 201].
-        let d_far = net.delivery(a(0), a(2), Time::ZERO, 1_000, &mut rng());
-        assert_eq!(d_far.queued, 0);
-        // Near sender at t=1 ms: 1 KB, tx 1 ms, prop 1 ms → ideal drain
-        // [2, 3] — entirely inside the idle window before [200, 201].
-        let d_near = net.delivery(a(1), a(2), Time(MILLI), 1_000, &mut rng());
-        assert_eq!(
-            d_near.queued, 0,
-            "early arrival must not queue behind a later-arriving reservation"
-        );
-        // A message whose ideal drain coincides with the far one's queues.
-        let d_clash = net.delivery(a(1), a(2), Time(199 * MILLI), 1_000, &mut rng());
-        assert_eq!(d_clash.queued, MILLI, "overlapping drains must serialize");
-    }
-
-    #[test]
-    fn per_downlink_respects_propagation_floor() {
-        // A message cannot arrive before its propagation even on an idle
-        // downlink, and a late-sent message queues only for the downlink
-        // time still outstanding.
-        let mut net = BandwidthLinks::new(
-            ConstantLatency(5 * MILLI),
-            BandwidthMatrix::uniform(3, 1_000_000),
-        )
-        .with_receive_discipline(ReceiveDiscipline::PerDownlink);
-        let d1 = net.delivery(a(0), a(2), Time::ZERO, 10_000, &mut rng());
-        // Arrival at 15 ms (10 tx + 5 prop); downlink busy [5, 15] ms.
-        assert_eq!(d1.queued, 0);
-        // Sent at 9 ms from another sender, 1 KB: unscheduled arrival would
-        // be 9 + 1 + 5 = 15 ms with rx_start 14 < 15 → drains [15, 16].
-        let d2 = net.delivery(a(1), a(2), Time(9 * MILLI), 1_000, &mut rng());
-        assert_eq!(d2.transmission, MILLI);
-        assert_eq!(d2.queued, MILLI, "must wait for the first drain to finish");
     }
 }
 

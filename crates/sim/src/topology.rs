@@ -7,10 +7,9 @@
 //! one-way delays in the ballpark of public-cloud inter-region RTTs, which
 //! is all the experiments need — only the *shape* (heterogeneity) matters.
 //!
-//! The `*_network` presets pair propagation with a [`BandwidthMatrix`] so
-//! wire bytes shape schedules: [`lan_network`] (fast links, tiny delays),
-//! [`wan_network`]/[`geo_network`] (five regions, bandwidth falling with
-//! distance), and [`constrained_uplink`] (every sender's outgoing traffic
+//! Two presets pair propagation with a [`BandwidthMatrix`] so wire bytes
+//! shape schedules: [`geo_network`] (five regions, bandwidth falling with
+//! distance) and [`constrained_uplink`] (every sender's outgoing traffic
 //! serializes on one modest uplink — the regime where full-change-set
 //! wires hurt most).
 
@@ -88,22 +87,6 @@ pub fn five_region_wan_with_placement(placement: &[Region], jitter: f64) -> WanM
     WanMatrix::new(five_region_matrix(), region_of, jitter)
 }
 
-/// Per-actor mean one-way delay to every other actor — the "how slow does
-/// this replica look" score a monitoring system would estimate.
-pub fn mean_delay_profile(wan: &WanMatrix, n: usize) -> Vec<f64> {
-    use crate::actor::ActorId;
-    (0..n)
-        .map(|i| {
-            let me = ActorId(i);
-            let total: u128 = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| wan.base_delay(me, ActorId(j)) as u128)
-                .sum();
-            total as f64 / (n - 1).max(1) as f64
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Bandwidth-aware network presets.
 // ---------------------------------------------------------------------------
@@ -128,26 +111,6 @@ pub fn five_region_bandwidth() -> Vec<Vec<u64>> {
     .iter()
     .map(|row| row.to_vec())
     .collect()
-}
-
-/// A LAN: 20–80 µs propagation, [`GBIT10`] full-duplex links, per-link
-/// serialization. Messages are effectively free until they reach megabyte
-/// scale.
-pub fn lan_network(n: usize) -> BandwidthLinks<UniformLatency> {
-    BandwidthLinks::new(
-        UniformLatency::new(20 * MICRO, 80 * MICRO),
-        BandwidthMatrix::uniform(n, GBIT10),
-    )
-}
-
-/// The five-region WAN with bandwidth falling with distance: actors placed
-/// round-robin (actor `i` → region `i % 5`), per-link serialization.
-pub fn wan_network(n: usize, jitter: f64) -> BandwidthLinks<WanMatrix> {
-    let region_of: Vec<usize> = (0..n).map(|i| i % 5).collect();
-    BandwidthLinks::new(
-        five_region_wan(n, jitter),
-        BandwidthMatrix::new(five_region_bandwidth(), region_of),
-    )
 }
 
 /// The five-region WAN with an explicit actor→region placement — the
@@ -229,7 +192,14 @@ mod tests {
         }
         // A 1 MB payload crosses VA→SP slower than VA→IE (thinner pipe).
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let mut net = wan_network(5, 0.0);
+        let round_robin = [
+            Region::Virginia,
+            Region::Ireland,
+            Region::SaoPaulo,
+            Region::Tokyo,
+            Region::Sydney,
+        ];
+        let mut net = geo_network(&round_robin, 0.0);
         let to_ie = net.delivery(
             ActorId(0),
             ActorId(1),
@@ -237,7 +207,7 @@ mod tests {
             1 << 20,
             &mut rng,
         );
-        let mut net = wan_network(5, 0.0);
+        let mut net = geo_network(&round_robin, 0.0);
         let to_sp = net.delivery(
             ActorId(0),
             ActorId(2),
@@ -247,8 +217,9 @@ mod tests {
         );
         assert!(to_sp.transmission > to_ie.transmission);
 
-        // The constrained uplink serializes a fan-out; the LAN does not
-        // (same 100 KB payload, wildly different transmission).
+        // The constrained uplink serializes a fan-out; an intra-region
+        // link does not (same 100 KB payload, wildly different
+        // transmission).
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let mut con = constrained_uplink(4, 1_000_000);
         let first = con.delivery(
@@ -267,7 +238,7 @@ mod tests {
         );
         assert_eq!(first.transmission, 100 * MILLI);
         assert_eq!(second.queued, 100 * MILLI, "uplink shared across targets");
-        let mut lan = lan_network(4);
+        let mut lan = geo_network(&[Region::Ireland, Region::Ireland], 0.0);
         let d = lan.delivery(
             ActorId(0),
             ActorId(1),
@@ -291,10 +262,18 @@ mod tests {
 
     #[test]
     fn delay_profile_orders_regions() {
-        // With one actor per region, São Paulo and Sydney are the loneliest.
+        // With one actor per region, São Paulo and Sydney are the loneliest:
+        // their mean one-way delay to the other four regions is the largest.
         let wan = five_region_wan(5, 0.0);
-        let prof = mean_delay_profile(&wan, 5);
-        assert_eq!(prof.len(), 5);
+        let prof: Vec<Nanos> = (0..5)
+            .map(|i| {
+                (0..5)
+                    .filter(|&j| j != i)
+                    .map(|j| wan.base_delay(ActorId(i), ActorId(j)))
+                    .sum::<Nanos>()
+                    / 4
+            })
+            .collect();
         let va = prof[0];
         let sp = prof[2];
         let sy = prof[4];

@@ -157,17 +157,6 @@ impl Trace {
             .count()
     }
 
-    /// Total bytes across retained deliveries of a given message kind.
-    pub fn delivered_bytes_of(&self, kind: &str) -> u64 {
-        self.records
-            .iter()
-            .filter_map(|r| match &r.kind {
-                TraceKind::Deliver { kind: k, bytes, .. } if *k == kind => Some(*bytes as u64),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Total `(transmission, propagation)` nanoseconds across retained
     /// deliveries of a given message kind — how much of a phase's latency
     /// was bandwidth versus distance.
@@ -284,8 +273,6 @@ mod tests {
         assert_eq!(t.deliveries_of("T"), 1);
         assert_eq!(t.deliveries_of("T_Ack"), 1);
         assert_eq!(t.deliveries_of("nope"), 0);
-        assert_eq!(t.delivered_bytes_of("T"), 48);
-        assert_eq!(t.delivered_bytes_of("nope"), 0);
         assert_eq!(t.delivered_delay_components_of("T"), (300, 700));
         assert_eq!(t.delivered_delay_components_of("nope"), (0, 0));
         assert!(t.render().contains("T_Ack"));

@@ -387,7 +387,15 @@ impl<V: Value> DynOpDriver<V> {
         if (op, obj) != (f.op, f.obj) || reg.is_some() != matches!(f.stage, Stage::One) {
             return;
         }
-        if !accepted && self.options.restart_on_stale {
+        #[allow(unused_mut)]
+        let mut stale = !accepted;
+        #[cfg(feature = "mutate")]
+        if awr_sim::mutate::armed(awr_sim::mutate::Mutation::SkipRestartOnStale) {
+            // MUTATION: a rejecting reply counts as an accept — the client
+            // keeps judging quorums under its stale `C`.
+            stale = false;
+        }
+        if stale {
             // Two kinds of mismatch. If the server's reference taught us
             // changes we lacked, restart the operation (Algorithm 5 lines
             // 14–16 / 30–32). If instead the server is *behind* us (e.g.

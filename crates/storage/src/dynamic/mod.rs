@@ -27,10 +27,7 @@
 //!   `n − f` count set intersects every weighted quorum under every
 //!   Property-1 map (docs/LOAD.md, "Who stores a write"), and live where a
 //!   weight-judged read deadlocks with f + 1 concurrent gainers (the
-//!   reason is spelled out where the refresh starts, in `drain_applies`);
-//! * two ablation knobs — [`DynOptions::restart_on_stale`] and
-//!   [`DynOptions::refresh_on_gain`] — let experiment E10 demonstrate that
-//!   both mechanisms are load-bearing.
+//!   reason is spelled out where the refresh starts, in `drain_applies`).
 //!
 //! # The change-set negotiation
 //!
@@ -388,15 +385,9 @@ pub enum Fanout {
 }
 
 /// Behaviour knobs, defaulting to the paper's protocol (with the
-/// delta-negotiated wire). Turning either boolean off reproduces the E10
-/// ablations (and breaks atomicity, as the checker shows).
+/// delta-negotiated wire).
 #[derive(Clone, Copy, Debug)]
 pub struct DynOptions {
-    /// Restart operations when a server's change set differs (paper: on).
-    pub restart_on_stale: bool,
-    /// Refresh the register with a full read before applying a weight gain
-    /// (Algorithm 4 lines 8–9; paper: on).
-    pub refresh_on_gain: bool,
     /// Wire representation of change sets on the ABD phases.
     pub wire: WireMode,
     /// Read completion strategy (one-phase fast path vs paper-literal two
@@ -419,8 +410,6 @@ pub struct DynOptions {
 impl Default for DynOptions {
     fn default() -> DynOptions {
         DynOptions {
-            restart_on_stale: true,
-            refresh_on_gain: true,
             wire: WireMode::Negotiate,
             read: ReadMode::FastPath,
             checkpoint: None,
@@ -683,11 +672,13 @@ mod driver_tests {
     #[test]
     fn options_default_matches_paper() {
         let o = DynOptions::default();
-        assert!(o.restart_on_stale);
-        assert!(o.refresh_on_gain);
-        // Reads default to the weighted fast path; the paper-literal
-        // two-phase wire stays available as the equivalence baseline.
+        // Reads default to the weighted fast path, both phases to the
+        // smallest quorum by weight, and change sets to the negotiated
+        // wire; the paper-literal `TwoPhase`, `All` and `ForceFull` stay
+        // available as the equivalence baselines.
         assert_eq!(o.read, ReadMode::FastPath);
+        assert_eq!(o.fanout, Fanout::Quorum);
+        assert_eq!(o.wire, WireMode::Negotiate);
     }
 
     #[test]

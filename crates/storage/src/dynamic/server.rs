@@ -42,8 +42,8 @@ pub struct DynServer<V> {
     pending_applies: VecDeque<ApplyRequest>,
     /// The in-flight refresh read, if any.
     refresh: Option<RefreshRead<V>>,
-    /// Number of register refreshes performed (metric for E10c); the
-    /// latest one's operation number.
+    /// Number of register refreshes performed (so tests can tell a gain
+    /// paid for one); the latest one's operation number.
     pub refreshes: u64,
     /// Durable backend, if this server runs durably. Every adopted change
     /// and register lands in its WAL before the triggering callback's
@@ -339,7 +339,14 @@ impl<V: Value> DynServer<V> {
             let Some(req) = self.pending_applies.front() else {
                 return;
             };
-            let needs_refresh = self.options.refresh_on_gain && req.affects(self.core.server_id());
+            #[allow(unused_mut)]
+            let mut needs_refresh = req.affects(self.core.server_id());
+            #[cfg(feature = "mutate")]
+            if awr_sim::mutate::armed(awr_sim::mutate::Mutation::SkipRefreshOnGain) {
+                // MUTATION: apply the gain over whatever register this
+                // server holds.
+                needs_refresh = false;
+            }
             if needs_refresh {
                 // Algorithm 4 lines 8–9: register ← read(), then apply.
                 // Implemented as an n − f *count* read answered

@@ -210,78 +210,6 @@ mod dynamic_tests {
     }
 
     #[test]
-    fn ablation_no_restart_returns_stale_reads() {
-        // E10(b): with restart-on-stale OFF, a reader judging quorums under
-        // the *old* weights assembles an old-weight quorum of four light
-        // servers that never saw the latest write — {s1..s4}, which is
-        // exactly the quorum its targeted phase 1 asks (heaviest first,
-        // ties by id, under the old uniform map). The adversary (allowed in
-        // an asynchronous system!) merely delays two flows:
-        //   * reader ↔ heavy trio {s5,s6,s7} (what keeps the stale quorum
-        //     the first to answer when phase 1 asks everyone),
-        //   * writer → light quartet {s1..s4}.
-        use awr_sim::{ActorId, TargetedDelay, Time, SECOND};
-        let reader = ActorId(7); // client 0
-        let writer = ActorId(8); // client 1
-        let heavy = |a: ActorId| (4..7).contains(&a.index());
-        let light = |a: ActorId| a.index() < 4;
-        let hold = Time(600 * SECOND);
-        let base = UniformLatency::new(1_000, 10_000);
-        let d1 = TargetedDelay::new(
-            base,
-            move |f, t| (f == reader && heavy(t)) || (heavy(f) && t == reader),
-            hold,
-        );
-        let d2 = TargetedDelay::new(d1, move |f, t| f == writer && light(t), hold);
-        let mut h: StorageHarness<u64> = StorageHarness::build(
-            RpConfig::uniform(7, 2),
-            3,
-            42,
-            d2,
-            DynOptions {
-                restart_on_stale: false,
-                ..DynOptions::default()
-            },
-        );
-        // The reader has one operation behind it, so its next phase 1 is
-        // targeted rather than the first-ever ask-everyone.
-        assert_eq!(h.read(0).unwrap().0, None);
-        // Client 2 (unconstrained) writes v1 everywhere under initial C.
-        h.write(2, 1).unwrap();
-        // Concentrate weight: {s5,s6,s7} = 3.75 becomes a quorum.
-        for (from, to) in [(0, 4), (1, 5), (2, 6)] {
-            let out = h
-                .transfer_and_wait(s(from), s(to), Ratio::dec("0.25"))
-                .unwrap();
-            assert!(out.is_effective());
-        }
-        // Sync the writer's view; its v2 write completes on the heavy trio
-        // alone (its W messages to the lights are held by the adversary).
-        let server_changes = h
-            .world
-            .actor::<DynServer<u64>>(h.server_actor(s(0)))
-            .unwrap()
-            .changes()
-            .clone();
-        let c1 = h.client_actor(1);
-        h.world
-            .actor_mut::<DynClient<u64>>(c1)
-            .unwrap()
-            .driver
-            .changes = server_changes;
-        h.write(1, 2).unwrap();
-        // The stale reader now assembles {s1..s4} = 4.0 under the OLD map.
-        let (v, _) = h.read(0).unwrap();
-        assert_eq!(h.world.metrics().counter("phase1_targeted"), 1);
-        assert_eq!(v, Some(1), "expected the stale value");
-        // The checker must flag the execution as non-atomic.
-        assert!(
-            check_linearizable(&h.history()).is_err(),
-            "stale read was not flagged"
-        );
-    }
-
-    #[test]
     fn writer_conflict_resolved_by_tags() {
         let mut h = harness(8);
         h.begin_async(0, Some(100));
@@ -295,7 +223,7 @@ mod dynamic_tests {
     }
 
     #[test]
-    fn refresh_on_gain_runs() {
+    fn a_gaining_server_refreshes_first() {
         let mut h = harness(9);
         h.write(0, 5).unwrap();
         h.transfer_and_wait(s(3), s(0), Ratio::dec("0.2")).unwrap();

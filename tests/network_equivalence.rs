@@ -9,8 +9,7 @@
 
 use awr::core::{RpConfig, RpHarness};
 use awr::sim::{
-    BandwidthLinks, BandwidthMatrix, ConstantLatency, Metrics, NetworkModel, ReceiveDiscipline,
-    UniformLatency,
+    BandwidthLinks, BandwidthMatrix, ConstantLatency, Metrics, NetworkModel, UniformLatency,
 };
 use awr::storage::{DynOptions, StorageHarness};
 use awr::types::{Ratio, ServerId};
@@ -76,79 +75,6 @@ fn uniform_latency_schedule_is_identical_under_infinite_bandwidth() {
         );
         assert_eq!(plain, wrapped, "seed {seed}: schedules diverged");
     }
-}
-
-#[test]
-fn receive_scheduling_off_is_schedule_identical_under_finite_bandwidth() {
-    // The off-case equivalence pin on the full protocol: the default
-    // (receive scheduling off) and an explicit `Off` must replay the same
-    // finite-bandwidth schedule bit for bit.
-    for seed in 0..3 {
-        let default_net = storage_scenario(
-            seed,
-            BandwidthLinks::new(
-                UniformLatency::new(1_000, 50_000),
-                BandwidthMatrix::uniform(7, 1_000_000),
-            ),
-        );
-        let explicit_off = storage_scenario(
-            seed,
-            BandwidthLinks::new(
-                UniformLatency::new(1_000, 50_000),
-                BandwidthMatrix::uniform(7, 1_000_000),
-            )
-            .with_receive_discipline(ReceiveDiscipline::Off),
-        );
-        assert_eq!(default_net, explicit_off, "seed {seed}: off-case diverged");
-    }
-}
-
-#[test]
-fn receive_scheduling_is_a_no_op_under_infinite_bandwidth() {
-    // With zero transmission time there is nothing to drain: PerDownlink
-    // must reproduce the plain latency schedule exactly, which pins the
-    // on-path's interaction with the blanket impl.
-    for seed in 0..3 {
-        let plain = storage_scenario(seed, UniformLatency::new(1_000, 50_000));
-        let rx = storage_scenario(
-            seed,
-            BandwidthLinks::new(
-                UniformLatency::new(1_000, 50_000),
-                BandwidthMatrix::unlimited(7),
-            )
-            .with_receive_discipline(ReceiveDiscipline::PerDownlink),
-        );
-        assert_eq!(plain, rx, "seed {seed}: schedules diverged");
-    }
-}
-
-#[test]
-fn receive_scheduling_stretches_ack_convergence() {
-    // Under PerDownlink the quorum's worth of acks converging on the
-    // client drain one at a time: the run gets longer, the outcome stays
-    // the same.
-    let off = storage_scenario(
-        5,
-        BandwidthLinks::new(
-            ConstantLatency(25_000),
-            BandwidthMatrix::uniform(7, 200_000), // 200 KB/s: acks cost ms
-        ),
-    );
-    let on = storage_scenario(
-        5,
-        BandwidthLinks::new(
-            ConstantLatency(25_000),
-            BandwidthMatrix::uniform(7, 200_000),
-        )
-        .with_receive_discipline(ReceiveDiscipline::PerDownlink),
-    );
-    assert_eq!(off.reads, on.reads, "outcomes must agree");
-    assert!(
-        on.end_nanos > off.end_nanos,
-        "downlink draining must stretch the run ({} vs {})",
-        on.end_nanos,
-        off.end_nanos
-    );
 }
 
 #[test]
