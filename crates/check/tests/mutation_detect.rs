@@ -551,7 +551,7 @@ fn stale_c_read() -> (Option<u64>, bool, u64) {
 }
 
 #[test]
-fn skip_restart_on_stale_is_caught() {
+fn skipped_stale_c_restart_is_caught() {
     let (v, linearizable, _) = stale_c_read();
     assert_eq!(
         v,
@@ -611,7 +611,7 @@ fn unrefreshed_gain_read() -> (Option<u64>, bool) {
 }
 
 #[test]
-fn skip_refresh_on_gain_is_caught() {
+fn skipped_gain_refresh_is_caught() {
     assert_eq!(
         unrefreshed_gain_read(),
         (Some(9), true),

@@ -238,8 +238,8 @@ mod tests {
         );
         assert_eq!(first.transmission, 100 * MILLI);
         assert_eq!(second.queued, 100 * MILLI, "uplink shared across targets");
-        let mut lan = geo_network(&[Region::Ireland, Region::Ireland], 0.0);
-        let d = lan.delivery(
+        let mut intra = geo_network(&[Region::Ireland, Region::Ireland], 0.0);
+        let d = intra.delivery(
             ActorId(0),
             ActorId(1),
             crate::time::Time::ZERO,

@@ -387,14 +387,11 @@ impl<V: Value> DynOpDriver<V> {
         if (op, obj) != (f.op, f.obj) || reg.is_some() != matches!(f.stage, Stage::One) {
             return;
         }
-        #[allow(unused_mut)]
-        let mut stale = !accepted;
+        let stale = !accepted;
         #[cfg(feature = "mutate")]
-        if awr_sim::mutate::armed(awr_sim::mutate::Mutation::SkipRestartOnStale) {
-            // MUTATION: a rejecting reply counts as an accept — the client
-            // keeps judging quorums under its stale `C`.
-            stale = false;
-        }
+        // MUTATION: a rejecting reply counts as an accept — the client keeps
+        // judging quorums under its stale `C`.
+        let stale = stale && !awr_sim::mutate::armed(awr_sim::mutate::Mutation::SkipRestartOnStale);
         if stale {
             // Two kinds of mismatch. If the server's reference taught us
             // changes we lacked, restart the operation (Algorithm 5 lines

@@ -339,14 +339,12 @@ impl<V: Value> DynServer<V> {
             let Some(req) = self.pending_applies.front() else {
                 return;
             };
-            #[allow(unused_mut)]
-            let mut needs_refresh = req.affects(self.core.server_id());
+            let needs_refresh = req.affects(self.core.server_id());
             #[cfg(feature = "mutate")]
-            if awr_sim::mutate::armed(awr_sim::mutate::Mutation::SkipRefreshOnGain) {
-                // MUTATION: apply the gain over whatever register this
-                // server holds.
-                needs_refresh = false;
-            }
+            // MUTATION: apply the gain over whatever register this server
+            // holds.
+            let needs_refresh = needs_refresh
+                && !awr_sim::mutate::armed(awr_sim::mutate::Mutation::SkipRefreshOnGain);
             if needs_refresh {
                 // Algorithm 4 lines 8–9: register ← read(), then apply.
                 // Implemented as an n − f *count* read answered
