@@ -31,7 +31,7 @@ use std::hash::{Hash, Hasher};
 use awr_rb::RbEnvelope;
 use awr_sim::{ActorId, Message};
 use awr_types::wire::{
-    frame_len, get_vec, put_digest, put_seq, FrameError, Reader, Wire, MIN_CHANGE,
+    frame_len, get_vec, put_digest, put_seq, FrameError, Reader, Sink, Wire, MIN_CHANGE,
 };
 use awr_types::{CsRef, Ratio, ServerId, TransferChanges};
 
@@ -145,7 +145,7 @@ impl Message for WrMsg {
 }
 
 impl Wire for WrMsg {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
             WrMsg::Rb(env) => {
                 out.push(0);

@@ -57,7 +57,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use awr_core::RpConfig;
-use awr_net::{decode_frame, encode_frame, FrameError, Reader, TcpTransport, Wire};
+use awr_net::{decode_frame, encode_frame, FrameError, Reader, Sink, TcpTransport, Wire};
 use awr_sim::{ActorId, Metrics, NodeHost, Time, Transport, UniformLatency};
 use awr_storage::{
     check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
@@ -251,7 +251,7 @@ struct OpRecord {
 }
 
 impl Wire for Report {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.role.put(out);
         self.idx.put(out);
         put_map(out, &self.sent.msgs);
@@ -284,7 +284,7 @@ impl Wire for Report {
 }
 
 impl Wire for OpRecord {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.obj.put(out);
         self.write.put(out);
         self.value.put(out);

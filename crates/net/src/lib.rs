@@ -51,14 +51,14 @@
 //! ```
 //! use std::net::TcpListener;
 //! use std::time::Duration;
-//! use awr_net::{FrameError, Reader, TcpTransport, Wire};
+//! use awr_net::{FrameError, Reader, Sink, TcpTransport, Wire};
 //! use awr_sim::{ActorId, Message, Transport};
 //!
 //! #[derive(Clone, Debug, PartialEq)]
 //! struct Ping(u32);
 //! impl Message for Ping {}
 //! impl Wire for Ping {
-//!     fn put(&self, out: &mut Vec<u8>) {
+//!     fn put(&self, out: &mut impl Sink) {
 //!         self.0.put(out);
 //!     }
 //!     fn get(r: &mut Reader<'_>) -> Result<Ping, FrameError> {
@@ -90,8 +90,8 @@ mod sys;
 pub mod tcp;
 
 pub use awr_types::wire::{
-    decode_frame, encode_frame, encode_frame_into, frame_len, FrameError, Reader, Wire, MAX_FRAME,
-    WIRE_VERSION,
+    decode_frame, encode_frame, encode_frame_into, frame_len, FrameError, Reader, Sink, Wire,
+    MAX_FRAME, WIRE_VERSION,
 };
 pub use frame::{read_hello, write_hello};
 pub use tcp::{PoolStats, Reconnect, TcpTransport};

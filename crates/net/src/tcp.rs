@@ -657,7 +657,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awr_types::wire::{encode_frame, Reader};
+    use awr_types::wire::{encode_frame, Reader, Sink};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u64);
@@ -665,7 +665,7 @@ mod tests {
     impl Message for Ping {}
 
     impl Wire for Ping {
-        fn put(&self, out: &mut Vec<u8>) {
+        fn put(&self, out: &mut impl Sink) {
             self.0.put(out);
         }
 

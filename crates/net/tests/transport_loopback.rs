@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use awr_core::RpConfig;
 use awr_net::tcp::HIGH_WATER;
 use awr_net::{
-    encode_frame, write_hello, FrameError, Reader, Reconnect, TcpTransport, Wire, MAX_FRAME,
+    encode_frame, write_hello, FrameError, Reader, Reconnect, Sink, TcpTransport, Wire, MAX_FRAME,
     WIRE_VERSION,
 };
 use awr_sim::{ActorId, ChannelTransport, Message, NodeHost, Step, Transport};
@@ -32,7 +32,7 @@ struct Seq {
 }
 
 impl Wire for Seq {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.n.put(out);
         self.body.len().put(out);
         out.extend_from_slice(self.body.as_bytes());

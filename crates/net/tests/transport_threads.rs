@@ -5,14 +5,14 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use awr_net::{FrameError, Reader, TcpTransport, Wire};
+use awr_net::{FrameError, Reader, Sink, TcpTransport, Wire};
 use awr_sim::{ActorId, Message, Transport};
 
 #[derive(Clone, Debug, PartialEq)]
 struct Ball(u64);
 impl Message for Ball {}
 impl Wire for Ball {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.0.put(out);
     }
 

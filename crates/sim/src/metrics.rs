@@ -124,16 +124,19 @@ pub struct ObjectStat {
     pub bytes: u64,
 }
 
-/// Hasher of the per-object table: one multiply and a fold, instead of
-/// SipHash on every keyed send. Object keys are chosen by this program's
-/// own workloads (a node tallies the messages it *sends*), never by a
-/// peer, so collision resistance buys nothing here.
+/// Hasher of the `u64`-keyed tables on the per-event path — the
+/// per-object table here and [`crate::World`]'s cancelled-timer set: one
+/// multiply and a fold, instead of SipHash on every keyed send and every
+/// deadline timer. Both keys are chosen by this program — object keys by
+/// its own workloads (a node tallies the messages it *sends*), timer ids
+/// by a counter — never by a peer, so collision resistance buys nothing
+/// here.
 #[derive(Clone, Copy, Default)]
-struct ObjectKeyHasher(u64);
+pub(crate) struct U64Hasher(u64);
 
-impl Hasher for ObjectKeyHasher {
+impl Hasher for U64Hasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the object table is keyed by u64 only");
+        unreachable!("keyed by u64 only");
     }
 
     fn write_u64(&mut self, key: u64) {
@@ -148,7 +151,10 @@ impl Hasher for ObjectKeyHasher {
     }
 }
 
-type ObjectTable = HashMap<u64, ObjectStat, BuildHasherDefault<ObjectKeyHasher>>;
+/// Builds [`U64Hasher`]s for a `HashMap`/`HashSet`.
+pub(crate) type U64Build = BuildHasherDefault<U64Hasher>;
+
+type ObjectTable = HashMap<u64, ObjectStat, U64Build>;
 
 /// Counters accumulated by a [`crate::World`] run, or by one
 /// [`crate::NodeHost`] (one per node; [`Metrics::absorb`] sums them).

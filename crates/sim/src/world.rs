@@ -11,6 +11,12 @@
 //! carrying a protocol message is several times that — so the timing
 //! wheel's pushes, cascades, slot sorts and pops move keys while the
 //! payload stays put until its event runs.
+//!
+//! A parked event is at most 128 bytes when the message is at most 96
+//! (the size of `DynMsg<u64>`): a delivery stores its endpoints and byte
+//! count as `u32`, so parking it and taking it back are inline moves, not
+//! `memcpy` calls. The cancelled-timer set hashes its counter ids with
+//! one multiply, like the per-object table of [`Metrics`].
 
 use std::collections::HashSet;
 
@@ -18,21 +24,25 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::actor::{Actor, ActorId, Context, Effect, Message, TimerId};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, U64Build};
 use crate::network::NetworkModel;
 use crate::sched::{build_scheduler, Scheduler, SchedulerKind};
 use crate::time::{Nanos, Time};
 use crate::trace::{Trace, TraceKind};
 
-/// A scheduled occurrence.
+/// A scheduled occurrence. A delivery's `u32` fields keep it within
+/// 128 bytes (see the module docs; `a_parked_delivery_fits_in_128_bytes`
+/// pins it).
 enum EventKind<M> {
     Start(ActorId),
     Deliver {
-        from: ActorId,
-        to: ActorId,
-        msg: M,
+        /// Sender's [`ActorId`] index.
+        from: u32,
+        /// Receiver's [`ActorId`] index.
+        to: u32,
         /// The message's [`Message::wire_size`], as charged at the send.
-        bytes: usize,
+        bytes: u32,
+        msg: M,
         /// Transmission + queueing component of the delivery delay.
         tx: Nanos,
         /// Propagation component of the delivery delay.
@@ -52,39 +62,14 @@ enum EventKind<M> {
     },
 }
 
-impl<M: std::fmt::Debug> std::fmt::Debug for EventKind<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EventKind::Start(a) => f.debug_tuple("Start").field(a).finish(),
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                bytes,
-                tx,
-                prop,
-            } => f
-                .debug_struct("Deliver")
-                .field("from", from)
-                .field("to", to)
-                .field("msg", msg)
-                .field("bytes", bytes)
-                .field("tx", tx)
-                .field("prop", prop)
-                .finish(),
-            EventKind::Timer { actor, id, tag } => f
-                .debug_struct("Timer")
-                .field("actor", actor)
-                .field("id", id)
-                .field("tag", tag)
-                .finish(),
-            EventKind::Crash(a) => f.debug_tuple("Crash").field(a).finish(),
-            EventKind::Restart { actor, .. } => f
-                .debug_struct("Restart")
-                .field("actor", actor)
-                .finish_non_exhaustive(),
-        }
-    }
+/// An [`ActorId`] as a parked delivery stores it.
+fn narrow(a: ActorId) -> u32 {
+    u32::try_from(a.index()).expect("under 2^32 actors")
+}
+
+/// The [`ActorId`] a parked delivery names.
+fn widen(a: u32) -> ActorId {
+    ActorId(a as usize)
 }
 
 /// The pending events' payloads, one slot each, with a free list: a slot
@@ -248,7 +233,7 @@ pub struct World<M: Message> {
     network: Box<dyn NetworkModel>,
     rng: StdRng,
     next_timer: u64,
-    cancelled_timers: HashSet<TimerId>,
+    cancelled_timers: HashSet<TimerId, U64Build>,
     /// The effect buffer every callback fills and [`World::apply_effects`]
     /// empties: kept here so an event costs no allocation once it has
     /// grown (the discipline of [`crate::NodeHost`]).
@@ -293,7 +278,7 @@ impl<M: Message> World<M> {
             network: Box::new(network),
             rng: StdRng::seed_from_u64(seed),
             next_timer: 0,
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: HashSet::default(),
             effects: Vec::new(),
             metrics: Metrics::default(),
             trace: None,
@@ -442,10 +427,10 @@ impl<M: Message> World<M> {
         self.push_event(
             self.time + d.total(),
             EventKind::Deliver {
-                from,
-                to,
+                from: narrow(from),
+                to: narrow(to),
+                bytes: u32::try_from(bytes).expect("a message under 4 GiB"),
                 msg,
-                bytes,
                 tx,
                 prop: d.propagation,
             },
@@ -630,11 +615,12 @@ impl<M: Message> World<M> {
             EventKind::Deliver {
                 from,
                 to,
-                msg,
                 bytes,
+                msg,
                 tx,
                 prop,
             } => {
+                let (from, to, bytes) = (widen(from), widen(to), bytes as usize);
                 if self.crashed[to.index()] {
                     self.metrics.messages_dropped_crashed += 1;
                     if let Some(t) = self.trace.as_mut() {
@@ -700,8 +686,8 @@ impl<M: Message> World<M> {
             let kind = match self.park.get(slot) {
                 EventKind::Start(a) => PendingKind::Start { actor: *a },
                 EventKind::Deliver { from, to, msg, .. } => PendingKind::Deliver {
-                    from: *from,
-                    to: *to,
+                    from: widen(*from),
+                    to: widen(*to),
                     kind: msg.kind(),
                     digest: msg.content_digest(),
                 },
@@ -750,7 +736,7 @@ impl<M: Message> World<M> {
             .for_each(&mut |_, _, &slot| match self.park.get(slot) {
                 EventKind::Start(a) => pending.push((0, a.index(), 0, 0)),
                 EventKind::Deliver { from, to, msg, .. } => match msg.content_digest() {
-                    Some(d) => pending.push((1, from.index(), to.index(), d)),
+                    Some(d) => pending.push((1, *from as usize, *to as usize, d)),
                     None => undigestible = true,
                 },
                 EventKind::Timer { actor, id, tag } => {
@@ -1089,6 +1075,18 @@ mod tests {
         w.schedule_crash(ActorId(2), Time(4_000_000));
         w.schedule_restart(ActorId(2), Time(9_000_000), move || Box::new(churner()));
         w
+    }
+
+    #[test]
+    fn a_parked_delivery_fits_in_128_bytes() {
+        // `[u64; 12]` stands in for `DynMsg<u64>`: 96 bytes, with no niche
+        // for the event's tag to hide in.
+        let slot = std::mem::size_of::<Option<EventKind<[u64; 12]>>>();
+        assert!(
+            slot <= 128,
+            "a parked delivery of a 96-byte message takes {slot} B: above 128 B, \
+             every park and take becomes a memcpy call"
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Pins the allocation contract of the simulator's event loop: once its
 //! buffers are warm, popping an event, running the callback, applying its
-//! effects, deciding the delivery, and recording the send in [`Metrics`]
-//! allocate nothing. Every protocol comparison and virtual-time gate runs
-//! millions of these, so one allocation per event is most of what a run
-//! costs.
+//! effects (a send, a timer armed, a timer cancelled), deciding the
+//! delivery, recording the send in [`Metrics`], and popping a cancelled
+//! timer as a no-op allocate nothing. Every protocol comparison and
+//! virtual-time gate runs millions of these, so one allocation per event
+//! is most of what a run costs.
 //!
 //! The counting shim is the one place this crate's tests touch `unsafe`:
 //! a `GlobalAlloc` that delegates verbatim to the system allocator and
@@ -22,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use awr_sim::{
     Actor, ActorId, BandwidthLinks, BandwidthMatrix, ConstantLatency, Context, Message,
-    SchedulerKind, World, MICRO,
+    SchedulerKind, TimerId, World, MICRO, MILLI,
 };
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -91,8 +92,19 @@ impl Message for Ball {
     }
 }
 
-/// Returns every ball to its sender; actor 0 serves.
-struct Player;
+/// Returns every ball to its sender; actor 0 serves. Every delivery arms
+/// a deadline timer, and every other delivery cancels the one armed at the
+/// delivery before it, still pending — as a completed operation cancels
+/// its deadline — so half the timers fire and half pop as no-ops.
+#[derive(Default)]
+struct Player {
+    received: u64,
+    armed: Option<TimerId>,
+}
+
+/// Outlasts a round trip (two 1 ms transmissions plus propagation), so a
+/// timer armed at one delivery is still pending at the next.
+const DEADLINE: u64 = 3 * MILLI;
 
 impl Actor for Player {
     type Msg = Ball;
@@ -103,6 +115,11 @@ impl Actor for Player {
     }
     fn on_message(&mut self, from: ActorId, ball: Ball, ctx: &mut Context<'_, Ball>) {
         ctx.send(from, Ball(ball.0 + 1));
+        self.received += 1;
+        let previous = self.armed.replace(ctx.set_timer(DEADLINE, ball.0));
+        if self.received.is_multiple_of(2) {
+            ctx.cancel_timer(previous.expect("armed at the previous delivery"));
+        }
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -115,15 +132,16 @@ impl Actor for Player {
 const WARM_UP: u64 = 1_000;
 const MEASURED: u64 = 100_000;
 
-/// Allocations over `MEASURED` ping-pong events after `WARM_UP`.
+/// Allocations over `MEASURED` ping-pong and timer events after
+/// `WARM_UP`.
 fn allocations_per_run(kind: SchedulerKind) -> u64 {
     let net = BandwidthLinks::new(
         ConstantLatency(50 * MICRO),
         BandwidthMatrix::uniform(2, 1_000_000),
     );
     let mut world: World<Ball> = World::new_with_scheduler(7, net, kind);
-    world.add_actor(Player);
-    world.add_actor(Player);
+    world.add_actor(Player::default());
+    world.add_actor(Player::default());
     for _ in 0..WARM_UP {
         assert!(world.step());
     }
@@ -133,31 +151,47 @@ fn allocations_per_run(kind: SchedulerKind) -> u64 {
         }
     });
 
-    // The loop did what it was measured doing: one delivery and one
-    // accounted send per event, queued behind nothing.
+    // The loop did what it was measured doing: per delivery one accounted
+    // send queued behind nothing and one timer armed, half of them
+    // cancelled before they came due.
     let m = world.metrics();
     let events = WARM_UP + MEASURED;
-    assert_eq!(m.events_processed, events);
-    assert_eq!(m.messages_sent, events - 1);
-    assert_eq!(m.bytes_sent, (events - 1) * 1_000);
+    let delivered = m.messages_delivered;
+    let timer_events = events - 2 - delivered; // less the two starts
+    assert_eq!(m.messages_sent, delivered + 1, "one ball in flight");
+    assert!(
+        timer_events.abs_diff(delivered) <= 4,
+        "{timer_events} timer events against {delivered} deliveries"
+    );
+    let cancelled = timer_events - m.timers_fired;
+    assert!(
+        cancelled.abs_diff(m.timers_fired) <= 2,
+        "{cancelled} cancelled timers popped against {} fired",
+        m.timers_fired
+    );
+    assert_eq!(m.bytes_sent, m.messages_sent * 1_000);
     let (to, fro) = (
         m.link(ActorId(0), ActorId(1))
             .expect("0 → 1 carried traffic"),
         m.link(ActorId(1), ActorId(0))
             .expect("1 → 0 carried traffic"),
     );
-    assert_eq!(to.msgs + fro.msgs, events - 1);
+    assert_eq!(to.msgs + fro.msgs, m.messages_sent);
     assert_eq!(to.delay.count, to.msgs);
     assert_eq!(to.busy, to.msgs * 1_000 * MICRO);
-    assert_eq!((0..4).map(|o| m.msgs_of_object(o)).sum::<u64>(), events - 1);
+    assert_eq!(
+        (0..4).map(|o| m.msgs_of_object(o)).sum::<u64>(),
+        m.messages_sent
+    );
     allocs
 }
 
 #[test]
 fn warm_event_loop_allocates_nothing() {
-    // The heap scheduler holds its one in-flight event in a buffer that is
-    // warm after the first push, so every allocation counted here would be
-    // `dispatch`'s, `send_message`'s, the link horizons' or `Metrics`'s.
+    // The heap scheduler holds its few pending events in a buffer that is
+    // warm after the first pushes, so every allocation counted here would
+    // be `dispatch`'s, `send_message`'s, the link horizons', `Metrics`'s or
+    // the cancelled-timer set's.
     assert_eq!(
         allocations_per_run(SchedulerKind::BinaryHeap),
         0,

@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use awr_types::wire::{
-    decode_frame, encode_frame, encode_frame_into, get_map, put_map, FrameError, Reader, Wire,
-    MAX_FRAME,
+    decode_frame, encode_frame, encode_frame_into, get_map, put_map, FrameError, Reader, Sink,
+    Wire, MAX_FRAME,
 };
 use awr_types::{Change, ChangeSet, ObjectId, TaggedValue};
 
@@ -150,7 +150,7 @@ impl<V: Value> Storage<V> for MemStorage<V> {
 
 /// Tag `0` Change: the change · `1` Register: `obj` `reg`.
 impl<V: Wire> Wire for WalRecord<V> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
             WalRecord::Change(c) => {
                 out.push(0);
@@ -175,7 +175,7 @@ impl<V: Wire> Wire for WalRecord<V> {
 
 /// `changes`, then the map `ObjectId → TaggedValue<V>`.
 impl<V: Wire> Wire for Snapshot<V> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.changes.put(out);
         put_map(out, &self.registers);
     }

@@ -408,6 +408,7 @@ impl<V: Value> DynOpDriver<V> {
                 self.op.as_mut().expect("checked above").restarts += 1;
                 self.attempt(ctx);
             } else {
+                ctx.record_counter("repolled_behind", 1);
                 ctx.send(from, self.request());
             }
             return;

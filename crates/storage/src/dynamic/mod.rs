@@ -471,6 +471,18 @@ mod driver_tests {
     }
 
     #[test]
+    fn a_dyn_msg_of_u64_fits_in_96_bytes() {
+        // The simulator parks each delivery in a 128-byte slot sized for a
+        // 96-byte message.
+        let size = std::mem::size_of::<DynMsg<u64>>();
+        assert!(
+            size <= 96,
+            "DynMsg<u64> takes {size} B: above 96 B a parked delivery outgrows \
+             128 B, and every park and take in the simulator becomes a memcpy call"
+        );
+    }
+
+    #[test]
     fn writer_value_survives_restarts() {
         // A writer whose phase 1 collides with a weight change restarts but
         // must still write its original value.

@@ -59,8 +59,10 @@ pub struct DynServer<V> {
     /// arithmetic would mis-address the suffix; when no journal suffix
     /// expresses the growth, persisting falls back to a full snapshot.
     persisted_digest: u64,
-    /// What each client presented last (see [`DynServer::judge`]).
-    clients: BTreeMap<ActorId, Presented>,
+    /// What each client presented last (see [`DynServer::judge`]),
+    /// indexed by [`ActorId`]: `None` for an actor that never sent an
+    /// `R`/`W` (every server, and clients not yet heard from).
+    clients: Vec<Option<Presented>>,
     /// Set by [`DynServer::recover`]: on the next [`Actor::on_start`] this
     /// server runs the rejoin round (change-set sync + register refresh)
     /// before resuming normal service.
@@ -82,7 +84,7 @@ impl<V: Value> DynServer<V> {
             refreshes: 0,
             storage: None,
             persisted_digest,
-            clients: BTreeMap::new(),
+            clients: Vec::new(),
             rejoin: false,
         }
     }
@@ -170,7 +172,8 @@ impl<V: Value> DynServer<V> {
         if cad.due(self.core.changes().journal_len()) {
             let deepest = self
                 .clients
-                .values()
+                .iter()
+                .flatten()
                 .filter_map(|p| self.core.changes().delta_since(p.digest).map(<[_]>::len))
                 .max()
                 .unwrap_or(0);
@@ -212,7 +215,9 @@ impl<V: Value> DynServer<V> {
         let accepted = mine.matches_ref(presented);
         let delta_failed = self
             .clients
-            .get(&from)
+            .get(from.index())
+            .copied()
+            .flatten()
             .is_some_and(|p| p.delta_cut && p.digest == digest);
         let reply = match self.options.wire {
             WireMode::ForceFull => CsRef::Full(mine.clone()),
@@ -226,7 +231,10 @@ impl<V: Value> DynServer<V> {
             },
         };
         let delta_cut = matches!(reply, CsRef::Delta { .. });
-        self.clients.insert(from, Presented { digest, delta_cut });
+        if self.clients.len() <= from.index() {
+            self.clients.resize(from.index() + 1, None);
+        }
+        self.clients[from.index()] = Some(Presented { digest, delta_cut });
         (accepted, reply)
     }
 
@@ -698,8 +706,10 @@ impl<V: Value> Actor for DynServer<V> {
         }
         self.refreshes.hash(&mut h);
         self.persisted_digest.hash(&mut h);
-        for (a, p) in &self.clients {
-            (a.index(), p).hash(&mut h);
+        for (a, p) in self.clients.iter().enumerate() {
+            if let Some(p) = p {
+                (a, p).hash(&mut h);
+            }
         }
         self.rejoin.hash(&mut h);
         // Durable content is digested separately by the explorer (it can

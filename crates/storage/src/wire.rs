@@ -4,13 +4,13 @@
 //! their types in `durable.rs`.
 
 use awr_core::restricted::WrMsg;
-use awr_types::wire::{get_map, put_digest, put_map, FrameError, Reader, Wire};
+use awr_types::wire::{get_map, put_digest, put_map, FrameError, Reader, Sink, Wire};
 use awr_types::{CsRef, ObjectId, TaggedValue};
 
 use crate::{DynMsg, RefreshHave, Value};
 
 impl Wire for RefreshHave {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
             RefreshHave::Tags(tags) => {
                 out.push(0);
@@ -38,7 +38,7 @@ impl Wire for RefreshHave {
 }
 
 impl<V: Value> Wire for DynMsg<V> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
             DynMsg::Wr(m) => {
                 out.push(0);

@@ -51,7 +51,6 @@
 //! [`decode_frame`]) bytes left over after the value are all
 //! [`FrameError::Codec`] — never a panic.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -65,6 +64,10 @@ use crate::{
 /// connection hello). Version 1 (a self-describing value tree) is refused
 /// like any other foreign version.
 pub const WIRE_VERSION: u8 = 2;
+
+/// A frame's first five bytes before the length is patched in: a
+/// placeholder `u32` length, then the version.
+const FRAME_HEADER: [u8; 5] = [0, 0, 0, 0, WIRE_VERSION];
 
 /// Upper bound on `version byte + payload` length, in bytes. Generous for
 /// this workspace's values (a full change-set transfer is kilobytes) but
@@ -128,6 +131,44 @@ impl From<io::Error> for FrameError {
     }
 }
 
+/// Where [`Wire::put`] writes: a byte buffer, or a tally of the bytes a
+/// buffer would receive — [`frame_len`]'s size-only pass. One `put` per
+/// type thus states both a value's encoding and its size.
+pub trait Sink {
+    /// Appends one byte.
+    fn push(&mut self, byte: u8);
+
+    /// Appends `bytes`.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// A [`Sink`] that keeps only the number of bytes written to it.
+struct Tally(usize);
+
+impl Sink for Tally {
+    #[inline]
+    fn push(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// A type with a version-2 layout.
 ///
 /// `put` and `get` must mirror each other field for field; adding a
@@ -135,7 +176,7 @@ impl From<io::Error> for FrameError {
 /// in `crates/net/tests/codec_props.rs`.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `out`.
-    fn put(&self, out: &mut Vec<u8>);
+    fn put(&self, out: &mut impl Sink);
 
     /// Decodes one value from the front of `r`.
     fn get(r: &mut Reader<'_>) -> Result<Self, FrameError>;
@@ -235,7 +276,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends `v` as an LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub fn put_varint(out: &mut impl Sink, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -243,7 +284,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-fn put_varint128(out: &mut Vec<u8>, mut v: u128) {
+fn put_varint128(out: &mut impl Sink, mut v: u128) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -252,13 +293,13 @@ fn put_varint128(out: &mut Vec<u8>, mut v: u128) {
 }
 
 /// Appends a fixed-width digest: 8 bytes little endian.
-pub fn put_digest(out: &mut Vec<u8>, digest: u64) {
+pub fn put_digest(out: &mut impl Sink, digest: u64) {
     out.extend_from_slice(&digest.to_le_bytes());
 }
 
 /// Appends a sequence of `len` items: the count, then each item.
 pub fn put_seq<'a, T: Wire + 'a>(
-    out: &mut Vec<u8>,
+    out: &mut impl Sink,
     len: usize,
     items: impl IntoIterator<Item = &'a T>,
 ) {
@@ -280,7 +321,7 @@ pub fn get_vec<T: Wire>(r: &mut Reader<'_>, min_each: usize) -> Result<Vec<T>, F
 }
 
 /// Appends a map: the count, then `key value` per entry in key order.
-pub fn put_map<K: Wire, T: Wire>(out: &mut Vec<u8>, map: &BTreeMap<K, T>) {
+pub fn put_map<K: Wire, T: Wire>(out: &mut impl Sink, map: &BTreeMap<K, T>) {
     put_varint(out, map.len() as u64);
     for (k, v) in map {
         k.put(out);
@@ -308,7 +349,7 @@ pub fn get_map<K: Wire + Ord, T: Wire>(
 /// without allocating, once the buffer has the capacity.
 pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    out.extend_from_slice(&[0, 0, 0, 0, WIRE_VERSION]);
+    out.extend_from_slice(&FRAME_HEADER);
     msg.put(out);
     let len = out.len() - start - 4;
     // A length past `u32` wraps here; it is past `MAX_FRAME` too, and the
@@ -319,19 +360,12 @@ pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
 
 /// The bytes [`encode_frame_into`] would write for `msg`, header
 /// included: what a message costs on a socket, and so what the simulator
-/// charges for it. It encodes into a buffer the calling thread keeps, so
-/// it allocates nothing once that buffer has grown.
+/// charges for it. The same [`Wire::put`] runs into a [`Sink`] that only
+/// counts, so sizing a message neither copies nor allocates.
 pub fn frame_len<T: Wire>(msg: &T) -> usize {
-    thread_local! {
-        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-    }
-    SCRATCH.with_borrow_mut(|buf| {
-        buf.clear();
-        let len = encode_frame_into(msg, buf);
-        // A full change set can be megabytes; keep what steady traffic needs.
-        buf.shrink_to(64 << 10);
-        len
-    })
+    let mut tally = Tally(FRAME_HEADER.len());
+    msg.put(&mut tally);
+    tally.0
 }
 
 /// Encodes `msg` as one complete frame (header + payload).
@@ -385,7 +419,7 @@ pub fn roundtrip<T: Wire>(msg: &T) -> Result<T, FrameError> {
 }
 
 impl Wire for u64 {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         put_varint(out, *self);
     }
 
@@ -395,7 +429,7 @@ impl Wire for u64 {
 }
 
 impl Wire for u32 {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         put_varint(out, u64::from(*self));
     }
 
@@ -405,7 +439,7 @@ impl Wire for u32 {
 }
 
 impl Wire for usize {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         put_varint(out, *self as u64);
     }
 
@@ -415,7 +449,7 @@ impl Wire for usize {
 }
 
 impl Wire for bool {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         out.push(u8::from(*self));
     }
 
@@ -429,7 +463,7 @@ impl Wire for bool {
 }
 
 impl Wire for String {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.len().put(out);
         out.extend_from_slice(self.as_bytes());
     }
@@ -442,7 +476,7 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
             None => out.push(0),
             Some(v) => {
@@ -462,7 +496,7 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl Wire for ServerId {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.0.put(out);
     }
 
@@ -475,7 +509,7 @@ impl Wire for ServerId {
 }
 
 impl Wire for ClientId {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.0.put(out);
     }
 
@@ -485,7 +519,7 @@ impl Wire for ClientId {
 }
 
 impl Wire for ObjectId {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.0.put(out);
     }
 
@@ -495,7 +529,7 @@ impl Wire for ObjectId {
 }
 
 impl Wire for ProcessId {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
             ProcessId::Server(s) => {
                 out.push(0);
@@ -518,7 +552,7 @@ impl Wire for ProcessId {
 }
 
 impl Wire for Ratio {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         let n = self.numer();
         put_varint128(out, ((n << 1) ^ (n >> 127)) as u128);
         put_varint128(out, self.denom() as u128);
@@ -539,7 +573,7 @@ impl Wire for Ratio {
 }
 
 impl Wire for Tag {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.ts.put(out);
         self.pid.put(out);
     }
@@ -553,7 +587,7 @@ impl Wire for Tag {
 }
 
 impl<V: Wire> Wire for TaggedValue<V> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.tag.put(out);
         self.value.put(out);
     }
@@ -567,7 +601,7 @@ impl<V: Wire> Wire for TaggedValue<V> {
 }
 
 impl Wire for Change {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.issuer.put(out);
         self.counter.put(out);
         self.target.put(out);
@@ -585,7 +619,7 @@ impl Wire for Change {
 }
 
 impl Wire for TransferChanges {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.debit.put(out);
         self.credit.put(out);
     }
@@ -602,7 +636,7 @@ impl Wire for TransferChanges {
 /// compacted, whatever the writer's was: owners re-compact on their own
 /// cadence.
 impl Wire for ChangeSet {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         put_seq(out, self.len(), self);
     }
 
@@ -613,7 +647,7 @@ impl Wire for ChangeSet {
 }
 
 impl Wire for CsRef {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
             CsRef::Summary { digest, len } => {
                 out.push(0);

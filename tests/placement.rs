@@ -340,6 +340,9 @@ struct ReplayPin {
     incident_bytes_s0: u64,
     max_link_utilization: f64,
     max_uplink_utilization: f64,
+    /// The `repolled_behind` counter: rejections that taught a client
+    /// nothing, answered by re-sending the same request to that server.
+    repolled_behind: u64,
 }
 
 const REPLAY_PINS: [ReplayPin; 2] = [
@@ -367,6 +370,7 @@ const REPLAY_PINS: [ReplayPin; 2] = [
         incident_bytes_s0: 641_430,
         max_link_utilization: 0.000003440575132333207,
         max_uplink_utilization: 0.000049972174620383313,
+        repolled_behind: 4_212,
     },
     ReplayPin {
         seed: 1234,
@@ -392,6 +396,7 @@ const REPLAY_PINS: [ReplayPin; 2] = [
         incident_bytes_s0: 624_389,
         max_link_utilization: 0.000003406590216502485,
         max_uplink_utilization: 0.000046896847414014495,
+        repolled_behind: 4_113,
     },
 ];
 
@@ -465,6 +470,11 @@ fn adaptive_open_loop_run_replays_the_pinned_schedule_and_accounting() {
         // Bit-for-bit: the utilization maxima are one division each.
         assert_eq!(m.max_link_utilization(), pin.max_link_utilization);
         assert_eq!(m.max_uplink_utilization(), pin.max_uplink_utilization);
+        assert_eq!(
+            m.counter("repolled_behind"),
+            pin.repolled_behind,
+            "seed {seed}: re-polls of a server behind its client"
+        );
 
         let decisions: Vec<(u64, usize, String)> = driver
             .log
