@@ -133,7 +133,7 @@ mod tests {
             read_hello(&mut &bad_magic[..]),
             Err(FrameError::Codec(_))
         ));
-        for foreign in [1, WIRE_VERSION + 1] {
+        for foreign in [1, WIRE_VERSION - 1, WIRE_VERSION + 1] {
             let mut bad_version = hello.clone();
             bad_version[4] = foreign;
             assert!(matches!(
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        for foreign in [1, WIRE_VERSION + 1] {
+        for foreign in [1, WIRE_VERSION - 1, WIRE_VERSION + 1] {
             let mut frame = encode_frame(&7u64);
             frame[4] = foreign;
             assert!(matches!(

@@ -14,7 +14,7 @@
 //! * [`frame`] — the frame on a socket (`u32` little-endian length
 //!   prefix, a version byte and the typed payload) and the 13-byte hello
 //!   that opens a connection. The codec is `awr_types::wire` (format
-//!   version 2, re-exported here): the [`Wire`] trait, its impls —
+//!   version 3, re-exported here): the [`Wire`] trait, its impls —
 //!   positional fields, varints, fixed-width digests, one tag byte per
 //!   enum — and the frame encoder/decoder with its
 //!   oversize/truncation/version checks, encoding into and decoding out of

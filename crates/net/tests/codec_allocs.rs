@@ -112,23 +112,24 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
             obj,
             changes: changes.clone(),
         },
+        // An accept carries no reference.
         DynMsg::RAck {
             op,
             obj,
             reg,
-            changes: changes.clone(),
+            changes: CsRef::NONE,
             accepted: true,
         },
         DynMsg::W {
             op,
             obj,
             reg,
-            changes: changes.clone(),
+            changes,
         },
         DynMsg::WAck {
             op,
             obj,
-            changes,
+            changes: CsRef::NONE,
             accepted: true,
         },
     ];

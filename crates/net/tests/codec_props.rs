@@ -12,8 +12,8 @@ use awr_rb::RbEnvelope;
 use awr_sim::{ActorId, Message};
 use awr_storage::{DynMsg, RefreshHave, Snapshot, WalRecord};
 use awr_types::wire::{
-    decode_frame, encode_frame, put_digest, put_varint, roundtrip, FrameError, Wire, MAX_FRAME,
-    MAX_SERVER_ID, WIRE_VERSION,
+    decode_frame, encode_frame, frame_len, put_digest, put_varint, roundtrip, FrameError, Wire,
+    MAX_FRAME, MAX_SERVER_ID, WIRE_VERSION,
 };
 use awr_types::{
     Change, ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
@@ -276,6 +276,41 @@ proptest! {
         }
     }
 
+    /// An `RAck` or `WAck` round-trips under all four combinations of its
+    /// flags byte — accepted or not, with a reference or
+    /// [`CsRef::NONE`] — and its metered size is its frame.
+    #[test]
+    fn every_ack_flag_combination_roundtrips(seed in 0u64..u64::MAX) {
+        let mut s = seed;
+        // The summary of an empty set is `NONE` itself.
+        let some_ref = std::iter::repeat_with(|| arb_cs_ref(&mut s))
+            .find(|r| *r != CsRef::NONE)
+            .expect("a reference");
+        for accepted in [false, true] {
+            for changes in [CsRef::NONE, some_ref.clone()] {
+                let acks: [Msg; 2] = [
+                    DynMsg::RAck {
+                        op: seed,
+                        obj: ObjectId(1),
+                        reg: arb_reg(&mut s),
+                        changes: changes.clone(),
+                        accepted,
+                    },
+                    DynMsg::WAck {
+                        op: seed,
+                        obj: ObjectId(1),
+                        changes,
+                        accepted,
+                    },
+                ];
+                for ack in &acks {
+                    prop_assert_eq!(&roundtrip(ack).expect("decode"), ack);
+                    prop_assert_eq!(frame_len(ack), encode_frame(ack).len());
+                }
+            }
+        }
+    }
+
     /// Every proper prefix of a frame is `Ok(None)` (incomplete) — never a
     /// bogus message, never a panic.
     #[test]
@@ -445,10 +480,17 @@ fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
         b.push(3);
         b
     };
-    // WAck { op: 1, obj: 2, changes: summary, accepted: <byte> }.
-    let w_ack = |accepted: u8| framed(&[&[4, 1, 2][..], &summary, &[accepted]].concat());
-    assert!(accepted(&w_ack(1)));
-    assert!(refused(&w_ack(2)));
+    // WAck { op: 1, obj: 2 }, then its flags byte: bit 0 accepted, bit 1
+    // a reference follows. Any other bit is refused.
+    let w_ack = |flags: u8, tail: &[u8]| framed(&[&[4, 1, 2, flags][..], tail].concat());
+    assert!(accepted(&w_ack(1, &[])));
+    assert!(accepted(&w_ack(3, &summary)));
+    assert!(refused(&w_ack(4, &[])));
+    assert!(refused(&w_ack(4 | 3, &summary)));
+    // RefreshAck { op: 1, regs: {}, need_tags: <byte> }.
+    let refresh_ack = |need_tags: u8| framed(&[6, 1, 0, need_tags]);
+    assert!(accepted(&refresh_ack(1)));
+    assert!(refused(&refresh_ack(2)));
     // DynMsg, WrMsg, CsRef, RefreshHave and ProcessId tags one past the last.
     for payload in [
         vec![9],

@@ -395,13 +395,16 @@ impl<V: Value> DynOpDriver<V> {
         if stale {
             // Two kinds of mismatch. If the server's reference taught us
             // changes we lacked, restart the operation (Algorithm 5 lines
-            // 14–16 / 30–32). If instead the server is *behind* us (e.g.
-            // frozen mid-refresh) — the reference added nothing —
-            // restarting teaches us nothing and livelocks; re-poll just
-            // that server with the same request. The re-poll presents our
-            // (possibly unchanged) digest again; a server whose delta
-            // failed to resolve degrades its next reply to `Full`, keeping
-            // the exchange bounded.
+            // 14–16 / 30–32). If instead the server is *behind* us — the
+            // reference added nothing — restarting teaches us nothing and
+            // livelocks; re-poll just that server with the same request.
+            // A server behind us with a refresh in flight holds the
+            // request and answers it when the refresh lands, so a re-poll
+            // happens only when no refresh is in flight there. The re-poll
+            // presents our (possibly unchanged) digest again; a server
+            // whose delta failed to resolve degrades its next reply to
+            // `Full`, keeping the exchange bounded. An accept's reference
+            // is never read: servers send [`CsRef::NONE`] on one.
             let learned = self.changes.apply_ref(changes).learned();
             self.maybe_compact();
             if learned {

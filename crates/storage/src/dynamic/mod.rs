@@ -40,23 +40,36 @@
 //!
 //! 1. the client attaches an O(1) [`CsRef::Summary`] of its `C` to every
 //!    `R`/`W`; the server's accept check is the digest comparison;
-//! 2. a rejecting server answers with [`CsRef::Delta`] against the
+//! 2. an accepting server attaches no reference ([`CsRef::NONE`], which
+//!    the codec writes as nothing): the client reads none off an accept.
+//!    A rejecting server answers with [`CsRef::Delta`] against the
 //!    client's digest when its journal covers the gap (the steady-state
 //!    mismatch: the client is a few transfers behind), falling back to
-//!    [`CsRef::Full`] when it cannot (client ahead or diverged);
-//! 3. the client absorbs the reply ([`ChangeSet::apply_ref`]); if it
-//!    learned new changes it restarts the operation (Algorithm 5
-//!    lines 14–16), otherwise the server is behind and the client re-polls
-//!    just that server — both exactly the pre-delta semantics;
+//!    [`CsRef::Full`] when it cannot (client ahead or diverged). A server
+//!    whose register refresh is in flight *holds* a request whose digest
+//!    its journal cannot place — the client is usually ahead by the very
+//!    change the refresh waits to apply — and judges it again when the
+//!    refresh lands: then it is accepted, or rejected under the new `C`,
+//!    or held again behind a chained refresh. At most one request per
+//!    client is held (a newer one replaces it), and a crash loses it like
+//!    any message in flight;
+//! 3. the client absorbs a rejection's reference
+//!    ([`ChangeSet::apply_ref`]); if it learned new changes it restarts
+//!    the operation (Algorithm 5 lines 14–16), otherwise the server is
+//!    behind with no refresh in flight and the client re-polls just that
+//!    server — both exactly the pre-delta semantics;
 //! 4. each server keeps one record per client: the digest it presented
 //!    last and whether the reply cut a delta against it. One unresolved
 //!    delta (the client presents again the digest a delta was cut
 //!    against) degrades the next reply to `Full`, so every exchange is
-//!    bounded and liveness needs no new argument.
+//!    bounded and liveness needs no new argument: a held request waits
+//!    only for the refresh, a count read that every `n − f` servers
+//!    answer unconditionally.
 //!
 //! [`WireMode::ForceFull`] restores the ship-everything wire on these four
 //! ABD phases (`R`/`RAck`/`W`/`WAck`) — the accept check becomes the exact
-//! set comparison again and every payload is [`CsRef::Full`] — which makes
+//! set comparison again and every payload, an accept's included, is
+//! [`CsRef::Full`]; a server holds under the same digest test — which makes
 //! it the equivalence baseline for the `wire_equivalence` test suite and
 //! the "before" arm of `bench_wire`. The knob deliberately does not reach
 //! the embedded Algorithm 3/4 legs (`RC`/`RC_Ack`/`WC`): those negotiate
@@ -117,9 +130,12 @@ pub enum DynMsg<V> {
         obj: ObjectId,
         /// The server's register content for that object.
         reg: TaggedValue<V>,
-        /// Reference to the server's current change set.
+        /// On a reject, what the client lacks of the server's change set
+        /// (delta or full); on an accept, [`CsRef::NONE`] (the whole set
+        /// under [`WireMode::ForceFull`]), which the client does not read.
         changes: CsRef,
-        /// Whether the server accepted the operation.
+        /// Whether the server accepted the operation. On the wire, bit 0
+        /// of the flags byte; bit 1 says whether a reference follows.
         accepted: bool,
     },
     /// Phase-2 request referencing the client's `C`.
@@ -133,15 +149,18 @@ pub enum DynMsg<V> {
         /// Reference to the client's current change set.
         changes: CsRef,
     },
-    /// Phase-2 reply.
+    /// Phase-2 reply, laid out like [`DynMsg::RAck`]'s tail.
     WAck {
         /// Echo of the request counter.
         op: u64,
         /// Echo of the object key.
         obj: ObjectId,
-        /// Reference to the server's current change set.
+        /// On a reject, what the client lacks of the server's change set;
+        /// on an accept, [`CsRef::NONE`] (the whole set under
+        /// [`WireMode::ForceFull`]).
         changes: CsRef,
         /// Whether the server accepted (and possibly applied) the write.
+        /// On the wire, bit 0 of the flags byte.
         accepted: bool,
     },
     /// Register-refresh read request (Algorithm 4 lines 8–9). Answered
@@ -461,6 +480,7 @@ impl Default for RetryPolicy {
 mod driver_tests {
     use super::*;
     use crate::harness::StorageHarness;
+    use crate::history::OpKind;
     use awr_core::RpConfig;
     use awr_sim::UniformLatency;
     use awr_types::ClientId;
@@ -529,6 +549,97 @@ mod driver_tests {
         // The forged high tag must not have leaked into any result.
         let (v, _) = h.read(0).unwrap();
         assert_eq!(v, Some(1));
+    }
+
+    /// A server stand-in that never answers: the test speaks for it.
+    struct Silent;
+
+    impl awr_sim::Actor for Silent {
+        type Msg = DynMsg<u64>;
+        fn on_message(
+            &mut self,
+            _: awr_sim::ActorId,
+            _: DynMsg<u64>,
+            _: &mut awr_sim::Context<'_, DynMsg<u64>>,
+        ) {
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// What makes an accept's reference safe to drop: the client never
+    /// reads it. Accepted `R_A`s and `W_A`s carrying a mismatching summary,
+    /// then a `Full` set the client lacks, complete a read and a write
+    /// with `C` untouched, no restart and no re-poll.
+    #[test]
+    fn the_client_ignores_an_accepts_reference() {
+        use awr_sim::{ActorId, World};
+        let cfg = RpConfig::uniform(3, 1);
+        let initial = ChangeSet::from_initial_weights(&cfg.initial_weights);
+        let mut ahead = initial.clone();
+        let pair = awr_types::TransferChanges::new(s(1), s(0), 2, Ratio::new(1, 10), true);
+        for c in pair.both() {
+            ahead.insert(c);
+        }
+        let refs = [
+            CsRef::Summary {
+                digest: 0xBAD,
+                len: 9,
+            },
+            CsRef::Full(ahead),
+        ];
+        let mut w = World::new(5, UniformLatency::new(1_000, 2_000));
+        for _ in 0..3 {
+            w.add_actor(Silent);
+        }
+        let id = ProcessId::Client(ClientId(0));
+        let client = w.add_actor(DynClient::<u64>::new(id, cfg, DynOptions::default()));
+        let obj = ObjectId::DEFAULT;
+        let reg = TaggedValue::new(Tag::new(1, ProcessId::Client(ClientId(1))), 5u64);
+        let r_acks = |w: &mut World<DynMsg<u64>>, op: u64| {
+            for (i, changes) in refs.iter().enumerate() {
+                let changes = changes.clone();
+                let ack = DynMsg::RAck {
+                    op,
+                    obj,
+                    reg,
+                    changes,
+                    accepted: true,
+                };
+                w.inject(ActorId(i), client, ack);
+                w.run_to_quiescence();
+            }
+        };
+
+        w.with_actor_ctx(client, |c: &mut DynClient<u64>, ctx| c.begin_read(ctx));
+        r_acks(&mut w, 1);
+        w.with_actor_ctx(client, |c: &mut DynClient<u64>, ctx| c.begin_write(9, ctx));
+        r_acks(&mut w, 2);
+        for (i, changes) in refs.iter().enumerate() {
+            let changes = changes.clone();
+            let ack = DynMsg::WAck {
+                op: 2,
+                obj,
+                changes,
+                accepted: true,
+            };
+            w.inject(ActorId(i), client, ack);
+            w.run_to_quiescence();
+        }
+
+        let driver = &w.actor::<DynClient<u64>>(client).expect("a client").driver;
+        assert_eq!(driver.changes, initial);
+        let done: Vec<(OpKind<u64>, u64)> = driver
+            .completed
+            .iter()
+            .map(|c| (c.kind.clone(), c.restarts))
+            .collect();
+        assert_eq!(done, [(OpKind::Read(Some(5)), 0), (OpKind::Write(9), 0)]);
+        assert_eq!(w.metrics().counter("repolled_behind"), 0);
     }
 
     #[test]

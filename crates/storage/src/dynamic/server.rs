@@ -3,12 +3,14 @@
 //!
 //! `R` and `W` share one judgement, `DynServer::judge`: accept when the
 //! client's `C` equals this server's, otherwise reply with what the
-//! client lacks. Only `W` adopts the register on accept. The server keeps
-//! one record per client — the digest it presented last and whether a
-//! delta was cut against it — which serves both the degrade rule and the
-//! journal's compaction depth. Everything else it knows lives once: the
-//! completed transfers in the embedded engine, the refresh count as the
-//! refresh operation number.
+//! client lacks — or, while a refresh is in flight and the client is
+//! ahead, hold the request until the refresh lands. Only `W` adopts the
+//! register on accept. The server keeps one record per client — the
+//! digest it presented last and whether a delta was cut against it —
+//! which serves both the degrade rule and the journal's compaction depth,
+//! and at most one held request per client. Everything else it knows
+//! lives once: the completed transfers in the embedded engine, the
+//! refresh count as the refresh operation number.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -63,6 +65,10 @@ pub struct DynServer<V> {
     /// indexed by [`ActorId`]: `None` for an actor that never sent an
     /// `R`/`W` (every server, and clients not yet heard from).
     clients: Vec<Option<Presented>>,
+    /// Requests held until the refresh in flight lands (see
+    /// [`DynServer::judge`]), at most one per client, in arrival order.
+    /// Volatile, like a message in flight: a crash loses them.
+    held: Vec<Request<V>>,
     /// Set by [`DynServer::recover`]: on the next [`Actor::on_start`] this
     /// server runs the rejoin round (change-set sync + register refresh)
     /// before resuming normal service.
@@ -85,6 +91,7 @@ impl<V: Value> DynServer<V> {
             storage: None,
             persisted_digest,
             clients: Vec::new(),
+            held: Vec::new(),
             rejoin: false,
         }
     }
@@ -199,43 +206,106 @@ impl<V: Value> DynServer<V> {
     /// Algorithm 6's accept check `C = C_i` for an `R` or a `W` from
     /// `from`, answered from the reference it presented without
     /// materializing the client's set. Returns whether the operation is
-    /// accepted and the reference to reply with. An accept carries a
-    /// summary, which the client ignores. A reject carries whatever most
-    /// cheaply lets the client catch up: a delta against the digest it
-    /// presented when the journal covers the gap, `Full` otherwise, and
-    /// `Full` unconditionally when it presents again a digest a delta was
-    /// cut against — that delta did not resolve (see the module docs).
+    /// accepted and the reference to reply with, or `None` to hold it.
+    ///
+    /// - An accept carries [`CsRef::NONE`]: the client reads no reference
+    ///   off an accept.
+    /// - A reject carries what the client lacks: a delta against the
+    ///   digest it presented when the journal covers the gap, `Full`
+    ///   otherwise. It carries `Full` unconditionally when the client
+    ///   presents again a digest a delta was cut against: that delta did
+    ///   not resolve (see the module docs).
+    /// - A request whose digest the journal cannot place (the client is
+    ///   ahead or diverged) is held while a refresh is in flight: `Full`
+    ///   would teach that client nothing, and the change it holds is
+    ///   usually the one the refresh waits to apply. The refresh answers
+    ///   it ([`DynServer::on_refresh_complete`]). The test is the same
+    ///   digest test in both wire modes.
+    ///
     /// `ForceFull` answers `Full` either way. What the client presented is
-    /// recorded on every call: one record per client bounds the state
+    /// recorded on every answer: one record per client bounds the state
     /// machine, and compaction keeps the journal deep enough to cut deltas
     /// for every digest still in sight.
-    fn judge(&mut self, from: ActorId, presented: &CsRef) -> (bool, CsRef) {
+    fn judge(&mut self, from: ActorId, presented: &CsRef) -> Option<(bool, CsRef)> {
         let mine = self.core.changes();
         let digest = presented.implied_digest();
         let accepted = mine.matches_ref(presented);
-        let delta_failed = self
-            .clients
-            .get(from.index())
-            .copied()
-            .flatten()
-            .is_some_and(|p| p.delta_cut && p.digest == digest);
-        let reply = match self.options.wire {
-            WireMode::ForceFull => CsRef::Full(mine.clone()),
-            WireMode::Negotiate if accepted => CsRef::summary(mine),
-            WireMode::Negotiate if delta_failed => CsRef::Full(mine.clone()),
-            WireMode::Negotiate => match CsRef::for_peer(mine, digest) {
-                // A summary teaches a rejected client nothing (and equal
-                // digests should have been accepted): send content.
-                CsRef::Summary { .. } => CsRef::Full(mine.clone()),
-                r => r,
-            },
+        let reply = if accepted {
+            match self.options.wire {
+                WireMode::Negotiate => CsRef::NONE,
+                WireMode::ForceFull => CsRef::Full(mine.clone()),
+            }
+        } else {
+            let lacks = mine.delta_since(digest);
+            if lacks.is_none() && self.refresh.is_some() {
+                return None;
+            }
+            let delta_failed = self
+                .clients
+                .get(from.index())
+                .copied()
+                .flatten()
+                .is_some_and(|p| p.delta_cut && p.digest == digest);
+            match (self.options.wire, lacks) {
+                // An empty delta (equal digests, which should have been
+                // accepted) teaches a rejected client nothing: send content.
+                (WireMode::Negotiate, Some(adds)) if !delta_failed && !adds.is_empty() => {
+                    CsRef::Delta {
+                        base_digest: digest,
+                        adds: adds.to_vec(),
+                    }
+                }
+                _ => CsRef::Full(mine.clone()),
+            }
         };
         let delta_cut = matches!(reply, CsRef::Delta { .. });
         if self.clients.len() <= from.index() {
             self.clients.resize(from.index() + 1, None);
         }
         self.clients[from.index()] = Some(Presented { digest, delta_cut });
-        (accepted, reply)
+        Some((accepted, reply))
+    }
+
+    /// Answers an `R` or a `W`, or holds it (see [`DynServer::judge`]). A
+    /// client has one operation in flight, so its newer request replaces
+    /// a held one.
+    fn serve(&mut self, req: Request<V>, ctx: &mut Context<'_, DynMsg<V>>) {
+        let Some((accepted, changes)) = self.judge(req.from, &req.changes) else {
+            ctx.record_counter("held_behind", 1);
+            match self.held.iter_mut().find(|h| h.from == req.from) {
+                Some(older) => *older = req,
+                None => self.held.push(req),
+            }
+            return;
+        };
+        let Request {
+            from,
+            op,
+            obj,
+            write,
+            ..
+        } = req;
+        let reply = match write {
+            None => DynMsg::RAck {
+                op,
+                obj,
+                reg: self.register_of(obj),
+                changes,
+                accepted,
+            },
+            Some(reg) => {
+                if accepted {
+                    self.adopt_register(obj, &reg);
+                }
+                DynMsg::WAck {
+                    op,
+                    obj,
+                    changes,
+                    accepted,
+                }
+            }
+        };
+        ctx.send(from, reply);
     }
 
     /// This server's id.
@@ -458,6 +528,11 @@ impl<V: Value> DynServer<V> {
             }
         }
         self.drain_applies(ctx);
+        // Answer what was held behind the refresh, under the new `C` — or
+        // hold it again, when the drain started a chained refresh.
+        for req in std::mem::take(&mut self.held) {
+            self.serve(req, ctx);
+        }
     }
 }
 
@@ -467,6 +542,17 @@ impl<V: Value> DynServer<V> {
 struct Presented {
     digest: u64,
     delta_cut: bool,
+}
+
+/// An `R` (`write: None`) or a `W` (`write`: the register to adopt), as
+/// [`DynServer::serve`] answers or holds it.
+#[derive(Debug)]
+struct Request<V> {
+    from: ActorId,
+    op: u64,
+    obj: ObjectId,
+    write: Option<TaggedValue<V>>,
+    changes: CsRef,
 }
 
 /// An in-flight count-based register refresh, covering every object.
@@ -527,39 +613,31 @@ impl<V: Value> Actor for DynServer<V> {
                 }
                 self.drain_applies(ctx);
             }
-            DynMsg::R { op, obj, changes } => {
-                let (accepted, changes) = self.judge(from, &changes);
-                ctx.send(
+            DynMsg::R { op, obj, changes } => self.serve(
+                Request {
                     from,
-                    DynMsg::RAck {
-                        op,
-                        obj,
-                        reg: self.register_of(obj),
-                        changes,
-                        accepted,
-                    },
-                );
-            }
+                    op,
+                    obj,
+                    write: None,
+                    changes,
+                },
+                ctx,
+            ),
             DynMsg::W {
                 op,
                 obj,
                 reg,
                 changes,
-            } => {
-                let (accepted, changes) = self.judge(from, &changes);
-                if accepted {
-                    self.adopt_register(obj, &reg);
-                }
-                ctx.send(
+            } => self.serve(
+                Request {
                     from,
-                    DynMsg::WAck {
-                        op,
-                        obj,
-                        changes,
-                        accepted,
-                    },
-                );
-            }
+                    op,
+                    obj,
+                    write: Some(reg),
+                    changes,
+                },
+                ctx,
+            ),
             DynMsg::RefreshR { op, have } => {
                 // Answered unconditionally — no C matching (see above).
                 // Delta-encoding over the register *map*: a value ships only
@@ -711,6 +789,10 @@ impl<V: Value> Actor for DynServer<V> {
                 (a, p).hash(&mut h);
             }
         }
+        self.held.len().hash(&mut h);
+        for r in &self.held {
+            (r.from.index(), r.op, r.obj, &r.write, &r.changes).hash(&mut h);
+        }
         self.rejoin.hash(&mut h);
         // Durable content is digested separately by the explorer (it can
         // reach the backend through the harness); here only presence.
@@ -729,6 +811,7 @@ impl<V: Value> Actor for DynServer<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use awr_core::restricted::ApplyRequest;
     use awr_sim::{TraceKind, UniformLatency, World};
     use awr_types::{ClientId, ProcessId, TransferChanges};
 
@@ -770,6 +853,7 @@ mod tests {
 
     fn form(r: &CsRef) -> &'static str {
         match r {
+            _ if *r == CsRef::NONE => "none",
             CsRef::Summary { .. } => "summary",
             CsRef::Delta { .. } => "delta",
             CsRef::Full(_) => "full",
@@ -827,7 +911,7 @@ mod tests {
                 WireMode::Negotiate => [
                     (false, "delta"),
                     (false, "full"),
-                    (true, "summary"),
+                    (true, "none"),
                     (false, "delta"),
                 ],
                 WireMode::ForceFull => [
@@ -941,5 +1025,186 @@ mod tests {
         assert_eq!(dropped, 1, "the per-key round goes to the replier alone");
         let server = tapped(&w, refresher).server.as_ref().expect("a server");
         assert_eq!(server.register_of(ObjectId(0)).value, Some(2));
+    }
+
+    /// The hold tests' world: server 0 (tapped) holds `mid`, one transfer
+    /// past the initial set, and with `refreshing` has started the refresh
+    /// that precedes applying the gain `ahead` adds on top of `mid`. Two
+    /// bare taps stand in for clients (actors 3 and 4).
+    struct Gainer {
+        w: World<Msg>,
+        behind: ChangeSet,
+        ahead: ChangeSet,
+    }
+
+    const SRV: ActorId = ActorId(0);
+    const CLIENTS: [ActorId; 2] = [ActorId(3), ActorId(4)];
+
+    fn gainer(refreshing: bool) -> Gainer {
+        let cfg = RpConfig::uniform(3, 1);
+        let behind = ChangeSet::from_initial_weights(&cfg.initial_weights);
+        let earlier = TransferChanges::new(ServerId(2), ServerId(1), 2, Ratio::new(1, 10), true);
+        let gain = TransferChanges::new(ServerId(1), ServerId(0), 2, Ratio::new(1, 10), true);
+        let mut mid = behind.clone();
+        let mut ahead = behind.clone();
+        for c in earlier.both() {
+            mid.insert(c);
+            ahead.insert(c);
+        }
+        for c in gain.both() {
+            ahead.insert(c);
+        }
+        let mut w = World::new(3, UniformLatency::new(1_000, 2_000));
+        for i in 0..3 {
+            let mut server = DynServer::new(cfg.clone(), ServerId(i), DynOptions::default());
+            server.seed_changes(&mid);
+            w.add_actor(tap(Some(server)));
+        }
+        for _ in CLIENTS {
+            w.add_actor(tap(None));
+        }
+        if refreshing {
+            w.with_actor_ctx(SRV, |t: &mut Tap, ctx| {
+                let s = t.server.as_mut().expect("a server");
+                let req = ApplyRequest {
+                    new_changes: gain.both().to_vec(),
+                    wc_ack: None,
+                };
+                assert!(req.affects(ServerId(0)), "server 0 gains");
+                s.pending_applies.push_back(req);
+                s.drain_applies(ctx);
+                assert!(s.refresh.is_some());
+            });
+        }
+        Gainer { w, behind, ahead }
+    }
+
+    impl Gainer {
+        fn server(&self) -> &DynServer<u64> {
+            tapped(&self.w, SRV).server.as_ref().expect("a server")
+        }
+
+        /// Delivers `msg` from `client` to server 0 now, past the network,
+        /// so that it lands before any refresh reply.
+        fn deliver(&mut self, client: ActorId, msg: Msg) {
+            self.w
+                .with_actor_ctx(SRV, |t: &mut Tap, ctx| t.on_message(client, msg, ctx));
+        }
+
+        fn read(&mut self, client: ActorId, op: u64, set: &ChangeSet) {
+            let changes = CsRef::summary(set);
+            let obj = ObjectId::DEFAULT;
+            self.deliver(client, DynMsg::R { op, obj, changes });
+        }
+
+        /// `(op, accepted, form)` of every reply `client` received.
+        fn replies(&self, client: ActorId) -> Vec<(u64, bool, &'static str)> {
+            tapped(&self.w, client)
+                .inbox
+                .iter()
+                .map(|(_, m)| match m {
+                    DynMsg::RAck {
+                        op,
+                        accepted,
+                        changes,
+                        ..
+                    }
+                    | DynMsg::WAck {
+                        op,
+                        accepted,
+                        changes,
+                        ..
+                    } => (*op, *accepted, form(changes)),
+                    m => panic!("not an ack: {m:?}"),
+                })
+                .collect()
+        }
+    }
+
+    /// A client already holding the gain a refreshing server waits to
+    /// apply gets one reply, once the refresh lands: an accept. A write
+    /// held so is adopted then.
+    #[test]
+    fn a_client_ahead_of_a_refreshing_gainer_is_answered_once_it_lands() {
+        let mut g = gainer(true);
+        let ahead = g.ahead.clone();
+        g.read(CLIENTS[0], 1, &ahead);
+        let reg = TaggedValue::new(Tag::new(1, ProcessId::Client(ClientId(1))), 7);
+        g.deliver(
+            CLIENTS[1],
+            DynMsg::W {
+                op: 1,
+                obj: ObjectId::DEFAULT,
+                reg,
+                changes: CsRef::summary(&ahead),
+            },
+        );
+        assert_eq!(g.server().held.len(), 2);
+        assert!(g.w.run_until(|w| !tapped(w, CLIENTS[0]).inbox.is_empty()));
+        assert!(
+            g.server().refresh.is_none(),
+            "answered before the refresh landed"
+        );
+        g.w.run_to_quiescence();
+        for client in CLIENTS {
+            assert_eq!(g.replies(client), [(1, true, "none")]);
+        }
+        assert_eq!(*g.server().changes(), ahead);
+        assert_eq!(g.server().register(), reg);
+        assert!(g.server().held.is_empty());
+        assert_eq!(g.w.metrics().counter("held_behind"), 2);
+    }
+
+    /// While the refresh runs, a client behind the server is answered at
+    /// once with the delta it lacks.
+    #[test]
+    fn a_client_behind_a_refreshing_server_gets_a_delta_at_once() {
+        let mut g = gainer(true);
+        let behind = g.behind.clone();
+        g.read(CLIENTS[0], 1, &behind);
+        assert!(g.server().held.is_empty());
+        assert!(g.server().refresh.is_some());
+        g.w.run_to_quiescence();
+        assert_eq!(g.replies(CLIENTS[0]), [(1, false, "delta")]);
+        assert_eq!(g.w.metrics().counter("held_behind"), 0);
+    }
+
+    /// With no refresh in flight there is nothing to wait for: a client
+    /// ahead of the server gets `Full` at once.
+    #[test]
+    fn with_no_refresh_in_flight_a_client_ahead_gets_full() {
+        let mut g = gainer(false);
+        let ahead = g.ahead.clone();
+        g.read(CLIENTS[0], 1, &ahead);
+        assert!(g.server().held.is_empty());
+        g.w.run_to_quiescence();
+        assert_eq!(g.replies(CLIENTS[0]), [(1, false, "full")]);
+    }
+
+    /// A client has one operation in flight: its newer request replaces
+    /// the one held, and only the newer is answered.
+    #[test]
+    fn a_newer_request_replaces_the_held_one() {
+        let mut g = gainer(true);
+        let ahead = g.ahead.clone();
+        g.read(CLIENTS[0], 1, &ahead);
+        g.read(CLIENTS[0], 2, &ahead);
+        let held: Vec<u64> = g.server().held.iter().map(|r| r.op).collect();
+        assert_eq!(held, [2]);
+        g.w.run_to_quiescence();
+        assert_eq!(g.replies(CLIENTS[0]), [(2, true, "none")]);
+        assert_eq!(g.w.metrics().counter("held_behind"), 2);
+    }
+
+    /// A held request is server state: the explorer must tell a server
+    /// holding one from the same server without it.
+    #[test]
+    fn a_held_request_is_in_the_state_digest() {
+        let (mut holds, idle) = (gainer(true), gainer(true));
+        assert_eq!(holds.server().state_digest(), idle.server().state_digest());
+        let ahead = holds.ahead.clone();
+        holds.read(CLIENTS[0], 1, &ahead);
+        assert_eq!(holds.server().held.len(), 1);
+        assert_ne!(holds.server().state_digest(), idle.server().state_digest());
     }
 }

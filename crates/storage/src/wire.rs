@@ -1,13 +1,47 @@
-//! The version-2 layouts of the storage protocol's messages (see
+//! The version-3 layouts of the storage protocol's messages (see
 //! [`awr_types::wire`] for the format): one [`Wire`] impl per type, the
 //! statement of its byte layout. The durable records' impls sit with
 //! their types in `durable.rs`.
+//!
+//! `RAck` and `WAck` open their tail with a flags byte: [`ACCEPTED`], and
+//! [`HAS_REF`] when a change-set reference follows. An accept under the
+//! negotiated wire carries [`CsRef::NONE`], which is written as nothing.
 
 use awr_core::restricted::WrMsg;
 use awr_types::wire::{get_map, put_digest, put_map, FrameError, Reader, Sink, Wire};
 use awr_types::{CsRef, ObjectId, TaggedValue};
 
 use crate::{DynMsg, RefreshHave, Value};
+
+/// Flags-byte bit of `RAck`/`WAck`: the server accepted the operation.
+const ACCEPTED: u8 = 1;
+/// Flags-byte bit of `RAck`/`WAck`: a change-set reference follows.
+const HAS_REF: u8 = 2;
+
+/// Writes an ack's flags byte and, unless it is [`CsRef::NONE`], its
+/// reference.
+fn put_ack_tail(out: &mut impl Sink, accepted: bool, changes: &CsRef) {
+    let has_ref = *changes != CsRef::NONE;
+    out.push(u8::from(accepted) * ACCEPTED + u8::from(has_ref) * HAS_REF);
+    if has_ref {
+        changes.put(out);
+    }
+}
+
+/// Reads what [`put_ack_tail`] wrote: whether the operation was accepted,
+/// and the reference ([`CsRef::NONE`] when none follows).
+fn get_ack_tail(r: &mut Reader<'_>) -> Result<(bool, CsRef), FrameError> {
+    let flags = r.byte()?;
+    if flags & !(ACCEPTED | HAS_REF) != 0 {
+        return Err(FrameError::Codec("unknown ack flag"));
+    }
+    let changes = if flags & HAS_REF != 0 {
+        CsRef::get(r)?
+    } else {
+        CsRef::NONE
+    };
+    Ok((flags & ACCEPTED != 0, changes))
+}
 
 impl Wire for RefreshHave {
     fn put(&self, out: &mut impl Sink) {
@@ -61,8 +95,7 @@ impl<V: Value> Wire for DynMsg<V> {
                 op.put(out);
                 obj.put(out);
                 reg.put(out);
-                changes.put(out);
-                accepted.put(out);
+                put_ack_tail(out, *accepted, changes);
             }
             DynMsg::W {
                 op,
@@ -85,8 +118,7 @@ impl<V: Value> Wire for DynMsg<V> {
                 out.push(4);
                 op.put(out);
                 obj.put(out);
-                changes.put(out);
-                accepted.put(out);
+                put_ack_tail(out, *accepted, changes);
             }
             DynMsg::RefreshR { op, have } => {
                 out.push(5);
@@ -122,25 +154,33 @@ impl<V: Value> Wire for DynMsg<V> {
                 obj: ObjectId::get(r)?,
                 changes: CsRef::get(r)?,
             }),
-            2 => Ok(DynMsg::RAck {
-                op: u64::get(r)?,
-                obj: ObjectId::get(r)?,
-                reg: TaggedValue::get(r)?,
-                changes: CsRef::get(r)?,
-                accepted: bool::get(r)?,
-            }),
+            2 => {
+                let (op, obj, reg) = (u64::get(r)?, ObjectId::get(r)?, TaggedValue::get(r)?);
+                let (accepted, changes) = get_ack_tail(r)?;
+                Ok(DynMsg::RAck {
+                    op,
+                    obj,
+                    reg,
+                    changes,
+                    accepted,
+                })
+            }
             3 => Ok(DynMsg::W {
                 op: u64::get(r)?,
                 obj: ObjectId::get(r)?,
                 reg: TaggedValue::get(r)?,
                 changes: CsRef::get(r)?,
             }),
-            4 => Ok(DynMsg::WAck {
-                op: u64::get(r)?,
-                obj: ObjectId::get(r)?,
-                changes: CsRef::get(r)?,
-                accepted: bool::get(r)?,
-            }),
+            4 => {
+                let (op, obj) = (u64::get(r)?, ObjectId::get(r)?);
+                let (accepted, changes) = get_ack_tail(r)?;
+                Ok(DynMsg::WAck {
+                    op,
+                    obj,
+                    changes,
+                    accepted,
+                })
+            }
             5 => Ok(DynMsg::RefreshR {
                 op: u64::get(r)?,
                 have: RefreshHave::get(r)?,
@@ -168,35 +208,51 @@ mod tests {
     use awr_types::{Change, ClientId, ProcessId, Ratio, ServerId, Tag};
 
     /// The layout itself, byte for byte: a change here is a change of
-    /// `WIRE_VERSION`.
+    /// `WIRE_VERSION`. An accept carries no reference; a reject carries
+    /// its catch-up after the flags byte.
     #[test]
-    fn the_version_2_layout_is_pinned() {
-        let msg: DynMsg<u64> = DynMsg::RAck {
-            op: 300,
-            obj: ObjectId(2),
-            reg: TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9),
-            changes: CsRef::Summary {
-                digest: 0x0102_0304_0506_0708,
-                len: 130,
-            },
-            accepted: true,
+    fn the_version_3_layout_is_pinned() {
+        let reg = TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9);
+        let ack = |changes, accepted| {
+            let msg: DynMsg<u64> = DynMsg::RAck {
+                op: 300,
+                obj: ObjectId(2),
+                reg,
+                changes,
+                accepted,
+            };
+            let mut bytes = Vec::new();
+            msg.put(&mut bytes);
+            bytes
         };
-        let mut bytes = Vec::new();
-        msg.put(&mut bytes);
+        let head = [
+            2, // RAck
+            0xAC, 0x02, // op 300
+            2,    // obj
+            5, 1, 1, // tag: ts 5, client 1
+            1, 9, // Some(9)
+        ];
+        assert_eq!(ack(CsRef::NONE, true), [&head[..], &[1]].concat()); // accepted
+        let change = Change::new(ServerId(3), 2, ServerId(4), Ratio::new(-1, 8));
+        let delta = CsRef::Delta {
+            base_digest: 0x0102_0304_0506_0708,
+            adds: vec![change],
+        };
         assert_eq!(
-            bytes,
+            ack(delta, false),
             [
-                2, // RAck
-                0xAC, 0x02, // op 300
-                2,    // obj
-                5, 1, 1, // tag: ts 5, client 1
-                1, 9, // Some(9)
-                0, 8, 7, 6, 5, 4, 3, 2, 1, 0x82, 0x01, // summary: digest, len 130
-                1,    // accepted
+                &head[..],
+                &[
+                    2, // a reference follows, not accepted
+                    1, // delta
+                    8, 7, 6, 5, 4, 3, 2, 1, // base digest
+                    1, // one change
+                    0, 3, 2, 4, 1, 8, // the change
+                ]
             ]
+            .concat()
         );
 
-        let change = Change::new(ServerId(3), 2, ServerId(4), Ratio::new(-1, 8));
         let mut bytes = Vec::new();
         change.put(&mut bytes);
         assert_eq!(bytes, [0, 3, 2, 4, 1, 8]);

@@ -84,6 +84,12 @@ pub enum CsRef {
 }
 
 impl CsRef {
+    /// The reference that names no set: the summary of the empty set,
+    /// which no change set of a running deployment digests to. A reply
+    /// whose receiver reads no reference carries it, and the codec writes
+    /// nothing for it (`awr_storage`'s `RAck`/`WAck` flags byte).
+    pub const NONE: CsRef = CsRef::Summary { digest: 0, len: 0 };
+
     /// The O(1) reference: digest and cardinality of `set`.
     pub fn summary(set: &ChangeSet) -> CsRef {
         CsRef::Summary {

@@ -1,4 +1,4 @@
-//! The typed, positional codec — format **version 2** — and the frame
+//! The typed, positional codec — format **version 3** — and the frame
 //! around it: one format for what a server sends and what it persists.
 //!
 //! A **frame** is one value, length-prefixed:
@@ -61,9 +61,10 @@ use crate::{
 };
 
 /// The format version carried in every frame header (and in `awr_net`'s
-/// connection hello). Version 1 (a self-describing value tree) is refused
-/// like any other foreign version.
-pub const WIRE_VERSION: u8 = 2;
+/// connection hello). Version 1 (a self-describing value tree) and
+/// version 2 (whose `RAck`/`WAck` always carried a reference and ended in
+/// a `bool`) are refused like any other foreign version.
+pub const WIRE_VERSION: u8 = 3;
 
 /// A frame's first five bytes before the length is patched in: a
 /// placeholder `u32` length, then the version.
@@ -169,7 +170,7 @@ impl Sink for Tally {
     }
 }
 
-/// A type with a version-2 layout.
+/// A type with a version-3 layout.
 ///
 /// `put` and `get` must mirror each other field for field; adding a
 /// message is one impl (or one arm of an enum's) plus one generator arm

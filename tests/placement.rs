@@ -343,60 +343,65 @@ struct ReplayPin {
     /// The `repolled_behind` counter: rejections that taught a client
     /// nothing, answered by re-sending the same request to that server.
     repolled_behind: u64,
+    /// The `held_behind` counter: requests a server held until its
+    /// refresh landed, instead of rejecting them.
+    held_behind: u64,
 }
 
 const REPLAY_PINS: [ReplayPin; 2] = [
     ReplayPin {
         seed: 7,
         generated: 4_030,
-        events: 65_693,
-        sent: 61_642,
-        bytes: 1_678_242,
-        end_nanos: 29_713_055_541,
+        events: 57_218,
+        sent: 53_167,
+        bytes: 1_034_930,
+        end_nanos: 29_753_250_229,
         request_delay: LinkDelayStat {
-            count: 340,
+            count: 341,
             queued: 0,
-            transmission: 47_080,
-            propagation: 20_422_381_228,
+            transmission: 47_206,
+            propagation: 20_412_345_762,
         },
         reply_delay: LinkDelayStat {
-            count: 340,
+            count: 341,
             queued: 0,
-            transmission: 62_560,
-            propagation: 20_463_340_672,
+            transmission: 40_346,
+            propagation: 20_455_330_387,
         },
-        object3: (21_950, 900),
-        busiest: (0, 11, 28_986),
-        incident_bytes_s0: 641_430,
-        max_link_utilization: 0.000003440575132333207,
-        max_uplink_utilization: 0.000049972174620383313,
-        repolled_behind: 4_212,
+        object3: (17_445, 900),
+        busiest: (9, 0, 7_639),
+        incident_bytes_s0: 208_866,
+        max_link_utilization: 0.0000025674505948779985,
+        max_uplink_utilization: 0.00003221785830529809,
+        repolled_behind: 0,
+        held_behind: 115,
     },
     ReplayPin {
         seed: 1234,
         generated: 3_891,
-        events: 63_462,
-        sent: 59_550,
-        bytes: 1_624_684,
-        end_nanos: 30_605_383_499,
+        events: 55_188,
+        sent: 51_276,
+        bytes: 999_363,
+        end_nanos: 30_641_123_601,
         request_delay: LinkDelayStat {
             count: 305,
             queued: 0,
             transmission: 42_085,
-            propagation: 18_280_558_450,
+            propagation: 18_296_235_993,
         },
         reply_delay: LinkDelayStat {
             count: 305,
             queued: 0,
-            transmission: 56_188,
-            propagation: 18_309_669_455,
+            transmission: 36_076,
+            propagation: 18_308_494_931,
         },
-        object3: (37_616, 1_122),
-        busiest: (0, 10, 28_911),
-        incident_bytes_s0: 624_389,
-        max_link_utilization: 0.000003406590216502485,
-        max_uplink_utilization: 0.000046896847414014495,
-        repolled_behind: 4_113,
+        object3: (12_986, 647),
+        busiest: (18, 0, 7_928),
+        incident_bytes_s0: 202_177,
+        max_link_utilization: 0.000002587372481256289,
+        max_uplink_utilization: 0.000030292165916843463,
+        repolled_behind: 0,
+        held_behind: 110,
     },
 ];
 
@@ -474,6 +479,11 @@ fn adaptive_open_loop_run_replays_the_pinned_schedule_and_accounting() {
             m.counter("repolled_behind"),
             pin.repolled_behind,
             "seed {seed}: re-polls of a server behind its client"
+        );
+        assert_eq!(
+            m.counter("held_behind"),
+            pin.held_behind,
+            "seed {seed}: requests held behind a refresh"
         );
 
         let decisions: Vec<(u64, usize, String)> = driver
