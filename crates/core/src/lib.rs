@@ -73,7 +73,7 @@ pub use awr_sim::Time;
 #[cfg(test)]
 mod protocol_tests {
     use super::*;
-    use awr_sim::{ActorId, UniformLatency};
+    use awr_sim::{five_region_wan, ActorId, UniformLatency};
     use awr_types::{Ratio, ServerId};
 
     fn s(i: u32) -> ServerId {
@@ -288,7 +288,7 @@ mod protocol_tests {
     #[test]
     fn message_complexity_is_quadratic_in_n() {
         // One effective transfer costs O(n²) messages (eager-relay RB)
-        // plus n − f − 1 acks.
+        // plus an ack from each of the n − 1 others.
         let mut h = harness(7, 2, 13);
         h.transfer_and_wait(s(3), s(0), Ratio::dec("0.1")).unwrap();
         h.settle();
@@ -297,6 +297,55 @@ mod protocol_tests {
         assert!(m.sent_of_kind("T") >= 6);
         assert!(m.sent_of_kind("T") <= 36);
         assert_eq!(m.sent_of_kind("T_Ack"), 6);
+
+        // Ten transfers among s1..s(n−1), each followed by a read_changes,
+        // on the five-region WAN: every transfer costs the eager relay's
+        // (n−1)² `T` plus n − 1 `T_Ack`, and every read_changes one
+        // message of each of its four kinds per server. Latency stays near
+        // two one-way delays whatever n is.
+        let mut pinned = Vec::new();
+        for (n, f) in [(4, 1), (7, 2), (10, 3), (13, 4), (19, 6), (25, 8)] {
+            let mut h =
+                RpHarness::build(RpConfig::uniform(n, f), 1, 42, five_region_wan(n + 1, 0.1));
+            let (mut transfer_ms, mut read_ms) = (Vec::new(), Vec::new());
+            for round in 0..10 {
+                let (from, to) = (s(round % (n as u32 - 1)), s((round + 1) % (n as u32 - 1)));
+                let t0 = h.world.now();
+                h.transfer_and_wait(from, to, Ratio::new(1, 50)).unwrap();
+                transfer_ms.push((h.world.now() - t0) as f64 / 1e6);
+                let t0 = h.world.now();
+                h.read_changes(0, to).unwrap();
+                read_ms.push((h.world.now() - t0) as f64 / 1e6);
+            }
+            h.settle();
+            let m = h.world.metrics();
+            assert_eq!(m.sent_of_kind("T"), 10 * (n as u64 - 1).pow(2), "n = {n}");
+            assert_eq!(m.sent_of_kind("T_Ack"), 10 * (n as u64 - 1), "n = {n}");
+            for kind in ["RC", "RC_Ack", "WC", "WC_Ack"] {
+                assert_eq!(m.sent_of_kind(kind), 10 * n as u64, "n = {n}, {kind}");
+            }
+            let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+            let max = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
+            pinned.push(format!(
+                "n={n} {:.2} {:.2} {:.2} {:.2}",
+                mean(&transfer_ms),
+                max(&transfer_ms),
+                mean(&read_ms),
+                max(&read_ms)
+            ));
+        }
+        // Mean and max transfer latency, then read_changes (virtual ms).
+        assert_eq!(
+            pinned,
+            [
+                "n=4 158.85 196.35 458.89 492.95",
+                "n=7 175.60 253.02 310.63 315.05",
+                "n=10 201.57 258.44 220.39 230.17",
+                "n=13 187.06 248.49 353.41 364.30",
+                "n=19 204.15 249.21 365.16 378.03",
+                "n=25 204.86 247.38 220.66 226.45",
+            ]
+        );
     }
 
     #[test]

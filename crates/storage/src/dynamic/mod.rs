@@ -70,8 +70,8 @@
 //! ABD phases (`R`/`RAck`/`W`/`WAck`) — the accept check becomes the exact
 //! set comparison again and every payload, an accept's included, is
 //! [`CsRef::Full`]; a server holds under the same digest test — which makes
-//! it the equivalence baseline for the `wire_equivalence` test suite and
-//! the "before" arm of `bench_wire`. The knob deliberately does not reach
+//! it the equivalence baseline of the `wire_equivalence` test suite and
+//! the "before" arm of its |C| sweep. The knob deliberately does not reach
 //! the embedded Algorithm 3/4 legs (`RC`/`RC_Ack`/`WC`): those negotiate
 //! unconditionally (see [`awr_core::restricted`]), so byte comparisons
 //! between the two modes are scoped to the ABD message kinds.
@@ -320,8 +320,8 @@ pub enum WireMode {
     Negotiate,
     /// Ship the full change set on every `R`/`RAck`/`W`/`WAck` — the
     /// paper-literal wire format for the ABD phases (the embedded
-    /// Algorithm 3/4 legs negotiate regardless). Baseline for equivalence
-    /// tests and `bench_wire`.
+    /// Algorithm 3/4 legs negotiate regardless). Baseline for the
+    /// `wire_equivalence` tests.
     ForceFull,
 }
 

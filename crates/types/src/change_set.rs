@@ -366,11 +366,6 @@ impl ChangeSet {
             .unwrap_or(Ratio::ZERO)
     }
 
-    /// The weight of a set of servers `A`: `W_A = Σ_{s ∈ A} W_s`. O(|A|).
-    pub fn group_weight<'a>(&self, servers: impl IntoIterator<Item = &'a ServerId>) -> Ratio {
-        servers.into_iter().map(|s| self.server_weight(*s)).sum()
-    }
-
     /// Total weight of an `n`-server system under this set. O(1) when every
     /// change targets a server `< n` (the cached grand total applies),
     /// O(n) otherwise.
@@ -458,12 +453,6 @@ impl ChangeSet {
         self.inner.journal.len()
     }
 
-    /// Approximate resident bytes of the retained journal (entries plus
-    /// their cached mixes).
-    pub fn journal_bytes(&self) -> usize {
-        self.journal_len() * (std::mem::size_of::<Change>() + std::mem::size_of::<u64>())
-    }
-
     /// Commutative digest of the journal prefix dropped by compaction
     /// (zero while the journal is complete). Peers whose summary digests a
     /// prefix of the dropped region can no longer be served a
@@ -471,19 +460,6 @@ impl ChangeSet {
     /// [`crate::sync::CsRef::Full`].
     pub fn checkpoint_digest(&self) -> u64 {
         self.inner.checkpoint
-    }
-
-    /// The most recent `k` journal entries, oldest first — the suffix a
-    /// write-ahead log appends after its last persist point. Callers must
-    /// persist before compacting: `k` may not exceed
-    /// [`ChangeSet::journal_len`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > self.journal_len()`.
-    pub fn journal_tail(&self, k: usize) -> &[Change] {
-        let len = self.inner.journal.len();
-        &self.inner.journal[len - k..]
     }
 
     /// Checkpoints and truncates the journal to at most `keep` most-recent
@@ -789,13 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn group_weight() {
-        let c = ChangeSet::uniform_initial(5, Ratio::ONE);
-        let group = [s(0), s(1), s(2)];
-        assert_eq!(c.group_weight(&group), Ratio::integer(3));
-    }
-
-    #[test]
     fn clone_shares_storage_until_mutation() {
         let mut a = ChangeSet::uniform_initial(3, Ratio::ONE);
         let b = a.clone();
@@ -1038,11 +1007,6 @@ mod tests {
         c.insert(Change::new(s(1), 2, s(0), Ratio::dec("-0.5")));
         assert_eq!(c.journal_len(), 2);
         assert_eq!(c.delta_since(base).map(<[Change]>::len), Some(2));
-        assert_eq!(c.journal_tail(1).len(), 1);
-        assert_eq!(
-            c.journal_bytes(),
-            2 * (std::mem::size_of::<Change>() + std::mem::size_of::<u64>())
-        );
         assert_caches_exact(&c);
     }
 

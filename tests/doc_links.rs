@@ -4,7 +4,9 @@
 //! `crates/`, `src/`, `tests/` or `examples/` names exists at the
 //! repository root, and that every backticked repo path in `README.md` and
 //! `docs/*.md` exists — with every `file.rs::name` cite naming a function
-//! in that file — so the docs layer can't rot silently as the tree moves.
+//! in that file — and that every `--bin <name>` they cite is a binary under
+//! `crates/*/src/bin/`, so the docs layer can't rot silently as the tree
+//! moves.
 
 use std::path::{Path, PathBuf};
 
@@ -187,18 +189,24 @@ fn defines_fn(src: &str, name: &str) -> bool {
     })
 }
 
-#[test]
-fn backticked_repo_paths_exist() {
-    // ROADMAP and CHANGES narrate paths that later changes deleted, so only
-    // the documents that describe the tree as it is are held to it.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files: Vec<PathBuf> = vec![root.join("README.md")];
+/// `README.md` and `docs/*.md`: the documents that describe the tree as it
+/// is. ROADMAP and CHANGES narrate paths and binaries that later changes
+/// deleted, so they are not held to it.
+fn tree_docs(root: &Path) -> Vec<PathBuf> {
+    let mut files = vec![root.join("README.md")];
     for entry in std::fs::read_dir(root.join("docs")).expect("docs dir") {
         let path = entry.expect("dir entry").path();
         if path.extension().is_some_and(|e| e == "md") {
             files.push(path);
         }
     }
+    files
+}
+
+#[test]
+fn backticked_repo_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = tree_docs(root);
     let (mut paths, mut cites) = (0usize, 0usize);
     let mut broken = Vec::new();
     for file in &files {
@@ -240,5 +248,55 @@ fn backticked_repo_paths_exist() {
         broken.is_empty(),
         "docs cite paths that do not exist:\n{}",
         broken.join("\n")
+    );
+}
+
+/// The names that follow `--bin ` in markdown source, fenced blocks
+/// included: a shell variable (`--bin "$bin"`) names no binary.
+fn bin_cites(md: &str) -> Vec<&str> {
+    md.match_indices("--bin ")
+        .map(|(i, flag)| {
+            let rest = &md[i + flag.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+#[test]
+fn cited_binaries_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut bins = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let Ok(dir) = std::fs::read_dir(entry.expect("dir entry").path().join("src/bin")) else {
+            continue;
+        };
+        for bin in dir {
+            let path = bin.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                let stem = path.file_stem().expect("file stem");
+                bins.push(stem.to_string_lossy().into_owned());
+            }
+        }
+    }
+    let mut cited = 0usize;
+    let mut missing = Vec::new();
+    for file in tree_docs(root) {
+        let md = std::fs::read_to_string(&file).expect("read markdown");
+        for name in bin_cites(&md) {
+            cited += 1;
+            if !bins.iter().any(|b| b == name) {
+                missing.push(format!("{}: --bin {name}", file.display()));
+            }
+        }
+    }
+    assert!(cited > 0, "no --bin cites found — extractor broken?");
+    assert!(
+        missing.is_empty(),
+        "docs cite binaries that no crates/*/src/bin/<name>.rs defines:\n{}",
+        missing.join("\n")
     );
 }

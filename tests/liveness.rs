@@ -3,7 +3,7 @@
 //! timing, and adversarial message delays.
 
 use awr::core::{audit_transfers, RpConfig, RpHarness};
-use awr::sim::{Time, UniformLatency, MILLI};
+use awr::sim::{five_region_wan, Time, UniformLatency, MILLI};
 use awr::types::{Ratio, ServerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,4 +125,66 @@ fn protocol_outcome_identical_fifo_vs_reordering() {
         // the final weights agree (everyone back to 1).
         assert_eq!(w_fifo, w_wild, "seed {seed}");
     }
+}
+
+#[test]
+fn transfers_and_read_changes_complete_on_the_wan_with_f_crashed() {
+    // Ten transfers round-robin over s1..s(n−1), each followed by a
+    // read_changes, on the five-region WAN with the last f servers crashed
+    // before the first — twice the scale of the tests above at n = 13.
+    // Every transfer by a correct donor completes, effective, and so does
+    // every read_changes. The one round whose donor is crashed does not
+    // complete; its invocation still ran and broadcast ⟨T⟩ (the harness
+    // invokes on the actor whether or not it is up), so the `T` counts
+    // below include that round's relay wave.
+    let mut pinned = Vec::new();
+    for (n, f, dead_round) in [(7, 2, 5), (13, 4, 9)] {
+        let mut h = RpHarness::build(RpConfig::uniform(n, f), 1, 42, five_region_wan(n + 1, 0.1));
+        for i in 0..f {
+            h.crash_server(s((n - 1 - i) as u32));
+        }
+        let (mut transfer_ms, mut read_ms) = (Vec::new(), Vec::new());
+        for round in 0..10 {
+            let (from, to) = (s(round % (n as u32 - 1)), s((round + 1) % (n as u32 - 1)));
+            let t0 = h.world.now();
+            let out = h.transfer_and_wait(from, to, Ratio::new(1, 50));
+            if round == dead_round {
+                assert!(out.is_err(), "n = {n}: the crashed {from} completed");
+            } else {
+                assert!(out.unwrap().is_effective(), "n = {n}, round {round}");
+                transfer_ms.push((h.world.now() - t0) as f64 / 1e6);
+            }
+            let t0 = h.world.now();
+            h.read_changes(0, to)
+                .unwrap_or_else(|e| panic!("n = {n}, round {round}: {e}"));
+            read_ms.push((h.world.now() - t0) as f64 / 1e6);
+        }
+        h.settle();
+        let m = h.world.metrics();
+        // A read_changes asks all n servers in each of its two phases and
+        // hears from the n − f up.
+        for (kind, per_op) in [("RC", n), ("RC_Ack", n - f), ("WC", n), ("WC_Ack", n - f)] {
+            assert_eq!(m.sent_of_kind(kind), 10 * per_op as u64, "n = {n}, {kind}");
+        }
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let max = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
+        pinned.push(format!(
+            "n={n} {} {} {:.2} {:.2} {:.2} {:.2}",
+            m.sent_of_kind("T"),
+            m.sent_of_kind("T_Ack"),
+            mean(&transfer_ms),
+            max(&transfer_ms),
+            mean(&read_ms),
+            max(&read_ms)
+        ));
+    }
+    // `T` and `T_Ack` sent, then mean and max latency of the completed
+    // transfers and of the read_changes (virtual ms).
+    assert_eq!(
+        pinned,
+        [
+            "n=7 265 41 263.32 325.99 518.83 540.13",
+            "n=13 1011 81 263.35 327.15 413.98 427.52",
+        ]
+    );
 }

@@ -12,11 +12,14 @@
 //! deviation between the modes is a real protocol difference, not noise.
 //! Transfers still overlap the client ops freely, which is what forces the
 //! stale-`C` rejections the negotiation exists to serve.
+//!
+//! A |C| sweep then pins what each mode costs in steady state, in bytes and,
+//! on a bandwidth-limited uplink, in operation latency.
 
 use std::collections::BTreeSet;
 
 use awr::core::{audit_transfers, RpConfig};
-use awr::sim::UniformLatency;
+use awr::sim::{constrained_uplink, UniformLatency};
 use awr::storage::{
     check_linearizable, DynClient, DynOptions, DynServer, StorageHarness, WireMode,
 };
@@ -220,4 +223,136 @@ fn steady_state_requests_are_constant_size() {
         varint_width(large_c) - varint_width(small_c),
         "steady-state R size must not depend on |C| beyond its varint ({small} vs {large})"
     );
+}
+
+/// One closed-loop steady-state run of the |C| sweep.
+struct SweepRow {
+    c_size: usize,
+    mode: &'static str,
+    bytes_per_op: f64,
+    mean_r_bytes: f64,
+    mean_rack_bytes: f64,
+    mean_latency_ms: f64,
+    max_latency_ms: f64,
+    max_uplink_utilization: f64,
+}
+
+impl SweepRow {
+    /// The row at the precision the pins below are written in.
+    fn pinned(&self) -> String {
+        format!(
+            "{} {} {:.1} {:.1} {:.1} {:.3} {:.3} {:.4}",
+            self.c_size,
+            self.mode,
+            self.bytes_per_op,
+            self.mean_r_bytes,
+            self.mean_rack_bytes,
+            self.mean_latency_ms,
+            self.max_latency_ms,
+            self.max_uplink_utilization
+        )
+    }
+}
+
+/// Every participant pre-seeded with the same converged change set of
+/// `N + extra` changes, then 40 alternating writes and reads from one
+/// client in that steady state, on five servers whose every sender shares
+/// one 4 MB/s uplink — so a message's size is part of its delay.
+fn sweep_run(extra: usize, wire: WireMode) -> SweepRow {
+    const OPS: usize = 40;
+    let n = 5;
+    let mut h: StorageHarness<u64> = StorageHarness::build(
+        RpConfig::uniform(n, 1),
+        1,
+        0xBA2D,
+        constrained_uplink(n + 1, 4_000_000),
+        DynOptions {
+            wire,
+            ..DynOptions::default()
+        },
+    );
+    let big = h.seed_converged_changes(extra);
+    for v in 0..OPS as u64 {
+        if v % 2 == 0 {
+            h.write(0, v).unwrap();
+        } else {
+            h.read(0).unwrap();
+        }
+    }
+    let client = h.world.actor::<DynClient<u64>>(h.client_actor(0));
+    let ops = &client.expect("client").driver.completed;
+    assert_eq!(ops.len(), OPS);
+    let latencies_ms: Vec<f64> = ops
+        .iter()
+        .map(|o| (o.response - o.invoke) as f64 / 1e6)
+        .collect();
+    let m = h.world.metrics();
+    let cs_bytes = ["R", "R_A", "W", "W_A"]
+        .iter()
+        .map(|k| m.bytes_of_kind(k))
+        .sum::<u64>();
+    SweepRow {
+        c_size: n + big.len(),
+        mode: match wire {
+            WireMode::Negotiate => "delta",
+            WireMode::ForceFull => "full",
+        },
+        bytes_per_op: cs_bytes as f64 / OPS as f64,
+        mean_r_bytes: m.mean_bytes_of_kind("R"),
+        mean_rack_bytes: m.mean_bytes_of_kind("R_A"),
+        mean_latency_ms: latencies_ms.iter().sum::<f64>() / OPS as f64,
+        max_latency_ms: latencies_ms.iter().copied().fold(0.0, f64::max),
+        max_uplink_utilization: m.max_uplink_utilization(),
+    }
+}
+
+#[test]
+fn delta_wire_is_flat_in_c_where_the_full_wire_grows_linearly() {
+    let rows: Vec<SweepRow> = [10, 100, 1_000, 10_000]
+        .into_iter()
+        .flat_map(|extra| [(extra, WireMode::Negotiate), (extra, WireMode::ForceFull)])
+        .map(|(extra, wire)| sweep_run(extra, wire))
+        .collect();
+    // |C|, mode, ABD bytes/op, mean R, mean R_A (bytes), mean and max op
+    // latency (virtual ms), busiest uplink's utilisation.
+    let pinned: Vec<String> = rows.iter().map(SweepRow::pinned).collect();
+    assert_eq!(
+        pinned,
+        [
+            "15 delta 147.1 18.0 14.0 2.245 3.506 0.0101",
+            "15 full 1131.5 120.0 126.0 2.373 3.687 0.0590",
+            "105 delta 147.1 18.0 14.0 2.245 3.506 0.0101",
+            "105 full 7755.5 840.0 846.0 3.242 5.090 0.2986",
+            "1005 delta 151.7 19.0 14.0 2.246 3.507 0.0106",
+            "1005 full 74004.7 8041.0 8047.0 13.809 19.649 0.6698",
+            "10005 delta 151.7 19.0 14.0 2.246 3.507 0.0106",
+            "10005 full 736404.7 80041.0 80047.0 122.709 181.649 0.7501",
+        ]
+    );
+    for pair in rows.chunks(2) {
+        let (delta, full) = (&pair[0], &pair[1]);
+        assert!(
+            delta.bytes_per_op < full.bytes_per_op,
+            "|C| = {}: delta moved no fewer bytes than full",
+            delta.c_size
+        );
+        assert!(
+            delta.mean_latency_ms < full.mean_latency_ms,
+            "|C| = {}: delta was no faster than full",
+            delta.c_size
+        );
+    }
+    let latencies = |mode| -> Vec<f64> {
+        rows.iter()
+            .filter(|r| r.mode == mode)
+            .map(|r| r.mean_latency_ms)
+            .collect()
+    };
+    let delta = latencies("delta");
+    let spread = delta.iter().copied().fold(0.0, f64::max)
+        / delta.iter().copied().fold(f64::INFINITY, f64::min);
+    assert!(spread <= 2.0, "delta latency not flat: {spread:.2}x");
+    let full = latencies("full");
+    let growth = full[full.len() - 1] / full[0];
+    assert!(growth >= 10.0, "full latency grew only {growth:.2}x");
 }
