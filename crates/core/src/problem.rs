@@ -122,6 +122,9 @@ pub enum TransferError {
         /// Human-readable reason.
         reason: String,
     },
+    /// The invoking process has crashed, and a crashed process takes no
+    /// step (§II): nothing was invoked.
+    Crashed,
 }
 
 impl std::fmt::Display for TransferError {
@@ -131,6 +134,7 @@ impl std::fmt::Display for TransferError {
             TransferError::InvalidArguments { reason } => {
                 write!(f, "invalid transfer arguments: {reason}")
             }
+            TransferError::Crashed => write!(f, "the invoking process has crashed"),
         }
     }
 }
@@ -186,6 +190,7 @@ mod tests {
     #[test]
     fn error_display() {
         assert!(TransferError::Busy.to_string().contains("in progress"));
+        assert!(TransferError::Crashed.to_string().contains("crashed"));
         let e = TransferError::InvalidArguments {
             reason: "zero delta".into(),
         };

@@ -97,8 +97,10 @@ impl RpHarness {
     ///
     /// # Errors
     ///
-    /// Propagates [`TransferError`] from the invocation; errors if the
-    /// world quiesces without completing (e.g. too many crashes).
+    /// Propagates [`TransferError`] from the invocation, and
+    /// [`TransferError::Crashed`] if `from` has crashed (nothing is
+    /// invoked); errors if the world quiesces without completing (e.g. too
+    /// many crashes).
     pub fn transfer_and_wait(
         &mut self,
         from: ServerId,
@@ -115,7 +117,8 @@ impl RpHarness {
         self.world
             .with_actor_ctx::<RpServer, Result<_, TransferError>>(actor, |srv, ctx| {
                 srv.transfer(to, delta, ctx).map(|_| ())
-            })?;
+            })
+            .unwrap_or(Err(TransferError::Crashed))?;
         let done = self.world.run_until(|w| {
             w.actor::<RpServer>(actor)
                 .map(|s| s.completed().len() > before)
@@ -139,7 +142,8 @@ impl RpHarness {
     ///
     /// # Errors
     ///
-    /// Propagates invocation errors.
+    /// Propagates invocation errors; [`TransferError::Crashed`] if `from`
+    /// has crashed.
     pub fn transfer_async(
         &mut self,
         from: ServerId,
@@ -151,6 +155,7 @@ impl RpHarness {
             .with_actor_ctx::<RpServer, Result<_, TransferError>>(actor, |srv, ctx| {
                 srv.transfer(to, delta, ctx).map(|_| ())
             })
+            .unwrap_or(Err(TransferError::Crashed))
     }
 
     /// Starts a transfer in queued mode without waiting: a request issued
@@ -160,7 +165,8 @@ impl RpHarness {
     ///
     /// # Errors
     ///
-    /// Propagates invocation errors (never [`TransferError::Busy`]).
+    /// Propagates invocation errors (never [`TransferError::Busy`]);
+    /// [`TransferError::Crashed`] if `from` has crashed.
     pub fn transfer_queued(
         &mut self,
         from: ServerId,
@@ -172,6 +178,7 @@ impl RpHarness {
             .with_actor_ctx::<RpServer, Result<_, TransferError>>(actor, |srv, ctx| {
                 srv.transfer_queued(to, delta, ctx).map(|_| ())
             })
+            .unwrap_or(Err(TransferError::Crashed))
     }
 
     /// Invokes `read_changes(target)` from client `k` and runs until it
@@ -179,8 +186,9 @@ impl RpHarness {
     ///
     /// # Errors
     ///
-    /// Propagates [`TransferError::Busy`]; errors if the world quiesces
-    /// without completion.
+    /// Propagates [`TransferError::Busy`], and [`TransferError::Crashed`]
+    /// if the client has crashed; errors if the world quiesces without
+    /// completion.
     pub fn read_changes(
         &mut self,
         k: usize,
@@ -197,7 +205,8 @@ impl RpHarness {
         self.world
             .with_actor_ctx::<RpClient, Result<_, TransferError>>(actor, |cl, ctx| {
                 cl.read_changes(target, ctx)
-            })?;
+            })
+            .unwrap_or(Err(TransferError::Crashed))?;
         let done = self.world.run_until(|w| {
             w.actor::<RpClient>(actor)
                 .map(|c| c.reader.results.len() > before)

@@ -24,7 +24,7 @@
 //! referenced set (possibly proving it already did via the digest).
 //!
 //! The byte layout of each message is its [`Wire`] impl below, in the
-//! version-3 format of [`awr_types::wire`].
+//! version-4 format of [`awr_types::wire`].
 
 use std::hash::{Hash, Hasher};
 

@@ -43,8 +43,8 @@
 //! receive `MESH <p0> <p1> …` on stdin, and then obey line commands —
 //! `report`, `transfer <to> <num> <den>`, `ops <m>`, `quit` — answering
 //! with `METRICS <report>` / `DONE <report>` / `TRANSFER_DONE` lines, a
-//! report being one `Wire` frame in hex. See `docs/RUNTIME.md` for a
-//! walkthrough.
+//! report being the wire version byte and one `Wire` frame, in hex. See
+//! `docs/RUNTIME.md` for a walkthrough.
 
 #![allow(clippy::print_stdout)]
 
@@ -57,7 +57,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use awr_core::RpConfig;
-use awr_net::{decode_frame, encode_frame, FrameError, Reader, Sink, TcpTransport, Wire};
+use awr_net::{
+    decode_frame, encode_frame_into, FrameError, Reader, Sink, TcpTransport, Wire, WIRE_VERSION,
+};
 use awr_sim::{ActorId, Metrics, NodeHost, Time, Transport, UniformLatency};
 use awr_storage::{
     check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
@@ -303,15 +305,20 @@ impl Wire for OpRecord {
     }
 }
 
-/// Decodes a report line's hex frame, and checks that the process wrote
-/// to its sockets exactly the frames its `NodeHost` metered: as many, and
-/// as many bytes.
+/// Decodes a report line — its version, then its frame, in hex — and
+/// checks that the process wrote to its sockets exactly the frames its
+/// `NodeHost` metered: as many, and as many bytes.
 fn parse_report(hex: &str) -> Result<Report, String> {
-    let frame: Vec<u8> = (0..hex.len())
+    let line: Vec<u8> = (0..hex.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex report"))
         .collect();
-    let whole = decode_frame(&frame).expect("decode report");
+    let Some((&WIRE_VERSION, frame)) = line.split_first() else {
+        return Err(format!(
+            "a report not of wire version {WIRE_VERSION}: {hex}"
+        ));
+    };
+    let whole = decode_frame(frame).expect("decode report");
     let r: Report = whole.expect("a whole report frame").0;
     let metered = (
         r.sent.msgs.values().sum::<u64>(),
@@ -416,10 +423,9 @@ fn report<A: awr_sim::Actor<Msg = DynMsg<V>>>(
         dials: (0..t.n_actors()).map(|i| t.dials_to(ActorId(i))).collect(),
         frames_received: t.frames_received(),
     };
-    encode_frame(&r)
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
+    let mut line = vec![WIRE_VERSION];
+    encode_frame_into(&r, &mut line);
+    line.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn server_main(i: usize, p: Params) {

@@ -4,23 +4,30 @@
 //! [`awr_types::wire`] codec:
 //!
 //! ```text
-//! +----------------+-----------+------------------------------+
-//! | length: u32 LE | version u8| payload: the message, typed  |
-//! +----------------+-----------+------------------------------+
+//! +------------------------+------------------------------+
+//! | length: LEB128, 1–4 B  | payload: the message, typed  |
+//! +------------------------+------------------------------+
 //! ```
 //!
+//! `length` counts the payload, in the codec's own varint and its
+//! shortest form: one byte for a payload under 128 B, which every
+//! steady-state message is.
 //! [`encode_frame_into`](crate::encode_frame_into) writes one into a
 //! peer's write buffer and [`decode_frame`](crate::decode_frame) reads one
 //! off a connection's read buffer: `Ok(None)` for a prefix (read more and
 //! retry), an error once the bytes present prove the frame bad — a length
-//! above [`MAX_FRAME`](crate::MAX_FRAME), a version other than
-//! [`WIRE_VERSION`], a payload that does not decode exactly. A stream
-//! that ends cleanly *between* frames reports [`FrameError::Closed`]; one
-//! that ends *inside* a frame reports [`FrameError::Truncated`].
+//! above [`MAX_FRAME`](crate::MAX_FRAME) or not in its shortest form, a
+//! payload that does not decode exactly. A stream that ends cleanly
+//! *between* frames reports [`FrameError::Closed`]; one that ends
+//! *inside* a frame reports [`FrameError::Truncated`].
 //!
 //! Before its first frame a connection carries a fixed 13-byte **hello**
 //! (`magic ∥ version ∥ ActorId`, [`write_hello`]/[`read_hello`]) so the
-//! accepting side knows which peer the stream speaks for.
+//! accepting side knows which peer the stream speaks for. The hello is
+//! where the stream states its [`WIRE_VERSION`], once: a frame carries
+//! none, and a peer of another version is refused before its first frame.
+//! The frames the accepting side sends back need no hello of their own:
+//! it writes nothing on a connection before its hello has passed.
 
 use std::io::{Read, Write};
 
@@ -62,7 +69,9 @@ pub fn read_hello(r: &mut impl Read) -> Result<ActorId, FrameError> {
 mod tests {
     use super::*;
     use awr_storage::DynMsg;
-    use awr_types::wire::{decode_frame, encode_frame, encode_frame_into, Wire, MAX_FRAME};
+    use awr_types::wire::{
+        decode_frame, encode_frame, encode_frame_into, put_varint, Wire, MAX_FRAME,
+    };
     use awr_types::{CsRef, ObjectId};
 
     fn read(op: u64) -> DynMsg<u64> {
@@ -89,8 +98,8 @@ mod tests {
 
     #[test]
     fn oversized_length_is_rejected() {
-        let mut frame = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
-        frame.push(WIRE_VERSION);
+        let mut frame = Vec::new();
+        put_varint(&mut frame, MAX_FRAME as u64 + 1);
         assert!(matches!(
             decode_frame::<u64>(&frame),
             Err(FrameError::Oversized { .. })
@@ -99,15 +108,17 @@ mod tests {
 
     #[test]
     fn encoding_in_place_appends_the_same_bytes() {
-        // The reference layout, built the long way round.
+        // The reference layout, built the long way round: a one-byte
+        // length, then the payload.
         let msg = read(300);
-        let mut payload = vec![WIRE_VERSION];
+        let mut payload = Vec::new();
         msg.put(&mut payload);
-        let mut reference = (payload.len() as u32).to_le_bytes().to_vec();
+        assert!(payload.len() < 128);
+        let mut reference = vec![payload.len() as u8];
         reference.extend_from_slice(&payload);
         assert_eq!(encode_frame(&msg), reference);
 
-        // Appending behind earlier bytes patches the right four.
+        // Appending behind earlier bytes patches the right one.
         let mut out = b"earlier".to_vec();
         assert_eq!(encode_frame_into(&msg, &mut out), reference.len());
         assert_eq!(
@@ -147,13 +158,18 @@ mod tests {
         ));
     }
 
+    /// A frame carries no version: a peer's is refused at the hello, a
+    /// version-3 peer's included, before any frame of its stream is read.
     #[test]
     fn wrong_version_is_rejected() {
-        for foreign in [1, WIRE_VERSION - 1, WIRE_VERSION + 1] {
-            let mut frame = encode_frame(&7u64);
-            frame[4] = foreign;
+        let mut stream = Vec::new();
+        write_hello(&mut stream, ActorId(3)).unwrap();
+        stream.extend_from_slice(&encode_frame(&7u64));
+        assert_eq!(stream[HELLO_LEN..], [1, 7]);
+        for foreign in [1, 3, WIRE_VERSION + 1] {
+            stream[4] = foreign;
             assert!(matches!(
-                decode_frame::<u64>(&frame),
+                read_hello(&mut &stream[..]),
                 Err(FrameError::BadVersion(v)) if v == foreign
             ));
         }
@@ -174,8 +190,7 @@ mod tests {
     fn bytes_after_the_message_are_a_codec_error() {
         let mut frame = encode_frame(&read(1));
         frame.push(0);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[0] += 1;
         assert!(matches!(
             decode_frame::<DynMsg<u64>>(&frame),
             Err(FrameError::Codec(_))

@@ -11,13 +11,14 @@
 //! [`awr_sim::Transport`] seam (see `awr_sim::transport`) and the plumbing
 //! under it —
 //!
-//! * [`frame`] — the frame on a socket (`u32` little-endian length
-//!   prefix, a version byte and the typed payload) and the 13-byte hello
-//!   that opens a connection. The codec is `awr_types::wire` (format
-//!   version 3, re-exported here): the [`Wire`] trait, its impls —
+//! * [`frame`] — the frame on a socket (the payload's length as a
+//!   varint, one byte for any steady-state message, then the typed
+//!   payload) and the 13-byte hello that opens a connection and states
+//!   the wire version once for it. The codec is `awr_types::wire` (format
+//!   version 4, re-exported here): the [`Wire`] trait, its impls —
 //!   positional fields, varints, fixed-width digests, one tag byte per
-//!   enum — and the frame encoder/decoder with its
-//!   oversize/truncation/version checks, encoding into and decoding out of
+//!   enum — and the frame encoder/decoder with its length and truncation
+//!   checks, encoding into and decoding out of
 //!   the transport's own buffers with no allocation for a message that
 //!   carries no change list or register map. The storage servers write
 //!   their WAL in the same frames;
@@ -91,7 +92,7 @@ pub mod tcp;
 
 pub use awr_types::wire::{
     decode_frame, encode_frame, encode_frame_into, frame_len, FrameError, Reader, Sink, Wire,
-    MAX_FRAME, WIRE_VERSION,
+    MAX_FRAME, MAX_PREFIX, WIRE_VERSION,
 };
 pub use frame::{read_hello, write_hello};
 pub use tcp::{PoolStats, Reconnect, TcpTransport};

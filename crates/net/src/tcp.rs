@@ -108,14 +108,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use awr_sim::{ActorId, Message, Transport};
-use awr_types::wire::{decode_frame, encode_frame_into, FrameError, Wire, MAX_FRAME};
+use awr_types::wire::{decode_frame, encode_frame_into, FrameError, Wire, MAX_FRAME, MAX_PREFIX};
 
 use crate::frame::{read_hello, write_hello, HELLO_LEN};
 use crate::sys::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 
 /// Write backlog toward one peer above which [`Transport::send`] stops
 /// returning at once and drives the readiness loop until the peer has
-/// taken some. One maximal frame always fits under it.
+/// taken some. A maximal frame is over it only by its length prefix.
 pub const HIGH_WATER: usize = MAX_FRAME;
 
 /// Bytes asked of a socket per read. Every whole frame of a read is
@@ -167,7 +167,7 @@ impl Default for Reconnect {
 pub struct PoolStats {
     /// Frames accepted for a live connection (written, or in its backlog).
     pub frames_sent: u64,
-    /// Total bytes of those frames (header + version + payload).
+    /// Total bytes of those frames (length prefix + payload).
     pub frame_bytes_sent: u64,
     /// Messages dropped after the reconnect budget was exhausted.
     pub dropped: u64,
@@ -616,7 +616,7 @@ where
         let bytes = encode_frame_into(&msg, &mut self.frame);
         // A frame over the limit is not worth a connection: the receiver
         // would refuse it and close the link.
-        let sent = if bytes - 4 > MAX_FRAME {
+        let sent = if bytes > MAX_FRAME + MAX_PREFIX {
             None
         } else {
             self.transmit(to)

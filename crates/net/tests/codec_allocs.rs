@@ -3,7 +3,9 @@
 //! read or write, so one allocation in either direction — or in metering
 //! the send, which measures the frame — is paid per message, on the
 //! node's only thread; and a server's WAL append is one more frame of a
-//! `Register` or `Change` record, on the same thread.
+//! `Register` or `Change` record, on the same thread. A frame over 127 B,
+//! whose payload moves up to make room for its longer length, allocates
+//! no more than one under it.
 //!
 //! The counting shim is the one place this crate's tests touch `unsafe`:
 //! a `GlobalAlloc` that delegates verbatim to the system allocator and
@@ -157,4 +159,29 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
         )),
     ];
     assert_eq!(allocations(&records), 0, "a WAL record's frame allocated");
+
+    // A whole change set of 40: a payload over 127 B, so its length takes
+    // two bytes and the payload, encoded behind one, moves up by one —
+    // within the buffer's capacity. (In this test, not one of its own:
+    // the counter is shared, so two tests counting at once would each
+    // see the other's allocations.)
+    let long: DynMsg<u64> = DynMsg::SyncAck {
+        changes: CsRef::Full(ChangeSet::uniform_initial(40, Ratio::ONE)),
+    };
+    let mut wbuf = Vec::with_capacity(4096);
+    let size = encode_frame_into(&long, &mut wbuf);
+    assert!(
+        wbuf[0] & 0x80 != 0 && wbuf[1] & 0x80 == 0,
+        "a two-byte length"
+    );
+    assert_eq!((size, wbuf.len()), (long.wire_size(), long.wire_size()));
+    let moved = allocations_in(|| {
+        for _ in 0..1_000 {
+            wbuf.clear();
+            encode_frame_into(black_box(&long), &mut wbuf);
+        }
+    });
+    assert_eq!(moved, 0, "moving a long frame's payload allocated");
+    let (back, used) = decode_frame::<DynMsg<u64>>(&wbuf).unwrap().unwrap();
+    assert_eq!((back, used), (long, size));
 }

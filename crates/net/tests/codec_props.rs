@@ -12,8 +12,8 @@ use awr_rb::RbEnvelope;
 use awr_sim::{ActorId, Message};
 use awr_storage::{DynMsg, RefreshHave, Snapshot, WalRecord};
 use awr_types::wire::{
-    decode_frame, encode_frame, frame_len, put_digest, put_varint, roundtrip, FrameError, Wire,
-    MAX_FRAME, MAX_SERVER_ID, WIRE_VERSION,
+    decode_frame, encode_frame, frame_len, frame_prefix, put_digest, put_varint, roundtrip,
+    FrameError, Wire, MAX_FRAME, MAX_PREFIX, MAX_SERVER_ID,
 };
 use awr_types::{
     Change, ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
@@ -206,14 +206,15 @@ fn arb_snapshot(seed: &mut u64) -> Snapshot<u64> {
     }
 }
 
-/// `value` round-trips through a whole frame; every proper prefix of that
-/// frame is incomplete; the frame with one bit flipped decodes to
-/// anything but a panic.
+/// `value` round-trips through a whole frame, which `frame_len` sizes;
+/// every proper prefix of that frame is incomplete; the frame with one
+/// bit flipped decodes to anything but a panic.
 fn frame_survives<T: Wire + PartialEq + std::fmt::Debug>(
     value: &T,
     seed: &mut u64,
 ) -> Result<(), TestCaseError> {
     let mut bytes = encode_frame(value);
+    prop_assert_eq!(frame_len(value), bytes.len());
     let (back, used) = decode_frame::<T>(&bytes).expect("decode").expect("whole");
     prop_assert_eq!(used, bytes.len());
     prop_assert_eq!(&back, value);
@@ -226,10 +227,10 @@ fn frame_survives<T: Wire + PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
-/// A whole frame around `payload`, with an honest length and version.
+/// A whole frame around `payload`, with an honest length.
 fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut buf = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
-    buf.push(WIRE_VERSION);
+    let mut buf = Vec::new();
+    put_varint(&mut buf, payload.len() as u64);
     buf.extend_from_slice(payload);
     buf
 }
@@ -248,8 +249,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every protocol message variant round-trips through a whole frame
-    /// (length prefix, version byte, payload) to an equal message, and the
-    /// decoder consumes exactly the bytes the encoder produced.
+    /// (length prefix, payload) to an equal message, and the decoder
+    /// consumes exactly the bytes the encoder produced.
     #[test]
     fn protocol_messages_roundtrip(seed in 0u64..u64::MAX) {
         for arm in 0..MSG_ARMS {
@@ -269,7 +270,8 @@ proptest! {
         for arm in 0..MSG_ARMS {
             let mut s = seed ^ arm;
             let msg = arb_msg(arm, &mut s);
-            prop_assert_eq!(msg.wire_size(), encode_frame(&msg).len());
+            prop_assert_eq!(frame_len(&msg), encode_frame(&msg).len());
+            prop_assert_eq!(msg.wire_size(), frame_len(&msg));
             if let DynMsg::Wr(inner) = &msg {
                 prop_assert_eq!(inner.wire_size(), encode_frame(inner).len());
             }
@@ -322,16 +324,38 @@ proptest! {
         }
     }
 
-    /// Any length prefix above `MAX_FRAME` is rejected before allocation.
+    /// Any length above `MAX_FRAME` is rejected from the prefix alone,
+    /// before allocation: as oversized while it fits in `MAX_PREFIX`
+    /// bytes, and as a prefix too long beyond that.
     #[test]
     fn oversized_lengths_rejected(extra in 1u64..u32::MAX as u64 - MAX_FRAME as u64) {
-        let len = (MAX_FRAME as u64 + extra) as u32;
-        let mut buf = len.to_le_bytes().to_vec();
-        buf.extend_from_slice(&[WIRE_VERSION, 0, 0, 0]);
-        prop_assert!(matches!(
-            decode_frame::<u64>(&buf),
-            Err(FrameError::Oversized { .. })
-        ));
+        let len = MAX_FRAME as u64 + extra;
+        let mut buf = Vec::new();
+        put_varint(&mut buf, len);
+        let got = decode_frame::<u64>(&buf);
+        if buf.len() <= MAX_PREFIX {
+            prop_assert!(matches!(got, Err(FrameError::Oversized { len: l }) if l as u64 == len));
+        } else {
+            prop_assert!(matches!(got, Err(FrameError::Codec(_))));
+        }
+        prop_assert!(decode_frame::<u64>(&buf[..MAX_PREFIX]).is_err());
+    }
+
+    /// A frame whose length is written longer than it needs — padded with
+    /// continuation bytes, to any width up to `MAX_PREFIX` and past it —
+    /// is refused: one length, one encoding.
+    #[test]
+    fn non_canonical_lengths_are_refused(seed in 0u64..u64::MAX, arm in 0u64..MSG_ARMS, pad in 1usize..6) {
+        let mut s = seed;
+        let frame = encode_frame(&arb_msg(arm, &mut s));
+        let (_, prefix) = frame_prefix(&frame).expect("own length").expect("whole");
+        let (head, payload) = frame.split_at(prefix);
+        let mut long = head.to_vec();
+        *long.last_mut().expect("a length byte") |= 0x80;
+        long.extend(std::iter::repeat_n(0x80, pad - 1));
+        long.push(0);
+        long.extend_from_slice(payload);
+        prop_assert!(matches!(decode_frame::<Msg>(&long), Err(FrameError::Codec(_))));
     }
 
     /// Arbitrary bytes — bare, and as the payload of a well-formed frame —
@@ -342,7 +366,7 @@ proptest! {
         if let Ok(Some((msg, used))) = decode_frame::<Msg>(&framed(&bytes)) {
             // Whatever decoded is a message like any other: it re-encodes
             // and decodes to itself.
-            prop_assert_eq!(used, bytes.len() + 5);
+            prop_assert_eq!(used, framed(&bytes).len());
             prop_assert_eq!(roundtrip(&msg).expect("roundtrip"), msg);
         }
     }
@@ -414,7 +438,9 @@ proptest! {
 }
 
 /// The largest reference the benchmark's ledger ships: a rejecting `R_A`
-/// carrying a whole change set of 3 000.
+/// carrying a whole change set of 3 000, a frame whose length takes three
+/// bytes. Every proper prefix of it — a cut inside the length included —
+/// is incomplete.
 #[test]
 fn a_full_reference_of_3000_changes_roundtrips() {
     let mut s = 11;
@@ -426,6 +452,12 @@ fn a_full_reference_of_3000_changes_roundtrips() {
         accepted: false,
     };
     assert_eq!(roundtrip(&msg).expect("roundtrip"), msg);
+    let frame = encode_frame(&msg);
+    assert_eq!(frame_len(&msg), frame.len());
+    assert!(matches!(frame_prefix(&frame), Ok(Some((_, 3)))));
+    for cut in 0..frame.len() {
+        assert!(matches!(decode_frame::<Msg>(&frame[..cut]), Ok(None)));
+    }
 }
 
 fn invoke(delta: Ratio) -> Msg {

@@ -16,11 +16,12 @@ use std::time::{Duration, Instant};
 use awr_core::RpConfig;
 use awr_net::tcp::HIGH_WATER;
 use awr_net::{
-    encode_frame, write_hello, FrameError, Reader, Reconnect, Sink, TcpTransport, Wire, MAX_FRAME,
-    WIRE_VERSION,
+    encode_frame, frame_len, write_hello, FrameError, Reader, Reconnect, Sink, TcpTransport, Wire,
+    MAX_FRAME, MAX_PREFIX, WIRE_VERSION,
 };
 use awr_sim::{ActorId, ChannelTransport, Message, NodeHost, Step, Transport};
 use awr_storage::{DynClient, DynCompletedOp, DynMsg, DynOptions, DynServer, OpKind};
+use awr_types::wire::put_varint;
 use awr_types::{ClientId, ProcessId, ServerId};
 
 /// A sequenced message with a payload of any size (a string travels as
@@ -195,7 +196,11 @@ fn two_nodes_over_the_high_water_mark_drain_each_other() {
 fn a_frame_the_receiver_would_refuse_is_dropped_by_the_sender() {
     let mut m = mesh(2);
     let (mut b, mut a) = (m.pop().unwrap(), m.pop().unwrap());
-    a.send(ActorId(1), blob(0, MAX_FRAME));
+    // One byte of payload too many: `n`, a four-byte string length and
+    // the string make `MAX_FRAME + 1`.
+    let over = blob(0, MAX_FRAME - 4);
+    assert_eq!(frame_len(&over), MAX_PREFIX + MAX_FRAME + 1);
+    a.send(ActorId(1), over);
     a.send(ActorId(1), seq(1));
     assert_eq!(recv(&mut b), (ActorId(0), seq(1)));
     let stats = a.pool_stats();
@@ -262,12 +267,15 @@ fn a_bad_connection_is_closed_alone_while_a_good_peer_is_served() {
     bad_version[4] = WIRE_VERSION + 1;
     let mut old_hello = hello(2);
     old_hello[4] = 1;
-    let mut old_frame = hello(2);
-    let mut frame = encode_frame(&seq(9));
-    frame[4] = 1;
-    old_frame.extend_from_slice(&frame);
+    let mut v3_hello = hello(2);
+    v3_hello[4] = 3;
     let mut oversized = hello(2);
-    oversized.extend_from_slice(&((MAX_FRAME + 1) as u32).to_le_bytes());
+    put_varint(&mut oversized, MAX_FRAME as u64 + 1);
+    let mut five_byte_length = hello(2);
+    five_byte_length.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x00]);
+    // seq(9)'s two-byte payload behind its length written in two bytes.
+    let mut long_length = hello(2);
+    long_length.extend_from_slice(&[0x82, 0x00, 9, 0]);
     let mut corrupt = hello(2);
     let mut frame = encode_frame(&seq(9));
     let last = frame.len() - 1;
@@ -277,8 +285,10 @@ fn a_bad_connection_is_closed_alone_while_a_good_peer_is_served() {
         ("bad hello magic", bad_magic),
         ("wrong hello version", bad_version),
         ("version-1 hello", old_hello),
-        ("version-1 frame", old_frame),
+        ("version-3 hello", v3_hello),
         ("length prefix above MAX_FRAME", oversized),
+        ("length prefix of five bytes", five_byte_length),
+        ("length prefix not in its shortest form", long_length),
         ("corrupt payload", corrupt),
         ("hello from outside the mesh", hello(3)),
     ];

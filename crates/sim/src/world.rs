@@ -466,7 +466,9 @@ impl<M: Message> World<M> {
     }
 
     /// Calls `f` with a [`Context`] on behalf of actor `id` — the harness
-    /// hook to start client operations mid-run (e.g. "invoke a read now").
+    /// hook to start client operations mid-run (e.g. "invoke a read now")
+    /// — and returns what it returns. A crashed actor takes no step:
+    /// `f` is not run, nothing is sent, and the result is `None`.
     ///
     /// # Panics
     ///
@@ -475,7 +477,10 @@ impl<M: Message> World<M> {
         &mut self,
         id: ActorId,
         f: impl FnOnce(&mut T, &mut Context<'_, M>) -> R,
-    ) -> R {
+    ) -> Option<R> {
+        if self.crashed[id.index()] {
+            return None;
+        }
         let n_actors = self.actors.len();
         let mut effects = std::mem::take(&mut self.effects);
         let mut ctx = Context {
@@ -492,7 +497,7 @@ impl<M: Message> World<M> {
             .expect("actor type mismatch in with_actor_ctx");
         let r = f(actor, &mut ctx);
         self.apply_effects(id, effects);
-        r
+        Some(r)
     }
 
     fn push_event(&mut self, at: Time, kind: EventKind<M>) {
@@ -904,15 +909,37 @@ mod tests {
     }
 
     #[test]
+    fn a_crashed_actor_takes_no_step_through_with_actor_ctx() {
+        let mut w = world_with(3, 2);
+        w.run_to_quiescence();
+        let sent = w.metrics().messages_sent;
+        w.crash_now(ActorId(1));
+        let ran =
+            w.with_actor_ctx::<Echo, _>(ActorId(1), |_, ctx| ctx.send(ActorId(0), Msg::Ping(9)));
+        assert_eq!(ran, None);
+        w.run_to_quiescence();
+        assert_eq!(w.metrics().messages_sent, sent);
+
+        // A live actor's call runs and sends.
+        let ran =
+            w.with_actor_ctx::<Echo, _>(ActorId(2), |_, ctx| ctx.send(ActorId(0), Msg::Ping(9)));
+        assert_eq!(ran, Some(()));
+        w.run_to_quiescence();
+        assert_eq!(w.metrics().messages_sent, sent + 2);
+    }
+
+    #[test]
     fn timers_fire_in_order_and_cancel() {
         let mut w: World<Msg> = World::new(3, ConstantLatency(10));
         w.add_actor(Echo::new());
-        let cancel_me = w.with_actor_ctx::<Echo, _>(ActorId(0), |_, ctx| {
-            ctx.set_timer(50, 1);
-            let id = ctx.set_timer(100, 2);
-            ctx.set_timer(150, 3);
-            id
-        });
+        let cancel_me = w
+            .with_actor_ctx::<Echo, _>(ActorId(0), |_, ctx| {
+                ctx.set_timer(50, 1);
+                let id = ctx.set_timer(100, 2);
+                ctx.set_timer(150, 3);
+                id
+            })
+            .expect("a live actor");
         w.with_actor_ctx::<Echo, _>(ActorId(0), |_, ctx| ctx.cancel_timer(cancel_me));
         w.run_to_quiescence();
         let a = w.actor::<Echo>(ActorId(0)).unwrap();

@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use awr_types::wire::{
-    decode_frame, encode_frame, encode_frame_into, get_map, put_map, FrameError, Reader, Sink,
-    Wire, MAX_FRAME,
+    decode_frame, encode_frame_into, frame_prefix, get_map, put_map, FrameError, Reader, Sink,
+    Wire, MAX_FRAME, MAX_PREFIX, WIRE_VERSION,
 };
 use awr_types::{Change, ChangeSet, ObjectId, TaggedValue};
 
@@ -195,13 +195,23 @@ pub const WAL_FILE: &str = "wal.frames";
 /// The snapshot's file name inside a [`FileStorage`] directory.
 const SNAPSHOT_FILE: &str = "snapshot.frame";
 
+/// The first bytes of a WAL file: its magic, then the wire version of
+/// every frame after it.
+const WAL_HEADER: [u8; 5] = [b'A', b'W', b'R', b'L', WIRE_VERSION];
+
+/// The first bytes of a snapshot file, as [`WAL_HEADER`] is of a WAL.
+const SNAPSHOT_HEADER: [u8; 5] = [b'A', b'W', b'R', b'S', WIRE_VERSION];
+
 /// File-backed [`Storage`]: under a directory, a snapshot file holding
 /// one frame and a WAL file ([`WAL_FILE`]) holding one frame per record,
 /// in the [`awr_types::wire`] format, appended through a buffered writer.
-/// The buffer is flushed before every `load`, so a simulated crash (which
+/// Each file opens with a 5-byte header — a magic and [`WIRE_VERSION`] —
+/// so the version is stated once per file, not per frame, and a file
+/// written in another version is refused before any of it is parsed. The
+/// buffer is flushed before every `load`, so a simulated crash (which
 /// never kills the hosting process) always recovers the full log; a real
-/// crash can leave a torn final frame, which the next [`FileStorage::open`]
-/// cuts off.
+/// crash can leave a torn final frame or a torn header, which the next
+/// [`FileStorage::open`] cuts off.
 pub struct FileStorage<V> {
     dir: PathBuf,
     writer: Option<BufWriter<File>>,
@@ -228,11 +238,20 @@ impl<V: Value> FileStorage<V> {
     ///
     /// # Panics
     ///
-    /// Panics if the directory cannot be created or the WAL holds a
-    /// corrupt frame.
+    /// Panics if the directory cannot be created, the WAL holds a corrupt
+    /// frame, or the WAL or the snapshot was written in another wire
+    /// version (or before files carried a header, version 3 and earlier).
     pub fn open(dir: impl AsRef<Path>) -> FileStorage<V> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).expect("create storage dir");
+        let snapshot = dir.join(SNAPSHOT_FILE);
+        if let Ok(file) = File::open(&snapshot) {
+            let mut head = Vec::new();
+            file.take(SNAPSHOT_HEADER.len() as u64)
+                .read_to_end(&mut head)
+                .expect("read snapshot header");
+            expect_header(&snapshot, &head, &SNAPSHOT_HEADER);
+        }
         let wal = dir.join(WAL_FILE);
         let (wal_len, whole) = read_wal::<V>(&wal, |_| {});
         if std::fs::metadata(&wal).is_ok_and(|m| m.len() > whole) {
@@ -252,32 +271,62 @@ impl<V: Value> FileStorage<V> {
     }
 }
 
+/// Panics unless `head`, the first bytes of the file at `path`, is
+/// `header`: the file's magic, then [`WIRE_VERSION`].
+fn expect_header(path: &Path, head: &[u8], header: &[u8; 5]) {
+    match head.split_at_checked(4) {
+        Some((magic, [version, ..])) if *magic == header[..4] && *version != WIRE_VERSION => {
+            panic!("{}: {}", path.display(), FrameError::BadVersion(*version))
+        }
+        _ if head != header => panic!(
+            "{}: no wire-version-{WIRE_VERSION} file header (files written before version 4 \
+             have none)",
+            path.display()
+        ),
+        _ => {}
+    }
+}
+
 /// Decodes the frames of the WAL at `path` in order, one at a time, and
 /// hands each record to `each`. Returns how many there were and the
-/// offset where they end: the file's length, or the start of a torn final
-/// frame. A missing file is an empty one.
+/// offset where they end: the file's length, the start of a torn final
+/// frame, or 0 if the crash tore the file's header. A missing file is an
+/// empty one.
 ///
 /// # Panics
 ///
-/// Panics on a read error or a corrupt frame.
+/// Panics on a read error, a corrupt frame or a foreign file header.
 fn read_wal<V: Wire>(path: &Path, mut each: impl FnMut(WalRecord<V>)) -> (usize, u64) {
     let Ok(file) = File::open(path) else {
         return (0, 0);
     };
     let mut file = BufReader::new(file);
-    let (mut frame, mut frames, mut end) = (Vec::new(), 0, 0);
+    let mut frame = Vec::new();
+    file.by_ref()
+        .take(WAL_HEADER.len() as u64)
+        .read_to_end(&mut frame)
+        .expect("read WAL header");
+    if frame.len() < WAL_HEADER.len() && WAL_HEADER.starts_with(&frame) {
+        return (0, 0);
+    }
+    expect_header(path, &frame, &WAL_HEADER);
+    let (mut frames, mut end) = (0, WAL_HEADER.len() as u64);
     loop {
         frame.clear();
-        file.by_ref()
-            .take(4)
-            .read_to_end(&mut frame)
-            .expect("read frame");
-        if let Some(header) = frame.get(..4) {
-            let len = u32::from_le_bytes(header.try_into().expect("4 bytes"));
-            // Bounded before it sizes a read; `decode_frame` refuses a
-            // longer frame from its header alone.
+        // The length a byte at a time, until `frame_prefix` has it — or
+        // refuses it, before it sizes a read — then the payload it
+        // announces.
+        let mut prefix = Ok(None);
+        while matches!(prefix, Ok(None)) {
+            let read = file.by_ref().take(1).read_to_end(&mut frame);
+            if read.expect("read frame") == 0 {
+                break;
+            }
+            prefix = frame_prefix(&frame);
+        }
+        if let Some((len, _)) = prefix.unwrap_or_else(|e| panic!("{}: {e}", path.display())) {
             file.by_ref()
-                .take(u64::from(len).min(MAX_FRAME as u64))
+                .take(len as u64)
                 .read_to_end(&mut frame)
                 .expect("read frame");
         }
@@ -302,7 +351,12 @@ impl<V: Value> Storage<V> for FileStorage<V> {
                 .append(true)
                 .open(self.dir.join(WAL_FILE))
                 .expect("open WAL for append");
-            BufWriter::new(f)
+            let empty = f.metadata().expect("stat WAL").len() == 0;
+            let mut wal = BufWriter::new(f);
+            if empty {
+                wal.write_all(&WAL_HEADER).expect("write WAL header");
+            }
+            wal
         });
         wal.write_all(&self.frame).expect("append WAL record");
         self.wal_len += 1;
@@ -311,14 +365,14 @@ impl<V: Value> Storage<V> for FileStorage<V> {
     fn install_snapshot(&mut self, snap: Snapshot<V>) {
         // Write-then-rename so a half-written snapshot never shadows a
         // good one; the WAL is truncated only after the rename lands.
-        let frame = encode_frame(&snap);
-        let len = frame.len();
+        let mut file = SNAPSHOT_HEADER.to_vec();
+        let len = encode_frame_into(&snap, &mut file);
         assert!(
-            len - 4 <= MAX_FRAME,
+            len <= MAX_FRAME + MAX_PREFIX,
             "a {len}-byte snapshot could not be read back"
         );
         let tmp = self.dir.join("snapshot.frame.tmp");
-        std::fs::write(&tmp, frame).expect("write snapshot");
+        std::fs::write(&tmp, file).expect("write snapshot");
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE)).expect("publish snapshot");
         self.writer = None; // drop the append handle before truncating
         std::fs::write(self.dir.join(WAL_FILE), b"").expect("truncate WAL");
@@ -335,12 +389,13 @@ impl<V: Value> Storage<V> for FileStorage<V> {
         if let Some(w) = self.writer.as_mut() {
             w.flush().expect("flush WAL");
         }
-        let snap = std::fs::read(self.dir.join(SNAPSHOT_FILE))
-            .ok()
-            .map(|frame| {
-                let whole = decode_frame(&frame).expect("decode snapshot");
-                whole.expect("a whole snapshot frame").0
-            });
+        let path = self.dir.join(SNAPSHOT_FILE);
+        let snap = std::fs::read(&path).ok().map(|file| {
+            let (head, frame) = file.split_at(SNAPSHOT_HEADER.len().min(file.len()));
+            expect_header(&path, head, &SNAPSHOT_HEADER);
+            let whole = decode_frame(frame).expect("decode snapshot");
+            whole.expect("a whole snapshot frame").0
+        });
         let (records, _) = read_wal(&self.dir.join(WAL_FILE), each);
         if snap.is_none() && records == 0 {
             return None;
@@ -539,6 +594,7 @@ impl Default for CheckpointCadence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use awr_types::wire::frame_len;
     use awr_types::{ProcessId, Ratio, ServerId, Tag};
 
     fn chg(counter: u64, delta: &str) -> Change {
@@ -590,12 +646,7 @@ mod tests {
 
     #[test]
     fn file_storage_round_trips() {
-        let dir = std::env::temp_dir().join(format!(
-            "awr_durable_test_{}_{}",
-            std::process::id(),
-            "round_trip"
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_dir("round_trip");
         exercise(StorageHandle::file(&dir));
         // Re-opening the same directory sees the same state (a process
         // restart, not just an actor restart).
@@ -606,38 +657,116 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn test_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("awr_durable_test_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn a_torn_final_frame_is_cut_off_on_open() {
-        let dir = std::env::temp_dir().join(format!(
-            "awr_durable_test_{}_{}",
-            std::process::id(),
-            "torn_tail"
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_dir("torn_tail");
+        let reg = |ts, v: &str| {
+            TaggedValue::new(Tag::new(ts, ProcessId::Server(ServerId(0))), v.to_string())
+        };
         let records = vec![
             WalRecord::Change(chg(2, "0.1")),
-            WalRecord::Register(ObjectId(7), reg(3, 99)),
-            WalRecord::Register(ObjectId(8), reg(4, 5)),
+            WalRecord::Register(ObjectId(7), reg(3, "99")),
+            // A payload over 127 B: its length takes two bytes.
+            WalRecord::Register(ObjectId(8), reg(4, &"5".repeat(200))),
         ];
-        let store: StorageHandle<u64> = StorageHandle::file(&dir);
-        for rec in &records {
-            store.append(rec.clone());
-        }
-        drop(store);
-        // A crash in the middle of writing the third record.
-        let wal = OpenOptions::new()
-            .write(true)
-            .open(dir.join(WAL_FILE))
-            .unwrap();
-        wal.set_len(wal.metadata().unwrap().len() - 2).unwrap();
+        let frames: Vec<u64> = records.iter().map(|r| frame_len(r) as u64).collect();
+        assert_eq!(frames[2], 2 + 208, "a two-byte length, then the payload");
+        let whole = WAL_HEADER.len() as u64 + frames.iter().sum::<u64>();
+        // Where a crash stopped the file, and the records left whole: in
+        // the last record's payload, between the two bytes of its length,
+        // and in the header written with the first record.
+        for (keep, survive) in [
+            (whole - 2, 2),
+            (whole - frames[2] + 1, 2),
+            (WAL_HEADER.len() as u64 - 2, 0),
+        ] {
+            let store: StorageHandle<String> = StorageHandle::file(&dir);
+            for rec in &records {
+                store.append(rec.clone());
+            }
+            drop(store);
+            let wal = OpenOptions::new()
+                .write(true)
+                .open(dir.join(WAL_FILE))
+                .unwrap();
+            assert_eq!(wal.metadata().unwrap().len(), whole);
+            wal.set_len(keep).unwrap();
 
-        let reopened: StorageHandle<u64> = StorageHandle::file(&dir);
-        assert_eq!(reopened.wal_len(), 2);
-        assert_eq!(reopened.load(), Some((None, records[..2].to_vec())));
-        // The next append follows the whole frames, not the torn bytes.
-        reopened.append(records[2].clone());
-        assert_eq!(reopened.load(), Some((None, records)));
+            let reopened: StorageHandle<String> = StorageHandle::file(&dir);
+            assert_eq!(reopened.wal_len(), survive, "cut at {keep}");
+            let expected = (survive > 0).then(|| (None, records[..survive].to_vec()));
+            assert_eq!(reopened.load(), expected, "cut at {keep}");
+            // The next append follows the whole frames, not the torn bytes.
+            for rec in &records[survive..] {
+                reopened.append(rec.clone());
+            }
+            assert_eq!(reopened.load(), Some((None, records.clone())));
+            drop(reopened);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Why opening a store of the files `files` panics, if it does.
+    fn refusal(name: &str, files: &[(&str, Vec<u8>)]) -> Option<String> {
+        let dir = test_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (file, bytes) in files {
+            std::fs::write(dir.join(file), bytes).unwrap();
+        }
+        let opened = std::panic::catch_unwind(|| StorageHandle::<u64>::file(&dir).load());
         let _ = std::fs::remove_dir_all(&dir);
+        Some(*opened.err()?.downcast::<String>().ok()?)
+    }
+
+    #[test]
+    fn files_written_in_another_version_are_refused_at_open() {
+        // A version-3 file: every frame a `u32` length, the version byte
+        // and the payload, and no file header.
+        let v3_frame = |value: &dyn Fn(&mut Vec<u8>)| {
+            let mut payload = vec![3];
+            value(&mut payload);
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&payload);
+            frame
+        };
+        let v3_wal = v3_frame(&|out| WalRecord::<u64>::Change(chg(2, "0.1")).put(out));
+        let v3_snapshot = v3_frame(&|out| {
+            Snapshot::<u64> {
+                changes: ChangeSet::new(),
+                registers: BTreeMap::new(),
+            }
+            .put(out)
+        });
+        let headerless = "no wire-version-4 file header";
+        for (file, bytes) in [(WAL_FILE, v3_wal), (SNAPSHOT_FILE, v3_snapshot)] {
+            let why = refusal("v3", &[(file, bytes)]).expect("a version-3 file opened");
+            assert!(why.contains(file) && why.contains(headerless), "{why}");
+        }
+
+        // A header that names another version.
+        for (file, header) in [(WAL_FILE, WAL_HEADER), (SNAPSHOT_FILE, SNAPSHOT_HEADER)] {
+            let mut foreign = header.to_vec();
+            foreign[4] = WIRE_VERSION - 1;
+            let why = refusal("foreign", &[(file, foreign)]).expect("a foreign header opened");
+            assert!(
+                why.contains(file) && why.contains("wire version 3"),
+                "{why}"
+            );
+        }
+
+        // The other store's magic is no header either.
+        let why = refusal("swapped", &[(WAL_FILE, SNAPSHOT_HEADER.to_vec())]);
+        assert!(why
+            .expect("a snapshot header opened as a WAL")
+            .contains(headerless));
+        assert_eq!(refusal("own", &[(WAL_FILE, WAL_HEADER.to_vec())]), None);
     }
 
     #[test]

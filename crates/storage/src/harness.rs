@@ -247,7 +247,9 @@ impl<V: Value> StorageHarness<V> {
             .driver
             .completed
             .len();
-        self.world.with_actor_ctx::<DynClient<V>, _>(actor, start);
+        self.world
+            .with_actor_ctx::<DynClient<V>, _>(actor, start)
+            .ok_or(TransferError::Crashed)?;
         let done = self.world.run_until(|w| {
             w.actor::<DynClient<V>>(actor)
                 .map(|c| c.driver.completed.len() > before)
@@ -276,7 +278,8 @@ impl<V: Value> StorageHarness<V> {
     ///
     /// # Errors
     ///
-    /// Errors if the world quiesces first (too many crashes).
+    /// Errors if client `k` has crashed, or if the world quiesces first
+    /// (too many crashes).
     pub fn write(&mut self, k: usize, v: V) -> Result<DynCompletedOp<V>, TransferError> {
         self.write_obj(k, ObjectId::DEFAULT, v)
     }
@@ -286,7 +289,7 @@ impl<V: Value> StorageHarness<V> {
     ///
     /// # Errors
     ///
-    /// Errors if the world quiesces first.
+    /// Errors if client `k` has crashed, or if the world quiesces first.
     pub fn read(&mut self, k: usize) -> Result<(Option<V>, DynCompletedOp<V>), TransferError> {
         self.read_obj(k, ObjectId::DEFAULT)
     }
@@ -295,7 +298,8 @@ impl<V: Value> StorageHarness<V> {
     ///
     /// # Errors
     ///
-    /// Errors if the world quiesces first (too many crashes).
+    /// Errors if client `k` has crashed, or if the world quiesces first
+    /// (too many crashes).
     pub fn write_obj(
         &mut self,
         k: usize,
@@ -309,7 +313,7 @@ impl<V: Value> StorageHarness<V> {
     ///
     /// # Errors
     ///
-    /// Errors if the world quiesces first.
+    /// Errors if client `k` has crashed, or if the world quiesces first.
     pub fn read_obj(
         &mut self,
         k: usize,
@@ -330,13 +334,18 @@ impl<V: Value> StorageHarness<V> {
     }
 
     /// Starts a client op on `obj` without waiting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if client `k` has crashed: a crashed process takes no step.
     pub fn begin_async_obj(&mut self, k: usize, obj: ObjectId, value: Option<V>) {
         let actor = self.client_actor(k);
         self.world
             .with_actor_ctx::<DynClient<V>, _>(actor, |c, ctx| match value {
                 Some(v) => c.begin_write_obj(obj, v, ctx),
                 None => c.begin_read_obj(obj, ctx),
-            });
+            })
+            .unwrap_or_else(|| panic!("client {k} has crashed"));
     }
 
     /// Whether client `k` has an operation in flight.
@@ -352,7 +361,8 @@ impl<V: Value> StorageHarness<V> {
     ///
     /// # Errors
     ///
-    /// Propagates invocation errors; errors if the world quiesces first.
+    /// Propagates invocation errors, and [`TransferError::Crashed`] if
+    /// `from` has crashed; errors if the world quiesces first.
     pub fn transfer_and_wait(
         &mut self,
         from: ServerId,
@@ -369,7 +379,8 @@ impl<V: Value> StorageHarness<V> {
         self.world
             .with_actor_ctx::<DynServer<V>, Result<_, TransferError>>(actor, |srv, ctx| {
                 srv.begin_transfer(to, delta, ctx).map(|_| ())
-            })?;
+            })
+            .unwrap_or(Err(TransferError::Crashed))?;
         let done = self.world.run_until(|w| {
             w.actor::<DynServer<V>>(actor)
                 .map(|s| s.completed_transfers().len() > before)
@@ -393,7 +404,8 @@ impl<V: Value> StorageHarness<V> {
     ///
     /// # Errors
     ///
-    /// Propagates invocation errors.
+    /// Propagates invocation errors; [`TransferError::Crashed`] if `from`
+    /// has crashed.
     pub fn transfer_async(
         &mut self,
         from: ServerId,
@@ -405,6 +417,7 @@ impl<V: Value> StorageHarness<V> {
             .with_actor_ctx::<DynServer<V>, Result<_, TransferError>>(actor, |srv, ctx| {
                 srv.begin_transfer(to, delta, ctx).map(|_| ())
             })
+            .unwrap_or(Err(TransferError::Crashed))
     }
 
     /// Starts a transfer in queued mode without waiting: requests issued
@@ -413,7 +426,8 @@ impl<V: Value> StorageHarness<V> {
     ///
     /// # Errors
     ///
-    /// Propagates invocation errors (never [`TransferError::Busy`]).
+    /// Propagates invocation errors (never [`TransferError::Busy`]);
+    /// [`TransferError::Crashed`] if `from` has crashed.
     pub fn transfer_queued(
         &mut self,
         from: ServerId,
@@ -425,6 +439,7 @@ impl<V: Value> StorageHarness<V> {
             .with_actor_ctx::<DynServer<V>, Result<_, TransferError>>(actor, |srv, ctx| {
                 srv.begin_transfer_queued(to, delta, ctx).map(|_| ())
             })
+            .unwrap_or(Err(TransferError::Crashed))
     }
 
     /// Runs the world to quiescence.

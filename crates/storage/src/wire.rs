@@ -1,4 +1,4 @@
-//! The version-3 layouts of the storage protocol's messages (see
+//! The version-4 layouts of the storage protocol's messages (see
 //! [`awr_types::wire`] for the format): one [`Wire`] impl per type, the
 //! statement of its byte layout. The durable records' impls sit with
 //! their types in `durable.rs`.
@@ -205,13 +205,15 @@ impl<V: Value> Wire for DynMsg<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use awr_types::wire::encode_frame;
     use awr_types::{Change, ClientId, ProcessId, Ratio, ServerId, Tag};
 
     /// The layout itself, byte for byte: a change here is a change of
     /// `WIRE_VERSION`. An accept carries no reference; a reject carries
-    /// its catch-up after the flags byte.
+    /// its catch-up after the flags byte; the frame is the payload's
+    /// length in one varint byte, then the payload.
     #[test]
-    fn the_version_3_layout_is_pinned() {
+    fn the_version_4_layout_is_pinned() {
         let reg = TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9);
         let ack = |changes, accepted| {
             let msg: DynMsg<u64> = DynMsg::RAck {
@@ -223,6 +225,8 @@ mod tests {
             };
             let mut bytes = Vec::new();
             msg.put(&mut bytes);
+            let frame = encode_frame(&msg);
+            assert_eq!(frame, [&[bytes.len() as u8][..], &bytes].concat());
             bytes
         };
         let head = [

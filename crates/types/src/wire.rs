@@ -1,19 +1,26 @@
-//! The typed, positional codec — format **version 3** — and the frame
+//! The typed, positional codec — format **version 4** — and the frame
 //! around it: one format for what a server sends and what it persists.
 //!
 //! A **frame** is one value, length-prefixed:
 //!
 //! ```text
-//! +----------------+-----------+------------------------------+
-//! | length: u32 LE | version u8| payload: the value, typed    |
-//! +----------------+-----------+------------------------------+
+//! +------------------------+------------------------------+
+//! | length: LEB128, 1–4 B  | payload: the value, typed    |
+//! +------------------------+------------------------------+
 //! ```
 //!
-//! `length` counts everything after itself (version byte + payload), so a
-//! reader needs exactly `4 + length` bytes for a whole frame; `version` is
-//! [`WIRE_VERSION`], and any other value is refused before the payload is
-//! touched. Every message on an `awr_net` socket is one frame, and so is
-//! every record of `awr_storage`'s file WAL and its snapshot.
+//! `length` counts the payload, and is written with the same varint as
+//! every integer inside it, in its shortest form: one byte for a payload
+//! under 128 B — every steady-state message — and at most four, since a
+//! payload above [`MAX_FRAME`] is refused. A reader thus needs the prefix
+//! and then exactly `length` more bytes for a whole frame. Every message
+//! on an `awr_net` socket is one frame, and so is every record of
+//! `awr_storage`'s file WAL and its snapshot.
+//!
+//! A frame carries no version: the format is stated once, at the start of
+//! each stream — in `awr_net`'s connection hello, and in the file header
+//! of the WAL and of the snapshot — and [`WIRE_VERSION`] is checked
+//! there, before the first frame is read.
 //!
 //! A payload is the value's fields in declaration order, with no field
 //! names, no type tags and no intermediate tree: [`Wire::put`] appends
@@ -45,11 +52,12 @@
 //! Every byte comes from a socket or a file. [`Reader`] never reads past
 //! the payload; a claimed element count is checked against the bytes left
 //! before anything is reserved ([`Reader::count`]); varints are capped; a
-//! length prefix above [`MAX_FRAME`] is refused before anything is
-//! allocated; an unknown enum tag, a `bool` other than `0`/`1`, a zero
-//! denominator, a server id that could size a table, and (in
-//! [`decode_frame`]) bytes left over after the value are all
-//! [`FrameError::Codec`] — never a panic.
+//! frame length above [`MAX_FRAME`], longer than [`MAX_PREFIX`] bytes or
+//! not in its shortest form is refused before anything is allocated; an
+//! unknown enum tag, a `bool` other than `0`/`1`, a zero denominator, a
+//! server id that could size a table, and (in [`decode_frame`]) bytes
+//! left over after the value are all [`FrameError::Codec`] — never a
+//! panic.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -60,20 +68,26 @@ use crate::{
     TransferChanges,
 };
 
-/// The format version carried in every frame header (and in `awr_net`'s
-/// connection hello). Version 1 (a self-describing value tree) and
-/// version 2 (whose `RAck`/`WAck` always carried a reference and ended in
-/// a `bool`) are refused like any other foreign version.
-pub const WIRE_VERSION: u8 = 3;
+/// The format version, stated once at the start of every stream: in
+/// `awr_net`'s connection hello and in the header of each `awr_storage`
+/// file. Version 1 (a self-describing value tree), version 2 (whose
+/// `RAck`/`WAck` always carried a reference and ended in a `bool`) and
+/// version 3 (a `u32` length and a version byte in front of every frame)
+/// are refused like any other foreign version.
+pub const WIRE_VERSION: u8 = 4;
 
-/// A frame's first five bytes before the length is patched in: a
-/// placeholder `u32` length, then the version.
-const FRAME_HEADER: [u8; 5] = [0, 0, 0, 0, WIRE_VERSION];
-
-/// Upper bound on `version byte + payload` length, in bytes. Generous for
-/// this workspace's values (a full change-set transfer is kilobytes) but
-/// small enough that a garbage length prefix cannot exhaust memory.
+/// Upper bound on a frame's payload, in bytes. Generous for this
+/// workspace's values (a full change-set transfer is kilobytes) but small
+/// enough that a garbage length prefix cannot exhaust memory.
 pub const MAX_FRAME: usize = 16 << 20;
+
+/// The most bytes a frame's length prefix takes: four 7-bit groups hold
+/// any length up to [`MAX_FRAME`]. A frame is at most
+/// `MAX_FRAME + MAX_PREFIX` bytes exactly when its payload is at most
+/// `MAX_FRAME`, since a frame grows with its payload.
+pub const MAX_PREFIX: usize = 4;
+
+const _: () = assert!(MAX_FRAME < 1 << (7 * MAX_PREFIX));
 
 /// Largest [`ServerId`] the decoder accepts. A server id indexes
 /// per-server tables (a [`ChangeSet`] sizes its weight cache by the
@@ -98,7 +112,8 @@ pub enum FrameError {
         /// The length the prefix claimed.
         len: usize,
     },
-    /// The frame's version byte is not [`WIRE_VERSION`].
+    /// The version a stream opens with (a connection hello, a file
+    /// header) is not [`WIRE_VERSION`].
     BadVersion(u8),
     /// The payload bytes do not decode to the expected type.
     Codec(&'static str),
@@ -114,7 +129,7 @@ impl fmt::Display for FrameError {
                 write!(f, "frame length {len} exceeds MAX_FRAME {MAX_FRAME}")
             }
             FrameError::BadVersion(v) => {
-                write!(f, "frame version {v} (expected {WIRE_VERSION})")
+                write!(f, "wire version {v} (expected {WIRE_VERSION})")
             }
             FrameError::Codec(e) => write!(f, "frame payload codec error: {e}"),
         }
@@ -170,7 +185,7 @@ impl Sink for Tally {
     }
 }
 
-/// A type with a version-3 layout.
+/// A type with a version-4 layout.
 ///
 /// `put` and `get` must mirror each other field for field; adding a
 /// message is one impl (or one arm of an enum's) plus one generator arm
@@ -344,32 +359,61 @@ pub fn get_map<K: Wire + Ord, T: Wire>(
     Ok(map)
 }
 
-/// Appends `msg` to `out` as one complete frame, returning the frame's
-/// size: the value is encoded in place behind a placeholder length, which
-/// is then patched, so a writer can encode straight into its buffer —
-/// without allocating, once the buffer has the capacity.
-pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&FRAME_HEADER);
-    msg.put(out);
-    let len = out.len() - start - 4;
-    // A length past `u32` wraps here; it is past `MAX_FRAME` too, and the
-    // writer checks the returned size against that before writing.
-    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    4 + len
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
 }
 
-/// The bytes [`encode_frame_into`] would write for `msg`, header
+/// Appends `msg` to `out` as one complete frame, returning the frame's
+/// size. The value is encoded in place behind one byte reserved for its
+/// length, which is then patched, so a writer can encode straight into
+/// its buffer — without allocating, once the buffer has the capacity.
+/// Only a payload of 128 B or more, whose length takes more than that
+/// byte, is moved up to make room for it.
+pub fn encode_frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.push(0);
+    msg.put(out);
+    let len = out.len() - start - 1;
+    if len < 0x80 {
+        out[start] = len as u8;
+        return 1 + len;
+    }
+    widen_prefix(out, start, len)
+}
+
+/// Makes room for the length of the `len`-byte payload at `out[start +
+/// 1..]`, which takes more than the one byte reserved for it, and writes
+/// it; returns the frame's size. Out of line, so that the common frame's
+/// encoder stays small. A payload past `MAX_FRAME` is framed all the
+/// same; the writer checks the returned size against
+/// `MAX_FRAME + MAX_PREFIX` before writing.
+#[cold]
+#[inline(never)]
+fn widen_prefix(out: &mut Vec<u8>, start: usize, len: usize) -> usize {
+    let prefix = varint_len(len as u64);
+    out.resize(out.len() + prefix - 1, 0);
+    out.copy_within(start + 1..start + 1 + len, start + prefix);
+    let mut v = len;
+    for byte in &mut out[start..start + prefix - 1] {
+        *byte = v as u8 | 0x80;
+        v >>= 7;
+    }
+    out[start + prefix - 1] = v as u8;
+    prefix + len
+}
+
+/// The bytes [`encode_frame_into`] would write for `msg`, length prefix
 /// included: what a message costs on a socket, and so what the simulator
 /// charges for it. The same [`Wire::put`] runs into a [`Sink`] that only
 /// counts, so sizing a message neither copies nor allocates.
 pub fn frame_len<T: Wire>(msg: &T) -> usize {
-    let mut tally = Tally(FRAME_HEADER.len());
+    let mut tally = Tally(0);
     msg.put(&mut tally);
-    tally.0
+    varint_len(tally.0 as u64) + tally.0
 }
 
-/// Encodes `msg` as one complete frame (header + payload).
+/// Encodes `msg` as one complete frame (length prefix + payload).
 pub fn encode_frame<T: Wire>(msg: &T) -> Vec<u8> {
     // Room for any frame without a change list or register map, so that
     // the returned buffer is this call's one allocation.
@@ -378,36 +422,54 @@ pub fn encode_frame<T: Wire>(msg: &T) -> Vec<u8> {
     frame
 }
 
+/// Reads the length prefix at the front of `buf`: `Ok(Some((len,
+/// prefix)))` — a payload of `len` bytes follows the `prefix` bytes of
+/// the length — or `Ok(None)` while the prefix is still incomplete. A
+/// length above [`MAX_FRAME`], one that would take more than
+/// [`MAX_PREFIX`] bytes, and one not in its shortest form are refused
+/// from the prefix alone.
+#[inline]
+pub fn frame_prefix(buf: &[u8]) -> Result<Option<(usize, usize)>, FrameError> {
+    let mut len = 0;
+    for (i, &b) in buf.iter().take(MAX_PREFIX).enumerate() {
+        len |= usize::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Err(FrameError::Codec("frame length not in its shortest form"));
+            }
+            if len > MAX_FRAME {
+                return Err(FrameError::Oversized { len });
+            }
+            return Ok(Some((len, i + 1)));
+        }
+    }
+    if buf.len() >= MAX_PREFIX {
+        return Err(FrameError::Codec(
+            "frame length longer than MAX_PREFIX bytes",
+        ));
+    }
+    Ok(None)
+}
+
 /// Tries to decode one frame from the front of `buf`.
 ///
 /// Returns `Ok(None)` when `buf` holds only a *prefix* of a frame (read
 /// more bytes and retry), `Ok(Some((msg, consumed)))` on success — drain
 /// `consumed` bytes — and an error when the bytes present already prove
-/// the frame bad (oversized length, wrong version, corrupt payload).
+/// the frame bad (a refused length, a corrupt payload).
 pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
-    if buf.len() < 4 {
+    let Some((len, prefix)) = frame_prefix(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len });
-    }
-    if len == 0 {
-        return Err(FrameError::Codec("empty frame"));
-    }
-    if buf.len() < 4 + len {
+    };
+    let Some(payload) = buf.get(prefix..prefix + len) else {
         return Ok(None);
-    }
-    let version = buf[4];
-    if version != WIRE_VERSION {
-        return Err(FrameError::BadVersion(version));
-    }
-    let mut payload = Reader::new(&buf[5..4 + len]);
+    };
+    let mut payload = Reader::new(payload);
     let msg = T::get(&mut payload)?;
     if payload.remaining() != 0 {
         return Err(FrameError::Codec("trailing bytes after the message"));
     }
-    Ok(Some((msg, 4 + len)))
+    Ok(Some((msg, prefix + len)))
 }
 
 /// An encode → decode round trip through a whole frame, for tests and for
@@ -724,6 +786,78 @@ mod tests {
         assert!(codec_error(u32::get(&mut Reader::new(&wide))));
         assert!(codec_error(bool::get(&mut Reader::new(&[2]))));
         assert!(codec_error(Option::<u64>::get(&mut Reader::new(&[2, 0]))));
+    }
+
+    #[test]
+    fn varint_len_counts_what_put_varint_writes() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, MAX_FRAME as u64, u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(varint_len(v), out.len(), "{v}");
+        }
+    }
+
+    /// A string whose encoding — its count, then its bytes — is `n` bytes.
+    fn string_of_payload(n: usize) -> String {
+        let chars = (n.saturating_sub(3)..n)
+            .find(|&k| varint_len(k as u64) + k == n)
+            .expect("a length for every payload size");
+        "x".repeat(chars)
+    }
+
+    /// Payloads either side of the sizes at which the length takes one
+    /// byte more: encoded in place (behind earlier bytes too) with the
+    /// shortest prefix, sized by `frame_len`, decoded back, and every
+    /// proper prefix — a cut inside the length included — incomplete.
+    #[test]
+    fn payloads_either_side_of_a_length_byte_roundtrip() {
+        for (n, prefix) in [(127, 1), (128, 2), (16_383, 2), (16_384, 3)] {
+            let value = string_of_payload(n);
+            let frame = encode_frame(&value);
+            assert_eq!(frame.len(), prefix + n, "{n}");
+            assert_eq!(frame_len(&value), frame.len(), "{n}");
+            let mut length = Vec::new();
+            put_varint(&mut length, n as u64);
+            assert_eq!(frame[..prefix], length, "{n}");
+            assert_eq!(roundtrip(&value).unwrap(), value);
+
+            let mut out = b"earlier".to_vec();
+            assert_eq!(encode_frame_into(&value, &mut out), frame.len());
+            assert_eq!(out[..7], *b"earlier");
+            assert_eq!(out[7..], frame);
+            for cut in 0..frame.len() {
+                assert!(matches!(decode_frame::<String>(&frame[..cut]), Ok(None)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_length_is_refused_from_the_prefix_alone() {
+        // `MAX_FRAME + 1`, with no payload behind it; `MAX_FRAME` itself
+        // waits for its payload.
+        let mut over = Vec::new();
+        put_varint(&mut over, MAX_FRAME as u64 + 1);
+        assert_eq!(over.len(), MAX_PREFIX);
+        assert!(matches!(
+            decode_frame::<u64>(&over),
+            Err(FrameError::Oversized { len }) if len == MAX_FRAME + 1
+        ));
+        let mut max = Vec::new();
+        put_varint(&mut max, MAX_FRAME as u64);
+        assert!(matches!(decode_frame::<u64>(&max), Ok(None)));
+
+        // A fifth length byte is refused as soon as four continuation
+        // bytes are present; three are still a prefix.
+        assert!(codec_error(decode_frame::<u64>(&[0x80; 4])));
+        assert!(codec_error(decode_frame::<u64>(&[
+            0xff, 0xff, 0xff, 0xff, 0x01
+        ])));
+        assert!(matches!(decode_frame::<u64>(&[0x80; 3]), Ok(None)));
+
+        // Over-long forms: 1 and 0 in two bytes, 128 in three.
+        for frame in [&[0x81, 0x00, 7][..], &[0x80, 0x00], &[0x80, 0x81, 0x00]] {
+            assert!(codec_error(decode_frame::<u64>(frame)), "{frame:?}");
+        }
     }
 
     #[test]

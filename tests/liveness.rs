@@ -2,7 +2,7 @@
 //! a correct process completes with up to `f` crashes, arbitrary crash
 //! timing, and adversarial message delays.
 
-use awr::core::{audit_transfers, RpConfig, RpHarness};
+use awr::core::{audit_transfers, RpConfig, RpHarness, TransferError};
 use awr::sim::{five_region_wan, Time, UniformLatency, MILLI};
 use awr::types::{Ratio, ServerId};
 use rand::rngs::StdRng;
@@ -133,10 +133,9 @@ fn transfers_and_read_changes_complete_on_the_wan_with_f_crashed() {
     // read_changes, on the five-region WAN with the last f servers crashed
     // before the first — twice the scale of the tests above at n = 13.
     // Every transfer by a correct donor completes, effective, and so does
-    // every read_changes. The one round whose donor is crashed does not
-    // complete; its invocation still ran and broadcast ⟨T⟩ (the harness
-    // invokes on the actor whether or not it is up), so the `T` counts
-    // below include that round's relay wave.
+    // every read_changes. The one round whose donor is crashed is refused
+    // at once: a crashed process takes no step, so it broadcasts no ⟨T⟩,
+    // and the `T`/`T_Ack` counts below are the nine live transfers' alone.
     let mut pinned = Vec::new();
     for (n, f, dead_round) in [(7, 2, 5), (13, 4, 9)] {
         let mut h = RpHarness::build(RpConfig::uniform(n, f), 1, 42, five_region_wan(n + 1, 0.1));
@@ -149,7 +148,7 @@ fn transfers_and_read_changes_complete_on_the_wan_with_f_crashed() {
             let t0 = h.world.now();
             let out = h.transfer_and_wait(from, to, Ratio::new(1, 50));
             if round == dead_round {
-                assert!(out.is_err(), "n = {n}: the crashed {from} completed");
+                assert_eq!(out, Err(TransferError::Crashed), "n = {n}: {from}");
             } else {
                 assert!(out.unwrap().is_effective(), "n = {n}, round {round}");
                 transfer_ms.push((h.world.now() - t0) as f64 / 1e6);
@@ -183,8 +182,8 @@ fn transfers_and_read_changes_complete_on_the_wan_with_f_crashed() {
     assert_eq!(
         pinned,
         [
-            "n=7 265 41 263.32 325.99 518.83 540.13",
-            "n=13 1011 81 263.35 327.15 413.98 427.52",
+            "n=7 234 36 263.40 325.99 503.64 526.55",
+            "n=13 900 72 263.35 327.15 414.63 428.89",
         ]
     );
 }

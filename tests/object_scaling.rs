@@ -166,10 +166,10 @@ fn per_op_cost_is_flat_in_object_count() {
     assert_eq!(
         pinned,
         [
-            "15 158.93 0.0413 427 2 12354",
-            "105 160.25 0.0425 1626 2 9240",
-            "1005 163.15 0.0411 16856 2 6690",
-            "10005 163.91 0.0416 169874 2 5826",
+            "15 122.77 0.0413 387 2 9546",
+            "105 124.09 0.0425 1580 2 7176",
+            "1005 126.99 0.0411 16810 2 5202",
+            "10005 127.75 0.0416 169830 2 4530",
         ]
     );
     assert!(
@@ -229,12 +229,12 @@ fn fast_path_reads_beat_two_phase_across_key_skew() {
     assert_eq!(
         pinned,
         [
-            "0.0 FastPath 1.000 159.17 0.0278 0.0377 1430",
-            "0.0 TwoPhase 0.000 211.11 0.0553 0.0711 1840",
-            "1.0 FastPath 1.000 160.39 0.0278 0.0377 10532",
-            "1.0 TwoPhase 0.000 212.87 0.0553 0.0711 13598",
-            "1.4 FastPath 1.000 161.13 0.0278 0.0377 18170",
-            "1.4 TwoPhase 0.000 214.01 0.0553 0.0711 23702",
+            "0.0 FastPath 1.000 123.01 0.0278 0.0377 1118",
+            "0.0 TwoPhase 0.000 162.95 0.0553 0.0711 1432",
+            "1.0 FastPath 1.000 124.23 0.0278 0.0377 8204",
+            "1.0 TwoPhase 0.000 164.71 0.0553 0.0711 10574",
+            "1.4 FastPath 1.000 124.97 0.0278 0.0377 14138",
+            "1.4 TwoPhase 0.000 165.85 0.0553 0.0711 18422",
         ]
     );
 }

@@ -352,27 +352,27 @@ const REPLAY_PINS: [ReplayPin; 2] = [
     ReplayPin {
         seed: 7,
         generated: 4_030,
-        events: 57_218,
-        sent: 53_167,
-        bytes: 1_034_930,
-        end_nanos: 29_753_250_229,
+        events: 57_212,
+        sent: 53_161,
+        bytes: 822_198,
+        end_nanos: 29_707_372_250,
         request_delay: LinkDelayStat {
             count: 341,
             queued: 0,
-            transmission: 47_206,
-            propagation: 20_412_345_762,
+            transmission: 38_167,
+            propagation: 20_393_285_933,
         },
         reply_delay: LinkDelayStat {
             count: 341,
             queued: 0,
-            transmission: 40_346,
-            propagation: 20_455_330_387,
+            transmission: 31_222,
+            propagation: 20_439_900_186,
         },
-        object3: (17_445, 900),
-        busiest: (9, 0, 7_639),
-        incident_bytes_s0: 208_866,
-        max_link_utilization: 0.0000025674505948779985,
-        max_uplink_utilization: 0.00003221785830529809,
+        object3: (13_845, 900),
+        busiest: (9, 0, 6_199),
+        incident_bytes_s0: 166_253,
+        max_link_utilization: 0.0000020866874215035965,
+        max_uplink_utilization: 0.000025088755536094243,
         repolled_behind: 0,
         held_behind: 115,
     },
@@ -381,25 +381,25 @@ const REPLAY_PINS: [ReplayPin; 2] = [
         generated: 3_891,
         events: 55_188,
         sent: 51_276,
-        bytes: 999_363,
-        end_nanos: 30_641_123_601,
+        bytes: 794_297,
+        end_nanos: 30_618_453_135,
         request_delay: LinkDelayStat {
             count: 305,
             queued: 0,
-            transmission: 42_085,
-            propagation: 18_296_235_993,
+            transmission: 33_997,
+            propagation: 18_332_468_387,
         },
         reply_delay: LinkDelayStat {
             count: 305,
             queued: 0,
-            transmission: 36_076,
-            propagation: 18_308_494_931,
+            transmission: 27_900,
+            propagation: 18_266_306_781,
         },
-        object3: (12_986, 647),
-        busiest: (18, 0, 7_928),
-        incident_bytes_s0: 202_177,
-        max_link_utilization: 0.000002587372481256289,
-        max_uplink_utilization: 0.000030292165916843463,
+        object3: (10_398, 647),
+        busiest: (18, 0, 6_432),
+        incident_bytes_s0: 161_136,
+        max_link_utilization: 0.00000210069397419936,
+        max_uplink_utilization: 0.000023599526625792096,
         repolled_behind: 0,
         held_behind: 110,
     },

@@ -319,14 +319,14 @@ fn delta_wire_is_flat_in_c_where_the_full_wire_grows_linearly() {
     assert_eq!(
         pinned,
         [
-            "15 delta 147.1 18.0 14.0 2.245 3.506 0.0101",
-            "15 full 1131.5 120.0 126.0 2.373 3.687 0.0590",
-            "105 delta 147.1 18.0 14.0 2.245 3.506 0.0101",
-            "105 full 7755.5 840.0 846.0 3.242 5.090 0.2986",
-            "1005 delta 151.7 19.0 14.0 2.246 3.507 0.0106",
-            "1005 full 74004.7 8041.0 8047.0 13.809 19.649 0.6698",
-            "10005 delta 151.7 19.0 14.0 2.246 3.507 0.0106",
-            "10005 full 736404.7 80041.0 80047.0 122.709 181.649 0.7501",
+            "15 delta 110.3 14.0 10.0 2.240 3.499 0.0081",
+            "15 full 1094.7 116.0 122.0 2.368 3.681 0.0572",
+            "105 delta 110.3 14.0 10.0 2.240 3.499 0.0081",
+            "105 full 7727.9 837.0 843.0 3.238 5.084 0.2979",
+            "1005 delta 114.9 15.0 10.0 2.241 3.500 0.0086",
+            "1005 full 73977.1 8038.0 8044.0 13.804 19.642 0.6698",
+            "10005 delta 114.9 15.0 10.0 2.241 3.500 0.0086",
+            "10005 full 736386.3 80039.0 80045.0 122.706 181.644 0.7501",
         ]
     );
     for pair in rows.chunks(2) {
