@@ -348,6 +348,41 @@ mod protocol_tests {
         );
     }
 
+    /// Algorithm 3 on the wire: each call sends one ⟨RC⟩, ⟨RC_Ack⟩, ⟨WC⟩
+    /// and ⟨WC_Ack⟩ per server, and every ⟨RC_Ack⟩ carries the replier's
+    /// whole restriction — a second read of the same target included.
+    #[test]
+    fn read_changes_ships_whole_restrictions() {
+        use awr_sim::Message;
+        let (n, target) = (7, s(0));
+        let mut h = harness(n, 2, 21);
+        h.transfer_and_wait(s(3), target, Ratio::dec("0.1"))
+            .unwrap();
+        h.settle();
+        let first = h.read_changes(0, target).unwrap();
+        let second = h.read_changes(0, target).unwrap();
+        h.settle();
+        assert_eq!(first.changes, second.changes);
+        assert_eq!(
+            first.changes,
+            h.server_changes(target).restricted_to(target)
+        );
+        let m = h.world.metrics();
+        for kind in ["RC", "RC_Ack", "WC", "WC_Ack"] {
+            assert_eq!(m.sent_of_kind(kind), 2 * n as u64, "{kind}");
+        }
+        let kinds: Vec<&str> = m.sent_by_kind.keys().copied().collect();
+        assert_eq!(kinds, ["RC", "RC_Ack", "T", "T_Ack", "WC", "WC_Ack"]);
+        let replies: u64 = (0..2)
+            .flat_map(|op| (0..n as u32).map(move |i| (op, s(i))))
+            .map(|(op, i)| {
+                let changes = h.server_changes(i).restricted_to(target);
+                WrMsg::RcAck { op, changes }.wire_size() as u64
+            })
+            .sum();
+        assert_eq!(m.bytes_of_kind("RC_Ack"), replies);
+    }
+
     #[test]
     fn client_read_changes_on_quiet_system() {
         let mut h = harness(4, 1, 14);

@@ -8,7 +8,7 @@
 //! why "apply these changes" is surfaced to the host as an
 //! [`ApplyRequest`] instead of happening internally.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use awr_rb::RbEngine;
 use awr_sim::{ActorId, Context, Message, Time};
@@ -463,110 +463,31 @@ impl TransferCore {
                 }
                 events
             }
-            WrMsg::Rc { op, target, known } => {
-                // Algorithm 3 lines 12–13, with the delta-aware reply. The
-                // O(1) per-target digest decides the steady-state case —
-                // requester already converged — without building the
-                // restriction at all.
-                let digest = self.changes.target_digest(target);
-                let changes = if known == digest {
-                    CsRef::Summary {
-                        digest,
-                        len: self.changes.target_len(target),
-                    }
-                } else {
-                    CsRef::for_peer(&self.get_changes(target), known)
-                };
+            WrMsg::Rc { op, target } => {
+                // Algorithm 3 lines 12–13.
+                let changes = self.get_changes(target);
                 ctx.send(from, wrap(WrMsg::RcAck { op, changes }));
                 Vec::new()
             }
-            WrMsg::Wc {
-                op,
-                target,
-                changes,
-            } => self.handle_write_back(from, op, target, changes, ctx, wrap),
-            WrMsg::RcAck { .. }
-            | WrMsg::WcAck { .. }
-            | WrMsg::WcMiss { .. }
-            | WrMsg::Invoke { .. } => {
+            WrMsg::Wc { op, changes } => {
+                // Algorithm 3 lines 14–15: ack once the set is stored. A
+                // set with news is staged with the ack owed, which
+                // [`TransferCore::apply`] sends once the host applies it.
+                if self.changes.contains_all(&changes) {
+                    ctx.send(from, wrap(WrMsg::WcAck { op }));
+                    return Vec::new();
+                }
+                let req = self
+                    .stage_changes(changes.iter().copied().collect(), Some((from, op)))
+                    .expect("a staged write-back owes an ack");
+                vec![CoreEvent::NeedApply(req)]
+            }
+            WrMsg::RcAck { .. } | WrMsg::WcAck { .. } | WrMsg::Invoke { .. } => {
                 // Client-side / management messages; the host handles
                 // `Invoke` before calling into the core.
                 Vec::new()
             }
         }
-    }
-
-    /// Algorithm 3 lines 14–15 — the server side of a `⟨WC, target, ref⟩`
-    /// write-back. The ack contract is unchanged from the full-set
-    /// protocol: `WC_Ack` goes out exactly when this server stores the
-    /// referenced set (possibly proving it already does via the per-target
-    /// digest). A reference it cannot resolve draws a `WC_Miss` carrying
-    /// the local restriction digest, and the requester escalates
-    /// (delta → full), so the exchange stays bounded.
-    fn handle_write_back<M: Message>(
-        &mut self,
-        from: ActorId,
-        op: u64,
-        target: ServerId,
-        changes: CsRef,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(WrMsg) -> M + Copy,
-    ) -> Vec<CoreEvent> {
-        let have = self.changes.target_digest(target);
-        match changes {
-            CsRef::Full(set) => {
-                // `contains_all` decides the no-op write-back — the common
-                // steady-state case — in O(1) via the digest/cardinality
-                // fast paths before falling back to a subset scan.
-                if self.changes.contains_all(&set) {
-                    ctx.send(from, wrap(WrMsg::WcAck { op }));
-                    return Vec::new();
-                }
-                self.ack_or_stage(from, op, set.iter().copied(), ctx, wrap)
-            }
-            CsRef::Summary { digest, len } => {
-                if have == digest && self.changes.target_len(target) == len {
-                    // The restriction this server stores *is* the collected
-                    // set (w.h.p.): ack without any content on the wire.
-                    ctx.send(from, wrap(WrMsg::WcAck { op }));
-                } else {
-                    ctx.send(from, wrap(WrMsg::WcMiss { op, have }));
-                }
-                Vec::new()
-            }
-            CsRef::Delta { base_digest, adds } => {
-                if base_digest != have {
-                    // The delta was cut against a restriction this server no
-                    // longer (or never) had; ask for a better reference.
-                    ctx.send(from, wrap(WrMsg::WcMiss { op, have }));
-                    return Vec::new();
-                }
-                self.ack_or_stage(from, op, adds.into_iter(), ctx, wrap)
-            }
-        }
-    }
-
-    /// The content-carrying tail of a write-back: ack immediately when
-    /// every candidate change is already stored, otherwise stage the new
-    /// ones with the owed `WC_Ack` attached (sent by [`TransferCore::apply`]
-    /// once the host applies them — the single place the ack contract lives).
-    fn ack_or_stage<M: Message>(
-        &self,
-        from: ActorId,
-        op: u64,
-        candidate: impl Iterator<Item = Change>,
-        ctx: &mut Context<'_, M>,
-        wrap: impl Fn(WrMsg) -> M + Copy,
-    ) -> Vec<CoreEvent> {
-        let new: Vec<Change> = candidate.filter(|c| !self.changes.contains(c)).collect();
-        if new.is_empty() {
-            ctx.send(from, wrap(WrMsg::WcAck { op }));
-            return Vec::new();
-        }
-        let req = self
-            .stage_changes(new, Some((from, op)))
-            .expect("non-empty set stages");
-        vec![CoreEvent::NeedApply(req)]
     }
 
     /// Filters already-known changes and packages the rest for the host.
@@ -627,16 +548,6 @@ struct RcPending {
     target: ServerId,
     acc: ChangeSet,
     responders: HashSet<ActorId>,
-    /// Resolved restriction digest per replier at `RC_Ack` time — drives
-    /// the per-destination write-back payload (summary to converged
-    /// servers, content to the rest).
-    peer_digests: HashMap<ActorId, u64>,
-    /// Repliers re-asked with `known = 0` after an unresolvable reference
-    /// (bounded: one forced-full retry per server per invocation).
-    forced_full: HashSet<ActorId>,
-    /// Servers whose write-back already drew one `WC_Miss`; the next
-    /// resend is unconditionally `Full`.
-    wc_retried: HashSet<ActorId>,
     wrote_back: bool,
     wc_acks: HashSet<ActorId>,
     started: Time,
@@ -665,18 +576,13 @@ impl ReadChangesResult {
 
 /// Requester-side engine for `read_changes` (Algorithm 3 lines 1–9): any
 /// process — client or server — embeds one to read a server's changes.
-///
-/// Keeps a per-target cache of the last restriction it learned, which is
-/// what lets servers answer `⟨RC⟩` with an O(1) summary (or an O(gap)
-/// delta) in the steady state instead of re-shipping the restriction —
-/// see the [`super::messages`] docs for the negotiation.
+/// It unions `f + 1` replies, writes the union back to every server, and
+/// returns it once `n − f` of them store it.
 #[derive(Debug)]
 pub struct ReadChangesClient {
     cfg: RpConfig,
     next_op: u64,
     pending: Option<RcPending>,
-    /// Last known restriction per target (digest-negotiation cache).
-    cache: BTreeMap<ServerId, ChangeSet>,
     /// Completed invocations, in completion order.
     pub results: Vec<ReadChangesResult>,
 }
@@ -688,7 +594,6 @@ impl ReadChangesClient {
             cfg,
             next_op: 0,
             pending: None,
-            cache: BTreeMap::new(),
             results: Vec::new(),
         }
     }
@@ -696,46 +601,6 @@ impl ReadChangesClient {
     /// Whether an invocation is in flight.
     pub fn is_busy(&self) -> bool {
         self.pending.is_some()
-    }
-
-    /// A canonical digest of this engine's logical state (no virtual
-    /// times), for the model-checking explorer. Hash-container contents are
-    /// sorted before hashing.
-    pub fn state_digest(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        fn sorted_ids(set: &HashSet<ActorId>) -> Vec<usize> {
-            let mut v: Vec<usize> = set.iter().map(|a| a.index()).collect();
-            v.sort_unstable();
-            v
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.next_op.hash(&mut h);
-        if let Some(p) = &self.pending {
-            p.op.hash(&mut h);
-            p.target.hash(&mut h);
-            p.acc.digest().hash(&mut h);
-            sorted_ids(&p.responders).hash(&mut h);
-            let mut digests: Vec<(usize, u64)> = p
-                .peer_digests
-                .iter()
-                .map(|(a, d)| (a.index(), *d))
-                .collect();
-            digests.sort_unstable();
-            digests.hash(&mut h);
-            sorted_ids(&p.forced_full).hash(&mut h);
-            sorted_ids(&p.wc_retried).hash(&mut h);
-            p.wrote_back.hash(&mut h);
-            sorted_ids(&p.wc_acks).hash(&mut h);
-        }
-        for (target, set) in &self.cache {
-            target.hash(&mut h);
-            set.digest().hash(&mut h);
-        }
-        for r in &self.results {
-            r.target.hash(&mut h);
-            r.changes.digest().hash(&mut h);
-        }
-        h.finish()
     }
 
     /// Invokes `read_changes(target)`: broadcasts `⟨RC, target⟩` to all
@@ -761,49 +626,14 @@ impl ReadChangesClient {
             target,
             acc: ChangeSet::new(),
             responders: HashSet::new(),
-            peer_digests: HashMap::new(),
-            forced_full: HashSet::new(),
-            wc_retried: HashSet::new(),
             wrote_back: false,
             wc_acks: HashSet::new(),
             started: ctx.now(),
         });
-        // Advertise the restriction we already hold so converged servers
-        // can answer with an O(1) summary (0 = empty cache, which every
-        // journal can delta from).
-        let known = self.cache.get(&target).map(ChangeSet::digest).unwrap_or(0);
         for i in 0..self.cfg.n {
-            ctx.send(ActorId(i), wrap(WrMsg::Rc { op, target, known }));
+            ctx.send(ActorId(i), wrap(WrMsg::Rc { op, target }));
         }
         Ok(())
-    }
-
-    /// Materializes the set a received [`CsRef`] describes, using the
-    /// per-target cache as the delta/summary base. `None` means the
-    /// reference cannot be resolved locally (stale or missing cache) and
-    /// the replier must be re-asked with `known = 0`.
-    fn resolve(&self, target: ServerId, r: &CsRef) -> Option<ChangeSet> {
-        match r {
-            CsRef::Full(set) => Some(set.clone()),
-            CsRef::Summary { digest: 0, len: 0 } => Some(ChangeSet::new()),
-            CsRef::Summary { digest, len } => {
-                let c = self.cache.get(&target)?;
-                (c.digest() == *digest && c.len() == *len).then(|| c.clone())
-            }
-            CsRef::Delta { base_digest, adds } => {
-                let mut base = if *base_digest == 0 {
-                    ChangeSet::new()
-                } else {
-                    let c = self.cache.get(&target)?;
-                    if c.digest() != *base_digest {
-                        return None;
-                    }
-                    c.clone()
-                };
-                base.extend(adds.iter().copied());
-                Some(base)
-            }
-        }
     }
 
     /// Feeds a client-side message (`RC_Ack` / `WC_Ack`). Returns the result
@@ -815,93 +645,39 @@ impl ReadChangesClient {
         ctx: &mut Context<'_, M>,
         wrap: impl Fn(WrMsg) -> M + Copy,
     ) -> Option<ReadChangesResult> {
-        let p = self.pending.as_ref()?;
+        let p = self.pending.as_mut()?;
         match msg {
             WrMsg::RcAck { op, changes } if *op == p.op && !p.wrote_back => {
-                let resolved = self.resolve(p.target, changes);
-                let p = self.pending.as_mut().expect("checked above");
-                let Some(set) = resolved else {
-                    // The replier referenced a base we don't hold (stale
-                    // cache): re-ask once for unconditional content.
-                    if p.forced_full.insert(from) {
-                        ctx.send(
-                            from,
-                            wrap(WrMsg::Rc {
-                                op: p.op,
-                                target: p.target,
-                                known: 0,
-                            }),
-                        );
-                    }
-                    return None;
-                };
-                p.peer_digests.insert(from, set.digest());
-                p.acc.merge(&set);
+                p.acc.merge(changes);
                 p.responders.insert(from);
                 // Line 6: until more than f responses.
                 if p.responders.len() > self.cfg.f {
                     p.wrote_back = true;
-                    // Line 7: broadcast ⟨WC, ref⟩ — an O(1) summary toward
-                    // servers whose restriction already equals the
-                    // collected set, content toward the rest.
+                    // Line 7: broadcast ⟨WC, C⟩.
                     for i in 0..self.cfg.n {
-                        let dest = ActorId(i);
-                        let payload = match p.peer_digests.get(&dest) {
-                            Some(d) if *d == p.acc.digest() => CsRef::summary(&p.acc),
-                            Some(d) => CsRef::for_peer(&p.acc, *d),
-                            None => CsRef::Full(p.acc.clone()),
-                        };
-                        ctx.send(
-                            dest,
-                            wrap(WrMsg::Wc {
-                                op: p.op,
-                                target: p.target,
-                                changes: payload,
-                            }),
-                        );
+                        let changes = p.acc.clone();
+                        ctx.send(ActorId(i), wrap(WrMsg::Wc { op: p.op, changes }));
                     }
                 }
                 None
             }
-            WrMsg::WcMiss { op, have } if *op == p.op && p.wrote_back => {
-                let p = self.pending.as_mut().expect("checked above");
-                // One negotiation retry per server: delta against the
-                // digest it reported, then unconditional Full.
-                let payload = if p.wc_retried.insert(from) {
-                    CsRef::for_peer(&p.acc, *have)
-                } else {
-                    CsRef::Full(p.acc.clone())
-                };
-                ctx.send(
-                    from,
-                    wrap(WrMsg::Wc {
-                        op: p.op,
-                        target: p.target,
-                        changes: payload,
-                    }),
-                );
-                None
-            }
             WrMsg::WcAck { op } if *op == p.op && p.wrote_back => {
-                let p = self.pending.as_mut().expect("checked above");
                 p.wc_acks.insert(from);
                 // Line 8: wait for n − f acknowledgments.
-                if p.wc_acks.len() >= self.cfg.n - self.cfg.f {
-                    let p = self.pending.take().expect("pending checked");
-                    let result = ReadChangesResult {
-                        target: p.target,
-                        changes: p.acc.restricted_to(p.target),
-                        started: p.started,
-                        finished: ctx.now(),
-                    };
-                    // Remember what we learned: the next invocation's RC
-                    // opens with this digest.
-                    self.cache.insert(p.target, result.changes.clone());
-                    self.results.push(result.clone());
-                    Some(result)
-                } else {
-                    None
+                if p.wc_acks.len() < self.cfg.n - self.cfg.f {
+                    return None;
                 }
+                let p = self.pending.take().expect("pending checked");
+                // Every reply was a restriction to the target, so the
+                // union is `C|target` (line 9).
+                let result = ReadChangesResult {
+                    target: p.target,
+                    changes: p.acc,
+                    started: p.started,
+                    finished: ctx.now(),
+                };
+                self.results.push(result.clone());
+                Some(result)
             }
             _ => None,
         }

@@ -1,39 +1,21 @@
 //! Wire messages of the restricted pairwise weight reassignment protocol
-//! (Algorithms 3 and 4), with delta-aware change-set payloads.
+//! (Algorithms 3 and 4), as the paper states them.
 //!
-//! The change-set-carrying legs (`RC_Ack` and `WC`) ship a
-//! [`CsRef`] instead of a full [`awr_types::ChangeSet`], negotiated per the
-//! discipline of [`awr_types::sync`]:
-//!
-//! * `⟨RC, s, known⟩` carries the requester's digest of its last known
-//!   restriction `C|s`; a server whose restriction matches answers with an
-//!   O(1) [`CsRef::Summary`], a server that can cover the gap from its
-//!   per-target journal answers with an O(gap) [`CsRef::Delta`], and
-//!   anything else falls back to [`CsRef::Full`]. `known = 0` (an empty
-//!   cache) always resolves, because every journal's empty prefix digests
-//!   to 0.
-//! * `⟨WC, s, ref⟩` write-backs open with a `Summary` toward servers the
-//!   requester believes are already converged and `Full` toward the rest.
-//!   A server that cannot prove it stores the referenced set replies
-//!   `⟨WC_Miss, have⟩` with its own restriction digest; the requester
-//!   answers with a delta against `have`, degrading to `Full` after one
-//!   failed delta — so the exchange is bounded and the store-then-ack
-//!   semantics of Algorithm 3 line 8 (and hence Validity-II) are untouched.
-//!
-//! A `WC_Ack` is still sent only once the receiving server *stores* the
-//! referenced set (possibly proving it already did via the digest).
+//! `read_changes` (Algorithm 3) ships change sets whole: each `⟨RC_Ack⟩`
+//! carries the replier's `get_changes(s)`, and the write-back `⟨WC⟩`
+//! carries the union the reader collected. A `WC_Ack` is sent only once
+//! the receiving server stores that set (line 8), which is what
+//! Validity-II rests on.
 //!
 //! The byte layout of each message is its [`Wire`] impl below, in the
-//! version-4 format of [`awr_types::wire`].
+//! version-5 format of [`awr_types::wire`].
 
 use std::hash::{Hash, Hasher};
 
 use awr_rb::RbEnvelope;
 use awr_sim::{ActorId, Message};
-use awr_types::wire::{
-    frame_len, get_vec, put_digest, put_seq, FrameError, Reader, Sink, Wire, MIN_CHANGE,
-};
-use awr_types::{CsRef, Ratio, ServerId, TransferChanges};
+use awr_types::wire::{frame_len, get_vec, put_seq, FrameError, Reader, Sink, Wire, MIN_CHANGE};
+use awr_types::{ChangeSet, Ratio, ServerId, TransferChanges};
 
 /// Protocol messages. Names follow the paper's:
 ///
@@ -45,10 +27,8 @@ use awr_types::{CsRef, Ratio, ServerId, TransferChanges};
 ///   per batch rather than per transfer. A single `transfer` is a batch of
 ///   one, with the per-transfer `T_Ack` contract unchanged;
 /// * `⟨T_Ack, lc⟩` — per-transfer acknowledgment (line 11/15);
-/// * `⟨RC, s⟩` / `⟨RC_Ack, ref⟩` — read_changes collect phase (Algorithm 3),
-///   the reply carrying a [`CsRef`] to the replier's restriction;
-/// * `⟨WC, s, ref⟩` / `⟨WC_Ack⟩` / `⟨WC_Miss⟩` — read_changes write-back
-///   phase with digest negotiation (see the module docs).
+/// * `⟨RC, s⟩` / `⟨RC_Ack, C|s⟩` — read_changes collect phase (Algorithm 3);
+/// * `⟨WC, C⟩` / `⟨WC_Ack⟩` — read_changes write-back phase.
 #[derive(Clone, Debug, PartialEq, Hash)]
 pub enum WrMsg {
     /// Reliable-broadcast leg carrying a batch of transfer change pairs.
@@ -65,42 +45,26 @@ pub enum WrMsg {
         op: u64,
         /// The server whose changes are being read.
         target: ServerId,
-        /// Digest of the restriction the requester already holds for
-        /// `target` (0 = nothing cached), so the replier can answer with a
-        /// summary or delta instead of the full restriction.
-        known: u64,
     },
-    /// Reply to [`WrMsg::Rc`] referencing the changes the replier has
-    /// stored for the requested server.
+    /// Reply to [`WrMsg::Rc`]: the changes the replier has stored for the
+    /// requested server, `get_changes(target)`.
     RcAck {
         /// Echo of the request's `op`.
         op: u64,
-        /// Reference to the replier's restriction `C|target`.
-        changes: CsRef,
+        /// The replier's restriction `C|target`.
+        changes: ChangeSet,
     },
     /// Write-back of the collected set (Algorithm 3 line 7).
     Wc {
         /// Echo of the request's `op`.
         op: u64,
-        /// The server whose restriction is being written back — tells the
-        /// receiver which per-target digest to check a summary against.
-        target: ServerId,
-        /// Reference to the union the reader collected.
-        changes: CsRef,
+        /// The union the reader collected.
+        changes: ChangeSet,
     },
-    /// Acknowledgment of a write-back: the sender stores the referenced set.
+    /// Acknowledgment of a write-back: the sender stores the set.
     WcAck {
         /// Echo of the request's `op`.
         op: u64,
-    },
-    /// The receiver of a [`WrMsg::Wc`] could not prove it stores the
-    /// referenced set; `have` is its current restriction digest so the
-    /// requester can resend a delta (or `Full`).
-    WcMiss {
-        /// Echo of the request's `op`.
-        op: u64,
-        /// The replier's current digest of `C|target`.
-        have: u64,
     },
     /// Management RPC: ask the receiving server to invoke
     /// `transfer(self, to, delta)`. Not part of the paper's wire protocol —
@@ -125,7 +89,6 @@ impl Message for WrMsg {
             WrMsg::RcAck { .. } => "RC_Ack",
             WrMsg::Wc { .. } => "WC",
             WrMsg::WcAck { .. } => "WC_Ack",
-            WrMsg::WcMiss { .. } => "WC_Miss",
             WrMsg::Invoke { .. } => "Invoke",
         }
     }
@@ -134,9 +97,7 @@ impl Message for WrMsg {
         frame_len(self)
     }
 
-    // Every field hashes (`CsRef` by variant, and a full set by digest and
-    // cardinality): a Summary and a Delta describing the same set draw
-    // different receiver behaviour (a summary can miss, content applies).
+    // Every field hashes, a change set by its digest and cardinality.
     fn content_digest(&self) -> Option<u64> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.hash(&mut h);
@@ -157,35 +118,24 @@ impl Wire for WrMsg {
                 out.push(1);
                 counter.put(out);
             }
-            WrMsg::Rc { op, target, known } => {
+            WrMsg::Rc { op, target } => {
                 out.push(2);
                 op.put(out);
                 target.put(out);
-                put_digest(out, *known);
             }
             WrMsg::RcAck { op, changes } => {
                 out.push(3);
                 op.put(out);
                 changes.put(out);
             }
-            WrMsg::Wc {
-                op,
-                target,
-                changes,
-            } => {
+            WrMsg::Wc { op, changes } => {
                 out.push(4);
                 op.put(out);
-                target.put(out);
                 changes.put(out);
             }
             WrMsg::WcAck { op } => {
                 out.push(5);
                 op.put(out);
-            }
-            WrMsg::WcMiss { op, have } => {
-                out.push(6);
-                op.put(out);
-                put_digest(out, *have);
             }
             WrMsg::Invoke { to, delta } => {
                 out.push(7);
@@ -208,22 +158,17 @@ impl Wire for WrMsg {
             2 => Ok(WrMsg::Rc {
                 op: u64::get(r)?,
                 target: ServerId::get(r)?,
-                known: r.digest()?,
             }),
             3 => Ok(WrMsg::RcAck {
                 op: u64::get(r)?,
-                changes: CsRef::get(r)?,
+                changes: ChangeSet::get(r)?,
             }),
             4 => Ok(WrMsg::Wc {
                 op: u64::get(r)?,
-                target: ServerId::get(r)?,
-                changes: CsRef::get(r)?,
+                changes: ChangeSet::get(r)?,
             }),
             5 => Ok(WrMsg::WcAck { op: u64::get(r)? }),
-            6 => Ok(WrMsg::WcMiss {
-                op: u64::get(r)?,
-                have: r.digest()?,
-            }),
+            // Tag 6, version 4's write-back miss, is unknown since version 5.
             7 => Ok(WrMsg::Invoke {
                 to: ServerId::get(r)?,
                 delta: Ratio::get(r)?,
@@ -242,17 +187,15 @@ mod tests {
         let rc = WrMsg::Rc {
             op: 0,
             target: ServerId(0),
-            known: 0,
         };
         assert_eq!(rc.kind(), "RC");
         assert_eq!(WrMsg::TAck { counter: 2 }.kind(), "T_Ack");
         assert_eq!(WrMsg::WcAck { op: 1 }.kind(), "WC_Ack");
-        assert_eq!(WrMsg::WcMiss { op: 1, have: 7 }.kind(), "WC_Miss");
     }
 
     #[test]
     fn kinds_are_distinct_per_variant() {
-        use awr_types::{ChangeSet, Ratio};
+        use awr_types::Ratio;
         let variants = [
             WrMsg::Rb(RbEnvelope {
                 origin: awr_sim::ActorId(0),
@@ -269,19 +212,16 @@ mod tests {
             WrMsg::Rc {
                 op: 0,
                 target: ServerId(0),
-                known: 0,
             },
             WrMsg::RcAck {
                 op: 0,
-                changes: CsRef::summary(&ChangeSet::new()),
+                changes: ChangeSet::new(),
             },
             WrMsg::Wc {
                 op: 0,
-                target: ServerId(0),
-                changes: CsRef::summary(&ChangeSet::new()),
+                changes: ChangeSet::new(),
             },
             WrMsg::WcAck { op: 0 },
-            WrMsg::WcMiss { op: 0, have: 0 },
             WrMsg::Invoke {
                 to: ServerId(1),
                 delta: Ratio::ONE,
@@ -315,20 +255,26 @@ mod tests {
 
     #[test]
     fn wire_size_charges_for_change_payloads() {
-        use awr_types::{Change, ChangeSet, Ratio};
+        use awr_types::{Change, Ratio};
         let mut set = ChangeSet::new();
         for i in 0..50u64 {
             set.insert(Change::new(ServerId(0), 2 + i, ServerId(0), Ratio::ZERO));
         }
-        let summary = WrMsg::RcAck {
+        let empty = WrMsg::RcAck {
             op: 0,
-            changes: CsRef::summary(&set),
+            changes: ChangeSet::new(),
         };
         let full = WrMsg::RcAck {
             op: 0,
-            changes: CsRef::Full(set),
+            changes: set.clone(),
         };
-        assert!(summary.wire_size() < full.wire_size());
+        assert!(empty.wire_size() < full.wire_size());
         assert!(full.wire_size() > 50 * MIN_CHANGE);
+        // A write-back costs what the reply carrying the same set costs.
+        let wc = WrMsg::Wc {
+            op: 0,
+            changes: set,
+        };
+        assert_eq!(wc.wire_size(), full.wire_size());
     }
 }

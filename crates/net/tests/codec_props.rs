@@ -55,10 +55,15 @@ fn arb_set(seed: &mut u64, len: usize) -> ChangeSet {
     set
 }
 
+/// A set of up to four changes, the empty one included.
+fn arb_small_set(seed: &mut u64) -> ChangeSet {
+    let len = (splitmix(seed) % 5) as usize;
+    arb_set(seed, len)
+}
+
 /// A change-set reference in one of its three forms, empty ones included.
 fn arb_cs_ref(seed: &mut u64) -> CsRef {
-    let len = (splitmix(seed) % 5) as usize;
-    let set = arb_set(seed, len);
+    let set = arb_small_set(seed);
     match splitmix(seed) % 3 {
         0 => CsRef::summary(&set),
         1 => CsRef::Delta {
@@ -95,7 +100,7 @@ fn arb_pair(seed: &mut u64) -> TransferChanges {
 
 /// Number of arms in [`arb_msg`]: every `DynMsg` variant, and every
 /// `WrMsg` variant inside `DynMsg::Wr`. A new message adds one arm.
-const MSG_ARMS: u64 = 17;
+const MSG_ARMS: u64 = 16;
 
 fn arb_msg(arm: u64, seed: &mut u64) -> Msg {
     let op = splitmix(seed) >> (splitmix(seed) % 64);
@@ -161,25 +166,16 @@ fn arb_msg(arm: u64, seed: &mut u64) -> Msg {
             payload: (0..splitmix(seed) % 4).map(|_| arb_pair(seed)).collect(),
         })),
         10 => DynMsg::Wr(WrMsg::TAck { counter: op }),
-        11 => DynMsg::Wr(WrMsg::Rc {
-            op,
-            target,
-            known: splitmix(seed),
-        }),
+        11 => DynMsg::Wr(WrMsg::Rc { op, target }),
         12 => DynMsg::Wr(WrMsg::RcAck {
             op,
-            changes: arb_cs_ref(seed),
+            changes: arb_small_set(seed),
         }),
         13 => DynMsg::Wr(WrMsg::Wc {
             op,
-            target,
-            changes: arb_cs_ref(seed),
+            changes: arb_small_set(seed),
         }),
         14 => DynMsg::Wr(WrMsg::WcAck { op }),
-        15 => DynMsg::Wr(WrMsg::WcMiss {
-            op,
-            have: splitmix(seed),
-        }),
         _ => DynMsg::Wr(WrMsg::Invoke {
             to: target,
             delta: arb_change(seed).delta,
@@ -523,7 +519,14 @@ fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
     let refresh_ack = |need_tags: u8| framed(&[6, 1, 0, need_tags]);
     assert!(accepted(&refresh_ack(1)));
     assert!(refused(&refresh_ack(2)));
-    // DynMsg, WrMsg, CsRef, RefreshHave and ProcessId tags one past the last.
+    // DynMsg, WrMsg, CsRef, RefreshHave and ProcessId tags one past the
+    // last, and WrMsg's tag 6 (version 4's write-back miss: op 1, a digest).
+    let mut wc_miss = vec![0, 6, 1];
+    put_digest(&mut wc_miss, 9);
+    assert!(matches!(
+        decode_frame::<Msg>(&framed(&wc_miss)),
+        Err(FrameError::Codec("unknown WrMsg tag"))
+    ));
     for payload in [
         vec![9],
         vec![0, 8],
@@ -533,15 +536,27 @@ fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
     ] {
         assert!(refused(&framed(&payload)), "{payload:?}");
     }
-    // Rc { op: 1, target, known }: the largest server id, and one more.
+    // Rc { op: 1, target }, by hand: the largest server id, and one more.
     let rc = |target: u32| {
         let mut b = vec![0, 2, 1];
         put_varint(&mut b, u64::from(target));
-        put_digest(&mut b, 0);
-        framed(&b)
+        b
     };
-    assert!(accepted(&rc(MAX_SERVER_ID)));
-    assert!(refused(&rc(MAX_SERVER_ID + 1)));
+    assert!(accepted(&framed(&rc(MAX_SERVER_ID))));
+    assert!(refused(&framed(&rc(MAX_SERVER_ID + 1))));
+    let rc3: Msg = DynMsg::Wr(WrMsg::Rc {
+        op: 1,
+        target: ServerId(3),
+    });
+    assert_eq!(encode_frame(&rc3), framed(&rc(3)));
+    // Version 4's Rc ended in the requester's 8-byte digest: trailing
+    // bytes now.
+    let mut v4_rc = rc(3);
+    put_digest(&mut v4_rc, 9);
+    assert!(matches!(
+        decode_frame::<Msg>(&framed(&v4_rc)),
+        Err(FrameError::Codec("trailing bytes after the message"))
+    ));
     // A WAL record (Register { obj: 1, reg: bottom }) and the tag past it.
     let register = |tag: u8| decode_frame::<WalRecord<u64>>(&framed(&[tag, 1, 0, 0, 0, 0]));
     assert!(matches!(register(1), Ok(Some(_))));

@@ -269,6 +269,8 @@ fn a_bad_connection_is_closed_alone_while_a_good_peer_is_served() {
     old_hello[4] = 1;
     let mut v3_hello = hello(2);
     v3_hello[4] = 3;
+    let mut v4_hello = hello(2);
+    v4_hello[4] = 4;
     let mut oversized = hello(2);
     put_varint(&mut oversized, MAX_FRAME as u64 + 1);
     let mut five_byte_length = hello(2);
@@ -286,6 +288,7 @@ fn a_bad_connection_is_closed_alone_while_a_good_peer_is_served() {
         ("wrong hello version", bad_version),
         ("version-1 hello", old_hello),
         ("version-3 hello", v3_hello),
+        ("version-4 hello", v4_hello),
         ("length prefix above MAX_FRAME", oversized),
         ("length prefix of five bytes", five_byte_length),
         ("length prefix not in its shortest form", long_length),

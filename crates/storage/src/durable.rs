@@ -744,28 +744,31 @@ mod tests {
             }
             .put(out)
         });
-        let headerless = "no wire-version-4 file header";
+        let headerless = format!("no wire-version-{WIRE_VERSION} file header");
         for (file, bytes) in [(WAL_FILE, v3_wal), (SNAPSHOT_FILE, v3_snapshot)] {
             let why = refusal("v3", &[(file, bytes)]).expect("a version-3 file opened");
-            assert!(why.contains(file) && why.contains(headerless), "{why}");
+            assert!(why.contains(file) && why.contains(&headerless), "{why}");
         }
 
-        // A header that names another version.
+        // A header that names another version: version 4's, whose
+        // `read_changes` messages had another layout, and the next one.
         for (file, header) in [(WAL_FILE, WAL_HEADER), (SNAPSHOT_FILE, SNAPSHOT_HEADER)] {
-            let mut foreign = header.to_vec();
-            foreign[4] = WIRE_VERSION - 1;
-            let why = refusal("foreign", &[(file, foreign)]).expect("a foreign header opened");
-            assert!(
-                why.contains(file) && why.contains("wire version 3"),
-                "{why}"
-            );
+            for version in [4, WIRE_VERSION + 1] {
+                let mut foreign = header.to_vec();
+                foreign[4] = version;
+                let why = refusal("foreign", &[(file, foreign)]).expect("a foreign header opened");
+                assert!(
+                    why.contains(file) && why.contains(&format!("wire version {version} ")),
+                    "{why}"
+                );
+            }
         }
 
         // The other store's magic is no header either.
         let why = refusal("swapped", &[(WAL_FILE, SNAPSHOT_HEADER.to_vec())]);
         assert!(why
             .expect("a snapshot header opened as a WAL")
-            .contains(headerless));
+            .contains(&headerless));
         assert_eq!(refusal("own", &[(WAL_FILE, WAL_HEADER.to_vec())]), None);
     }
 

@@ -1,4 +1,4 @@
-//! The version-4 layouts of the storage protocol's messages (see
+//! The version-5 layouts of the storage protocol's messages (see
 //! [`awr_types::wire`] for the format): one [`Wire`] impl per type, the
 //! statement of its byte layout. The durable records' impls sit with
 //! their types in `durable.rs`.
@@ -213,7 +213,7 @@ mod tests {
     /// its catch-up after the flags byte; the frame is the payload's
     /// length in one varint byte, then the payload.
     #[test]
-    fn the_version_4_layout_is_pinned() {
+    fn the_version_5_layout_is_pinned() {
         let reg = TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9);
         let ack = |changes, accepted| {
             let msg: DynMsg<u64> = DynMsg::RAck {

@@ -26,6 +26,11 @@
 //!    shared. Clones that are never mutated (the overwhelming steady-state
 //!    case in quorum rounds) never copy.
 //!
+//! Nothing is kept per target: an insert touches one weight slot, the
+//! total, the digest and the journal, and a deep copy copies the set and
+//! the journal once. [`ChangeSet::restricted_to`] — the `get_changes(s)`
+//! of `read_changes` (Algorithm 3) — is an O(|C|) filter.
+//!
 //! # Cached invariants
 //!
 //! For every reachable `ChangeSet` the following hold (checked exhaustively
@@ -43,11 +48,7 @@
 //!   [`ChangeSet::compact_journal`] checkpoints and truncates a prefix
 //!   (whose digest is folded into `checkpoint`) — so
 //!   [`ChangeSet::delta_since`] can roll the digest back to any *retained*
-//!   historical prefix; and `by_target[s]` / `target_digests[s]` hold the
-//!   per-target changes and digests independently of the journal (so
-//!   [`ChangeSet::changes_for`], [`ChangeSet::restricted_to`], and
-//!   [`ChangeSet::target_digest`] avoid O(|C|) scans and survive
-//!   compaction).
+//!   historical prefix.
 //!
 //! Equal sets therefore always have equal digests; *unequal* sets collide
 //! with probability ≈ 2⁻⁶⁴. Fast paths that conclude *inequality* from a
@@ -93,16 +94,6 @@ struct Inner {
     /// dropped prefix is no longer recoverable and the caller degrades to
     /// [`crate::sync::CsRef::Full`].
     checkpoint: u64,
-    /// Per-target index: `by_target[s]` holds owned copies of the changes
-    /// created for server `s`, in append order. Owned copies (rather than
-    /// journal indices) keep [`ChangeSet::changes_for`] and
-    /// [`ChangeSet::restricted_to`] exact across journal compaction, which
-    /// drops journal entries but never set membership. Length tracks
-    /// `weights`.
-    by_target: Vec<Vec<Change>>,
-    /// Per-target commutative digests (same mix as `digest`, restricted to
-    /// one target), so a restriction's digest is readable in O(1).
-    target_digests: Vec<u64>,
 }
 
 /// One change's contribution to the digest: a well-mixed 64-bit hash,
@@ -120,28 +111,13 @@ impl Inner {
         let idx = c.target.index();
         if idx >= self.weights.len() {
             self.weights.resize(idx + 1, Ratio::ZERO);
-            self.by_target.resize(idx + 1, Vec::new());
-            self.target_digests.resize(idx + 1, 0);
         }
         self.weights[idx] += c.delta;
         self.total += c.delta;
         let mix = change_mix(c);
         self.digest = self.digest.wrapping_add(mix);
-        self.target_digests[idx] = self.target_digests[idx].wrapping_add(mix);
-        self.by_target[idx].push(*c);
         self.journal.push(*c);
         self.journal_mixes.push(mix);
-    }
-
-    /// Builds storage from unique changes in the given append order (the
-    /// order becomes the journal order).
-    fn from_ordered<'a>(changes: impl IntoIterator<Item = &'a Change>) -> Inner {
-        let mut inner = Inner::default();
-        for c in changes {
-            inner.changes.insert(*c);
-            inner.account(c);
-        }
-        inner
     }
 
     fn from_changes(changes: BTreeSet<Change>) -> Inner {
@@ -315,45 +291,10 @@ impl ChangeSet {
         self.inner.changes.iter()
     }
 
-    /// The changes created for server `s`, in append order — the backing
-    /// slice of the per-target index (O(1) to obtain).
-    fn target_slice(&self, s: ServerId) -> &[Change] {
-        self.inner
-            .by_target
-            .get(s.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// All changes created for server `s` (the `get_changes(s)` of
-    /// Algorithm 4 line 6). O(|C_s|) via the per-target index, not O(|C|).
-    pub fn changes_for(&self, s: ServerId) -> impl Iterator<Item = &Change> {
-        self.target_slice(s).iter()
-    }
-
-    /// The subset of changes created for `s`, as an owned set. O(|C_s|);
-    /// the restriction inherits this set's append order, so deltas between
-    /// successive restrictions of the same replica line up.
+    /// The subset of changes created for `s` (the `get_changes(s)` of
+    /// Algorithm 4 line 6), as an owned set. O(|C|).
     pub fn restricted_to(&self, s: ServerId) -> ChangeSet {
-        ChangeSet {
-            inner: Arc::new(Inner::from_ordered(self.changes_for(s))),
-        }
-    }
-
-    /// Number of changes created for server `s`. O(1).
-    pub fn target_len(&self, s: ServerId) -> usize {
-        self.target_slice(s).len()
-    }
-
-    /// Commutative digest of the changes created for `s` — equal to
-    /// `self.restricted_to(s).digest()` without building the restriction.
-    /// O(1).
-    pub fn target_digest(&self, s: ServerId) -> u64 {
-        self.inner
-            .target_digests
-            .get(s.index())
-            .copied()
-            .unwrap_or(0)
+        self.iter().filter(|c| c.target == s).copied().collect()
     }
 
     /// The weight of server `s` induced by this set:
@@ -380,14 +321,6 @@ impl ChangeSet {
     /// Materializes the full weight map of an `n`-server system. O(n).
     pub fn weights(&self, n: usize) -> WeightMap {
         WeightMap::from_fn(n, |s| self.server_weight(s))
-    }
-
-    /// Returns `true` if a change issued by `(issuer, counter)` targeting `s`
-    /// is present — the completion test of Definition 2. O(|C_s|) via the
-    /// per-target index.
-    pub fn has_op_for(&self, issuer: crate::ProcessId, counter: u64, target: ServerId) -> bool {
-        self.changes_for(target)
-            .any(|c| c.issuer == issuer && c.counter == counter)
     }
 
     /// A compact content digest for cheap comparison in message headers,
@@ -466,8 +399,7 @@ impl ChangeSet {
     /// entries, folding the dropped prefix into the checkpoint digest.
     /// Returns the number of entries dropped.
     ///
-    /// Set membership, weights, the content digest, and the per-target
-    /// indexes are all untouched — compaction only narrows what
+    /// Set membership, weights and the content digest are all untouched — compaction only narrows what
     /// [`ChangeSet::delta_since`] can reconstruct. A peer whose acked
     /// digest still lands in the retained suffix keeps getting
     /// [`crate::sync::CsRef::Delta`]s; one that has fallen behind the
@@ -553,7 +485,7 @@ impl<'a> IntoIterator for &'a ChangeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClientId, ProcessId};
+    use crate::ClientId;
 
     fn s(i: u32) -> ServerId {
         ServerId(i)
@@ -582,11 +514,10 @@ mod tests {
         assert_journal_exact(set);
     }
 
-    /// The journal and per-target index must mirror the set exactly: the
-    /// retained journal is a duplicate-free subset whose length accounts
-    /// for every compacted entry, the checkpoint digest plus retained
-    /// mixes re-sum to the content digest, per-target slices hold exactly
-    /// the set's per-target changes with digests that re-sum from scratch,
+    /// The journal must mirror the set exactly: the retained journal is a
+    /// duplicate-free subset whose length accounts for every compacted
+    /// entry, the checkpoint digest plus retained mixes re-sum to the
+    /// content digest, every restriction is the naive filter of the set,
     /// and `delta_since` round-trips every *retained* prefix.
     fn assert_journal_exact(set: &ChangeSet) {
         let journal = set.journal_for_tests();
@@ -606,36 +537,11 @@ mod tests {
             assert_eq!(journal.len(), set.len(), "uncompacted journal length");
             assert_eq!(as_set, model, "uncompacted journal membership");
         }
-        let n_targets = set.inner.by_target.len();
-        assert_eq!(set.inner.weights.len(), n_targets);
-        assert_eq!(set.inner.target_digests.len(), n_targets);
-        for t in 0..n_targets {
+        for t in 0..=set.inner.weights.len() {
             let s = ServerId(t as u32);
-            let expect: BTreeSet<Change> =
-                model.iter().filter(|c| c.target == s).copied().collect();
-            let indexed: Vec<Change> = set.changes_for(s).copied().collect();
-            assert_eq!(
-                indexed.len(),
-                expect.len(),
-                "per-target index cardinality drifted for {s}"
-            );
-            let indexed_set: BTreeSet<Change> = indexed.iter().copied().collect();
-            assert_eq!(indexed_set, expect, "per-target membership drifted for {s}");
-            // The retained journal's per-target order must be a suffix of
-            // the index's append order (the prefix predates compaction).
-            let journal_order: Vec<Change> =
-                journal.iter().filter(|c| c.target == s).copied().collect();
-            assert_eq!(
-                &indexed[indexed.len() - journal_order.len()..],
-                journal_order.as_slice(),
-                "per-target index out of journal order for {s}"
-            );
-            let d: u64 = expect
-                .iter()
-                .fold(0u64, |d, c| d.wrapping_add(change_mix(c)));
-            assert_eq!(set.inner.target_digests[t], d, "target digest drifted");
-            assert_eq!(set.target_digest(s), d);
-            assert_eq!(set.target_len(s), expect.len());
+            let naive: BTreeSet<Change> = model.iter().filter(|c| c.target == s).copied().collect();
+            let got: BTreeSet<Change> = set.restricted_to(s).iter().copied().collect();
+            assert_eq!(got, naive, "restriction to {s} drifted");
         }
         // delta_since round-trips every retained journal prefix...
         let mut prefix_digest = set.checkpoint_digest();
@@ -743,15 +649,6 @@ mod tests {
         assert!(r.iter().all(|ch| ch.target == s(0)));
         assert_eq!(r.server_weight(s(0)), Ratio::dec("1.5"));
         assert_caches_exact(&r);
-    }
-
-    #[test]
-    fn completion_test() {
-        let mut c = ChangeSet::uniform_initial(2, Ratio::ONE);
-        let issuer = ProcessId::Server(s(1));
-        assert!(!c.has_op_for(issuer, 2, s(0)));
-        c.insert(Change::new(s(1), 2, s(0), Ratio::ZERO));
-        assert!(c.has_op_for(issuer, 2, s(0)));
     }
 
     #[test]
@@ -909,7 +806,8 @@ mod tests {
                     prop_assert_eq!(&got, &models[i]);
                     prop_assert_eq!(sets[i].len(), models[i].len());
                     // (b) Every cached quantity matches a from-scratch scan,
-                    // and the journal / per-target index mirror the set.
+                    // the journal mirrors the set, and every restriction is
+                    // the naive filter.
                     let (weights, total, digest) = super::rescan(&sets[i]);
                     prop_assert_eq!(&sets[i].inner.weights, &weights);
                     prop_assert_eq!(sets[i].inner.total, total);
@@ -964,7 +862,6 @@ mod tests {
         assert_eq!(c, full);
         assert_eq!(c.digest(), full.digest());
         assert_eq!(c.server_weight(s(1)), full.server_weight(s(1)));
-        assert_eq!(c.target_len(s(1)), full.target_len(s(1)));
         assert_eq!(
             c.restricted_to(s(1)).iter().collect::<Vec<_>>(),
             full.restricted_to(s(1)).iter().collect::<Vec<_>>()

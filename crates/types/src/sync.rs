@@ -1,11 +1,10 @@
 //! Wire references to change sets: ship a digest, not the set.
 //!
 //! The paper's dynamic storage (§VII, Algorithms 5–6) attaches the full set
-//! of completed changes `C` to every `R`/`W`/`RAck`/`WAck`, and the
-//! `read_changes` phases of Algorithms 3–4 ship full restrictions — so
+//! of completed changes `C` to every `R`/`W`/`RAck`/`WAck` — so
 //! steady-state message size grows O(|C|) even when both ends already
-//! agree. [`CsRef`] is the delta-aware wire representation that protocols
-//! use instead of a [`ChangeSet`]:
+//! agree. [`CsRef`] is the delta-aware wire representation that the
+//! storage protocol uses instead of a [`ChangeSet`]:
 //!
 //! * [`CsRef::Summary`] — digest and cardinality only, O(1). Enough to
 //!   *test* equality (the only thing Algorithm 6's accept check needs).
@@ -15,7 +14,8 @@
 //! * [`CsRef::Full`] — the whole set, O(|C|). The unconditional fallback
 //!   that keeps every negotiation bounded and liveness intact.
 //!
-//! The negotiation discipline (used by `awr-storage` and `awr-core`):
+//! The negotiation discipline (used by `awr-storage` only; the
+//! `read_changes` of Algorithms 3–4 ships whole sets, as the paper does):
 //! senders open with a `Summary`; a receiver that cannot prove equality
 //! replies with its own digest; the sender answers with a `Delta` against
 //! that digest when its journal covers the gap, and degrades to `Full`

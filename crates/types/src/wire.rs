@@ -1,4 +1,4 @@
-//! The typed, positional codec — format **version 4** — and the frame
+//! The typed, positional codec — format **version 5** — and the frame
 //! around it: one format for what a server sends and what it persists.
 //!
 //! A **frame** is one value, length-prefixed:
@@ -71,10 +71,12 @@ use crate::{
 /// The format version, stated once at the start of every stream: in
 /// `awr_net`'s connection hello and in the header of each `awr_storage`
 /// file. Version 1 (a self-describing value tree), version 2 (whose
-/// `RAck`/`WAck` always carried a reference and ended in a `bool`) and
+/// `RAck`/`WAck` always carried a reference and ended in a `bool`),
 /// version 3 (a `u32` length and a version byte in front of every frame)
-/// are refused like any other foreign version.
-pub const WIRE_VERSION: u8 = 4;
+/// and version 4 (whose `read_changes` messages carried digests and
+/// change-set references, and a write-back miss under tag 6) are refused
+/// like any other foreign version.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on a frame's payload, in bytes. Generous for this
 /// workspace's values (a full change-set transfer is kilobytes) but small
@@ -185,7 +187,7 @@ impl Sink for Tally {
     }
 }
 
-/// A type with a version-4 layout.
+/// A type with a version-5 layout.
 ///
 /// `put` and `get` must mirror each other field for field; adding a
 /// message is one impl (or one arm of an enum's) plus one generator arm

@@ -58,11 +58,12 @@ fn metrics_account_for_each_message_kind() {
     let m = h.world.metrics();
     assert!(m.sent_of_kind("T") > 0);
     assert!(m.sent_of_kind("T_Ack") > 0);
-    assert_eq!(m.sent_of_kind("RC"), 7); // one per server
-    assert!(m.sent_of_kind("RC_Ack") >= 3);
-    // One initial WC per server; WC_Miss renegotiation may add resends.
-    assert!(m.sent_of_kind("WC") >= 7);
-    assert!(m.sent_of_kind("WC_Ack") >= 5); // n − f acks needed
+    // One of each read_changes kind per server: every server replies to
+    // the RC and acks the WC, though the reader waits for only f + 1 and
+    // n − f of them.
+    for kind in ["RC", "RC_Ack", "WC", "WC_Ack"] {
+        assert_eq!(m.sent_of_kind(kind), 7, "{kind}");
+    }
     assert!(m.messages_delivered <= m.messages_sent);
     assert!(m.summary().contains("delivered"));
     // Byte accounting covers every kind that was sent.
