@@ -4,7 +4,9 @@
 //! reproduces the violation, and that the *unmutated* protocol replays the
 //! same schedule clean. Two bugs no 3-server scenario can expose (see the
 //! section on mutations 6 and 7) are caught instead by the history checker
-//! on a pinned 7-server schedule that the unmutated protocol runs clean.
+//! on a pinned 7-server schedule that the unmutated protocol runs clean,
+//! and an eighth by Algorithm 6's accept check on a pinned 3-server
+//! schedule (see the section on mutation 8).
 //!
 //! Only meaningful with the seeded bugs compiled in:
 //! `cargo test -p awr_check --features mutate --test mutation_detect`.
@@ -18,9 +20,14 @@ use awr_check::{
 };
 use awr_core::RpConfig;
 use awr_sim::mutate::{with_mutation, Mutation};
-use awr_sim::{ActorId, PendingEvent, PendingKind, TargetedDelay, Time, UniformLatency, SECOND};
-use awr_storage::{check_linearizable, DynClient, DynOptions, DynServer, StorageHarness};
-use awr_types::{ObjectId, Ratio, ServerId, Tag};
+use awr_sim::{
+    Actor, ActorId, Context, PendingEvent, PendingKind, TargetedDelay, Time, UniformLatency, World,
+    SECOND,
+};
+use awr_storage::{
+    check_linearizable, DynClient, DynMsg, DynOptions, DynServer, Fanout, StorageHarness,
+};
+use awr_types::{ClientId, ObjectId, ProcessId, Ratio, ServerId, Tag};
 
 /// Runs the full detection pipeline under `mutation`: explore, assert the
 /// expected invariant fails, minimize, assert the minimized schedule still
@@ -622,5 +629,136 @@ fn skipped_gain_refresh_is_caught() {
         (None, false),
         "unrefreshed gainers serve bottom after a completed write, and \
          check_linearizable must flag it"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Mutation 8: a length-only summary sent without a proof.
+// ---------------------------------------------------------------------------
+//
+// A client names its `C` by its length alone only to a server that accepted
+// that very set: a server's set only grows, so it holds that set exactly
+// while its length is `C`'s. Two servers can hold different sets of one
+// length, though — each issuer of two concurrent transfers holds its own
+// change pair before either has spread. Named by length to such a server,
+// a client is accepted under a `C` that server does not hold, which
+// Algorithm 6's accept check (`C = C_i`) forbids.
+
+/// An actor that keeps every message it receives.
+struct Recorded<A> {
+    actor: A,
+    inbox: Vec<DynMsg<u64>>,
+}
+
+impl<A: Actor<Msg = DynMsg<u64>>> Actor for Recorded<A> {
+    type Msg = DynMsg<u64>;
+    fn on_message(&mut self, from: ActorId, msg: DynMsg<u64>, ctx: &mut Context<'_, DynMsg<u64>>) {
+        self.inbox.push(msg.clone());
+        self.actor.on_message(from, msg, ctx);
+    }
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, DynMsg<u64>>) {
+        self.actor.on_timer(tag, ctx);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+fn recorded<A>(actor: A) -> Recorded<A> {
+    Recorded {
+        actor,
+        inbox: Vec::new(),
+    }
+}
+
+/// Delivers the newest pending `kind` message from `from` to `to`.
+fn deliver(w: &mut World<DynMsg<u64>>, from: ActorId, to: ActorId, kind: &str) {
+    let seq = w
+        .pending_events()
+        .into_iter()
+        .filter(|e| {
+            matches!(e.kind, PendingKind::Deliver { from: f, to: t, kind: k, .. }
+            if f == from && t == to && k == kind)
+        })
+        .map(|e| e.seq)
+        .max()
+        .unwrap_or_else(|| panic!("no {kind} pending from {from:?} to {to:?}"));
+    assert!(w.step_seq(seq));
+}
+
+/// On uniform(3, 1), s0 and s2 each issue a transfer to s1, and no `⟨T⟩`
+/// is delivered: s0 holds I + A and s2 holds I + B, five changes each. A
+/// client reads: s0 rejects the read and the client learns A, and its
+/// restarted read reaches s2 while the two sets still differ. Returns the
+/// form of `C` in that `R` (`"length"` or `"summary"`) and whether s2
+/// accepted it.
+fn read_across_equal_length_sets() -> (&'static str, bool) {
+    type Server = Recorded<DynServer<u64>>;
+    type Client = Recorded<DynClient<u64>>;
+    let cfg = RpConfig::uniform(3, 1);
+    let options = DynOptions {
+        fanout: Fanout::All,
+        ..DynOptions::default()
+    };
+    let mut w = World::new(8, UniformLatency::new(1_000, 2_000));
+    for s in cfg.servers() {
+        w.add_actor(recorded(DynServer::<u64>::new(cfg.clone(), s, options)));
+    }
+    let pid = ProcessId::Client(ClientId(0));
+    let client = w.add_actor(recorded(DynClient::<u64>::new(pid, cfg, options)));
+    for (from, to) in [(0, 1), (2, 1)] {
+        w.with_actor_ctx(ActorId(from), |s: &mut Server, ctx| {
+            s.actor
+                .begin_transfer(ServerId(to), Ratio::new(1, 10), ctx)
+                .expect("the transfer starts");
+        })
+        .expect("a live server");
+    }
+    w.with_actor_ctx(client, |c: &mut Client, ctx| c.actor.begin_read(ctx))
+        .expect("a live client");
+    let (s0, s2) = (ActorId(0), ActorId(2));
+    deliver(&mut w, client, s0, "R");
+    deliver(&mut w, s0, client, "R_A");
+    // The newest `R` to s2 is the restarted read's.
+    deliver(&mut w, client, s2, "R");
+    let held = |a: ActorId| w.actor::<Server>(a).expect("a server").actor.changes();
+    let mine = &w
+        .actor::<Client>(client)
+        .expect("the client")
+        .actor
+        .driver
+        .changes;
+    assert_eq!(mine, held(s0), "the client learned A");
+    assert_eq!(mine.len(), held(s2).len());
+    assert_ne!(mine, held(s2), "s2 holds B, not A");
+    let sent = match w.actor::<Server>(s2).expect("a server").inbox.last() {
+        Some(DynMsg::R { changes, .. }) if changes.named_len().is_some() => "length",
+        Some(DynMsg::R { .. }) => "summary",
+        m => panic!("not an R: {m:?}"),
+    };
+    deliver(&mut w, s2, client, "R_A");
+    let accepted = match w.actor::<Client>(client).expect("the client").inbox.last() {
+        Some(DynMsg::RAck { accepted, .. }) => *accepted,
+        m => panic!("not an R_A: {m:?}"),
+    };
+    (sent, accepted)
+}
+
+#[test]
+fn unproven_length_ref_is_caught() {
+    assert_eq!(
+        read_across_equal_length_sets(),
+        ("summary", false),
+        "the client has no proof that s2 holds its new C: it sends the \
+         summary, and s2 rejects it"
+    );
+    assert_eq!(
+        with_mutation(Mutation::UnprovenLengthRef, read_across_equal_length_sets),
+        ("length", true),
+        "named by its length, C is accepted by a server that holds another \
+         set: Algorithm 6's accept check C = C_i fails"
     );
 }

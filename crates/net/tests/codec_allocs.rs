@@ -108,11 +108,23 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
         (2u64 << 40) | 41,
     );
     let (op, obj) = (1234, ObjectId(17));
-    let msgs: [DynMsg<u64>; 4] = [
+    let msgs: [DynMsg<u64>; 6] = [
         DynMsg::R {
             op,
             obj,
             changes: changes.clone(),
+        },
+        // Named by length alone, as to a server that accepted the set.
+        DynMsg::R {
+            op,
+            obj,
+            changes: CsRef::length_only(5),
+        },
+        DynMsg::W {
+            op,
+            obj,
+            reg,
+            changes: CsRef::length_only(300),
         },
         // An accept carries no reference.
         DynMsg::RAck {

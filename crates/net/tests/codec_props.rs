@@ -61,11 +61,13 @@ fn arb_small_set(seed: &mut u64) -> ChangeSet {
     arb_set(seed, len)
 }
 
-/// A change-set reference in one of its three forms, empty ones included.
+/// A change-set reference in one of its three forms, empty ones and the
+/// length-only summary (one and two length bytes) included.
 fn arb_cs_ref(seed: &mut u64) -> CsRef {
     let set = arb_small_set(seed);
-    match splitmix(seed) % 3 {
+    match splitmix(seed) % 4 {
         0 => CsRef::summary(&set),
+        3 => CsRef::length_only((splitmix(seed) % 300) as usize),
         1 => CsRef::Delta {
             base_digest: splitmix(seed),
             adds: set.iter().copied().collect(),
@@ -530,7 +532,7 @@ fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
     for payload in [
         vec![9],
         vec![0, 8],
-        vec![8, 3],
+        vec![8, 4],
         vec![5, 1, 2],
         vec![3, 1, 2, 1, 2, 0],
     ] {

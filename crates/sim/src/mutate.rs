@@ -8,7 +8,9 @@
 //! it at the mutated decision points, and `crates/check` asserts that every
 //! armed mutation is caught: five by the explorer on a 3-server scenario,
 //! two ([`Mutation::SkipRestartOnStale`], [`Mutation::SkipRefreshOnGain`])
-//! by the linearizability checker on a pinned 7-server schedule.
+//! by the linearizability checker on a pinned 7-server schedule, and one
+//! ([`Mutation::UnprovenLengthRef`]) by Algorithm 6's accept check on a
+//! pinned 3-server schedule.
 //!
 //! The switch is thread-local because each simulated [`crate::World`] runs
 //! on a single thread while `cargo test` runs many tests in parallel — a
@@ -64,6 +66,13 @@ pub enum Mutation {
     /// completed write. Caught by the linearizability checker on a pinned
     /// 7-server schedule.
     SkipRefreshOnGain,
+    /// Name the client's `C` by its length alone to every server, not only
+    /// to those proven to hold that very set: a server whose set differs
+    /// but has the same length — two issuers' concurrent transfers reach
+    /// servers in different orders — accepts an operation Algorithm 6
+    /// rejects. Caught by the accept check on a pinned schedule where two
+    /// servers hold different sets of one length.
+    UnprovenLengthRef,
 }
 
 thread_local! {

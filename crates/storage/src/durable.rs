@@ -751,9 +751,10 @@ mod tests {
         }
 
         // A header that names another version: version 4's, whose
-        // `read_changes` messages had another layout, and the next one.
+        // `read_changes` messages had another layout, version 5's, which
+        // had no length-only summary, and the next one.
         for (file, header) in [(WAL_FILE, WAL_HEADER), (SNAPSHOT_FILE, SNAPSHOT_HEADER)] {
-            for version in [4, WIRE_VERSION + 1] {
+            for version in [4, 5, WIRE_VERSION + 1] {
                 let mut foreign = header.to_vec();
                 foreign[4] = version;
                 let why = refusal("foreign", &[(file, foreign)]).expect("a foreign header opened");

@@ -86,13 +86,29 @@ pub struct DynOpDriver<V> {
     attempts: u32,
     /// Whom each attempt asks (see [`super::Fanout`]).
     select: QuorumSelector,
+    /// The digest of the `C` that [`DynOpDriver::holds`] speaks for: a
+    /// change of `C` voids every flag at once.
+    proof: u64,
+    /// The first operation number sent under that `C`: an accept of this
+    /// attempt or a later one is an accept of `C`.
+    proof_from: u64,
+    /// One flag per server: it is known to hold exactly the `C` that
+    /// digests to [`DynOpDriver::proof`], so `C`'s length alone names it
+    /// there (see [`CsRef::length_only`]). Set by an accept of an attempt
+    /// sent under `C`, cleared by any reject.
+    holds: Vec<bool>,
 }
 
 impl<V: Value> DynOpDriver<V> {
     /// Creates a driver whose initial `C` is the conventional initial set.
     fn new(id: ProcessId, cfg: RpConfig, options: DynOptions) -> Self {
+        let changes = ChangeSet::from_initial_weights(&cfg.initial_weights);
         DynOpDriver {
-            changes: ChangeSet::from_initial_weights(&cfg.initial_weights),
+            // Every server starts from the same initial set.
+            proof: changes.digest(),
+            proof_from: 0,
+            holds: vec![true; cfg.n],
+            changes,
             id,
             select: QuorumSelector::new(options.fanout, options.retry, &cfg),
             options,
@@ -127,6 +143,9 @@ impl<V: Value> DynOpDriver<V> {
         self.attempts.hash(&mut h);
         self.retry_timer.is_some().hash(&mut h);
         self.select.hash_into(&mut h);
+        for i in 0..self.n {
+            self.proven(i).hash(&mut h);
+        }
         match &self.op {
             None => 0u8.hash(&mut h),
             Some(f) => {
@@ -200,20 +219,26 @@ impl<V: Value> DynOpDriver<V> {
     /// value; a read discards the register it had chosen.
     fn attempt(&mut self, ctx: &mut Context<'_, DynMsg<V>>) {
         self.op_cnt += 1;
+        let digest = self.changes.digest();
+        if self.proof != digest {
+            self.proof = digest;
+            self.proof_from = self.op_cnt;
+            self.holds.fill(false);
+        }
         let f = self.op.as_mut().expect("an operation in flight");
         f.op = self.op_cnt;
         f.weight = Ratio::ZERO;
         f.stage = Stage::One;
         self.replies.fill(None);
         self.attempts = 0;
-        let r = self.request();
-        let targets = self.select.begin(ctx.now(), &self.changes);
-        if targets.is_empty() {
-            ctx.send_to_all((0..self.n).map(ActorId), r);
+        let fanout = self.select.begin(ctx.now(), &self.changes).len();
+        if fanout == 0 {
+            self.send_request(ctx, 0..self.n);
         } else {
             ctx.record_counter("phase1_targeted", 1);
-            ctx.record_sample("phase1_fanout", targets.len() as u64);
-            ctx.send_to_all(targets.iter().map(|s| ActorId(s.index())), r);
+            ctx.record_sample("phase1_fanout", fanout as u64);
+            let targets = self.select.asked().iter().map(|s| s.index());
+            self.send_request(ctx, targets);
         }
         self.arm_retry(ctx);
     }
@@ -283,7 +308,7 @@ impl<V: Value> DynOpDriver<V> {
             if widened {
                 ctx.record_counter("phase1_widened", 1);
             }
-            ctx.send_to_all((0..self.n).map(ActorId), self.request());
+            self.send_request(ctx, 0..self.n);
         }
         // Re-arm only while there is a rebroadcast left to spend: a timer
         // that could do nothing is still an event to every runtime (and a
@@ -305,13 +330,22 @@ impl<V: Value> DynOpDriver<V> {
         }
     }
 
+    /// Whether server `i` is known to hold exactly `C`: it accepted `C`
+    /// and has rejected nothing since. A server's set only grows, so while
+    /// its length is `C`'s it holds `C`.
+    fn proven(&self, i: usize) -> bool {
+        self.holds[i] && self.proof == self.changes.digest()
+    }
+
     /// The request of the phase in flight: `R`, or `W` with the chosen
-    /// register. The attached reference is an O(1) summary under
-    /// [`WireMode::Negotiate`] (the server only needs to *compare*), the
-    /// whole set under [`WireMode::ForceFull`].
-    fn request(&self) -> DynMsg<V> {
+    /// register. Under [`WireMode::Negotiate`] the attached reference is
+    /// O(1) — the server only needs to *compare* — and `named` picks its
+    /// form: `C`'s length alone for a server proven to hold `C`, its
+    /// summary otherwise. [`WireMode::ForceFull`] attaches the whole set.
+    fn request(&self, named: bool) -> DynMsg<V> {
         let f = self.op.as_ref().expect("an operation in flight");
         let changes = match self.options.wire {
+            WireMode::Negotiate if named => CsRef::length_only(self.changes.len()),
             WireMode::Negotiate => CsRef::summary(&self.changes),
             // Attaching `C` is a reference-count bump: the n messages of a
             // round share one copy-on-write storage.
@@ -332,10 +366,34 @@ impl<V: Value> DynOpDriver<V> {
         }
     }
 
+    /// Sends the request of the phase in flight to each server of `to`,
+    /// in order, with `C` named by its length to the servers proven to
+    /// hold it and by its summary to the rest; returns how many were
+    /// sent. Each of the two requests is built once.
+    fn send_request(
+        &self,
+        ctx: &mut Context<'_, DynMsg<V>>,
+        to: impl IntoIterator<Item = usize>,
+    ) -> u64 {
+        let mut requests: [Option<DynMsg<V>>; 2] = [None, None];
+        let mut sent = 0;
+        for i in to {
+            let named = self.proven(i);
+            #[cfg(feature = "mutate")]
+            // MUTATION: every server is named `C` by its length — one
+            // holding another set of that length accepts.
+            let named =
+                named || awr_sim::mutate::armed(awr_sim::mutate::Mutation::UnprovenLengthRef);
+            let msg = requests[usize::from(named)].get_or_insert_with(|| self.request(named));
+            ctx.send(ActorId(i), msg.clone());
+            sent += 1;
+        }
+        sent
+    }
+
     /// Sends phase 2's `W` to every server `to` keeps; returns how many.
     fn send_phase2(&self, ctx: &mut Context<'_, DynMsg<V>>, to: impl Fn(usize) -> bool) -> u64 {
-        let w = self.request();
-        ctx.broadcast_filter((0..self.n).map(ActorId), w, |a| to(a.index())) as u64
+        self.send_request(ctx, (0..self.n).filter(|&i| to(i)))
     }
 
     /// Ends the operation in flight with `kind`.
@@ -382,6 +440,10 @@ impl<V: Value> DynOpDriver<V> {
             } => (*op, *obj, changes, *accepted, None),
             _ => return,
         };
+        // Whatever it rejected, the server is not known to hold `C`; an
+        // accept of a request that carried `C` proves it held `C`, late
+        // or not.
+        self.holds[i] = accepted && (self.holds[i] || op >= self.proof_from);
         // A reply counts only toward the phase of the attempt it answers.
         let Some(f) = &self.op else { return };
         if (op, obj) != (f.op, f.obj) || reg.is_some() != matches!(f.stage, Stage::One) {
@@ -412,7 +474,7 @@ impl<V: Value> DynOpDriver<V> {
                 self.attempt(ctx);
             } else {
                 ctx.record_counter("repolled_behind", 1);
-                ctx.send(from, self.request());
+                self.send_request(ctx, [i]);
             }
             return;
         }

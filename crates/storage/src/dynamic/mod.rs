@@ -39,7 +39,17 @@
 //! [`CsRef`] references instead, per the discipline of [`awr_types::sync`]:
 //!
 //! 1. the client attaches an O(1) [`CsRef::Summary`] of its `C` to every
-//!    `R`/`W`; the server's accept check is the digest comparison;
+//!    `R`/`W`; the server's accept check is the digest comparison. To a
+//!    server known to hold exactly that `C` — it accepted a request that
+//!    carried it, and has rejected none since; at first every server, as
+//!    all start from the initial set — the summary is
+//!    [length-only](CsRef::length_only), 2–3 bytes instead of 10–11, and
+//!    the accept check is `|C| = |C_i|`. That is the same check: a
+//!    server's `C` only grows (its changes are persisted before any reply
+//!    leaves, and a restart recovers them from its own WAL), so it holds
+//!    at most one set of each length, the one it accepted. A change of
+//!    `C` voids the client's knowledge, and its next request to each
+//!    server carries the digest again;
 //! 2. an accepting server attaches no reference ([`CsRef::NONE`], which
 //!    the codec writes as nothing): the client reads none off an accept.
 //!    A rejecting server answers with [`CsRef::Delta`] against the
@@ -59,7 +69,10 @@
 //!    behind with no refresh in flight and the client re-polls just that
 //!    server — both exactly the pre-delta semantics;
 //! 4. each server keeps one record per client: the digest it presented
-//!    last and whether the reply cut a delta against it. One unresolved
+//!    last — for a length, the digest of the journal prefix of that
+//!    length, where the journal is the server's own history, and none
+//!    where it is not (the client then gets `Full`) — and whether the
+//!    reply cut a delta against it. One unresolved
 //!    delta (the client presents again the digest a delta was cut
 //!    against) degrades the next reply to `Full`, so every exchange is
 //!    bounded and liveness needs no new argument: a held request waits

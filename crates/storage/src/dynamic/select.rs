@@ -141,6 +141,12 @@ impl QuorumSelector {
     pub(crate) fn begin(&mut self, now: Time, c: &ChangeSet) -> &[ServerId] {
         self.phase1_sent = (self.fanout == Fanout::Quorum).then_some(now);
         self.targeted = self.retry_policy().is_some() && !self.targets(c).is_empty();
+        self.asked()
+    }
+
+    /// The servers [`QuorumSelector::begin`] named for the attempt in
+    /// flight: empty when it asks everyone.
+    pub(crate) fn asked(&self) -> &[ServerId] {
         if self.targeted {
             &self.targets
         } else {

@@ -63,8 +63,14 @@ pub struct DynServer<V> {
     persisted_digest: u64,
     /// What each client presented last (see [`DynServer::judge`]),
     /// indexed by [`ActorId`]: `None` for an actor that never sent an
-    /// `R`/`W` (every server, and clients not yet heard from).
+    /// `R`/`W` (every server, and clients not yet heard from) or whose
+    /// last length-only summary this server could not place.
     clients: Vec<Option<Presented>>,
+    /// The shortest journal prefix known to be a set this server held:
+    /// below it the journal's order is not this server's history (a
+    /// snapshot decodes in set order; a merge can adopt a peer's journal),
+    /// so a length-only summary of a shorter set is answered `Full`.
+    named_from: usize,
     /// Requests held until the refresh in flight lands (see
     /// [`DynServer::judge`]), at most one per client, in arrival order.
     /// Volatile, like a message in flight: a crash loses them.
@@ -91,6 +97,7 @@ impl<V: Value> DynServer<V> {
             storage: None,
             persisted_digest,
             clients: Vec::new(),
+            named_from: 0,
             held: Vec::new(),
             rejoin: false,
         }
@@ -133,6 +140,7 @@ impl<V: Value> DynServer<V> {
             storage.recover_state(ChangeSet::from_initial_weights(&cfg.initial_weights));
         let mut s = DynServer::with_storage(cfg.clone(), me, options, storage);
         s.persisted_digest = changes.digest();
+        s.named_from = changes.len();
         s.core = TransferCore::recover(cfg, me, changes);
         s.registers = registers;
         s.rejoin = true;
@@ -201,6 +209,7 @@ impl<V: Value> DynServer<V> {
     /// pre-seed converged steady states; not part of the protocol.
     pub fn seed_changes(&mut self, set: &ChangeSet) {
         self.core.absorb_changes(set);
+        self.named_from = self.core.changes().len();
     }
 
     /// Algorithm 6's accept check `C = C_i` for an `R` or a `W` from
@@ -208,6 +217,16 @@ impl<V: Value> DynServer<V> {
     /// materializing the client's set. Returns whether the operation is
     /// accepted and the reference to reply with, or `None` to hold it.
     ///
+    /// - A [length-only](CsRef::length_only) summary is accepted iff this
+    ///   server's `C` has that length. A client names a length only to a
+    ///   server that accepted its very set, and a server's `C` only grows
+    ///   (changes are persisted before any reply leaves, and a restart
+    ///   recovers from this server's own WAL), so it held one set of that
+    ///   length: the client's. Otherwise the client's set is the journal
+    ///   prefix of that length, and is judged as if its digest had been
+    ///   presented; a length this server cannot place — behind the
+    ///   compaction point or `named_from`, or past its own length — is
+    ///   answered `Full`, or held as below when it is past.
     /// - An accept carries [`CsRef::NONE`]: the client reads no reference
     ///   off an accept.
     /// - A reject carries what the client lacks: a delta against the
@@ -228,16 +247,31 @@ impl<V: Value> DynServer<V> {
     /// for every digest still in sight.
     fn judge(&mut self, from: ActorId, presented: &CsRef) -> Option<(bool, CsRef)> {
         let mine = self.core.changes();
-        let digest = presented.implied_digest();
-        let accepted = mine.matches_ref(presented);
+        let named = presented.named_len();
+        // The digest of the client's set, as far as this server can tell.
+        let (accepted, digest) = match named {
+            Some(len) => {
+                let placed = (len >= self.named_from)
+                    .then(|| mine.prefix_digest(len))
+                    .flatten();
+                (len == mine.len(), placed)
+            }
+            None => (
+                mine.matches_ref(presented),
+                Some(presented.implied_digest()),
+            ),
+        };
         let reply = if accepted {
             match self.options.wire {
                 WireMode::Negotiate => CsRef::NONE,
                 WireMode::ForceFull => CsRef::Full(mine.clone()),
             }
         } else {
-            let lacks = mine.delta_since(digest);
-            if lacks.is_none() && self.refresh.is_some() {
+            let lacks = digest.and_then(|d| mine.delta_since(d));
+            // A digest the journal cannot place is usually a client ahead;
+            // a length says whether it is.
+            let ahead = named.map_or(lacks.is_none(), |len| len > mine.len());
+            if ahead && self.refresh.is_some() {
                 return None;
             }
             let delta_failed = self
@@ -245,13 +279,13 @@ impl<V: Value> DynServer<V> {
                 .get(from.index())
                 .copied()
                 .flatten()
-                .is_some_and(|p| p.delta_cut && p.digest == digest);
+                .is_some_and(|p| p.delta_cut && Some(p.digest) == digest);
             match (self.options.wire, lacks) {
                 // An empty delta (equal digests, which should have been
                 // accepted) teaches a rejected client nothing: send content.
                 (WireMode::Negotiate, Some(adds)) if !delta_failed && !adds.is_empty() => {
                     CsRef::Delta {
-                        base_digest: digest,
+                        base_digest: digest.expect("a delta was cut against it"),
                         adds: adds.to_vec(),
                     }
                 }
@@ -262,7 +296,7 @@ impl<V: Value> DynServer<V> {
         if self.clients.len() <= from.index() {
             self.clients.resize(from.index() + 1, None);
         }
-        self.clients[from.index()] = Some(Presented { digest, delta_cut });
+        self.clients[from.index()] = digest.map(|digest| Presented { digest, delta_cut });
         Some((accepted, reply))
     }
 
@@ -746,7 +780,9 @@ impl<V: Value> Actor for DynServer<V> {
                 // One absorb per peer suffices: delta adds land even when
                 // the base digest has moved on (set union of facts), and a
                 // peer whose journal could not cover the gap sent `Full`.
-                self.core.absorb_ref(&changes);
+                if self.core.absorb_ref(&changes) {
+                    self.named_from = self.core.changes().len();
+                }
             }
             DynMsg::RAck { .. } | DynMsg::WAck { .. } => {
                 // Client-side replies; a server has no client driver.
@@ -784,6 +820,7 @@ impl<V: Value> Actor for DynServer<V> {
         }
         self.refreshes.hash(&mut h);
         self.persisted_digest.hash(&mut h);
+        self.named_from.hash(&mut h);
         for (a, p) in self.clients.iter().enumerate() {
             if let Some(p) = p {
                 (a, p).hash(&mut h);
@@ -854,6 +891,7 @@ mod tests {
     fn form(r: &CsRef) -> &'static str {
         match r {
             _ if *r == CsRef::NONE => "none",
+            _ if r.named_len().is_some() => "length",
             CsRef::Summary { .. } => "summary",
             CsRef::Delta { .. } => "delta",
             CsRef::Full(_) => "full",
@@ -1092,9 +1130,17 @@ mod tests {
         }
 
         fn read(&mut self, client: ActorId, op: u64, set: &ChangeSet) {
-            let changes = CsRef::summary(set);
+            self.ask(client, op, CsRef::summary(set));
+        }
+
+        fn ask(&mut self, client: ActorId, op: u64, changes: CsRef) {
             let obj = ObjectId::DEFAULT;
             self.deliver(client, DynMsg::R { op, obj, changes });
+        }
+
+        fn server_mut(&mut self) -> &mut DynServer<u64> {
+            let tap = self.w.actor_mut::<Tap>(SRV).expect("a tap");
+            tap.server.as_mut().expect("a server")
         }
 
         /// `(op, accepted, form)` of every reply `client` received.
@@ -1194,6 +1240,121 @@ mod tests {
         g.w.run_to_quiescence();
         assert_eq!(g.replies(CLIENTS[0]), [(2, true, "none")]);
         assert_eq!(g.w.metrics().counter("held_behind"), 2);
+    }
+
+    /// A length-only summary is accepted at the server's own length.
+    /// Shorter, it names the journal prefix of that length, answered with
+    /// the delta from there — or with `Full` below `named_from`, where the
+    /// journal is not this server's history; an unresolved delta degrades
+    /// to `Full` as for a digest. Longer, it is a client ahead: `Full`.
+    #[test]
+    fn a_length_names_the_journal_prefix_of_that_length() {
+        let mut g = gainer(false);
+        let (behind, ahead) = (g.behind.clone(), g.ahead.len());
+        let mid = g.server().changes().clone();
+        assert_eq!(g.server().named_from, mid.len(), "seeded");
+        for (op, len) in [mid.len(), behind.len(), ahead].into_iter().enumerate() {
+            g.ask(CLIENTS[0], op as u64, CsRef::length_only(len));
+            g.w.run_to_quiescence();
+        }
+        g.server_mut().named_from = 0;
+        for op in 3..5 {
+            g.ask(CLIENTS[0], op, CsRef::length_only(behind.len()));
+            g.w.run_to_quiescence();
+        }
+        assert_eq!(
+            g.replies(CLIENTS[0]),
+            [
+                (0, true, "none"),
+                (1, false, "full"),
+                (2, false, "full"),
+                (3, false, "delta"),
+                (4, false, "full"),
+            ]
+        );
+        // The delta is exactly what a client at the initial set lacks.
+        let delta = match &tapped(&g.w, CLIENTS[0]).inbox[3].1 {
+            DynMsg::RAck { changes, .. } => changes.clone(),
+            m => panic!("not an R_A: {m:?}"),
+        };
+        let mut client = behind;
+        assert_eq!(
+            client.apply_ref(&delta),
+            awr_types::ReconcileOutcome::InSync { added: 2 }
+        );
+        assert_eq!(client, mid);
+        assert_eq!(g.w.metrics().counter("held_behind"), 0);
+    }
+
+    /// While a refresh runs, a length past the server's own is held and
+    /// accepted once the gain lands; a shorter one is answered at once.
+    #[test]
+    fn a_length_past_a_refreshing_server_is_held() {
+        let mut g = gainer(true);
+        g.server_mut().named_from = 0;
+        let (behind, ahead) = (g.behind.len(), g.ahead.len());
+        g.ask(CLIENTS[0], 1, CsRef::length_only(ahead));
+        g.ask(CLIENTS[1], 1, CsRef::length_only(behind));
+        assert_eq!(g.server().held.len(), 1);
+        g.w.run_to_quiescence();
+        assert_eq!(g.replies(CLIENTS[0]), [(1, true, "none")]);
+        assert_eq!(g.replies(CLIENTS[1]), [(1, false, "delta")]);
+        assert_eq!(g.w.metrics().counter("held_behind"), 1);
+    }
+
+    /// A client names its `C` by length to every server at first, all
+    /// starting from the initial set. Once `C` changes it sends the summary
+    /// until a server has accepted the new `C`, the late acceptors of an
+    /// operation included, and the summary again to a server that
+    /// rejected.
+    #[test]
+    fn a_client_names_c_by_length_where_a_server_accepted_it() {
+        let cfg = RpConfig::uniform(3, 1);
+        let options = DynOptions {
+            fanout: super::super::Fanout::All,
+            ..DynOptions::default()
+        };
+        let mut w = World::new(4, UniformLatency::new(1_000, 2_000));
+        for i in 0..3 {
+            let server = DynServer::new(cfg.clone(), ServerId(i), options);
+            w.add_actor(tap(Some(server)));
+        }
+        let pid = ProcessId::Client(ClientId(0));
+        let client = w.add_actor(crate::DynClient::<u64>::new(pid, cfg, options));
+        let mut seen = [0; 3];
+        let mut read = |w: &mut World<Msg>| -> Vec<&'static str> {
+            w.with_actor_ctx(client, |c: &mut crate::DynClient<u64>, ctx| {
+                c.begin_read(ctx)
+            });
+            w.run_to_quiescence();
+            let mut forms = Vec::new();
+            for (i, seen) in seen.iter_mut().enumerate() {
+                let inbox = &tapped(w, ActorId(i)).inbox;
+                for (from, m) in &inbox[*seen..] {
+                    if let (true, DynMsg::R { changes, .. }) = (*from == client, m) {
+                        forms.push(form(changes));
+                    }
+                }
+                *seen = inbox.len();
+            }
+            forms.sort_unstable();
+            forms
+        };
+        let initial = ["length"; 3];
+        assert_eq!(read(&mut w), initial);
+        w.with_actor_ctx(ActorId(0), |t: &mut Tap, ctx| {
+            let s = t.server.as_mut().expect("a server");
+            s.begin_transfer(ServerId(1), Ratio::new(1, 10), ctx)
+                .expect("a transfer starts");
+        });
+        w.run_to_quiescence();
+        // Rejected at the initial length, the client learns the transfer
+        // and restarts with summaries; every server accepts them.
+        assert_eq!(
+            read(&mut w),
+            ["length", "length", "length", "summary", "summary", "summary"]
+        );
+        assert_eq!(read(&mut w), initial);
     }
 
     /// A held request is server state: the explorer must tell a server

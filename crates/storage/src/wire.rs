@@ -1,4 +1,4 @@
-//! The version-5 layouts of the storage protocol's messages (see
+//! The version-6 layouts of the storage protocol's messages (see
 //! [`awr_types::wire`] for the format): one [`Wire`] impl per type, the
 //! statement of its byte layout. The durable records' impls sit with
 //! their types in `durable.rs`.
@@ -209,11 +209,76 @@ mod tests {
     use awr_types::{Change, ClientId, ProcessId, Ratio, ServerId, Tag};
 
     /// The layout itself, byte for byte: a change here is a change of
-    /// `WIRE_VERSION`. An accept carries no reference; a reject carries
-    /// its catch-up after the flags byte; the frame is the payload's
-    /// length in one varint byte, then the payload.
+    /// `WIRE_VERSION`. An `R` or a `W` names the client's set by its
+    /// length alone (tag 3) or by its summary (tag 0: the digest, then the
+    /// length); an accept carries no reference; a reject carries its
+    /// catch-up after the flags byte; the frame is the payload's length in
+    /// one varint byte, then the payload.
     #[test]
-    fn the_version_5_layout_is_pinned() {
+    fn the_version_6_layout_is_pinned() {
+        let reg = TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9);
+        let frame = |msg: DynMsg<u64>| {
+            let mut bytes = Vec::new();
+            msg.put(&mut bytes);
+            assert_eq!(
+                encode_frame(&msg),
+                [&[bytes.len() as u8][..], &bytes].concat()
+            );
+            bytes
+        };
+        let read = |changes| DynMsg::R {
+            op: 300,
+            obj: ObjectId(2),
+            changes,
+        };
+        let head = [
+            0xAC, 0x02, // op 300
+            2,    // obj
+        ];
+        let named = [
+            (CsRef::length_only(5), &[3, 5][..]),
+            (CsRef::length_only(200), &[3, 0xC8, 0x01]),
+            (
+                CsRef::Summary {
+                    digest: 0x0102_0304_0506_0708,
+                    len: 5,
+                },
+                &[0, 8, 7, 6, 5, 4, 3, 2, 1, 5],
+            ),
+        ];
+        for (changes, tail) in named {
+            assert_eq!(
+                frame(read(changes.clone())),
+                [&[1][..], &head, tail].concat(),
+                "R {changes:?}"
+            );
+            let write = DynMsg::W {
+                op: 300,
+                obj: ObjectId(2),
+                reg,
+                changes: changes.clone(),
+            };
+            assert_eq!(
+                frame(write),
+                [&[3][..], &head, &[5, 1, 1, 1, 9], tail].concat(),
+                "W {changes:?}"
+            );
+        }
+        // A steady-state `R` of a five-server deployment: 6 bytes, where
+        // the summary made it 14.
+        let small = |changes| DynMsg::<u64>::R {
+            op: 7,
+            obj: ObjectId(2),
+            changes,
+        };
+        assert_eq!(encode_frame(&small(CsRef::length_only(5))).len(), 6);
+        let summary = CsRef::summary(&awr_types::ChangeSet::uniform_initial(5, Ratio::ONE));
+        assert_eq!(encode_frame(&small(summary)).len(), 14);
+    }
+
+    /// The acks' layout.
+    #[test]
+    fn the_version_6_ack_layout_is_pinned() {
         let reg = TaggedValue::new(Tag::new(5, ProcessId::Client(ClientId(1))), 9);
         let ack = |changes, accepted| {
             let msg: DynMsg<u64> = DynMsg::RAck {

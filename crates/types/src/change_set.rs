@@ -277,6 +277,13 @@ impl ChangeSet {
     }
 
     /// Number of changes.
+    ///
+    /// A set only grows, so a replica's `len` never falls and a replica
+    /// holds at most one set of each length: a length names a set to a
+    /// replica that once held one of that length. `awr_storage`'s
+    /// length-only summaries ([`crate::CsRef::length_only`]) rest on
+    /// this, so a representation that folds changes away must keep `len`
+    /// counting every change it folds.
     pub fn len(&self) -> usize {
         self.inner.changes.len()
     }
@@ -376,6 +383,23 @@ impl ChangeSet {
             i -= 1;
             d = d.wrapping_sub(mixes[i]);
         }
+    }
+
+    /// The digest of the first `len` changes this replica learned: the
+    /// set it held when it had `len` changes, as far as the journal's
+    /// order is the order it learned them in (a merge can adopt another
+    /// replica's journal, and a decoded set's journal is in set order).
+    /// `None` when `len` exceeds [`ChangeSet::len`] or lies behind the
+    /// compaction checkpoint. O(|C| − `len`).
+    pub fn prefix_digest(&self, len: usize) -> Option<u64> {
+        let dropped = self.len() - self.inner.journal.len();
+        let keep = len.checked_sub(dropped)?;
+        let suffix = self.inner.journal_mixes.get(keep..)?;
+        Some(
+            suffix
+                .iter()
+                .fold(self.inner.digest, |d, m| d.wrapping_sub(*m)),
+        )
     }
 
     /// Number of journal entries currently retained — equal to
@@ -882,6 +906,30 @@ mod tests {
         assert_eq!(c.delta_since(c.digest()).map(<[Change]>::len), Some(0));
         assert_caches_exact(&c);
         assert_eq!(c, full);
+    }
+
+    /// Every retained prefix digests to the set held at that length;
+    /// a length past the set or behind the checkpoint names nothing.
+    #[test]
+    fn prefix_digest_names_the_set_held_at_each_length() {
+        let mut c = ChangeSet::uniform_initial(3, Ratio::ONE);
+        let mut held = vec![(c.len(), c.digest())];
+        for lc in 2..8u64 {
+            c.insert(Change::new(s(lc as u32 % 3), lc, s(1), Ratio::new(1, 100)));
+            held.push((c.len(), c.digest()));
+        }
+        for &(len, digest) in &held {
+            assert_eq!(c.prefix_digest(len), Some(digest), "{len}");
+        }
+        assert_eq!(c.prefix_digest(0), Some(0));
+        assert_eq!(c.prefix_digest(c.len() + 1), None);
+        c.compact_journal(4);
+        let floor = c.len() - 4;
+        for &(len, digest) in &held {
+            let named = (len >= floor).then_some(digest);
+            assert_eq!(c.prefix_digest(len), named, "{len}");
+        }
+        assert_eq!(c.prefix_digest(0), None);
     }
 
     #[test]

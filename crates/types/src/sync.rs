@@ -8,6 +8,10 @@
 //!
 //! * [`CsRef::Summary`] — digest and cardinality only, O(1). Enough to
 //!   *test* equality (the only thing Algorithm 6's accept check needs).
+//!   With the digest elided ([`CsRef::length_only`]) it is the
+//!   cardinality alone, which names a set only to a replica known to
+//!   have held that very set: a replica's set only grows, so it holds at
+//!   most one set of each length.
 //! * [`CsRef::Delta`] — the changes a peer at a known digest is missing,
 //!   O(gap). Extracted from the append-order journal by
 //!   [`ChangeSet::delta_since`].
@@ -16,7 +20,8 @@
 //!
 //! The negotiation discipline (used by `awr-storage` only; the
 //! `read_changes` of Algorithms 3–4 ships whole sets, as the paper does):
-//! senders open with a `Summary`; a receiver that cannot prove equality
+//! senders open with a `Summary` — the length-only one to a receiver that
+//! accepted the sender's current set before; a receiver that cannot prove equality
 //! replies with its own digest; the sender answers with a `Delta` against
 //! that digest when its journal covers the gap, and degrades to `Full`
 //! after one failed delta. At most three exchanges separate any pair of
@@ -84,17 +89,39 @@ pub enum CsRef {
 }
 
 impl CsRef {
-    /// The reference that names no set: the summary of the empty set,
-    /// which no change set of a running deployment digests to. A reply
-    /// whose receiver reads no reference carries it, and the codec writes
-    /// nothing for it (`awr_storage`'s `RAck`/`WAck` flags byte).
-    pub const NONE: CsRef = CsRef::Summary { digest: 0, len: 0 };
+    /// The reference that names no set: the length-only summary of the
+    /// empty set, which no change set of a running deployment holds. A
+    /// reply whose receiver reads no reference carries it, and the codec
+    /// writes nothing for it (`awr_storage`'s `RAck`/`WAck` flags byte).
+    pub const NONE: CsRef = CsRef::length_only(0);
 
-    /// The O(1) reference: digest and cardinality of `set`.
+    /// The O(1) reference: digest and cardinality of `set`. A non-empty
+    /// set digests to 0 only by a ≈ 2⁻⁶⁴ collision, and such a summary
+    /// reads as the [length-only](CsRef::length_only) form.
     pub fn summary(set: &ChangeSet) -> CsRef {
         CsRef::Summary {
             digest: set.digest(),
             len: set.len(),
+        }
+    }
+
+    /// The length-only summary of a set of `len` changes: a
+    /// [`CsRef::Summary`] with the digest elided (zero), and on the wire
+    /// its own tag and the length. It names a set only to a replica known
+    /// to have held a set of `len` changes that equals the sender's —
+    /// since a replica's set only grows, that replica holds the sender's
+    /// set exactly while its own length is `len` (see
+    /// [`ChangeSet::len`]). To anyone else it names nothing.
+    pub const fn length_only(len: usize) -> CsRef {
+        CsRef::Summary { digest: 0, len }
+    }
+
+    /// The length a [`CsRef::length_only`] summary names; `None` for
+    /// every other reference.
+    pub fn named_len(&self) -> Option<usize> {
+        match self {
+            CsRef::Summary { digest: 0, len } => Some(*len),
+            _ => None,
         }
     }
 
@@ -118,7 +145,8 @@ impl CsRef {
     }
 
     /// The digest of the set this reference describes (for `Delta`, the
-    /// digest the receiver ends at after applying the adds on `base`).
+    /// digest the receiver ends at after applying the adds on `base`; 0,
+    /// no set's digest, for a length-only summary).
     pub fn implied_digest(&self) -> u64 {
         match self {
             CsRef::Summary { digest, .. } => *digest,
@@ -183,7 +211,9 @@ impl ChangeSet {
     /// now stand. This is the *receiver* half of the negotiation: see the
     /// [module docs](self) for the full exchange.
     ///
-    /// * `Summary` — pure comparison, never mutates.
+    /// * `Summary` — pure comparison, never mutates. A length-only one
+    ///   carries no digest to compare with, so it is never in sync
+    ///   (except as the empty set's).
     /// * `Delta` — applies cleanly when `base_digest` matches the local
     ///   digest ([`ReconcileOutcome::InSync`]); on a base mismatch the adds
     ///   are still inserted (grow-only sets make that always safe) but the
@@ -288,6 +318,26 @@ mod tests {
             }
         );
         assert!(!b.matches_ref(&CsRef::summary(&a)));
+    }
+
+    /// The length-only form: a summary with digest 0, named by its
+    /// length alone, matching no set by digest (the empty set's aside).
+    #[test]
+    fn a_length_only_summary_names_a_length_and_matches_no_set() {
+        let a = ChangeSet::uniform_initial(3, Ratio::ONE);
+        let named = CsRef::length_only(a.len());
+        assert_eq!(named, CsRef::Summary { digest: 0, len: 3 });
+        assert_eq!(named.named_len(), Some(3));
+        assert_eq!(CsRef::NONE.named_len(), Some(0));
+        assert_eq!(CsRef::summary(&a).named_len(), None);
+        assert_eq!(CsRef::Full(a.clone()).named_len(), None);
+        assert!(!a.matches_ref(&named));
+        let mut b = a.clone();
+        assert!(matches!(
+            b.apply_ref(&named),
+            ReconcileOutcome::Diverged { added: 0, .. }
+        ));
+        assert!(ChangeSet::new().matches_ref(&CsRef::NONE));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The typed, positional codec — format **version 5** — and the frame
+//! The typed, positional codec — format **version 6** — and the frame
 //! around it: one format for what a server sends and what it persists.
 //!
 //! A **frame** is one value, length-prefixed:
@@ -73,10 +73,11 @@ use crate::{
 /// file. Version 1 (a self-describing value tree), version 2 (whose
 /// `RAck`/`WAck` always carried a reference and ended in a `bool`),
 /// version 3 (a `u32` length and a version byte in front of every frame)
-/// and version 4 (whose `read_changes` messages carried digests and
-/// change-set references, and a write-back miss under tag 6) are refused
-/// like any other foreign version.
-pub const WIRE_VERSION: u8 = 5;
+/// version 4 (whose `read_changes` messages carried digests and
+/// change-set references, and a write-back miss under tag 6) and version
+/// 5 (which had no length-only [`CsRef`] summary) are refused like any
+/// other foreign version.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on a frame's payload, in bytes. Generous for this
 /// workspace's values (a full change-set transfer is kilobytes) but small
@@ -187,7 +188,7 @@ impl Sink for Tally {
     }
 }
 
-/// A type with a version-5 layout.
+/// A type with a version-6 layout.
 ///
 /// `put` and `get` must mirror each other field for field; adding a
 /// message is one impl (or one arm of an enum's) plus one generator arm
@@ -711,9 +712,17 @@ impl Wire for ChangeSet {
     }
 }
 
+/// A summary whose digest is 0 — the [length-only](CsRef::length_only)
+/// form — is its own tag and the length: 2–3 bytes for the sets of a
+/// running deployment, against 10–11 with the digest. Tag 0 with a zero
+/// digest is refused, so each value has one encoding.
 impl Wire for CsRef {
     fn put(&self, out: &mut impl Sink) {
         match self {
+            CsRef::Summary { digest: 0, len } => {
+                out.push(3);
+                len.put(out);
+            }
             CsRef::Summary { digest, len } => {
                 out.push(0);
                 put_digest(out, *digest);
@@ -733,15 +742,21 @@ impl Wire for CsRef {
 
     fn get(r: &mut Reader<'_>) -> Result<CsRef, FrameError> {
         match r.byte()? {
-            0 => Ok(CsRef::Summary {
-                digest: r.digest()?,
-                len: usize::get(r)?,
-            }),
+            0 => match r.digest()? {
+                0 => Err(FrameError::Codec(
+                    "a zero-digest summary not in its length-only form",
+                )),
+                digest => Ok(CsRef::Summary {
+                    digest,
+                    len: usize::get(r)?,
+                }),
+            },
             1 => Ok(CsRef::Delta {
                 base_digest: r.digest()?,
                 adds: get_vec(r, MIN_CHANGE)?,
             }),
             2 => Ok(CsRef::Full(ChangeSet::get(r)?)),
+            3 => Ok(CsRef::length_only(usize::get(r)?)),
             _ => Err(FrameError::Codec("unknown CsRef tag")),
         }
     }
@@ -870,6 +885,9 @@ mod tests {
             .collect();
         for changes in [
             CsRef::summary(&set),
+            CsRef::length_only(set.len()),
+            CsRef::length_only(300),
+            CsRef::NONE,
             CsRef::Delta {
                 base_digest: u64::MAX,
                 adds: vec![change],
@@ -883,6 +901,15 @@ mod tests {
         ] {
             assert_eq!(roundtrip(&changes).unwrap(), changes);
         }
+        let mut bytes = Vec::new();
+        CsRef::length_only(300).put(&mut bytes);
+        assert_eq!(bytes, [3, 0xAC, 0x02]);
+        // The same value under the digest-carrying tag is refused.
+        let mut zero = vec![0];
+        put_digest(&mut zero, 0);
+        zero.push(5);
+        assert!(codec_error(CsRef::get(&mut Reader::new(&zero))));
+
         let back = roundtrip(&set).unwrap();
         assert_eq!((back.digest(), back.len()), (set.digest(), set.len()));
 

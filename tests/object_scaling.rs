@@ -166,10 +166,10 @@ fn per_op_cost_is_flat_in_object_count() {
     assert_eq!(
         pinned,
         [
-            "15 122.77 0.0413 387 2 9546",
-            "105 124.09 0.0425 1580 2 7176",
-            "1005 126.99 0.0411 16810 2 5202",
-            "10005 127.75 0.0416 169830 2 4530",
+            "15 86.77 0.0413 387 2 6738",
+            "105 88.09 0.0425 1580 2 5112",
+            "1005 90.99 0.0411 16810 2 3714",
+            "10005 91.75 0.0416 169830 2 3234",
         ]
     );
     assert!(
@@ -229,12 +229,12 @@ fn fast_path_reads_beat_two_phase_across_key_skew() {
     assert_eq!(
         pinned,
         [
-            "0.0 FastPath 1.000 123.01 0.0278 0.0377 1118",
-            "0.0 TwoPhase 0.000 162.95 0.0553 0.0711 1432",
-            "1.0 FastPath 1.000 124.23 0.0278 0.0377 8204",
-            "1.0 TwoPhase 0.000 164.71 0.0553 0.0711 10574",
-            "1.4 FastPath 1.000 124.97 0.0278 0.0377 14138",
-            "1.4 TwoPhase 0.000 165.85 0.0553 0.0711 18422",
+            "0.0 FastPath 1.000 87.01 0.0278 0.0377 830",
+            "0.0 TwoPhase 0.000 114.95 0.0553 0.0711 1048",
+            "1.0 FastPath 1.000 88.23 0.0278 0.0377 5924",
+            "1.0 TwoPhase 0.000 116.71 0.0553 0.0711 7598",
+            "1.4 FastPath 1.000 88.97 0.0278 0.0377 10154",
+            "1.4 TwoPhase 0.000 117.85 0.0553 0.0711 13190",
         ]
     );
 }

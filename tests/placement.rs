@@ -352,54 +352,54 @@ const REPLAY_PINS: [ReplayPin; 2] = [
     ReplayPin {
         seed: 7,
         generated: 4_030,
-        events: 57_212,
-        sent: 53_161,
-        bytes: 822_198,
-        end_nanos: 29_707_372_250,
+        events: 57_216,
+        sent: 53_165,
+        bytes: 611_705,
+        end_nanos: 29_823_624_967,
         request_delay: LinkDelayStat {
             count: 341,
             queued: 0,
-            transmission: 38_167,
-            propagation: 20_393_285_933,
+            transmission: 20_085,
+            propagation: 20_441_916_751,
         },
         reply_delay: LinkDelayStat {
             count: 341,
             queued: 0,
-            transmission: 31_222,
-            propagation: 20_439_900_186,
+            transmission: 31_229,
+            propagation: 20_522_941_361,
         },
-        object3: (13_845, 900),
-        busiest: (9, 0, 6_199),
-        incident_bytes_s0: 166_253,
-        max_link_utilization: 0.0000020866874215035965,
-        max_uplink_utilization: 0.000025088755536094243,
+        object3: (10_245, 900),
+        busiest: (3, 18, 5_201),
+        incident_bytes_s0: 124_363,
+        max_link_utilization: 0.0000017439194617538728,
+        max_uplink_utilization: 0.00002498995346221891,
         repolled_behind: 0,
         held_behind: 115,
     },
     ReplayPin {
         seed: 1234,
         generated: 3_891,
-        events: 55_188,
-        sent: 51_276,
-        bytes: 794_297,
-        end_nanos: 30_618_453_135,
+        events: 55_186,
+        sent: 51_274,
+        bytes: 591_319,
+        end_nanos: 30_646_622_118,
         request_delay: LinkDelayStat {
             count: 305,
             queued: 0,
-            transmission: 33_997,
-            propagation: 18_332_468_387,
+            transmission: 17_844,
+            propagation: 18_318_815_461,
         },
         reply_delay: LinkDelayStat {
             count: 305,
             queued: 0,
             transmission: 27_900,
-            propagation: 18_266_306_781,
+            propagation: 18_290_041_581,
         },
-        object3: (10_398, 647),
-        busiest: (18, 0, 6_432),
-        incident_bytes_s0: 161_136,
-        max_link_utilization: 0.00000210069397419936,
-        max_uplink_utilization: 0.000023599526625792096,
+        object3: (7_886, 647),
+        busiest: (4, 18, 5_221),
+        incident_bytes_s0: 120_726,
+        max_link_utilization: 0.0000017036135270952081,
+        max_uplink_utilization: 0.000023579140213810888,
         repolled_behind: 0,
         held_behind: 110,
     },

@@ -25,18 +25,25 @@
 //!    `load` returns, on both backends, and a server recovered by folding
 //!    the stream holds the state the record-by-record replay of the
 //!    loaded WAL yields.
+//! 6. **Length names after a restart** — a server recovered from a
+//!    snapshot, whose journal decodes in set order rather than the order
+//!    it learned its changes in, accepts a length-only summary at exactly
+//!    its recovered length, and brings a client naming a shorter length
+//!    to equality within two exchanges.
 
 use std::collections::BTreeMap;
 
+use std::any::Any;
+
 use awr::core::{audit_transfers, RpConfig};
-use awr::sim::{Fault, FaultPlan, Time, UniformLatency};
+use awr::sim::{Actor, ActorId, Context, Fault, FaultPlan, Time, UniformLatency, World};
 use awr::storage::workload::{run_mixed_workload, WorkloadSpec};
 use awr::storage::{
     check_linearizable, check_linearizable_keyed, CheckpointCadence, DynMsg, DynOptions, DynServer,
     OpKind, RetryPolicy, Snapshot, StorageHandle, StorageHarness, WalRecord,
 };
 use awr::types::{
-    Change, ChangeSet, ClientId, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
+    Change, ChangeSet, ClientId, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, TaggedValue,
 };
 
 fn s(i: u32) -> ServerId {
@@ -509,4 +516,126 @@ fn folding_the_stream_recovers_the_state_the_loaded_wal_replays_to() {
         assert_eq!(server.registers(), &registers, "{name}");
     }
     let _ = std::fs::remove_dir_all(scratch_dir("fold"));
+}
+
+/// Stands in for a client: keeps the `R_A`s it receives.
+#[derive(Default)]
+struct Probe {
+    replies: Vec<(bool, CsRef)>,
+}
+
+impl Actor for Probe {
+    type Msg = DynMsg<u64>;
+    fn on_message(&mut self, _: ActorId, msg: DynMsg<u64>, _: &mut Context<'_, DynMsg<u64>>) {
+        if let DynMsg::RAck {
+            accepted, changes, ..
+        } = msg
+        {
+            self.replies.push((accepted, changes));
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Sends `R` with `changes` from the probe to server 0 and returns its
+/// answer.
+fn ask(w: &mut World<DynMsg<u64>>, probe: ActorId, changes: CsRef) -> (bool, CsRef) {
+    let obj = ObjectId::DEFAULT;
+    w.inject(
+        probe,
+        ActorId(0),
+        DynMsg::R {
+            op: 1,
+            obj,
+            changes,
+        },
+    );
+    w.run_to_quiescence();
+    let replies = &mut w.actor_mut::<Probe>(probe).expect("the probe").replies;
+    assert_eq!(replies.len(), 1, "one answer per request");
+    replies.pop().expect("an answer")
+}
+
+#[test]
+fn a_server_recovered_from_a_snapshot_accepts_only_its_own_length() {
+    let cfg = RpConfig::uniform(3, 1);
+    let options = DynOptions {
+        // A snapshot every two WAL records: every transfer below ends in
+        // one, so the recovered set is decoded from the snapshot alone.
+        // The journal keeps everything.
+        checkpoint: Some(CheckpointCadence::new(2, 16)),
+        ..DynOptions::default()
+    };
+    let dir = scratch_dir("named");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = StorageHandle::<u64>::file(&dir);
+    let mut w: World<DynMsg<u64>> = World::new(11, UniformLatency::new(1_000, 2_000));
+    w.add_actor(DynServer::with_storage(
+        cfg.clone(),
+        s(0),
+        options,
+        store.clone(),
+    ));
+    for i in 1..3 {
+        w.add_actor(DynServer::new(cfg.clone(), s(i), options));
+    }
+    let probe = w.add_actor(Probe::default());
+    let server = |w: &World<DynMsg<u64>>| -> ChangeSet {
+        w.actor::<DynServer<u64>>(ActorId(0))
+            .expect("server 0")
+            .changes()
+            .clone()
+    };
+    // Server 0 learns s2's transfer before s1's; in set order s1's
+    // changes come first. Record each set it held.
+    let mut held = vec![server(&w)];
+    for (from, to) in [(2, 1), (1, 0)] {
+        w.with_actor_ctx(ActorId(from), |srv: &mut DynServer<u64>, ctx| {
+            srv.begin_transfer(s(to), Ratio::new(1, 10), ctx)
+                .expect("the transfer starts");
+        })
+        .expect("a live server");
+        w.run_to_quiescence();
+        held.push(server(&w));
+    }
+    let lens: Vec<usize> = held.iter().map(ChangeSet::len).collect();
+    assert_eq!(lens, [3, 5, 7]);
+    let before = server(&w);
+    assert_eq!(before.prefix_digest(5), Some(held[1].digest()));
+
+    w.crash_now(ActorId(0));
+    let recovered = DynServer::<u64>::recover(cfg, s(0), options, store);
+    w.restart_now(ActorId(0), Box::new(recovered));
+    w.run_to_quiescence();
+    let after = server(&w);
+    assert_eq!(after, before);
+    assert_ne!(
+        after.prefix_digest(5),
+        Some(held[1].digest()),
+        "the snapshot decoded in the order the server learned its changes"
+    );
+
+    // Its own length is accepted; no other length is, the ones it held
+    // included.
+    for len in 0..10 {
+        let (accepted, _) = ask(&mut w, probe, CsRef::length_only(len));
+        assert_eq!(accepted, len == after.len(), "length {len}");
+    }
+    // A client that was accepted at 3 or 5 changes reaches equality in
+    // one exchange and is accepted in the second.
+    for set in &held[..2] {
+        let mut client = set.clone();
+        let (accepted, reply) = ask(&mut w, probe, CsRef::length_only(client.len()));
+        assert!(!accepted);
+        assert!(client.apply_ref(&reply).learned());
+        assert_eq!(client, after, "after one exchange");
+        let (accepted, _) = ask(&mut w, probe, CsRef::summary(&client));
+        assert!(accepted, "the second exchange");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -319,13 +319,13 @@ fn delta_wire_is_flat_in_c_where_the_full_wire_grows_linearly() {
     assert_eq!(
         pinned,
         [
-            "15 delta 110.3 14.0 10.0 2.240 3.499 0.0081",
+            "15 delta 74.9 6.3 10.0 2.233 3.489 0.0041",
             "15 full 1094.7 116.0 122.0 2.368 3.681 0.0572",
-            "105 delta 110.3 14.0 10.0 2.240 3.499 0.0081",
+            "105 delta 74.9 6.3 10.0 2.233 3.489 0.0041",
             "105 full 7727.9 837.0 843.0 3.238 5.084 0.2979",
-            "1005 delta 114.9 15.0 10.0 2.241 3.500 0.0086",
+            "1005 delta 79.5 7.3 10.0 2.234 3.490 0.0046",
             "1005 full 73977.1 8038.0 8044.0 13.804 19.642 0.6698",
-            "10005 delta 114.9 15.0 10.0 2.241 3.500 0.0086",
+            "10005 delta 79.5 7.3 10.0 2.234 3.490 0.0046",
             "10005 full 736386.3 80039.0 80045.0 122.706 181.644 0.7501",
         ]
     );
