@@ -434,8 +434,8 @@ pub fn ask_all() -> DynOptions {
 
 /// Quorum-targeted phases under a one-shot widen budget: every attempt
 /// arms one timer, whose firing — an explorer choice like any delivery —
-/// re-sends the phase in flight to all servers once and is not re-armed,
-/// which keeps the space finite; each suspicion it raises arms one lapse
+/// re-sends the phase in flight once, to every server whose answer is not
+/// in, and is not re-armed, which keeps the space finite; each suspicion it raises arms one lapse
 /// timer, a choice too. The delays are irrelevant to the explorer (it does
 /// not order by time); the deadline only has to be there, since a client
 /// with none asks everyone.
@@ -548,7 +548,7 @@ fn fastpath3_setup(rs: &mut RunState) {
             !matches!(
                 e.kind,
                 PendingKind::Deliver {
-                    kind: "R" | "R_A" | "W" | "W_A",
+                    kind: "R" | "RV" | "R_A" | "W" | "W_A",
                     ..
                 } | PendingKind::Timer { .. }
             )
@@ -666,21 +666,22 @@ mod tests {
         assert_eq!(m.counter("server_suspected"), 1);
         let pending = rs.harness.world.pending_events();
         let client = rs.harness.client_actor(0);
-        let asked: Vec<usize> = pending
+        let asked: Vec<(&str, usize)> = pending
             .iter()
             .filter_map(|e| match e.kind {
                 PendingKind::Deliver {
                     from,
                     to,
-                    kind: "R",
+                    kind: kind @ ("R" | "RV"),
                     ..
-                } if from == client => Some(to.index()),
+                } if from == client => Some((kind, to.index())),
                 _ => None,
             })
             .collect();
-        // Two stragglers of the write at s2, then the read's `R` to the
-        // quorum that avoids it, heaviest first.
-        assert_eq!(asked, [2, 2, 1, 0]);
+        // Two stragglers of the write at s2, then the read's phase 1 to the
+        // quorum that avoids it, heaviest first: the register from s1, the
+        // tag from s0.
+        assert_eq!(asked, [("R", 2), ("R", 2), ("RV", 1), ("R", 0)]);
         let timers = pending
             .iter()
             .filter(|e| matches!(e.kind, PendingKind::Timer { .. }))

@@ -5,8 +5,9 @@
 //! same schedule clean. Two bugs no 3-server scenario can expose (see the
 //! section on mutations 6 and 7) are caught instead by the history checker
 //! on a pinned 7-server schedule that the unmutated protocol runs clean,
-//! and an eighth by Algorithm 6's accept check on a pinned 3-server
-//! schedule (see the section on mutation 8).
+//! an eighth by Algorithm 6's accept check on a pinned 3-server schedule
+//! (see the section on mutation 8), and a ninth by the history checker on
+//! a pinned 3-server schedule (see the section on mutation 9).
 //!
 //! Only meaningful with the seeded bugs compiled in:
 //! `cargo test -p awr_check --features mutate --test mutation_detect`.
@@ -218,7 +219,7 @@ fn refresh_setup(rs: &mut RunState) {
     let quorum = move |e: &PendingEvent| match e.kind {
         PendingKind::Deliver { to, kind, .. } => {
             (to == ActorId(0) || to == ActorId(2) || to == client)
-                && matches!(kind, "R" | "R_A" | "W" | "W_A")
+                && matches!(kind, "R" | "RV" | "R_A" | "W" | "W_A")
         }
         _ => false,
     };
@@ -397,7 +398,7 @@ fn fastpath_inversion_setup_quorum(rs: &mut RunState) {
     run_until(
         rs,
         |e| {
-            matches!(e.kind, PendingKind::Deliver { from, to, kind: "R" | "R_A", .. }
+            matches!(e.kind, PendingKind::Deliver { from, to, kind: "R" | "RV" | "R_A", .. }
             if from == reader || to == reader)
         },
         |rs| {
@@ -421,7 +422,19 @@ fn disarm_fastpath_weight_check_is_caught_under_quorum_fanout() {
         &scenario,
         Mutation::DisarmFastPathWeightCheck,
         "read-atomicity",
-        |e| e.run(),
+        // Twice the shared budget: a targeted read asks its first target
+        // for the register and the other for its tag, and a widened read
+        // counts registers only, which grows the states the search visits
+        // before the counterexample from 427 577 to 634 219.
+        |e| {
+            Explorer {
+                scenario: e.scenario.clone(),
+                invariants: default_invariants(),
+                max_depth: None,
+                max_states: Some(1_000_000),
+            }
+            .run()
+        },
     );
     assert!(report.detail.contains("linearizable"), "{}", report.detail);
 }
@@ -693,8 +706,8 @@ fn deliver(w: &mut World<DynMsg<u64>>, from: ActorId, to: ActorId, kind: &str) {
 /// is delivered: s0 holds I + A and s2 holds I + B, five changes each. A
 /// client reads: s0 rejects the read and the client learns A, and its
 /// restarted read reaches s2 while the two sets still differ. Returns the
-/// form of `C` in that `R` (`"length"` or `"summary"`) and whether s2
-/// accepted it.
+/// form of `C` in that read's `RV` (`"length"` or `"summary"`) and whether
+/// s2 accepted it.
 fn read_across_equal_length_sets() -> (&'static str, bool) {
     type Server = Recorded<DynServer<u64>>;
     type Client = Recorded<DynClient<u64>>;
@@ -720,10 +733,11 @@ fn read_across_equal_length_sets() -> (&'static str, bool) {
     w.with_actor_ctx(client, |c: &mut Client, ctx| c.actor.begin_read(ctx))
         .expect("a live client");
     let (s0, s2) = (ActorId(0), ActorId(2));
-    deliver(&mut w, client, s0, "R");
+    // A read that asks everyone asks each server for the register.
+    deliver(&mut w, client, s0, "RV");
     deliver(&mut w, s0, client, "R_A");
-    // The newest `R` to s2 is the restarted read's.
-    deliver(&mut w, client, s2, "R");
+    // The newest `RV` to s2 is the restarted read's.
+    deliver(&mut w, client, s2, "RV");
     let held = |a: ActorId| w.actor::<Server>(a).expect("a server").actor.changes();
     let mine = &w
         .actor::<Client>(client)
@@ -735,9 +749,9 @@ fn read_across_equal_length_sets() -> (&'static str, bool) {
     assert_eq!(mine.len(), held(s2).len());
     assert_ne!(mine, held(s2), "s2 holds B, not A");
     let sent = match w.actor::<Server>(s2).expect("a server").inbox.last() {
-        Some(DynMsg::R { changes, .. }) if changes.named_len().is_some() => "length",
-        Some(DynMsg::R { .. }) => "summary",
-        m => panic!("not an R: {m:?}"),
+        Some(DynMsg::RV { changes, .. }) if changes.named_len().is_some() => "length",
+        Some(DynMsg::RV { .. }) => "summary",
+        m => panic!("not an RV: {m:?}"),
     };
     deliver(&mut w, s2, client, "R_A");
     let accepted = match w.actor::<Client>(client).expect("the client").inbox.last() {
@@ -760,5 +774,61 @@ fn unproven_length_ref_is_caught() {
         ("length", true),
         "named by its length, C is accepted by a server that holds another \
          set: Algorithm 6's accept check C = C_i fails"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Mutation 9: a read settling for its `RV` target's register.
+// ---------------------------------------------------------------------------
+//
+// A targeted read asks its first target for the register and the rest for
+// tags. When a tag-only reply names a newer tag than the register it was
+// sent, the value of that tag is elsewhere, and the read must ask for it:
+// the register it holds may be older than a completed write.
+
+/// On uniform(3, 1) the writer cannot reach s0, so its first write — sent
+/// to everyone — completes on {s1, s2} with s0 still at bottom. The reader,
+/// with one read behind it, then asks {s0, s1}: s0, the first target, for
+/// the register, and s1 for its tag. Returns the second read's value,
+/// whether the history is linearizable, and how often the read asked for a
+/// value again.
+fn read_past_a_behind_value_target() -> (Option<u64>, bool, u64) {
+    let writer = ActorId(4); // client 1
+    let d = TargetedDelay::new(
+        UniformLatency::new(1_000, 10_000),
+        move |f, t| f == writer && t == ActorId(0),
+        HOLD,
+    );
+    let mut h: StorageHarness<u64> =
+        StorageHarness::build(RpConfig::uniform(3, 1), 2, 44, d, DynOptions::default());
+    assert_eq!(h.read(0).unwrap().0, None);
+    h.write(1, 1).unwrap();
+    let (v, _) = h.read(0).unwrap();
+    let m = h.world.metrics();
+    assert_eq!(
+        m.counter("phase1_targeted"),
+        1,
+        "the second read is targeted"
+    );
+    (
+        v,
+        check_linearizable(&h.history()).is_ok(),
+        m.counter("read_value_reasked"),
+    )
+}
+
+#[test]
+fn stale_value_target_is_caught() {
+    assert_eq!(
+        read_past_a_behind_value_target(),
+        (Some(1), true, 1),
+        "s1's tag names the write: the read asks s1 for its value once, and \
+         returns it"
+    );
+    assert_eq!(
+        with_mutation(Mutation::StaleValueTarget, read_past_a_behind_value_target),
+        (None, false, 0),
+        "settling for s0's register reads bottom after a completed write, and \
+         check_linearizable must flag it"
     );
 }

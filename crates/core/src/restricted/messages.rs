@@ -8,7 +8,8 @@
 //! Validity-II rests on.
 //!
 //! The byte layout of each message is its [`Wire`] impl below, in the
-//! version-5 format of [`awr_types::wire`].
+//! format of [`awr_types::wire`], version
+//! [`WIRE_VERSION`](awr_types::wire::WIRE_VERSION).
 
 use std::hash::{Hash, Hasher};
 

@@ -10,8 +10,8 @@
 //!    the byte accounting**: the per-kind message counts metered by each
 //!    process's `NodeHost` must equal, exactly, the counts a same-seed
 //!    simulator run charges for the same workload, and so must the bytes
-//!    of `R` and `W_A`, whose frames the workload alone fixes (`R_A` and
-//!    `W` carry registers whose tags and values depend on the
+//!    of `R`, `RV` and `W_A`, whose frames the workload alone fixes
+//!    (`R_A` and `W` carry registers whose tags and values depend on the
 //!    interleaving, so their bytes may differ by a varint here and
 //!    there). Asking every server, and writing back on every read, makes
 //!    the counts a function of the workload alone; under the default
@@ -20,10 +20,10 @@
 //!    write-backs depends on which `R_A` arrived first — both timing;
 //! 2. under the default options (both phases sent to a quorum by weight,
 //!    fast-path reads), where every operation must complete and the
-//!    validation burst must put strictly fewer `R` frames and strictly
-//!    fewer `W` frames on the wire than pass 1 did. The `W` saving counts
-//!    both the quorum-targeted phase 2 and the fast path's skipped
-//!    write-backs.
+//!    validation burst must put strictly fewer phase-1 frames (`R` and
+//!    `RV` together) and strictly fewer `W` frames on the wire than pass
+//!    1 did. The `W` saving counts both the quorum-targeted phase 2 and
+//!    the fast path's skipped write-backs.
 //!
 //! In each pass a weight transfer is then invoked on a live server,
 //! propagated through the mesh (RB envelopes, refresh, client restarts —
@@ -68,19 +68,20 @@ use awr_storage::{
 use awr_types::wire::{get_map, get_vec, put_map, put_seq};
 use awr_types::{ClientId, ObjectId, ProcessId, Ratio, ServerId};
 
-/// The request kinds a quorum-targeted client must send fewer of.
-const TARGETED_KINDS: [&str; 2] = ["R", "W"];
+/// The requests a quorum-targeted client must send fewer of: phase 1,
+/// as tag queries and register reads together, and phase 2.
+const TARGETED_KINDS: [&[&str]; 2] = [&["R", "RV"], &["W"]];
 
 /// Value type carried by the replicated registers in this demo.
 type V = u64;
 
-/// The four steady-state ABD kinds whose message counts are validated
+/// The five steady-state ABD kinds whose message counts are validated
 /// exactly against the simulator.
-const VALIDATED_KINDS: [&str; 4] = ["R", "R_A", "W", "W_A"];
+const VALIDATED_KINDS: [&str; 5] = ["R", "RV", "R_A", "W", "W_A"];
 
 /// The validated kinds whose bytes must equal the simulator's too: their
 /// frames carry no register, so the workload alone fixes them.
-const BYTE_EXACT_KINDS: [&str; 2] = ["R", "W_A"];
+const BYTE_EXACT_KINDS: [&str; 3] = ["R", "RV", "W_A"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -780,7 +781,7 @@ fn validate_bytes(mesh: &mut Mesh, p: &Params, clients: &[Report]) -> Result<(),
     if !ok {
         return Err("byte accounting diverged from the simulator".into());
     }
-    println!("  counts match the simulator exactly, and the bytes of R and W_A do");
+    println!("  counts match the simulator exactly, and the bytes of R, RV and W_A do");
     println!();
     Ok(())
 }
@@ -834,7 +835,10 @@ fn run_pass(p: &Params, gate_bytes: bool) -> Result<[u64; TARGETED_KINDS.len()],
         tcp_ops,
         started.elapsed().as_secs_f64()
     );
-    let frames = TARGETED_KINDS.map(|kind| reports.iter().map(|r| r.sent.msgs_of(kind)).sum());
+    let frames = TARGETED_KINDS.map(|kinds| {
+        let sent = |r: &Report| kinds.iter().map(|k| r.sent.msgs_of(k)).sum::<u64>();
+        reports.iter().map(sent).sum()
+    });
     if gate_bytes {
         validate_bytes(&mut mesh, p, &reports)?;
     }
@@ -907,13 +911,14 @@ fn parent_main(mut p: Params) -> i32 {
         }
     }
     println!();
-    for (k, kind) in TARGETED_KINDS.into_iter().enumerate() {
+    for (k, kinds) in TARGETED_KINDS.into_iter().enumerate() {
+        let kind = kinds.join("` + `");
         let (all, quorum) = (frames[0][k], frames[1][k]);
         println!(
             "tcp_demo: `{kind}` frames of the validation burst: {all} asking everyone, {quorum} asking a quorum"
         );
         if quorum >= all {
-            eprintln!("tcp_demo: the targeted pass did not send fewer {kind} frames");
+            eprintln!("tcp_demo: the targeted pass did not send fewer `{kind}` frames");
             return 1;
         }
     }

@@ -159,15 +159,15 @@ mod tests {
     }
 
     /// A frame carries no version: a peer's is refused at the hello,
-    /// version-3, version-4 and version-5 peers' included, before any
-    /// frame of its stream is read.
+    /// version-3 to version-6 peers' included, before any frame of its
+    /// stream is read.
     #[test]
     fn wrong_version_is_rejected() {
         let mut stream = Vec::new();
         write_hello(&mut stream, ActorId(3)).unwrap();
         stream.extend_from_slice(&encode_frame(&7u64));
         assert_eq!(stream[HELLO_LEN..], [1, 7]);
-        for foreign in [1, 3, 4, 5, WIRE_VERSION + 1] {
+        for foreign in [1, 3, 4, 5, 6, WIRE_VERSION + 1] {
             stream[4] = foreign;
             assert!(matches!(
                 read_hello(&mut &stream[..]),

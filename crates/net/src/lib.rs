@@ -15,7 +15,7 @@
 //!   varint, one byte for any steady-state message, then the typed
 //!   payload) and the 13-byte hello that opens a connection and states
 //!   the wire version once for it. The codec is `awr_types::wire` (format
-//!   version 5, re-exported here): the [`Wire`] trait, its impls —
+//!   [`WIRE_VERSION`], re-exported here): the [`Wire`] trait, its impls —
 //!   positional fields, varints, fixed-width digests, one tag byte per
 //!   enum — and the frame encoder/decoder with its length and truncation
 //!   checks, encoding into and decoding out of

@@ -108,7 +108,7 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
         (2u64 << 40) | 41,
     );
     let (op, obj) = (1234, ObjectId(17));
-    let msgs: [DynMsg<u64>; 6] = [
+    let msgs: [DynMsg<u64>; 8] = [
         DynMsg::R {
             op,
             obj,
@@ -116,6 +116,12 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
         },
         // Named by length alone, as to a server that accepted the set.
         DynMsg::R {
+            op,
+            obj,
+            changes: CsRef::length_only(5),
+        },
+        // A read's request for the whole register.
+        DynMsg::RV {
             op,
             obj,
             changes: CsRef::length_only(5),
@@ -131,6 +137,17 @@ fn steady_state_frames_encode_and_decode_without_allocating() {
             op,
             obj,
             reg,
+            changes: CsRef::NONE,
+            accepted: true,
+        },
+        // The answer to a tag query: no value either.
+        DynMsg::RAck {
+            op,
+            obj,
+            reg: TaggedValue {
+                tag: reg.tag,
+                value: None,
+            },
             changes: CsRef::NONE,
             accepted: true,
         },

@@ -102,7 +102,7 @@ fn arb_pair(seed: &mut u64) -> TransferChanges {
 
 /// Number of arms in [`arb_msg`]: every `DynMsg` variant, and every
 /// `WrMsg` variant inside `DynMsg::Wr`. A new message adds one arm.
-const MSG_ARMS: u64 = 16;
+const MSG_ARMS: u64 = 17;
 
 fn arb_msg(arm: u64, seed: &mut u64) -> Msg {
     let op = splitmix(seed) >> (splitmix(seed) % 64);
@@ -178,10 +178,15 @@ fn arb_msg(arm: u64, seed: &mut u64) -> Msg {
             changes: arb_small_set(seed),
         }),
         14 => DynMsg::Wr(WrMsg::WcAck { op }),
-        _ => DynMsg::Wr(WrMsg::Invoke {
+        15 => DynMsg::Wr(WrMsg::Invoke {
             to: target,
             delta: arb_change(seed).delta,
         }),
+        _ => DynMsg::RV {
+            op,
+            obj,
+            changes: arb_cs_ref(seed),
+        },
     }
 }
 
@@ -276,9 +281,10 @@ proptest! {
         }
     }
 
-    /// An `RAck` or `WAck` round-trips under all four combinations of its
-    /// flags byte — accepted or not, with a reference or
-    /// [`CsRef::NONE`] — and its metered size is its frame.
+    /// An `RAck` or `WAck` round-trips under every combination of its
+    /// flags byte — accepted or not, with a reference or [`CsRef::NONE`],
+    /// and for an `RAck` with its register's value or without (the
+    /// answer to a tag query) — and its metered size is its frame.
     #[test]
     fn every_ack_flag_combination_roundtrips(seed in 0u64..u64::MAX) {
         let mut s = seed;
@@ -286,13 +292,24 @@ proptest! {
         let some_ref = std::iter::repeat_with(|| arb_cs_ref(&mut s))
             .find(|r| *r != CsRef::NONE)
             .expect("a reference");
+        let tag = std::iter::repeat_with(|| arb_reg(&mut s).tag)
+            .find(|t| *t != Tag::bottom())
+            .expect("a written tag");
+        let regs = [TaggedValue::new(tag, seed), TaggedValue { tag, value: None }];
         for accepted in [false, true] {
             for changes in [CsRef::NONE, some_ref.clone()] {
-                let acks: [Msg; 2] = [
+                let acks: [Msg; 3] = [
                     DynMsg::RAck {
                         op: seed,
                         obj: ObjectId(1),
-                        reg: arb_reg(&mut s),
+                        reg: regs[0],
+                        changes: changes.clone(),
+                        accepted,
+                    },
+                    DynMsg::RAck {
+                        op: seed,
+                        obj: ObjectId(1),
+                        reg: regs[1],
                         changes: changes.clone(),
                         accepted,
                     },
@@ -511,12 +528,20 @@ fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
         b
     };
     // WAck { op: 1, obj: 2 }, then its flags byte: bit 0 accepted, bit 1
-    // a reference follows. Any other bit is refused.
+    // a reference follows. Any other bit is refused, bit 2 included.
     let w_ack = |flags: u8, tail: &[u8]| framed(&[&[4, 1, 2, flags][..], tail].concat());
     assert!(accepted(&w_ack(1, &[])));
     assert!(accepted(&w_ack(3, &summary)));
     assert!(refused(&w_ack(4, &[])));
     assert!(refused(&w_ack(4 | 3, &summary)));
+    // RAck { op: 1, obj: 2, tag ⟨5, c1⟩ }, then its flags byte: bit 2 says
+    // the register's value follows, before any reference. Bit 3 and up
+    // are refused.
+    let r_ack = |flags: u8, tail: &[u8]| framed(&[&[2, 1, 2, 5, 1, 1, flags][..], tail].concat());
+    assert!(accepted(&r_ack(1, &[])));
+    assert!(accepted(&r_ack(4 | 1, &[9])));
+    assert!(accepted(&r_ack(4 | 2, &[&[9][..], &summary].concat())));
+    assert!(refused(&r_ack(8 | 1, &[])));
     // RefreshAck { op: 1, regs: {}, need_tags: <byte> }.
     let refresh_ack = |need_tags: u8| framed(&[6, 1, 0, need_tags]);
     assert!(accepted(&refresh_ack(1)));
@@ -530,7 +555,7 @@ fn unknown_tags_bad_bools_and_table_sized_ids_are_codec_errors() {
         Err(FrameError::Codec("unknown WrMsg tag"))
     ));
     for payload in [
-        vec![9],
+        vec![10],
         vec![0, 8],
         vec![8, 4],
         vec![5, 1, 2],

@@ -694,13 +694,14 @@ where
         .collect();
 
     // The first operation has no phase-1 sample: it asks everyone, as the
-    // paper does. The second asks the smallest quorum by weight, {s0, s1}.
+    // paper does. The second asks the smallest quorum by weight, {s0, s1}:
+    // s0 for the register, s1 for its tag.
     let w = run_op(&mut host, Some(7));
     let r = run_op(&mut host, None);
     assert_eq!(r.kind, OpKind::Read(Some(7)));
     let m = host.metrics();
     assert_eq!(m.counter("phase1_targeted"), 1);
-    assert_eq!(m.sent_of_kind("R"), 3 + 2);
+    assert_eq!((m.sent_of_kind("R"), m.sent_of_kind("RV")), (3 + 1, 1));
     assert_eq!(m.msgs_on_link(me, ActorId(2)), 1 + 1, "one R, one W");
     // Operation records carry the host's clock: real, and ordered.
     assert!(w.invoke.0 > 0, "invoke stamped {:?}", w.invoke);
@@ -779,7 +780,7 @@ where
     assert_eq!(r.kind, OpKind::Read(Some(expect)));
     let since = host.metrics().since(&m);
     assert_eq!(since.counter("phase1_targeted"), 1);
-    assert_eq!(since.sent_of_kind("R"), 2);
+    assert_eq!((since.sent_of_kind("R"), since.sent_of_kind("RV")), (1, 1));
     run_op(&mut host, Some(9));
     assert_eq!(run_op(&mut host, None).kind, OpKind::Read(Some(9)));
     let since = host.metrics().since(&m);
@@ -788,7 +789,8 @@ where
         0
     );
     assert_eq!(since.counter("phase2_targeted"), 1);
-    assert_eq!((since.sent_of_kind("R"), since.sent_of_kind("W")), (6, 2));
+    let asked = ["R", "RV", "W"].map(|k| since.sent_of_kind(k));
+    assert_eq!(asked, [4, 2, 2]);
     assert_eq!(
         since.msgs_on_link(me, ActorId(1)),
         0,

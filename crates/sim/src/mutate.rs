@@ -8,9 +8,10 @@
 //! it at the mutated decision points, and `crates/check` asserts that every
 //! armed mutation is caught: five by the explorer on a 3-server scenario,
 //! two ([`Mutation::SkipRestartOnStale`], [`Mutation::SkipRefreshOnGain`])
-//! by the linearizability checker on a pinned 7-server schedule, and one
-//! ([`Mutation::UnprovenLengthRef`]) by Algorithm 6's accept check on a
-//! pinned 3-server schedule.
+//! by the linearizability checker on a pinned 7-server schedule, one
+//! ([`Mutation::StaleValueTarget`]) by the linearizability checker on a
+//! pinned 3-server schedule, and one ([`Mutation::UnprovenLengthRef`]) by
+//! Algorithm 6's accept check on a pinned 3-server schedule.
 //!
 //! The switch is thread-local because each simulated [`crate::World`] runs
 //! on a single thread while `cargo test` runs many tests in parallel — a
@@ -73,6 +74,13 @@ pub enum Mutation {
     /// rejects. Caught by the accept check on a pinned schedule where two
     /// servers hold different sets of one length.
     UnprovenLengthRef,
+    /// Complete a read with the newest register a server sent whole — the
+    /// `RV` target's — when the replies at the max tag answered tag
+    /// queries only, instead of asking a max-tag replier for its value: a
+    /// read can return a value older than a write that completed before
+    /// it began. Caught by the linearizability checker on a pinned
+    /// 3-server schedule where the `RV` target missed a completed write.
+    StaleValueTarget,
 }
 
 thread_local! {

@@ -752,9 +752,10 @@ mod tests {
 
         // A header that names another version: version 4's, whose
         // `read_changes` messages had another layout, version 5's, which
-        // had no length-only summary, and the next one.
+        // had no length-only summary, version 6's, whose phase-1 reply
+        // always carried the register's value, and the next one.
         for (file, header) in [(WAL_FILE, WAL_HEADER), (SNAPSHOT_FILE, SNAPSHOT_HEADER)] {
-            for version in [4, 5, WIRE_VERSION + 1] {
+            for version in [4, 5, 6, WIRE_VERSION + 1] {
                 let mut foreign = header.to_vec();
                 foreign[4] = version;
                 let why = refusal("foreign", &[(file, foreign)]).expect("a foreign header opened");

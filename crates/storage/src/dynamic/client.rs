@@ -72,8 +72,15 @@ pub struct DynOpDriver<V> {
     /// Phase-1 replies of the operation in flight, one slot per server
     /// (index = [`ServerId`]). The slots live on the driver and are
     /// cleared when an attempt begins, so an operation allocates nothing
-    /// for them; meaningful only in [`Stage::One`].
+    /// for them; meaningful only in [`Stage::One`]. A slot holds the
+    /// newest register its server answered with, its value elided (`None`
+    /// above the bottom tag) when only tag queries were answered.
     replies: Vec<Option<TaggedValue<V>>>,
+    /// One flag per server: this attempt's phase 1 asks it for the whole
+    /// register (`RV`) rather than the tag alone (`R`). Set before a
+    /// request is sent, and never cleared within the attempt, so a re-poll
+    /// repeats the request the server was sent.
+    valued: Vec<bool>,
     /// Phase-2 acks, one flag per server: the fresh phase-1 repliers plus
     /// every `WAck` since. Meaningful only in [`Stage::Two`].
     acks: Vec<bool>,
@@ -115,6 +122,7 @@ impl<V: Value> DynOpDriver<V> {
             op_cnt: 0,
             op: None,
             replies: vec![None; cfg.n],
+            valued: vec![false; cfg.n],
             acks: vec![false; cfg.n],
             completed: Vec::new(),
             retry_timer: None,
@@ -165,6 +173,7 @@ impl<V: Value> DynOpDriver<V> {
                                 (ServerId(i as u32), reg).hash(&mut h);
                             }
                         }
+                        self.valued.hash(&mut h);
                     }
                     Stage::Two { chosen } => {
                         chosen.hash(&mut h);
@@ -212,11 +221,19 @@ impl<V: Value> DynOpDriver<V> {
 
     /// Starts a fresh attempt of the operation in flight — at invocation
     /// and at every restart (Algorithm 5 lines 14–16 / 30–32): a new
-    /// operation number, phase 1 from scratch with `R` sent to whom the
-    /// selector names (everyone if it names nobody), and the rebroadcast
-    /// timer armed, which stays armed through the attempt's phase 2. A
-    /// write restarted from phase 2 re-runs phase 1 with its original
-    /// value; a read discards the register it had chosen.
+    /// operation number, phase 1 from scratch sent to whom the selector
+    /// names (everyone if it names nobody), and the rebroadcast timer
+    /// armed, which stays armed through the attempt's phase 2. A write
+    /// restarted from phase 2 re-runs phase 1 with its original value; a
+    /// read discards the register it had chosen.
+    ///
+    /// Phase 1 asks for values only where they are used. A write reads
+    /// only the max tag: it sends every server the tag query `R`. A read
+    /// returns one max-tag register: a targeted read asks its first target
+    /// for the register (`RV`) and the rest for tags — the greedy quorum is
+    /// minimal, so that reply is in before the quorum is — and a read that
+    /// asks everyone asks everyone for the register, so its liveness is
+    /// the paper's. Under [`WireMode::ForceFull`] every request is `RV`.
     fn attempt(&mut self, ctx: &mut Context<'_, DynMsg<V>>) {
         self.op_cnt += 1;
         let digest = self.changes.digest();
@@ -231,13 +248,19 @@ impl<V: Value> DynOpDriver<V> {
         f.stage = Stage::One;
         self.replies.fill(None);
         self.attempts = 0;
+        let read = f.write_value.is_none();
+        let paper = self.options.wire == WireMode::ForceFull;
         let fanout = self.select.begin(ctx.now(), &self.changes).len();
         if fanout == 0 {
+            self.valued.fill(read || paper);
             self.send_request(ctx, 0..self.n);
         } else {
             ctx.record_counter("phase1_targeted", 1);
             ctx.record_sample("phase1_fanout", fanout as u64);
-            let targets = self.select.asked().iter().map(|s| s.index());
+            let asked = self.select.asked();
+            self.valued.fill(paper);
+            self.valued[asked[0].index()] |= read;
+            let targets = asked.iter().map(|s| s.index());
             self.send_request(ctx, targets);
         }
         self.arm_retry(ctx);
@@ -308,7 +331,22 @@ impl<V: Value> DynOpDriver<V> {
             if widened {
                 ctx.record_counter("phase1_widened", 1);
             }
-            self.send_request(ctx, 0..self.n);
+            // Same op number, to every server whose reply is not in yet. A
+            // read stops counting tag-only replies here: it asks everyone
+            // it re-sends to for the register, so that, as in the paper,
+            // any quorum of live servers completes it — none waits on the
+            // value of one server that answered with a tag.
+            let f = self.op.as_mut().expect("an operation in flight");
+            let read = f.write_value.is_none();
+            for (i, r) in self.replies.iter_mut().enumerate() {
+                if read && r.as_ref().is_some_and(|r| !holds_value(r)) {
+                    *r = None;
+                    f.weight -= self.changes.server_weight(ServerId(i as u32));
+                }
+                self.valued[i] |= read && r.is_none();
+            }
+            let replies = &self.replies;
+            self.send_request(ctx, (0..self.n).filter(|&i| replies[i].is_none()));
         }
         // Re-arm only while there is a rebroadcast left to spend: a timer
         // that could do nothing is still an event to every runtime (and a
@@ -337,12 +375,13 @@ impl<V: Value> DynOpDriver<V> {
         self.holds[i] && self.proof == self.changes.digest()
     }
 
-    /// The request of the phase in flight: `R`, or `W` with the chosen
-    /// register. Under [`WireMode::Negotiate`] the attached reference is
-    /// O(1) — the server only needs to *compare* — and `named` picks its
-    /// form: `C`'s length alone for a server proven to hold `C`, its
-    /// summary otherwise. [`WireMode::ForceFull`] attaches the whole set.
-    fn request(&self, named: bool) -> DynMsg<V> {
+    /// The request of the phase in flight: `R` (or `RV` where `valued`),
+    /// or `W` with the chosen register. Under [`WireMode::Negotiate`] the
+    /// attached reference is O(1) — the server only needs to *compare* —
+    /// and `named` picks its form: `C`'s length alone for a server proven
+    /// to hold `C`, its summary otherwise. [`WireMode::ForceFull`]
+    /// attaches the whole set.
+    fn request(&self, named: bool, valued: bool) -> DynMsg<V> {
         let f = self.op.as_ref().expect("an operation in flight");
         let changes = match self.options.wire {
             WireMode::Negotiate if named => CsRef::length_only(self.changes.len()),
@@ -352,6 +391,11 @@ impl<V: Value> DynOpDriver<V> {
             WireMode::ForceFull => CsRef::Full(self.changes.clone()),
         };
         match &f.stage {
+            Stage::One if valued => DynMsg::RV {
+                op: f.op,
+                obj: f.obj,
+                changes,
+            },
             Stage::One => DynMsg::R {
                 op: f.op,
                 obj: f.obj,
@@ -368,14 +412,19 @@ impl<V: Value> DynOpDriver<V> {
 
     /// Sends the request of the phase in flight to each server of `to`,
     /// in order, with `C` named by its length to the servers proven to
-    /// hold it and by its summary to the rest; returns how many were
-    /// sent. Each of the two requests is built once.
+    /// hold it and by its summary to the rest, and in phase 1 as `RV` to
+    /// the servers [`DynOpDriver::valued`] marks; returns how many were
+    /// sent. Each form of the request is built once.
     fn send_request(
         &self,
         ctx: &mut Context<'_, DynMsg<V>>,
         to: impl IntoIterator<Item = usize>,
     ) -> u64 {
-        let mut requests: [Option<DynMsg<V>>; 2] = [None, None];
+        let mut requests: [Option<DynMsg<V>>; 4] = [None, None, None, None];
+        let phase1 = self
+            .op
+            .as_ref()
+            .is_some_and(|f| matches!(f.stage, Stage::One));
         let mut sent = 0;
         for i in to {
             let named = self.proven(i);
@@ -384,7 +433,9 @@ impl<V: Value> DynOpDriver<V> {
             // holding another set of that length accepts.
             let named =
                 named || awr_sim::mutate::armed(awr_sim::mutate::Mutation::UnprovenLengthRef);
-            let msg = requests[usize::from(named)].get_or_insert_with(|| self.request(named));
+            let valued = phase1 && self.valued[i];
+            let form = usize::from(named) + 2 * usize::from(valued);
+            let msg = requests[form].get_or_insert_with(|| self.request(named, valued));
             ctx.send(ActorId(i), msg.clone());
             sent += 1;
         }
@@ -485,27 +536,83 @@ impl<V: Value> DynOpDriver<V> {
     }
 
     /// Counts server `i`'s accepted `RAck`; on a quorum, completes a read
-    /// on the fast path or moves to phase 2.
+    /// on the fast path or moves to phase 2. A read needs, besides, one
+    /// counted reply at the max tag that carries its value; when only tag
+    /// queries were answered at that tag, the max-tag repliers are asked
+    /// for the register under the same operation number, and phase 1 goes
+    /// on when the first answers.
     fn phase1_reply(&mut self, i: usize, reg: &TaggedValue<V>, ctx: &mut Context<'_, DynMsg<V>>) {
         let f = self.op.as_mut().expect("an operation in flight");
-        if self.replies[i].replace(reg.clone()).is_none() {
-            // First reply from this server: O(1) accumulator update
-            // (re-polled servers replace their register but count their
-            // weight once).
-            f.weight += self.changes.server_weight(ServerId(i as u32));
+        let read = f.write_value.is_none();
+        if read && !holds_value(reg) && !self.select.targeted() {
+            // An answer to a tag query of the attempt before its widen:
+            // once widened, a read counts registers only (see `on_timer`).
+            return;
+        }
+        match &mut self.replies[i] {
+            // First reply from this server: O(1) accumulator update.
+            slot @ None => {
+                *slot = Some(reg.clone());
+                f.weight += self.changes.server_weight(ServerId(i as u32));
+            }
+            // A server answering again (a re-poll, a rebroadcast, a value
+            // re-ask) counts its weight once, and keeps the newest register
+            // it answered with — its value, at an equal tag.
+            Some(old) => {
+                if reg.tag > old.tag || (reg.tag == old.tag && old.value.is_none()) {
+                    *old = reg.clone();
+                }
+            }
         }
         if f.weight <= self.threshold {
             return;
         }
-        let fast_path = f.write_value.is_none() && self.options.read == ReadMode::FastPath;
+        let fast_path = read && self.options.read == ReadMode::FastPath;
         self.select.on_quorum(ctx.now());
-        let maxreg = self
+        // The max-tag reply: one that holds its value, where one does.
+        let best = self
             .replies
             .iter()
             .flatten()
-            .max_by_key(|r| r.tag)
-            .expect("nonempty")
-            .clone();
+            .reduce(|a, b| {
+                let valued = holds_value(b) && !holds_value(a);
+                if b.tag > a.tag || (b.tag == a.tag && valued) {
+                    b
+                } else {
+                    a
+                }
+            })
+            .expect("nonempty");
+        let max = best.tag;
+        #[allow(unused_mut)]
+        let mut maxreg = (!read || holds_value(best)).then_some(best);
+        #[cfg(feature = "mutate")]
+        if maxreg.is_none() && awr_sim::mutate::armed(awr_sim::mutate::Mutation::StaleValueTarget) {
+            // MUTATION: the read settles for the newest register it was
+            // sent — the `RV` target's — though a tag query named a newer
+            // tag.
+            maxreg = self
+                .replies
+                .iter()
+                .flatten()
+                .filter(|r| holds_value(r))
+                .max_by_key(|r| r.tag);
+        }
+        let Some(maxreg) = maxreg.cloned() else {
+            let to: Vec<usize> = (0..self.n)
+                .filter(|&j| {
+                    !self.valued[j] && self.replies[j].as_ref().is_some_and(|r| r.tag == max)
+                })
+                .collect();
+            if !to.is_empty() {
+                ctx.record_counter("read_value_reasked", 1);
+                for &j in &to {
+                    self.valued[j] = true;
+                }
+                self.send_request(ctx, to);
+            }
+            return;
+        };
         // The weighted fast path: the repliers already storing the max
         // tag, and their cumulative weight under the same frozen `C` the
         // phase accumulated against. Every counted replier *accepted*
@@ -605,6 +712,12 @@ impl<V: Value> DynOpDriver<V> {
     }
 }
 
+/// Whether a phase-1 reply holds its register's value: it answered an
+/// `RV`, or it is the bottom register, whose value is ⊥ either way.
+fn holds_value<V>(r: &TaggedValue<V>) -> bool {
+    r.value.is_some() || r.tag == Tag::bottom()
+}
+
 /// A dynamic-weighted storage client.
 #[derive(Debug)]
 pub struct DynClient<V> {
@@ -692,5 +805,182 @@ impl<V: Value> Actor for DynClient<V> {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+/// Whom phase 1 asks for the register's value (`RV`) and whom for its tag
+/// alone (`R`): one test per rule of [`DynOpDriver::attempt`], the re-ask
+/// of [`DynOpDriver::phase1_reply`] and the widen of `on_timer`.
+#[cfg(test)]
+mod tests {
+    use awr_core::RpConfig;
+    use awr_sim::{Metrics, TargetedDelay, Time, TraceKind, UniformLatency, World, SECOND};
+    use awr_types::{ClientId, ProcessId, ServerId};
+
+    use super::*;
+    use crate::dynamic::{DynServer, Fanout};
+    use crate::harness::StorageHarness;
+
+    /// Three uniform servers and one default-option client that has a
+    /// write behind it, so that its next attempt is targeted at {s0, s1}.
+    fn warmed() -> StorageHarness<u64> {
+        let mut h = StorageHarness::build(
+            RpConfig::uniform(3, 1),
+            1,
+            11,
+            UniformLatency::new(1_000, 20_000),
+            DynOptions::default(),
+        );
+        h.write(0, 7).unwrap();
+        h
+    }
+
+    /// `(R, RV)` sent since `before`.
+    fn asked(h: &StorageHarness<u64>, before: &Metrics) -> (u64, u64) {
+        let m = h.world.metrics().since(before);
+        (m.sent_of_kind("R"), m.sent_of_kind("RV"))
+    }
+
+    #[test]
+    fn a_write_asks_for_tags_only() {
+        let mut h = warmed();
+        // The warm-up write asked everyone, for tags.
+        assert_eq!(asked(&h, &Metrics::default()), (3, 0));
+        let before = h.world.metrics().clone();
+        h.write(0, 8).unwrap();
+        assert_eq!(asked(&h, &before), (2, 0));
+        assert_eq!(h.world.metrics().counter("phase1_targeted"), 1);
+    }
+
+    #[test]
+    fn a_targeted_read_asks_its_first_target_for_the_register() {
+        let mut h = warmed();
+        h.world.enable_trace(1 << 10);
+        assert_eq!(h.read(0).unwrap().0, Some(7));
+        let client = h.client_actor(0);
+        let trace = h.world.trace().expect("tracing");
+        let mut asked: Vec<(&str, usize)> = trace
+            .records()
+            .filter_map(|r| match r.kind {
+                TraceKind::Deliver {
+                    from,
+                    to,
+                    kind: kind @ ("R" | "RV"),
+                    ..
+                } if from == client => Some((kind, to.index())),
+                _ => None,
+            })
+            .collect();
+        asked.sort_unstable();
+        // The quorum is {s0, s1}, heaviest first with ties by id.
+        assert_eq!(asked, [("R", 1), ("RV", 0)]);
+    }
+
+    #[test]
+    fn a_read_that_asks_everyone_asks_everyone_for_the_register() {
+        // A client's first attempt has no deadline to widen on.
+        let mut h = StorageHarness::<u64>::build(
+            RpConfig::uniform(3, 1),
+            1,
+            11,
+            UniformLatency::new(1_000, 20_000),
+            DynOptions::default(),
+        );
+        assert_eq!(h.read(0).unwrap().0, None);
+        assert_eq!(asked(&h, &Metrics::default()), (0, 3));
+        // The paper's fanout, on every attempt; and under `ForceFull` the
+        // paper's messages, writes included.
+        for (fanout, wire, rv) in [
+            (Fanout::All, WireMode::Negotiate, (3, 3 + 3)),
+            (Fanout::Quorum, WireMode::ForceFull, (0, 3 + 2 + 2)),
+        ] {
+            let options = DynOptions {
+                fanout,
+                wire,
+                ..DynOptions::default()
+            };
+            let cfg = RpConfig::uniform(3, 1);
+            let lat = UniformLatency::new(1_000, 20_000);
+            let mut h = StorageHarness::<u64>::build(cfg, 1, 11, lat, options);
+            h.write(0, 7).unwrap();
+            h.read(0).unwrap();
+            h.read(0).unwrap();
+            assert_eq!(asked(&h, &Metrics::default()), rv, "{fanout:?} {wire:?}");
+        }
+    }
+
+    #[test]
+    fn a_widened_read_asks_every_server_without_a_register_for_it() {
+        let mut h = warmed();
+        let before = h.world.metrics().clone();
+        // s1, asked for its tag, dies with the request unread; s0 answers
+        // with the register. The widen asks s1 and s2 for theirs.
+        h.begin_async(0, None);
+        h.crash_server(ServerId(1));
+        let client = h.client_actor(0);
+        h.world
+            .run_until(|w| !w.actor::<DynClient<u64>>(client).unwrap().driver.is_busy());
+        assert_eq!(h.history().ops.last().unwrap().kind, OpKind::Read(Some(7)));
+        let m = h.world.metrics().since(&before);
+        assert_eq!(m.counter("phase1_widened"), 1);
+        assert_eq!(asked(&h, &before), (1, 1 + 2));
+    }
+
+    /// The writer cannot reach s0, so its write completes on {s1, s2}
+    /// with s0 at bottom; the reader's targeted read then asks s0 for the
+    /// register and s1 for its tag.
+    fn behind_value_target() -> StorageHarness<u64> {
+        let writer = ActorId(4);
+        let d = TargetedDelay::new(
+            UniformLatency::new(1_000, 10_000),
+            move |f, t| f == writer && t == ActorId(0),
+            Time(600 * SECOND),
+        );
+        let mut h = StorageHarness::build(RpConfig::uniform(3, 1), 2, 44, d, DynOptions::default());
+        assert_eq!(h.read(0).unwrap().0, None);
+        h.write(1, 1).unwrap();
+        h
+    }
+
+    #[test]
+    fn a_behind_value_target_costs_one_re_ask_of_the_max_tag() {
+        let mut h = behind_value_target();
+        let before = h.world.metrics().clone();
+        assert_eq!(h.read(0).unwrap().0, Some(1));
+        let m = h.world.metrics().since(&before);
+        assert_eq!(m.counter("read_value_reasked"), 1);
+        // The tag query to s1, the register from s0, then s1's register.
+        assert_eq!(asked(&h, &before), (1, 2));
+        let s1 = h.server_actor(ServerId(1));
+        assert_eq!(m.msgs_on_link(h.client_actor(0), s1), 2);
+        // The max tag's one replier is no quorum: s0 is written back.
+        assert_eq!(m.counter("read_fastpath_miss"), 1);
+    }
+
+    /// A driver's digest tells apart whom its phase 1 asked for values.
+    #[test]
+    fn whom_a_read_asked_for_values_is_in_the_state_digest() {
+        let cfg = RpConfig::uniform(3, 1);
+        let reading = || {
+            let mut w = World::new(1, UniformLatency::new(1_000, 2_000));
+            for s in cfg.servers() {
+                w.add_actor(DynServer::<u64>::new(cfg.clone(), s, DynOptions::default()));
+            }
+            let id = ProcessId::Client(ClientId(0));
+            let c = w.add_actor(DynClient::<u64>::new(
+                id,
+                cfg.clone(),
+                DynOptions::default(),
+            ));
+            w.with_actor_ctx(c, |c: &mut DynClient<u64>, ctx| c.begin_read(ctx));
+            (w, c)
+        };
+        let digest =
+            |w: &World<DynMsg<u64>>, c| w.actor::<DynClient<u64>>(c).unwrap().state_digest();
+        let (mut w, c) = reading();
+        let (twin, _) = reading();
+        assert_eq!(digest(&w, c), digest(&twin, c));
+        w.actor_mut::<DynClient<u64>>(c).unwrap().driver.valued[1] = false;
+        assert_ne!(digest(&w, c), digest(&twin, c));
     }
 }

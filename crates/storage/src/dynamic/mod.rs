@@ -20,6 +20,13 @@
 //!   `n` servers, and widened to everyone on a measured deadline — the one
 //!   deviation from Algorithm 5's message pattern, see [`Fanout`]
 //!   ([`Fanout::All`] is the paper-literal oracle);
+//! * phase 1 asks for the register's value only where the client uses it:
+//!   `R` is a tag query, answered with the register's tag alone, and `RV`
+//!   the paper's ⟨R⟩. A write asks for tags; a read asks one server for
+//!   the register and the rest of its quorum for tags, and re-asks a
+//!   max-tag replier when the server it asked was behind (see
+//!   [`DynOpDriver`]'s phase 1). Every phase still completes on the same
+//!   accepting servers under the same `C`;
 //! * when a server gains weight it refreshes its register *before*
 //!   applying the change (Algorithm 4 lines 8–9) so that newly possible
 //!   quorums always contain the latest value (Lemma 4). The refresh is a
@@ -79,10 +86,11 @@
 //!    only for the refresh, a count read that every `n − f` servers
 //!    answer unconditionally.
 //!
-//! [`WireMode::ForceFull`] restores the ship-everything wire on these four
-//! ABD phases (`R`/`RAck`/`W`/`WAck`) — the accept check becomes the exact
-//! set comparison again and every payload, an accept's included, is
-//! [`CsRef::Full`]; a server holds under the same digest test — which makes
+//! [`WireMode::ForceFull`] restores the ship-everything wire on the ABD
+//! messages (`R`/`RV`/`RAck`/`W`/`WAck`) — the accept check becomes the
+//! exact set comparison again and every payload, an accept's included, is
+//! [`CsRef::Full`]; every phase 1 asks for the whole register (`RV`); a
+//! server holds under the same digest test — which makes
 //! it the equivalence baseline of the `wire_equivalence` test suite and
 //! the "before" arm of its |C| sweep. The knob deliberately does not reach
 //! the embedded Algorithm 3/4 legs (`RC`/`RC_Ack`/`WC`): those negotiate
@@ -93,8 +101,8 @@
 //!
 //! This file holds the messages and the options; `client.rs` the
 //! Algorithm 5 phase machine ([`DynOpDriver`], hosted by [`DynClient`]);
-//! `server.rs` Algorithm 6 ([`DynServer`]: one judgement for `R` and `W`,
-//! one record per client); and `select.rs` whom a client asks — the
+//! `server.rs` Algorithm 6 ([`DynServer`]: one judgement for `R`, `RV`
+//! and `W`, one record per client); and `select.rs` whom a client asks — the
 //! [`Fanout::Quorum`] policy, which the phase machine follows without a
 //! fanout branch of its own. Messages digest for the model checker by
 //! their derived `Hash`, change sets by digest and cardinality.
@@ -124,11 +132,24 @@ pub use server::DynServer;
 pub enum DynMsg<V> {
     /// Weight-reassignment traffic (Algorithms 3–4).
     Wr(WrMsg),
-    /// Phase-1 request referencing the client's `C`.
+    /// Phase-1 *tag query* referencing the client's `C`: the server
+    /// answers with its register's tag and elides the value (see
+    /// [`DynMsg::RV`]).
     R {
         /// Client-local operation counter.
         op: u64,
         /// The object being read or written.
+        obj: ObjectId,
+        /// Reference to the client's current set of completed changes.
+        changes: CsRef,
+    },
+    /// Phase-1 request for the whole register — the paper's ⟨R⟩ — with the
+    /// fields of [`DynMsg::R`]. A read asks one server for the value and
+    /// the rest for tags (see `DynOpDriver`'s phase 1).
+    RV {
+        /// Client-local operation counter.
+        op: u64,
+        /// The object being read.
         obj: ObjectId,
         /// Reference to the client's current set of completed changes.
         changes: CsRef,
@@ -141,14 +162,17 @@ pub enum DynMsg<V> {
         op: u64,
         /// Echo of the object key.
         obj: ObjectId,
-        /// The server's register content for that object.
+        /// The server's register content for that object. Its value is
+        /// elided (`None` above the bottom tag) in the answer to an `R`,
+        /// and sent whole in the answer to an `RV`.
         reg: TaggedValue<V>,
         /// On a reject, what the client lacks of the server's change set
         /// (delta or full); on an accept, [`CsRef::NONE`] (the whole set
         /// under [`WireMode::ForceFull`]), which the client does not read.
         changes: CsRef,
         /// Whether the server accepted the operation. On the wire, bit 0
-        /// of the flags byte; bit 1 says whether a reference follows.
+        /// of the flags byte; bit 1 says whether a reference follows, bit
+        /// 2 whether the register's value does.
         accepted: bool,
     },
     /// Phase-2 request referencing the client's `C`.
@@ -283,6 +307,7 @@ impl<V: Value> Message for DynMsg<V> {
         match self {
             DynMsg::Wr(m) => m.kind(),
             DynMsg::R { .. } => "R",
+            DynMsg::RV { .. } => "RV",
             DynMsg::RAck { .. } => "R_A",
             DynMsg::W { .. } => "W",
             DynMsg::WAck { .. } => "W_A",
@@ -312,6 +337,7 @@ impl<V: Value> Message for DynMsg<V> {
     fn object_key(&self) -> Option<u64> {
         match self {
             DynMsg::R { obj, .. }
+            | DynMsg::RV { obj, .. }
             | DynMsg::RAck { obj, .. }
             | DynMsg::W { obj, .. }
             | DynMsg::WAck { obj, .. } => Some(obj.key()),
@@ -324,14 +350,16 @@ impl<V: Value> Message for DynMsg<V> {
     }
 }
 
-/// How `R`/`W`/`RAck`/`WAck` reference the change set on the wire.
+/// How `R`/`RV`/`W`/`RAck`/`WAck` reference the change set on the wire,
+/// and whether phase 1 asks for tags where it can.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WireMode {
     /// Digest summaries with delta/full negotiation on mismatch (the
     /// module docs' state machine): steady-state payloads are O(1) in |C|.
     #[default]
     Negotiate,
-    /// Ship the full change set on every `R`/`RAck`/`W`/`WAck` — the
+    /// Ship the full change set on every `R`/`RV`/`RAck`/`W`/`WAck`, and
+    /// ask every phase 1 for the whole register (`RV`) — the
     /// paper-literal wire format for the ABD phases (the embedded
     /// Algorithm 3/4 legs negotiate regardless). Baseline for the
     /// `wire_equivalence` tests.

@@ -1,16 +1,17 @@
 //! The server side of Algorithm 6: [`DynServer`], with the embedded
 //! Algorithm 4 engine and the register refresh on weight gain.
 //!
-//! `R` and `W` share one judgement, `DynServer::judge`: accept when the
-//! client's `C` equals this server's, otherwise reply with what the
+//! `R`, `RV` and `W` share one judgement, `DynServer::judge`: accept when
+//! the client's `C` equals this server's, otherwise reply with what the
 //! client lacks — or, while a refresh is in flight and the client is
 //! ahead, hold the request until the refresh lands. Only `W` adopts the
-//! register on accept. The server keeps one record per client — the
-//! digest it presented last and whether a delta was cut against it —
-//! which serves both the degrade rule and the journal's compaction depth,
-//! and at most one held request per client. Everything else it knows
-//! lives once: the completed transfers in the embedded engine, the
-//! refresh count as the refresh operation number.
+//! register on accept; an `R` is answered with the register's tag alone
+//! and an `RV` with the whole register, held or not. The server keeps one
+//! record per client — the digest it presented last and whether a delta
+//! was cut against it — which serves both the degrade rule and the
+//! journal's compaction depth, and at most one held request per client.
+//! Everything else it knows lives once: the completed transfers in the
+//! embedded engine, the refresh count as the refresh operation number.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -300,9 +301,9 @@ impl<V: Value> DynServer<V> {
         Some((accepted, reply))
     }
 
-    /// Answers an `R` or a `W`, or holds it (see [`DynServer::judge`]). A
-    /// client has one operation in flight, so its newer request replaces
-    /// a held one.
+    /// Answers an `R`, an `RV` or a `W`, or holds it (see
+    /// [`DynServer::judge`]). A client has one operation in flight, so its
+    /// newer request replaces a held one.
     fn serve(&mut self, req: Request<V>, ctx: &mut Context<'_, DynMsg<V>>) {
         let Some((accepted, changes)) = self.judge(req.from, &req.changes) else {
             ctx.record_counter("held_behind", 1);
@@ -313,33 +314,37 @@ impl<V: Value> DynServer<V> {
             return;
         };
         let Request {
-            from,
-            op,
-            obj,
-            write,
-            ..
+            from, op, obj, ask, ..
         } = req;
-        let reply = match write {
-            None => DynMsg::RAck {
-                op,
-                obj,
-                reg: self.register_of(obj),
-                changes,
-                accepted,
+        let reg = match ask {
+            // The tag query: no value is cloned, none is sent.
+            Ask::Tag => TaggedValue {
+                tag: self.registers.get(&obj).map_or_else(Tag::bottom, |r| r.tag),
+                value: None,
             },
-            Some(reg) => {
+            Ask::Register => self.register_of(obj),
+            Ask::Write(reg) => {
                 if accepted {
                     self.adopt_register(obj, &reg);
                 }
-                DynMsg::WAck {
+                let ack = DynMsg::WAck {
                     op,
                     obj,
                     changes,
                     accepted,
-                }
+                };
+                ctx.send(from, ack);
+                return;
             }
         };
-        ctx.send(from, reply);
+        let ack = DynMsg::RAck {
+            op,
+            obj,
+            reg,
+            changes,
+            accepted,
+        };
+        ctx.send(from, ack);
     }
 
     /// This server's id.
@@ -578,15 +583,25 @@ struct Presented {
     delta_cut: bool,
 }
 
-/// An `R` (`write: None`) or a `W` (`write`: the register to adopt), as
-/// [`DynServer::serve`] answers or holds it.
+/// An `R`, an `RV` or a `W`, as [`DynServer::serve`] answers or holds it.
 #[derive(Debug)]
 struct Request<V> {
     from: ActorId,
     op: u64,
     obj: ObjectId,
-    write: Option<TaggedValue<V>>,
+    ask: Ask<V>,
     changes: CsRef,
+}
+
+/// What a [`Request`] asks for.
+#[derive(Debug, Hash)]
+enum Ask<V> {
+    /// `R`: the register's tag.
+    Tag,
+    /// `RV`: the whole register.
+    Register,
+    /// `W`: that this register be adopted.
+    Write(TaggedValue<V>),
 }
 
 /// An in-flight count-based register refresh, covering every object.
@@ -652,7 +667,17 @@ impl<V: Value> Actor for DynServer<V> {
                     from,
                     op,
                     obj,
-                    write: None,
+                    ask: Ask::Tag,
+                    changes,
+                },
+                ctx,
+            ),
+            DynMsg::RV { op, obj, changes } => self.serve(
+                Request {
+                    from,
+                    op,
+                    obj,
+                    ask: Ask::Register,
                     changes,
                 },
                 ctx,
@@ -667,7 +692,7 @@ impl<V: Value> Actor for DynServer<V> {
                     from,
                     op,
                     obj,
-                    write: Some(reg),
+                    ask: Ask::Write(reg),
                     changes,
                 },
                 ctx,
@@ -828,7 +853,7 @@ impl<V: Value> Actor for DynServer<V> {
         }
         self.held.len().hash(&mut h);
         for r in &self.held {
-            (r.from.index(), r.op, r.obj, &r.write, &r.changes).hash(&mut h);
+            (r.from.index(), r.op, r.obj, &r.ask, &r.changes).hash(&mut h);
         }
         self.rejoin.hash(&mut h);
         // Durable content is digested separately by the explorer (it can
@@ -1331,7 +1356,9 @@ mod tests {
             for (i, seen) in seen.iter_mut().enumerate() {
                 let inbox = &tapped(w, ActorId(i)).inbox;
                 for (from, m) in &inbox[*seen..] {
-                    if let (true, DynMsg::R { changes, .. }) = (*from == client, m) {
+                    if let (true, DynMsg::R { changes, .. } | DynMsg::RV { changes, .. }) =
+                        (*from == client, m)
+                    {
                         forms.push(form(changes));
                     }
                 }
@@ -1355,6 +1382,66 @@ mod tests {
             ["length", "length", "length", "summary", "summary", "summary"]
         );
         assert_eq!(read(&mut w), initial);
+    }
+
+    /// What a request asks for survives the hold: once the refresh lands,
+    /// a held `R` is answered with the register's tag alone and a held
+    /// `RV` with the whole register.
+    #[test]
+    fn a_held_r_is_answered_with_the_tag_and_a_held_rv_with_the_register() {
+        let mut g = gainer(true);
+        let (mid, ahead) = (g.server().changes().clone(), g.ahead.clone());
+        let reg = TaggedValue::new(Tag::new(1, ProcessId::Client(ClientId(1))), 7);
+        let obj = ObjectId::DEFAULT;
+        let changes = CsRef::summary(&mid);
+        g.deliver(
+            CLIENTS[1],
+            DynMsg::W {
+                op: 1,
+                obj,
+                reg,
+                changes,
+            },
+        );
+        assert_eq!(g.server().register(), reg, "accepted at the server's own C");
+        let changes = CsRef::summary(&ahead);
+        let (tag_query, read) = (
+            DynMsg::R {
+                op: 2,
+                obj,
+                changes: changes.clone(),
+            },
+            DynMsg::RV {
+                op: 2,
+                obj,
+                changes,
+            },
+        );
+        g.deliver(CLIENTS[0], tag_query);
+        g.deliver(CLIENTS[1], read);
+        assert_eq!(g.server().held.len(), 2);
+        g.w.run_to_quiescence();
+        let answered = |client: ActorId| -> Vec<TaggedValue<u64>> {
+            let inbox = &tapped(&g.w, client).inbox;
+            inbox
+                .iter()
+                .filter_map(|(_, m)| match m {
+                    DynMsg::RAck {
+                        reg,
+                        accepted: true,
+                        ..
+                    } => Some(*reg),
+                    _ => None,
+                })
+                .collect()
+        };
+        let tag_only = TaggedValue {
+            tag: reg.tag,
+            value: None,
+        };
+        assert_eq!(answered(CLIENTS[0]), [tag_only]);
+        assert_eq!(answered(CLIENTS[1]), [reg]);
+        assert_eq!(g.w.metrics().counter("held_behind"), 2);
     }
 
     /// A held request is server state: the explorer must tell a server

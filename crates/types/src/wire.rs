@@ -1,4 +1,4 @@
-//! The typed, positional codec — format **version 6** — and the frame
+//! The typed, positional codec — format [`WIRE_VERSION`] — and the frame
 //! around it: one format for what a server sends and what it persists.
 //!
 //! A **frame** is one value, length-prefixed:
@@ -74,10 +74,11 @@ use crate::{
 /// `RAck`/`WAck` always carried a reference and ended in a `bool`),
 /// version 3 (a `u32` length and a version byte in front of every frame)
 /// version 4 (whose `read_changes` messages carried digests and
-/// change-set references, and a write-back miss under tag 6) and version
-/// 5 (which had no length-only [`CsRef`] summary) are refused like any
-/// other foreign version.
-pub const WIRE_VERSION: u8 = 6;
+/// change-set references, and a write-back miss under tag 6), version 5
+/// (which had no length-only [`CsRef`] summary) and version 6 (whose
+/// phase-1 reply always carried the register's value, behind an option
+/// byte) are refused like any other foreign version.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Upper bound on a frame's payload, in bytes. Generous for this
 /// workspace's values (a full change-set transfer is kilobytes) but small
@@ -188,7 +189,7 @@ impl Sink for Tally {
     }
 }
 
-/// A type with a version-6 layout.
+/// A type with a layout in the format of [`WIRE_VERSION`].
 ///
 /// `put` and `get` must mirror each other field for field; adding a
 /// message is one impl (or one arm of an enum's) plus one generator arm

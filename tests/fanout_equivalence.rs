@@ -7,8 +7,8 @@
 //!   reassignments in the middle of it, runs under both fanouts: identical
 //!   completed operations, the same value per key readable through *every*
 //!   weighted quorum of servers, both histories keyed-linearizable,
-//!   strictly fewer `R`/`R_A`/`W`/`W_A` under `Quorum`, and not one widen
-//!   on a healthy run;
+//!   strictly fewer phase-1 requests (`R` + `RV`) and fewer
+//!   `R_A`/`W`/`W_A` under `Quorum`, and not one widen on a healthy run;
 //! * **a quorum member killed mid-phase** — with `retry: None`, the
 //!   operation whose targeted quorum loses a member (a read's in phase 1, a
 //!   write's between its `R_A` and its `W`) completes through the measured
@@ -22,7 +22,7 @@
 //! `crates/net/tests/transport_loopback.rs`.
 
 use awr::core::RpConfig;
-use awr::sim::{ActorId, UniformLatency};
+use awr::sim::{ActorId, Metrics, UniformLatency};
 use awr::storage::{
     check_linearizable_keyed, DynClient, DynOptions, DynServer, Fanout, OpKind, StorageHarness,
 };
@@ -164,14 +164,15 @@ fn quorum_fanout_is_observationally_equivalent_to_asking_everyone() {
             "seed {seed}: some server outside the quorums never stored a key"
         );
 
-        // The saving lives in both phases …
+        // The saving lives in both phases (phase 1 asks by `R` and `RV`) …
         let (qm, am) = (quorum.world.metrics(), all.world.metrics());
-        for kind in ["R", "R_A", "W", "W_A"] {
+        for kinds in [&["R", "RV"][..], &["R_A"], &["W"], &["W_A"]] {
+            let sent = |m: &Metrics| kinds.iter().map(|k| m.sent_of_kind(k)).sum::<u64>();
             assert!(
-                qm.sent_of_kind(kind) < am.sent_of_kind(kind),
-                "seed {seed}: targeted phases must send fewer {kind} ({} vs {})",
-                qm.sent_of_kind(kind),
-                am.sent_of_kind(kind)
+                sent(qm) < sent(am),
+                "seed {seed}: targeted phases must send fewer {kinds:?} ({} vs {})",
+                sent(qm),
+                sent(am)
             );
         }
         // … where every attempt after a client's first is targeted, at
@@ -257,7 +258,7 @@ fn a_quorum_member_killed_mid_phase_costs_one_widen_in_the_simulator() {
     let mut h = warmed(false);
     let before = h.world.metrics().clone();
 
-    // The read's `R` is in flight to {s0, s1} when s1 dies.
+    // The read's `RV` to s0 and `R` to s1 are in flight when s1 dies.
     h.begin_async(0, None);
     h.crash_server(ServerId(1));
     run_until_idle(&mut h);
@@ -265,9 +266,9 @@ fn a_quorum_member_killed_mid_phase_costs_one_widen_in_the_simulator() {
     assert_eq!(stalled.counter("phase1_widened"), 1);
     assert_eq!(stalled.counter("server_suspected"), 1);
     assert_eq!(
-        stalled.sent_of_kind("R"),
-        2 + 3,
-        "the quorum, then everyone"
+        (stalled.sent_of_kind("R"), stalled.sent_of_kind("RV")),
+        (1, 1 + 2),
+        "the quorum, then every server whose register is not in"
     );
 
     // The suspect is asked by neither phase of what follows.
@@ -277,7 +278,8 @@ fn a_quorum_member_killed_mid_phase_costs_one_widen_in_the_simulator() {
     assert_eq!(h.read(0).unwrap().0, Some(8));
     let after = h.world.metrics().since(&before);
     assert_eq!(after.counter("phase1_widened"), 0);
-    assert_eq!(after.sent_of_kind("R"), 3 * 2);
+    // Each read asks s0 for the register and s2 for its tag.
+    assert_eq!((after.sent_of_kind("R"), after.sent_of_kind("RV")), (4, 2));
     assert_eq!(after.sent_of_kind("W"), 2);
     assert_eq!(after.msgs_on_link(h.client_actor(0), ActorId(1)), 0);
     check_linearizable_keyed(&h.history()).unwrap();
@@ -299,7 +301,10 @@ fn a_quorum_member_killed_between_r_a_and_w_costs_one_widen_of_the_unacked() {
     assert_eq!(stalled.counter("phase2_widened"), 1);
     assert_eq!(stalled.counter("phase1_widened"), 0);
     assert_eq!(stalled.counter("server_suspected"), 1);
-    assert_eq!(stalled.sent_of_kind("R"), 2);
+    assert_eq!(
+        (stalled.sent_of_kind("R"), stalled.sent_of_kind("RV")),
+        (2, 0)
+    );
     assert_eq!(
         stalled.sent_of_kind("W"),
         2 + 2,
@@ -319,7 +324,8 @@ fn a_quorum_member_killed_between_r_a_and_w_costs_one_widen_of_the_unacked() {
         after.counter("phase1_widened") + after.counter("phase2_widened"),
         0
     );
-    assert_eq!((after.sent_of_kind("R"), after.sent_of_kind("W")), (4, 2));
+    let asked = ["R", "RV", "W"].map(|k| after.sent_of_kind(k));
+    assert_eq!(asked, [3, 1, 2]);
     assert_eq!(after.msgs_on_link(h.client_actor(0), ActorId(1)), 0);
     check_linearizable_keyed(&h.history()).unwrap();
 }

@@ -34,7 +34,7 @@ use rand::SeedableRng;
 
 const SEED: u64 = 0x0B7EC7;
 const OPS: usize = 300;
-const ABD_KINDS: [&str; 4] = ["R", "R_A", "W", "W_A"];
+const ABD_KINDS: [&str; 5] = ["R", "RV", "R_A", "W", "W_A"];
 const REFRESH_KINDS: [&str; 2] = ["RefR", "RefA"];
 
 fn kinds_bytes(m: &Metrics, kinds: &[&str]) -> u64 {
@@ -166,10 +166,10 @@ fn per_op_cost_is_flat_in_object_count() {
     assert_eq!(
         pinned,
         [
-            "15 86.77 0.0413 387 2 6738",
-            "105 88.09 0.0425 1580 2 5112",
-            "1005 90.99 0.0411 16810 2 3714",
-            "10005 91.75 0.0416 169830 2 3234",
+            "15 76.67 0.0413 387 2 5919",
+            "105 79.33 0.0425 1580 2 4512",
+            "1005 82.66 0.0411 16810 2 3300",
+            "10005 83.62 0.0416 169830 2 2862",
         ]
     );
     assert!(
@@ -229,12 +229,12 @@ fn fast_path_reads_beat_two_phase_across_key_skew() {
     assert_eq!(
         pinned,
         [
-            "0.0 FastPath 1.000 87.01 0.0278 0.0377 830",
-            "0.0 TwoPhase 0.000 114.95 0.0553 0.0711 1048",
-            "1.0 FastPath 1.000 88.23 0.0278 0.0377 5924",
-            "1.0 TwoPhase 0.000 116.71 0.0553 0.0711 7598",
-            "1.4 FastPath 1.000 88.97 0.0278 0.0377 10154",
-            "1.4 TwoPhase 0.000 117.85 0.0553 0.0711 13190",
+            "0.0 FastPath 1.000 79.15 0.0278 0.0377 740",
+            "0.0 TwoPhase 0.000 107.09 0.0553 0.0711 958",
+            "1.0 FastPath 1.000 79.33 0.0278 0.0377 5249",
+            "1.0 TwoPhase 0.000 107.81 0.0553 0.0711 6923",
+            "1.4 FastPath 1.000 79.46 0.0278 0.0377 8984",
+            "1.4 TwoPhase 0.000 108.34 0.0553 0.0711 12020",
         ]
     );
 }

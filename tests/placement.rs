@@ -352,27 +352,27 @@ const REPLAY_PINS: [ReplayPin; 2] = [
     ReplayPin {
         seed: 7,
         generated: 4_030,
-        events: 57_216,
-        sent: 53_165,
-        bytes: 611_705,
-        end_nanos: 29_823_624_967,
+        events: 57_214,
+        sent: 53_163,
+        bytes: 551_355,
+        end_nanos: 29_775_208_401,
         request_delay: LinkDelayStat {
             count: 341,
             queued: 0,
             transmission: 20_085,
-            propagation: 20_441_916_751,
+            propagation: 20_479_197_091,
         },
         reply_delay: LinkDelayStat {
             count: 341,
             queued: 0,
-            transmission: 31_229,
-            propagation: 20_522_941_361,
+            transmission: 26_020,
+            propagation: 20_502_799_588,
         },
-        object3: (10_245, 900),
-        busiest: (3, 18, 5_201),
-        incident_bytes_s0: 124_363,
-        max_link_utilization: 0.0000017439194617538728,
-        max_uplink_utilization: 0.00002498995346221891,
+        object3: (9_135, 900),
+        busiest: (3, 18, 4_449),
+        incident_bytes_s0: 112_436,
+        max_link_utilization: 0.000001494196090950141,
+        max_uplink_utilization: 0.00002096848463969211,
         repolled_behind: 0,
         held_behind: 115,
     },
@@ -381,8 +381,8 @@ const REPLAY_PINS: [ReplayPin; 2] = [
         generated: 3_891,
         events: 55_186,
         sent: 51_274,
-        bytes: 591_319,
-        end_nanos: 30_646_622_118,
+        bytes: 533_167,
+        end_nanos: 30_644_646_813,
         request_delay: LinkDelayStat {
             count: 305,
             queued: 0,
@@ -392,14 +392,14 @@ const REPLAY_PINS: [ReplayPin; 2] = [
         reply_delay: LinkDelayStat {
             count: 305,
             queued: 0,
-            transmission: 27_900,
+            transmission: 23_371,
             propagation: 18_290_041_581,
         },
-        object3: (7_886, 647),
-        busiest: (4, 18, 5_221),
-        incident_bytes_s0: 120_726,
-        max_link_utilization: 0.0000017036135270952081,
-        max_uplink_utilization: 0.000023579140213810888,
+        object3: (7_057, 647),
+        busiest: (4, 18, 4_338),
+        incident_bytes_s0: 109_209,
+        max_link_utilization: 0.000001415581659815294,
+        max_uplink_utilization: 0.00001977608042599176,
         repolled_behind: 0,
         held_behind: 110,
     },

@@ -112,10 +112,16 @@ fn fastpath_is_observationally_equivalent_to_twophase() {
         assert_eq!(regs(&fast), regs(&two), "seed {seed}: final registers");
 
         // The byte delta lives exactly in phase 2. Phase 1 does not move:
-        // same invocations, same `R` broadcasts, same acks.
+        // same invocations, same `R` and `RV` broadcasts, same acks.
         let (fm, tm) = (fast.world.metrics(), two.world.metrics());
-        assert_eq!(fm.sent_of_kind("R"), tm.sent_of_kind("R"), "seed {seed}");
-        assert_eq!(fm.bytes_of_kind("R"), tm.bytes_of_kind("R"), "seed {seed}");
+        for kind in ["R", "RV"] {
+            assert_eq!(fm.sent_of_kind(kind), tm.sent_of_kind(kind), "seed {seed}");
+            assert_eq!(
+                fm.bytes_of_kind(kind),
+                tm.bytes_of_kind(kind),
+                "seed {seed}"
+            );
+        }
         assert_eq!(
             fm.sent_of_kind("R_A"),
             tm.sent_of_kind("R_A"),
@@ -213,19 +219,20 @@ fn fastpath_denied_when_a_quorum_replier_is_stale() {
     );
 
     h.begin_async_obj(0, ObjectId::DEFAULT, None);
-    // Quorum order s1 first, then s0: deliver the read's `R` to s1 and
-    // its bottom ack, then the same through s0 — quorum reached with a
-    // split register view.
+    // Quorum order s1 first, then s0: deliver the read's tag query to s1
+    // and its bottom ack, then its `RV` to s0 (the first target, asked for
+    // the register) and the ack — quorum reached with a split register
+    // view.
     for server in [stale, h.server_actor(ServerId(0))] {
         let r = h
             .world
             .pending_events()
             .into_iter()
             .find(|e| {
-                matches!(e.kind, PendingKind::Deliver { to, kind, .. }
-                if to == server && kind == "R")
+                matches!(e.kind, PendingKind::Deliver { to, kind: "R" | "RV", .. }
+                if to == server)
             })
-            .expect("read's R pending");
+            .expect("read's phase-1 request pending");
         h.world.step_seq(r.seq);
         let ack = h
             .world

@@ -30,6 +30,10 @@ fn s(i: u32) -> ServerId {
     ServerId(i)
 }
 
+/// The ABD phases' kinds: the tag query and the paper's ⟨R⟩, the phase-1
+/// reply, phase 2 and its ack.
+const ABD_KINDS: [&str; 5] = ["R", "RV", "R_A", "W", "W_A"];
+
 /// Everything observable about one scenario run.
 #[derive(Debug, PartialEq, Eq)]
 struct Observation {
@@ -105,10 +109,7 @@ fn run_scenario(seed: u64, wire: WireMode) -> (Observation, u64, u64) {
         change_sets.push(srv.changes().iter().copied().collect());
     }
     let m = h.world.metrics();
-    let cs_bytes = m.bytes_of_kind("R")
-        + m.bytes_of_kind("R_A")
-        + m.bytes_of_kind("W")
-        + m.bytes_of_kind("W_A");
+    let cs_bytes = ABD_KINDS.iter().map(|k| m.bytes_of_kind(k)).sum();
     (
         Observation {
             ops,
@@ -287,10 +288,10 @@ fn sweep_run(extra: usize, wire: WireMode) -> SweepRow {
         .map(|o| (o.response - o.invoke) as f64 / 1e6)
         .collect();
     let m = h.world.metrics();
-    let cs_bytes = ["R", "R_A", "W", "W_A"]
-        .iter()
-        .map(|k| m.bytes_of_kind(k))
-        .sum::<u64>();
+    let cs_bytes = ABD_KINDS.iter().map(|k| m.bytes_of_kind(k)).sum::<u64>();
+    let phase1 = ["R", "RV"];
+    let phase1_bytes = phase1.iter().map(|k| m.bytes_of_kind(k)).sum::<u64>();
+    let phase1_sent = phase1.iter().map(|k| m.sent_of_kind(k)).sum::<u64>();
     SweepRow {
         c_size: n + big.len(),
         mode: match wire {
@@ -298,7 +299,7 @@ fn sweep_run(extra: usize, wire: WireMode) -> SweepRow {
             WireMode::ForceFull => "full",
         },
         bytes_per_op: cs_bytes as f64 / OPS as f64,
-        mean_r_bytes: m.mean_bytes_of_kind("R"),
+        mean_r_bytes: phase1_bytes as f64 / phase1_sent as f64,
         mean_rack_bytes: m.mean_bytes_of_kind("R_A"),
         mean_latency_ms: latencies_ms.iter().sum::<f64>() / OPS as f64,
         max_latency_ms: latencies_ms.iter().copied().fold(0.0, f64::max),
@@ -313,20 +314,20 @@ fn delta_wire_is_flat_in_c_where_the_full_wire_grows_linearly() {
         .flat_map(|extra| [(extra, WireMode::Negotiate), (extra, WireMode::ForceFull)])
         .map(|(extra, wire)| sweep_run(extra, wire))
         .collect();
-    // |C|, mode, ABD bytes/op, mean R, mean R_A (bytes), mean and max op
+    // |C|, mode, ABD bytes/op, mean R or RV, mean R_A (bytes), mean and max op
     // latency (virtual ms), busiest uplink's utilisation.
     let pinned: Vec<String> = rows.iter().map(SweepRow::pinned).collect();
     assert_eq!(
         pinned,
         [
-            "15 delta 74.9 6.3 10.0 2.233 3.489 0.0041",
-            "15 full 1094.7 116.0 122.0 2.368 3.681 0.0572",
-            "105 delta 74.9 6.3 10.0 2.233 3.489 0.0041",
-            "105 full 7727.9 837.0 843.0 3.238 5.084 0.2979",
-            "1005 delta 79.5 7.3 10.0 2.234 3.490 0.0046",
-            "1005 full 73977.1 8038.0 8044.0 13.804 19.642 0.6698",
-            "10005 delta 79.5 7.3 10.0 2.234 3.490 0.0046",
-            "10005 full 736386.3 80039.0 80045.0 122.706 181.644 0.7501",
+            "15 delta 69.4 6.3 8.2 2.233 3.488 0.0041",
+            "15 full 1091.6 116.0 121.0 2.368 3.681 0.0572",
+            "105 delta 69.4 6.3 8.2 2.233 3.488 0.0041",
+            "105 full 7724.8 837.0 842.0 3.238 5.084 0.2979",
+            "1005 delta 74.0 7.3 8.2 2.234 3.489 0.0046",
+            "1005 full 73974.0 8038.0 8043.0 13.804 19.642 0.6698",
+            "10005 delta 74.0 7.3 8.2 2.234 3.489 0.0046",
+            "10005 full 736383.2 80039.0 80044.0 122.706 181.644 0.7501",
         ]
     );
     for pair in rows.chunks(2) {
