@@ -371,7 +371,7 @@ mod protocol_tests {
         for kind in ["RC", "RC_Ack", "WC", "WC_Ack"] {
             assert_eq!(m.sent_of_kind(kind), 2 * n as u64, "{kind}");
         }
-        let kinds: Vec<&str> = m.sent_by_kind.keys().copied().collect();
+        let kinds: Vec<&str> = m.sent_by_kind.keys().collect();
         assert_eq!(kinds, ["RC", "RC_Ack", "T", "T_Ack", "WC", "WC_Ack"]);
         let replies: u64 = (0..2)
             .flat_map(|op| (0..n as u32).map(move |i| (op, s(i))))

@@ -60,7 +60,7 @@ use awr_core::RpConfig;
 use awr_net::{
     decode_frame, encode_frame_into, FrameError, Reader, Sink, TcpTransport, Wire, WIRE_VERSION,
 };
-use awr_sim::{ActorId, Metrics, NodeHost, Time, Transport, UniformLatency};
+use awr_sim::{ActorId, Metrics, NameTable, NodeHost, Time, Transport, UniformLatency};
 use awr_storage::{
     check_linearizable_keyed, DynClient, DynMsg, DynOptions, DynServer, Fanout, HistOp, History,
     OpKind, ReadMode, StorageHandle, StorageHarness,
@@ -187,9 +187,7 @@ struct KindStats {
 impl KindStats {
     /// The owned per-kind view of `m`.
     fn of(m: &Metrics) -> KindStats {
-        let owned = |by: &BTreeMap<&'static str, u64>| {
-            by.iter().map(|(k, v)| (k.to_string(), *v)).collect()
-        };
+        let owned = |by: &NameTable<u64>| by.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         KindStats {
             msgs: owned(&m.sent_by_kind),
             bytes: owned(&m.bytes_by_kind),
@@ -937,8 +935,8 @@ mod tests {
     #[test]
     fn kind_stats_of_and_absorb() {
         let mut m = Metrics::default();
-        *m.sent_by_kind.entry("R").or_default() += 3;
-        *m.bytes_by_kind.entry("R").or_default() += 300;
+        *m.sent_by_kind.slot("R") += 3;
+        *m.bytes_by_kind.slot("R") += 300;
         let mut a = KindStats::of(&m);
         let b = a.clone();
         a.absorb(&b);

@@ -640,16 +640,93 @@ where
     })
 }
 
+/// The widen deadline's floor: a client's deadline is never shorter, so an
+/// operation — or the part of one — that finished in less cannot have
+/// widened, and a suspicion (first lapse: two deadlines) cannot lapse
+/// within two of it.
+const WIDEN_FLOOR: Duration = Duration::from_millis(5);
+/// How often the scenario is run before a host too busy to stay under
+/// [`WIDEN_FLOOR`] counts as a failure.
+const ATTEMPTS: usize = 5;
+
+/// An attempt at the scenario that ran a pinned phase past
+/// [`WIDEN_FLOOR`]: a widen there is legitimate, so the counts it would
+/// move prove nothing either way. Says which part was slow.
+#[derive(Debug)]
+struct Slow(&'static str);
+
+/// The server threads and their orders. Dropping it tells every thread to
+/// exit and joins them, so an attempt given up early leaves nothing
+/// running.
+struct Servers {
+    orders: Vec<Arc<AtomicU8>>,
+    threads: Vec<Option<JoinHandle<()>>>,
+}
+
+impl Servers {
+    /// Tells server `i` to exit and joins it.
+    fn kill(&mut self, i: usize) {
+        self.orders[i].store(KILL, Ordering::SeqCst);
+        if let Some(t) = self.threads[i].take() {
+            t.join().unwrap();
+        }
+    }
+}
+
+impl Drop for Servers {
+    fn drop(&mut self) {
+        for (o, t) in self.orders.iter().zip(&mut self.threads) {
+            o.store(KILL, Ordering::SeqCst);
+            if let Some(t) = t.take() {
+                // Already unwinding, or the thread's panic is reported by
+                // the test that is failing anyway.
+                let _ = t.join();
+            }
+        }
+    }
+}
+
+/// Whether an operation record shows it ran long enough to have widened.
+fn under_floor(ops: &[&DynCompletedOp<u64>], what: &'static str) -> Result<(), Slow> {
+    let floor = WIDEN_FLOOR.as_nanos() as u64;
+    match ops.iter().all(|o| o.response.0 - o.invoke.0 < floor) {
+        true => Ok(()),
+        false => Err(Slow(what)),
+    }
+}
+
+/// What [`finish_op`] saw of an operation besides its record.
+struct Watched {
+    /// When the step in which the operation widened began — no later than
+    /// the widen itself; `None` if it never widened.
+    widened: Option<Instant>,
+    /// When the step that completed it ended — no earlier than the
+    /// completion.
+    done: Instant,
+}
+
 fn finish_op<T: Transport<StoreMsg>>(
     host: &mut NodeHost<DynClient<u64>, T>,
     done_before: usize,
-) -> DynCompletedOp<u64> {
+) -> (DynCompletedOp<u64>, Watched) {
+    let widens = |host: &NodeHost<DynClient<u64>, T>| {
+        let m = host.metrics();
+        m.counter("phase1_widened") + m.counter("phase2_widened")
+    };
+    let widens_before = widens(host);
+    let mut widened = None;
     let deadline = Instant::now() + PATIENCE;
     while host.actor().driver.completed.len() == done_before {
         assert!(Instant::now() < deadline, "operation never completed");
+        let began = Instant::now();
         host.step(Duration::from_millis(1));
+        if widened.is_none() && widens(host) > widens_before {
+            widened = Some(began);
+        }
     }
-    host.actor().driver.completed[done_before].clone()
+    let done = Instant::now();
+    let op = host.actor().driver.completed[done_before].clone();
+    (op, Watched { widened, done })
 }
 
 fn run_op<T: Transport<StoreMsg>>(
@@ -661,7 +738,7 @@ fn run_op<T: Transport<StoreMsg>>(
         Some(v) => c.begin_write(v, ctx),
         None => c.begin_read(ctx),
     });
-    finish_op(host, done_before)
+    finish_op(host, done_before).0
 }
 
 /// When s1 dies: with a read's `R` unread, or having answered a write's `R`
@@ -673,8 +750,13 @@ enum Dies {
 }
 
 /// `fabric[0..3]` host the servers, `fabric[3]` the client — under the
-/// default options: quorum-targeted phases, `retry: None`.
-fn a_dead_quorum_member_is_widened_past_and_then_avoided<T>(mut fabric: Vec<T>, dies: Dies)
+/// default options: quorum-targeted phases, `retry: None`. Every phase the
+/// scenario pins as un-widened must run under [`WIDEN_FLOOR`]; where one
+/// did not, the attempt stops before the counts it could move and says so.
+fn a_dead_quorum_member_is_widened_past_and_then_avoided<T>(
+    mut fabric: Vec<T>,
+    dies: Dies,
+) -> Result<(), Slow>
 where
     T: Transport<StoreMsg> + Send + 'static,
 {
@@ -687,11 +769,15 @@ where
     let mut host = NodeHost::start(client, fabric.pop().unwrap(), 1);
     let me = ActorId(3);
     let orders: Vec<Arc<AtomicU8>> = (0..3).map(|_| Arc::new(AtomicU8::new(RUN))).collect();
-    let mut servers: Vec<Option<JoinHandle<()>>> = fabric
+    let threads = fabric
         .into_iter()
         .zip(&orders)
         .map(|(t, o)| Some(serve(t, Arc::clone(o))))
         .collect();
+    let mut servers = Servers {
+        orders: orders.clone(),
+        threads,
+    };
 
     // The first operation has no phase-1 sample: it asks everyone, as the
     // paper does. The second asks the smallest quorum by weight, {s0, s1}:
@@ -699,10 +785,6 @@ where
     let w = run_op(&mut host, Some(7));
     let r = run_op(&mut host, None);
     assert_eq!(r.kind, OpKind::Read(Some(7)));
-    let m = host.metrics();
-    assert_eq!(m.counter("phase1_targeted"), 1);
-    assert_eq!((m.sent_of_kind("R"), m.sent_of_kind("RV")), (3 + 1, 1));
-    assert_eq!(m.msgs_on_link(me, ActorId(2)), 1 + 1, "one R, one W");
     // Operation records carry the host's clock: real, and ordered.
     assert!(w.invoke.0 > 0, "invoke stamped {:?}", w.invoke);
     assert!(w.invoke < w.response, "{w:?}");
@@ -710,6 +792,11 @@ where
         w.response <= r.invoke && r.invoke < r.response,
         "{w:?} {r:?}"
     );
+    under_floor(&[&w, &r], "a warm-up operation")?;
+    let m = host.metrics();
+    assert_eq!(m.counter("phase1_targeted"), 1);
+    assert_eq!((m.sent_of_kind("R"), m.sent_of_kind("RV")), (3 + 1, 1));
+    assert_eq!(m.msgs_on_link(me, ActorId(2)), 1 + 1, "one R, one W");
 
     let before = host.metrics().clone();
     let done_before = host.actor().driver.completed.len();
@@ -735,17 +822,20 @@ where
             orders[1].store(FREEZE, Ordering::SeqCst);
             frozen();
             orders[1].store(ONE_MORE, Ordering::SeqCst);
+            let began = Instant::now();
             host.with_actor(|c, ctx| c.begin_write(8, ctx));
             frozen();
             while host.metrics().sent_of_kind("W") == before.sent_of_kind("W") {
                 host.step(Duration::from_millis(1));
             }
+            if began.elapsed() >= WIDEN_FLOOR {
+                return Err(Slow("the write's phase 1"));
+            }
             8
         }
     };
-    orders[1].store(KILL, Ordering::SeqCst);
-    servers[1].take().unwrap().join().unwrap();
-    let stalled = finish_op(&mut host, done_before);
+    servers.kill(1);
+    let (stalled, watched) = finish_op(&mut host, done_before);
     let m = host.metrics().clone();
     let since = m.since(&before);
     // Completed through the widen, for the price of one deadline (never
@@ -754,6 +844,14 @@ where
         stalled.response.0 - stalled.invoke.0 >= 5_000_000,
         "{stalled:?}"
     );
+    // Within one floor of the widen no timer can fire: the next rebroadcast
+    // is at least a deadline away, the suspicion's lapse two.
+    if watched
+        .widened
+        .is_some_and(|at| watched.done - at >= WIDEN_FLOOR)
+    {
+        return Err(Slow("the stalled operation after its widen"));
+    }
     assert_eq!(since.counter("server_suspected"), 1);
     match dies {
         Dies::InPhase1 => {
@@ -778,11 +876,19 @@ where
     // suspect, in both phases — and need no widen.
     let r = run_op(&mut host, None);
     assert_eq!(r.kind, OpKind::Read(Some(expect)));
-    let since = host.metrics().since(&m);
-    assert_eq!(since.counter("phase1_targeted"), 1);
-    assert_eq!((since.sent_of_kind("R"), since.sent_of_kind("RV")), (1, 1));
-    run_op(&mut host, Some(9));
-    assert_eq!(run_op(&mut host, None).kind, OpKind::Read(Some(9)));
+    let first = host.metrics().since(&m);
+    let w = run_op(&mut host, Some(9));
+    let r9 = run_op(&mut host, None);
+    assert_eq!(r9.kind, OpKind::Read(Some(9)));
+    under_floor(&[&r, &w, &r9], "an operation after the widen")?;
+    if watched
+        .widened
+        .is_some_and(|at| at.elapsed() >= 2 * WIDEN_FLOOR)
+    {
+        return Err(Slow("the operations before the suspicion's lapse"));
+    }
+    assert_eq!(first.counter("phase1_targeted"), 1);
+    assert_eq!((first.sent_of_kind("R"), first.sent_of_kind("RV")), (1, 1));
     let since = host.metrics().since(&m);
     assert_eq!(
         since.counter("phase1_widened") + since.counter("phase2_widened"),
@@ -797,49 +903,64 @@ where
         "the suspect is asked nothing"
     );
 
-    for (o, s) in orders.iter().zip(&mut servers) {
-        o.store(KILL, Ordering::SeqCst);
-        if let Some(s) = s.take() {
-            s.join().unwrap();
-        }
+    for i in [0, 2] {
+        servers.kill(i);
     }
+    Ok(())
 }
 
-fn over_tcp(dies: Dies) {
+/// Runs the scenario on fresh fabrics until one attempt keeps every pinned
+/// phase under the widen floor (and passes); fails if none does.
+fn widened_past_on_some_attempt<T>(fabric: impl Fn() -> Vec<T>, dies: Dies)
+where
+    T: Transport<StoreMsg> + Send + 'static,
+{
+    let mut slow = Vec::new();
+    for _ in 0..ATTEMPTS {
+        match a_dead_quorum_member_is_widened_past_and_then_avoided(fabric(), dies) {
+            Ok(()) => return,
+            Err(Slow(what)) => slow.push(what),
+        }
+    }
+    panic!("no attempt stayed under the {WIDEN_FLOOR:?} widen floor: {slow:?}");
+}
+
+fn tcp_fabric() -> Vec<TcpTransport<StoreMsg>> {
     let listeners: Vec<TcpListener> = (0..4)
         .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
         .collect();
     let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
     // One dial attempt, no pause: a send to the dead server is dropped at
     // once instead of sitting out a reconnect budget.
-    let fabric = listeners
+    listeners
         .into_iter()
         .enumerate()
         .map(|(i, l)| {
             TcpTransport::<StoreMsg>::start_with(ActorId(i), l, addrs.clone(), ONE_SHOT).unwrap()
         })
-        .collect();
-    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric, dies);
+        .collect()
+}
+
+fn channel_fabric() -> Vec<ChannelTransport<StoreMsg>> {
+    ChannelTransport::<StoreMsg>::mesh(4)
 }
 
 #[test]
 fn tcp_client_gets_past_a_quorum_member_killed_mid_phase() {
-    over_tcp(Dies::InPhase1);
+    widened_past_on_some_attempt(tcp_fabric, Dies::InPhase1);
 }
 
 #[test]
 fn channel_client_gets_past_a_quorum_member_killed_mid_phase() {
-    let fabric = ChannelTransport::<StoreMsg>::mesh(4);
-    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric, Dies::InPhase1);
+    widened_past_on_some_attempt(channel_fabric, Dies::InPhase1);
 }
 
 #[test]
 fn tcp_client_gets_past_a_quorum_member_killed_between_r_a_and_w() {
-    over_tcp(Dies::BetweenRAckAndW);
+    widened_past_on_some_attempt(tcp_fabric, Dies::BetweenRAckAndW);
 }
 
 #[test]
 fn channel_client_gets_past_a_quorum_member_killed_between_r_a_and_w() {
-    let fabric = ChannelTransport::<StoreMsg>::mesh(4);
-    a_dead_quorum_member_is_widened_past_and_then_avoided(fabric, Dies::BetweenRAckAndW);
+    widened_past_on_some_attempt(channel_fabric, Dies::BetweenRAckAndW);
 }

@@ -43,7 +43,10 @@ use awr_types::{Ratio, ServerId, WeightMap};
 /// with the [`WeightMap`]); `observers` are the actors whose operation
 /// latency the policy optimizes — typically the storage clients.
 pub struct PlacementInputs<'a> {
-    /// The run's per-link observation matrices.
+    /// The run's per-link observation matrices. A policy reads
+    /// `bytes_sent`, the per-link records and `last_time` only — the link
+    /// queries of [`Metrics`] — and `awr_storage`'s placement driver hands
+    /// it just those ([`Metrics::links_only`]).
     pub metrics: &'a Metrics,
     /// The weight map in force (the proposal must preserve its total).
     pub current: &'a WeightMap,
@@ -630,6 +633,58 @@ mod tests {
         let p = UtilizationAware::default().propose(&inp);
         assert_eq!(p.min_weight(), p.weight(ServerId(1)), "{p}");
         assert!(p.weight(ServerId(0)) > p.weight(ServerId(1)));
+    }
+
+    #[test]
+    fn every_policy_proposes_the_same_from_the_links_only_view() {
+        // Five servers a little apart in propagation, queueing, bytes and
+        // busy time, so that no clamp hides a difference in the scores;
+        // with and without transmission time, so that `UtilizationAware`
+        // takes both its utilization path and its bytes-share fallback.
+        let w = WeightMap::uniform(5, Ratio::ONE);
+        let record = |m: &mut Metrics, scale: u64, transmission: u64| {
+            for s in 0..5 {
+                let d = Delivery {
+                    queued: 500 * s as u64 * scale,
+                    transmission: transmission * (s as u64 + 1),
+                    propagation: (10_000 + 1_000 * s as u64) * scale,
+                };
+                let bytes = 100 + 150 * s;
+                m.record_send("R", bytes, a(5), a(s), d);
+                m.record_send("RAck", bytes, a(s), a(5), d);
+                m.record_object(s as u64, bytes);
+                m.record_counter("hit", 1);
+                m.record_sample("fanout", 2);
+            }
+            m.last_time = awr_sim::Time(m.last_time.0 + 1_000_000);
+        };
+        let policies: [&dyn PlacementPolicy; 3] = [
+            &Static,
+            &LatencyGreedy::default(),
+            &UtilizationAware::default(),
+        ];
+        for transmission in [0, 20_000] {
+            let mut m = Metrics::default();
+            record(&mut m, 1, transmission);
+            let base = m.clone();
+            record(&mut m, 3, transmission);
+            let views = [
+                (m.clone(), m.links_only()),
+                (m.since(&base), m.links_only().since(&base.links_only())),
+            ];
+            for (full, links) in &views {
+                assert_eq!(links.sent_of_kind("R"), 0, "a links-only view has no kinds");
+                for p in policies {
+                    let proposed = p.propose(&inputs(full, &w, 1));
+                    assert_eq!(
+                        proposed,
+                        p.propose(&inputs(links, &w, 1)),
+                        "{} at transmission {transmission}",
+                        p.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

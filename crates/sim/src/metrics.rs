@@ -4,8 +4,11 @@
 //! Besides the classic counters, [`Metrics`] keeps three tables, sized so
 //! that recording a send is array work:
 //!
-//! * **per message kind** — [`Metrics::sent_by_kind`] /
-//!   [`Metrics::bytes_by_kind`], two small maps (a protocol has ~10 kinds);
+//! * **per name** — [`Metrics::sent_by_kind`] / [`Metrics::bytes_by_kind`]
+//!   per message kind, and the named [`Metrics::counters`] and
+//!   [`Metrics::samples`]: each a [`NameTable`], a short vector in name
+//!   order that finds a label by its address before comparing text (a
+//!   protocol has ~10 kinds and passes the same `&'static str` every time);
 //! * **per directed link** — one [`LinkStat`] (messages, bytes,
 //!   transmission busy time, delivery-delay components split into queueing
 //!   / transmission / propagation) in rows indexed by sender then
@@ -21,6 +24,7 @@
 //! live, usually over a window cut with [`Metrics::since`].
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::actor::ActorId;
@@ -156,6 +160,137 @@ pub(crate) type U64Build = BuildHasherDefault<U64Hasher>;
 
 type ObjectTable = HashMap<u64, ObjectStat, U64Build>;
 
+/// Values keyed by `&'static str` names — message kinds, counter and
+/// histogram names — in name order.
+///
+/// A lookup compares addresses first: the labels come from `&'static str`
+/// literals, so a warm lookup finds its entry with one pointer-and-length
+/// comparison per name ahead of it and reads no text. Only a label not
+/// found by address — a new name, or the same text at another address —
+/// is searched for by content, so equal texts always share one entry.
+/// Iteration (`for (name, value) in &table`) yields `(&&'static str, &V)`
+/// in name order, as the `BTreeMap` it replaces did.
+#[derive(Clone, PartialEq, Eq)]
+pub struct NameTable<V> {
+    entries: Vec<(&'static str, V)>,
+}
+
+impl<V> Default for NameTable<V> {
+    fn default() -> Self {
+        NameTable {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for NameTable<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self).finish()
+    }
+}
+
+impl<V> NameTable<V> {
+    /// `Ok(index)` of `name`'s entry, or `Err(index)` where it would go.
+    #[inline]
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        match self
+            .entries
+            .iter()
+            .position(|(k, _)| std::ptr::eq(*k, name))
+        {
+            Some(i) => Ok(i),
+            None => self.entries.binary_search_by(|(k, _)| (*k).cmp(name)),
+        }
+    }
+
+    /// The value under `name`, if any.
+    pub fn get(&self, name: &str) -> Option<&V> {
+        self.find(name).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// The value under `name`, inserted in name order as `V::default()` if
+    /// absent.
+    #[inline]
+    pub fn slot(&mut self, name: &'static str) -> &mut V
+    where
+        V: Default,
+    {
+        let i = match self.find(name) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (name, V::default()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// Every `(name, value)`, in name order.
+    pub fn iter<'a>(&'a self) -> NameIter<'a, V> {
+        let pair: fn(&'a (&'static str, V)) -> (&'a &'static str, &'a V) = |(k, v)| (k, v);
+        self.entries.iter().map(pair)
+    }
+
+    /// Every name, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.entries.iter().map(|(k, _)| *k)
+    }
+
+    /// Every value, in name order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.iter().map(|(_, v)| v)
+    }
+
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether no name has an entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Each entry of `self` against `base`'s entry of the same name (if
+    /// any): what [`Metrics::since`] does per name. Every name of `self`
+    /// stays, also where the window leaves it at zero.
+    fn since(&self, base: &Self, sub: impl Fn(&V, Option<&V>) -> V) -> Self {
+        NameTable {
+            entries: self
+                .entries
+                .iter()
+                .map(|(k, v)| (*k, sub(v, base.get(k))))
+                .collect(),
+        }
+    }
+
+    /// Adds each entry of `other` into the entry of the same name:
+    /// what [`Metrics::absorb`] does per name.
+    fn absorb(&mut self, other: &Self, add: impl Fn(&mut V, &V))
+    where
+        V: Default,
+    {
+        for (k, v) in other {
+            add(self.slot(k), v);
+        }
+    }
+}
+
+/// The iterator of [`NameTable::iter`].
+pub type NameIter<'a, V> = std::iter::Map<
+    std::slice::Iter<'a, (&'static str, V)>,
+    fn(&'a (&'static str, V)) -> (&'a &'static str, &'a V),
+>;
+
+impl<'a, V> IntoIterator for &'a NameTable<V> {
+    type Item = (&'a &'static str, &'a V);
+    type IntoIter = NameIter<'a, V>;
+
+    fn into_iter(self) -> NameIter<'a, V> {
+        self.iter()
+    }
+}
+
 /// Counters accumulated by a [`crate::World`] run, or by one
 /// [`crate::NodeHost`] (one per node; [`Metrics::absorb`] sums them).
 #[derive(Clone, Debug, Default)]
@@ -176,9 +311,9 @@ pub struct Metrics {
     /// Timers fired.
     pub timers_fired: u64,
     /// Per message-kind send counts.
-    pub sent_by_kind: BTreeMap<&'static str, u64>,
+    pub sent_by_kind: NameTable<u64>,
     /// Per message-kind byte totals.
-    pub bytes_by_kind: BTreeMap<&'static str, u64>,
+    pub bytes_by_kind: NameTable<u64>,
     /// Per directed-link records, `[from][to]`. A cell whose `msgs` is
     /// zero is a link that does not exist (yet, or in this window).
     links: LinkRows<LinkStat>,
@@ -189,17 +324,17 @@ pub struct Metrics {
     /// Named protocol counters fed by [`crate::Context::record_counter`] —
     /// e.g. the storage layer's fast-path read hits/misses. Tracked by both
     /// runtimes.
-    pub counters: BTreeMap<&'static str, u64>,
+    pub counters: NameTable<u64>,
     /// Named value histograms (`value → occurrences`) fed by
     /// [`crate::Context::record_sample`] — e.g. the phase-2 write-back
     /// fanout distribution. Tracked by both runtimes.
-    pub samples: BTreeMap<&'static str, BTreeMap<u64, u64>>,
+    pub samples: NameTable<BTreeMap<u64, u64>>,
     /// Latest virtual time reached.
     pub last_time: Time,
 }
 
 impl Metrics {
-    /// The part of a send every runtime knows: totals, the per-kind maps,
+    /// The part of a send every runtime knows: totals, the per-kind tables,
     /// and the link's message and byte counts.
     #[inline]
     fn tally_send(
@@ -212,8 +347,8 @@ impl Metrics {
         let bytes = bytes as u64;
         self.messages_sent += 1;
         self.bytes_sent += bytes;
-        *self.sent_by_kind.entry(kind).or_insert(0) += 1;
-        *self.bytes_by_kind.entry(kind).or_insert(0) += bytes;
+        *self.sent_by_kind.slot(kind) += 1;
+        *self.bytes_by_kind.slot(kind) += bytes;
         let link = self.links.cell_mut(from.index(), to.index());
         link.msgs += 1;
         link.bytes += bytes;
@@ -271,18 +406,13 @@ impl Metrics {
     /// Bumps a named protocol counter (the runtimes route
     /// [`crate::Context::record_counter`] effects here).
     pub fn record_counter(&mut self, key: &'static str, add: u64) {
-        *self.counters.entry(key).or_insert(0) += add;
+        *self.counters.slot(key) += add;
     }
 
     /// Records one observation into a named histogram (the runtimes route
     /// [`crate::Context::record_sample`] effects here).
     pub fn record_sample(&mut self, key: &'static str, value: u64) {
-        *self
-            .samples
-            .entry(key)
-            .or_default()
-            .entry(value)
-            .or_insert(0) += 1;
+        *self.samples.slot(key).entry(value).or_insert(0) += 1;
     }
 
     /// The value of a named protocol counter (0 if never bumped).
@@ -482,6 +612,20 @@ impl Metrics {
         sent + received
     }
 
+    /// A copy of what the link queries read — `bytes_sent`, the per-link
+    /// records and `last_time` — with every other tally empty: the
+    /// observation a placement policy is handed
+    /// (`awr_quorum::placement::PlacementInputs::metrics`), snapshotted
+    /// and windowed without the per-kind, per-object and named tables.
+    pub fn links_only(&self) -> Metrics {
+        Metrics {
+            bytes_sent: self.bytes_sent,
+            links: self.links.clone(),
+            last_time: self.last_time,
+            ..Metrics::default()
+        }
+    }
+
     /// The counters accumulated *since* `baseline` was snapshotted: every
     /// total, per-kind, per-link, per-object, and delay tally is the
     /// component-wise difference, and `last_time` becomes the window
@@ -497,23 +641,14 @@ impl Metrics {
     /// `baseline` must be an earlier snapshot of the same run; counters
     /// saturate at zero rather than underflow.
     pub fn since(&self, baseline: &Metrics) -> Metrics {
-        fn sub_map<K: Ord + Copy>(
-            new: &BTreeMap<K, u64>,
-            old: &BTreeMap<K, u64>,
-        ) -> BTreeMap<K, u64> {
-            new.iter()
-                .map(|(k, v)| (*k, v.saturating_sub(old.get(k).copied().unwrap_or(0))))
-                .collect()
+        fn sub(new: &u64, old: Option<&u64>) -> u64 {
+            new.saturating_sub(old.copied().unwrap_or(0))
         }
-        let samples = self
-            .samples
-            .iter()
-            .map(|(k, h)| {
-                let empty = BTreeMap::new();
-                let old = baseline.samples.get(k).unwrap_or(&empty);
-                (*k, sub_map(h, old))
-            })
-            .collect();
+        let samples = self.samples.since(&baseline.samples, |h, old| {
+            h.iter()
+                .map(|(v, n)| (*v, sub(n, old.and_then(|o| o.get(v)))))
+                .collect()
+        });
         let mut links = self.links.clone();
         for ((from, to), old) in baseline.links.cells() {
             let link = links.cell_mut(from, to);
@@ -546,11 +681,11 @@ impl Metrics {
                 .saturating_sub(baseline.messages_dropped_crashed),
             restarts: self.restarts.saturating_sub(baseline.restarts),
             timers_fired: self.timers_fired.saturating_sub(baseline.timers_fired),
-            sent_by_kind: sub_map(&self.sent_by_kind, &baseline.sent_by_kind),
-            bytes_by_kind: sub_map(&self.bytes_by_kind, &baseline.bytes_by_kind),
+            sent_by_kind: self.sent_by_kind.since(&baseline.sent_by_kind, sub),
+            bytes_by_kind: self.bytes_by_kind.since(&baseline.bytes_by_kind, sub),
             links,
             objects,
-            counters: sub_map(&self.counters, &baseline.counters),
+            counters: self.counters.since(&baseline.counters, sub),
             samples,
             last_time: Time(
                 self.last_time
@@ -564,10 +699,8 @@ impl Metrics {
     /// `last_time`): how the per-node [`Metrics`] of several
     /// [`crate::NodeHost`]s merge into one run-wide view.
     pub fn absorb(&mut self, other: &Metrics) {
-        fn add_map<K: Ord + Copy>(into: &mut BTreeMap<K, u64>, from: &BTreeMap<K, u64>) {
-            for (k, v) in from {
-                *into.entry(*k).or_insert(0) += v;
-            }
+        fn add(into: &mut u64, n: &u64) {
+            *into += n;
         }
         self.events_processed += other.events_processed;
         self.messages_sent += other.messages_sent;
@@ -576,8 +709,8 @@ impl Metrics {
         self.messages_dropped_crashed += other.messages_dropped_crashed;
         self.restarts += other.restarts;
         self.timers_fired += other.timers_fired;
-        add_map(&mut self.sent_by_kind, &other.sent_by_kind);
-        add_map(&mut self.bytes_by_kind, &other.bytes_by_kind);
+        self.sent_by_kind.absorb(&other.sent_by_kind, add);
+        self.bytes_by_kind.absorb(&other.bytes_by_kind, add);
         for ((from, to), s) in other.links.cells().filter(|(_, s)| s.msgs > 0) {
             self.links.cell_mut(from, to).absorb(s);
         }
@@ -586,10 +719,12 @@ impl Metrics {
             mine.msgs += s.msgs;
             mine.bytes += s.bytes;
         }
-        add_map(&mut self.counters, &other.counters);
-        for (k, h) in &other.samples {
-            add_map(self.samples.entry(k).or_default(), h);
-        }
+        self.counters.absorb(&other.counters, add);
+        self.samples.absorb(&other.samples, |into, h| {
+            for (v, n) in h {
+                add(into.entry(*v).or_insert(0), n);
+            }
+        });
         self.last_time = self.last_time.max(other.last_time);
     }
 
@@ -784,9 +919,10 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Differential oracle: the eight `BTreeMap`s the tables replaced,
-    // updated and queried the way they were, against `Metrics` over
-    // generated send sequences.
+    // Differential oracle: the `BTreeMap`s the tables replaced — eight
+    // keyed by kind, link or object, and the two of named counters and
+    // histograms — updated and queried the way they were, against
+    // `Metrics` over generated send sequences.
     // -----------------------------------------------------------------
 
     use proptest::prelude::*;
@@ -807,6 +943,8 @@ mod tests {
         link_busy: BTreeMap<Link, Nanos>,
         msgs_by_link: BTreeMap<Link, u64>,
         delay_by_link: BTreeMap<Link, LinkDelayStat>,
+        counters: BTreeMap<&'static str, u64>,
+        samples: BTreeMap<&'static str, BTreeMap<u64, u64>>,
         last_time: Time,
     }
 
@@ -862,6 +1000,33 @@ mod tests {
             *self.msgs_by_object.entry(object).or_insert(0) += 1;
         }
 
+        fn record_counter(&mut self, key: &'static str, add: u64) {
+            *self.counters.entry(key).or_insert(0) += add;
+        }
+
+        fn record_sample(&mut self, key: &'static str, value: u64) {
+            *self
+                .samples
+                .entry(key)
+                .or_default()
+                .entry(value)
+                .or_insert(0) += 1;
+        }
+
+        fn absorb(&mut self, other: &MapMetrics) {
+            fn add_map<K: Ord + Copy>(into: &mut BTreeMap<K, u64>, from: &BTreeMap<K, u64>) {
+                for (k, v) in from {
+                    *into.entry(*k).or_insert(0) += v;
+                }
+            }
+            add_map(&mut self.sent_by_kind, &other.sent_by_kind);
+            add_map(&mut self.bytes_by_kind, &other.bytes_by_kind);
+            add_map(&mut self.counters, &other.counters);
+            for (k, h) in &other.samples {
+                add_map(self.samples.entry(k).or_default(), h);
+            }
+        }
+
         fn since(&self, baseline: &MapMetrics) -> MapMetrics {
             fn sub_map<K: Ord + Copy>(
                 new: &BTreeMap<K, u64>,
@@ -898,6 +1063,16 @@ mod tests {
                 link_busy: sub_map(&self.link_busy, &baseline.link_busy),
                 msgs_by_link: sub_map(&self.msgs_by_link, &baseline.msgs_by_link),
                 delay_by_link,
+                counters: sub_map(&self.counters, &baseline.counters),
+                samples: self
+                    .samples
+                    .iter()
+                    .map(|(k, h)| {
+                        let empty = BTreeMap::new();
+                        let old = baseline.samples.get(k).unwrap_or(&empty);
+                        (*k, sub_map(h, old))
+                    })
+                    .collect(),
                 last_time: Time(
                     self.last_time
                         .nanos()
@@ -1003,7 +1178,24 @@ mod tests {
     /// Actor ids the generated sends use: enough to force every row and
     /// several rows' worth of columns to grow mid-sequence.
     const ACTORS: usize = 9;
-    const KINDS: [&str; 4] = ["R", "RAck", "W", "T"];
+    /// The names kinds, counters and histograms are drawn from: the last
+    /// is the text of the first at another address, as a label built at
+    /// run time (or merged differently by another crate) would be.
+    fn names() -> [&'static str; 5] {
+        static COPY: std::sync::OnceLock<&'static str> = std::sync::OnceLock::new();
+        let copy = *COPY.get_or_init(|| Box::leak(String::from("R").into_boxed_str()));
+        ["R", "RAck", "W", "T", copy]
+    }
+
+    /// `table`'s entries in iteration order, owned.
+    fn entries<V: Clone>(table: &NameTable<V>) -> Vec<(&'static str, V)> {
+        table.iter().map(|(k, v)| (*k, v.clone())).collect()
+    }
+
+    /// `map`'s entries in key order, owned.
+    fn map_entries<V: Clone>(map: &BTreeMap<&'static str, V>) -> Vec<(&'static str, V)> {
+        map.iter().map(|(k, v)| (*k, v.clone())).collect()
+    }
     /// Object keys by selector: none, the extremes, then a few small keys.
     fn object_of(sel: u64) -> Option<u64> {
         match sel {
@@ -1019,17 +1211,32 @@ mod tests {
     fn assert_same_view(m: &Metrics, r: &MapMetrics) -> Result<(), TestCaseError> {
         prop_assert_eq!(m.messages_sent, r.messages_sent);
         prop_assert_eq!(m.bytes_sent, r.bytes_sent);
-        prop_assert_eq!(&m.sent_by_kind, &r.sent_by_kind);
-        prop_assert_eq!(&m.bytes_by_kind, &r.bytes_by_kind);
+        // The named tables iterate as the maps did: one entry per text
+        // (the two addresses of "R" share one), in name order, zero entries
+        // included.
+        prop_assert_eq!(entries(&m.sent_by_kind), map_entries(&r.sent_by_kind));
+        prop_assert_eq!(entries(&m.bytes_by_kind), map_entries(&r.bytes_by_kind));
+        prop_assert_eq!(entries(&m.counters), map_entries(&r.counters));
+        prop_assert_eq!(entries(&m.samples), map_entries(&r.samples));
+        for table in [&m.sent_by_kind, &m.bytes_by_kind, &m.counters] {
+            let keys: Vec<&str> = table.keys().collect();
+            prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+        }
         prop_assert_eq!(m.last_time, r.last_time);
-        for kind in KINDS {
+        for name in names() {
             prop_assert_eq!(
-                m.sent_of_kind(kind),
-                r.sent_by_kind.get(kind).copied().unwrap_or(0)
+                m.sent_of_kind(name),
+                r.sent_by_kind.get(name).copied().unwrap_or(0)
             );
             prop_assert_eq!(
-                m.bytes_of_kind(kind),
-                r.bytes_by_kind.get(kind).copied().unwrap_or(0)
+                m.bytes_of_kind(name),
+                r.bytes_by_kind.get(name).copied().unwrap_or(0)
+            );
+            prop_assert_eq!(m.counter(name), r.counters.get(name).copied().unwrap_or(0));
+            prop_assert_eq!(m.sample_hist(name), r.samples.get(name));
+            prop_assert_eq!(
+                m.sample_count(name),
+                r.samples.get(name).map_or(0, |h| h.values().sum())
             );
         }
         for f in (0..=ACTORS).map(ActorId) {
@@ -1094,15 +1301,21 @@ mod tests {
     }
 
     /// One generated send: `((kind, from, to, bytes), (object selector,
-    /// timed?, (queued, transmission, propagation), clock advance))`.
+    /// timed?, (queued, transmission, propagation), clock advance),
+    /// (counter or sample?, name, amount))`.
     type GenSend = (
         (usize, usize, usize, usize),
         (u64, u8, (u64, u64, u64), u64),
+        (u8, usize, u64),
     );
 
     fn apply(m: &mut Metrics, r: &mut MapMetrics, send: &GenSend) {
-        let ((kind, from, to, bytes), (object, timed, (queued, tx, propagation), advance)) = *send;
-        let (kind, from, to) = (KINDS[kind], a(from), a(to));
+        let (
+            (kind, from, to, bytes),
+            (object, timed, (queued, tx, propagation), advance),
+            (named, name, amount),
+        ) = *send;
+        let (kind, from, to) = (names()[kind], a(from), a(to));
         let object = object_of(object);
         if timed > 0 {
             // Two sends in three carry a delivery; half of those charge no
@@ -1122,6 +1335,20 @@ mod tests {
             m.record_untimed_send(kind, bytes, from, to, object);
             r.record_untimed_send(kind, bytes, from, to, object);
         }
+        // Half the sends come with a counter bump (by 0 too: an entry with
+        // nothing counted) or a histogram sample under a drawn name.
+        let name = names()[name];
+        match named {
+            0 => {
+                m.record_counter(name, amount);
+                r.record_counter(name, amount);
+            }
+            1 => {
+                m.record_sample(name, amount);
+                r.record_sample(name, amount);
+            }
+            _ => {}
+        }
         m.last_time = Time(m.last_time.nanos() + advance);
         r.last_time = m.last_time;
     }
@@ -1133,8 +1360,9 @@ mod tests {
         fn tables_agree_with_the_maps_they_replaced(
             sends in proptest::collection::vec(
                 (
-                    (0usize..4, 0usize..ACTORS, 0usize..ACTORS, 0usize..5_000),
+                    (0usize..5, 0usize..ACTORS, 0usize..ACTORS, 0usize..5_000),
                     (0u64..8, 0u8..3, (0u64..1_000_000, 1u64..50_000, 0u64..200_000_000), 0u64..3_000_000),
+                    (0u8..4, 0usize..5, 0u64..4),
                 ),
                 0..120,
             ),
@@ -1161,12 +1389,63 @@ mod tests {
             prop_assert_eq!(zero.links().count(), 0);
             prop_assert_eq!(zero.objects().count(), 0);
             prop_assert_eq!(zero.max_uplink_utilization(), 0.0);
+            // A window keeps every name of the run, at zero where nothing
+            // happened in it.
+            prop_assert_eq!(zero.sent_by_kind.len(), m.sent_by_kind.len());
+            prop_assert!(zero.sent_by_kind.values().all(|&n| n == 0));
+            prop_assert_eq!(zero.counters.len(), m.counters.len());
+            prop_assert_eq!(zero.samples.len(), m.samples.len());
             // Absorbing the window into the snapshot rebuilds the total.
             let mut rebuilt = m_cut.clone();
             rebuilt.absorb(&m.since(&m_cut));
             rebuilt.last_time = m.last_time;
             assert_same_view(&rebuilt, &r)?;
+            let mut r_rebuilt = r_cut.clone();
+            r_rebuilt.absorb(&r.since(&r_cut));
+            prop_assert_eq!(entries(&rebuilt.counters), map_entries(&r_rebuilt.counters));
+            prop_assert_eq!(entries(&rebuilt.samples), map_entries(&r_rebuilt.samples));
+            // Absorbing into an empty table takes the other's names in
+            // order, zero entries included.
+            let mut fresh = Metrics::default();
+            fresh.absorb(&zero);
+            prop_assert_eq!(entries(&fresh.sent_by_kind), entries(&zero.sent_by_kind));
+            prop_assert_eq!(entries(&fresh.samples), entries(&zero.samples));
         }
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_is_one_entry() {
+        let [r, .., copy] = names();
+        assert_eq!(r, copy);
+        assert!(!std::ptr::eq(r, copy), "two addresses");
+        let mut m = Metrics::default();
+        m.record_send("W", 5, a(0), a(1), tx(0));
+        m.record_send(copy, 10, a(0), a(1), tx(0));
+        m.record_send(r, 20, a(0), a(1), tx(0));
+        m.record_counter(r, 1);
+        m.record_counter(copy, 2);
+        m.record_sample(copy, 4);
+        m.record_sample(r, 4);
+        assert_eq!(entries(&m.sent_by_kind), [("R", 2), ("W", 1)]);
+        assert_eq!(entries(&m.bytes_by_kind), [("R", 30), ("W", 5)]);
+        assert_eq!(entries(&m.counters), [("R", 3)]);
+        assert_eq!(m.sample_hist("R"), Some(&BTreeMap::from([(4, 2)])));
+        // Lookups by either address, or by text built at run time, agree.
+        let text = String::from("R");
+        for name in [r, copy, text.as_str()] {
+            assert_eq!(m.sent_of_kind(name), 2);
+            assert_eq!(m.counter(name), 3);
+        }
+        // The first address stays the key, whichever address asks.
+        assert!(m.sent_by_kind.keys().any(|k| std::ptr::eq(k, copy)));
+        // `for (kind, n) in &table` binds `&&'static str` and `&u64`.
+        let mut seen = Vec::new();
+        for (kind, n) in &m.sent_by_kind {
+            let kind: &&'static str = kind;
+            seen.push((*kind, *n + m.bytes_of_kind(kind)));
+        }
+        assert_eq!(seen, [("R", 32), ("W", 6)]);
+        assert_eq!(format!("{:?}", m.sent_by_kind), r#"{"R": 2, "W": 1}"#);
     }
 
     #[test]

@@ -111,9 +111,13 @@ pub struct PlacementDriver {
     /// (the historical behaviour). Windowing is what makes re-deciding
     /// through a regime shift work: cumulative means dilute the new regime
     /// under the old one's samples, so a driver that decided once under
-    /// congestion would keep seeing that congestion forever.
+    /// congestion would keep seeing that congestion forever. Either way the
+    /// policy is handed [`Metrics::links_only`] — `bytes_sent`, the
+    /// per-link records and `last_time`, all a policy reads — so a tick
+    /// copies and windows the link rows, not the per-kind, per-object or
+    /// named tables.
     pub windowed: bool,
-    /// The metrics snapshot taken at the previous windowed tick.
+    /// The links-only snapshot taken at the previous windowed tick.
     last_snapshot: Option<Metrics>,
     /// The decision audit trail.
     pub log: DecisionLog,
@@ -152,16 +156,15 @@ impl PlacementDriver {
         let current = self.current_weights(h);
         // Windowed mode: the policy sees only what happened since the last
         // tick; cumulative mode (default) sees the whole run.
-        let observed: Metrics = if self.windowed {
-            let now = h.world.metrics().clone();
-            let window = match &self.last_snapshot {
-                Some(base) => now.since(base),
-                None => now.clone(),
-            };
-            self.last_snapshot = Some(now);
-            window
-        } else {
-            h.world.metrics().clone()
+        let now = h.world.metrics().links_only();
+        let observed = match (self.windowed, &self.last_snapshot) {
+            (false, _) => now,
+            (true, Some(base)) => {
+                let window = now.since(base);
+                self.last_snapshot = Some(now);
+                window
+            }
+            (true, None) => self.last_snapshot.insert(now).clone(),
         };
         let proposed = {
             let inputs = PlacementInputs::for_prefix_servers(

@@ -202,9 +202,12 @@ pub enum KeyDistribution {
 }
 
 /// A seeded key sampler over a dense key space `o0..o(n-1)`: a precomputed
-/// cumulative distribution, sampled in O(log n) by binary search. Clones
-/// share the distribution, so a hundred clients drawing from one key space
-/// search one table.
+/// cumulative distribution, sampled by binary search in O(log n) — or, under
+/// [`KeyDistribution::Uniform`], in O(1) by stepping from `⌊u·n⌋` to the
+/// first bound above `u`, which lands where the binary search would (the
+/// bounds are sums of `1/n` and stray from `(k+1)/n` by rounding only).
+/// Clones share the distribution, so a hundred clients drawing from one
+/// key space search one table.
 ///
 /// # Examples
 ///
@@ -221,6 +224,8 @@ pub enum KeyDistribution {
 pub struct KeySampler {
     /// Normalized cumulative weights; `cum[k]` = P(key ≤ k).
     cum: Arc<[f64]>,
+    /// Whether every key has the same weight, so that `cum[k]` ≈ `(k+1)/n`.
+    uniform: bool,
 }
 
 impl KeySampler {
@@ -249,7 +254,10 @@ impl KeySampler {
                 acc
             })
             .collect();
-        KeySampler { cum }
+        KeySampler {
+            cum,
+            uniform: matches!(dist, KeyDistribution::Uniform),
+        }
     }
 
     /// Number of keys in the space.
@@ -259,9 +267,27 @@ impl KeySampler {
 
     /// Draws one key.
     pub fn sample(&self, rng: &mut StdRng) -> ObjectId {
-        let u = rng.random_range(0.0f64..1.0);
-        let k = self.cum.partition_point(|&c| c <= u);
+        let k = self.bound_above(rng.random_range(0.0f64..1.0));
         ObjectId(k.min(self.cum.len() - 1) as u64)
+    }
+
+    /// The first `k` with `cum[k] > u` (`n` if none):
+    /// `cum.partition_point(|&c| c <= u)`.
+    fn bound_above(&self, u: f64) -> usize {
+        let cum = &self.cum;
+        if !self.uniform {
+            return cum.partition_point(|&c| c <= u);
+        }
+        // `cum` is non-decreasing: below the start every bound is ≤ `u` once
+        // the first loop stops, so the second stops at the partition point.
+        let mut k = ((u * cum.len() as f64) as usize).min(cum.len());
+        while k > 0 && cum[k - 1] > u {
+            k -= 1;
+        }
+        while k < cum.len() && cum[k] <= u {
+            k += 1;
+        }
+        k
     }
 }
 
@@ -401,6 +427,43 @@ mod tests {
         let z0 = KeySampler::new(4, KeyDistribution::Zipfian { exponent: 0.0 });
         for _ in 0..100 {
             assert!(z0.sample(&mut rng) < ObjectId(4));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The uniform draw's walk from `⌊u·n⌋` returns what the binary
+        /// search returns: for drawn `u`, and at every bound `cum[k]` and
+        /// the floats either side of it, where rounding decides.
+        #[test]
+        fn the_uniform_walk_lands_where_the_binary_search_does(
+            n in 1usize..3_000,
+            us in proptest::collection::vec(0.0f64..1.0, 64),
+        ) {
+            let sampler = KeySampler::new(n, KeyDistribution::Uniform);
+            let search = |u: f64| sampler.cum.partition_point(|&c| c <= u);
+            for u in us {
+                proptest::prop_assert_eq!(sampler.bound_above(u), search(u), "u = {}", u);
+            }
+            for &c in sampler.cum.iter() {
+                for u in [c.next_down(), c, c.next_up()] {
+                    proptest::prop_assert_eq!(sampler.bound_above(u), search(u), "u = {}", u);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_uniform_draw_keeps_its_key_stream() {
+        // The same seed draws the same keys as the binary search over the
+        // same table.
+        let sampler = KeySampler::new(2_048, KeyDistribution::Uniform);
+        let (mut a, mut b) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+        for _ in 0..100_000 {
+            let u = b.random_range(0.0f64..1.0);
+            let k = sampler.cum.partition_point(|&c| c <= u).min(2_047);
+            assert_eq!(sampler.sample(&mut a), ObjectId(k as u64));
         }
     }
 
