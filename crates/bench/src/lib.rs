@@ -3,12 +3,12 @@
 //! The paper-figure binaries whose claims still wait on other work
 //! (`e3_flexibility`, `e4_reductions`, `e9_consensus_stall`, `e11_quorum`),
 //! the `bench_*` writers whose files hold wall-clock numbers
-//! (`bench_changeset`, `bench_soak`), fail at full size (`bench_placement`)
-//! or take minutes at full size (`bench_throughput`), and the criterion
-//! micro-benchmarks. The deterministic claims of the other experiments are
-//! tier-1 tests under `tests/`. This library holds the shared
-//! table-printing and statistics helpers, and the naive change set the
-//! changeset benchmarks compare against.
+//! (`bench_changeset`, `bench_soak`) or fail at full size
+//! (`bench_placement`), and the criterion micro-benchmarks. The
+//! deterministic claims of the other experiments, the open-loop knee
+//! curves among them, are tier-1 tests under `tests/`. This library holds
+//! the shared table-printing and statistics helpers, and the naive change
+//! set `bench_changeset` compares against.
 
 // stdout is this target's interface; exempt from the workspace print lint.
 #![allow(clippy::print_stdout)]

@@ -5,9 +5,9 @@
 //! a bare `BTreeSet<Change>` whose `server_weight`/`total_weight` are
 //! O(|C|) scans, whose `merge` inserts element-by-element, whose `clone`
 //! deep-copies, and whose `digest` re-hashes the whole set. The
-//! `changeset` criterion bench and the `bench_changeset` runner measure it
-//! head-to-head against [`awr_types::ChangeSet`]'s incremental accounting
-//! so the speedup is tracked release over release.
+//! `bench_changeset` runner measures it head-to-head against
+//! [`awr_types::ChangeSet`]'s incremental accounting so the speedup is
+//! tracked release over release.
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};

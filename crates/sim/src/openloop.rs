@@ -1,12 +1,12 @@
 //! Open-loop arrival processes.
 //!
-//! A *closed-loop* workload (every bench before `bench_throughput`)
-//! issues the next operation when the previous one completes, so the
-//! offered rate sags exactly when the system slows down — it can never
-//! expose the latency-vs-throughput knee. An *open-loop* workload draws
-//! arrival instants from a stochastic process fixed up front: arrivals
-//! keep coming at the target rate whether or not the system keeps up,
-//! and queueing delay shows up in the recorded latency.
+//! A *closed-loop* workload issues the next operation when the previous
+//! one completes, so the offered rate sags exactly when the system slows
+//! down — it can never expose the latency-vs-throughput knee. An
+//! *open-loop* workload draws arrival instants from a stochastic process
+//! fixed up front: arrivals keep coming at the target rate whether or not
+//! the system keeps up, and queueing delay shows up in the recorded
+//! latency.
 //!
 //! The generators here are pure functions of their own seed: they own a
 //! private RNG, never touch the simulation's RNG, and never observe

@@ -206,7 +206,7 @@ const LEVELS: usize = 6;
 /// per-slot machinery (bitmap scan, buffer swap, sort) amortizes over
 /// the batch, and protocol-scale delays (50 µs – 20 ms) land at levels
 /// 0–1 — at most one cascade hop per event. Measured against finer
-/// granularities (2^7, 2^12, 2^14) on the `bench_throughput` top point,
+/// granularities (2^7, 2^12, 2^14) on an open-loop run at 8 000 ops/s,
 /// this is the knee of the tuning curve; coarser (2^18) loses to the
 /// sorted `current` inserts that sub-slot deltas then pay.
 const GRANULARITY_SHIFT: u32 = 16;

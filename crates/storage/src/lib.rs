@@ -53,7 +53,7 @@ pub use harness::StorageHarness;
 pub use history::{HistOp, History, OpKind};
 pub use lin::{check_linearizable, check_linearizable_keyed, KeyedLinError, LinError};
 pub use openloop::{OpenLoopClient, OpenLoopHarness, OpenLoopSpec, OpenLoopStats};
-pub use placement::{run_adaptive_workload, DecisionLog, PlacementDriver, PolicyDecision};
+pub use placement::{DecisionLog, PlacementDriver, PolicyDecision};
 
 /// Values stored in registers. A register value crosses sockets and the
 /// WAL, so it has a [`Wire`](awr_types::wire::Wire) layout.

@@ -11,10 +11,6 @@
 //! and C2 is enforced by the protocol's own local check even if the plan
 //! raced with concurrent reassignment). Every tick is recorded in a
 //! [`DecisionLog`] so experiments can audit why weights moved.
-//!
-//! [`run_adaptive_workload`] packages the periodic version: a closed-loop
-//! read/write workload with a policy tick every `decide_every` rounds —
-//! the shape `bench_placement` and `examples/placement_policies.rs` use.
 
 use awr_quorum::placement::{plan_transfers, PlacementInputs, PlacementPolicy};
 use awr_quorum::{integrity_holds, rp_integrity_holds};
@@ -23,7 +19,6 @@ use awr_types::{Ratio, ServerId, WeightMap};
 
 use crate::dynamic::DynServer;
 use crate::harness::StorageHarness;
-use crate::workload::{WorkloadSpec, WorkloadStats};
 use crate::Value;
 
 /// One recorded placement decision: what the policy saw, what it proposed,
@@ -211,29 +206,6 @@ impl PlacementDriver {
     }
 }
 
-/// Runs the closed-loop workload of
-/// [`run_mixed_workload`](crate::workload::run_mixed_workload) — the
-/// `spec`'s client ops *and* random transfers are honoured — with a
-/// placement tick every `decide_every` rounds (0 disables adaptation).
-/// Returns the workload statistics; `WorkloadStats::transfers_attempted`
-/// counts the spec's random transfers as documented, while the
-/// driver-issued placement transfers are reported by the driver's own
-/// [`DecisionLog`] (`driver.log.transfers_issued()`).
-pub fn run_adaptive_workload(
-    h: &mut StorageHarness<u64>,
-    n_clients: usize,
-    spec: &WorkloadSpec,
-    seed: u64,
-    driver: &mut PlacementDriver,
-    decide_every: usize,
-) -> WorkloadStats {
-    crate::workload::run_workload_with_hook(h, n_clients, spec, seed, |h, round| {
-        if decide_every > 0 && round > 0 && round % decide_every == 0 {
-            driver.tick(h);
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,24 +280,6 @@ mod tests {
         assert_eq!(d.log.len(), 1);
         assert_eq!(d.log.last().unwrap().policy, "latency-greedy");
         assert_eq!(d.log.transfers_issued(), issued);
-    }
-
-    #[test]
-    fn adaptive_workload_ticks_periodically() {
-        let mut h = build(43);
-        let mut d = PlacementDriver::new(LatencyGreedy::default(), vec![h.client_actor(0)]);
-        let spec = WorkloadSpec {
-            rounds: 12,
-            round_ns: 120 * awr_sim::MILLI,
-            op_percent: 90,
-            write_percent: 50,
-            transfer_percent: 0,
-            transfer_delta: Ratio::ZERO,
-        };
-        let stats = run_adaptive_workload(&mut h, 1, &spec, 7, &mut d, 4);
-        assert!(stats.reads + stats.writes > 0);
-        assert_eq!(d.log.len(), 2, "rounds 4 and 8 tick");
-        check_linearizable(&h.history()).unwrap();
     }
 
     /// Proposes one fixed map whatever it observes.

@@ -70,21 +70,7 @@ pub fn run_mixed_workload(
     spec: &WorkloadSpec,
     seed: u64,
 ) -> WorkloadStats {
-    run_workload_with_hook(h, n_clients, spec, seed, |_, _| {})
-}
-
-/// The shared closed-loop workload engine: client ops and random transfers
-/// per `spec`, with `per_round(harness, round)` called after each round's
-/// stimuli are issued and before the world advances — the hook
-/// `placement::run_adaptive_workload` uses to tick a placement driver.
-pub(crate) fn run_workload_with_hook(
-    h: &mut StorageHarness<u64>,
-    n_clients: usize,
-    spec: &WorkloadSpec,
-    seed: u64,
-    per_round: impl FnMut(&mut StorageHarness<u64>, usize),
-) -> WorkloadStats {
-    run_workload_engine(h, n_clients, spec, seed, None, per_round).0
+    run_workload_engine(h, n_clients, spec, seed, None).0
 }
 
 /// The engine behind every workload shape. `sampler == None` is the
@@ -102,7 +88,6 @@ fn run_workload_engine(
     spec: &WorkloadSpec,
     seed: u64,
     sampler: Option<&KeySampler>,
-    mut per_round: impl FnMut(&mut StorageHarness<u64>, usize),
 ) -> (WorkloadStats, History<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = h.config().n;
@@ -133,7 +118,7 @@ fn run_workload_engine(
     }
     let restarts_before = h.total_restarts();
     let mut stats = WorkloadStats::default();
-    for round in 0..spec.rounds {
+    for _ in 0..spec.rounds {
         for k in 0..n_clients {
             if !h.client_busy(k) && rng.random_range(0..100) < spec.op_percent {
                 let obj = match sampler {
@@ -155,7 +140,6 @@ fn run_workload_engine(
                 stats.transfers_attempted += 1;
             }
         }
-        per_round(h, round);
         h.world.run_for(spec.round_ns);
     }
     h.settle();
@@ -352,8 +336,7 @@ pub fn run_keyed_workload(
     seed: u64,
 ) -> KeyedWorkloadStats {
     let sampler = KeySampler::new(spec.n_objects, spec.dist);
-    let (totals, hist) =
-        run_workload_engine(h, n_clients, &spec.base, seed, Some(&sampler), |_, _| {});
+    let (totals, hist) = run_workload_engine(h, n_clients, &spec.base, seed, Some(&sampler));
     KeyedWorkloadStats {
         totals,
         per_object: hist.per_object_latency(),

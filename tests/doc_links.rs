@@ -3,10 +3,10 @@
 //! file that exists, and that every markdown file a Rust source under
 //! `crates/`, `src/`, `tests/` or `examples/` names exists at the
 //! repository root, and that every backticked repo path in `README.md` and
-//! `docs/*.md` exists — with every `file.rs::name` cite naming a function
-//! in that file — and that every `--bin <name>` they cite is a binary under
-//! `crates/*/src/bin/`, so the docs layer can't rot silently as the tree
-//! moves.
+//! `docs/*.md` exists — a root-level `BENCH_*.json` included, and with
+//! every `file.rs::name` cite naming a function in that file — and that
+//! every `--bin <name>` they cite is a binary under `crates/*/src/bin/`,
+//! so the docs layer can't rot silently as the tree moves.
 
 use std::path::{Path, PathBuf};
 
@@ -136,6 +136,13 @@ const REPO_DIRS: [&str; 7] = [
     "vendor/",
 ];
 
+/// Whether a code span names a repo path: one under a top-level directory,
+/// or a committed `BENCH_*.json` at the root.
+fn is_repo_path(span: &str) -> bool {
+    REPO_DIRS.iter().any(|d| span.starts_with(d))
+        || (span.starts_with("BENCH_") && span.ends_with(".json"))
+}
+
 /// Inline code spans of markdown source, paired within each paragraph (a
 /// span may wrap a line), skipping fenced code blocks.
 fn code_spans(md: &str) -> Vec<String> {
@@ -213,7 +220,7 @@ fn backticked_repo_paths_exist() {
         let md = std::fs::read_to_string(file).expect("read markdown");
         for span in code_spans(&md) {
             // Globs and elisions name no single file.
-            if !REPO_DIRS.iter().any(|d| span.starts_with(d)) || span.contains(['*', '…']) {
+            if !is_repo_path(&span) || span.contains(['*', '…']) {
                 continue;
             }
             let (path, names) = span.split_once("::").unwrap_or((&span, ""));
