@@ -118,7 +118,7 @@ mod world;
 
 pub use actor::{Actor, ActorId, Context, Message, TimerId};
 pub use fault::{Fault, FaultPlan};
-pub use metrics::{LinkDelayStat, LinkStat, Metrics, NameTable, ObjectStat};
+pub use metrics::{LinkDelayStat, LinkStat, Metrics, NameTable, ObjectStat, U64Build, U64Hasher};
 pub use network::{
     shared_latency, BandwidthLinks, BandwidthMatrix, ConstantLatency, Delivery, FifoLinks,
     LatencyModel, LinkDiscipline, NetworkModel, SharedLatency, SlowActors, TargetedDelay,

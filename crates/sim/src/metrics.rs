@@ -15,9 +15,11 @@
 //!   receiver, read through [`Metrics::bytes_on_link`],
 //!   [`Metrics::link_utilization`], [`Metrics::link_delay`] and iterated
 //!   in ascending `(from, to)` order by [`Metrics::links`];
-//! * **per object** — one [`ObjectStat`] per keyed register, read through
-//!   [`Metrics::bytes_of_object`] and iterated in ascending key order by
-//!   [`Metrics::objects`].
+//! * **per object** — one [`ObjectStat`] per keyed register, in a vector
+//!   indexed by key for keys below a fixed bound (16 384: workloads number
+//!   their objects from 0) and in a [`U64Hasher`] map above it, read
+//!   through [`Metrics::bytes_of_object`] and iterated in ascending key
+//!   order by [`Metrics::objects`].
 //!
 //! The link table is the observation side of the observe→decide→reassign
 //! loop: placement policies consume it to decide where weight should
@@ -128,15 +130,17 @@ pub struct ObjectStat {
     pub bytes: u64,
 }
 
-/// Hasher of the `u64`-keyed tables on the per-event path — the
-/// per-object table here and [`crate::World`]'s cancelled-timer set: one
-/// multiply and a fold, instead of SipHash on every keyed send and every
-/// deadline timer. Both keys are chosen by this program — object keys by
-/// its own workloads (a node tallies the messages it *sends*), timer ids
-/// by a counter — never by a peer, so collision resistance buys nothing
-/// here.
+/// Hasher of the tables keyed by one `u64` (an object key) on the
+/// per-event path — the per-object tally here above its dense bound, and
+/// the register table of `awr_storage`'s `DynServer`: one multiply and a
+/// fold, instead of SipHash on every keyed send and every request. Object
+/// keys are chosen by the clients, and a client is trusted with its keys
+/// as with its writes: these tables give up SipHash's resistance to keys
+/// crafted to collide, so a client that chose such keys could slow the
+/// servers it talks to. A key type must hash as one `write_u64` (a `u64`,
+/// or a newtype over one deriving `Hash`); any other write panics.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct U64Hasher(u64);
+pub struct U64Hasher(u64);
 
 impl Hasher for U64Hasher {
     fn write(&mut self, _: &[u8]) {
@@ -156,9 +160,56 @@ impl Hasher for U64Hasher {
 }
 
 /// Builds [`U64Hasher`]s for a `HashMap`/`HashSet`.
-pub(crate) type U64Build = BuildHasherDefault<U64Hasher>;
+pub type U64Build = BuildHasherDefault<U64Hasher>;
 
-type ObjectTable = HashMap<u64, ObjectStat, U64Build>;
+/// Object keys below this are tallied in a vector indexed by key.
+const DENSE_OBJECTS: u64 = 1 << 14;
+
+/// The per-object tally: a vector indexed by key below [`DENSE_OBJECTS`]
+/// (grown to the largest such key named so far), a map above it. A key is
+/// in the table iff some message named it, i.e. its `msgs` is not zero.
+#[derive(Clone, Debug, Default)]
+struct ObjectTable {
+    dense: Vec<ObjectStat>,
+    sparse: HashMap<u64, ObjectStat, U64Build>,
+}
+
+impl ObjectTable {
+    /// `key`'s record, zero if no message named it.
+    fn get(&self, key: u64) -> ObjectStat {
+        if key < DENSE_OBJECTS {
+            self.dense.get(key as usize).copied().unwrap_or_default()
+        } else {
+            self.sparse.get(&key).copied().unwrap_or_default()
+        }
+    }
+
+    /// `key`'s record, for update.
+    fn slot(&mut self, key: u64) -> &mut ObjectStat {
+        if key < DENSE_OBJECTS {
+            let i = key as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, ObjectStat::default());
+            }
+            &mut self.dense[i]
+        } else {
+            self.sparse.entry(key).or_default()
+        }
+    }
+
+    /// Every named key's record, in ascending key order.
+    fn sorted(&self) -> Vec<(u64, ObjectStat)> {
+        let mut sparse: Vec<(u64, ObjectStat)> =
+            self.sparse.iter().map(|(&k, &s)| (k, s)).collect();
+        sparse.sort_unstable_by_key(|&(k, _)| k);
+        let dense = self.dense.iter().enumerate();
+        dense
+            .filter(|(_, s)| s.msgs > 0)
+            .map(|(k, &s)| (k as u64, s))
+            .chain(sparse)
+            .collect()
+    }
+}
 
 /// Values keyed by `&'static str` names — message kinds, counter and
 /// histogram names — in name order.
@@ -398,7 +449,7 @@ impl Metrics {
     /// calls this alongside [`Metrics::record_send`] whenever
     /// [`crate::Message::object_key`] names one.
     pub fn record_object(&mut self, object: u64, bytes: usize) {
-        let stat = self.objects.entry(object).or_default();
+        let stat = self.objects.slot(object);
         stat.msgs += 1;
         stat.bytes += bytes as u64;
     }
@@ -446,19 +497,17 @@ impl Metrics {
 
     /// Bytes attributed to an object key.
     pub fn bytes_of_object(&self, object: u64) -> u64 {
-        self.objects.get(&object).map_or(0, |s| s.bytes)
+        self.objects.get(object).bytes
     }
 
     /// Messages attributed to an object key.
     pub fn msgs_of_object(&self, object: u64) -> u64 {
-        self.objects.get(&object).map_or(0, |s| s.msgs)
+        self.objects.get(object).msgs
     }
 
     /// Every object that was named by a message, in ascending key order.
     pub fn objects(&self) -> impl Iterator<Item = (u64, ObjectStat)> {
-        let mut all: Vec<(u64, ObjectStat)> = self.objects.iter().map(|(&k, &s)| (k, s)).collect();
-        all.sort_unstable_by_key(|&(k, _)| k);
-        all.into_iter()
+        self.objects.sorted().into_iter()
     }
 
     /// Messages sent with a specific kind label.
@@ -654,19 +703,16 @@ impl Metrics {
             let link = links.cell_mut(from, to);
             *link = link.since(old);
         }
-        let objects = self
-            .objects
-            .iter()
-            .map(|(&k, s)| {
-                let old = baseline.objects.get(&k).copied().unwrap_or_default();
-                let window = ObjectStat {
-                    msgs: s.msgs.saturating_sub(old.msgs),
+        let mut objects = ObjectTable::default();
+        for (k, s) in self.objects.sorted() {
+            let old = baseline.objects.get(k);
+            if s.msgs > old.msgs {
+                *objects.slot(k) = ObjectStat {
+                    msgs: s.msgs - old.msgs,
                     bytes: s.bytes.saturating_sub(old.bytes),
                 };
-                (k, window)
-            })
-            .filter(|(_, s)| s.msgs > 0)
-            .collect();
+            }
+        }
         Metrics {
             events_processed: self
                 .events_processed
@@ -714,8 +760,8 @@ impl Metrics {
         for ((from, to), s) in other.links.cells().filter(|(_, s)| s.msgs > 0) {
             self.links.cell_mut(from, to).absorb(s);
         }
-        for (&k, s) in &other.objects {
-            let mine = self.objects.entry(k).or_default();
+        for (k, s) in other.objects.sorted() {
+            let mine = self.objects.slot(k);
             mine.msgs += s.msgs;
             mine.bytes += s.bytes;
         }
@@ -1196,12 +1242,21 @@ mod tests {
     fn map_entries<V: Clone>(map: &BTreeMap<&'static str, V>) -> Vec<(&'static str, V)> {
         map.iter().map(|(k, v)| (*k, v.clone())).collect()
     }
-    /// Object keys by selector: none, the extremes, then a few small keys.
+    /// Selectors [`object_of`] maps.
+    const OBJECT_SELECTORS: u64 = 11;
+
+    /// Object keys by selector: none, the extremes, the keys either side
+    /// of the dense bound, a few small keys, then a few far above the
+    /// bound.
     fn object_of(sel: u64) -> Option<u64> {
         match sel {
             0 => None,
             1 => Some(u64::MAX),
             2 => Some(0),
+            3 => Some(DENSE_OBJECTS - 1),
+            4 => Some(DENSE_OBJECTS),
+            5 => Some(DENSE_OBJECTS + 1),
+            k @ 6..=8 => Some(k - 5),
             k => Some(k * 1_000_003),
         }
     }
@@ -1286,7 +1341,7 @@ mod tests {
         let objects: Vec<(u64, ObjectStat)> = m.objects().collect();
         prop_assert_eq!(&objects, &r.objects());
         prop_assert!(objects.windows(2).all(|w| w[0].0 < w[1].0));
-        for sel in 0..8 {
+        for sel in 0..OBJECT_SELECTORS {
             let Some(o) = object_of(sel) else { continue };
             prop_assert_eq!(
                 m.bytes_of_object(o),
@@ -1361,7 +1416,7 @@ mod tests {
             sends in proptest::collection::vec(
                 (
                     (0usize..5, 0usize..ACTORS, 0usize..ACTORS, 0usize..5_000),
-                    (0u64..8, 0u8..3, (0u64..1_000_000, 1u64..50_000, 0u64..200_000_000), 0u64..3_000_000),
+                    (0u64..OBJECT_SELECTORS, 0u8..3, (0u64..1_000_000, 1u64..50_000, 0u64..200_000_000), 0u64..3_000_000),
                     (0u8..4, 0usize..5, 0u64..4),
                 ),
                 0..120,

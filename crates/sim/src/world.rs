@@ -15,20 +15,94 @@
 //! A parked event is at most 128 bytes when the message is at most 96
 //! (the size of `DynMsg<u64>`): a delivery stores its endpoints and byte
 //! count as `u32`, so parking it and taking it back are inline moves, not
-//! `memcpy` calls. The cancelled-timer set hashes its counter ids with
-//! one multiply, like the per-object table of [`Metrics`].
-
-use std::collections::HashSet;
+//! `memcpy` calls.
+//!
+//! Whether a timer is still armed is read off its owner's list of pending
+//! timer ids (`Armed`): setting a timer pushes its id, cancelling removes
+//! the id if it is still there (a cancel after the timer fired changes
+//! nothing), and a timer's event fires only if it finds — and removes —
+//! its id. A cancelled timer's event still pops, as a no-op. An actor has
+//! a few timers pending at a time, so its list is a short scan of ids
+//! stored in `World`'s per-actor row itself, not a hash probe or a
+//! pointer to chase.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::actor::{Actor, ActorId, Context, Effect, Message, TimerId};
-use crate::metrics::{Metrics, U64Build};
+use crate::metrics::Metrics;
 use crate::network::NetworkModel;
 use crate::sched::{build_scheduler, Scheduler, SchedulerKind};
 use crate::time::{Nanos, Time};
 use crate::trace::{Trace, TraceKind};
+
+/// Timer ids an [`Armed`] row holds without a heap allocation.
+const ARMED_INLINE: usize = 4;
+
+/// The timers one actor has armed that have neither fired nor been
+/// cancelled, in no order: the first [`ARMED_INLINE`] inline, the rest
+/// spilled to the heap.
+#[derive(Clone, Debug)]
+struct Armed {
+    /// How many of `inline` hold ids; `spill` is empty unless it is full.
+    len: usize,
+    inline: [TimerId; ARMED_INLINE],
+    spill: Vec<TimerId>,
+}
+
+impl Default for Armed {
+    fn default() -> Armed {
+        Armed {
+            len: 0,
+            inline: [TimerId(0); ARMED_INLINE],
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl Armed {
+    fn arm(&mut self, id: TimerId) {
+        if self.len < ARMED_INLINE {
+            self.inline[self.len] = id;
+            self.len += 1;
+        } else {
+            self.spill.push(id);
+        }
+    }
+
+    /// Removes `id`; returns whether it was armed.
+    fn disarm(&mut self, id: TimerId) -> bool {
+        if let Some(i) = self.inline[..self.len].iter().position(|&t| t == id) {
+            self.len -= 1;
+            self.inline[i] = self.inline[self.len];
+            if let Some(t) = self.spill.pop() {
+                self.inline[self.len] = t;
+                self.len += 1;
+            }
+            return true;
+        }
+        match self.spill.iter().position(|&t| t == id) {
+            Some(i) => {
+                self.spill.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn contains(&self, id: TimerId) -> bool {
+        self.inline[..self.len].contains(&id) || self.spill.contains(&id)
+    }
+
+    /// The armed ids, sorted (tests).
+    #[cfg(test)]
+    fn ids(&self) -> Vec<TimerId> {
+        let mut ids: Vec<TimerId> = self.inline[..self.len].to_vec();
+        ids.extend_from_slice(&self.spill);
+        ids.sort_unstable();
+        ids
+    }
+}
 
 /// A scheduled occurrence. A delivery's `u32` fields keep it within
 /// 128 bytes (see the module docs; `a_parked_delivery_fits_in_128_bytes`
@@ -233,7 +307,8 @@ pub struct World<M: Message> {
     network: Box<dyn NetworkModel>,
     rng: StdRng,
     next_timer: u64,
-    cancelled_timers: HashSet<TimerId, U64Build>,
+    /// Per actor, its armed timers (see the module docs).
+    timers: Vec<Armed>,
     /// The effect buffer every callback fills and [`World::apply_effects`]
     /// empties: kept here so an event costs no allocation once it has
     /// grown (the discipline of [`crate::NodeHost`]).
@@ -278,7 +353,7 @@ impl<M: Message> World<M> {
             network: Box::new(network),
             rng: StdRng::seed_from_u64(seed),
             next_timer: 0,
-            cancelled_timers: HashSet::default(),
+            timers: Vec::new(),
             effects: Vec::new(),
             metrics: Metrics::default(),
             trace: None,
@@ -307,6 +382,7 @@ impl<M: Message> World<M> {
         let id = ActorId(self.actors.len());
         self.actors.push(Box::new(actor));
         self.crashed.push(false);
+        self.timers.push(Armed::default());
         self.push_event(Time::ZERO, EventKind::Start(id));
         id
     }
@@ -516,6 +592,7 @@ impl<M: Message> World<M> {
                     self.send_message(from, to, msg, bytes);
                 }
                 Effect::SetTimer { id, after, tag } => {
+                    self.timers[from.index()].arm(id);
                     self.push_event(
                         self.time + after,
                         EventKind::Timer {
@@ -526,7 +603,7 @@ impl<M: Message> World<M> {
                     );
                 }
                 Effect::CancelTimer { id } => {
-                    self.cancelled_timers.insert(id);
+                    self.timers[from.index()].disarm(id);
                 }
                 Effect::CrashSelf => {
                     self.crashed[from.index()] = true;
@@ -658,7 +735,7 @@ impl<M: Message> World<M> {
                 }
             }
             EventKind::Timer { actor, id, tag } => {
-                if self.cancelled_timers.remove(&id) {
+                if !self.timers[actor.index()].disarm(id) {
                     // cancelled; skip
                 } else if !self.crashed[actor.index()] {
                     self.metrics.timers_fired += 1;
@@ -697,7 +774,7 @@ impl<M: Message> World<M> {
                     digest: msg.content_digest(),
                 },
                 EventKind::Timer { actor, id, tag } => {
-                    if self.cancelled_timers.contains(id) {
+                    if !self.timers[actor.index()].contains(*id) {
                         return;
                     }
                     PendingKind::Timer {
@@ -745,7 +822,7 @@ impl<M: Message> World<M> {
                     None => undigestible = true,
                 },
                 EventKind::Timer { actor, id, tag } => {
-                    if !self.cancelled_timers.contains(id) {
+                    if self.timers[actor.index()].contains(*id) {
                         pending.push((2, actor.index(), 0, *tag));
                     }
                 }
@@ -948,6 +1025,62 @@ mod tests {
     }
 
     #[test]
+    fn armed_timers_spill_past_the_inline_row_and_come_back() {
+        let mut armed = Armed::default();
+        let ids: Vec<TimerId> = (0..2 * ARMED_INLINE as u64 + 1).map(TimerId).collect();
+        for &id in &ids {
+            armed.arm(id);
+        }
+        assert_eq!(armed.ids(), ids);
+        // Inline, spilled, then a late (absent) id.
+        let mut left = ids.clone();
+        for id in [
+            TimerId(1),
+            TimerId(2 * ARMED_INLINE as u64),
+            TimerId(0),
+            TimerId(1),
+        ] {
+            let was = left.contains(&id);
+            assert_eq!(armed.disarm(id), was, "{id:?}");
+            left.retain(|&t| t != id);
+            assert_eq!(armed.ids(), left);
+            assert!(left.iter().all(|&t| armed.contains(t)) && !armed.contains(id));
+        }
+        for &id in &left {
+            assert!(armed.disarm(id));
+        }
+        assert!(armed.ids().is_empty() && armed.spill.is_empty());
+    }
+
+    #[test]
+    fn a_cancel_after_the_timer_fired_changes_nothing() {
+        let mut w: World<Msg> = World::new(3, ConstantLatency(10));
+        w.add_actor(Echo::new());
+        let fired = w
+            .with_actor_ctx::<Echo, _>(ActorId(0), |_, ctx| {
+                let id = ctx.set_timer(50, 1);
+                ctx.set_timer(100, 2);
+                id
+            })
+            .expect("a live actor");
+        w.run_for(60);
+        assert_eq!(w.metrics().timers_fired, 1);
+        let armed = w.timers[0].ids();
+        assert_eq!(armed.len(), 1);
+        let digest = w.canonical_digest();
+        w.with_actor_ctx::<Echo, _>(ActorId(0), |_, ctx| ctx.cancel_timer(fired));
+        assert_eq!(
+            w.timers[0].ids(),
+            armed,
+            "a late cancel leaves the armed timers as they were"
+        );
+        assert_eq!(w.canonical_digest(), digest);
+        w.run_to_quiescence();
+        assert_eq!(w.actor::<Echo>(ActorId(0)).unwrap().fired_tags, vec![1, 2]);
+        assert!(w.timers[0].ids().is_empty());
+    }
+
+    #[test]
     fn run_for_respects_deadline() {
         let mut w = world_with(5, 3);
         w.run_for(1); // at most the start events at t=0 and nothing later
@@ -1120,14 +1253,26 @@ mod tests {
     fn the_park_never_outgrows_the_peak_of_pending_events() {
         let mut w = churn_world(SchedulerKind::TimingWheel, 120);
         let mut peak = w.queue.len();
+        // Parked timer events whose timer is no longer armed: only the
+        // no-op pop of a cancelled timer lowers the count (a callback can
+        // arm or cancel, which leaves it or raises it).
+        let dead_timers = |w: &World<Hop>| {
+            let parked = w
+                .park
+                .slots
+                .iter()
+                .filter(|e| matches!(e, Some(EventKind::Timer { .. })))
+                .count();
+            parked - w.timers.iter().map(|a| a.ids().len()).sum::<usize>()
+        };
         let (mut steps, mut skipped) = (0u64, 0);
         loop {
-            let cancelled = w.cancelled_timers.len();
+            let dead = dead_timers(&w);
             if !w.step() {
                 break;
             }
             steps += 1;
-            if w.cancelled_timers.len() < cancelled {
+            if dead_timers(&w) < dead {
                 skipped += 1; // a cancelled timer's event ran as a no-op
             }
             peak = peak.max(w.queue.len());

@@ -102,7 +102,8 @@
 //! This file holds the messages and the options; `client.rs` the
 //! Algorithm 5 phase machine ([`DynOpDriver`], hosted by [`DynClient`]);
 //! `server.rs` Algorithm 6 ([`DynServer`]: one judgement for `R`, `RV`
-//! and `W`, one record per client); and `select.rs` whom a client asks — the
+//! and `W`, one record per client), over the register table of
+//! `registers.rs`; and `select.rs` whom a client asks — the
 //! [`Fanout::Quorum`] policy, which the phase machine follows without a
 //! fanout branch of its own. Messages digest for the model checker by
 //! their derived `Hash`, change sets by digest and cardinality.
@@ -119,6 +120,7 @@ use crate::durable::CheckpointCadence;
 use crate::Value;
 
 mod client;
+mod registers;
 mod select;
 mod server;
 
@@ -291,9 +293,11 @@ const REFRESH_TAGS_CAP: usize = 64;
 /// maps digest equally regardless of insertion order, and (w.h.p.) unequal
 /// maps do not. The register *values* are deliberately excluded — tags
 /// alone decide freshness.
-pub fn reg_tag_digest<V>(registers: &BTreeMap<ObjectId, TaggedValue<V>>) -> u64 {
+pub fn reg_tag_digest<'a, V: 'a>(
+    registers: impl IntoIterator<Item = (&'a ObjectId, &'a TaggedValue<V>)>,
+) -> u64 {
     registers
-        .iter()
+        .into_iter()
         .map(|(o, r)| {
             let mut h = std::collections::hash_map::DefaultHasher::new();
             (o, r.tag).hash(&mut h);

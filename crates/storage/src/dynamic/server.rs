@@ -12,6 +12,12 @@
 //! journal's compaction depth, and at most one held request per client.
 //! Everything else it knows lives once: the completed transfers in the
 //! embedded engine, the refresh count as the refresh operation number.
+//!
+//! The registers live in a hash table keyed by object (`registers.rs`):
+//! a request costs one probe, not a tree walk. Where order is observable —
+//! snapshots, `RefreshAck`, the state digest — they are read sorted, and
+//! the ordered map [`DynServer::registers`] returns is built on its first
+//! call and dropped by the next adoption.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -21,6 +27,7 @@ use awr_core::{RpConfig, TransferError, TransferOutcome};
 use awr_sim::{Actor, ActorId, Context, Time};
 use awr_types::{ChangeSet, CsRef, ObjectId, Ratio, ServerId, Tag, TaggedValue};
 
+use super::registers::Registers;
 use super::{reg_tag_digest, DynMsg, DynOptions, RefreshHave, WireMode, REFRESH_TAGS_CAP};
 use crate::durable::{Snapshot, StorageHandle, WalRecord};
 use crate::Value;
@@ -38,7 +45,7 @@ use crate::Value;
 #[derive(Debug)]
 pub struct DynServer<V> {
     core: TransferCore,
-    registers: BTreeMap<ObjectId, TaggedValue<V>>,
+    registers: Registers<V>,
     options: DynOptions,
     /// Queue of change applications awaiting their turn (each may require a
     /// register refresh first).
@@ -90,7 +97,7 @@ impl<V: Value> DynServer<V> {
         let persisted_digest = core.changes().digest();
         DynServer {
             core,
-            registers: BTreeMap::new(),
+            registers: Registers::default(),
             options,
             pending_applies: VecDeque::new(),
             refresh: None,
@@ -143,7 +150,7 @@ impl<V: Value> DynServer<V> {
         s.persisted_digest = changes.digest();
         s.named_from = changes.len();
         s.core = TransferCore::recover(cfg, me, changes);
-        s.registers = registers;
+        s.registers = Registers::from_map(registers);
         s.rejoin = true;
         s
     }
@@ -170,7 +177,7 @@ impl<V: Value> DynServer<V> {
             }
             None => st.install_snapshot(Snapshot {
                 changes: self.core.changes().clone(),
-                registers: self.registers.clone(),
+                registers: self.registers.to_map(),
             }),
         }
         self.persisted_digest = digest;
@@ -199,7 +206,7 @@ impl<V: Value> DynServer<V> {
             if cad.due(st.wal_len()) {
                 st.install_snapshot(Snapshot {
                     changes: self.core.changes().clone(),
-                    registers: self.registers.clone(),
+                    registers: self.registers.to_map(),
                 });
             }
         }
@@ -319,7 +326,7 @@ impl<V: Value> DynServer<V> {
         let reg = match ask {
             // The tag query: no value is cloned, none is sent.
             Ask::Tag => TaggedValue {
-                tag: self.registers.get(&obj).map_or_else(Tag::bottom, |r| r.tag),
+                tag: self.registers.tag(obj),
                 value: None,
             },
             Ask::Register => self.register_of(obj),
@@ -371,14 +378,16 @@ impl<V: Value> DynServer<V> {
     /// that key has been adopted (inspection).
     pub fn register_of(&self, obj: ObjectId) -> TaggedValue<V> {
         self.registers
-            .get(&obj)
+            .get(obj)
             .cloned()
             .unwrap_or_else(TaggedValue::bottom)
     }
 
-    /// The sparse register map (inspection).
+    /// The sparse register map, in key order (inspection). Built on the
+    /// first call after a change, and kept until the next: a caller
+    /// polling it while the server adopts writes pays a copy per change.
     pub fn registers(&self) -> &BTreeMap<ObjectId, TaggedValue<V>> {
-        &self.registers
+        self.registers.view()
     }
 
     /// Adopts `incoming` for `obj` if it is strictly newer than what the
@@ -387,17 +396,7 @@ impl<V: Value> DynServer<V> {
     /// Every adoption is WAL-logged when a durable backend is attached;
     /// returns whether the map changed.
     fn adopt_register(&mut self, obj: ObjectId, incoming: &TaggedValue<V>) -> bool {
-        let adopted = match self.registers.get_mut(&obj) {
-            Some(cur) => cur.adopt_if_newer(incoming),
-            None => {
-                if incoming.tag > Tag::bottom() {
-                    self.registers.insert(obj, incoming.clone());
-                    true
-                } else {
-                    false
-                }
-            }
-        };
+        let adopted = self.registers.adopt(obj, incoming);
         if adopted {
             if let Some(st) = &self.storage {
                 st.append(WalRecord::Register(obj, incoming.clone()));
@@ -492,7 +491,7 @@ impl<V: Value> DynServer<V> {
             self.tags()
         } else {
             RefreshHave::Digest {
-                digest: reg_tag_digest(&self.registers),
+                digest: reg_tag_digest(self.registers.unordered()),
                 count: self.registers.len(),
             }
         }
@@ -500,7 +499,12 @@ impl<V: Value> DynServer<V> {
 
     /// The exact per-key tag map (absent = bottom).
     fn tags(&self) -> RefreshHave {
-        RefreshHave::Tags(self.registers.iter().map(|(o, r)| (*o, r.tag)).collect())
+        RefreshHave::Tags(
+            self.registers
+                .unordered()
+                .map(|(o, r)| (*o, r.tag))
+                .collect(),
+        )
     }
 
     /// Starts the whole-object-space count read. `for_apply` records
@@ -551,7 +555,7 @@ impl<V: Value> DynServer<V> {
                 // in-flight write while the refresh ran can be rolled back
                 // to an older tag.
                 if reg.tag > Tag::bottom() {
-                    self.registers.insert(*obj, reg.clone());
+                    self.registers.overwrite(*obj, reg.clone());
                     if let Some(st) = &self.storage {
                         st.append(WalRecord::Register(*obj, reg.clone()));
                     }
@@ -708,7 +712,7 @@ impl<V: Value> Actor for DynServer<V> {
                     RefreshHave::Tags(have) => {
                         let regs: BTreeMap<ObjectId, TaggedValue<V>> = self
                             .registers
-                            .iter()
+                            .unordered()
                             .filter(|(obj, reg)| {
                                 reg.tag > have.get(obj).copied().unwrap_or_else(Tag::bottom)
                             })
@@ -729,7 +733,7 @@ impl<V: Value> Actor for DynServer<V> {
                         // mismatch this replier cannot tell *which* keys
                         // differ, so it asks for the per-key round.
                         let same = count == self.registers.len()
-                            && digest == reg_tag_digest(&self.registers);
+                            && digest == reg_tag_digest(self.registers.unordered());
                         ctx.send(
                             from,
                             DynMsg::RefreshAck {
@@ -826,8 +830,9 @@ impl<V: Value> Actor for DynServer<V> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.core.state_digest().hash(&mut h);
         // BTreeMaps/Sets iterate sorted, so hashing them whole is
-        // deterministic; everything time-valued is excluded.
-        self.registers.hash(&mut h);
+        // deterministic, and the registers are hashed sorted as the
+        // `BTreeMap` they were; everything time-valued is excluded.
+        self.registers.hash_sorted(&mut h);
         self.pending_applies.len().hash(&mut h);
         for req in &self.pending_applies {
             req.new_changes.hash(&mut h);
@@ -1454,5 +1459,138 @@ mod tests {
         holds.read(CLIENTS[0], 1, &ahead);
         assert_eq!(holds.server().held.len(), 1);
         assert_ne!(holds.server().state_digest(), idle.server().state_digest());
+    }
+
+    // -----------------------------------------------------------------
+    // Differential: the register table against the `BTreeMap` it
+    // replaced, over adoptions, refresh installs and recoveries.
+    // -----------------------------------------------------------------
+
+    use proptest::prelude::*;
+    use std::hash::{Hash, Hasher};
+
+    type Reference = BTreeMap<ObjectId, TaggedValue<u64>>;
+
+    /// Object keys by selector: small keys, and keys far apart.
+    fn key_of(sel: u8) -> ObjectId {
+        ObjectId(match sel {
+            0..=5 => u64::from(sel),
+            6 => 1 << 40,
+            _ => u64::MAX,
+        })
+    }
+
+    fn reg_of(ts: u64, writer: u32) -> TaggedValue<u64> {
+        let tag = Tag::new(ts, ProcessId::Client(ClientId(writer)));
+        TaggedValue::new(tag, ts * 10 + u64::from(writer))
+    }
+
+    /// The old map's adoption rule, verbatim.
+    fn adopt_into(reference: &mut Reference, obj: ObjectId, incoming: &TaggedValue<u64>) {
+        match reference.get_mut(&obj) {
+            Some(cur) => {
+                cur.adopt_if_newer(incoming);
+            }
+            None => {
+                if incoming.tag > Tag::bottom() {
+                    reference.insert(obj, *incoming);
+                }
+            }
+        }
+    }
+
+    fn digest_of(value: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    /// A fresh server that adopted `regs` in the order given.
+    fn adopted(regs: impl Iterator<Item = (ObjectId, TaggedValue<u64>)>) -> DynServer<u64> {
+        let mut s = DynServer::new(RpConfig::uniform(3, 1), ServerId(0), DynOptions::default());
+        for (obj, reg) in regs {
+            s.adopt_register(obj, &reg);
+        }
+        s
+    }
+
+    fn same_registers(s: &DynServer<u64>, reference: &Reference) -> Result<(), TestCaseError> {
+        prop_assert_eq!(s.registers(), reference);
+        prop_assert_eq!(
+            reg_tag_digest(s.registers.unordered()),
+            reg_tag_digest(reference)
+        );
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        s.registers.hash_sorted(&mut h);
+        prop_assert_eq!(h.finish(), digest_of(reference), "hashed as the map was");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Steps: 0 adopt, 1 refresh install of two registers, 2 recover
+        /// from the WAL, 3 read the ordered view (so that the next change
+        /// must drop it).
+        #[test]
+        fn the_register_table_reads_as_the_map_it_replaced(
+            steps in proptest::collection::vec(
+                (0u8..4, (0u8..8, 0u64..5, 0u32..3), (0u8..8, 0u64..5, 0u32..3)),
+                1..40,
+            ),
+        ) {
+            let cfg = RpConfig::uniform(3, 1);
+            let storage = StorageHandle::<u64>::in_memory();
+            let mut w: World<Msg> = World::new(1, UniformLatency::new(1_000, 2_000));
+            let srv = w.add_actor(DynServer::<u64>::with_storage(
+                cfg.clone(),
+                ServerId(0),
+                DynOptions::default(),
+                storage.clone(),
+            ));
+            let mut reference = Reference::new();
+            for (op, (k1, ts1, w1), (k2, ts2, w2)) in steps {
+                let (first, second) = ((key_of(k1), reg_of(ts1, w1)), (key_of(k2), reg_of(ts2, w2)));
+                match op {
+                    0 => {
+                        let s = w.actor_mut::<DynServer<u64>>(srv).expect("server");
+                        s.adopt_register(first.0, &first.1);
+                        adopt_into(&mut reference, first.0, &first.1);
+                    }
+                    1 => {
+                        let mut best = Reference::new();
+                        for (obj, reg) in [&first, &second] {
+                            adopt_into(&mut best, *obj, reg);
+                            adopt_into(&mut reference, *obj, reg);
+                        }
+                        w.with_actor_ctx(srv, |s: &mut DynServer<u64>, ctx| {
+                            s.on_refresh_complete(false, best, ctx);
+                        })
+                        .expect("a live server");
+                    }
+                    2 => {
+                        let s = w.actor_mut::<DynServer<u64>>(srv).expect("server");
+                        *s = DynServer::recover(
+                            cfg.clone(),
+                            ServerId(0),
+                            DynOptions::default(),
+                            storage.clone(),
+                        );
+                    }
+                    _ => {
+                        let s = w.actor::<DynServer<u64>>(srv).expect("server");
+                        prop_assert_eq!(s.registers(), &reference);
+                    }
+                }
+                let s = w.actor::<DynServer<u64>>(srv).expect("server");
+                same_registers(s, &reference)?;
+                // The same registers adopted in opposite orders digest
+                // equally.
+                let up = adopted(reference.clone().into_iter());
+                let down = adopted(reference.clone().into_iter().rev());
+                prop_assert_eq!(up.state_digest(), down.state_digest());
+                same_registers(&up, &reference)?;
+            }
+        }
     }
 }

@@ -58,16 +58,14 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a few words — the arrival-stream fingerprint.
-fn fnv_words(words: &[u64]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    }
-    h
+/// A hash of a few words — the arrival-stream fingerprint: each word is
+/// folded in with one [`splitmix64`] step, a bijection of the running
+/// hash, so two sequences of equal length that differ in one word never
+/// hash equal.
+fn hash_words(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &w| splitmix64(h ^ w))
 }
 
 /// The workload one open-loop run offers.
@@ -104,6 +102,9 @@ struct RecInner {
     completed: u64,
     arrival_hash: u64,
     max_backlog: usize,
+    /// Operations that arrived before this are counted but their latency
+    /// is not recorded (see [`OpenLoopHarness::record_from`]).
+    record_from: Time,
 }
 
 impl RecInner {
@@ -116,6 +117,7 @@ impl RecInner {
             completed: 0,
             arrival_hash: 0,
             max_backlog: 0,
+            record_from: Time::ZERO,
         }
     }
 }
@@ -135,9 +137,11 @@ pub struct OpenLoopStats {
     /// Largest client-side backlog observed on any single client — how
     /// deep the queueing went past the knee.
     pub max_backlog: usize,
-    /// Read latency (arrival → completion), nanoseconds.
+    /// Read latency (arrival → completion), nanoseconds, of the reads
+    /// that arrived since [`OpenLoopHarness::record_from`] (all by
+    /// default).
     pub reads: Histogram,
-    /// Write latency (arrival → completion), nanoseconds.
+    /// Write latency (arrival → completion), nanoseconds, likewise.
     pub writes: Histogram,
     /// Per-object latency, if [`OpenLoopSpec::per_object`] was set.
     pub per_object: BTreeMap<ObjectId, Histogram>,
@@ -216,12 +220,14 @@ impl OpenLoopClient {
         {
             let mut rec = self.rec.borrow_mut();
             rec.completed += 1;
-            match self.inner.driver.completed[n - 1].kind {
-                OpKind::Read(_) => rec.reads.record(latency),
-                OpKind::Write(_) => rec.writes.record(latency),
-            }
-            if let Some(m) = rec.per_object.as_mut() {
-                m.entry(obj).or_default().record(latency);
+            if arrived >= rec.record_from {
+                match self.inner.driver.completed[n - 1].kind {
+                    OpKind::Read(_) => rec.reads.record(latency),
+                    OpKind::Write(_) => rec.writes.record(latency),
+                }
+                if let Some(m) = rec.per_object.as_mut() {
+                    m.entry(obj).or_default().record(latency);
+                }
             }
         }
         if let Some((arrived, obj, val)) = self.backlog.pop_front() {
@@ -264,7 +270,7 @@ impl Actor for OpenLoopClient {
             rec.generated += 1;
             // Summed, not chained: insensitive to how same-instant
             // arrivals of different clients interleave.
-            rec.arrival_hash = rec.arrival_hash.wrapping_add(fnv_words(&[
+            rec.arrival_hash = rec.arrival_hash.wrapping_add(hash_words(&[
                 self.client_ix,
                 now.0,
                 obj.key(),
@@ -285,7 +291,7 @@ impl Actor for OpenLoopClient {
     }
 
     fn state_digest(&self) -> Option<u64> {
-        Some(fnv_words(&[
+        Some(hash_words(&[
             self.inner.driver.state_digest(),
             self.backlog.len() as u64,
             self.inflight.is_some() as u64,
@@ -397,6 +403,14 @@ impl OpenLoopHarness {
             }
         }
         self.inner.settle();
+    }
+
+    /// Records the latency of operations that arrive at `from` or later
+    /// only — e.g. to measure the tail once a placement tick has acted,
+    /// without the warm-up before it. Every operation is still counted in
+    /// [`OpenLoopStats::generated`] and [`OpenLoopStats::completed`].
+    pub fn record_from(&mut self, from: Time) {
+        self.rec.borrow_mut().record_from = from;
     }
 
     /// Snapshot of everything recorded so far.

@@ -13,10 +13,14 @@
 //!   delta wire still keeps up (drain shorter than the run);
 //! * **placement** — on the five-region WAN with every client in
 //!   Virginia, adaptive placement (`LatencyGreedy`, windowed) has a lower
-//!   p99 than static weights at every rate. The first tick comes 5 s in,
-//!   and what came before is warm-up on static weights, so the arm runs
-//!   30 s at ≥ 200 ops/s: at 100 ops/s over 20 s the warm-up is the tail,
-//!   and adaptive placement's p99 is the worse one;
+//!   p99 than static weights at every rate, and it moves the knee: at
+//!   220 ops/s static weights fall further behind the longer the run (the
+//!   backlog, the median and the drain all grow with the horizon) while
+//!   adaptive placement holds its backlog and drains within a second or
+//!   two. The first tick comes 5 s in, and what came before is warm-up on
+//!   static weights for both arms, so at that point latency is recorded
+//!   only for the operations that arrive after it (the every-rate claim
+//!   keeps the whole run's tail, warm-up included);
 //! * **burst** — at the same mean rate, 25 %-duty on/off arrivals queue
 //!   inside their "on" windows, so their p99 is worse than Poisson's.
 //!
@@ -26,7 +30,7 @@
 
 use awr::core::RpConfig;
 use awr::quorum::placement::LatencyGreedy;
-use awr::sim::{constrained_uplink, geo_network, ArrivalSpec, Nanos, Region, MILLI, SECOND};
+use awr::sim::{constrained_uplink, geo_network, ArrivalSpec, Nanos, Region, Time, MILLI, SECOND};
 use awr::storage::workload::KeyDistribution;
 use awr::storage::{DynOptions, OpenLoopHarness, OpenLoopSpec, PlacementDriver, WireMode};
 
@@ -42,11 +46,18 @@ const WIRE_DURATION: Nanos = 4 * SECOND;
 const PLACEMENT_RATES: [f64; 2] = [200.0, 800.0];
 const PLACEMENT_CLIENTS: usize = 32;
 const PLACEMENT_DURATION: Nanos = 30 * SECOND;
+/// Past static placement's knee and short of adaptive placement's.
+const KNEE_RATE: f64 = 220.0;
+/// The placement driver's tick period; the first tick ends the warm-up.
+const DECIDE_EVERY: Nanos = 5 * SECOND;
 
 /// What one run shows.
 #[derive(Debug)]
 struct Point {
+    p50_ns: u64,
     p99_ns: u64,
+    /// Deepest client-side backlog of the run.
+    max_backlog: usize,
     /// Virtual time past the arrival horizon spent finishing queued ops.
     drain_ns: u64,
     bytes_per_op: f64,
@@ -73,12 +84,15 @@ fn finish(
     duration: Nanos,
     what: &str,
 ) -> Point {
-    h.run(driver, 5 * SECOND);
+    h.run(driver, DECIDE_EVERY);
     let s = h.stats();
     assert_eq!(s.completed, s.generated, "{what}: ops left incomplete");
     let m = h.inner.world.metrics();
+    let all = s.all();
     Point {
-        p99_ns: s.all().quantile(0.99),
+        p50_ns: all.quantile(0.50),
+        p99_ns: all.quantile(0.99),
+        max_backlog: s.max_backlog,
         drain_ns: m.last_time.0.saturating_sub(duration),
         bytes_per_op: m.bytes_sent as f64 / s.completed.max(1) as f64,
     }
@@ -99,26 +113,27 @@ fn wire_run(wire: WireMode, arrivals: ArrivalSpec) -> Point {
     finish(h, None, WIRE_DURATION, &format!("{wire:?} {arrivals:?}"))
 }
 
-/// A run on the five-region WAN with every client in Virginia.
-fn placement_run(adaptive: bool, rate: f64) -> Point {
+/// A run of `duration` on the five-region WAN with every client in
+/// Virginia, recording the latency of the operations that arrive at
+/// `record_from` or later.
+fn placement_run(adaptive: bool, rate: f64, duration: Nanos, record_from: Time) -> Point {
     let mut regions = Region::ALL.to_vec();
     regions.extend(std::iter::repeat_n(Region::Virginia, PLACEMENT_CLIENTS));
     let arrivals = ArrivalSpec::Poisson { rate_per_sec: rate };
-    let h = OpenLoopHarness::build(
+    let mut h = OpenLoopHarness::build(
         RpConfig::uniform(N, F),
-        &spec(PLACEMENT_CLIENTS, arrivals, PLACEMENT_DURATION),
+        &spec(PLACEMENT_CLIENTS, arrivals, duration),
         geo_network(&regions, 0.05),
         DynOptions::default(),
     );
+    h.record_from(record_from);
     let mut driver = PlacementDriver::new(LatencyGreedy::default(), h.client_actors().to_vec());
     driver.windowed = true;
-    let what = format!("placement (adaptive: {adaptive}) at {rate}/s");
-    finish(
-        h,
-        adaptive.then_some(&mut driver),
-        PLACEMENT_DURATION,
-        &what,
-    )
+    let what = format!(
+        "placement (adaptive: {adaptive}) at {rate}/s over {} s",
+        duration / SECOND
+    );
+    finish(h, adaptive.then_some(&mut driver), duration, &what)
 }
 
 #[test]
@@ -144,12 +159,46 @@ fn the_full_wire_ships_more_bytes_and_saturates_first() {
 #[test]
 fn adaptive_placement_beats_static_at_every_rate() {
     for rate in PLACEMENT_RATES {
-        let (fixed, adaptive) = (placement_run(false, rate), placement_run(true, rate));
+        let (fixed, adaptive) = (
+            placement_run(false, rate, PLACEMENT_DURATION, Time::ZERO),
+            placement_run(true, rate, PLACEMENT_DURATION, Time::ZERO),
+        );
         assert!(
             adaptive.p99_ns < fixed.p99_ns,
             "at {rate}/s: adaptive {adaptive:?} against static {fixed:?}"
         );
     }
+}
+
+/// Saturation is a backlog that grows with the horizon: doubling the run
+/// deepens static placement's backlog and raises its median, and its
+/// drain exceeds a placement interval, while adaptive placement keeps the
+/// same backlog, no higher a median, and drains within one interval.
+#[test]
+fn adaptive_placement_moves_the_knee() {
+    let run =
+        |adaptive, secs| placement_run(adaptive, KNEE_RATE, secs * SECOND, Time(DECIDE_EVERY));
+    let (fixed, fixed_longer) = (run(false, 30), run(false, 60));
+    let (adaptive, adaptive_longer) = (run(true, 30), run(true, 60));
+    let all = format!(
+        "static {fixed:?} then {fixed_longer:?}; adaptive {adaptive:?} then {adaptive_longer:?}"
+    );
+    assert!(
+        fixed_longer.max_backlog > fixed.max_backlog
+            && fixed_longer.p50_ns > fixed.p50_ns
+            && fixed.drain_ns > DECIDE_EVERY,
+        "static weights must be past their knee at {KNEE_RATE}/s: {all}"
+    );
+    assert!(
+        adaptive_longer.max_backlog == adaptive.max_backlog
+            && adaptive_longer.p50_ns <= adaptive.p50_ns
+            && adaptive_longer.drain_ns < DECIDE_EVERY,
+        "adaptive placement must keep up at {KNEE_RATE}/s: {all}"
+    );
+    assert!(
+        4 * adaptive.p99_ns < fixed.p99_ns,
+        "the tail after the first tick: {all}"
+    );
 }
 
 #[test]
