@@ -3,10 +3,10 @@
 //! The paper-figure binaries whose claims still wait on other work
 //! (`e3_flexibility`, `e4_reductions`, `e9_consensus_stall`, `e11_quorum`),
 //! the `bench_*` writers whose files hold wall-clock numbers
-//! (`bench_changeset`, `bench_soak`) or fail at full size
-//! (`bench_placement`), and the criterion micro-benchmarks. The
-//! deterministic claims of the other experiments, the open-loop knee
-//! curves among them, are tier-1 tests under `tests/`. This library holds
+//! (`bench_changeset`) or fail at full size (`bench_placement`), and the
+//! criterion micro-benchmarks. The deterministic claims of the other
+//! experiments, the open-loop knee curves and the durability soak among
+//! them, are tier-1 tests under `tests/`. This library holds
 //! the shared table-printing and statistics helpers, and the naive change
 //! set `bench_changeset` compares against.
 

@@ -5,8 +5,9 @@
 //! repository root, and that every backticked repo path in `README.md` and
 //! `docs/*.md` exists — a root-level `BENCH_*.json` included, and with
 //! every `file.rs::name` cite naming a function in that file — and that
-//! every `--bin <name>` they cite is a binary under `crates/*/src/bin/`,
-//! so the docs layer can't rot silently as the tree moves.
+//! every binary they cite, as `--bin <name>` or as a code span
+//! `<name> --smoke…`, is a binary under `crates/*/src/bin/`, so the docs
+//! layer can't rot silently as the tree moves.
 
 use std::path::{Path, PathBuf};
 
@@ -273,6 +274,16 @@ fn bin_cites(md: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The binary a code span like `bench_placement --smoke` runs: a
+/// snake_case name followed by `--smoke`.
+fn smoke_cite(span: &str) -> Option<&str> {
+    let (name, flags) = span.split_once(' ')?;
+    let snake = name
+        .chars()
+        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+    (snake && !name.is_empty() && flags.starts_with("--smoke")).then_some(name)
+}
+
 #[test]
 fn cited_binaries_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -293,10 +304,16 @@ fn cited_binaries_exist() {
     let mut missing = Vec::new();
     for file in tree_docs(root) {
         let md = std::fs::read_to_string(&file).expect("read markdown");
-        for name in bin_cites(&md) {
+        let spans = code_spans(&md);
+        let smoke = spans.iter().filter_map(|span| smoke_cite(span));
+        for (name, cite) in bin_cites(&md)
+            .into_iter()
+            .map(|name| (name, format!("--bin {name}")))
+            .chain(smoke.map(|name| (name, format!("`{name} --smoke`"))))
+        {
             cited += 1;
             if !bins.iter().any(|b| b == name) {
-                missing.push(format!("{}: --bin {name}", file.display()));
+                missing.push(format!("{}: {cite}", file.display()));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Crash/restart recovery: durability must be invisible when nothing
 //! crashes, and safe when things do.
 //!
-//! Four claims, each pinned by seed so a regression is a deterministic
+//! The claims, each pinned by seed so a regression is a deterministic
 //! failure, not a flake:
 //!
 //! 1. **No-crash transparency** — attaching durable storage (WAL +
@@ -30,6 +30,10 @@
 //!    it learned its changes in, accepts a length-only summary at exactly
 //!    its recovered length, and brings a client naming a shorter length
 //!    to equality within two exchanges.
+//! 7. **Flat under churn** — over 2 100 reassignments with a server
+//!    crashed and rebooted every epoch, the journal and the WAL stay under
+//!    a cadence-derived bound and recovery time does not drift, while |C|
+//!    and the bytes of each recovery grow.
 
 use std::collections::BTreeMap;
 
@@ -221,6 +225,178 @@ fn crash_restart_campaign_stays_linearizable() {
         let report = audit_transfers(h.config(), &h.all_completed_transfers());
         assert!(report.is_clean(), "seed {seed}: {:?}", report.violations);
     }
+}
+
+/// One soak epoch, sampled once its crashed server has rebooted and the
+/// world has settled.
+struct SoakEpoch {
+    /// Largest |C| across servers; it grows forever.
+    changes: usize,
+    /// Largest in-memory journal across servers.
+    journal: usize,
+    /// Largest WAL across servers.
+    wal: usize,
+    /// Virtual ns from the reboot to a settled world (sync round and
+    /// count-based refresh done).
+    recovery_ns: u64,
+    /// Bytes sent and received by the rebooted server in that window.
+    recovery_bytes: u64,
+}
+
+/// The durable shard's long-run claim: a server's footprint follows the
+/// checkpoint cadence, not the history. 50 epochs of 42 weight ping-pong
+/// transfers (2 100 reassignments, each one Algorithm 4 run on the wire)
+/// race register traffic while one server sits the epoch out crashed, then
+/// reboots from snapshot + WAL. Every number is virtual time, so the run
+/// repeats exactly and its summary is pinned.
+///
+/// Recovery is flat in time but not in bytes: every `SyA` a peer sends
+/// the rebooted server is `Full`, because an epoch adds 84 changes, more
+/// than the ≤ 62-entry compacted journal can cut a delta from. So the
+/// recovery bytes grow with |C| — the pin at the first and last epoch
+/// records an O(|C|) catch-up that per-issuer frontiers would flatten.
+#[test]
+fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
+    const N: usize = 7;
+    const EPOCHS: usize = 50;
+    const TRANSFERS: usize = 42;
+    let cadence = CheckpointCadence {
+        every: 64,
+        min_retain: 16,
+    };
+    let cfg = RpConfig::uniform(N, 2);
+    let options = DynOptions {
+        checkpoint: Some(cadence),
+        retry: Some(RetryPolicy::default()),
+        ..DynOptions::default()
+    };
+    let mut h: StorageHarness<u64> = StorageHarness::build_durable(
+        cfg.clone(),
+        2,
+        0x50AC,
+        UniformLatency::new(1_000, 20_000),
+        options,
+    );
+    let mut epochs = Vec::with_capacity(EPOCHS);
+    let mut next_val = 1u64;
+    for epoch in 0..EPOCHS {
+        let victim = s((epoch % N) as u32);
+        h.crash_server(victim);
+        for t in 0..TRANSFERS {
+            // Ping-pong between rotating live pairs: weights return to
+            // uniform every two transfers, so the RP floor is never at risk.
+            let a = s(((epoch + 1 + 2 * (t % 3)) % N) as u32);
+            let b = s(((epoch + 2 + 2 * (t % 3)) % N) as u32);
+            let (from, to) = if t % 2 == 0 { (a, b) } else { (b, a) };
+            h.transfer_and_wait(from, to, Ratio::dec("0.05"))
+                .expect("soak transfer");
+            if t % 4 == 0 {
+                h.write(epoch % 2, next_val).expect("soak write");
+                next_val += 1;
+            } else if t % 4 == 2 {
+                h.read((epoch + 1) % 2).expect("soak read");
+            }
+        }
+        let actor = h.server_actor(victim);
+        let (t0, b0) = (h.world.now(), h.world.metrics().incident_bytes(actor));
+        h.restart_server(victim);
+        h.settle();
+        let recovery_ns = h.world.now() - t0;
+        let recovery_bytes = h.world.metrics().incident_bytes(actor) - b0;
+        let mut sample = SoakEpoch {
+            changes: 0,
+            journal: 0,
+            wal: 0,
+            recovery_ns,
+            recovery_bytes,
+        };
+        for sv in cfg.servers() {
+            let ch = h
+                .world
+                .actor::<DynServer<u64>>(h.server_actor(sv))
+                .expect("server")
+                .changes();
+            // A full ping-pong cycle lands every view back on the uniform
+            // weights (read off the `ChangeSet` weight caches).
+            assert_eq!(
+                ch.total_weight(N),
+                cfg.initial_total(),
+                "epoch {epoch}: {sv}"
+            );
+            for peer in cfg.servers() {
+                assert_eq!(
+                    Some(ch.server_weight(peer)),
+                    cfg.initial_weights.get(peer),
+                    "epoch {epoch}: {sv}'s view of {peer} left the uniform point"
+                );
+            }
+            sample.changes = sample.changes.max(ch.len());
+            sample.journal = sample.journal.max(ch.journal_len());
+            let wal = h.storage_handle(sv).expect("durable").wal_len();
+            sample.wal = sample.wal.max(wal);
+        }
+        epochs.push(sample);
+    }
+
+    check_linearizable(&h.history()).expect("soak history must stay linearizable");
+    let report = audit_transfers(h.config(), &h.all_completed_transfers());
+    assert!(report.is_clean(), "{:?}", report.violations);
+    assert_eq!(
+        h.world.metrics().restarts,
+        EPOCHS as u64,
+        "every crash must reboot exactly once"
+    );
+
+    // Memory is cadence-shaped: a compacted journal holds at most one
+    // interval plus the retained suffix, and the retention may keep a
+    // straggler's delta on top, bounded by the same interval. A snapshot
+    // resets the WAL, so it obeys the same bound.
+    let bound = 2 * cadence.every + cadence.min_retain;
+    for (i, e) in epochs.iter().enumerate() {
+        assert!(
+            e.journal <= bound,
+            "epoch {i}: journal {} > {bound}",
+            e.journal
+        );
+        assert!(e.wal <= bound, "epoch {i}: WAL {} > {bound}", e.wal);
+    }
+    // Flat, not merely bounded: the second half's maxima stay within a
+    // slack of the first half's.
+    let halves = |f: fn(&SoakEpoch) -> u64| {
+        let (first, second) = epochs.split_at(EPOCHS / 2);
+        let max = |es: &[SoakEpoch]| es.iter().map(f).max().expect("epochs");
+        (max(first), max(second))
+    };
+    let journal = halves(|e| e.journal as u64);
+    let wal = halves(|e| e.wal as u64);
+    let recovery = halves(|e| e.recovery_ns);
+    for (what, (first, second), slack) in [
+        ("journal", journal, 1.25),
+        ("WAL", wal, 1.25),
+        ("recovery time", recovery, 1.5),
+    ] {
+        assert!(
+            second as f64 <= first as f64 * slack,
+            "{what} drifts: first-half max {first}, second-half max {second}"
+        );
+    }
+    let (first, last) = (&epochs[0], &epochs[EPOCHS - 1]);
+    assert!(last.changes > first.changes, "|C| did not grow");
+
+    // The run's summary, deterministic to the byte.
+    assert_eq!((first.changes, last.changes), (91, 4_207), "|C|");
+    assert_eq!(journal, (62, 62), "journal maxima per half");
+    assert_eq!(wal, (63, 63), "WAL maxima per half");
+    assert_eq!(
+        (first.recovery_bytes, last.recovery_bytes),
+        (3_472, 166_424),
+        "recovery bytes at the first and last reboot"
+    );
+    assert_eq!(
+        recovery,
+        (3_143_589, 3_139_233),
+        "recovery ns maxima per half"
+    );
 }
 
 #[test]
