@@ -270,8 +270,9 @@ fn run(sc: &Scenario, policy: Box<dyn PlacementPolicy>, warm: usize, ops: usize)
         .driver
         .completed;
     assert_eq!(completed.len(), measured_from + ops);
-    let lat_ms: Vec<f64> = completed[measured_from..]
+    let lat_ms: Vec<f64> = completed
         .iter()
+        .skip(measured_from)
         .map(|o| (o.response - o.invoke) as f64 / 1e6)
         .collect();
     let weights = driver.current_weights(&h);
@@ -326,8 +327,9 @@ fn run_regime(decisions: usize, warm: usize, ops: usize) -> RegimeRow {
             .expect("client")
             .driver
             .completed;
-        let lat: Vec<f64> = completed[from..]
+        let lat: Vec<f64> = completed
             .iter()
+            .skip(from)
             .map(|o| (o.response - o.invoke) as f64 / 1e6)
             .collect();
         lat.iter().sum::<f64>() / lat.len() as f64

@@ -497,14 +497,19 @@ fn client_main(k: usize, p: Params) {
                 None => c.begin_read_obj(obj, ctx),
             });
             let deadline = Instant::now() + Duration::from_secs(20);
-            while host.actor().driver.completed.len() as u64 == j {
+            while host.actor().driver.completed.is_empty() {
                 host.step(Duration::from_millis(2));
                 assert!(Instant::now() < deadline, "client {k} op {j} timed out");
             }
             let response = wall_ns();
-            let (write, value) = match &host.actor().driver.completed[j as usize].kind {
-                OpKind::Write(v) => (true, Some(*v)),
-                OpKind::Read(v) => (false, *v),
+            // Take the record out: the history below keeps what the checks
+            // need, and the driver's log stays at most one record long.
+            let done = host
+                .with_actor(|c, _| c.driver.completed.pop())
+                .expect("the loop above saw a completed operation");
+            let (write, value) = match done.kind {
+                OpKind::Write(v) => (true, Some(v)),
+                OpKind::Read(v) => (false, v),
             };
             history.push(OpRecord {
                 obj: obj.key(),

@@ -725,7 +725,12 @@ fn finish_op<T: Transport<StoreMsg>>(
         }
     }
     let done = Instant::now();
-    let op = host.actor().driver.completed[done_before].clone();
+    let op = host
+        .actor()
+        .driver
+        .completed
+        .get(done_before)
+        .expect("the operation's record");
     (op, Watched { widened, done })
 }
 

@@ -10,10 +10,11 @@ use awr_types::{ChangeSet, CsRef, ObjectId, ProcessId, Ratio, ServerId, Tag, Tag
 use super::select::QuorumSelector;
 use super::{DynMsg, DynOptions, ReadMode, WireMode};
 use crate::history::{HistOp, OpKind};
+use crate::oplog::OpLog;
 use crate::Value;
 
 /// A completed read/write (client-side record).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DynCompletedOp<V> {
     /// The object the operation targeted.
     pub obj: ObjectId,
@@ -84,8 +85,8 @@ pub struct DynOpDriver<V> {
     /// Phase-2 acks, one flag per server: the fresh phase-1 repliers plus
     /// every `WAck` since. Meaningful only in [`Stage::Two`].
     acks: Vec<bool>,
-    /// Completed operations, oldest first.
-    pub completed: Vec<DynCompletedOp<V>>,
+    /// Completed operations, oldest first, as compact records.
+    pub completed: OpLog<V>,
     /// The armed rebroadcast timer, if an operation is in flight under a
     /// retry policy.
     retry_timer: Option<TimerId>,
@@ -124,7 +125,7 @@ impl<V: Value> DynOpDriver<V> {
             replies: vec![None; cfg.n],
             valued: vec![false; cfg.n],
             acks: vec![false; cfg.n],
-            completed: Vec::new(),
+            completed: OpLog::new(),
             retry_timer: None,
             attempts: 0,
             n: cfg.n,
@@ -450,7 +451,7 @@ impl<V: Value> DynOpDriver<V> {
     /// Ends the operation in flight with `kind`.
     fn complete(&mut self, kind: OpKind<V>, ctx: &mut Context<'_, DynMsg<V>>) {
         let f = self.op.take().expect("an operation in flight");
-        self.completed.push(DynCompletedOp {
+        self.completed.push(&DynCompletedOp {
             obj: f.obj,
             kind,
             invoke: f.invoke,
@@ -777,7 +778,7 @@ impl<V: Value> DynClient<V> {
             .map(|c| HistOp {
                 client: ci,
                 obj: c.obj,
-                kind: c.kind.clone(),
+                kind: c.kind,
                 invoke: c.invoke,
                 response: c.response,
             })

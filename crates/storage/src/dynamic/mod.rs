@@ -681,7 +681,7 @@ mod driver_tests {
         let done: Vec<(OpKind<u64>, u64)> = driver
             .completed
             .iter()
-            .map(|c| (c.kind.clone(), c.restarts))
+            .map(|c| (c.kind, c.restarts))
             .collect();
         assert_eq!(done, [(OpKind::Read(Some(5)), 0), (OpKind::Write(9), 0)]);
         assert_eq!(w.metrics().counter("repolled_behind"), 0);

@@ -269,8 +269,9 @@ impl<V: Value> StorageHarness<V> {
             .actor::<DynClient<V>>(actor)
             .expect("client")
             .driver
-            .completed[before]
-            .clone())
+            .completed
+            .get(before)
+            .expect("the operation's record"))
     }
 
     /// Client `k` writes `v` to the [default object](ObjectId::DEFAULT),

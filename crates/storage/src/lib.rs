@@ -19,6 +19,7 @@
 //!   with client restart,
 //!   and the Algorithm 4 register refresh on weight gain;
 //! * [`StorageHarness`] — a wired world for experiments;
+//! * [`OpLog`] — a client's completed operations, as compact records;
 //! * [`check_linearizable`] — Wing&Gong-style atomicity checking with
 //!   quiescent partitioning and memoization;
 //! * [`workload`] — random closed-loop workload generators;
@@ -37,6 +38,7 @@ mod harness;
 mod history;
 mod lin;
 pub mod openloop;
+pub mod oplog;
 pub mod placement;
 mod wire;
 pub mod workload;
@@ -53,6 +55,7 @@ pub use harness::StorageHarness;
 pub use history::{HistOp, History, OpKind};
 pub use lin::{check_linearizable, check_linearizable_keyed, KeyedLinError, LinError};
 pub use openloop::{OpenLoopClient, OpenLoopHarness, OpenLoopSpec, OpenLoopStats};
+pub use oplog::OpLog;
 pub use placement::{DecisionLog, PlacementDriver, PolicyDecision};
 
 /// Values stored in registers. A register value crosses sockets and the

@@ -41,7 +41,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::dynamic::{DynClient, DynCompletedOp, DynMsg, DynOptions};
 use crate::harness::StorageHarness;
-use crate::history::{HistOp, History, OpKind};
+use crate::history::{HistOp, History};
+use crate::oplog::OpLog;
 use crate::placement::PlacementDriver;
 use crate::workload::{KeyDistribution, KeySampler};
 
@@ -171,8 +172,8 @@ pub struct OpenLoopClient {
     /// Arrivals waiting for the in-flight slot: `(arrival, object,
     /// write value or None for a read)`.
     backlog: VecDeque<(Time, ObjectId, Option<u64>)>,
-    /// The op in flight: `(arrival, object)`.
-    inflight: Option<(Time, ObjectId)>,
+    /// The op in flight: `(arrival, object, is a write)`.
+    inflight: Option<(Time, ObjectId, bool)>,
     seen_completed: usize,
     next_val: u64,
     rec: Rc<RefCell<RecInner>>,
@@ -180,7 +181,12 @@ pub struct OpenLoopClient {
 
 impl OpenLoopClient {
     /// Completed-operation records (the raw per-op trace).
-    pub fn completed_ops(&self) -> &[DynCompletedOp<u64>] {
+    pub fn completed_ops(&self) -> impl ExactSizeIterator<Item = DynCompletedOp<u64>> + '_ {
+        self.inner.driver.completed.iter()
+    }
+
+    /// The log those records are kept in.
+    pub fn op_log(&self) -> &OpLog<u64> {
         &self.inner.driver.completed
     }
 
@@ -196,7 +202,7 @@ impl OpenLoopClient {
         val: Option<u64>,
         ctx: &mut Context<'_, DynMsg<u64>>,
     ) {
-        self.inflight = Some((arrived, obj));
+        self.inflight = Some((arrived, obj, val.is_some()));
         match val {
             Some(v) => self.inner.begin_write_obj(obj, v, ctx),
             None => self.inner.begin_read_obj(obj, ctx),
@@ -212,7 +218,7 @@ impl OpenLoopClient {
         }
         debug_assert_eq!(n, self.seen_completed + 1, "one op in flight at a time");
         self.seen_completed = n;
-        let (arrived, obj) = self
+        let (arrived, obj, write) = self
             .inflight
             .take()
             .expect("completion with no op in flight");
@@ -221,9 +227,10 @@ impl OpenLoopClient {
             let mut rec = self.rec.borrow_mut();
             rec.completed += 1;
             if arrived >= rec.record_from {
-                match self.inner.driver.completed[n - 1].kind {
-                    OpKind::Read(_) => rec.reads.record(latency),
-                    OpKind::Write(_) => rec.writes.record(latency),
+                if write {
+                    rec.writes.record(latency);
+                } else {
+                    rec.reads.record(latency);
                 }
                 if let Some(m) = rec.per_object.as_mut() {
                     m.entry(obj).or_default().record(latency);

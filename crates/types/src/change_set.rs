@@ -405,7 +405,9 @@ impl ChangeSet {
     /// Number of journal entries currently retained — equal to
     /// [`ChangeSet::len`] until [`ChangeSet::compact_journal`] drops a
     /// prefix. This, times `size_of::<Change>() + 8`, is the journal's
-    /// resident memory: the quantity the soak bench gates as flat.
+    /// resident memory: the quantity the durability soak
+    /// (`tests/recovery.rs::soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments`)
+    /// gates as flat.
     pub fn journal_len(&self) -> usize {
         self.inner.journal.len()
     }

@@ -89,12 +89,12 @@ fn run(policy: Box<dyn PlacementPolicy>) -> (String, f64, usize) {
         .expect("client")
         .driver
         .completed;
-    let measured = &completed[8..];
+    let measured = completed.iter().skip(8);
+    let count = measured.len();
     let mean_ms = measured
-        .iter()
         .map(|o| (o.response - o.invoke) as f64 / 1e6)
         .sum::<f64>()
-        / measured.len() as f64;
+        / count as f64;
 
     // Whatever the policy did, the system stayed correct.
     h.settle();

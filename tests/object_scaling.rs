@@ -25,7 +25,7 @@ use awr::core::RpConfig;
 use awr::sim::{Metrics, UniformLatency};
 use awr::storage::workload::{KeyDistribution, KeySampler};
 use awr::storage::{
-    check_linearizable_keyed, DynClient, DynCompletedOp, DynOptions, OpKind, ReadMode,
+    check_linearizable_keyed, DynClient, DynCompletedOp, DynOptions, OpKind, OpLog, ReadMode,
     StorageHarness,
 };
 use awr::types::{ObjectId, Ratio, ServerId};
@@ -41,7 +41,7 @@ fn kinds_bytes(m: &Metrics, kinds: &[&str]) -> u64 {
     kinds.iter().map(|k| m.bytes_of_kind(k)).sum()
 }
 
-fn completed(h: &StorageHarness<u64>) -> &[DynCompletedOp<u64>] {
+fn completed(h: &StorageHarness<u64>) -> &OpLog<u64> {
     let client = h.world.actor::<DynClient<u64>>(h.client_actor(0));
     &client.expect("client").driver.completed
 }
@@ -109,7 +109,7 @@ fn window(objects: usize, skew: f64, read: ReadMode, rng_seed: u64, first_value:
     check_linearizable_keyed(&h.history()).expect("keyed history must stay linearizable");
 
     let after = h.world.metrics();
-    let ops = &completed(&h)[completed_before..];
+    let ops: Vec<DynCompletedOp<u64>> = completed(&h).iter().skip(completed_before).collect();
     assert_eq!(ops.len(), OPS);
     let ms = |o: &DynCompletedOp<u64>| (o.response - o.invoke) as f64 / 1e6;
     let delta = |kinds: &[&str]| kinds_bytes(after, kinds) - kinds_bytes(&before, kinds);

@@ -237,7 +237,7 @@ struct SoakEpoch {
     /// Largest WAL across servers.
     wal: usize,
     /// Virtual ns from the reboot to a settled world (sync round and
-    /// count-based refresh done).
+    /// count-based refresh done, and every timer fired).
     recovery_ns: u64,
     /// Bytes sent and received by the rebooted server in that window.
     recovery_bytes: u64,
@@ -255,6 +255,17 @@ struct SoakEpoch {
 /// than the ≤ 62-entry compacted journal can cut a delta from. So the
 /// recovery bytes grow with |C| — the pin at the first and last epoch
 /// records an O(|C|) catch-up that per-issuer frontiers would flatten.
+///
+/// Recovery time is the wait for the world to settle, and what ends that
+/// wait is a timer, not the sync round. The messages of every reboot are
+/// done 0.09–0.34 ms after it; the last event of every epoch is a client's
+/// suspicion lapse (`QuorumSelector::on_lapse`, counter
+/// `suspicion_lapsed`). Under the explicit retry policy (base 200 µs) a
+/// lapse is 200 µs × 2^(strikes + 1), so a client that suspected the
+/// crashed server for the fourth time in a row arms a 3.2 ms lapse: that
+/// is the 3.13 ms of epochs 1, 15 and 36, against 0.26–1.14 ms for the
+/// rest. The per-half maxima compare those outliers, so the medians are
+/// compared and pinned beside them.
 #[test]
 fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
     const N: usize = 7;
@@ -370,14 +381,25 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
     let journal = halves(|e| e.journal as u64);
     let wal = halves(|e| e.wal as u64);
     let recovery = halves(|e| e.recovery_ns);
+    // The nearest-rank median of each half's recovery times.
+    let recovery_median = {
+        let (first, second) = epochs.split_at(EPOCHS / 2);
+        let median = |es: &[SoakEpoch]| {
+            let mut v: Vec<u64> = es.iter().map(|e| e.recovery_ns).collect();
+            v.sort_unstable();
+            v[(v.len() - 1) / 2]
+        };
+        (median(first), median(second))
+    };
     for (what, (first, second), slack) in [
         ("journal", journal, 1.25),
         ("WAL", wal, 1.25),
         ("recovery time", recovery, 1.5),
+        ("median recovery time", recovery_median, 1.5),
     ] {
         assert!(
             second as f64 <= first as f64 * slack,
-            "{what} drifts: first-half max {first}, second-half max {second}"
+            "{what} drifts: first half {first}, second half {second}"
         );
     }
     let (first, last) = (&epochs[0], &epochs[EPOCHS - 1]);
@@ -396,6 +418,11 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
         recovery,
         (3_143_589, 3_139_233),
         "recovery ns maxima per half"
+    );
+    assert_eq!(
+        recovery_median,
+        (897_398, 833_874),
+        "recovery ns medians per half"
     );
 }
 

@@ -8,6 +8,10 @@
 //! below as it is: the events run, the messages and bytes of each kind,
 //! the completed operations and the virtual medians. A pin that moves is a
 //! behaviour change — explain it and re-pin in the same change.
+//!
+//! It also pins the bytes the clients' operation logs hold at the end, and
+//! keeps them under [`LOG_BYTES_PER_OP`] per completed operation: the logs
+//! are most of what a long simulated run keeps resident.
 
 use awr::core::RpConfig;
 use awr::quorum::placement::LatencyGreedy;
@@ -24,6 +28,9 @@ const KEYS: usize = 2048;
 const RATE_PER_S: f64 = 400.0;
 const DURATION: u64 = 16 * SECOND;
 const DECIDE_EVERY: u64 = 5 * SECOND;
+/// Bound on the clients' log bytes per completed operation; a
+/// `DynCompletedOp<u64>` struct takes 48.
+const LOG_BYTES_PER_OP: u64 = 24;
 
 /// What the pin compares.
 #[derive(Debug, PartialEq, Eq)]
@@ -35,6 +42,8 @@ struct Schedule {
     /// Keys named by a message, and the messages and bytes they drew.
     objects: (usize, u64, u64),
     completed: u64,
+    /// Record bytes in every client's [`OpLog`](awr::storage::OpLog).
+    log_bytes: u64,
     read_p50_ns: u64,
     write_p50_ns: u64,
 }
@@ -70,8 +79,10 @@ fn run(seed: u64) -> Schedule {
     driver.windowed = true;
     h.run(Some(&mut driver), DECIDE_EVERY);
     let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    let mut log_bytes = 0;
     for &a in h.client_actors() {
         let c = h.inner.world.actor::<OpenLoopClient>(a).expect("client");
+        log_bytes += c.op_log().bytes() as u64;
         for op in c.completed_ops() {
             let latency = op.response.0 - op.invoke.0;
             match op.kind {
@@ -93,6 +104,7 @@ fn run(seed: u64) -> Schedule {
             (k + 1, msgs + s.msgs, bytes + s.bytes)
         }),
         completed: h.stats().completed,
+        log_bytes,
         read_p50_ns: median(reads),
         write_p50_ns: median(writes),
     }
@@ -119,6 +131,7 @@ fn a_reduced_wan_adaptive_run_keeps_its_schedule() {
                 ],
                 objects: (1_932, 36_669, 357_069),
                 completed: 6_383,
+                log_bytes: 100_463,
                 read_p50_ns: 76_417_795,
                 write_p50_ns: 152_636_297,
             },
@@ -141,12 +154,20 @@ fn a_reduced_wan_adaptive_run_keeps_its_schedule() {
                 ],
                 objects: (1_958, 37_206, 363_765),
                 completed: 6_503,
+                log_bytes: 102_780,
                 read_p50_ns: 76_439_375,
                 write_p50_ns: 152_685_633,
             },
         ),
     ];
     for (seed, pin) in pins {
-        assert_eq!(run(seed), pin, "seed {seed}");
+        let got = run(seed);
+        assert!(
+            got.log_bytes <= LOG_BYTES_PER_OP * got.completed,
+            "seed {seed}: {} log bytes for {} operations",
+            got.log_bytes,
+            got.completed
+        );
+        assert_eq!(got, pin, "seed {seed}");
     }
 }
