@@ -185,14 +185,6 @@ impl TransferCore {
         self.changes.apply_ref(r).learned()
     }
 
-    /// Truncates the local change journal to at most `keep` recent entries
-    /// (see [`ChangeSet::compact_journal`]); returns the entries dropped.
-    /// Callers owning a write-ahead log must persist the journal tail
-    /// before compacting.
-    pub fn compact_journal(&mut self, keep: usize) -> usize {
-        self.changes.compact_journal(keep)
-    }
-
     /// `weight()` of Algorithm 4 lines 4–5: this server's weight computed
     /// from its local changes.
     pub fn weight(&self) -> Ratio {

@@ -16,7 +16,9 @@
 //!   construction);
 //! * on a cadence (driven by [`CheckpointCadence`]) the server
 //!   writes a [`Snapshot`] — its full change set and register map — and
-//!   truncates the WAL;
+//!   truncates the WAL. Only the WAL: the in-memory change set keeps
+//!   every change, so a peer answers a rebooted server's sync round with
+//!   a delta of what it missed;
 //! * recovery loads the snapshot, replays the WAL suffix, and rejoins via
 //!   the existing transfer/refresh paths (see `DynServer::recover`).
 //!
@@ -59,8 +61,8 @@ pub enum WalRecord<V> {
 /// the last persisted step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot<V> {
-    /// The full set of completed changes `C` at snapshot time. Persisted
-    /// as content; journal compaction state is rebuilt by the owner.
+    /// The full set of completed changes `C` at snapshot time, persisted
+    /// as content: a decoded set's journal is in set order.
     pub changes: ChangeSet,
     /// The keyed register map at snapshot time.
     pub registers: BTreeMap<ObjectId, TaggedValue<V>>,
@@ -522,51 +524,32 @@ fn adopt_newest<V: Clone>(
     }
 }
 
-/// When a durable replica checkpoints, and how much history it keeps.
+/// When a durable replica folds its write-ahead log into a [`Snapshot`].
 ///
-/// A checkpoint is a boundary over the replica's *private*, append-order
-/// state — its `ChangeSet` journal (compacted via
-/// `ChangeSet::compact_journal`) and its write-ahead log (folded into a
-/// [`Snapshot`]) — not over the shared weight map.
-///
-/// Two knobs govern the trade:
-///
-/// * [`every`](CheckpointCadence::every) bounds how much un-checkpointed
-///   log a crash can force recovery to replay (and how much journal memory
-///   a replica carries between checkpoints);
-/// * [`min_retain`](CheckpointCadence::min_retain) keeps a tail of recent
-///   journal entries alive past each checkpoint so slightly-behind peers
-///   still negotiate cheap deltas instead of degrading to full change
-///   sets.
+/// [`every`](CheckpointCadence::every) bounds how much WAL a crash can
+/// force recovery to replay; the in-memory change set keeps every change
+/// (it is the paper's grow-only `C`), so the cadence touches only the log.
 ///
 /// # Examples
 ///
 /// ```
 /// use awr_storage::CheckpointCadence;
 ///
-/// let cadence = CheckpointCadence::new(8, 4);
+/// let cadence = CheckpointCadence::new(8);
 /// assert!(!cadence.due(7));
 /// assert!(cadence.due(8));
-/// // Keep whichever is larger: the floor, or what the slowest acked
-/// // peer still needs for a delta.
-/// assert_eq!(cadence.retain(2), 4);
-/// assert_eq!(cadence.retain(9), 9);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointCadence {
-    /// Checkpoint whenever the log has grown by this many entries since
+    /// Checkpoint whenever the WAL has grown by this many records since
     /// the last checkpoint (clamped to at least 1).
     pub every: usize,
-    /// Always retain at least this many of the most recent journal
-    /// entries across a compaction.
-    pub min_retain: usize,
 }
 
 impl CheckpointCadence {
-    /// Creates a cadence that checkpoints every `every` log entries and
-    /// retains at least `min_retain` journal entries.
-    pub const fn new(every: usize, min_retain: usize) -> CheckpointCadence {
-        CheckpointCadence { every, min_retain }
+    /// Creates a cadence that checkpoints every `every` WAL records.
+    pub const fn new(every: usize) -> CheckpointCadence {
+        CheckpointCadence { every }
     }
 
     /// Whether a log that has accumulated `grown` entries since the last
@@ -574,20 +557,14 @@ impl CheckpointCadence {
     pub fn due(&self, grown: usize) -> bool {
         grown >= self.every.max(1)
     }
-
-    /// How many journal entries a compaction should keep, given the
-    /// longest suffix any acked peer still needs for a delta.
-    pub fn retain(&self, deepest_peer_suffix: usize) -> usize {
-        self.min_retain.max(deepest_peer_suffix)
-    }
 }
 
-/// Checkpoint every 64 log entries, retaining a 16-entry delta tail —
-/// frequent enough that recovery replay and journal memory stay small,
-/// sparse enough that checkpoint work is amortized across many operations.
+/// Checkpoint every 64 WAL records — frequent enough that recovery replay
+/// stays small, sparse enough that checkpoint work is amortized across
+/// many operations.
 impl Default for CheckpointCadence {
     fn default() -> CheckpointCadence {
-        CheckpointCadence::new(64, 16)
+        CheckpointCadence::new(64)
     }
 }
 

@@ -357,18 +357,6 @@ impl<V: Value> DynOpDriver<V> {
         }
     }
 
-    /// Client-side journal hygiene: a client's journal exists only to feed
-    /// its own `delta_since` — but clients never *serve* deltas (they send
-    /// summaries or full sets), so beyond a small tail the journal is dead
-    /// weight. Compacts on the configured cadence; no-op by default.
-    fn maybe_compact(&mut self) {
-        if let Some(cad) = self.options.checkpoint {
-            if cad.due(self.changes.journal_len()) {
-                self.changes.compact_journal(cad.min_retain);
-            }
-        }
-    }
-
     /// Whether server `i` is known to hold exactly `C`: it accepted `C`
     /// and has rejected nothing since. A server's set only grows, so while
     /// its length is `C`'s it holds `C`.
@@ -520,7 +508,6 @@ impl<V: Value> DynOpDriver<V> {
             // `Full`, keeping the exchange bounded. An accept's reference
             // is never read: servers send [`CsRef::NONE`] on one.
             let learned = self.changes.apply_ref(changes).learned();
-            self.maybe_compact();
             if learned {
                 self.op.as_mut().expect("checked above").restarts += 1;
                 self.attempt(ctx);

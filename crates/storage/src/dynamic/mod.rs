@@ -457,9 +457,9 @@ pub struct DynOptions {
     /// Read completion strategy (one-phase fast path vs paper-literal two
     /// phases).
     pub read: ReadMode,
-    /// Journal-compaction (and, with a [`crate::StorageHandle`] attached,
-    /// snapshot) cadence. `None` — the default — never compacts, which is
-    /// the pre-durability behaviour: the journal holds every change.
+    /// Snapshot cadence of a server with a [`crate::StorageHandle`]
+    /// attached; ignored without one. `None` — the default — never
+    /// snapshots, so the WAL holds every record.
     pub checkpoint: Option<CheckpointCadence>,
     /// Client-side rebroadcast for operations stalled because their quorum
     /// contacts died mid-phase. `None` — the default — never retries,

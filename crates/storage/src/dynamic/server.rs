@@ -8,8 +8,8 @@
 //! register on accept; an `R` is answered with the register's tag alone
 //! and an `RV` with the whole register, held or not. The server keeps one
 //! record per client — the digest it presented last and whether a delta
-//! was cut against it — which serves both the degrade rule and the
-//! journal's compaction depth, and at most one held request per client.
+//! was cut against it — which serves the degrade rule, and at most one
+//! held request per client.
 //! Everything else it knows lives once: the completed transfers in the
 //! embedded engine, the refresh count as the refresh operation number.
 //!
@@ -156,13 +156,10 @@ impl<V: Value> DynServer<V> {
     }
 
     /// Appends the change-set growth since the last persist point to the
-    /// WAL. Must run before [`DynServer::maybe_checkpoint`] (compaction
-    /// drops journal entries; the persist-before-compact order keeps the
-    /// anchor addressable). When the set did not grow linearly from the
-    /// persisted state — a rejoin sync merged a peer's set wholesale, or a
-    /// second compaction outran the anchor — no journal suffix expresses
-    /// the diff, and the whole state is checkpointed instead (the snapshot
-    /// also resets the WAL, so durable cost stays bounded).
+    /// WAL. When the set did not grow linearly from the persisted state —
+    /// a rejoin sync merged a peer's set wholesale — no journal suffix
+    /// expresses the diff, and the whole state is checkpointed instead
+    /// (the snapshot also resets the WAL, so durable cost stays bounded).
     fn persist_new_changes(&mut self) {
         let Some(st) = &self.storage else { return };
         let digest = self.core.changes().digest();
@@ -183,32 +180,18 @@ impl<V: Value> DynServer<V> {
         self.persisted_digest = digest;
     }
 
-    /// Checkpoint pass, on the [`DynOptions::checkpoint`] cadence:
-    /// truncates the in-memory journal (keeping enough depth to serve
-    /// deltas for every client digest recently seen) and, when a durable
-    /// backend is attached and its WAL has grown past the cadence, folds
-    /// WAL + state into a fresh snapshot.
+    /// Checkpoint pass: when a durable backend is attached and its WAL has
+    /// grown past the [`DynOptions::checkpoint`] cadence, folds WAL + state
+    /// into a fresh snapshot.
     fn maybe_checkpoint(&mut self) {
-        let Some(cad) = self.options.checkpoint else {
+        let (Some(cad), Some(st)) = (self.options.checkpoint, &self.storage) else {
             return;
         };
-        if cad.due(self.core.changes().journal_len()) {
-            let deepest = self
-                .clients
-                .iter()
-                .flatten()
-                .filter_map(|p| self.core.changes().delta_since(p.digest).map(<[_]>::len))
-                .max()
-                .unwrap_or(0);
-            self.core.compact_journal(cad.retain(deepest));
-        }
-        if let Some(st) = &self.storage {
-            if cad.due(st.wal_len()) {
-                st.install_snapshot(Snapshot {
-                    changes: self.core.changes().clone(),
-                    registers: self.registers.to_map(),
-                });
-            }
+        if cad.due(st.wal_len()) {
+            st.install_snapshot(Snapshot {
+                changes: self.core.changes().clone(),
+                registers: self.registers.to_map(),
+            });
         }
     }
 
@@ -232,9 +215,9 @@ impl<V: Value> DynServer<V> {
     ///   recovers from this server's own WAL), so it held one set of that
     ///   length: the client's. Otherwise the client's set is the journal
     ///   prefix of that length, and is judged as if its digest had been
-    ///   presented; a length this server cannot place — behind the
-    ///   compaction point or `named_from`, or past its own length — is
-    ///   answered `Full`, or held as below when it is past.
+    ///   presented; a length this server cannot place — behind
+    ///   `named_from`, or past its own length — is answered `Full`, or
+    ///   held as below when it is past.
     /// - An accept carries [`CsRef::NONE`]: the client reads no reference
     ///   off an accept.
     /// - A reject carries what the client lacks: a delta against the
@@ -251,8 +234,7 @@ impl<V: Value> DynServer<V> {
     ///
     /// `ForceFull` answers `Full` either way. What the client presented is
     /// recorded on every answer: one record per client bounds the state
-    /// machine, and compaction keeps the journal deep enough to cut deltas
-    /// for every digest still in sight.
+    /// machine.
     fn judge(&mut self, from: ActorId, presented: &CsRef) -> Option<(bool, CsRef)> {
         let mine = self.core.changes();
         let named = presented.named_len();
@@ -800,8 +782,9 @@ impl<V: Value> Actor for DynServer<V> {
             DynMsg::SyncR { digest } => {
                 // A recovering peer presented the digest of what it salvaged;
                 // answer with the cheapest reference that covers the gap (a
-                // delta when the journal reaches back that far). Equal
-                // digests come back as a no-op summary.
+                // delta when that digest names a prefix of the journal, which
+                // keeps every change). Equal digests come back as a no-op
+                // summary.
                 let changes = CsRef::for_peer(self.core.changes(), digest);
                 ctx.send(from, DynMsg::SyncAck { changes });
             }
@@ -818,9 +801,9 @@ impl<V: Value> Actor for DynServer<V> {
             }
         }
         // Durability epilogue, once per delivery: WAL whatever `C` gained,
-        // then (on cadence) compact the journal and roll a snapshot. The
-        // Context buffers outgoing sends until this callback returns, so
-        // state is persisted before any message that presupposes it leaves.
+        // then (on cadence) roll a snapshot. The Context buffers outgoing
+        // sends until this callback returns, so state is persisted before
+        // any message that presupposes it leaves.
         self.persist_new_changes();
         self.maybe_checkpoint();
     }
@@ -991,6 +974,65 @@ mod tests {
             };
             assert_eq!(replies, expected, "{wire:?}");
         }
+    }
+
+    /// A durable peer on a snapshot cadence still holds every change it
+    /// learned, so a server more than a cadence interval behind is caught
+    /// up by a `Delta` of exactly the gap, not by the whole set.
+    #[test]
+    fn a_sync_round_far_behind_a_cadenced_peer_gets_the_gap_as_a_delta() {
+        let cfg = RpConfig::uniform(3, 1);
+        let cadence = crate::CheckpointCadence::default();
+        let options = DynOptions {
+            checkpoint: Some(cadence),
+            ..DynOptions::default()
+        };
+        let store = StorageHandle::<u64>::in_memory();
+        let mut w = World::new(4, UniformLatency::new(1_000, 2_000));
+        w.add_actor(DynServer::<u64>::with_storage(
+            cfg.clone(),
+            ServerId(0),
+            options,
+            store.clone(),
+        ));
+        for i in 1..3 {
+            w.add_actor(DynServer::<u64>::new(cfg.clone(), ServerId(i), options));
+        }
+        let rebooted = w.add_actor(tap(None));
+        for t in 0..40 {
+            let (from, to) = if t % 2 == 0 { (0, 1) } else { (1, 0) };
+            w.with_actor_ctx(ActorId(from), |srv: &mut DynServer<u64>, ctx| {
+                srv.begin_transfer(ServerId(to), Ratio::new(1, 10), ctx)
+                    .expect("the transfer starts");
+            })
+            .expect("a live server");
+            w.run_to_quiescence();
+        }
+        let peer = w
+            .actor::<DynServer<u64>>(ActorId(0))
+            .expect("server 0")
+            .changes()
+            .clone();
+        let behind = ChangeSet::from_initial_weights(&cfg.initial_weights);
+        let gap = peer.len() - behind.len();
+        assert!(gap > cadence.every, "gap {gap}");
+        let (snapshot, _) = store.load().expect("persisted");
+        assert!(snapshot.is_some(), "the cadence never fired");
+
+        let digest = behind.digest();
+        w.inject(rebooted, ActorId(0), DynMsg::SyncR { digest });
+        w.run_to_quiescence();
+        let changes = match &tapped(&w, rebooted).inbox[..] {
+            [(_, DynMsg::SyncAck { changes })] => changes.clone(),
+            inbox => panic!("not one SyncAck: {inbox:?}"),
+        };
+        let CsRef::Delta { base_digest, adds } = &changes else {
+            panic!("not a delta: {}", form(&changes));
+        };
+        assert_eq!((*base_digest, adds.len()), (digest, gap));
+        let mut caught_up = behind;
+        caught_up.apply_ref(&changes);
+        assert_eq!(caught_up, peer);
     }
 
     /// The `need_tags` round: a refresher holding more than

@@ -246,26 +246,18 @@ mod cadence_tests {
 
     #[test]
     fn due_is_threshold_with_floor_of_one() {
-        let c = CheckpointCadence::new(0, 0);
+        let c = CheckpointCadence::new(0);
         assert!(!c.due(0));
         assert!(c.due(1), "every=0 clamps to 1, not to never");
-        let c = CheckpointCadence::new(5, 2);
+        let c = CheckpointCadence::new(5);
         assert!(!c.due(4));
         assert!(c.due(5) && c.due(50));
     }
 
     #[test]
-    fn retain_floors_at_min() {
-        let c = CheckpointCadence::new(8, 6);
-        assert_eq!(c.retain(0), 6);
-        assert_eq!(c.retain(6), 6);
-        assert_eq!(c.retain(7), 7);
-    }
-
-    #[test]
     fn default_is_sane() {
         let c = CheckpointCadence::default();
-        assert!(c.every > c.min_retain);
-        assert!(c.due(c.every));
+        assert!(c.every > 1);
+        assert!(!c.due(c.every - 1) && c.due(c.every));
     }
 }

@@ -43,12 +43,9 @@
 //! * `digest == Σ {mix(c) | c ∈ changes}` (wrapping), a commutative
 //!   combination of per-change SipHash values, so it is order-insensitive
 //!   and updatable in O(1) per insert;
-//! * `journal` holds a *suffix* of the changes in the order this replica
-//!   learned them — every change exactly once until
-//!   [`ChangeSet::compact_journal`] checkpoints and truncates a prefix
-//!   (whose digest is folded into `checkpoint`) — so
-//!   [`ChangeSet::delta_since`] can roll the digest back to any *retained*
-//!   historical prefix.
+//! * `journal` holds every change exactly once, in the order this replica
+//!   learned them, so [`ChangeSet::delta_since`] can roll the digest back
+//!   to any historical prefix.
 //!
 //! Equal sets therefore always have equal digests; *unequal* sets collide
 //! with probability ≈ 2⁻⁶⁴. Fast paths that conclude *inequality* from a
@@ -76,24 +73,15 @@ struct Inner {
     /// Commutative content digest (wrapping sum of per-change hashes).
     digest: u64,
     /// Append-order journal: every change exactly once, in the order this
-    /// replica learned it — possibly *truncated from the front* by
-    /// [`ChangeSet::compact_journal`], in which case `checkpoint` digests
-    /// the dropped prefix. Because the digest is a commutative sum, the
-    /// digest of any *retained* journal prefix can be recovered by
-    /// subtracting the suffix mixes — which is what
-    /// [`ChangeSet::delta_since`] exploits to extract wire deltas without
-    /// storing historical snapshots.
+    /// replica learned it. Because the digest is a commutative sum, the
+    /// digest of any journal prefix can be recovered by subtracting the
+    /// suffix mixes — which is what [`ChangeSet::delta_since`] exploits to
+    /// extract wire deltas without storing historical snapshots.
     journal: Vec<Change>,
     /// The precomputed mix of each journal entry (parallel to `journal`),
     /// so the digest-rollback walk of [`ChangeSet::delta_since`] is
     /// subtraction-only instead of one SipHash per step.
     journal_mixes: Vec<u64>,
-    /// Commutative digest of the journal prefix dropped by compaction
-    /// (zero while the journal is complete). The digest-rollback walk of
-    /// [`ChangeSet::delta_since`] bottoms out here: a `base` digesting a
-    /// dropped prefix is no longer recoverable and the caller degrades to
-    /// [`crate::sync::CsRef::Full`].
-    checkpoint: u64,
 }
 
 /// One change's contribution to the digest: a well-mixed 64-bit hash,
@@ -356,14 +344,10 @@ impl ChangeSet {
     /// delta. O(k) where `k` is the delta length — O(1)-ish when the peer is
     /// barely behind, O(|C|) when `base` is not found.
     ///
-    /// Returns `None` if no *retained* journal prefix digests to `base`:
-    /// the peer is ahead, diverged, followed a different append order, or
-    /// sits behind the compaction checkpoint (see
-    /// [`ChangeSet::compact_journal`]). Callers fall back to
-    /// [`crate::sync::CsRef::Full`]. On an uncompacted set,
-    /// `delta_since(0)` always succeeds with the entire journal (the empty
-    /// prefix digests to 0); after compaction the walk bottoms out at the
-    /// checkpoint digest instead.
+    /// Returns `None` if no journal prefix digests to `base`: the peer is
+    /// ahead, diverged, or followed a different append order. Callers fall
+    /// back to [`crate::sync::CsRef::Full`]. `delta_since(0)` always
+    /// succeeds with the entire journal (the empty prefix digests to 0).
     ///
     /// A hit means the peer's *content* equals the prefix only w.h.p.
     /// (digest collision ≈ 2⁻⁶⁴) — the same probabilistic contract as the
@@ -389,63 +373,14 @@ impl ChangeSet {
     /// set it held when it had `len` changes, as far as the journal's
     /// order is the order it learned them in (a merge can adopt another
     /// replica's journal, and a decoded set's journal is in set order).
-    /// `None` when `len` exceeds [`ChangeSet::len`] or lies behind the
-    /// compaction checkpoint. O(|C| − `len`).
+    /// `None` when `len` exceeds [`ChangeSet::len`]. O(|C| − `len`).
     pub fn prefix_digest(&self, len: usize) -> Option<u64> {
-        let dropped = self.len() - self.inner.journal.len();
-        let keep = len.checked_sub(dropped)?;
-        let suffix = self.inner.journal_mixes.get(keep..)?;
+        let suffix = self.inner.journal_mixes.get(len..)?;
         Some(
             suffix
                 .iter()
                 .fold(self.inner.digest, |d, m| d.wrapping_sub(*m)),
         )
-    }
-
-    /// Number of journal entries currently retained — equal to
-    /// [`ChangeSet::len`] until [`ChangeSet::compact_journal`] drops a
-    /// prefix. This, times `size_of::<Change>() + 8`, is the journal's
-    /// resident memory: the quantity the durability soak
-    /// (`tests/recovery.rs::soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments`)
-    /// gates as flat.
-    pub fn journal_len(&self) -> usize {
-        self.inner.journal.len()
-    }
-
-    /// Commutative digest of the journal prefix dropped by compaction
-    /// (zero while the journal is complete). Peers whose summary digests a
-    /// prefix of the dropped region can no longer be served a
-    /// [`crate::sync::CsRef::Delta`] and degrade to
-    /// [`crate::sync::CsRef::Full`].
-    pub fn checkpoint_digest(&self) -> u64 {
-        self.inner.checkpoint
-    }
-
-    /// Checkpoints and truncates the journal to at most `keep` most-recent
-    /// entries, folding the dropped prefix into the checkpoint digest.
-    /// Returns the number of entries dropped.
-    ///
-    /// Set membership, weights and the content digest are all untouched — compaction only narrows what
-    /// [`ChangeSet::delta_since`] can reconstruct. A peer whose acked
-    /// digest still lands in the retained suffix keeps getting
-    /// [`crate::sync::CsRef::Delta`]s; one that has fallen behind the
-    /// checkpoint degrades to [`crate::sync::CsRef::Full`], so the
-    /// negotiation ladder (and every liveness argument built on it) is
-    /// unchanged. Servers key `keep` on an acked watermark: the longest
-    /// suffix any tracked peer still needs, floored by the cadence's
-    /// minimum retention (see `awr_storage::CheckpointCadence`).
-    pub fn compact_journal(&mut self, keep: usize) -> usize {
-        let drop = self.inner.journal.len().saturating_sub(keep);
-        if drop == 0 {
-            return 0;
-        }
-        let inner = Arc::make_mut(&mut self.inner);
-        for m in &inner.journal_mixes[..drop] {
-            inner.checkpoint = inner.checkpoint.wrapping_add(*m);
-        }
-        inner.journal.drain(..drop);
-        inner.journal_mixes.drain(..drop);
-        drop
     }
 
     #[cfg(test)]
@@ -540,37 +475,28 @@ mod tests {
         assert_journal_exact(set);
     }
 
-    /// The journal must mirror the set exactly: the retained journal is a
-    /// duplicate-free subset whose length accounts for every compacted
-    /// entry, the checkpoint digest plus retained mixes re-sum to the
-    /// content digest, every restriction is the naive filter of the set,
-    /// and `delta_since` round-trips every *retained* prefix.
+    /// The journal must mirror the set exactly: every change once, its
+    /// mixes re-sum to the content digest, every restriction is the naive
+    /// filter of the set, and `delta_since` round-trips every prefix —
+    /// `delta_since(0)` returning the whole journal.
     fn assert_journal_exact(set: &ChangeSet) {
         let journal = set.journal_for_tests();
-        assert_eq!(journal.len(), set.journal_len());
-        assert!(journal.len() <= set.len(), "journal longer than the set");
         let as_set: BTreeSet<Change> = journal.iter().copied().collect();
         assert_eq!(as_set.len(), journal.len(), "journal holds duplicates");
         let model: BTreeSet<Change> = set.iter().copied().collect();
-        assert!(as_set.is_subset(&model), "journal membership drifted");
+        assert_eq!(as_set, model, "journal membership drifted");
         let mixes: Vec<u64> = journal.iter().map(change_mix).collect();
         assert_eq!(set.inner.journal_mixes, mixes, "journal mixes drifted");
-        let resum = mixes
-            .iter()
-            .fold(set.checkpoint_digest(), |d, m| d.wrapping_add(*m));
-        assert_eq!(resum, set.digest(), "checkpoint + retained mixes drifted");
-        if set.checkpoint_digest() == 0 {
-            assert_eq!(journal.len(), set.len(), "uncompacted journal length");
-            assert_eq!(as_set, model, "uncompacted journal membership");
-        }
+        let resum = mixes.iter().fold(0u64, |d, m| d.wrapping_add(*m));
+        assert_eq!(resum, set.digest(), "journal mixes drifted from the digest");
         for t in 0..=set.inner.weights.len() {
             let s = ServerId(t as u32);
             let naive: BTreeSet<Change> = model.iter().filter(|c| c.target == s).copied().collect();
             let got: BTreeSet<Change> = set.restricted_to(s).iter().copied().collect();
             assert_eq!(got, naive, "restriction to {s} drifted");
         }
-        // delta_since round-trips every retained journal prefix...
-        let mut prefix_digest = set.checkpoint_digest();
+        assert_eq!(set.delta_since(0), Some(journal), "delta_since(0)");
+        let mut prefix_digest = 0u64;
         for k in 0..=journal.len() {
             assert_eq!(
                 set.delta_since(prefix_digest),
@@ -580,11 +506,6 @@ mod tests {
             if k < journal.len() {
                 prefix_digest = prefix_digest.wrapping_add(change_mix(&journal[k]));
             }
-        }
-        // ...and refuses pre-checkpoint bases once compacted (0 digests
-        // the empty prefix, which compaction dropped).
-        if set.checkpoint_digest() != 0 && set.digest() != 0 {
-            assert_eq!(set.delta_since(0), None, "compacted prefix resurfaced");
         }
     }
 
@@ -769,7 +690,7 @@ mod tests {
 
         fn op_strategy() -> impl Strategy<Value = (u8, usize, usize, Change, u32)> {
             (
-                0u8..5,
+                0u8..4,
                 0usize..3,
                 0usize..3,
                 (0u32..6, 1u64..5, 0u32..6, -30i128..30).prop_map(|(i, lc, t, d)| {
@@ -807,7 +728,7 @@ mod tests {
                             sets[i] = u;
                             models[i] = model;
                         }
-                        3 => {
+                        _ => {
                             let s = ServerId(server);
                             sets[i] = sets[i].restricted_to(s);
                             models[i] = models[i]
@@ -815,16 +736,6 @@ mod tests {
                                 .filter(|c| c.target == s)
                                 .copied()
                                 .collect();
-                        }
-                        _ => {
-                            // Compaction must be invisible to everything
-                            // except delta extraction; the model is
-                            // untouched on purpose.
-                            let before = sets[i].journal_len();
-                            let keep = server as usize;
-                            let dropped = sets[i].compact_journal(keep);
-                            prop_assert_eq!(dropped, before.saturating_sub(keep));
-                            prop_assert_eq!(sets[i].journal_len(), before - dropped);
                         }
                     }
                     // (a) The set's content matches the model exactly.
@@ -866,52 +777,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compact_journal_preserves_content_and_recent_deltas() {
-        let mut c = ChangeSet::uniform_initial(3, Ratio::ONE);
-        for lc in 2..12u64 {
-            c.insert(Change::new(s(0), lc, s(1), Ratio::new(1, 100)));
-        }
-        let full = c.clone();
-        // A peer that acked 4 entries ago.
-        let near = {
-            let j = c.journal_for_tests();
-            let cut = j.len() - 4;
-            j[..cut]
-                .iter()
-                .fold(0u64, |d, ch| d.wrapping_add(change_mix(ch)))
-        };
-        assert_eq!(c.compact_journal(6), 7); // 13 entries -> keep 6
-        assert_eq!(c.journal_len(), 6);
-        assert_ne!(c.checkpoint_digest(), 0);
-        // Content, weights, digest: untouched.
-        assert_eq!(c, full);
-        assert_eq!(c.digest(), full.digest());
-        assert_eq!(c.server_weight(s(1)), full.server_weight(s(1)));
-        assert_eq!(
-            c.restricted_to(s(1)).iter().collect::<Vec<_>>(),
-            full.restricted_to(s(1)).iter().collect::<Vec<_>>()
-        );
-        // A recently-acked peer still gets a delta; an ancient one (and
-        // the empty prefix) degrade to None -> CsRef::Full.
-        assert_eq!(c.delta_since(near).map(<[Change]>::len), Some(4));
-        assert_eq!(c.delta_since(0), None);
-        assert_eq!(c.delta_since(c.digest()).map(<[Change]>::len), Some(0));
-        assert_caches_exact(&c);
-        // Compacting an already-short journal is a no-op.
-        assert_eq!(c.compact_journal(6), 0);
-        assert_eq!(c.compact_journal(100), 0);
-        // Repeated compaction keeps folding into the checkpoint.
-        assert_eq!(c.compact_journal(0), 6);
-        assert_eq!(c.journal_len(), 0);
-        assert_eq!(c.checkpoint_digest(), c.digest());
-        assert_eq!(c.delta_since(c.digest()).map(<[Change]>::len), Some(0));
-        assert_caches_exact(&c);
-        assert_eq!(c, full);
-    }
-
-    /// Every retained prefix digests to the set held at that length;
-    /// a length past the set or behind the checkpoint names nothing.
+    /// Every prefix digests to the set held at that length; a length past
+    /// the set names nothing.
     #[test]
     fn prefix_digest_names_the_set_held_at_each_length() {
         let mut c = ChangeSet::uniform_initial(3, Ratio::ONE);
@@ -925,36 +792,6 @@ mod tests {
         }
         assert_eq!(c.prefix_digest(0), Some(0));
         assert_eq!(c.prefix_digest(c.len() + 1), None);
-        c.compact_journal(4);
-        let floor = c.len() - 4;
-        for &(len, digest) in &held {
-            let named = (len >= floor).then_some(digest);
-            assert_eq!(c.prefix_digest(len), named, "{len}");
-        }
-        assert_eq!(c.prefix_digest(0), None);
-    }
-
-    #[test]
-    fn compaction_is_copy_on_write() {
-        let mut a = ChangeSet::uniform_initial(4, Ratio::ONE);
-        let b = a.clone();
-        assert_eq!(a.compact_journal(1), 3);
-        assert!(!a.shares_storage_with(&b), "compaction must deep-copy");
-        assert_eq!(b.journal_len(), 4, "clone keeps its full journal");
-        assert_eq!(b.checkpoint_digest(), 0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn growth_after_compaction_journals_normally() {
-        let mut c = ChangeSet::uniform_initial(2, Ratio::ONE);
-        c.compact_journal(0);
-        let base = c.digest();
-        c.insert(Change::new(s(0), 2, s(1), Ratio::dec("0.5")));
-        c.insert(Change::new(s(1), 2, s(0), Ratio::dec("-0.5")));
-        assert_eq!(c.journal_len(), 2);
-        assert_eq!(c.delta_since(base).map(<[Change]>::len), Some(2));
-        assert_caches_exact(&c);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   have held that very set: a replica's set only grows, so it holds at
 //!   most one set of each length.
 //! * [`CsRef::Delta`] — the changes a peer at a known digest is missing,
-//!   O(gap). Extracted from the append-order journal by
-//!   [`ChangeSet::delta_since`].
+//!   O(gap). Extracted from the append-order journal, which keeps every
+//!   change, by [`ChangeSet::delta_since`].
 //! * [`CsRef::Full`] — the whole set, O(|C|). The unconditional fallback
 //!   that keeps every negotiation bounded and liveness intact.
 //!
@@ -23,8 +23,8 @@
 //! senders open with a `Summary` — the length-only one to a receiver that
 //! accepted the sender's current set before; a receiver that cannot prove equality
 //! replies with its own digest; the sender answers with a `Delta` against
-//! that digest when its journal covers the gap, and degrades to `Full`
-//! after one failed delta. At most three exchanges separate any pair of
+//! that digest when the receiver's set is a prefix of its journal, and
+//! degrades to `Full` after one failed delta. At most three exchanges separate any pair of
 //! replicas, and the content-carrying fallback is exactly the pre-delta
 //! protocol — so the §VII restart/refresh semantics are untouched.
 //!

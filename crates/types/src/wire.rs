@@ -699,9 +699,8 @@ impl Wire for TransferChanges {
     }
 }
 
-/// Set order. A decoded set's journal is in that order with nothing
-/// compacted, whatever the writer's was: owners re-compact on their own
-/// cadence.
+/// Set order. A decoded set's journal is in that order, whatever the
+/// writer's was.
 impl Wire for ChangeSet {
     fn put(&self, out: &mut impl Sink) {
         put_seq(out, self.len(), self);

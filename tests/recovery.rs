@@ -8,10 +8,10 @@
 //!    snapshots) to every server changes *nothing* about a crash-free
 //!    schedule: identical operation records, identical message counts and
 //!    bytes per kind. Durability is observation, not participation.
-//! 2. **Compaction transparency** — journal compaction bounds the
-//!    in-memory journal while leaving the completed-operation schedule
-//!    untouched (payload bytes may differ when a delta degrades to full;
-//!    under a latency-only network that cannot reorder anything).
+//! 2. **Cadence transparency** — a snapshot cadence small enough that
+//!    every server folds its WAL changes nothing about the schedule either
+//!    (identical operation records, message counts and bytes per kind),
+//!    and keeps every WAL within two cadence intervals.
 //! 3. **Recovery equivalence** — a server that crashes mid-workload and
 //!    reboots from snapshot + WAL, then rejoins through the sync round and
 //!    count-based refresh, converges to the digest and registers of a
@@ -31,9 +31,10 @@
 //!    its recovered length, and brings a client naming a shorter length
 //!    to equality within two exchanges.
 //! 7. **Flat under churn** — over 2 100 reassignments with a server
-//!    crashed and rebooted every epoch, the journal and the WAL stay under
-//!    a cadence-derived bound and recovery time does not drift, while |C|
-//!    and the bytes of each recovery grow.
+//!    crashed and rebooted every epoch, the WAL stays under a
+//!    cadence-derived bound and neither the time nor the bytes of a
+//!    recovery drift, while |C| grows: a rebooted server catches up by a
+//!    delta of what it missed, not by the whole set.
 
 use std::collections::BTreeMap;
 
@@ -128,65 +129,57 @@ fn durable_storage_is_invisible_without_crashes() {
 }
 
 #[test]
-fn compaction_bounds_journal_without_changing_the_schedule() {
-    let cadence = CheckpointCadence {
-        every: 64,
-        min_retain: 16,
-    };
+fn snapshot_cadence_is_invisible_without_crashes() {
+    let cadence = CheckpointCadence::new(2);
     for seed in 0..4u64 {
         let cfg = RpConfig::uniform(7, 2);
         let net = || UniformLatency::new(1_000, 50_000);
-        let build = |options| {
-            let mut h: StorageHarness<u64> =
-                StorageHarness::build(cfg.clone(), 3, seed, net(), options);
-            // A large converged |C| so compaction has a prefix to drop.
-            h.seed_converged_changes(200);
-            h
-        };
-        let full = run_workload(build(DynOptions::default()), seed);
-        let compacted = run_workload(
-            build(DynOptions {
-                checkpoint: Some(cadence),
-                ..DynOptions::default()
-            }),
+        let plain = run_workload(
+            StorageHarness::build(cfg.clone(), 3, seed, net(), DynOptions::default()),
+            seed,
+        );
+        let durable = run_workload(
+            StorageHarness::build_durable(
+                cfg.clone(),
+                3,
+                seed,
+                net(),
+                DynOptions {
+                    checkpoint: Some(cadence),
+                    ..DynOptions::default()
+                },
+            ),
             seed,
         );
         assert_eq!(
-            op_records(&full),
-            op_records(&compacted),
-            "seed {seed}: compaction changed the completed-op schedule"
+            op_records(&plain),
+            op_records(&durable),
+            "seed {seed}: the cadence changed the completed-op schedule"
+        );
+        let (mp, md) = (plain.world.metrics(), durable.world.metrics());
+        assert_eq!(
+            mp.sent_by_kind, md.sent_by_kind,
+            "seed {seed}: message counts diverged"
+        );
+        assert_eq!(
+            mp.bytes_by_kind, md.bytes_by_kind,
+            "seed {seed}: per-kind bytes diverged"
         );
         for sv in cfg.servers() {
-            let journal = |h: &StorageHarness<u64>| {
-                h.world
-                    .actor::<DynServer<u64>>(h.server_actor(sv))
-                    .unwrap()
-                    .changes()
-                    .journal_len()
-            };
-            let (jf, jc) = (journal(&full), journal(&compacted));
-            assert!(jf >= 200, "seed {seed} s{sv}: uncompacted journal shrank");
+            let store = durable.storage_handle(sv).expect("durable");
+            let (snapshot, wal) = store.load().expect("something persisted");
+            assert!(snapshot.is_some(), "seed {seed} {sv}: never snapshotted");
             assert!(
-                jc < cadence.every + cadence.min_retain,
-                "seed {seed} s{sv}: compacted journal not bounded (len {jc})"
-            );
-            let changes = |h: &StorageHarness<u64>| {
-                h.world
-                    .actor::<DynServer<u64>>(h.server_actor(sv))
-                    .unwrap()
-                    .changes()
-                    .len()
-            };
-            assert_eq!(
-                changes(&full),
-                changes(&compacted),
-                "seed {seed} s{sv}: compaction changed set membership"
+                wal.len() <= 2 * cadence.every,
+                "seed {seed} {sv}: WAL {} > {}",
+                wal.len(),
+                2 * cadence.every
             );
         }
     }
 }
 
-/// Durable options for crash campaigns: compaction on, retries on.
+/// Durable options for crash campaigns: snapshots on, retries on.
 fn crash_options() -> DynOptions {
     DynOptions {
         checkpoint: Some(CheckpointCadence::default()),
@@ -232,49 +225,32 @@ fn crash_restart_campaign_stays_linearizable() {
 struct SoakEpoch {
     /// Largest |C| across servers; it grows forever.
     changes: usize,
-    /// Largest in-memory journal across servers.
-    journal: usize,
     /// Largest WAL across servers.
     wal: usize,
-    /// Virtual ns from the reboot to a settled world (sync round and
-    /// count-based refresh done, and every timer fired).
+    /// Virtual ns from the reboot to the last message sent to or by the
+    /// rebooted server: its sync round and count-based refresh.
     recovery_ns: u64,
     /// Bytes sent and received by the rebooted server in that window.
     recovery_bytes: u64,
 }
 
-/// The durable shard's long-run claim: a server's footprint follows the
-/// checkpoint cadence, not the history. 50 epochs of 42 weight ping-pong
-/// transfers (2 100 reassignments, each one Algorithm 4 run on the wire)
-/// race register traffic while one server sits the epoch out crashed, then
-/// reboots from snapshot + WAL. Every number is virtual time, so the run
-/// repeats exactly and its summary is pinned.
+/// The durable shard's long-run claim: a server's durable footprint
+/// follows the checkpoint cadence, not the history, and so does the cost
+/// of bringing it back. 50 epochs of 42 weight ping-pong transfers (2 100
+/// reassignments, each one Algorithm 4 run on the wire) race register
+/// traffic while one server sits the epoch out crashed, then reboots from
+/// snapshot + WAL. Every number is virtual time, so the run repeats
+/// exactly and its summary is pinned.
 ///
-/// Recovery is flat in time but not in bytes: every `SyA` a peer sends
-/// the rebooted server is `Full`, because an epoch adds 84 changes, more
-/// than the ≤ 62-entry compacted journal can cut a delta from. So the
-/// recovery bytes grow with |C| — the pin at the first and last epoch
-/// records an O(|C|) catch-up that per-issuer frontiers would flatten.
-///
-/// Recovery time is the wait for the world to settle, and what ends that
-/// wait is a timer, not the sync round. The messages of every reboot are
-/// done 0.09–0.34 ms after it; the last event of every epoch is a client's
-/// suspicion lapse (`QuorumSelector::on_lapse`, counter
-/// `suspicion_lapsed`). Under the explicit retry policy (base 200 µs) a
-/// lapse is 200 µs × 2^(strikes + 1), so a client that suspected the
-/// crashed server for the fourth time in a row arms a 3.2 ms lapse: that
-/// is the 3.13 ms of epochs 1, 15 and 36, against 0.26–1.14 ms for the
-/// rest. The per-half maxima compare those outliers, so the medians are
-/// compared and pinned beside them.
+/// Recovery is flat in bytes as well as time: the journal keeps every
+/// change, so each peer answers the rebooted server's `SyncR` with a
+/// `Delta` of the 84 changes an epoch adds, not with the whole set.
 #[test]
-fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
+fn soak_keeps_wal_recovery_time_and_recovery_bytes_flat_over_2100_reassignments() {
     const N: usize = 7;
     const EPOCHS: usize = 50;
     const TRANSFERS: usize = 42;
-    let cadence = CheckpointCadence {
-        every: 64,
-        min_retain: 16,
-    };
+    let cadence = CheckpointCadence::new(64);
     let cfg = RpConfig::uniform(N, 2);
     let options = DynOptions {
         checkpoint: Some(cadence),
@@ -311,15 +287,20 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
         let actor = h.server_actor(victim);
         let (t0, b0) = (h.world.now(), h.world.metrics().incident_bytes(actor));
         h.restart_server(victim);
-        h.settle();
-        let recovery_ns = h.world.now() - t0;
-        let recovery_bytes = h.world.metrics().incident_bytes(actor) - b0;
+        // Step to quiescence, noting when the rebooted server's traffic
+        // last moved: the timers that fire after it are not recovery.
+        let (mut last_ns, mut bytes) = (0, h.world.metrics().incident_bytes(actor));
+        while h.world.step() {
+            let now = h.world.metrics().incident_bytes(actor);
+            if now != bytes {
+                (last_ns, bytes) = (h.world.now() - t0, now);
+            }
+        }
         let mut sample = SoakEpoch {
             changes: 0,
-            journal: 0,
             wal: 0,
-            recovery_ns,
-            recovery_bytes,
+            recovery_ns: last_ns,
+            recovery_bytes: bytes - b0,
         };
         for sv in cfg.servers() {
             let ch = h
@@ -342,7 +323,6 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
                 );
             }
             sample.changes = sample.changes.max(ch.len());
-            sample.journal = sample.journal.max(ch.journal_len());
             let wal = h.storage_handle(sv).expect("durable").wal_len();
             sample.wal = sample.wal.max(wal);
         }
@@ -358,18 +338,21 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
         "every crash must reboot exactly once"
     );
 
-    // Memory is cadence-shaped: a compacted journal holds at most one
-    // interval plus the retained suffix, and the retention may keep a
-    // straggler's delta on top, bounded by the same interval. A snapshot
-    // resets the WAL, so it obeys the same bound.
-    let bound = 2 * cadence.every + cadence.min_retain;
+    // The WAL is cadence-shaped: a snapshot resets it once it holds one
+    // interval, and one delivery appends at most another.
+    let bound = 2 * cadence.every;
+    for (i, e) in epochs.iter().enumerate() {
+        assert!(e.wal <= bound, "epoch {i}: WAL {} > {bound}", e.wal);
+    }
+    // A rebooted server is sent what it missed, not what the others hold:
+    // no reboot costs much more than the first.
+    let first_bytes = epochs[0].recovery_bytes;
     for (i, e) in epochs.iter().enumerate() {
         assert!(
-            e.journal <= bound,
-            "epoch {i}: journal {} > {bound}",
-            e.journal
+            e.recovery_bytes as f64 <= first_bytes as f64 * 1.5,
+            "epoch {i}: recovery bytes {} against {first_bytes} at the first reboot",
+            e.recovery_bytes
         );
-        assert!(e.wal <= bound, "epoch {i}: WAL {} > {bound}", e.wal);
     }
     // Flat, not merely bounded: the second half's maxima stay within a
     // slack of the first half's.
@@ -378,7 +361,6 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
         let max = |es: &[SoakEpoch]| es.iter().map(f).max().expect("epochs");
         (max(first), max(second))
     };
-    let journal = halves(|e| e.journal as u64);
     let wal = halves(|e| e.wal as u64);
     let recovery = halves(|e| e.recovery_ns);
     // The nearest-rank median of each half's recovery times.
@@ -392,7 +374,6 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
         (median(first), median(second))
     };
     for (what, (first, second), slack) in [
-        ("journal", journal, 1.25),
         ("WAL", wal, 1.25),
         ("recovery time", recovery, 1.5),
         ("median recovery time", recovery_median, 1.5),
@@ -407,21 +388,16 @@ fn soak_keeps_journal_wal_and_recovery_time_flat_over_2100_reassignments() {
 
     // The run's summary, deterministic to the byte.
     assert_eq!((first.changes, last.changes), (91, 4_207), "|C|");
-    assert_eq!(journal, (62, 62), "journal maxima per half");
     assert_eq!(wal, (63, 63), "WAL maxima per half");
     assert_eq!(
         (first.recovery_bytes, last.recovery_bytes),
-        (3_472, 166_424),
+        (3_268, 3_920),
         "recovery bytes at the first and last reboot"
     );
-    assert_eq!(
-        recovery,
-        (3_143_589, 3_139_233),
-        "recovery ns maxima per half"
-    );
+    assert_eq!(recovery, (30_445, 28_153), "recovery ns maxima per half");
     assert_eq!(
         recovery_median,
-        (897_398, 833_874),
+        (19_368, 19_662),
         "recovery ns medians per half"
     );
 }
@@ -770,8 +746,7 @@ fn a_server_recovered_from_a_snapshot_accepts_only_its_own_length() {
     let options = DynOptions {
         // A snapshot every two WAL records: every transfer below ends in
         // one, so the recovered set is decoded from the snapshot alone.
-        // The journal keeps everything.
-        checkpoint: Some(CheckpointCadence::new(2, 16)),
+        checkpoint: Some(CheckpointCadence::new(2)),
         ..DynOptions::default()
     };
     let dir = scratch_dir("named");
